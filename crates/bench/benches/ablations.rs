@@ -137,22 +137,14 @@ fn bench_skeleton_extension(c: &mut Criterion) {
         data.push((Interval::new(l, l + (x >> 44) as i64 % 500).unwrap(), id));
     }
     use ritree_core::{RiOptions, RiTree};
-    let env_plain = fresh_env();
-    let plain = RiTree::bulk_load(
-        std::sync::Arc::clone(&env_plain.db),
-        "plain",
-        RiOptions::default(),
-        data.clone(),
-    )
-    .unwrap();
-    let env_skel = fresh_env();
-    let skel = RiTree::bulk_load(
-        std::sync::Arc::clone(&env_skel.db),
-        "skel",
-        RiOptions { skeleton: true },
-        data,
-    )
-    .unwrap();
+    // 20,000 rows into an empty tree: `insert_batch` takes the bulk route.
+    let load = |name: &str, opts: RiOptions| {
+        let tree = RiTree::create_with_options(fresh_env().db, name, opts).unwrap();
+        tree.insert_batch(&data, 1).unwrap();
+        tree
+    };
+    let plain = load("plain", RiOptions::default());
+    let skel = load("skel", RiOptions { skeleton: true });
     // Queries far from the cluster: descents full of empty nodes.
     let queries: Vec<Interval> =
         (0..16).map(|i| Interval::new(i * 60_000_000, i * 60_000_000 + 2000).unwrap()).collect();

@@ -2,12 +2,10 @@
 //! (our concurrency experiment; see `ri_bench::concurrency` for the
 //! deterministic contention model).
 //!
-//! Usage: `fig18_concurrency [--quick] [--json PATH]`
-//!
-//! `--json PATH` additionally writes the deterministic snapshot consumed
-//! by CI's `bench-snapshot` step (conventionally `BENCH_concurrency.json`).
+//! Usage: `fig18_concurrency [--quick]`.  The deterministic snapshot
+//! (`BENCH_concurrency.json`) is written by `run_all --snapshots DIR`.
 
 fn main() {
-    let (quick, json) = ri_bench::snapshot_args("BENCH_concurrency.json");
-    ri_bench::concurrency::run(quick, json.as_deref());
+    let quick = std::env::args().any(|a| a == "--quick");
+    ri_bench::concurrency::run(quick, None);
 }

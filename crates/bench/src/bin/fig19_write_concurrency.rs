@@ -1,14 +1,12 @@
-//! Modelled insert throughput vs writer threads: latch-crabbing writers
+//! Modelled insert throughput vs writer threads: B-link writers
 //! against the pre-PR 3 global-writer baseline (our write-concurrency
 //! experiment; see `ri_bench::write_concurrency` for the deterministic
 //! contention model).
 //!
-//! Usage: `fig19_write_concurrency [--quick] [--json PATH]`
-//!
-//! `--json PATH` additionally writes the deterministic snapshot consumed
-//! by CI (conventionally `BENCH_write_concurrency.json`).
+//! Usage: `fig19_write_concurrency [--quick]`.  The deterministic snapshot
+//! (`BENCH_write_concurrency.json`) is written by `run_all --snapshots DIR`.
 
 fn main() {
-    let (quick, json) = ri_bench::snapshot_args("BENCH_write_concurrency.json");
-    ri_bench::write_concurrency::run(quick, json.as_deref());
+    let quick = std::env::args().any(|a| a == "--quick");
+    ri_bench::write_concurrency::run(quick, None);
 }

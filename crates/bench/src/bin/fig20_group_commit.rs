@@ -3,12 +3,10 @@
 //! baseline (our durability experiment; see `ri_bench::group_commit`
 //! for the deterministic commit-policy model).
 //!
-//! Usage: `fig20_group_commit [--quick] [--json PATH]`
-//!
-//! `--json PATH` additionally writes the deterministic snapshot consumed
-//! by CI (conventionally `BENCH_group_commit.json`).
+//! Usage: `fig20_group_commit [--quick]`.  The deterministic snapshot
+//! (`BENCH_group_commit.json`) is written by `run_all --snapshots DIR`.
 
 fn main() {
-    let (quick, json) = ri_bench::snapshot_args("BENCH_group_commit.json");
-    ri_bench::group_commit::run(quick, json.as_deref());
+    let quick = std::env::args().any(|a| a == "--quick");
+    ri_bench::group_commit::run(quick, None);
 }

@@ -3,12 +3,10 @@
 //! `ri_bench::scaleup` for the measured-anchor + verified-model
 //! methodology).
 //!
-//! Usage: `fig21_scaleup [--quick] [--json PATH]`
-//!
-//! `--json PATH` additionally writes the deterministic snapshot consumed
-//! by CI (conventionally `BENCH_scaleup.json`).
+//! Usage: `fig21_scaleup [--quick]`.  The deterministic snapshot
+//! (`BENCH_scaleup.json`) is written by `run_all --snapshots DIR`.
 
 fn main() {
-    let (quick, json) = ri_bench::snapshot_args("BENCH_scaleup.json");
-    ri_bench::scaleup::run(quick, json.as_deref());
+    let quick = std::env::args().any(|a| a == "--quick");
+    ri_bench::scaleup::run(quick, None);
 }

@@ -3,12 +3,10 @@
 //! (our durability experiment; see `ri_bench::commit_latency` for the
 //! deterministic flush-policy model).
 //!
-//! Usage: `fig22_commit_latency [--quick] [--json PATH]`
-//!
-//! `--json PATH` additionally writes the deterministic snapshot consumed
-//! by CI (conventionally `BENCH_commit_latency.json`).
+//! Usage: `fig22_commit_latency [--quick]`.  The deterministic snapshot
+//! (`BENCH_commit_latency.json`) is written by `run_all --snapshots DIR`.
 
 fn main() {
-    let (quick, json) = ri_bench::snapshot_args("BENCH_commit_latency.json");
-    ri_bench::commit_latency::run(quick, json.as_deref());
+    let quick = std::env::args().any(|a| a == "--quick");
+    ri_bench::commit_latency::run(quick, None);
 }

@@ -3,12 +3,10 @@
 //! read-through tier over the RI-tree under Zipf skew × interval budget
 //! (our main-memory experiment; see `ri_bench::hot_tier` for the model).
 //!
-//! Usage: `fig23_hot_tier [--quick] [--json PATH]`
-//!
-//! `--json PATH` additionally writes the deterministic snapshot consumed
-//! by CI (conventionally `BENCH_hint.json`).
+//! Usage: `fig23_hot_tier [--quick]`.  The deterministic snapshot
+//! (`BENCH_hint.json`) is written by `run_all --snapshots DIR`.
 
 fn main() {
-    let (quick, json) = ri_bench::snapshot_args("BENCH_hint.json");
-    ri_bench::hot_tier::run(quick, json.as_deref());
+    let quick = std::env::args().any(|a| a == "--quick");
+    ri_bench::hot_tier::run(quick, None);
 }

@@ -40,12 +40,10 @@
 //! depend on thread scheduling, so they are printed as `#` comments and
 //! excluded from the JSON.
 
-use crate::harness::{f, section};
-use ri_pagestore::{BufferPool, BufferPoolConfig, FlushPolicy, MemDisk, WalConfig, WalSnapshot};
-use ri_relstore::{Database, TableDef};
+use crate::harness::{durable_db, f, section, wal_stats};
+use ri_pagestore::{FlushPolicy, WalConfig, DEFAULT_PAGE_SIZE};
 use std::collections::VecDeque;
 use std::io::Write as _;
-use std::sync::Arc;
 
 /// Committing writer thread counts evaluated.
 pub const THREAD_COUNTS: [usize; 6] = [1, 2, 4, 8, 16, 32];
@@ -63,8 +61,8 @@ pub const T_OP_BASE_NS: u64 = 100_000;
 /// Per-byte cost of encoding + appending WAL records (think time).
 pub const T_OP_PER_BYTE_NS: u64 = 40;
 
-/// Log page size of the traced configuration.
-pub const PAGE_BYTES: u64 = 2048;
+/// Log page size of the traced configuration (`harness::durable_db`'s).
+pub const PAGE_BYTES: u64 = DEFAULT_PAGE_SIZE as u64;
 
 /// Inserts per commit in the large-transaction workload.
 pub const LARGE_TXN_INSERTS: u64 = 256;
@@ -237,27 +235,6 @@ pub struct Report {
     pub commits_per_writer: u64,
     /// The small- and large-transaction workloads.
     pub workloads: Vec<Workload>,
-}
-
-/// A fresh WAL-backed database on in-memory devices, paper-sized pool.
-fn durable_db(wal_config: WalConfig) -> Database {
-    let pool = Arc::new(
-        BufferPool::new_durable_with(
-            MemDisk::new(PAGE_BYTES as usize),
-            BufferPoolConfig::with_capacity(200),
-            MemDisk::new(PAGE_BYTES as usize),
-            wal_config,
-        )
-        .expect("durable pool"),
-    );
-    let db = Database::create(pool).expect("create");
-    db.create_table(TableDef { name: "T".into(), columns: vec!["a".into(), "b".into()] })
-        .expect("ddl");
-    db
-}
-
-fn wal_stats(db: &Database) -> WalSnapshot {
-    db.pool().wal().expect("durable pool").stats()
 }
 
 /// Runs the real single-writer `FlushPolicy::Off` workload and reads

@@ -11,6 +11,7 @@ use ri_workloads::{
     d1, d2, d3, d4, queries_for_selectivity, restricted_d3, sweep_points, WorkloadSpec, DOMAIN_MAX,
 };
 use ritree_core::Interval;
+use std::path::Path;
 use std::sync::Arc;
 
 fn scaled(n: usize, quick: bool) -> usize {
@@ -386,60 +387,64 @@ pub mod table1 {
     }
 }
 
-/// A figure entry point: takes `quick` and prints its tables.
-pub type FigureFn = fn(bool);
+/// One registered experiment.
+pub struct Figure {
+    /// Name of the standalone binary in `src/bin/`.
+    pub name: &'static str,
+    /// File name of the byte-stable JSON snapshot the experiment writes
+    /// (fig18 onward); `None` for the paper's figures and tables.
+    pub snapshot: Option<&'static str>,
+    /// Entry point: takes `quick` and the snapshot path to write, if any,
+    /// and prints its tables.
+    pub run: fn(bool, Option<&Path>),
+}
 
 /// Every figure/table experiment in the suite, in run order — the one
 /// table `run_all` iterates, so a figure added here is automatically
-/// part of the full regeneration and cannot be forgotten.  Names match
-/// the standalone binaries in `src/bin/`.
-///
-/// The snapshot figures (fig18 onward) wrap their module's
-/// `run(quick, json_path)` entry point with `json_path = None`; the
-/// byte-stable JSON artifacts are produced by the dedicated binaries,
-/// which CI double-runs and diffs.
-pub const REGISTRY: &[(&str, FigureFn)] = &[
-    ("table1", table1::run),
-    ("fig10_plan", fig10::run),
-    ("fig12_storage", fig12::run),
-    ("fig13_selectivity", fig13::run),
-    ("fig14_scaleup", fig14::run),
-    ("fig15_granularity", fig15::run),
-    ("fig16_duration", fig16::run),
-    ("fig17_sweep", fig17::run),
-    ("table_windowlist", table_windowlist::run),
-    ("table_tindex_tuning", table_tindex_tuning::run),
-    ("fig18_concurrency", fig18),
-    ("fig19_write_concurrency", fig19),
-    ("fig20_group_commit", fig20),
-    ("fig21_scaleup", fig21),
-    ("fig22_commit_latency", fig22),
-    ("fig23_hot_tier", fig23),
+/// part of the full regeneration and cannot be forgotten.
+/// `run_all --snapshots DIR` writes each entry's snapshot into `DIR`.
+pub const REGISTRY: &[Figure] = &[
+    Figure { name: "table1", snapshot: None, run: |q, _| table1::run(q) },
+    Figure { name: "fig10_plan", snapshot: None, run: |q, _| fig10::run(q) },
+    Figure { name: "fig12_storage", snapshot: None, run: |q, _| fig12::run(q) },
+    Figure { name: "fig13_selectivity", snapshot: None, run: |q, _| fig13::run(q) },
+    Figure { name: "fig14_scaleup", snapshot: None, run: |q, _| fig14::run(q) },
+    Figure { name: "fig15_granularity", snapshot: None, run: |q, _| fig15::run(q) },
+    Figure { name: "fig16_duration", snapshot: None, run: |q, _| fig16::run(q) },
+    Figure { name: "fig17_sweep", snapshot: None, run: |q, _| fig17::run(q) },
+    Figure { name: "table_windowlist", snapshot: None, run: |q, _| table_windowlist::run(q) },
+    Figure { name: "table_tindex_tuning", snapshot: None, run: |q, _| table_tindex_tuning::run(q) },
+    Figure {
+        name: "fig18_concurrency",
+        snapshot: Some("BENCH_concurrency.json"),
+        run: |q, json| drop(crate::concurrency::run(q, json)),
+    },
+    Figure {
+        name: "fig19_write_concurrency",
+        snapshot: Some("BENCH_write_concurrency.json"),
+        run: |q, json| drop(crate::write_concurrency::run(q, json)),
+    },
+    Figure {
+        name: "fig20_group_commit",
+        snapshot: Some("BENCH_group_commit.json"),
+        run: |q, json| drop(crate::group_commit::run(q, json)),
+    },
+    Figure {
+        name: "fig21_scaleup",
+        snapshot: Some("BENCH_scaleup.json"),
+        run: |q, json| drop(crate::scaleup::run(q, json)),
+    },
+    Figure {
+        name: "fig22_commit_latency",
+        snapshot: Some("BENCH_commit_latency.json"),
+        run: |q, json| drop(crate::commit_latency::run(q, json)),
+    },
+    Figure {
+        name: "fig23_hot_tier",
+        snapshot: Some("BENCH_hint.json"),
+        run: |q, json| drop(crate::hot_tier::run(q, json)),
+    },
 ];
-
-fn fig18(quick: bool) {
-    let _ = crate::concurrency::run(quick, None);
-}
-
-fn fig19(quick: bool) {
-    let _ = crate::write_concurrency::run(quick, None);
-}
-
-fn fig20(quick: bool) {
-    let _ = crate::group_commit::run(quick, None);
-}
-
-fn fig21(quick: bool) {
-    let _ = crate::scaleup::run(quick, None);
-}
-
-fn fig22(quick: bool) {
-    let _ = crate::commit_latency::run(quick, None);
-}
-
-fn fig23(quick: bool) {
-    let _ = crate::hot_tier::run(quick, None);
-}
 
 #[cfg(test)]
 mod tests {
@@ -452,13 +457,16 @@ mod tests {
         super::table_tindex_tuning::run(true);
     }
 
-    /// The registry stays in sync with the binaries: distinct names, and
-    /// one entry per `src/bin/` figure (run_all itself excluded).
+    /// The registry stays in sync with the binaries: distinct names (and
+    /// snapshot files), one entry per `src/bin/` figure (run_all itself
+    /// excluded).
     #[test]
     fn registry_names_are_distinct() {
-        let mut names: Vec<&str> = super::REGISTRY.iter().map(|&(n, _)| n).collect();
+        let mut names: Vec<&str> =
+            super::REGISTRY.iter().flat_map(|f| [Some(f.name), f.snapshot]).flatten().collect();
+        let total = names.len();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), super::REGISTRY.len());
+        assert_eq!(names.len(), total);
     }
 }

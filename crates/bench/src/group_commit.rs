@@ -7,8 +7,9 @@
 //!
 //! Like `fig18`/`fig19`, the experiment prices concurrency
 //! *deterministically*.  A real durable run executes once,
-//! single-threaded: inserts through a WAL-backed [`Database`], one
-//! `commit()` per insert, and the WAL's own counters
+//! single-threaded: inserts through a WAL-backed
+//! [`ri_relstore::Database`], one `commit()` per insert, and the WAL's
+//! own counters
 //! ([`ri_pagestore::WalSnapshot`]) provide the traced facts — record
 //! bytes appended per commit and the single-writer sync count (exactly
 //! one fsync per commit: with nobody to share a sync with, group commit
@@ -42,11 +43,9 @@
 //! log is durable through its end.  Wall-clock-dependent group sizes
 //! are printed for reference but excluded from the JSON.
 
-use crate::harness::{f, section};
-use ri_pagestore::{BufferPool, BufferPoolConfig, MemDisk, WalSnapshot};
-use ri_relstore::{Database, TableDef};
+use crate::harness::{durable_db, f, section, wal_stats};
+use ri_pagestore::WalConfig;
 use std::io::Write as _;
-use std::sync::Arc;
 
 /// Committing writer thread counts evaluated.
 pub const THREAD_COUNTS: [usize; 6] = [1, 2, 4, 8, 16, 32];
@@ -190,7 +189,7 @@ pub struct Report {
 /// counters.  One commit per insert; every commit must lead its own
 /// sync (there is nobody to follow).
 fn trace_single_writer(inserts: u64) -> Trace {
-    let db = durable_db();
+    let db = durable_db(WalConfig::default());
     let t = db.table("T").expect("table");
     for i in 0..inserts as i64 {
         t.insert(&[i, (i * 37) % 1000]).expect("insert");
@@ -209,31 +208,11 @@ fn trace_single_writer(inserts: u64) -> Trace {
     }
 }
 
-/// A fresh WAL-backed database on in-memory devices, paper-sized pool.
-fn durable_db() -> Database {
-    let pool = Arc::new(
-        BufferPool::new_durable(
-            MemDisk::new(2048),
-            BufferPoolConfig::with_capacity(200),
-            MemDisk::new(2048),
-        )
-        .expect("durable pool"),
-    );
-    let db = Database::create(pool).expect("create");
-    db.create_table(TableDef { name: "T".into(), columns: vec!["a".into(), "b".into()] })
-        .expect("ddl");
-    db
-}
-
-fn wal_stats(db: &Database) -> WalSnapshot {
-    db.pool().wal().expect("durable pool").stats()
-}
-
 /// Real concurrent committers: disjoint inserts fanned out over
 /// `threads`, one `commit()` each.  Asserts the WAL's exact accounting
 /// identity and returns (commits, syncs, commit_syncs, group_commits).
 fn verify_concurrent_commits(threads: usize, per_writer: u64) -> (u64, u64, u64, u64) {
-    let db = durable_db();
+    let db = durable_db(WalConfig::default());
     let t = db.table("T").expect("table");
     let total = threads as u64 * per_writer;
     let items: Vec<i64> = (0..total as i64).collect();

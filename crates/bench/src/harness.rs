@@ -2,9 +2,10 @@
 
 use ri_baselines::{Ist, IstOrder, TileIndex};
 use ri_pagestore::{
-    BufferPool, BufferPoolConfig, IoSnapshot, LatencyModel, MemDisk, DEFAULT_PAGE_SIZE,
+    BufferPool, BufferPoolConfig, IoSnapshot, LatencyModel, MemDisk, WalConfig, WalSnapshot,
+    DEFAULT_PAGE_SIZE,
 };
-use ri_relstore::{Database, IntervalAccessMethod};
+use ri_relstore::{Database, IntervalAccessMethod, TableDef};
 use ritree_core::{Interval, RiTree};
 use std::sync::Arc;
 use std::time::Instant;
@@ -122,22 +123,28 @@ pub fn run_queries(
     }
 }
 
-/// Parses the concurrency snapshot bins' common CLI:
-/// `[--quick] [--json [PATH]]`.  The `--json` value is optional — a
-/// following flag (or nothing) means "use `default_json`".  Unknown
-/// flags are ignored, like every figure binary.
-pub fn snapshot_args(default_json: &str) -> (bool, Option<std::path::PathBuf>) {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().position(|a| a == "--json").map(|i| {
-        let path = args
-            .get(i + 1)
-            .map(String::as_str)
-            .filter(|a| !a.starts_with('-'))
-            .unwrap_or(default_json);
-        std::path::PathBuf::from(path)
-    });
-    (quick, json)
+/// A fresh WAL-backed database on in-memory devices (paper-sized pool,
+/// 2 KB pages) holding one two-column table `T` — the commit experiments'
+/// workbench.
+pub fn durable_db(wal_config: WalConfig) -> Database {
+    let pool = Arc::new(
+        BufferPool::new_durable_with(
+            MemDisk::new(DEFAULT_PAGE_SIZE),
+            BufferPoolConfig::with_capacity(200),
+            MemDisk::new(DEFAULT_PAGE_SIZE),
+            wal_config,
+        )
+        .expect("durable pool"),
+    );
+    let db = Database::create(pool).expect("create");
+    db.create_table(TableDef { name: "T".into(), columns: vec!["a".into(), "b".into()] })
+        .expect("ddl");
+    db
+}
+
+/// The WAL counters of a [`durable_db`].
+pub fn wal_stats(db: &Database) -> WalSnapshot {
+    db.pool().wal().expect("durable pool").stats()
 }
 
 /// Core count of the machine regenerating a snapshot, recorded in the

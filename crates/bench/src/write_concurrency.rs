@@ -1,7 +1,6 @@
 //! The write-concurrency experiment (ours, not the paper's): modelled
 //! insert throughput versus writer threads — the B-link protocol against
-//! the latch-crabbing floor it replaced (PR 3) and the global-writer
-//! baseline the engine enforced before that.
+//! the global-writer baseline the engine enforced before PR 3.
 //!
 //! # Methodology
 //!
@@ -10,33 +9,26 @@
 //! and every insert's page accesses are read off the pool's per-shard
 //! counters, with the latch manager's `splits` counter flagging which
 //! inserts performed a structure modification.  The
-//! [`WriteContentionModel`] then prices three writer protocols over the
+//! [`WriteContentionModel`] then prices two writer protocols over the
 //! identical trace:
 //!
 //! * **global writer** — the pre-PR 3 contract: every insert holds the
 //!   one writer slot, so the batch's makespan is the *sum* of all
 //!   per-insert costs no matter how many threads submit work;
-//! * **latch crabbing (PR 3, historical)** — leaf-disjoint inserts
-//!   overlap, but every split upgraded to the *exclusive tree latch*, so
-//!   all structure-modifying inserts formed one serial timeline.  Floor:
-//!   `max(per-shard lock holds, Σ SMO insert cost, per-insert meta
-//!   hold)`.  On an SMO-heavy workload the serial SMO timeline binds
-//!   from a handful of threads on — which is exactly why PR 5 removed
-//!   it;
 //! * **B-link (PR 5, current)** — splits hold only the splitting node's
 //!   latch and post the separator in a separate latched step, so
 //!   structure modifications on different nodes overlap like any other
-//!   writes.  The global SMO timeline term is *gone from the
-//!   implementation and therefore from the model*; what remains serial
+//!   writes.  There is no tree-wide SMO timeline; what remains serial
 //!   is the per-shard lock-hold timeline and the meta-page latch (one
 //!   count-bump hold per insert plus one allocation hold per split).
 //!
-//! Charging identical total work to all protocols isolates exactly the
+//! Charging identical total work to both protocols isolates exactly the
 //! effect under study — which serial floor binds.  Two workloads are
 //! traced: the paper-sized configuration (2 KB pages, where splits are
 //! rare) and an **SMO-heavy** configuration (256-byte pages, leaf
-//! capacity 6, where roughly every third insert splits) that makes the
-//! old crabbing floor bind early.  Wall-clock numbers are printed for
+//! capacity 6, where roughly every third insert splits) whose trace
+//! summary reports how much of the work is structure modification.
+//! Wall-clock numbers are printed for
 //! reference but excluded from the JSON snapshot
 //! (`BENCH_write_concurrency.json`), which must stay byte-stable across
 //! runs and machines.
@@ -77,7 +69,8 @@ pub struct Workload {
 
 /// The two traced workloads: the paper's block size (splits are rare)
 /// and a small-block configuration where splits dominate — the regime
-/// that separates the B-link floor from the old crabbing floor.
+/// where a serialized SMO timeline would bind and the B-link floor does
+/// not.
 pub const WORKLOADS: [Workload; 2] = [
     Workload { name: "paper-blocks", page_size: DEFAULT_PAGE_SIZE, frames: 64 },
     Workload { name: "smo-heavy", page_size: 256, frames: 64 },
@@ -97,8 +90,7 @@ pub struct WriteTrace {
     pub inserts: usize,
     /// Simulated seconds of every insert summed (I/O + latch + CPU).
     pub total_work: f64,
-    /// Simulated seconds of the structure-modifying inserts only (the
-    /// serial timeline of the *historical* crabbing protocol).
+    /// Simulated seconds of the structure-modifying inserts only.
     pub smo_work: f64,
     /// Inserts that split at least one node.
     pub smo_count: u64,
@@ -127,25 +119,13 @@ impl WriteContentionModel {
         trace.total_work
     }
 
-    /// The per-shard lock-hold floor shared by both concurrent protocols.
+    /// The per-shard lock-hold floor.
     fn shard_floor(&self, trace: &WriteTrace) -> f64 {
         trace.per_shard.iter().map(|s| self.base.shard_serial_seconds(s)).fold(0.0f64, f64::max)
     }
 
-    /// Makespan under PR 3's latch crabbing (historical): work spreads
-    /// over `threads`, floored by the per-shard lock timelines, the
-    /// serial SMO timeline (every split held the exclusive tree latch),
-    /// and the per-insert meta-latch hold.
-    pub fn makespan_crabbing(&self, trace: &WriteTrace, threads: usize) -> f64 {
-        let meta_floor = trace.inserts as f64 * self.base.seconds_per_latch;
-        (trace.total_work / threads.max(1) as f64)
-            .max(self.shard_floor(trace))
-            .max(trace.smo_work)
-            .max(meta_floor)
-    }
-
     /// Makespan under the B-link protocol: splits overlap like any other
-    /// writes, so the global SMO timeline term is gone.  The meta latch
+    /// writes, so there is no global SMO timeline term.  The meta latch
     /// admits one hold at a time — one count bump per insert plus one
     /// allocation hold per split.
     pub fn makespan_blink(&self, trace: &WriteTrace, threads: usize) -> f64 {
@@ -165,15 +145,10 @@ pub struct WriteThroughput {
     pub threads: usize,
     /// Modelled inserts/second under the global-writer baseline.
     pub inserts_per_sec_global: f64,
-    /// Modelled inserts/second under PR 3's latch crabbing (historical).
-    pub inserts_per_sec_crabbing: f64,
     /// Modelled inserts/second under the B-link protocol (current).
     pub inserts_per_sec_blink: f64,
     /// B-link over the global-writer baseline.
     pub speedup_vs_global: f64,
-    /// B-link over the historical crabbing floor — the price of the
-    /// exclusive-tree-latch SMO timeline this PR removed.
-    pub speedup_vs_crabbing: f64,
 }
 
 /// Deterministic summary of one traced configuration.
@@ -185,8 +160,7 @@ pub struct TraceSummary {
     pub shards: usize,
     /// Fraction of inserts that modified structure.
     pub smo_fraction: f64,
-    /// Fraction of the total simulated work done by SMO inserts (the
-    /// crabbing protocol's serial share).
+    /// Fraction of the total simulated work done by SMO inserts.
     pub smo_work_fraction: f64,
     /// Physical block accesses per insert.
     pub phys_io_per_insert: f64,
@@ -309,14 +283,14 @@ fn verify_concurrent_btree(keys: &[[i64; 3]], threads: usize) -> f64 {
 /// Runs the experiment; when `json_path` is set, also writes the
 /// deterministic snapshot there (the CI artifact).
 pub fn run(quick: bool, json_path: Option<&std::path::Path>) -> WriteReport {
-    section("Figure 19: insert throughput vs writer threads, B-link vs crabbing vs global writer");
+    section("Figure 19: insert throughput vs writer threads, B-link vs global writer");
     let n = if quick { 20_000 } else { 100_000 };
     let keys = workload_keys(n);
     let model = WriteContentionModel::default();
 
     let mut rows: Vec<WriteThroughput> = Vec::new();
     let mut traces: Vec<TraceSummary> = Vec::new();
-    println!("workload,shards,threads,ips_global,ips_crabbing,ips_blink,blink_vs_global,blink_vs_crabbing");
+    println!("workload,shards,threads,ips_global,ips_blink,blink_vs_global");
     for cfg in &WORKLOADS {
         for &shards in &SHARD_COUNTS {
             let trace = trace_inserts(cfg, shards, &keys, &model);
@@ -330,26 +304,21 @@ pub fn run(quick: bool, json_path: Option<&std::path::Path>) -> WriteReport {
             });
             for &threads in &THREAD_COUNTS {
                 let global = n as f64 / model.makespan_global(&trace);
-                let crabbing = n as f64 / model.makespan_crabbing(&trace, threads);
                 let blink = n as f64 / model.makespan_blink(&trace, threads);
                 println!(
-                    "{},{shards},{threads},{},{},{},{},{}",
+                    "{},{shards},{threads},{},{},{}",
                     cfg.name,
                     f(global),
-                    f(crabbing),
                     f(blink),
-                    f(blink / global),
-                    f(blink / crabbing)
+                    f(blink / global)
                 );
                 rows.push(WriteThroughput {
                     workload: cfg.name,
                     shards,
                     threads,
                     inserts_per_sec_global: global,
-                    inserts_per_sec_crabbing: crabbing,
                     inserts_per_sec_blink: blink,
                     speedup_vs_global: blink / global,
-                    speedup_vs_crabbing: blink / crabbing,
                 });
             }
         }
@@ -366,11 +335,9 @@ pub fn run(quick: bool, json_path: Option<&std::path::Path>) -> WriteReport {
     }
     verify_ritree_batch(quick);
 
-    println!("# model: the global writer serializes every insert; crabbing (PR 3,");
-    println!("# historical) overlapped leaf-disjoint inserts but serialized every split");
-    println!("# on the exclusive tree latch; B-link (PR 5) splits hold only the");
-    println!("# splitting node's latch, so the serial SMO timeline is gone and the");
-    println!("# floor is max(shard lock holds, meta-latch holds)");
+    println!("# model: the global writer serializes every insert; B-link splits hold");
+    println!("# only the splitting node's latch, so there is no serial SMO timeline and");
+    println!("# the floor is max(shard lock holds, meta-latch holds)");
     let report = WriteReport { inserts: n, traces, model, rows };
     if let Some(path) = json_path {
         write_json(&report, path, quick).expect("write bench snapshot");
@@ -425,11 +392,9 @@ fn write_json(report: &WriteReport, path: &std::path::Path, quick: bool) -> std:
     out.push_str(&format!("  \"mode\": \"{}\",\n", if quick { "quick" } else { "full" }));
     out.push_str(
         "  \"protocol\": \"B-link (Lehman-Yao): splits hold only the splitting node's \
-         latch and post the separator in a separate latched step, so the serial SMO \
-         timeline of the PR 3 crabbing protocol is gone; the B-link floor is \
-         max(per-shard lock holds, meta-latch holds: one count bump per insert + one \
-         allocation per split). The crabbing column is the historical PR 3 floor \
-         re-priced over the same trace for comparison\",\n",
+         latch and post the separator in a separate latched step, so there is no \
+         serial SMO timeline; the B-link floor is max(per-shard lock holds, meta-latch \
+         holds: one count bump per insert + one allocation per split)\",\n",
     );
     out.push_str(&format!("  \"runner_cores\": {},\n", crate::harness::runner_cores()));
     out.push_str(&format!("  \"inserts\": {},\n", report.inserts));
@@ -457,15 +422,13 @@ fn write_json(report: &WriteReport, path: &std::path::Path, quick: bool) -> std:
     out.push_str("  \"results\": [\n");
     for (i, r) in report.rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"shards\": {}, \"threads\": {}, \"inserts_per_sec_global\": {:.3}, \"inserts_per_sec_crabbing\": {:.3}, \"inserts_per_sec_blink\": {:.3}, \"blink_vs_global\": {:.3}, \"blink_vs_crabbing\": {:.3}}}{}\n",
+            "    {{\"workload\": \"{}\", \"shards\": {}, \"threads\": {}, \"inserts_per_sec_global\": {:.3}, \"inserts_per_sec_blink\": {:.3}, \"blink_vs_global\": {:.3}}}{}\n",
             r.workload,
             r.shards,
             r.threads,
             r.inserts_per_sec_global,
-            r.inserts_per_sec_crabbing,
             r.inserts_per_sec_blink,
             r.speedup_vs_global,
-            r.speedup_vs_crabbing,
             if i + 1 == report.rows.len() { "" } else { "," }
         ));
     }
@@ -508,17 +471,6 @@ mod tests {
     }
 
     #[test]
-    fn crabbing_bottoms_out_at_its_smo_timeline() {
-        let m = WriteContentionModel::default();
-        let t = toy_trace();
-        let m1 = m.makespan_crabbing(&t, 1);
-        let m64 = m.makespan_crabbing(&t, 64);
-        assert!(m1 >= m64);
-        // smo_work (0.9) dominates every other floor in the toy trace.
-        assert!((m64 - t.smo_work).abs() < 1e-12, "crabbing is SMO-timeline-bound");
-    }
-
-    #[test]
     fn blink_drops_the_smo_timeline_term() {
         let m = WriteContentionModel::default();
         let t = toy_trace();
@@ -526,13 +478,9 @@ mod tests {
             t.per_shard.iter().map(|s| m.base.shard_serial_seconds(s)).fold(0.0f64, f64::max);
         let meta_floor = (t.inserts as u64 + t.splits) as f64 * m.base.seconds_per_latch;
         let floor = shard_floor.max(meta_floor);
-        assert!(floor < t.smo_work, "the toy trace is SMO-timeline-bound for crabbing");
+        assert!(floor < t.smo_work, "a serial SMO timeline would bind on the toy trace");
         let saturated = m.makespan_blink(&t, 1_000_000);
         assert!((saturated - floor).abs() < 1e-12, "B-link bottoms out below the SMO timeline");
-        assert!(
-            m.makespan_blink(&t, 64) <= m.makespan_crabbing(&t, 64) / 10.0,
-            "on an SMO-bound trace the gap is large at realistic thread counts"
-        );
     }
 
     #[test]
@@ -547,36 +495,11 @@ mod tests {
         };
         for cfg in &WORKLOADS {
             for shards in SHARD_COUNTS {
-                // B-link must never model slower than the historical
-                // crabbing floor, and must keep the PR 3 acceptance bar
-                // against the global writer.
-                for threads in THREAD_COUNTS {
-                    let r = row(cfg.name, shards, threads);
-                    assert!(
-                        r.speedup_vs_crabbing >= 0.999,
-                        "{}: B-link fell below crabbing at {shards} shard(s) x {threads} threads",
-                        cfg.name
-                    );
-                }
+                // The PR 3 acceptance bar against the global writer.
                 assert!(
                     row(cfg.name, shards, 4).speedup_vs_global >= 2.0,
                     "{}: expected >= 2x vs global at 4 threads on {shards} shard(s)",
                     cfg.name
-                );
-            }
-        }
-        // The PR 5 acceptance bar: on the SMO-heavy workload the old
-        // crabbing protocol is SMO-timeline-bound at 4+ threads and the
-        // B-link protocol beats it.
-        for threads in [4, 8] {
-            for shards in SHARD_COUNTS {
-                let r = row("smo-heavy", shards, threads);
-                assert!(
-                    r.speedup_vs_crabbing > 1.05,
-                    "smo-heavy at {shards} shard(s) x {threads} threads: B-link ({:.0} ips) must \
-                     beat the crabbing floor ({:.0} ips)",
-                    r.inserts_per_sec_blink,
-                    r.inserts_per_sec_crabbing
                 );
             }
         }

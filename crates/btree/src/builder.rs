@@ -46,8 +46,7 @@
 use crate::key::Entry;
 use crate::layout::{InternalNode, LeafNode};
 use crate::tree::{BTree, Meta};
-use ri_pagestore::{BufferPool, Error, PageId, Result};
-use std::sync::Arc;
+use ri_pagestore::{Error, PageId, Result};
 
 /// The leaf currently being packed: its pre-allocated page and the
 /// entries accumulated so far (never more than the leaf target).
@@ -334,32 +333,6 @@ impl BTree {
         self.write_meta(&meta)?;
         Ok(built.count)
     }
-
-    /// Creates a tree and bulk-builds it from sorted entries in one
-    /// call — the [`Entry`]-typed counterpart of [`BTree::bulk_load`]
-    /// and the entry point the relational layer's empty-table bulk
-    /// route uses.
-    ///
-    /// ```
-    /// use ri_btree::{BTree, Entry};
-    /// use ri_pagestore::{BufferPool, MemDisk, DEFAULT_PAGE_SIZE};
-    /// use std::sync::Arc;
-    ///
-    /// let pool = Arc::new(BufferPool::with_defaults(MemDisk::new(DEFAULT_PAGE_SIZE)));
-    /// let entries = (0..10_000i64).map(|i| Entry::new(&[i / 100, i % 100], i as u64));
-    /// let tree = BTree::bulk_load_entries(pool, 2, entries, 1.0).unwrap();
-    /// assert_eq!(tree.stats().unwrap().entries, 10_000);
-    /// ```
-    pub fn bulk_load_entries(
-        pool: Arc<BufferPool>,
-        arity: usize,
-        entries: impl IntoIterator<Item = Entry>,
-        fill: f64,
-    ) -> Result<BTree> {
-        let tree = BTree::create(pool, arity)?;
-        tree.bulk_build_into(entries, fill)?;
-        Ok(tree)
-    }
 }
 
 /// Page count a fill-1.0 bulk build of `n` entries produces, level by
@@ -384,7 +357,8 @@ pub fn predicted_pages(n: u64, leaf_cap: usize, internal_cap: usize) -> u64 {
 mod tests {
     use super::*;
     use crate::layout::{leaf_capacity, Node};
-    use ri_pagestore::{BufferPoolConfig, MemDisk};
+    use ri_pagestore::{BufferPool, BufferPoolConfig, MemDisk};
+    use std::sync::Arc;
 
     fn small_pool() -> Arc<BufferPool> {
         Arc::new(BufferPool::new(MemDisk::new(512), BufferPoolConfig::with_capacity(64)))

@@ -7,14 +7,14 @@
 //!
 //! ```text
 //! offset  size  field
-//! 0       1     node type (1 = leaf, 2 = internal, 3 = free-list page)
+//! 0       1     node type (1 = leaf, 2 = internal; 3 is reserved)
 //! 1       1     key arity
 //! 2       2     entry count (u16)
 //! 4       1     page format version (2; version 1 had no right links)
 //! 5       1     flags (bit 0: node stores a high key)
 //! 6       2     reserved
 //! 8       8     leaf: right link (= next leaf in key order) | internal:
-//!               leftmost child (child0) | free page: next free page id
+//!               leftmost child (child0)
 //! 16      8     internal: right link (right sibling on the same level) |
 //!               leaf: reserved, zero (format 1 kept a previous-leaf
 //!               pointer here; the B-link protocol has no backward chain)
@@ -52,7 +52,9 @@ use ri_pagestore::{Error, PageId, Result};
 pub const NODE_LEAF: u8 = 1;
 /// Node type tag for internal nodes.
 pub const NODE_INTERNAL: u8 = 2;
-/// Node type tag for pages on the free list.
+/// Node type tag reserved for free-list pages.  The tree never frees a
+/// page (see `tree`'s module docs), so nothing writes it; [`read_node`]
+/// rejects it like any unknown tag.
 pub const NODE_FREE: u8 = 3;
 
 /// On-page format version written into (and required of) every node.
@@ -292,29 +294,6 @@ pub fn write_internal(buf: &mut [u8], node: &InternalNode, arity: usize) {
     }
 }
 
-/// Marks a page as free and links it into the free list.
-///
-/// The B-link tree currently never frees pages (deletion leaves empty
-/// nodes in place — reclaiming one would require right-to-left latching
-/// or a reader-visible unlink; see `tree`'s module docs), but the format
-/// and this encoder are retained for an explicit vacuum operation.
-pub fn write_free(buf: &mut [u8], next_free: PageId, arity: usize) {
-    buf[OFF_TYPE] = NODE_FREE;
-    buf[OFF_ARITY] = arity as u8;
-    put_u16(buf, OFF_COUNT, 0);
-    buf[OFF_VERSION] = FORMAT_VERSION;
-    buf[OFF_FLAGS] = 0;
-    put_u64(buf, OFF_LINK, next_free.raw());
-}
-
-/// Reads the next-free link of a free page.
-pub fn read_free_link(buf: &[u8]) -> Result<PageId> {
-    if buf[OFF_TYPE] != NODE_FREE {
-        return Err(Error::Corrupt(format!("page tag {} is not a free page", buf[OFF_TYPE])));
-    }
-    Ok(PageId(get_u64(buf, OFF_LINK)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,14 +377,6 @@ mod tests {
         buf[4] = 1; // format 1: pre-B-link
         let err = read_node(&buf, 2).unwrap_err();
         assert!(err.to_string().contains("format version 1"), "{err}");
-    }
-
-    #[test]
-    fn free_page_roundtrip() {
-        let mut buf = vec![0u8; 256];
-        write_free(&mut buf, PageId(42), 1);
-        assert_eq!(read_free_link(&buf).unwrap(), PageId(42));
-        assert!(read_node(&buf, 1).is_err());
     }
 
     #[test]

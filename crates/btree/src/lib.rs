@@ -22,8 +22,7 @@
 //!   since PR 7 a streaming bottom-up build (`builder` module): one
 //!   sequential write pass, every page stored exactly once, `O(height)`
 //!   memory, so million-entry loads cost `O(pages)` writes instead of
-//!   per-entry descents ([`BTree::bulk_build_into`] /
-//!   [`BTree::bulk_load_entries`]),
+//!   per-entry descents ([`BTree::bulk_build_into`]),
 //! * an exhaustive [`BTree::check_invariants`] used by the property tests.
 //!
 //! All I/O goes through [`ri_pagestore::BufferPool`], so every page this

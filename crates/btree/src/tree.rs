@@ -855,8 +855,7 @@ impl BTree {
     /// (`builder` module): one sequential write pass, every page stored
     /// exactly once, `O(height)` memory.  See [`BTree::bulk_build_into`]
     /// to build into an existing (empty) tree from typed [`Entry`]
-    /// values, and [`BTree::bulk_load_entries`] for the create+build
-    /// combination without the per-item column vectors.
+    /// values, without the per-item column vectors.
     pub fn bulk_load(
         pool: Arc<BufferPool>,
         arity: usize,

@@ -160,97 +160,6 @@ impl RiTree {
         Ok(tree)
     }
 
-    /// Bulk-loads a new RI-tree from `(interval, id)` pairs.
-    ///
-    /// The backbone parameters are computed with pure arithmetic over the
-    /// whole input first; fork nodes are stable under data-space expansion,
-    /// so evaluating them against the *final* parameters yields exactly the
-    /// nodes incremental insertion would have produced.  The heap is filled
-    /// before the indexes are created, so both composite indexes are built
-    /// bottom-up at 90 % fill — the clustered build the paper grants the
-    /// bulk-loaded competitors (Section 6.3).
-    pub fn bulk_load(
-        db: Arc<Database>,
-        name: &str,
-        opts: RiOptions,
-        data: impl IntoIterator<Item = (Interval, i64)>,
-    ) -> Result<RiTree> {
-        let table_name = format!("RI_{name}");
-        let lower_index = format!("RI_{name}_LOWER");
-        let upper_index = format!("RI_{name}_UPPER");
-        db.create_table(TableDef {
-            name: table_name.clone(),
-            columns: vec!["node".into(), "lower".into(), "upper".into(), "id".into()],
-        })?;
-
-        // Phase 1: backbone parameters (arithmetic only, no I/O).
-        let data: Vec<(Interval, i64)> = data.into_iter().collect();
-        let mut p = BackboneParams::new();
-        let mut min_lower = None::<i64>;
-        let mut max_upper = None::<i64>;
-        for &(iv, _) in &data {
-            if iv.upper >= UPPER_NOW {
-                return Err(Error::InvalidArgument(format!(
-                    "upper bound {} collides with the temporal sentinels",
-                    iv.upper
-                )));
-            }
-            p.prepare_insert(iv.lower, iv.upper);
-            min_lower = Some(min_lower.map_or(iv.lower, |v: i64| v.min(iv.lower)));
-            max_upper = Some(max_upper.map_or(iv.upper, |v: i64| v.max(iv.upper)));
-        }
-
-        // Phase 2: heap rows with final-parameter fork nodes.
-        let table = db.table(&table_name)?;
-        let mut forks = Vec::with_capacity(data.len());
-        for &(iv, id) in &data {
-            let node = p.fork_of(iv.lower, iv.upper).expect("offset fixed in phase 1");
-            table.insert(&[node, iv.lower, iv.upper, id])?;
-            forks.push(node);
-        }
-
-        // Phase 3: clustered index builds.
-        db.create_index(
-            &table_name,
-            IndexDef { name: lower_index.clone(), key_cols: vec![0, 1, 3] },
-        )?;
-        db.create_index(
-            &table_name,
-            IndexDef { name: upper_index.clone(), key_cols: vec![0, 2, 3] },
-        )?;
-        let skeleton = if opts.skeleton {
-            let dir = crate::skeleton::SkeletonDirectory::create(Arc::clone(&db), name)?;
-            forks.sort_unstable();
-            forks.dedup();
-            for node in forks {
-                dir.add(node)?;
-            }
-            Some(dir)
-        } else {
-            None
-        };
-
-        let table = db.table(&table_name)?;
-        let tree = RiTree {
-            db,
-            name: name.to_string(),
-            table_name,
-            lower_index,
-            upper_index,
-            table,
-            skeleton,
-        };
-        tree.db.set_param(&tree.param("skeleton"), opts.skeleton as i64)?;
-        tree.save_params(&p)?;
-        if let Some(v) = min_lower {
-            tree.db.set_param(&tree.param("min_lower"), v)?;
-        }
-        if let Some(v) = max_upper {
-            tree.db.set_param(&tree.param("max_upper"), v)?;
-        }
-        Ok(tree)
-    }
-
     /// Re-attaches to an RI-tree previously created under `name`,
     /// restoring its options from the data dictionary.
     pub fn open(db: Arc<Database>, name: &str) -> Result<RiTree> {
@@ -413,7 +322,7 @@ impl RiTree {
     /// the internal row ids) follows the scheduler under concurrency.
     ///
     /// The backbone parameters are computed for the whole batch up front
-    /// under the parameter latch, exactly like [`RiTree::bulk_load`]:
+    /// under the parameter latch:
     /// fork nodes are stable under data-space expansion, so evaluating
     /// every interval against the *final* parameters yields the same
     /// nodes incremental insertion would have produced.  The per-row
@@ -642,8 +551,44 @@ impl RiTree {
             nodes.left.extend(pair);
             nodes.right = right;
         }
-        let left_rows: Vec<Row> = nodes.left.iter().map(|&(a, b)| vec![a, b]).collect();
-        let mut right_rows: Vec<Row> = nodes.right.iter().map(|&w| vec![w]).collect();
+        let left_rows = nodes.left.iter().map(|&(a, b)| vec![a, b]).collect();
+        Ok(Plan::UnionAll(self.node_branches(q, now, left_rows, 1, &nodes.right)))
+    }
+
+    /// `NESTED LOOPS` of a transient node collection driving an index
+    /// range scan — the one operator shape every RI-tree query is made of.
+    fn node_join(
+        &self,
+        name: &str,
+        rows: Vec<Row>,
+        index: &str,
+        lo: Vec<BoundExpr>,
+        hi: Vec<BoundExpr>,
+    ) -> Plan {
+        Plan::NestedLoops {
+            outer: Box::new(Plan::CollectionIterator { name: name.into(), rows }),
+            inner: Box::new(Plan::IndexRangeScan {
+                table: self.table_name.clone(),
+                index: index.into(),
+                lo,
+                hi,
+            }),
+        }
+    }
+
+    /// The `leftNodes ⋈ upperIndex` and `rightNodes ⋈ lowerIndex` branches
+    /// every intersection plan shares.  `left_max` is the `LEFT_NODES`
+    /// column bounding `i.node` from above: 1 for `(min, max)` range
+    /// pairs, 0 for exact nodes.
+    fn node_branches(
+        &self,
+        q: Interval,
+        now: i64,
+        left_rows: Vec<Row>,
+        left_max: usize,
+        right: &[i64],
+    ) -> Vec<Plan> {
+        let mut right_rows: Vec<Row> = right.iter().map(|&w| vec![w]).collect();
         // Temporal sentinels: fork∞ always participates; fork_now exactly
         // if the query begins in the past (Section 4.6).  To keep the I/O
         // counts of the non-temporal experiments exact, the sentinels are
@@ -654,34 +599,24 @@ impl RiTree {
         if self.counter("n_now") > 0 && q.lower <= now {
             right_rows.push(vec![FORK_NOW]);
         }
-        Ok(Plan::UnionAll(vec![
-            Plan::NestedLoops {
-                outer: Box::new(Plan::CollectionIterator {
-                    name: "LEFT_NODES".into(),
-                    rows: left_rows,
-                }),
-                // i.node BETWEEN left.min AND left.max AND i.upper >= :lower
-                inner: Box::new(Plan::IndexRangeScan {
-                    table: self.table_name.clone(),
-                    index: self.upper_index.clone(),
-                    lo: vec![BoundExpr::Outer(0), BoundExpr::Const(q.lower), BoundExpr::NegInf],
-                    hi: vec![BoundExpr::Outer(1), BoundExpr::PosInf, BoundExpr::PosInf],
-                }),
-            },
-            Plan::NestedLoops {
-                outer: Box::new(Plan::CollectionIterator {
-                    name: "RIGHT_NODES".into(),
-                    rows: right_rows,
-                }),
-                // i.node = right.node AND i.lower <= :upper
-                inner: Box::new(Plan::IndexRangeScan {
-                    table: self.table_name.clone(),
-                    index: self.lower_index.clone(),
-                    lo: vec![BoundExpr::Outer(0), BoundExpr::NegInf, BoundExpr::NegInf],
-                    hi: vec![BoundExpr::Outer(0), BoundExpr::Const(q.upper), BoundExpr::PosInf],
-                }),
-            },
-        ]))
+        vec![
+            // i.node BETWEEN left.min AND left.max AND i.upper >= :lower
+            self.node_join(
+                "LEFT_NODES",
+                left_rows,
+                &self.upper_index,
+                vec![BoundExpr::Outer(0), BoundExpr::Const(q.lower), BoundExpr::NegInf],
+                vec![BoundExpr::Outer(left_max), BoundExpr::PosInf, BoundExpr::PosInf],
+            ),
+            // i.node = right.node AND i.lower <= :upper
+            self.node_join(
+                "RIGHT_NODES",
+                right_rows,
+                &self.lower_index,
+                vec![BoundExpr::Outer(0), BoundExpr::NegInf, BoundExpr::NegInf],
+                vec![BoundExpr::Outer(0), BoundExpr::Const(q.upper), BoundExpr::PosInf],
+            ),
+        ]
     }
 
     /// The *preliminary* three-fold plan of Figure 8, before the
@@ -696,41 +631,8 @@ impl RiTree {
         // Strip the Section 4.3 range pair back off: left side becomes the
         // exact node list again, the BETWEEN condition becomes its own
         // branch.
-        let left_rows: Vec<Row> =
-            nodes.left.iter().filter(|(a, b)| a == b).map(|&(w, _)| vec![w]).collect();
-        let mut right_rows: Vec<Row> = nodes.right.iter().map(|&w| vec![w]).collect();
-        if self.counter("n_inf") > 0 {
-            right_rows.push(vec![FORK_INF]);
-        }
-        if self.counter("n_now") > 0 && q.lower <= now {
-            right_rows.push(vec![FORK_NOW]);
-        }
-        let mut branches = vec![
-            Plan::NestedLoops {
-                outer: Box::new(Plan::CollectionIterator {
-                    name: "LEFT_NODES".into(),
-                    rows: left_rows,
-                }),
-                inner: Box::new(Plan::IndexRangeScan {
-                    table: self.table_name.clone(),
-                    index: self.upper_index.clone(),
-                    lo: vec![BoundExpr::Outer(0), BoundExpr::Const(q.lower), BoundExpr::NegInf],
-                    hi: vec![BoundExpr::Outer(0), BoundExpr::PosInf, BoundExpr::PosInf],
-                }),
-            },
-            Plan::NestedLoops {
-                outer: Box::new(Plan::CollectionIterator {
-                    name: "RIGHT_NODES".into(),
-                    rows: right_rows,
-                }),
-                inner: Box::new(Plan::IndexRangeScan {
-                    table: self.table_name.clone(),
-                    index: self.lower_index.clone(),
-                    lo: vec![BoundExpr::Outer(0), BoundExpr::NegInf, BoundExpr::NegInf],
-                    hi: vec![BoundExpr::Outer(0), BoundExpr::Const(q.upper), BoundExpr::PosInf],
-                }),
-            },
-        ];
+        let left_rows = nodes.left.iter().filter(|(a, b)| a == b).map(|&(w, _)| vec![w]).collect();
+        let mut branches = self.node_branches(q, now, left_rows, 0, &nodes.right);
         if let (Some(l), Some(u)) = (p.shift(q.lower), p.shift(q.upper)) {
             // i.node BETWEEN :lower − offset AND :upper − offset.
             branches.push(Plan::IndexRangeScan {
@@ -752,40 +654,8 @@ impl RiTree {
             p.minstep2 = 1;
         }
         let nodes = p.query_nodes(q.lower, q.upper);
-        let left_rows: Vec<Row> = nodes.left.iter().map(|&(a, b)| vec![a, b]).collect();
-        let mut right_rows: Vec<Row> = nodes.right.iter().map(|&w| vec![w]).collect();
-        if self.counter("n_inf") > 0 {
-            right_rows.push(vec![FORK_INF]);
-        }
-        if self.counter("n_now") > 0 && q.lower <= now {
-            right_rows.push(vec![FORK_NOW]);
-        }
-        Ok(Plan::UnionAll(vec![
-            Plan::NestedLoops {
-                outer: Box::new(Plan::CollectionIterator {
-                    name: "LEFT_NODES".into(),
-                    rows: left_rows,
-                }),
-                inner: Box::new(Plan::IndexRangeScan {
-                    table: self.table_name.clone(),
-                    index: self.upper_index.clone(),
-                    lo: vec![BoundExpr::Outer(0), BoundExpr::Const(q.lower), BoundExpr::NegInf],
-                    hi: vec![BoundExpr::Outer(1), BoundExpr::PosInf, BoundExpr::PosInf],
-                }),
-            },
-            Plan::NestedLoops {
-                outer: Box::new(Plan::CollectionIterator {
-                    name: "RIGHT_NODES".into(),
-                    rows: right_rows,
-                }),
-                inner: Box::new(Plan::IndexRangeScan {
-                    table: self.table_name.clone(),
-                    index: self.lower_index.clone(),
-                    lo: vec![BoundExpr::Outer(0), BoundExpr::NegInf, BoundExpr::NegInf],
-                    hi: vec![BoundExpr::Outer(0), BoundExpr::Const(q.upper), BoundExpr::PosInf],
-                }),
-            },
-        ]))
+        let left_rows = nodes.left.iter().map(|&(a, b)| vec![a, b]).collect();
+        Ok(Plan::UnionAll(self.node_branches(q, now, left_rows, 1, &nodes.right)))
     }
 
     /// Extracts the `id` column (position 2 in every id-plan's output
@@ -935,18 +805,13 @@ impl RiTree {
         let mut ranges: Vec<Row> = nodes.left.iter().map(|&(a, b)| vec![a, b]).collect();
         ranges.extend(nodes.right.iter().map(|&w| vec![w, w]));
         let scan = |index: &str| -> Result<Vec<Row>> {
-            let plan = Plan::NestedLoops {
-                outer: Box::new(Plan::CollectionIterator {
-                    name: "SPAN_NODES".into(),
-                    rows: ranges.clone(),
-                }),
-                inner: Box::new(Plan::IndexRangeScan {
-                    table: self.table_name.clone(),
-                    index: index.to_string(),
-                    lo: vec![BoundExpr::Outer(0), BoundExpr::NegInf, BoundExpr::NegInf],
-                    hi: vec![BoundExpr::Outer(1), BoundExpr::PosInf, BoundExpr::PosInf],
-                }),
-            };
+            let plan = self.node_join(
+                "SPAN_NODES",
+                ranges.clone(),
+                index,
+                vec![BoundExpr::Outer(0), BoundExpr::NegInf, BoundExpr::NegInf],
+                vec![BoundExpr::Outer(1), BoundExpr::PosInf, BoundExpr::PosInf],
+            );
             self.db.execute(&plan, &mut ExecStats::default())
         };
         let lowers = scan(&self.lower_index)?;
@@ -1315,18 +1180,52 @@ mod tests {
 
     #[test]
     fn explain_matches_figure_10() {
+        // One fixed tree, one fixed query: the EXPLAIN text and executor
+        // statistics of all three plan constructors, pinned as literals.
         let (_db, tree) = fresh();
-        tree.insert(Interval::new(0, 100).unwrap(), 1).unwrap();
-        let text = tree.explain(Interval::new(10, 20).unwrap()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines[0], "SELECT STATEMENT");
-        assert_eq!(lines[1], "  UNION-ALL");
-        assert_eq!(lines[2], "    NESTED LOOPS");
-        assert!(lines[3].trim_start().starts_with("COLLECTION ITERATOR LEFT_NODES"));
-        assert!(lines[4].trim_start().starts_with("INDEX RANGE SCAN RI_t_UPPER"));
-        assert_eq!(lines[5], "    NESTED LOOPS");
-        assert!(lines[6].trim_start().starts_with("COLLECTION ITERATOR RIGHT_NODES"));
-        assert!(lines[7].trim_start().starts_with("INDEX RANGE SCAN RI_t_LOWER"));
+        for i in 0..300i64 {
+            let l = (i * 53) % 10_000;
+            tree.insert(Interval::new(l, l + 1_000 + (i % 7) * 100).unwrap(), i).unwrap();
+        }
+        tree.insert_open(9_000, OpenEnd::Infinity, 1_000).unwrap();
+        tree.insert_open(9_500, OpenEnd::Now, 1_001).unwrap();
+        let q = Interval::new(4_001, 4_702).unwrap();
+        let now = UPPER_NOW - 1;
+        let figure_10 = |left: usize, right: usize| {
+            format!(
+                "SELECT STATEMENT\n  UNION-ALL\n    NESTED LOOPS\n      \
+                 COLLECTION ITERATOR LEFT_NODES ({left} rows)\n      \
+                 INDEX RANGE SCAN RI_t_UPPER\n    NESTED LOOPS\n      \
+                 COLLECTION ITERATOR RIGHT_NODES ({right} rows)\n      \
+                 INDEX RANGE SCAN RI_t_LOWER\n"
+            )
+        };
+        assert_eq!(tree.explain(q).unwrap(), figure_10(5, 5));
+        let pins = [
+            (tree.intersection_plan(q, now), figure_10(5, 5), 85, 10),
+            // Figure 8: exact left nodes plus the separate BETWEEN branch.
+            (
+                tree.intersection_plan_fig8(q, now),
+                figure_10(4, 5) + "    INDEX RANGE SCAN RI_t_LOWER\n",
+                84,
+                10,
+            ),
+            // minstep = 512 here, so the unpruned descents go deeper.
+            (tree.intersection_plan_unpruned(q, now), figure_10(8, 8), 91, 16),
+            // A query beginning after `now` drops the fork_now sentinel.
+            (tree.intersection_plan(q, 3_000), figure_10(5, 4), 84, 9),
+        ];
+        for (plan, text, rows_examined, index_searches) in pins {
+            let plan = plan.unwrap();
+            assert_eq!(ri_relstore::explain::explain(&plan), text);
+            let (ids, stats) = tree.execute_id_plan(&plan).unwrap();
+            assert_eq!(ids.len(), 75);
+            assert_eq!(
+                stats,
+                ExecStats { rows_examined, result_rows: 75, index_searches },
+                "{text}"
+            );
+        }
     }
 
     #[test]
@@ -1348,7 +1247,9 @@ mod tests {
             let len = ((x >> 40) % 3000) as i64;
             data.push((Interval::new(l, l + len).unwrap(), id));
         }
-        let bulk = RiTree::bulk_load(mk_db(), "t", RiOptions::default(), data.clone()).unwrap();
+        assert!(data.len() >= BULK_BATCH_MIN, "the batch must take the builder route");
+        let bulk = RiTree::create_with_options(mk_db(), "t", RiOptions::default()).unwrap();
+        bulk.insert_batch(&data, 1).unwrap();
         let incr = RiTree::create(mk_db(), "t").unwrap();
         for &(iv, id) in &data {
             incr.insert(iv, id).unwrap();
@@ -1366,7 +1267,7 @@ mod tests {
         assert!(bulk.delete(iv, id).unwrap());
         assert!(!bulk.delete(iv, id).unwrap());
         // Bulk-loaded indexes are denser.
-        assert!(bulk.storage().unwrap().index_pages <= incr.storage().unwrap().index_pages,);
+        assert!(bulk.storage().unwrap().index_pages < incr.storage().unwrap().index_pages);
     }
 
     #[test]
@@ -1376,24 +1277,33 @@ mod tests {
             BufferPoolConfig::with_capacity(200),
         ));
         let db = Arc::new(Database::create(pool).unwrap());
-        let empty = RiTree::bulk_load(Arc::clone(&db), "e", RiOptions::default(), []).unwrap();
-        assert_eq!(empty.count().unwrap(), 0);
-        assert_eq!(empty.intersection(Interval::new(0, 10).unwrap()).unwrap(), Vec::<i64>::new());
+        let opts = RiOptions { skeleton: true };
+        // An empty batch is a no-op and leaves the tree bulk-loadable.
+        let skel = RiTree::create_with_options(Arc::clone(&db), "s", opts).unwrap();
+        skel.insert_batch(&[], 1).unwrap();
+        assert_eq!(skel.count().unwrap(), 0);
+        assert_eq!(skel.intersection(Interval::new(0, 10).unwrap()).unwrap(), Vec::<i64>::new());
 
         let data: Vec<(Interval, i64)> =
-            (0..500).map(|i| (Interval::new(i * 3, i * 3 + 10).unwrap(), i)).collect();
-        let skel =
-            RiTree::bulk_load(Arc::clone(&db), "s", RiOptions { skeleton: true }, data.clone())
-                .unwrap();
-        for &(iv, id) in data.iter().step_by(97) {
-            assert!(skel.intersection(iv).unwrap().contains(&id));
+            (0..1500).map(|i| (Interval::new(i * 3, i * 3 + 10).unwrap(), i)).collect();
+        assert!(data.len() >= BULK_BATCH_MIN, "the batch must take the builder route");
+        skel.insert_batch(&data, 1).unwrap();
+        let incr = RiTree::create_with_options(Arc::clone(&db), "i", opts).unwrap();
+        for &(iv, id) in &data {
+            incr.insert(iv, id).unwrap();
+        }
+        // The bulk route fills the directory exactly as per-row inserts do.
+        let dir_len = |t: &RiTree| t.skeleton.as_ref().expect("skeleton enabled").len().unwrap();
+        assert!(dir_len(&skel) > 0);
+        assert_eq!(dir_len(&skel), dir_len(&incr));
+        for &(iv, _) in data.iter().step_by(97) {
+            assert_eq!(skel.intersection(iv).unwrap(), incr.intersection(iv).unwrap(), "{iv}");
         }
         // Reopen restores the skeleton automatically.
         let reopened = RiTree::open(db, "s").unwrap();
-        assert_eq!(
-            reopened.intersection(Interval::new(0, 2000).unwrap()).unwrap().len(),
-            skel.intersection(Interval::new(0, 2000).unwrap()).unwrap().len()
-        );
+        assert_eq!(dir_len(&reopened), dir_len(&skel));
+        let q = Interval::new(0, 2000).unwrap();
+        assert_eq!(reopened.intersection(q).unwrap(), skel.intersection(q).unwrap());
     }
 
     #[test]

@@ -1,30 +1,23 @@
 //! The shared [`IntervalIndex`] trait over every main-memory structure.
 //!
-//! The figure suite used to match on each structure's inherent query
-//! methods by hand; the trait gives the naive set, interval tree,
-//! segment tree, interval skip list, and HINT one insert / delete /
-//! stab / intersection surface, so experiments and tests can iterate a
-//! `&mut dyn IntervalIndex` slice instead.
+//! The trait gives the naive set, the interval tree and HINT one insert /
+//! delete / stab / intersection surface, so experiments and tests can
+//! iterate a `&mut dyn IntervalIndex` slice instead of matching on each
+//! structure's inherent methods.
 //!
 //! **Update semantics.**  [`NaiveIntervalSet`] and [`HintIndex`] are
-//! natively dynamic.  The other three are *static* structures (built
-//! once from a snapshot — see their module docs); their trait updates
-//! are implemented as a full rebuild from the retained input, which is
-//! correct but `O(n)` per operation.  The trait exists for uniform
-//! *querying*; don't drive a write-heavy workload through a rebuild-
-//! based implementation.
+//! natively dynamic.  [`IntervalTree`] is a *static* structure (built
+//! once from a snapshot — see its module docs); its trait updates are a
+//! full rebuild from the retained input, which is correct but `O(n)` per
+//! operation.  The trait exists for uniform *querying*; don't drive a
+//! write-heavy workload through the rebuild-based implementation.
 //!
-//! **Result semantics.**  `stab`/`intersection` return sorted ids.
-//! All structures treat duplicate `(lower, upper, id)` triples as a
-//! multiset except [`IntervalSkipList`], whose marker discipline
-//! deduplicates ids per query — equivalence tests across all five
-//! implementations should use distinct ids.
+//! **Result semantics.**  `stab`/`intersection` return sorted ids, and
+//! duplicate `(lower, upper, id)` triples are a multiset.
 
 use crate::hint::HintIndex;
 use crate::interval_tree::IntervalTree;
 use crate::naive::NaiveIntervalSet;
-use crate::segment_tree::SegmentTree;
-use crate::skiplist::IntervalSkipList;
 
 /// Work counters reported by the `*_with_cost` query variants.
 ///
@@ -115,27 +108,6 @@ impl IntervalIndex for HintIndex {
     }
 }
 
-/// Rebuild-based updates shared by the three static structures.
-macro_rules! rebuild_updates {
-    ($build:path) => {
-        fn insert(&mut self, lower: i64, upper: i64, id: i64) {
-            assert!(lower <= upper, "invalid interval [{lower}, {upper}]");
-            let mut items = self.triples().to_vec();
-            items.push((lower, upper, id));
-            *self = $build(&items);
-        }
-        fn delete(&mut self, lower: i64, upper: i64, id: i64) -> bool {
-            let mut items = self.triples().to_vec();
-            let Some(pos) = items.iter().position(|&t| t == (lower, upper, id)) else {
-                return false;
-            };
-            items.swap_remove(pos);
-            *self = $build(&items);
-            true
-        }
-    };
-}
-
 impl IntervalIndex for IntervalTree {
     fn index_name(&self) -> &'static str {
         "interval_tree"
@@ -143,44 +115,26 @@ impl IntervalIndex for IntervalTree {
     fn len(&self) -> usize {
         IntervalTree::len(self)
     }
-    rebuild_updates!(IntervalTree::build);
+    fn insert(&mut self, lower: i64, upper: i64, id: i64) {
+        assert!(lower <= upper, "invalid interval [{lower}, {upper}]");
+        let mut items = self.triples().to_vec();
+        items.push((lower, upper, id));
+        *self = IntervalTree::build(&items);
+    }
+    fn delete(&mut self, lower: i64, upper: i64, id: i64) -> bool {
+        let mut items = self.triples().to_vec();
+        let Some(pos) = items.iter().position(|&t| t == (lower, upper, id)) else {
+            return false;
+        };
+        items.swap_remove(pos);
+        *self = IntervalTree::build(&items);
+        true
+    }
     fn stab(&self, p: i64) -> Vec<i64> {
         IntervalTree::stab(self, p)
     }
     fn intersection(&self, ql: i64, qu: i64) -> Vec<i64> {
         IntervalTree::intersection(self, ql, qu)
-    }
-}
-
-impl IntervalIndex for SegmentTree {
-    fn index_name(&self) -> &'static str {
-        "segment_tree"
-    }
-    fn len(&self) -> usize {
-        SegmentTree::len(self)
-    }
-    rebuild_updates!(SegmentTree::build);
-    fn stab(&self, p: i64) -> Vec<i64> {
-        SegmentTree::stab(self, p)
-    }
-    fn intersection(&self, ql: i64, qu: i64) -> Vec<i64> {
-        SegmentTree::intersection(self, ql, qu)
-    }
-}
-
-impl IntervalIndex for IntervalSkipList {
-    fn index_name(&self) -> &'static str {
-        "skiplist"
-    }
-    fn len(&self) -> usize {
-        IntervalSkipList::len(self)
-    }
-    rebuild_updates!(IntervalSkipList::build);
-    fn stab(&self, p: i64) -> Vec<i64> {
-        IntervalSkipList::stab(self, p)
-    }
-    fn intersection(&self, ql: i64, qu: i64) -> Vec<i64> {
-        IntervalSkipList::intersection(self, ql, qu)
     }
 }
 
@@ -206,8 +160,6 @@ mod tests {
         vec![
             Box::new(NaiveIntervalSet::new()),
             Box::new(IntervalTree::build(&[])),
-            Box::new(SegmentTree::build(&[])),
-            Box::new(IntervalSkipList::build(&[])),
             Box::new(HintIndex::new(0, 11)), // domain [0, 2048)
         ]
     }
@@ -221,7 +173,7 @@ mod tests {
                 index.insert(l, u, id);
             }
             // Delete a third through the trait (rebuild path for the
-            // static structures), including a miss.
+            // interval tree), including a miss.
             for &(l, u, id) in items.iter().step_by(3) {
                 assert!(index.delete(l, u, id), "{}", index.index_name());
             }

@@ -1,8 +1,9 @@
 //! Main-memory interval structures (paper Section 2.1).
 //!
 //! The paper's related-work survey starts from the classical main-memory
-//! structures: the *Interval Tree* of Edelsbrunner, the *Segment Tree* of
-//! Bentley, and brute force.  This crate implements them for two purposes:
+//! structures; this crate keeps the ones the repository uses — brute
+//! force, the *Interval Tree* of Edelsbrunner, and HINT — for three
+//! purposes:
 //!
 //! 1. **Correctness oracles** — every relational access method in this
 //!    repository (RI-tree, Tile Index, IST, MAP21, Window-List) is checked
@@ -15,7 +16,7 @@
 //!    hierarchical comparison-free index that `ritree-core`'s read-through
 //!    `HotTier` runs in front of the paged RI-tree.
 //!
-//! All five structures share the [`IntervalIndex`] trait and store
+//! All three structures share the [`IntervalIndex`] trait and store
 //! `(lower, upper, id)` triples of `i64` with closed interval semantics
 //! (`lower <= upper`, intersection includes shared endpoints), matching
 //! the `Interval` type in `ritree-core`.
@@ -24,12 +25,8 @@ pub mod hint;
 pub mod index;
 pub mod interval_tree;
 pub mod naive;
-pub mod segment_tree;
-pub mod skiplist;
 
 pub use hint::HintIndex;
 pub use index::{IntervalIndex, QueryCost};
 pub use interval_tree::IntervalTree;
 pub use naive::NaiveIntervalSet;
-pub use segment_tree::SegmentTree;
-pub use skiplist::IntervalSkipList;

@@ -6,44 +6,25 @@
 //! protect the *logical page*, not a buffer frame, so they remain valid
 //! across evictions.
 //!
-//! Since the B-link refactor (PR 5) the latch vocabulary is deliberately
-//! small: there are only per-page latches.  The tree-wide latch, the
-//! per-tree structure-modification epoch, and the per-page version
-//! counters that powered PR 3's optimistic-upgrade protocol are gone —
-//! the B-link protocol never holds more than one node latch at a time
-//! and never excludes readers, so there is nothing tree-wide left to
-//! lock or to validate against (see `ri_btree::tree` and
-//! ARCHITECTURE.md).  What this module gained instead are the
-//! deterministic protocol counters: node **splits**, **right-link
-//! chases** (a traversal found its key at or past a node's high key and
-//! moved to the right sibling), and **incomplete-SMO completions** (a
-//! separator post or root grow that finished a split whose sibling was
-//! already published — the second phase of the two-phase split).
+//! The vocabulary is deliberately small: **exclusive per-page latches**
+//! and nothing else.  Every caller needs mutual exclusion on one page —
+//! B-link node writes and meta-page holds (`ri_btree::tree`, at most one
+//! node latch at a time), the bulk builder's install step, the heap's
+//! append latch and the catalog's parameter latch — while readers descend
+//! latch-free, so a cell is simply "held or not" and there is nothing
+//! tree-wide to lock (see ARCHITECTURE.md).
+//!
+//! Beside the latches the manager carries the B-link protocol's
+//! deterministic counters: node **splits**, **right-link chases** (a
+//! traversal found its key at or past a node's high key and moved to the
+//! right sibling), and **incomplete-SMO completions** (a separator post
+//! or root grow that finished a split whose sibling was already
+//! published — the second phase of the two-phase split).
 //!
 //! Latches are deliberately **not** tied to buffer-pool I/O: acquiring or
 //! releasing one never touches a page, so the single-threaded page-access
 //! sequence of every operation is exactly the algorithm's — the property
 //! `tests/pool_determinism.rs` pins with golden counters.
-//!
-//! # Modes and policy
-//!
-//! Latches are shared/exclusive with **reader preference** by default: a
-//! shared request only waits while a writer is *inside*, never for queued
-//! writers.  This keeps nested shared acquisitions by one thread safe at
-//! the usual cost that a continuous reader stream can starve writers.
-//! (The B-link tree itself takes only exclusive page latches — its
-//! readers are latch-free — but the heap and catalog layers share this
-//! manager, and the mode machinery is generic.)
-//!
-//! An opt-in **writer-fairness mode**
-//! ([`LatchManager::set_writer_fairness`]) blocks *new* shared
-//! acquisitions once an exclusive waiter has queued, bounding writer wait
-//! times to the drain of the readers already inside.  It is off by
-//! default because it makes nested shared acquisition on the *same* latch
-//! a deadlock (the outer hold keeps the writer queued, the queued writer
-//! blocks the inner acquisition); enable it only for workloads audited to
-//! never nest — nothing in this workspace nests shared holds of one page
-//! latch (the audit is recorded in ARCHITECTURE.md).
 //!
 //! Latch *waits* are intentionally uncounted in [`LatchStats`]: wait
 //! counts depend on thread scheduling, and every number exposed here
@@ -53,30 +34,22 @@
 
 use crate::page::PageId;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Number of hash-striped cell maps (a power of two).
 const STRIPES: usize = 16;
 
 #[derive(Default)]
-struct Core {
-    readers: u32,
-    writer: bool,
-    /// Exclusive acquisitions currently parked on this cell; fairness
-    /// mode turns new shared requests away while this is non-zero.
-    writers_waiting: u32,
-}
-
 struct Cell {
-    state: Mutex<Core>,
+    /// Whether the latch is currently held.
+    held: Mutex<bool>,
     cv: Condvar,
 }
 
 /// Cumulative latch / protocol counters (deterministic: no wait counts).
 #[derive(Debug, Default)]
 pub struct LatchStats {
-    page_shared: AtomicU64,
     page_exclusive: AtomicU64,
     splits: AtomicU64,
     right_link_chases: AtomicU64,
@@ -87,8 +60,6 @@ pub struct LatchStats {
 /// Point-in-time copy of [`LatchStats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LatchSnapshot {
-    /// Page latches taken shared.
-    pub page_shared: u64,
     /// Page latches taken exclusive (leaf/parent writes, meta holds).
     pub page_exclusive: u64,
     /// Node splits performed (leaf and internal; phase 1 of the B-link
@@ -115,7 +86,6 @@ impl LatchSnapshot {
     /// Counter-wise difference `self - earlier`; saturates at zero.
     pub fn since(&self, earlier: &LatchSnapshot) -> LatchSnapshot {
         LatchSnapshot {
-            page_shared: self.page_shared.saturating_sub(earlier.page_shared),
             page_exclusive: self.page_exclusive.saturating_sub(earlier.page_exclusive),
             splits: self.splits.saturating_sub(earlier.splits),
             right_link_chases: self.right_link_chases.saturating_sub(earlier.right_link_chases),
@@ -128,16 +98,15 @@ impl LatchSnapshot {
         }
     }
 
-    /// Total latch acquisitions of any kind.
+    /// Total latch acquisitions.
     pub fn total_acquisitions(&self) -> u64 {
-        self.page_shared + self.page_exclusive
+        self.page_exclusive
     }
 }
 
 impl LatchStats {
     fn snapshot(&self) -> LatchSnapshot {
         LatchSnapshot {
-            page_shared: self.page_shared.load(Ordering::Relaxed),
             page_exclusive: self.page_exclusive.load(Ordering::Relaxed),
             splits: self.splits.load(Ordering::Relaxed),
             right_link_chases: self.right_link_chases.load(Ordering::Relaxed),
@@ -154,8 +123,6 @@ type Stripe = Mutex<HashMap<u64, Arc<Cell>>>;
 pub struct LatchManager {
     stripes: Box<[Stripe]>,
     stats: Arc<LatchStats>,
-    /// Writer-fairness mode (see the module docs); off by default.
-    fair: AtomicBool,
 }
 
 impl Default for LatchManager {
@@ -163,22 +130,15 @@ impl Default for LatchManager {
         LatchManager {
             stripes: (0..STRIPES).map(|_| Mutex::new(HashMap::new())).collect(),
             stats: Arc::new(LatchStats::default()),
-            fair: AtomicBool::new(false),
         }
     }
 }
 
 impl LatchManager {
-    /// Shared latch on one page.
-    pub fn page_shared(&self, page: PageId) -> LatchGuard<'_> {
-        self.stats.page_shared.fetch_add(1, Ordering::Relaxed);
-        self.acquire(page.raw(), false)
-    }
-
     /// Exclusive latch on one page (leaf/parent writes, meta holds).
     pub fn page_exclusive(&self, page: PageId) -> LatchGuard<'_> {
         self.stats.page_exclusive.fetch_add(1, Ordering::Relaxed);
-        self.acquire(page.raw(), true)
+        self.acquire(page.raw())
     }
 
     /// Records a node split (phase 1 of the two-phase B-link split).
@@ -209,95 +169,36 @@ impl LatchManager {
         self.stats.snapshot()
     }
 
-    /// Switches the opt-in writer-fairness mode (see the module docs):
-    /// when enabled, a *new* shared acquisition blocks while any
-    /// exclusive waiter is queued on the same latch, so a continuous
-    /// reader stream can no longer starve a queued writer.  Off by
-    /// default.
-    ///
-    /// # Deadlock contract
-    ///
-    /// Enabling fairness requires that no thread acquires the same latch
-    /// shared while already holding it shared (nesting): the outer hold
-    /// keeps a queued writer waiting, and the queued writer blocks the
-    /// inner acquisition.  Nothing in this workspace nests shared holds
-    /// of one page latch (audited in ARCHITECTURE.md; the B-link tree's
-    /// readers are latch-free, and its writers hold at most one
-    /// exclusive node latch plus the meta latch).
-    pub fn set_writer_fairness(&self, enabled: bool) {
-        self.fair.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether writer-fairness mode is currently enabled.
-    pub fn writer_fairness(&self) -> bool {
-        self.fair.load(Ordering::Relaxed)
-    }
-
     fn stripe(&self, key: u64) -> &Stripe {
         let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         &self.stripes[(h as usize) & (STRIPES - 1)]
     }
 
-    fn acquire(&self, key: u64, exclusive: bool) -> LatchGuard<'_> {
+    fn acquire(&self, key: u64) -> LatchGuard<'_> {
         let cell = {
             let mut map = self.stripe(key).lock().unwrap_or_else(|e| e.into_inner());
-            Arc::clone(map.entry(key).or_insert_with(|| {
-                Arc::new(Cell { state: Mutex::new(Core::default()), cv: Condvar::new() })
-            }))
+            Arc::clone(map.entry(key).or_default())
         };
         {
-            let mut core = cell.state.lock().unwrap_or_else(|e| e.into_inner());
-            if exclusive {
-                core.writers_waiting += 1;
-                while core.writer || core.readers > 0 {
-                    core = cell.cv.wait(core).unwrap_or_else(|e| e.into_inner());
-                }
-                core.writers_waiting -= 1;
-                core.writer = true;
-            } else {
-                // Reader preference by default: only an active writer
-                // blocks a shared request.  Fairness mode additionally
-                // turns new shared requests away while a writer is queued.
-                let fair = self.fair.load(Ordering::Relaxed);
-                while core.writer || (fair && core.writers_waiting > 0) {
-                    core = cell.cv.wait(core).unwrap_or_else(|e| e.into_inner());
-                }
-                core.readers += 1;
+            let mut held = cell.held.lock().unwrap_or_else(|e| e.into_inner());
+            while *held {
+                held = cell.cv.wait(held).unwrap_or_else(|e| e.into_inner());
             }
+            *held = true;
         }
-        LatchGuard { manager: self, key, cell, exclusive }
+        LatchGuard { manager: self, key, cell }
     }
 
-    /// Called by a dropping guard: release the mode, wake waiters, and
+    /// Called by a dropping guard: release the latch, wake waiters, and
     /// garbage-collect the cell if nobody else references it.
-    fn release(&self, key: u64, cell: &Arc<Cell>, exclusive: bool) {
-        let wake = {
-            let mut core = cell.state.lock().unwrap_or_else(|e| e.into_inner());
-            if exclusive {
-                core.writer = false;
-                true
-            } else {
-                core.readers -= 1;
-                // A shared release that leaves other readers inside can't
-                // unblock anyone (shared waiters only wait on writers, and
-                // exclusive waiters need `readers == 0`): skip the wakeup.
-                core.readers == 0
-            }
-        };
-        if wake {
-            cell.cv.notify_all();
-        }
+    fn release(&self, key: u64, cell: &Arc<Cell>) {
+        *cell.held.lock().unwrap_or_else(|e| e.into_inner()) = false;
+        cell.cv.notify_all();
         // GC: while holding the stripe lock nobody can fetch the Arc, so a
         // strong count of 2 (map + our clone) proves the cell is unwanted.
         let mut map = self.stripe(key).lock().unwrap_or_else(|e| e.into_inner());
-        if Arc::strong_count(cell) == 2 {
-            let idle = {
-                let core = cell.state.lock().unwrap_or_else(|e| e.into_inner());
-                !core.writer && core.readers == 0
-            };
-            if idle {
-                map.remove(&key);
-            }
+        if Arc::strong_count(cell) == 2 && !*cell.held.lock().unwrap_or_else(|e| e.into_inner()) {
+            map.remove(&key);
         }
     }
 }
@@ -309,55 +210,50 @@ pub struct LatchGuard<'m> {
     manager: &'m LatchManager,
     key: u64,
     cell: Arc<Cell>,
-    exclusive: bool,
 }
 
 impl Drop for LatchGuard<'_> {
     fn drop(&mut self) {
-        self.manager.release(self.key, &self.cell, self.exclusive);
+        self.manager.release(self.key, &self.cell);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
+    use std::sync::mpsc;
 
     #[test]
-    fn shared_latches_coexist_nested() {
+    fn exclusive_excludes_exclusive() {
         let m = LatchManager::default();
-        let a = m.page_shared(PageId(7));
-        let b = m.page_shared(PageId(7)); // same thread, nested
-        drop(a);
-        drop(b);
-        assert_eq!(m.stats().page_shared, 2);
-    }
-
-    #[test]
-    fn exclusive_excludes_shared_and_exclusive() {
-        let m = Arc::new(LatchManager::default());
-        let order = Arc::new(AtomicUsize::new(0));
+        let released = AtomicBool::new(false);
+        let inside = AtomicUsize::new(0);
+        let order = AtomicUsize::new(0);
+        let (arrived_tx, arrived_rx) = mpsc::channel();
         let x = m.page_exclusive(PageId(3));
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let m = Arc::clone(&m);
-                let order = Arc::clone(&order);
-                std::thread::spawn(move || {
-                    let _g = if i % 2 == 0 {
-                        m.page_shared(PageId(3))
-                    } else {
-                        m.page_exclusive(PageId(3))
-                    };
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                let arrived_tx = arrived_tx.clone();
+                let (m, released, inside, order) = (&m, &released, &inside, &order);
+                s.spawn(move || {
+                    arrived_tx.send(()).unwrap();
+                    let _g = m.page_exclusive(PageId(3));
+                    assert!(released.load(Ordering::SeqCst), "entered past a live holder");
+                    assert_eq!(inside.fetch_add(1, Ordering::SeqCst), 0, "two holders at once");
                     order.fetch_add(1, Ordering::SeqCst);
-                })
-            })
-            .collect();
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(order.load(Ordering::SeqCst), 0, "all waiters blocked behind exclusive");
-        drop(x);
-        for h in handles {
-            h.join().unwrap();
-        }
+                    inside.fetch_sub(1, Ordering::SeqCst);
+                });
+            }
+            // Every waiter is running before the holder lets go; none can
+            // be inside yet, whatever the schedule.
+            for _ in 0..4 {
+                arrived_rx.recv().unwrap();
+            }
+            assert_eq!(order.load(Ordering::SeqCst), 0, "all waiters blocked behind the holder");
+            released.store(true, Ordering::SeqCst);
+            drop(x);
+        });
         assert_eq!(order.load(Ordering::SeqCst), 4);
     }
 
@@ -387,104 +283,18 @@ mod tests {
     }
 
     #[test]
-    fn default_mode_admits_shared_past_a_queued_writer() {
-        // Reader preference (fairness off): a shared request succeeds even
-        // while an exclusive waiter is queued — the property that keeps
-        // nested shared acquisition deadlock-free.
-        let m = Arc::new(LatchManager::default());
-        let outer = m.page_shared(PageId(4));
-        let m2 = Arc::clone(&m);
-        let writer = std::thread::spawn(move || {
-            let _x = m2.page_exclusive(PageId(4)); // parks behind `outer`
-        });
-        // Give the writer time to queue, then nest: must not block.
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        let inner = m.page_shared(PageId(4));
-        drop(inner);
-        drop(outer);
-        writer.join().unwrap();
-    }
-
-    #[test]
-    fn fairness_blocks_new_shared_once_a_writer_queues() {
-        use std::sync::atomic::AtomicBool;
-        let m = Arc::new(LatchManager::default());
-        m.set_writer_fairness(true);
-        assert!(m.writer_fairness());
-        let outer = m.page_shared(PageId(6));
-        let writer_in = Arc::new(AtomicBool::new(false));
-        let late_reader_in = Arc::new(AtomicBool::new(false));
-        let (m2, w2) = (Arc::clone(&m), Arc::clone(&writer_in));
-        let writer = std::thread::spawn(move || {
-            let _x = m2.page_exclusive(PageId(6));
-            w2.store(true, Ordering::SeqCst);
-        });
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        let (m3, r3, w3) = (Arc::clone(&m), Arc::clone(&late_reader_in), Arc::clone(&writer_in));
-        let late_reader = std::thread::spawn(move || {
-            let _s = m3.page_shared(PageId(6));
-            // By the time a late shared request gets in, the queued
-            // writer must already have had its turn.
-            assert!(w3.load(Ordering::SeqCst), "late reader overtook the queued writer");
-            r3.store(true, Ordering::SeqCst);
-        });
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        assert!(!writer_in.load(Ordering::SeqCst), "writer entered past a live shared hold");
-        assert!(!late_reader_in.load(Ordering::SeqCst), "late reader admitted despite fairness");
-        drop(outer); // readers drain -> writer -> late reader
-        writer.join().unwrap();
-        late_reader.join().unwrap();
-    }
-
-    #[test]
-    fn fairness_prevents_writer_starvation_under_a_continuous_reader_stream() {
-        use std::sync::atomic::AtomicBool;
-        // Reader threads re-acquire the instant they release (bounded
-        // holds, never nested — nesting under fairness is the documented
-        // deadlock), so the shared count practically never reaches zero
-        // under reader preference.  With fairness on, the moment the
-        // writer queues all *new* shared requests park, the bounded holds
-        // drain, and the writer must get in.
-        let m = Arc::new(LatchManager::default());
-        m.set_writer_fairness(true);
-        let done = Arc::new(AtomicBool::new(false));
-        let readers: Vec<_> = (0..3)
-            .map(|_| {
-                let m = Arc::clone(&m);
-                let done = Arc::clone(&done);
-                std::thread::spawn(move || {
-                    while !done.load(Ordering::SeqCst) {
-                        let g = m.page_shared(PageId(2));
-                        for _ in 0..20 {
-                            std::thread::yield_now();
-                        }
-                        drop(g);
-                    }
-                })
-            })
-            .collect();
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        // The starvation regression: this acquisition must complete.
-        let x = m.page_exclusive(PageId(2));
-        drop(x);
-        done.store(true, Ordering::SeqCst);
-        for r in readers {
-            r.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn writers_make_progress_between_reader_bursts() {
-        let m = Arc::new(LatchManager::default());
-        let m2 = Arc::clone(&m);
-        let writer = std::thread::spawn(move || {
+    fn two_threads_make_exclusive_progress_on_one_page() {
+        let m = LatchManager::default();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for _ in 0..50 {
+                    let _x = m.page_exclusive(PageId(1));
+                }
+            });
             for _ in 0..50 {
-                let _x = m2.page_exclusive(PageId(1));
+                let _x = m.page_exclusive(PageId(1));
             }
         });
-        for _ in 0..50 {
-            let _s = m.page_shared(PageId(1));
-        }
-        writer.join().unwrap();
+        assert_eq!(m.stats().page_exclusive, 100);
     }
 }

@@ -16,7 +16,7 @@
 //! | [`btree`] | `ri-btree` | the disk-based composite-key B+-tree |
 //! | [`pagestore`] | `ri-pagestore` | buffer pool, block devices, I/O statistics, latency model |
 //! | [`baselines`] | `ri-baselines` | T-index, IST, MAP21, Window-List |
-//! | [`mem`] | `ri-mem` | main-memory structures behind the [`mem::IntervalIndex`] trait: interval tree, segment tree, skip list, HINT, naive oracle |
+//! | [`mem`] | `ri-mem` | main-memory structures behind the [`mem::IntervalIndex`] trait: naive oracle, interval tree, HINT |
 //! | [`workloads`] | `ri-workloads` | the paper's Table 1 data distributions and query generators |
 //!
 //! ## Quick start
@@ -73,8 +73,11 @@
 //!
 //! ## Bulk load & beyond-paper scale
 //!
-//! Loading a large dataset into a fresh tree does not descend the tree
-//! once per row: [`core::RiTree::insert_batch`] routes batches of
+//! There is one way to load a tree — [`core::RiTree::create`] (or
+//! [`core::RiTree::create_with_options`]) followed by
+//! [`core::RiTree::insert_batch`] — and loading a large dataset into a
+//! fresh tree does not descend the tree once per row: `insert_batch`
+//! routes batches of
 //! ≥ [`core::BULK_BATCH_MIN`] intervals into an *empty* tree through a
 //! bottom-up, fill-rate-1.0 builder ([`btree::BTree::bulk_build_into`])
 //! that writes each index page exactly once, left to right — `O(pages)`

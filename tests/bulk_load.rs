@@ -37,7 +37,8 @@ fn million_entry_bulk_build_does_o_pages_sequential_writes() {
         .enumerate()
         .map(|(i, (lower, _upper))| Entry::new(&[lower, i as i64], i as u64));
     let before = pool.stats().snapshot();
-    let tree = BTree::bulk_load_entries(Arc::clone(&pool), 2, entries, 1.0).unwrap();
+    let tree = BTree::create(Arc::clone(&pool), 2).unwrap();
+    tree.bulk_build_into(entries, 1.0).unwrap();
     pool.flush_all().unwrap();
     let io = pool.stats().snapshot().since(&before);
 
