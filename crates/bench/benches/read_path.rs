@@ -1,0 +1,73 @@
+//! The hot read path, layer by layer, on a fully resident tree: what the
+//! repo benchmark's `read_hot` workload pays per query, split the way its
+//! traced run splits it (`core.plan_us`, `relstore.exec_us`,
+//! `btree.scan_ns_per_entry`) — but from `cargo bench`, in seconds.
+//!
+//! Uses only calls that predate the decode-free read path
+//! (`RiTree::{intersection_plan, execute_id_plan}`, `Table::index`,
+//! `BTree::scan_all`), so the same file runs on an older checkout and the
+//! two printouts are the before and after.  The header line prints how
+//! many rows one `exec` iteration returns and how many entries one `scan`
+//! iteration walks: ns/row and ns/entry are ns/iter ÷ those.
+
+use criterion::{criterion_group, criterion_main, Criterion};
+use ri_bench::{build_ritree, fresh_env_with_cache};
+use ri_relstore::Plan;
+use ri_workloads::{d1, queries_for_selectivity};
+use ritree_core::{Interval, UPPER_NOW};
+use std::hint::black_box;
+
+const ROWS: usize = 100_000;
+const QUERIES: usize = 16;
+/// Answers of ≈ 3,000 rows, about `read_hot`'s mean: per-row cost
+/// dominates per-scan cost, as it does there.
+const SELECTIVITY: f64 = 0.03;
+
+fn bench_read_path(c: &mut Criterion) {
+    // Room for the whole database: after the first pass nothing faults.
+    let env = fresh_env_with_cache(16_384);
+    let spec = d1(ROWS, 2000);
+    let tree = build_ritree(&env, &spec.generate(11));
+    let queries: Vec<Interval> = queries_for_selectivity(&spec, SELECTIVITY, QUERIES, 12)
+        .into_iter()
+        .map(|(l, u)| Interval::new(l, u).unwrap())
+        .collect();
+    let now = UPPER_NOW - 1;
+    let plans: Vec<Plan> =
+        queries.iter().map(|&q| tree.intersection_plan(q, now).unwrap()).collect();
+    let rows: usize = plans.iter().map(|p| tree.execute_id_plan(p).unwrap().0.len()).sum();
+    let table = env.db.table(tree.table_name()).unwrap();
+    let indexes = ["RI_bench_LOWER", "RI_bench_UPPER"].map(|name| table.index(name).unwrap());
+    println!("# read_path: exec = {QUERIES} queries, {rows} rows; scan = {} entries", 2 * ROWS);
+
+    let mut group = c.benchmark_group("read_path");
+    group.sample_size(40);
+    group.bench_function("plan (one query)", |b| {
+        let mut i = 0;
+        b.iter(|| {
+            i += 1;
+            black_box(tree.intersection_plan(queries[i % QUERIES], now).unwrap())
+        })
+    });
+    group.bench_function("exec (query set)", |b| {
+        b.iter(|| plans.iter().map(|p| tree.execute_id_plan(p).unwrap().0.len()).sum::<usize>())
+    });
+    group.bench_function("scan (both indexes)", |b| {
+        b.iter(|| {
+            let mut entries = 0;
+            for entry in indexes.iter().flat_map(|index| index.scan_all()) {
+                black_box(entry.unwrap());
+                entries += 1;
+            }
+            assert_eq!(entries, 2 * ROWS);
+        })
+    });
+    group.finish();
+}
+
+criterion_group! {
+    name = read_path;
+    config = Criterion::default();
+    targets = bench_read_path
+}
+criterion_main!(read_path);

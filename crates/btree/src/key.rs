@@ -34,6 +34,15 @@ impl Key {
         Key { vals, arity: cols.len() as u8 }
     }
 
+    /// [`Key::new`] for the page codec, which already holds the columns
+    /// zero-padded to [`MAX_ARITY`] (`Eq` and `Hash` see the padding) and
+    /// has validated `arity`.
+    #[inline]
+    pub(crate) fn from_padded(vals: [i64; MAX_ARITY], arity: usize) -> Key {
+        debug_assert!((1..=MAX_ARITY).contains(&arity) && vals[arity..] == [0; MAX_ARITY][arity..]);
+        Key { vals, arity: arity as u8 }
+    }
+
     /// Number of columns in this key.
     #[inline]
     pub fn arity(&self) -> usize {

@@ -40,13 +40,24 @@
 //! latches at all (see `tree`'s module docs).
 //!
 //! Format version 1 pages (no version byte, a `prev` pointer instead of a
-//! high key) are **not readable**; [`read_node`] rejects them.  The write
-//! path's golden counters were re-captured for format 2 via
+//! high key) are **not readable**; [`NodeView::parse`] rejects them.  The
+//! write path's golden counters were re-captured for format 2 via
 //! `scripts/recapture-goldens.sh`.
+//!
+//! # Two ways to read a page
+//!
+//! [`NodeView`] is the read path's: it validates the header once, then
+//! compares, binary-searches and reads columns *in place* — no allocation,
+//! nothing decoded that is not returned.  [`read_node`] decodes the whole
+//! page into an owned [`Node`] on top of the same validation; the write
+//! path (which edits the entry vector) and the invariant checker use it.
+//! Either way a page is outside input: a header that does not describe a
+//! node of this tree is [`Error::Corrupt`], never a panic.
 
 use crate::key::{Entry, Key};
 use ri_pagestore::codec::{get_i64, get_u16, get_u64, put_i64, put_u16, put_u64};
 use ri_pagestore::{Error, PageId, Result};
+use std::cmp::Ordering;
 
 /// Node type tag for leaves.
 pub const NODE_LEAF: u8 = 1;
@@ -119,13 +130,6 @@ impl LeafNode {
     pub fn empty() -> LeafNode {
         LeafNode { entries: Vec::new(), next: PageId::INVALID, high: None }
     }
-
-    /// `true` when `target` lies inside this node's key range, i.e. below
-    /// the high key.  `false` means the traversal must *move right*.
-    #[inline]
-    pub fn covers(&self, target: &Entry) -> bool {
-        self.high.is_none_or(|h| *target < h)
-    }
 }
 
 /// Parsed form of an internal page.
@@ -143,31 +147,6 @@ pub struct InternalNode {
     pub high: Option<Entry>,
 }
 
-impl InternalNode {
-    /// Returns the index of the child that must contain `target`:
-    /// `0` for `child0`, `i + 1` for `entries[i].1`.
-    pub fn route(&self, target: &Entry) -> usize {
-        // partition_point returns the number of separators <= target.
-        self.entries.partition_point(|(sep, _)| sep <= target)
-    }
-
-    /// The child page at routing slot `slot` (as returned by [`route`](Self::route)).
-    pub fn child_at(&self, slot: usize) -> PageId {
-        if slot == 0 {
-            self.child0
-        } else {
-            self.entries[slot - 1].1
-        }
-    }
-
-    /// `true` when `target` lies inside this subtree's key range (below
-    /// the high key).  `false` means the traversal must *move right*.
-    #[inline]
-    pub fn covers(&self, target: &Entry) -> bool {
-        self.high.is_none_or(|h| *target < h)
-    }
-}
-
 /// Parsed form of any node page.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Node {
@@ -177,28 +156,12 @@ pub enum Node {
     Internal(InternalNode),
 }
 
-fn read_entry(buf: &[u8], off: usize, arity: usize) -> Entry {
-    let mut cols = [0i64; crate::key::MAX_ARITY];
-    for (c, slot) in cols.iter_mut().enumerate().take(arity) {
-        *slot = get_i64(buf, off + c * 8);
-    }
-    Entry { key: Key::new(&cols[..arity]), payload: get_u64(buf, off + arity * 8) }
-}
-
 fn write_entry(buf: &mut [u8], off: usize, e: &Entry) {
     let arity = e.key.arity();
     for (c, v) in e.key.as_slice().iter().enumerate() {
         put_i64(buf, off + c * 8, *v);
     }
     put_u64(buf, off + arity * 8, e.payload);
-}
-
-fn read_high(buf: &[u8], arity: usize) -> Option<Entry> {
-    if buf[OFF_FLAGS] & FLAG_HIGH_KEY == 0 {
-        None
-    } else {
-        Some(read_entry(buf, buf.len() - leaf_entry_size(arity), arity))
-    }
 }
 
 fn write_header(buf: &mut [u8], tag: u8, arity: usize, count: usize, high: &Option<Entry>) {
@@ -214,54 +177,204 @@ fn write_header(buf: &mut [u8], tag: u8, arity: usize, count: usize, high: &Opti
     }
 }
 
-/// Decodes a node page.  `arity` must match the tree's arity.
+/// A validated, borrowed view of one node page — the read path's way to
+/// look at a node (see the module docs).  [`NodeView::parse`] checks the
+/// header once; after that every entry offset is known to lie inside the
+/// page, and the accessors search and read in place.
+#[derive(Clone, Copy)]
+pub struct NodeView<'a> {
+    buf: &'a [u8],
+    arity: usize,
+    count: usize,
+    leaf: bool,
+}
+
+impl<'a> NodeView<'a> {
+    /// Validates the header of `buf` as a node of a tree with `arity` key
+    /// columns: format version, arity, node tag, and an entry count that
+    /// fits the page.
+    pub fn parse(buf: &'a [u8], arity: usize) -> Result<NodeView<'a>> {
+        if buf[OFF_VERSION] != FORMAT_VERSION {
+            return Err(Error::Corrupt(format!(
+                "node format version {} (expected {FORMAT_VERSION}; pre-B-link pages are not readable)",
+                buf[OFF_VERSION]
+            )));
+        }
+        let stored_arity = buf[OFF_ARITY] as usize;
+        if stored_arity != arity {
+            return Err(Error::Corrupt(format!(
+                "node arity {stored_arity} does not match tree arity {arity}"
+            )));
+        }
+        let (leaf, capacity) = match buf[OFF_TYPE] {
+            NODE_LEAF => (true, leaf_capacity(buf.len(), arity)),
+            NODE_INTERNAL => (false, internal_capacity(buf.len(), arity)),
+            other => return Err(Error::Corrupt(format!("unexpected node tag {other}"))),
+        };
+        let count = get_u16(buf, OFF_COUNT) as usize;
+        if count > capacity {
+            return Err(Error::Corrupt(format!(
+                "node claims {count} entries, a page holds at most {capacity}"
+            )));
+        }
+        Ok(NodeView { buf, arity, count, leaf })
+    }
+
+    /// `true` for a leaf, `false` for an internal node.
+    #[inline]
+    pub fn is_leaf(&self) -> bool {
+        self.leaf
+    }
+
+    /// Number of entries (leaf) or separators (internal).
+    #[inline]
+    pub fn count(&self) -> usize {
+        self.count
+    }
+
+    /// Right sibling on the same level, or [`PageId::INVALID`].
+    #[inline]
+    pub fn next(&self) -> PageId {
+        PageId(get_u64(self.buf, if self.leaf { OFF_LINK } else { OFF_INTERNAL_NEXT }))
+    }
+
+    #[inline]
+    fn offset(&self, i: usize) -> usize {
+        let stride =
+            if self.leaf { leaf_entry_size(self.arity) } else { internal_entry_size(self.arity) };
+        HEADER_SIZE + i * stride
+    }
+
+    /// Orders the on-page key columns at `off` against `cols`.
+    #[inline]
+    fn cmp_cols_at(&self, off: usize, cols: &[i64]) -> Ordering {
+        for (c, want) in cols.iter().enumerate() {
+            match get_i64(self.buf, off + c * 8).cmp(want) {
+                Ordering::Equal => {}
+                unequal => return unequal,
+            }
+        }
+        Ordering::Equal
+    }
+
+    /// Orders the on-page entry at `off` (key columns, then payload)
+    /// against `target`.
+    #[inline]
+    fn cmp_at(&self, off: usize, target: &Entry) -> Ordering {
+        debug_assert_eq!(target.key.arity(), self.arity);
+        self.cmp_cols_at(off, target.key.as_slice())
+            .then_with(|| get_u64(self.buf, off + self.arity * 8).cmp(&target.payload))
+    }
+
+    /// First index in `from..count()` whose entry fails `below` — the
+    /// entries are sorted, so `below` holds on a prefix.
+    #[inline]
+    fn partition_point(&self, from: usize, below: impl Fn(usize) -> bool) -> usize {
+        let (mut lo, mut hi) = (from, self.count);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if below(self.offset(mid)) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// Offset of the high-key slot; `None` = +∞, the rightmost node of a level.
+    #[inline]
+    fn high_offset(&self) -> Option<usize> {
+        (self.buf[OFF_FLAGS] & FLAG_HIGH_KEY != 0)
+            .then(|| self.buf.len() - leaf_entry_size(self.arity))
+    }
+
+    /// The high key, decoded.
+    pub fn high(&self) -> Option<Entry> {
+        self.high_offset().map(|off| self.entry_at(off))
+    }
+
+    /// `true` when `target` lies below the high key; `false` means the
+    /// traversal must *move right*.  Compared in place.
+    #[inline]
+    pub fn covers(&self, target: &Entry) -> bool {
+        self.high_offset().is_none_or(|off| self.cmp_at(off, target) == Ordering::Greater)
+    }
+
+    /// Index of the first entry `>= target` (binary search in place).
+    pub fn lower_bound(&self, target: &Entry) -> usize {
+        self.partition_point(0, |off| self.cmp_at(off, target) == Ordering::Less)
+    }
+
+    /// Index of the first entry at or after `from` whose key columns
+    /// exceed `hi` — the exclusive end of an inclusive range scan.
+    pub fn key_upper_bound(&self, from: usize, hi: &Key) -> usize {
+        self.partition_point(from, |off| self.cmp_cols_at(off, hi.as_slice()) != Ordering::Greater)
+    }
+
+    /// `true` when a leaf stores exactly `target`.
+    pub fn contains(&self, target: &Entry) -> bool {
+        let i = self.lower_bound(target);
+        i < self.count && self.cmp_at(self.offset(i), target) == Ordering::Equal
+    }
+
+    /// Internal node: the child page that must contain `target` — the one
+    /// right of the last separator `<= target`, `child0` when there is none.
+    pub fn route(&self, target: &Entry) -> PageId {
+        debug_assert!(!self.leaf);
+        self.child_at(self.partition_point(0, |off| self.cmp_at(off, target) != Ordering::Greater))
+    }
+
+    /// Internal node: the child page at routing slot `slot` (`0` for
+    /// `child0`, `i + 1` for the child right of separator `i`).
+    pub fn child_at(&self, slot: usize) -> PageId {
+        debug_assert!(!self.leaf && slot <= self.count);
+        PageId(match slot {
+            0 => get_u64(self.buf, OFF_LINK),
+            i => get_u64(self.buf, self.offset(i - 1) + leaf_entry_size(self.arity)),
+        })
+    }
+
+    /// Decodes entry (or separator) `i`.
+    #[inline]
+    pub fn entry(&self, i: usize) -> Entry {
+        debug_assert!(i < self.count);
+        self.entry_at(self.offset(i))
+    }
+
+    #[inline]
+    fn entry_at(&self, off: usize) -> Entry {
+        // One bounds check for the whole entry, then fixed-trip loads.
+        let words = &self.buf[off..off + leaf_entry_size(self.arity)];
+        let mut cols = [0i64; crate::key::MAX_ARITY];
+        for (c, slot) in cols.iter_mut().enumerate() {
+            if c < self.arity {
+                *slot = get_i64(words, c * 8);
+            }
+        }
+        Entry { key: Key::from_padded(cols, self.arity), payload: get_u64(words, self.arity * 8) }
+    }
+}
+
+/// Decodes a whole node page into an owned [`Node`] (the write path's
+/// form).  `arity` must match the tree's arity.
 pub fn read_node(buf: &[u8], arity: usize) -> Result<Node> {
-    let tag = buf[OFF_TYPE];
-    if buf[OFF_VERSION] != FORMAT_VERSION {
-        return Err(Error::Corrupt(format!(
-            "node format version {} (expected {FORMAT_VERSION}; pre-B-link pages are not readable)",
-            buf[OFF_VERSION]
-        )));
-    }
-    let stored_arity = buf[OFF_ARITY] as usize;
-    if stored_arity != arity {
-        return Err(Error::Corrupt(format!(
-            "node arity {stored_arity} does not match tree arity {arity}"
-        )));
-    }
-    let count = get_u16(buf, OFF_COUNT) as usize;
-    match tag {
-        NODE_LEAF => {
-            let esz = leaf_entry_size(arity);
-            let mut entries = Vec::with_capacity(count);
-            for i in 0..count {
-                entries.push(read_entry(buf, HEADER_SIZE + i * esz, arity));
-            }
-            Ok(Node::Leaf(LeafNode {
-                entries,
-                next: PageId(get_u64(buf, OFF_LINK)),
-                high: read_high(buf, arity),
-            }))
-        }
-        NODE_INTERNAL => {
-            let esz = internal_entry_size(arity);
-            let sep_sz = leaf_entry_size(arity);
-            let mut entries = Vec::with_capacity(count);
-            for i in 0..count {
-                let off = HEADER_SIZE + i * esz;
-                let sep = read_entry(buf, off, arity);
-                let child = PageId(get_u64(buf, off + sep_sz));
-                entries.push((sep, child));
-            }
-            Ok(Node::Internal(InternalNode {
-                child0: PageId(get_u64(buf, OFF_LINK)),
-                entries,
-                next: PageId(get_u64(buf, OFF_INTERNAL_NEXT)),
-                high: read_high(buf, arity),
-            }))
-        }
-        other => Err(Error::Corrupt(format!("unexpected node tag {other}"))),
-    }
+    let view = NodeView::parse(buf, arity)?;
+    let (next, high) = (view.next(), view.high());
+    Ok(if view.is_leaf() {
+        Node::Leaf(LeafNode {
+            entries: (0..view.count()).map(|i| view.entry(i)).collect(),
+            next,
+            high,
+        })
+    } else {
+        Node::Internal(InternalNode {
+            child0: view.child_at(0),
+            entries: (0..view.count()).map(|i| (view.entry(i), view.child_at(i + 1))).collect(),
+            next,
+            high,
+        })
+    })
 }
 
 /// Encodes a leaf page.
@@ -322,7 +435,8 @@ mod tests {
         match read_node(&buf, 1).unwrap() {
             Node::Leaf(l) => {
                 assert_eq!(l, node);
-                assert!(l.covers(&Entry::new(&[i64::MAX], u64::MAX)), "no high key bounds +inf");
+                let view = NodeView::parse(&buf, 1).unwrap();
+                assert!(view.covers(&Entry::new(&[i64::MAX], u64::MAX)), "no high key bounds +inf");
             }
             _ => panic!("expected leaf"),
         }
@@ -343,21 +457,98 @@ mod tests {
             _ => panic!("expected internal"),
         };
         assert_eq!(parsed, node);
-        assert_eq!(parsed.route(&Entry::new(&[5], 0)), 0);
-        assert_eq!(parsed.route(&Entry::new(&[10], 0)), 1); // >= separator goes right
-        assert_eq!(parsed.route(&Entry::new(&[15], 99)), 1);
-        assert_eq!(parsed.route(&Entry::new(&[20], 0)), 2);
-        assert_eq!(parsed.route(&Entry::new(&[29], 0)), 2);
-        assert_eq!(parsed.child_at(0), PageId(1));
-        assert_eq!(parsed.child_at(2), PageId(3));
-        assert!(parsed.covers(&Entry::new(&[29], u64::MAX)));
-        assert!(!parsed.covers(&Entry::new(&[30], 0)), "at the high key means move right");
+        // The in-place view routes and bounds exactly like the decoded node.
+        let view = NodeView::parse(&buf, 1).unwrap();
+        assert!(!view.is_leaf());
+        assert_eq!((view.count(), view.next(), view.high()), (2, node.next, node.high));
+        assert_eq!((view.child_at(0), view.child_at(2)), (PageId(1), PageId(3)));
+        assert_eq!(view.route(&Entry::new(&[5], 0)), PageId(1));
+        assert_eq!(view.route(&Entry::new(&[10], 0)), PageId(2)); // >= separator goes right
+        assert_eq!(view.route(&Entry::new(&[15], 99)), PageId(2));
+        assert_eq!(view.route(&Entry::new(&[20], 0)), PageId(3));
+        assert_eq!(view.route(&Entry::new(&[29], 0)), PageId(3));
+        assert!(view.covers(&Entry::new(&[29], u64::MAX)));
+        assert!(!view.covers(&Entry::new(&[30], 0)), "at the high key means move right");
+    }
+
+    #[test]
+    fn leaf_view_searches_in_place() {
+        let mut buf = vec![0u8; 512];
+        let entries: Vec<Entry> = vec![
+            Entry::new(&[i64::MIN, 0], 0),
+            Entry::new(&[3, 3], 1),
+            Entry::new(&[3, 3], 2), // duplicate key, payload breaks the tie
+            Entry::new(&[3, 4], 0),
+            Entry::new(&[i64::MAX, i64::MAX], u64::MAX),
+        ];
+        write_leaf(&mut buf, &LeafNode { entries: entries.clone(), ..LeafNode::empty() }, 2);
+        let view = NodeView::parse(&buf, 2).unwrap();
+        assert!(view.is_leaf());
+        for probe in entries.iter().copied().chain([
+            Entry::new(&[3, 3], 0),
+            Entry::new(&[3, 3], 3),
+            Entry::new(&[0, 0], 0),
+            Entry::new(&[i64::MAX, i64::MAX], 0),
+        ]) {
+            assert_eq!(view.lower_bound(&probe), entries.partition_point(|e| *e < probe));
+            assert_eq!(view.contains(&probe), entries.contains(&probe), "{probe:?}");
+            for from in 0..=entries.len() {
+                let want = from + entries[from..].partition_point(|e| e.key <= probe.key);
+                assert_eq!(view.key_upper_bound(from, &probe.key), want, "{probe:?} from {from}");
+            }
+        }
+        assert_eq!((0..view.count()).map(|i| view.entry(i)).collect::<Vec<_>>(), entries);
+    }
+
+    #[test]
+    fn forged_headers_are_corrupt_not_panics() {
+        for leaf in [true, false] {
+            let mut page = vec![0u8; 256];
+            if leaf {
+                write_leaf(&mut page, &LeafNode::empty(), 2);
+            } else {
+                let node = InternalNode {
+                    child0: PageId(1),
+                    entries: vec![(Entry::new(&[1, 1], 0), PageId(2))],
+                    next: PageId::INVALID,
+                    high: None,
+                };
+                write_internal(&mut page, &node, 2);
+            }
+            assert!(read_node(&page, 2).is_ok());
+            let capacity =
+                if leaf { leaf_capacity(256, 2) } else { internal_capacity(256, 2) } as u16;
+            // (offset, forged bytes): count past the page, count one past
+            // capacity, unknown and reserved tags, wrong arity, wrong version.
+            let forgeries: [(usize, &[u8]); 7] = [
+                (OFF_COUNT, &[0xFF, 0xFF]),
+                (OFF_COUNT, &(capacity + 1).to_le_bytes()),
+                (OFF_TYPE, &[0]),
+                (OFF_TYPE, &[NODE_FREE]),
+                (OFF_ARITY, &[3]),
+                (OFF_VERSION, &[1]),
+                (OFF_VERSION, &[0xFF]),
+            ];
+            for (off, bytes) in forgeries {
+                let mut forged = page.clone();
+                forged[off..off + bytes.len()].copy_from_slice(bytes);
+                assert!(matches!(read_node(&forged, 2), Err(Error::Corrupt(_))), "{off} {bytes:?}");
+                assert!(matches!(NodeView::parse(&forged, 2), Err(Error::Corrupt(_))));
+            }
+            // A count exactly at capacity is legal.
+            let mut full = page.clone();
+            full[OFF_COUNT..OFF_COUNT + 2].copy_from_slice(&capacity.to_le_bytes());
+            assert!(read_node(&full, 2).is_ok());
+        }
     }
 
     #[test]
     fn high_key_comparison_is_exclusive_and_payload_aware() {
-        let leaf =
+        let mut buf = vec![0u8; 256];
+        let node =
             LeafNode { entries: Vec::new(), next: PageId(4), high: Some(Entry::new(&[7, 7], 3)) };
+        write_leaf(&mut buf, &node, 2);
+        let leaf = NodeView::parse(&buf, 2).unwrap();
         assert!(leaf.covers(&Entry::new(&[7, 7], 2)), "payload below the high key's stays");
         assert!(!leaf.covers(&Entry::new(&[7, 7], 3)), "exactly the high key moves right");
         assert!(!leaf.covers(&Entry::new(&[8, 0], 0)));

@@ -4,35 +4,51 @@ use crate::key::{Entry, Key};
 use crate::tree::BTree;
 use ri_pagestore::{PageId, Result};
 
-/// Iterator over all entries whose key columns lie in `[lo, hi]`
-/// (inclusive, lexicographic).
+/// Cursor over all entries whose key columns lie in `[lo, hi]`
+/// (inclusive, lexicographic): an [`Iterator`] of `Result<Entry>`, or —
+/// for callers that consume everything — [`RangeScan::visit`], which
+/// hands each entry to a closure with nothing buffered in between.
 ///
-/// The cursor materializes one leaf at a time: the search phase costs
-/// `O(log_b n)` page accesses and the scan phase one access per leaf — the
-/// cost model of the paper's Theorem in Section 4.4.
+/// Nothing is read until the first entry is asked for.  The search phase
+/// then costs `O(log_b n)` page accesses and the scan phase one access per
+/// leaf — the cost model of the paper's Theorem in Section 4.4.  Each
+/// leaf is looked at once, *in place*, inside the pool's copy-atomic page
+/// snapshot ([`crate::layout::NodeView`]): the header is validated, the first leaf's
+/// start and every leaf's `hi` boundary are found by binary search, and
+/// only the entries inside the bounds are decoded.  No node is
+/// materialized and nothing is allocated per leaf or per entry; the
+/// iterator form keeps one entry buffer for the whole scan.
 ///
-/// Cursors are **latch-free** (B-link protocol): each leaf is loaded as a
+/// Cursors are **latch-free** (B-link protocol): each leaf is read as a
 /// copy-atomic snapshot and the cursor follows right links, so concurrent
 /// writers — including splits — proceed freely, and the owning thread may
-/// even write through the same tree while the cursor is live (the
-/// pre-B-link "no DML under an open cursor" rule is gone).  Guarantee:
-/// every entry committed before the scan started and not concurrently
-/// deleted is yielded exactly once, in order — splits only move entries
-/// *right*, and the cursor moves right with them.  Entries inserted or
-/// deleted concurrently may or may not appear, as with any non-snapshot
-/// index scan.
+/// even write through the same tree while the cursor is live.  The first
+/// leaf is found by the *move-right rule*: the descent's leaf is only a
+/// hint, and the cursor chases right links (each chase is counted) until
+/// the leaf's high key covers `lo`.  Guarantee: every entry committed
+/// before the first entry was requested and not concurrently deleted is
+/// yielded exactly once, in order — splits only move entries *right*, and
+/// the cursor moves right with them.  Entries inserted or deleted
+/// concurrently may or may not appear, as with any non-snapshot index
+/// scan.
 pub struct RangeScan<'t> {
     tree: &'t BTree,
+    /// `(lo, payload 0)`: payloads are unsigned, so this sorts before
+    /// every entry with key columns `lo`.
+    lo: Entry,
     hi: Key,
-    state: State,
+    at: Cursor,
+    /// Iterator form only: the current leaf's in-range entries.
+    buf: Vec<Entry>,
+    idx: usize,
 }
 
-enum State {
-    /// Initialization failed; the error is yielded once, then `Done`.
-    Failed(Option<ri_pagestore::Error>),
-    /// Actively scanning `buf[idx..]`, then following `next`.
-    Active { buf: Vec<Entry>, idx: usize, next: PageId },
-    /// Scan exhausted.
+enum Cursor {
+    /// Nothing read yet: descend toward `lo` first.
+    Start,
+    /// The next leaf to visit.
+    Leaf(PageId),
+    /// Exhausted, or failed (an error is reported once).
     Done,
 }
 
@@ -40,19 +56,52 @@ impl<'t> RangeScan<'t> {
     pub(crate) fn new(tree: &'t BTree, lo: &[i64], hi: &[i64]) -> RangeScan<'t> {
         assert_eq!(lo.len(), tree.arity(), "lo bound arity mismatch");
         assert_eq!(hi.len(), tree.arity(), "hi bound arity mismatch");
-        let hi = Key::new(hi);
-        // Position at the first entry >= (lo, payload 0): payloads are
-        // unsigned, so payload 0 sorts before every entry with equal columns.
-        let target = Entry { key: Key::new(lo), payload: 0 };
-        let state = match tree.position_leaf(&target) {
-            Ok(Some((_, leaf))) => {
-                let idx = leaf.entries.partition_point(|e| e < &target);
-                State::Active { buf: leaf.entries, idx, next: leaf.next }
-            }
-            Ok(None) => State::Done,
-            Err(e) => State::Failed(Some(e)),
+        RangeScan {
+            tree,
+            lo: Entry { key: Key::new(lo), payload: 0 },
+            hi: Key::new(hi),
+            at: Cursor::Start,
+            buf: Vec::new(),
+            idx: 0,
+        }
+    }
+
+    /// The one leaf walk: visits the leaf under the cursor, hands its
+    /// in-range entries to `f` from inside the page snapshot, and moves
+    /// the cursor right.  `Ok(false)` once the scan is exhausted.
+    fn visit_leaf(&mut self, f: &mut impl FnMut(Entry)) -> Result<bool> {
+        let (lo, hi) = (self.lo, self.hi);
+        // `Done` first, so that an error ends the scan instead of repeating.
+        let page = match std::mem::replace(&mut self.at, Cursor::Done) {
+            Cursor::Start => self.tree.leaf_for(&lo)?,
+            Cursor::Leaf(page) => Some(page),
+            Cursor::Done => None,
         };
-        RangeScan { tree, hi, state }
+        let Some(page) = page else { return Ok(false) };
+        // Only the first leaf can lie left of `lo` (move right) or hold
+        // entries below it; every later one covers `lo` and starts at 0.
+        let visited = self.tree.with_covering_node(page, &lo, true, |leaf| {
+            let from = leaf.lower_bound(&lo);
+            let end = leaf.key_upper_bound(from, &hi);
+            (from..end).for_each(|i| f(leaf.entry(i)));
+            if end < leaf.count() || leaf.next().is_invalid() {
+                Cursor::Done
+            } else {
+                Cursor::Leaf(leaf.next())
+            }
+        })?;
+        self.at = visited.1;
+        Ok(true)
+    }
+
+    /// Drains the scan by internal iteration: `f` sees every remaining
+    /// entry in order, called from inside each leaf's page snapshot, so
+    /// nothing is buffered or allocated.  `f` may itself read (other
+    /// scans included) — no latch or lock is held while it runs.
+    pub fn visit(mut self, mut f: impl FnMut(Entry)) -> Result<()> {
+        self.buf.drain(..).skip(self.idx).for_each(&mut f);
+        while self.visit_leaf(&mut f)? {}
+        Ok(())
     }
 
     /// Drains the scan, panicking on I/O errors (test convenience).
@@ -66,38 +115,19 @@ impl Iterator for RangeScan<'_> {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            match &mut self.state {
-                State::Failed(err) => {
-                    let e = err.take();
-                    self.state = State::Done;
-                    return e.map(Err);
-                }
-                State::Done => return None,
-                State::Active { buf, idx, next } => {
-                    if *idx < buf.len() {
-                        let entry = buf[*idx];
-                        *idx += 1;
-                        if entry.key > self.hi {
-                            self.state = State::Done;
-                            return None;
-                        }
-                        return Some(Ok(entry));
-                    }
-                    if next.is_invalid() {
-                        self.state = State::Done;
-                        return None;
-                    }
-                    match self.tree.load_leaf(*next) {
-                        Ok(leaf) => {
-                            self.state =
-                                State::Active { buf: leaf.entries, idx: 0, next: leaf.next };
-                        }
-                        Err(e) => {
-                            self.state = State::Done;
-                            return Some(Err(e));
-                        }
-                    }
-                }
+            if let Some(&entry) = self.buf.get(self.idx) {
+                self.idx += 1;
+                return Some(Ok(entry));
+            }
+            let mut buf = std::mem::take(&mut self.buf);
+            buf.clear();
+            self.idx = 0;
+            let more = self.visit_leaf(&mut |entry| buf.push(entry));
+            self.buf = buf;
+            match more {
+                Ok(true) => {}
+                Ok(false) => return None,
+                Err(e) => return Some(Err(e)),
             }
         }
     }
@@ -168,6 +198,134 @@ mod tests {
         let want: Vec<u64> =
             (0..64).filter(|i| !(20..30).contains(i)).map(|i| i as u64 + 1000).collect();
         assert_eq!(got, want);
+        tree.check_invariants().unwrap();
+    }
+
+    /// What a scan must yield, computed the pre-`NodeView` way: whole
+    /// nodes decoded with `read_node`, routed by their separator vectors,
+    /// moved right past high keys, the leaf chain filtered entry by entry.
+    fn reference_scan(tree: &BTree, lo: &[i64], hi: &[i64]) -> Vec<Entry> {
+        use crate::layout::Node;
+        let (target, hi) = (Entry { key: Key::new(lo), payload: 0 }, Key::new(hi));
+        let mut page = tree.read_meta().unwrap().root;
+        let mut out = Vec::new();
+        let mut positioned = false;
+        while !page.is_invalid() {
+            let node = tree.read_any(page).unwrap();
+            let (high, next) = match &node {
+                Node::Leaf(l) => (l.high, l.next),
+                Node::Internal(n) => (n.high, n.next),
+            };
+            page = match node {
+                _ if !positioned && high.is_some_and(|h| target >= h) => next, // move right
+                Node::Internal(n) => match n.entries.partition_point(|(s, _)| *s <= target) {
+                    0 => n.child0,
+                    slot => n.entries[slot - 1].1,
+                },
+                Node::Leaf(l) => {
+                    positioned = true;
+                    for e in l.entries.into_iter().filter(|e| *e >= target) {
+                        if e.key > hi {
+                            return out;
+                        }
+                        out.push(e);
+                    }
+                    next
+                }
+            };
+        }
+        out
+    }
+
+    /// Both cursor forms against the reference walk.
+    fn assert_scan_matches_reference(tree: &BTree, lo: &[i64], hi: &[i64]) {
+        let want = reference_scan(tree, lo, hi);
+        let iterated: Vec<Entry> = tree.scan_range(lo, hi).map(|e| e.unwrap()).collect();
+        assert_eq!(iterated, want, "iterator over [{lo:?}, {hi:?}]");
+        let mut visited = Vec::new();
+        tree.scan_range(lo, hi).visit(|e| visited.push(e)).unwrap();
+        assert_eq!(visited, want, "visit over [{lo:?}, {hi:?}]");
+        // Switching forms mid-scan loses and repeats nothing.
+        let mut scan = tree.scan_range(lo, hi);
+        let mut mixed: Vec<Entry> = scan.by_ref().take(3).map(|e| e.unwrap()).collect();
+        scan.visit(|e| mixed.push(e)).unwrap();
+        assert_eq!(mixed, want, "iterator then visit over [{lo:?}, {hi:?}]");
+    }
+
+    #[test]
+    fn cursor_matches_a_read_node_reference_walk() {
+        let pool =
+            Arc::new(BufferPool::new(MemDisk::new(256), BufferPoolConfig::with_capacity(16)));
+        let tree = BTree::create(Arc::clone(&pool), 2).unwrap();
+        assert_scan_matches_reference(&tree, &[i64::MIN; 2], &[i64::MAX; 2]); // empty tree
+        for i in 0..400i64 {
+            // Four payloads per key: duplicates that differ only in payload.
+            tree.insert(&[i / 4, (i / 4) % 3], (i % 4) as u64).unwrap();
+        }
+        for extreme in [i64::MIN, i64::MAX] {
+            tree.insert(&[extreme, extreme], 0).unwrap();
+            tree.insert(&[extreme, extreme], u64::MAX).unwrap();
+        }
+        // Empty several whole leaves in the middle; they stay linked.
+        for i in 120..240i64 {
+            assert!(tree.delete(&[i / 4, (i / 4) % 3], (i % 4) as u64).unwrap());
+        }
+        tree.check_invariants().unwrap();
+        let points = [i64::MIN, i64::MIN + 1, -1, 0, 7, 29, 30, 45, 59, 60, 61, 99, 100, i64::MAX];
+        for &a in &points {
+            for &b in &points {
+                for (lo1, hi1) in [(i64::MIN, i64::MAX), (0, 2), (1, 1), (i64::MAX, i64::MIN)] {
+                    assert_scan_matches_reference(&tree, &[a, lo1], &[b, hi1]);
+                }
+            }
+        }
+        let all: Vec<Entry> = tree.scan_all().map(|e| e.unwrap()).collect();
+        assert_eq!(all.len(), 400 - 120 + 4);
+        assert_eq!(pool.latches().stats().right_link_chases, 0, "quiescent: nothing to chase");
+    }
+
+    #[test]
+    fn cursor_started_inside_a_split_window_moves_right_and_counts_it() {
+        use crate::tree::SmoPhase;
+        use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+        let pool = Arc::new(BufferPool::new(MemDisk::new(128), BufferPoolConfig::with_capacity(8)));
+        let tree = Arc::new(BTree::create(Arc::clone(&pool), 2).unwrap());
+        let windows = Arc::new(AtomicU64::new(0));
+        {
+            let (tree_in, pool_in, windows) =
+                (Arc::clone(&tree), Arc::clone(&pool), Arc::clone(&windows));
+            tree.set_smo_probe(Some(Arc::new(move |phase| {
+                let SmoPhase::LeafSplitLinked { right, .. } = phase else { return };
+                // The sibling is published, its separator is not posted:
+                // a scan from a key past the separator descends to the
+                // left node and must follow the right link to find it.
+                let crate::layout::Node::Leaf(sibling) = tree_in.read_any(right).unwrap() else {
+                    panic!("leaf split published a non-leaf");
+                };
+                let lo = sibling.entries.last().unwrap().key;
+                if lo == sibling.entries[0].key {
+                    return; // `(lo, payload 0)` sorts below the separator: no move
+                }
+                windows.fetch_add(1, SeqCst);
+                let chases = || pool_in.latches().stats().right_link_chases;
+                let before = chases();
+                let got: Vec<Entry> =
+                    tree_in.scan_range(lo.as_slice(), &[i64::MAX; 2]).map(|e| e.unwrap()).collect();
+                assert!(chases() > before, "the move right must be recorded");
+                assert!(got.contains(sibling.entries.last().unwrap()));
+                assert_eq!(got, reference_scan(&tree_in, lo.as_slice(), &[i64::MAX; 2]));
+                assert_scan_matches_reference(&tree_in, &[i64::MIN; 2], &[i64::MAX; 2]);
+            })));
+        }
+        let mut x = 0x5EED_u64;
+        for i in 0..300u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            tree.insert(&[(x % 64) as i64, ((x >> 8) % 4) as i64], i).unwrap();
+        }
+        tree.set_smo_probe(None); // breaks the probe's reference cycle
+        assert!(windows.load(SeqCst) > 10, "the schedule must open split windows");
         tree.check_invariants().unwrap();
     }
 

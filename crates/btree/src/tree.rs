@@ -82,10 +82,13 @@
 //! recorded as a bounded exposure rather than engineered away.
 
 use crate::key::Entry;
-use crate::layout::{self, internal_capacity, leaf_capacity, InternalNode, LeafNode, Node};
+use crate::layout::{
+    self, internal_capacity, leaf_capacity, InternalNode, LeafNode, Node, NodeView,
+};
 use crate::scan::RangeScan;
 use ri_pagestore::codec::{get_u16, get_u32, get_u64, put_u16, put_u32, put_u64};
 use ri_pagestore::{BufferPool, Error, LatchGuard, LatchManager, PageId, Result};
+use std::ops::ControlFlow::{Break, Continue};
 use std::sync::{Arc, Mutex};
 
 const META_MAGIC: u32 = 0x5249_4254; // "RIBT"
@@ -225,7 +228,7 @@ impl BTree {
     pub fn open(pool: Arc<BufferPool>, meta_page: PageId) -> Result<BTree> {
         let (magic, arity) =
             pool.with_page(meta_page, |buf| (get_u32(buf, OFF_MAGIC), buf[OFF_ARITY] as usize))?;
-        if magic != META_MAGIC {
+        if magic != META_MAGIC || arity == 0 || arity > crate::key::MAX_ARITY {
             return Err(Error::Corrupt(format!("page {meta_page} is not a B+-tree meta page")));
         }
         Ok(BTree::attach(pool, meta_page, arity))
@@ -359,24 +362,6 @@ impl BTree {
         self.pool.with_page(page, |buf| layout::read_node(buf, arity))?
     }
 
-    fn read_leaf(&self, page: PageId) -> Result<LeafNode> {
-        match self.read_any(page)? {
-            Node::Leaf(l) => Ok(l),
-            Node::Internal(_) => {
-                Err(Error::Corrupt(format!("expected leaf at {page}, found internal node")))
-            }
-        }
-    }
-
-    fn read_internal(&self, page: PageId) -> Result<InternalNode> {
-        match self.read_any(page)? {
-            Node::Internal(n) => Ok(n),
-            Node::Leaf(_) => {
-                Err(Error::Corrupt(format!("expected internal node at {page}, found leaf")))
-            }
-        }
-    }
-
     pub(crate) fn store_leaf(&self, page: PageId, node: &LeafNode) -> Result<()> {
         let arity = self.arity;
         self.pool.with_page_mut(page, |buf| layout::write_leaf(buf, node, arity))
@@ -391,41 +376,38 @@ impl BTree {
     // Latch-free descent
     // ------------------------------------------------------------------
 
-    /// Descends from `meta.root` to the leaf level, routing toward
-    /// `target` and moving right past high keys.  Returns the leaf page
-    /// reached plus (when `stack` is wanted) the internal page routed
-    /// through at each level, shallowest first — the writer's hint stack
-    /// for separator posting.
-    ///
-    /// `meta` may be stale: `root` and `height` are written together, so
-    /// the pair is consistent, and a root that has since grown or split
-    /// still covers the key space through its right chain.
-    /// Latch-free move-right: reads the internal node at `page`, chasing
-    /// right links until the node covers `target`.  The single canonical
-    /// chase loop for unlatched internal traversals.
-    fn chase_internal(&self, mut page: PageId, target: &Entry) -> Result<(PageId, InternalNode)> {
+    /// Latch-free move-right, in place: starting at `page`, looks at each
+    /// node through its [`NodeView`] (header validated, kind checked) in
+    /// the pool's copy-atomic snapshot and chases right links until the
+    /// node's key range covers `target`, then runs `f` on that view.
+    /// Returns the covering page with `f`'s result.  The single canonical
+    /// chase loop — and the only way the read path looks at a node — on
+    /// internal levels and the leaf level alike.
+    pub(crate) fn with_covering_node<T>(
+        &self,
+        mut page: PageId,
+        target: &Entry,
+        want_leaf: bool,
+        mut f: impl FnMut(NodeView<'_>) -> T,
+    ) -> Result<(PageId, T)> {
+        let arity = self.arity;
         loop {
-            let node = self.read_internal(page)?;
-            if node.covers(target) {
-                return Ok((page, node));
+            let step = self.pool.with_page(page, |buf| {
+                let node = NodeView::parse(buf, arity)?;
+                if node.is_leaf() != want_leaf {
+                    let want = if want_leaf { "a leaf" } else { "an internal node" };
+                    return Err(Error::Corrupt(format!("expected {want} at {page}")));
+                }
+                Ok(if node.covers(target) { Break(f(node)) } else { Continue(node.next()) })
+            })??;
+            match step {
+                Break(found) => return Ok((page, found)),
+                Continue(next) => {
+                    debug_assert!(!next.is_invalid(), "missing high key implies no right move");
+                    self.latches().record_right_link_chase();
+                    page = next;
+                }
             }
-            debug_assert!(!node.next.is_invalid(), "missing high key implies no right move");
-            self.latches().record_right_link_chase();
-            page = node.next;
-        }
-    }
-
-    /// Latch-free move-right at the leaf level (the canonical unlatched
-    /// leaf chase).
-    fn chase_leaf(&self, mut page: PageId, target: &Entry) -> Result<(PageId, LeafNode)> {
-        loop {
-            let leaf = self.read_leaf(page)?;
-            if leaf.covers(target) {
-                return Ok((page, leaf));
-            }
-            debug_assert!(!leaf.next.is_invalid(), "missing high key implies no right move");
-            self.latches().record_right_link_chase();
-            page = leaf.next;
         }
     }
 
@@ -443,12 +425,13 @@ impl BTree {
         let mut guard = self.latches().page_exclusive(page);
         loop {
             let node = self.read_any(page)?;
-            let next = match &node {
-                Node::Leaf(l) if l.covers(target) => return Ok((page, node, guard)),
-                Node::Internal(n) if n.covers(target) => return Ok((page, node, guard)),
-                Node::Leaf(l) => l.next,
-                Node::Internal(n) => n.next,
+            let (high, next) = match &node {
+                Node::Leaf(l) => (l.high, l.next),
+                Node::Internal(n) => (n.high, n.next),
             };
+            if high.is_none_or(|h| *target < h) {
+                return Ok((page, node, guard));
+            }
             debug_assert!(!next.is_invalid(), "missing high key implies no right move");
             drop(guard);
             self.latches().record_right_link_chase();
@@ -458,6 +441,15 @@ impl BTree {
         }
     }
 
+    /// Descends from `meta.root` to the leaf level, routing toward
+    /// `target` in place and moving right past high keys.  Returns the
+    /// leaf page reached plus (when `want_stack`) the internal page
+    /// routed through at each level, shallowest first — the writer's
+    /// hint stack for separator posting.
+    ///
+    /// `meta` may be stale: `root` and `height` are written together, so
+    /// the pair is consistent, and a root that has since grown or split
+    /// still covers the key space through its right chain.
     fn descend(
         &self,
         meta: &Meta,
@@ -468,11 +460,12 @@ impl BTree {
         let mut stack =
             if want_stack { Vec::with_capacity(meta.height as usize) } else { Vec::new() };
         for _ in 2..=meta.height {
-            let (covering, node) = self.chase_internal(page, target)?;
+            let (covering, child) =
+                self.with_covering_node(page, target, false, |node| node.route(target))?;
             if want_stack {
                 stack.push(covering);
             }
-            page = node.child_at(node.route(target));
+            page = child;
         }
         Ok((page, stack))
     }
@@ -492,12 +485,6 @@ impl BTree {
                 Err(Error::Corrupt(format!("expected leaf at {page}, found internal node")))
             }
         }
-    }
-
-    /// Locates and reads (latch-free) the leaf covering `target`.
-    fn find_leaf(&self, meta: &Meta, target: &Entry) -> Result<(PageId, LeafNode)> {
-        let (page, _) = self.descend(meta, target, false)?;
-        self.chase_leaf(page, target)
     }
 
     // ------------------------------------------------------------------
@@ -730,8 +717,7 @@ impl BTree {
         let mut page = meta.root;
         let mut level = meta.height;
         while level > left_level + 1 {
-            let (_, node) = self.chase_internal(page, &sep)?;
-            page = node.child_at(node.route(&sep));
+            page = self.with_covering_node(page, &sep, false, |node| node.route(&sep))?.1;
             level -= 1;
         }
         Ok(ParentSearch::At(page))
@@ -757,11 +743,9 @@ impl BTree {
     pub fn delete(&self, cols: &[i64], payload: u64) -> Result<bool> {
         self.check_arity(cols)?;
         let target = Entry::new(cols, payload);
-        let meta = self.read_meta()?;
-        if meta.root.is_invalid() {
+        let Some(leaf_hint) = self.leaf_for(&target)? else {
             return Ok(false);
-        }
-        let (leaf_hint, _) = self.descend(&meta, &target, false)?;
+        };
         let (leaf_page, mut leaf, guard) = self.latch_leaf_for_write(leaf_hint, &target)?;
         let Ok(pos) = leaf.entries.binary_search(&target) else {
             return Ok(false);
@@ -789,12 +773,10 @@ impl BTree {
     pub fn contains(&self, cols: &[i64], payload: u64) -> Result<bool> {
         self.check_arity(cols)?;
         let target = Entry::new(cols, payload);
-        let meta = self.read_meta()?;
-        if meta.root.is_invalid() {
+        let Some(leaf) = self.leaf_for(&target)? else {
             return Ok(false);
-        }
-        let (_, leaf) = self.find_leaf(&meta, &target)?;
-        Ok(leaf.entries.binary_search(&target).is_ok())
+        };
+        Ok(self.with_covering_node(leaf, &target, true, |node| node.contains(&target))?.1)
     }
 
     /// Ordered scan of all entries with `lo <= key columns <= hi`
@@ -813,18 +795,15 @@ impl BTree {
         RangeScan::new(self, &lo, &hi)
     }
 
-    /// Locates and loads the leaf holding the first entry `>= target`
-    /// (used by the scan cursor).  Latch-free, like every read path.
-    pub(crate) fn position_leaf(&self, target: &Entry) -> Result<Option<(PageId, LeafNode)>> {
+    /// Descends (latch-free) to the leaf level toward `target`; `None` on
+    /// an empty tree.  The page returned is a *hint*: the caller chases
+    /// right from it ([`BTree::with_covering_node`]) to the covering leaf.
+    pub(crate) fn leaf_for(&self, target: &Entry) -> Result<Option<PageId>> {
         let meta = self.read_meta()?;
         if meta.root.is_invalid() {
             return Ok(None);
         }
-        Ok(Some(self.find_leaf(&meta, target)?))
-    }
-
-    pub(crate) fn load_leaf(&self, page: PageId) -> Result<LeafNode> {
-        self.read_leaf(page)
+        Ok(Some(self.descend(&meta, target, false)?.0))
     }
 
     pub(crate) fn check_arity(&self, cols: &[i64]) -> Result<()> {
@@ -934,9 +913,8 @@ impl BTree {
         let mut chained = Vec::new();
         let mut page = meta.first_leaf;
         while !page.is_invalid() {
-            let leaf = self.read_leaf(page)?;
             chained.push(page);
-            page = leaf.next;
+            page = self.right_link_of(page)?;
         }
         if chained != levels[0] {
             return Err(Error::Corrupt(
@@ -1019,7 +997,7 @@ impl BTree {
                 let mut total = 0;
                 let mut child_lo = lo;
                 for i in 0..=node.entries.len() {
-                    let child = node.child_at(i);
+                    let child = if i == 0 { node.child0 } else { node.entries[i - 1].1 };
                     let child_hi =
                         if i < node.entries.len() { Some(node.entries[i].0) } else { hi };
                     total += self.check_subtree(child, level - 1, child_lo, child_hi, levels)?;

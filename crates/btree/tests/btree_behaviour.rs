@@ -209,7 +209,14 @@ fn open_rejects_non_meta_page() {
     let pool = pool_with(512, 32);
     let junk = pool.allocate_page().unwrap();
     pool.with_page_mut(junk, |b| b[0] = 0xFF).unwrap();
-    assert!(BTree::open(pool, junk).is_err());
+    assert!(BTree::open(Arc::clone(&pool), junk).is_err());
+    // A real meta page whose arity byte rotted: an error, not a tree
+    // that panics building its first key.
+    let meta = BTree::create(Arc::clone(&pool), 2).unwrap().meta_page();
+    for arity in [0u8, 5, 0xFF] {
+        pool.with_page_mut(meta, |b| b[4] = arity).unwrap();
+        assert!(BTree::open(Arc::clone(&pool), meta).is_err(), "arity {arity}");
+    }
 }
 
 #[test]

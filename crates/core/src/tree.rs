@@ -97,10 +97,40 @@ pub struct RiTree {
     table_name: String,
     lower_index: String,
     upper_index: String,
+    keys: ParamKeys,
     table: Table,
     /// Optional Skeleton Index extension (paper Section 7): a materialized
     /// directory of non-empty backbone nodes used to prune query probes.
     skeleton: Option<crate::skeleton::SkeletonDirectory>,
+}
+
+/// The data-dictionary keys of one tree (`<name>.offset`, …), built once
+/// per handle: every plan, insert and delete reads several of them.
+struct ParamKeys {
+    offset: String,
+    left_root: String,
+    right_root: String,
+    minstep2: String,
+    n_inf: String,
+    n_now: String,
+    min_lower: String,
+    max_upper: String,
+}
+
+impl ParamKeys {
+    fn new(name: &str) -> ParamKeys {
+        let key = |k: &str| format!("{name}.{k}");
+        ParamKeys {
+            offset: key("offset"),
+            left_root: key("left_root"),
+            right_root: key("right_root"),
+            minstep2: key("minstep2"),
+            n_inf: key("n_inf"),
+            n_now: key("n_now"),
+            min_lower: key("min_lower"),
+            max_upper: key("max_upper"),
+        }
+    }
 }
 
 /// Creation options for [`RiTree::create_with_options`].
@@ -152,10 +182,11 @@ impl RiTree {
             table_name,
             lower_index,
             upper_index,
+            keys: ParamKeys::new(name),
             table,
             skeleton,
         };
-        tree.db.set_param(&tree.param("skeleton"), opts.skeleton as i64)?;
+        tree.db.set_param(&format!("{name}.skeleton"), opts.skeleton as i64)?;
         tree.save_params(&BackboneParams::new())?;
         Ok(tree)
     }
@@ -181,6 +212,7 @@ impl RiTree {
             table_name,
             lower_index,
             upper_index,
+            keys: ParamKeys::new(name),
             table,
             skeleton,
         })
@@ -205,42 +237,38 @@ impl RiTree {
     // Parameter dictionary (Section 5)
     // ------------------------------------------------------------------
 
-    fn param(&self, key: &str) -> String {
-        format!("{}.{key}", self.name)
-    }
-
     /// Loads the backbone parameters from the data dictionary.
     pub fn load_params(&self) -> Result<BackboneParams> {
+        let keys = &self.keys;
         Ok(BackboneParams {
-            offset: self.db.get_param(&self.param("offset")),
-            left_root: self.db.get_param(&self.param("left_root")).unwrap_or(0),
-            right_root: self.db.get_param(&self.param("right_root")).unwrap_or(0),
-            minstep2: self.db.get_param(&self.param("minstep2")).unwrap_or(i64::MAX),
+            offset: self.db.get_param(&keys.offset),
+            left_root: self.db.get_param(&keys.left_root).unwrap_or(0),
+            right_root: self.db.get_param(&keys.right_root).unwrap_or(0),
+            minstep2: self.db.get_param(&keys.minstep2).unwrap_or(i64::MAX),
         })
     }
 
     fn save_params(&self, p: &BackboneParams) -> Result<()> {
-        let mut entries: Vec<(String, i64)> = vec![
-            (self.param("left_root"), p.left_root),
-            (self.param("right_root"), p.right_root),
-            (self.param("minstep2"), p.minstep2),
+        let keys = &self.keys;
+        let mut entries = vec![
+            (keys.left_root.as_str(), p.left_root),
+            (keys.right_root.as_str(), p.right_root),
+            (keys.minstep2.as_str(), p.minstep2),
         ];
         if let Some(off) = p.offset {
-            entries.push((self.param("offset"), off));
+            entries.push((keys.offset.as_str(), off));
         }
-        let borrowed: Vec<(&str, i64)> = entries.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-        self.db.set_params(&borrowed)
+        self.db.set_params(&entries)
     }
 
     fn bump_counter(&self, key: &str, delta: i64) -> Result<()> {
         let _guard = self.db.param_guard();
-        let k = self.param(key);
-        let v = self.db.get_param(&k).unwrap_or(0) + delta;
-        self.db.set_param(&k, v)
+        let v = self.db.get_param(key).unwrap_or(0) + delta;
+        self.db.set_param(key, v)
     }
 
     fn counter(&self, key: &str) -> i64 {
-        self.db.get_param(&self.param(key)).unwrap_or(0)
+        self.db.get_param(key).unwrap_or(0)
     }
 
     // ------------------------------------------------------------------
@@ -295,19 +323,19 @@ impl RiTree {
     /// no-improvement case latch-free, the latched retest makes the
     /// read-modify-write atomic against concurrent writers.
     fn track_bounds(&self, lower: i64, upper: Option<i64>) -> Result<()> {
-        let kl = self.param("min_lower");
-        if self.db.get_param(&kl).is_none_or(|v| lower < v) {
+        let kl = &self.keys.min_lower;
+        if self.db.get_param(kl).is_none_or(|v| lower < v) {
             let _guard = self.db.param_guard();
-            if self.db.get_param(&kl).is_none_or(|v| lower < v) {
-                self.db.set_param(&kl, lower)?;
+            if self.db.get_param(kl).is_none_or(|v| lower < v) {
+                self.db.set_param(kl, lower)?;
             }
         }
         if let Some(u) = upper {
-            let ku = self.param("max_upper");
-            if self.db.get_param(&ku).is_none_or(|v| u > v) {
+            let ku = &self.keys.max_upper;
+            if self.db.get_param(ku).is_none_or(|v| u > v) {
                 let _guard = self.db.param_guard();
-                if self.db.get_param(&ku).is_none_or(|v| u > v) {
-                    self.db.set_param(&ku, u)?;
+                if self.db.get_param(ku).is_none_or(|v| u > v) {
+                    self.db.set_param(ku, u)?;
                 }
             }
         }
@@ -428,8 +456,8 @@ impl RiTree {
     /// backbone parameter changes.
     pub fn insert_open(&self, lower: i64, end: OpenEnd, id: i64) -> Result<()> {
         let (node, upper, counter) = match end {
-            OpenEnd::Infinity => (FORK_INF, UPPER_INF, "n_inf"),
-            OpenEnd::Now => (FORK_NOW, UPPER_NOW, "n_now"),
+            OpenEnd::Infinity => (FORK_INF, UPPER_INF, &self.keys.n_inf),
+            OpenEnd::Now => (FORK_NOW, UPPER_NOW, &self.keys.n_now),
         };
         self.table.insert(&[node, lower, upper, id])?;
         self.bump_counter(counter, 1)?;
@@ -452,8 +480,8 @@ impl RiTree {
     /// Deletes an open-ended interval inserted with [`RiTree::insert_open`].
     pub fn delete_open(&self, lower: i64, end: OpenEnd, id: i64) -> Result<bool> {
         let (node, counter) = match end {
-            OpenEnd::Infinity => (FORK_INF, "n_inf"),
-            OpenEnd::Now => (FORK_NOW, "n_now"),
+            OpenEnd::Infinity => (FORK_INF, &self.keys.n_inf),
+            OpenEnd::Now => (FORK_NOW, &self.keys.n_now),
         };
         let deleted = self.delete_exact(node, lower, None, id)?;
         if deleted {
@@ -593,10 +621,10 @@ impl RiTree {
         // if the query begins in the past (Section 4.6).  To keep the I/O
         // counts of the non-temporal experiments exact, the sentinels are
         // only added when open intervals actually exist.
-        if self.counter("n_inf") > 0 {
+        if self.counter(&self.keys.n_inf) > 0 {
             right_rows.push(vec![FORK_INF]);
         }
-        if self.counter("n_now") > 0 && q.lower <= now {
+        if self.counter(&self.keys.n_now) > 0 && q.lower <= now {
             right_rows.push(vec![FORK_NOW]);
         }
         vec![
@@ -658,21 +686,18 @@ impl RiTree {
         Ok(Plan::UnionAll(self.node_branches(q, now, left_rows, 1, &nodes.right)))
     }
 
-    /// Extracts the `id` column (position 2 in every id-plan's output
-    /// rows: `node, lower-or-upper, id, rowid`) sorted ascending — the one
-    /// place that knows the result-row layout.
-    fn rows_to_ids(rows: &[Row]) -> Vec<i64> {
-        let mut ids: Vec<i64> = rows.iter().map(|r| r[2]).collect();
-        ids.sort_unstable();
-        ids
-    }
-
     /// Executes an arbitrary plan built by one of the plan constructors and
     /// extracts sorted result ids (used by the ablation benchmarks).
+    ///
+    /// The `id` column (position 2 in every id-plan's output rows: `node,
+    /// lower-or-upper, id, rowid`) streams from the executor straight into
+    /// the id vector — the one place that knows the result-row layout.
     pub fn execute_id_plan(&self, plan: &Plan) -> Result<(Vec<i64>, ExecStats)> {
         let mut stats = ExecStats::default();
-        let rows = self.db.execute(plan, &mut stats)?;
-        Ok((Self::rows_to_ids(&rows), stats))
+        let mut ids = Vec::new();
+        self.db.execute_with(plan, &mut stats, &mut |row| ids.push(row[2]))?;
+        ids.sort_unstable();
+        Ok((ids, stats))
     }
 
     /// Reports the ids of all stored intervals intersecting `q`, treating
@@ -693,10 +718,7 @@ impl RiTree {
 
     /// Intersection query returning executor statistics alongside the ids.
     pub fn intersection_with_stats(&self, q: Interval, now: i64) -> Result<(Vec<i64>, ExecStats)> {
-        let plan = self.intersection_plan(q, now)?;
-        let mut stats = ExecStats::default();
-        let rows = self.db.execute(&plan, &mut stats)?;
-        let ids = Self::rows_to_ids(&rows);
+        let (ids, stats) = self.execute_id_plan(&self.intersection_plan(q, now)?)?;
         debug_assert!(
             ids.windows(2).all(|w| w[0] != w[1]),
             "intersection branches must be disjoint (Section 4.2)"
@@ -711,8 +733,8 @@ impl RiTree {
     }
 
     /// Answers a batch of intersection queries concurrently, fanning the
-    /// batch over at most `threads` worker threads via
-    /// [`Database::execute_parallel`].
+    /// batch over at most `threads` worker threads
+    /// ([`ri_relstore::fan_out`], as [`Database::execute_parallel`] does).
     ///
     /// Results are returned in query order and, on a quiescent tree, are
     /// identical to calling [`RiTree::intersection`] once per query: plan
@@ -740,8 +762,9 @@ impl RiTree {
             .iter()
             .map(|&q| self.intersection_plan(q, now))
             .collect::<Result<Vec<Plan>>>()?;
-        let results = self.db.execute_parallel(&plans, threads)?;
-        Ok(results.into_iter().map(|(rows, _)| Self::rows_to_ids(&rows)).collect())
+        ri_relstore::fan_out(&plans, threads, |plan| Ok(self.execute_id_plan(plan)?.0))
+            .into_iter()
+            .collect()
     }
 
     /// Renders the Figure 10 execution plan for `q`.
@@ -804,50 +827,54 @@ impl RiTree {
         let nodes = p.query_nodes(q.lower, q.upper);
         let mut ranges: Vec<Row> = nodes.left.iter().map(|&(a, b)| vec![a, b]).collect();
         ranges.extend(nodes.right.iter().map(|&w| vec![w, w]));
-        let scan = |index: &str| -> Result<Vec<Row>> {
-            let plan = self.node_join(
-                "SPAN_NODES",
-                ranges.clone(),
-                index,
-                vec![BoundExpr::Outer(0), BoundExpr::NegInf, BoundExpr::NegInf],
-                vec![BoundExpr::Outer(1), BoundExpr::PosInf, BoundExpr::PosInf],
-            );
-            self.db.execute(&plan, &mut ExecStats::default())
+        let mut plan = self.node_join(
+            "SPAN_NODES",
+            ranges,
+            &self.lower_index,
+            vec![BoundExpr::Outer(0), BoundExpr::NegInf, BoundExpr::NegInf],
+            vec![BoundExpr::Outer(1), BoundExpr::PosInf, BoundExpr::PosInf],
+        );
+        let mut stats = ExecStats::default();
+        // Pass 1, lowerIndex rows `(node, lower, id, rowid)`: every row
+        // takes its output slot, upper bound pending.  `UPPER_INF` is the
+        // placeholder: a slot the second pass never fills is dropped
+        // below exactly like an open-ended interval.
+        let mut out = Vec::new();
+        let mut slot_of = std::collections::HashMap::new();
+        self.db.execute_with(&plan, &mut stats, &mut |r| {
+            slot_of.insert((r[0], r[2]), out.len());
+            out.push((Interval { lower: r[1], upper: UPPER_INF }, r[2]));
+        })?;
+        // Pass 2, the same nodes of upperIndex, rows `(node, upper, id,
+        // rowid)`: each streams into the slot of its `(node, id)`.
+        let Plan::NestedLoops { inner, .. } = &mut plan else { unreachable!("node_join joins") };
+        let Plan::IndexRangeScan { index, .. } = inner.as_mut() else {
+            unreachable!("node_join's inner plan is an index scan")
         };
-        let lowers = scan(&self.lower_index)?;
-        let uppers = scan(&self.upper_index)?;
-        let mut upper_of: std::collections::HashMap<(i64, i64), i64> =
-            std::collections::HashMap::with_capacity(uppers.len());
-        for r in &uppers {
-            upper_of.insert((r[0], r[2]), r[1]);
-        }
-        let mut out = Vec::with_capacity(lowers.len());
-        for r in &lowers {
-            let Some(&upper) = upper_of.get(&(r[0], r[2])) else { continue };
-            if upper >= UPPER_NOW {
-                continue;
+        index.clone_from(&self.upper_index);
+        self.db.execute_with(&plan, &mut stats, &mut |r| {
+            if let Some(&slot) = slot_of.get(&(r[0], r[2])) {
+                out[slot].0.upper = r[1];
             }
-            if r[1] <= q.upper && q.lower <= upper {
-                out.push((Interval { lower: r[1], upper }, r[2]));
-            }
-        }
+        })?;
+        out.retain(|(iv, _)| iv.upper < UPPER_NOW && iv.lower <= q.upper && q.lower <= iv.upper);
         Ok(out)
     }
 
     /// Whether any open-ended (`now`/∞) intervals are currently stored.
     pub fn has_open_intervals(&self) -> bool {
-        self.counter("n_inf") > 0 || self.counter("n_now") > 0
+        self.counter(&self.keys.n_inf) > 0 || self.counter(&self.keys.n_now) > 0
     }
 
     /// Smallest stored lower bound (tracked for the one-sided Allen
     /// queries); `None` while empty.
     pub fn min_lower(&self) -> Option<i64> {
-        self.db.get_param(&self.param("min_lower"))
+        self.db.get_param(&self.keys.min_lower)
     }
 
     /// Largest stored finite upper bound; `None` while empty.
     pub fn max_upper(&self) -> Option<i64> {
-        self.db.get_param(&self.param("max_upper"))
+        self.db.get_param(&self.keys.max_upper)
     }
 }
 

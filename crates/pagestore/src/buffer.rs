@@ -193,10 +193,12 @@ thread_local! {
     static SCRATCH: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
 }
 
+/// A `len`-byte buffer whose contents are unspecified: both callers
+/// overwrite all of it with the page image, so a recycled buffer keeps
+/// its stale bytes and only growth is zero-filled.
 fn take_scratch(len: usize) -> Vec<u8> {
     SCRATCH.with(|s| {
         let mut buf = s.borrow_mut().pop().unwrap_or_default();
-        buf.clear();
         buf.resize(len, 0);
         buf
     })
@@ -1010,6 +1012,23 @@ mod tests {
             .unwrap();
         assert_eq!(inner_val, 7);
         assert_eq!(pool.with_page(a, |d| d[0]).unwrap(), 1);
+    }
+
+    #[test]
+    fn recycled_scratch_never_leaks_another_pages_bytes() {
+        // One thread, two pools of different page sizes: the scratch
+        // buffer is recycled un-zeroed, shrunk and regrown between them.
+        let big = BufferPool::new(MemDisk::new(256), BufferPoolConfig::with_capacity(2));
+        let small = small_pool(2);
+        let (b, s) = (big.allocate_page().unwrap(), small.allocate_page().unwrap());
+        let zeroed = small.allocate_page().unwrap();
+        big.with_page_mut(b, |d| d.fill(0xAB)).unwrap();
+        small.with_page_mut(s, |d| d.fill(0xCD)).unwrap();
+        for _ in 0..3 {
+            assert!(big.with_page(b, |d| d.len() == 256 && d.iter().all(|&x| x == 0xAB)).unwrap());
+            assert!(small.with_page(s, |d| d.iter().all(|&x| x == 0xCD)).unwrap());
+            assert!(small.with_page(zeroed, |d| d.iter().all(|&x| x == 0)).unwrap());
+        }
     }
 
     #[test]

@@ -6,15 +6,37 @@
 //! outer row, `NESTED LOOPS`, and `UNION-ALL`; plus `FILTER` and
 //! `TABLE ACCESS FULL` which the competitor methods need.
 //!
-//! Execution is materializing (each operator produces its full row vector):
-//! with result sets of at most a few percent of the database this is
-//! faithful to the paper's cost profile, which is dominated by index I/O.
+//! # Execution is push-based
+//!
+//! [`Database::execute_with`] first *prepares* the plan — every table and
+//! index name is resolved to its opened heap or B-link tree once, and scan
+//! bounds are checked against the index arity — and then *pushes* rows
+//! through the operators into the caller's sink: each operator hands every
+//! row it produces, as a borrowed `&[i64]`, straight to its consumer.  An
+//! index entry becomes a row in a buffer on the stack; `FILTER` forwards or
+//! drops it; `NESTED LOOPS` runs its inner plan from inside the outer's
+//! sink, the outer row as bind variables.  No operator materializes its
+//! input and nothing is allocated per row, so a query costs what the
+//! paper's Section 4.4 charges — the index page accesses — plus a few dozen
+//! nanoseconds per row.  [`Database::execute`] is the same call with a
+//! sink that collects owned [`Row`]s.
+//!
+//! What this rests on still holds.  A scan looks at each leaf in the
+//! pool's **copy-atomic snapshot** — a private copy taken under the shard
+//! lock, read with the lock released — so the sink, and any scan nested in
+//! it, runs with no lock or latch held.  The B-link **move-right rule** and
+//! the cursor's **exactly-once, in-order** guarantee
+//! (`ri_btree::RangeScan`) are untouched.  One thing is observable: a
+//! `NESTED LOOPS` whose outer is itself a scan now interleaves its inner
+//! scans with the outer's leaf walk instead of running them after it.  The
+//! RI-tree drives its joins from transient collections, so its page-access
+//! sequence is exactly what it was (`tests/read_path_trace.rs` pins it).
 
 use crate::catalog::Database;
 use crate::heap::Heap;
-use ri_btree::BTree;
+use ri_btree::{BTree, MAX_ARITY};
 use ri_pagestore::{Error, Result};
-use std::collections::HashMap;
+use std::cell::Cell;
 use std::sync::Arc;
 
 /// A materialized row of `i64` values.
@@ -38,7 +60,7 @@ pub enum BoundExpr {
 }
 
 impl BoundExpr {
-    fn eval(&self, outer: Option<&Row>) -> Result<i64> {
+    fn eval(&self, outer: Option<&[i64]>) -> Result<i64> {
         match *self {
             BoundExpr::Const(v) => Ok(v),
             BoundExpr::NegInf => Ok(i64::MIN),
@@ -110,7 +132,7 @@ pub enum Predicate {
 
 impl Predicate {
     /// Evaluates the predicate against a row.
-    pub fn matches(&self, row: &Row) -> bool {
+    pub fn matches(&self, row: &[i64]) -> bool {
         match self {
             Predicate::True => true,
             Predicate::CmpConst { col, op, value } => cmp(row[*col], *op, *value),
@@ -207,112 +229,147 @@ pub struct ExecStats {
     pub index_searches: u64,
 }
 
-struct ExecCtx<'a> {
-    db: &'a Database,
-    trees: HashMap<(String, String), (BTree, usize)>, // (table, index) -> (tree, arity)
-    heaps: HashMap<String, Heap>,
+/// A [`Plan`] with every name resolved — what [`ExecCtx::prepare`] turns
+/// it into, once per execution, so that evaluation looks nothing up.
+/// `IndexScan::tree` and `TableScan` index [`ExecCtx::trees`] and
+/// [`ExecCtx::heaps`]; scan bounds are known to match the index arity.
+enum Op<'p> {
+    Collection(&'p [Row]),
+    IndexScan { tree: usize, lo: &'p [BoundExpr], hi: &'p [BoundExpr] },
+    NestedLoops { outer: Box<Op<'p>>, inner: Box<Op<'p>> },
+    UnionAll(Vec<Op<'p>>),
+    Filter { input: Box<Op<'p>>, pred: &'p Predicate },
+    Project { input: Box<Op<'p>>, cols: &'p [usize] },
+    TableScan(usize),
 }
 
-impl ExecCtx<'_> {
-    fn prepare(&mut self, plan: &Plan) -> Result<()> {
-        match plan {
-            Plan::IndexRangeScan { table, index, .. } => {
-                let key = (table.clone(), index.clone());
-                if !self.trees.contains_key(&key) {
-                    let meta = self.db.index_meta(table, index)?;
-                    let tree = BTree::open(Arc::clone(self.db.pool()), meta.btree_meta)?;
-                    let arity = tree.arity();
-                    self.trees.insert(key, (tree, arity));
-                }
-                Ok(())
-            }
-            Plan::TableScan { table } => {
-                if !self.heaps.contains_key(table) {
-                    let meta = self.db.table_meta(table)?;
-                    let heap = Heap::open(Arc::clone(self.db.pool()), meta.heap_meta)?;
-                    self.heaps.insert(table.clone(), heap);
-                }
-                Ok(())
-            }
-            Plan::NestedLoops { outer, inner } => {
-                self.prepare(outer)?;
-                self.prepare(inner)
-            }
-            Plan::UnionAll(inputs) => inputs.iter().try_for_each(|p| self.prepare(p)),
-            Plan::Filter { input, .. } | Plan::Project { input, .. } => self.prepare(input),
-            Plan::CollectionIterator { .. } => Ok(()),
-        }
-    }
+struct ExecCtx<'p> {
+    db: &'p Database,
+    /// Each distinct `(table, index)` of the plan, opened once.
+    trees: Vec<(&'p str, &'p str, BTree)>,
+    heaps: Vec<(&'p str, Heap)>,
+    // Cells: a nested-loops sink evaluates its inner plan while the
+    // outer's evaluation is still on the stack.
+    rows_examined: Cell<u64>,
+    index_searches: Cell<u64>,
+}
 
-    fn eval(
-        &self,
-        plan: &Plan,
-        outer: Option<&Row>,
-        stats: &mut ExecStats,
-        out: &mut Vec<Row>,
-    ) -> Result<()> {
-        match plan {
-            Plan::CollectionIterator { rows, .. } => {
-                stats.rows_examined += rows.len() as u64;
-                out.extend(rows.iter().cloned());
-                Ok(())
-            }
+impl<'p> ExecCtx<'p> {
+    fn prepare(&mut self, plan: &'p Plan) -> Result<Op<'p>> {
+        Ok(match plan {
+            Plan::CollectionIterator { rows, .. } => Op::Collection(rows),
             Plan::IndexRangeScan { table, index, lo, hi } => {
-                let (tree, arity) = self
-                    .trees
-                    .get(&(table.clone(), index.clone()))
-                    .expect("prepare() opened every index");
-                if lo.len() != *arity || hi.len() != *arity {
+                let known = self.trees.iter().position(|(t, i, _)| t == table && i == index);
+                let tree = match known {
+                    Some(tree) => tree,
+                    None => {
+                        let meta = self.db.index_meta(table, index)?;
+                        let tree = BTree::open(Arc::clone(self.db.pool()), meta.btree_meta)?;
+                        self.trees.push((table, index, tree));
+                        self.trees.len() - 1
+                    }
+                };
+                let arity = self.trees[tree].2.arity();
+                if lo.len() != arity || hi.len() != arity {
                     return Err(Error::InvalidArgument(format!(
                         "scan bounds have {}..{} columns, index {index} expects {arity}",
                         lo.len(),
                         hi.len()
                     )));
                 }
-                let lo_vals = lo.iter().map(|b| b.eval(outer)).collect::<Result<Vec<i64>>>()?;
-                let hi_vals = hi.iter().map(|b| b.eval(outer)).collect::<Result<Vec<i64>>>()?;
-                stats.index_searches += 1;
-                for entry in tree.scan_range(&lo_vals, &hi_vals) {
-                    let entry = entry?;
-                    let mut row: Row = entry.key.as_slice().to_vec();
-                    row.push(entry.payload as i64);
-                    stats.rows_examined += 1;
-                    out.push(row);
-                }
-                Ok(())
-            }
-            Plan::NestedLoops { outer: o, inner } => {
-                let mut outer_rows = Vec::new();
-                self.eval(o, outer, stats, &mut outer_rows)?;
-                for orow in &outer_rows {
-                    self.eval(inner, Some(orow), stats, out)?;
-                }
-                Ok(())
-            }
-            Plan::UnionAll(inputs) => {
-                for p in inputs {
-                    self.eval(p, outer, stats, out)?;
-                }
-                Ok(())
-            }
-            Plan::Filter { input, pred } => {
-                let mut rows = Vec::new();
-                self.eval(input, outer, stats, &mut rows)?;
-                out.extend(rows.into_iter().filter(|r| pred.matches(r)));
-                Ok(())
-            }
-            Plan::Project { input, cols } => {
-                let mut rows = Vec::new();
-                self.eval(input, outer, stats, &mut rows)?;
-                out.extend(rows.into_iter().map(|r| cols.iter().map(|&c| r[c]).collect::<Row>()));
-                Ok(())
+                Op::IndexScan { tree, lo, hi }
             }
             Plan::TableScan { table } => {
-                let heap = self.heaps.get(table).expect("prepare() opened every heap");
-                for (_, row) in heap.scan()? {
-                    stats.rows_examined += 1;
-                    out.push(row);
+                let known = self.heaps.iter().position(|(t, _)| t == table);
+                Op::TableScan(match known {
+                    Some(heap) => heap,
+                    None => {
+                        let meta = self.db.table_meta(table)?;
+                        let heap = Heap::open(Arc::clone(self.db.pool()), meta.heap_meta)?;
+                        self.heaps.push((table, heap));
+                        self.heaps.len() - 1
+                    }
+                })
+            }
+            Plan::NestedLoops { outer, inner } => Op::NestedLoops {
+                outer: Box::new(self.prepare(outer)?),
+                inner: Box::new(self.prepare(inner)?),
+            },
+            Plan::UnionAll(inputs) => {
+                Op::UnionAll(inputs.iter().map(|p| self.prepare(p)).collect::<Result<_>>()?)
+            }
+            Plan::Filter { input, pred } => {
+                Op::Filter { input: Box::new(self.prepare(input)?), pred }
+            }
+            Plan::Project { input, cols } => {
+                Op::Project { input: Box::new(self.prepare(input)?), cols }
+            }
+        })
+    }
+
+    fn examined(&self, rows: u64) {
+        self.rows_examined.set(self.rows_examined.get() + rows);
+    }
+
+    /// Pushes every row `op` produces into `sink`, in order.  `bind` is
+    /// the current outer row of the enclosing nested-loops join.
+    fn eval(&self, op: &Op<'_>, bind: Option<&[i64]>, sink: &mut dyn FnMut(&[i64])) -> Result<()> {
+        match op {
+            Op::Collection(rows) => {
+                self.examined(rows.len() as u64);
+                rows.iter().for_each(|row| sink(row));
+                Ok(())
+            }
+            Op::IndexScan { tree, lo, hi } => {
+                let arity = lo.len();
+                let (mut lo_vals, mut hi_vals) = ([0i64; MAX_ARITY], [0i64; MAX_ARITY]);
+                for c in 0..arity {
+                    lo_vals[c] = lo[c].eval(bind)?;
+                    hi_vals[c] = hi[c].eval(bind)?;
                 }
+                self.index_searches.set(self.index_searches.get() + 1);
+                // Output row: the key columns, then the row id payload.
+                let mut row = [0i64; MAX_ARITY + 1];
+                let mut examined = 0;
+                let scan = self.trees[*tree].2.scan_range(&lo_vals[..arity], &hi_vals[..arity]);
+                let scanned = scan.visit(|entry| {
+                    row[..arity].copy_from_slice(entry.key.as_slice());
+                    row[arity] = entry.payload as i64;
+                    examined += 1;
+                    sink(&row[..=arity]);
+                });
+                self.examined(examined);
+                scanned
+            }
+            Op::NestedLoops { outer, inner } => {
+                // The sink cannot return an error: remember the first one
+                // and let the remaining outer rows pass.
+                let mut joined = Ok(());
+                self.eval(outer, bind, &mut |outer_row| {
+                    if joined.is_ok() {
+                        joined = self.eval(inner, Some(outer_row), sink);
+                    }
+                })?;
+                joined
+            }
+            Op::UnionAll(inputs) => inputs.iter().try_for_each(|op| self.eval(op, bind, sink)),
+            Op::Filter { input, pred } => self.eval(input, bind, &mut |row| {
+                if pred.matches(row) {
+                    sink(row);
+                }
+            }),
+            Op::Project { input, cols } => {
+                let mut projected = Vec::with_capacity(cols.len());
+                self.eval(input, bind, &mut |row| {
+                    projected.clear();
+                    projected.extend(cols.iter().map(|&c| row[c]));
+                    sink(&projected);
+                })
+            }
+            Op::TableScan(heap) => {
+                let rows = self.heaps[*heap].1.scan()?;
+                self.examined(rows.len() as u64);
+                rows.iter().for_each(|(_, row)| sink(row));
                 Ok(())
             }
         }
@@ -320,14 +377,42 @@ impl ExecCtx<'_> {
 }
 
 impl Database {
-    /// Executes a physical plan, accumulating counters into `stats`.
+    /// Executes a physical plan, pushing each result row into `sink` as a
+    /// borrowed slice (valid for the duration of the call) and
+    /// accumulating counters into `stats`.  Nothing is materialized and
+    /// nothing allocated per row — see the module docs.  `sink` may read
+    /// from this database; it runs with no lock or latch held.
+    pub fn execute_with(
+        &self,
+        plan: &Plan,
+        stats: &mut ExecStats,
+        sink: &mut dyn FnMut(&[i64]),
+    ) -> Result<()> {
+        let mut ctx = ExecCtx {
+            db: self,
+            trees: Vec::new(),
+            heaps: Vec::new(),
+            rows_examined: Cell::new(0),
+            index_searches: Cell::new(0),
+        };
+        let op = ctx.prepare(plan)?;
+        let mut result_rows = 0;
+        let done = ctx.eval(&op, None, &mut |row| {
+            result_rows += 1;
+            sink(row);
+        });
+        stats.rows_examined += ctx.rows_examined.get();
+        stats.index_searches += ctx.index_searches.get();
+        done?;
+        stats.result_rows += result_rows;
+        Ok(())
+    }
+
+    /// [`Database::execute_with`] collecting the result into owned rows.
     pub fn execute(&self, plan: &Plan, stats: &mut ExecStats) -> Result<Vec<Row>> {
-        let mut ctx = ExecCtx { db: self, trees: HashMap::new(), heaps: HashMap::new() };
-        ctx.prepare(plan)?;
-        let mut out = Vec::new();
-        ctx.eval(plan, None, stats, &mut out)?;
-        stats.result_rows += out.len() as u64;
-        Ok(out)
+        let mut rows = Vec::new();
+        self.execute_with(plan, stats, &mut |row| rows.push(Row::from(row)))?;
+        Ok(rows)
     }
 }
 
@@ -435,10 +520,10 @@ mod tests {
             Predicate::CmpConst { col: 0, op: CmpOp::Eq, value: 1 },
             Predicate::CmpConst { col: 0, op: CmpOp::Eq, value: 2 },
         ]);
-        assert!(p.matches(&vec![1]));
-        assert!(p.matches(&vec![2]));
-        assert!(!p.matches(&vec![3]));
-        assert!(Predicate::True.matches(&vec![]));
+        assert!(p.matches(&[1]));
+        assert!(p.matches(&[2]));
+        assert!(!p.matches(&[3]));
+        assert!(Predicate::True.matches(&[]));
     }
 
     #[test]

@@ -13,10 +13,12 @@
 //! * [`heap::Heap`] — fixed-width row storage with stable row ids;
 //! * [`table::Table`] — DML that maintains all secondary indexes, the
 //!   equivalent of Figure 5's single `INSERT` statement;
-//! * [`exec`] — a pull-based physical algebra: `COLLECTION ITERATOR` over
+//! * [`exec`] — a push-based physical algebra: `COLLECTION ITERATOR` over
 //!   transient tables, `INDEX RANGE SCAN`, `NESTED LOOPS`, `UNION-ALL`,
 //!   `FILTER` and `TABLE ACCESS FULL`, which is sufficient to express every
-//!   query plan in the paper (RI-tree, Tile Index, IST, MAP21);
+//!   query plan in the paper (RI-tree, Tile Index, IST, MAP21); rows stream
+//!   into the caller's sink ([`Database::execute_with`]) with nothing
+//!   materialized in between;
 //! * [`par`] — the concurrent query façade: independent read plans fan out
 //!   over scoped worker threads ([`Database::execute_parallel`]), scaling
 //!   with the buffer pool's lock striping;

@@ -1,0 +1,187 @@
+//! Property test of the push-based executor: for random plans — `FILTER`,
+//! `PROJECT`, `UNION-ALL` and `NESTED LOOPS` nested in each other, joins
+//! driven by collections *and* by other scans — `Database::execute_with`
+//! into a collecting sink, `Database::execute`, and a materializing
+//! reference evaluator (the executor this one replaced, over
+//! `Table::index` + `BTree::scan_range`) produce the same rows in the same
+//! order with the same `ExecStats`.
+
+use proptest::prelude::*;
+use ri_tree::pagestore::{BufferPool, BufferPoolConfig};
+use ri_tree::prelude::*;
+use ri_tree::relstore::exec::CmpOp;
+use ri_tree::relstore::{BoundExpr, ExecStats, IndexDef, Plan, Predicate, Row, Table, TableDef};
+
+/// `T(k, v, id)`, 72 rows (joins nest three deep: small), indexes
+/// `KV(k, v)` and `V(v)`.
+fn database() -> Database {
+    let pool = Arc::new(BufferPool::new(MemDisk::new(512), BufferPoolConfig::with_capacity(32)));
+    let db = Database::create(pool).unwrap();
+    db.create_table(TableDef {
+        name: "T".into(),
+        columns: vec!["k".into(), "v".into(), "id".into()],
+    })
+    .unwrap();
+    db.create_index("T", IndexDef { name: "KV".into(), key_cols: vec![0, 1] }).unwrap();
+    db.create_index("T", IndexDef { name: "V".into(), key_cols: vec![1] }).unwrap();
+    let t = db.table("T").unwrap();
+    for i in 0..72i64 {
+        t.insert(&[i % 12, (i * 7) % 40, 1000 + i]).unwrap();
+    }
+    db
+}
+
+/// Draws plan-shaping choices from a proptest-generated tape (so failures
+/// shrink); an exhausted tape reads zeros, which pick leaf operators.
+struct Tape<'a>(std::slice::Iter<'a, u32>);
+
+impl Tape<'_> {
+    fn draw(&mut self, n: u32) -> u32 {
+        self.0.next().copied().unwrap_or(0) % n
+    }
+
+    fn bound(&mut self, bind_width: usize) -> BoundExpr {
+        match self.draw(if bind_width > 0 { 5 } else { 3 }) {
+            0 => BoundExpr::Const(self.draw(44) as i64 - 2),
+            1 => BoundExpr::NegInf,
+            2 => BoundExpr::PosInf,
+            _ => BoundExpr::Outer(self.draw(bind_width as u32) as usize),
+        }
+    }
+
+    /// A random plan and the width of its rows.  `bind_width` is the width
+    /// of the enclosing join's outer rows (0 = no join around).
+    fn plan(&mut self, depth: u32, bind_width: usize) -> (Plan, usize) {
+        match self.draw(if depth == 0 { 3 } else { 7 }) {
+            0 => {
+                let rows =
+                    (0..self.draw(5)).map(|_| vec![self.draw(14) as i64, self.draw(44) as i64]);
+                (Plan::CollectionIterator { name: "C".into(), rows: rows.collect() }, 2)
+            }
+            1 => {
+                let (index, arity) = if self.draw(2) == 0 { ("KV", 2) } else { ("V", 1) };
+                let lo = (0..arity).map(|_| self.bound(bind_width)).collect();
+                let hi = (0..arity).map(|_| self.bound(bind_width)).collect();
+                (Plan::IndexRangeScan { table: "T".into(), index: index.into(), lo, hi }, arity + 1)
+            }
+            2 => (Plan::TableScan { table: "T".into() }, 3),
+            3 => {
+                let (outer, outer_width) = self.plan(depth - 1, bind_width);
+                let (inner, width) = self.plan(depth - 1, outer_width);
+                (Plan::NestedLoops { outer: Box::new(outer), inner: Box::new(inner) }, width)
+            }
+            4 => {
+                let inputs: Vec<_> =
+                    (0..1 + self.draw(3)).map(|_| self.plan(depth - 1, bind_width)).collect();
+                let width = inputs.iter().map(|i| i.1).min().unwrap();
+                (Plan::UnionAll(inputs.into_iter().map(|i| i.0).collect()), width)
+            }
+            5 => {
+                let (input, width) = self.plan(depth - 1, bind_width);
+                let col = |t: &mut Self| t.draw(width as u32) as usize;
+                let op =
+                    [CmpOp::Le, CmpOp::Ge, CmpOp::Lt, CmpOp::Gt, CmpOp::Eq][self.draw(5) as usize];
+                let value = self.draw(60) as i64;
+                let pred = match self.draw(4) {
+                    0 => Predicate::CmpConst { col: col(self), op, value },
+                    1 => Predicate::CmpSum { a: col(self), b: col(self), op, value },
+                    2 => Predicate::Or(vec![
+                        Predicate::CmpDiff { a: col(self), b: col(self), op, value },
+                        Predicate::CmpConst { col: col(self), op: CmpOp::Eq, value },
+                    ]),
+                    _ => Predicate::And(vec![
+                        Predicate::True,
+                        Predicate::CmpConst { col: col(self), op, value },
+                    ]),
+                };
+                (Plan::Filter { input: Box::new(input), pred }, width)
+            }
+            _ => {
+                let (input, width) = self.plan(depth - 1, bind_width);
+                let cols: Vec<usize> =
+                    (0..1 + self.draw(3)).map(|_| self.draw(width as u32) as usize).collect();
+                let width = cols.len();
+                (Plan::Project { input: Box::new(input), cols }, width)
+            }
+        }
+    }
+}
+
+/// The materializing executor this repository had before the push-based
+/// one: every operator returns its full row vector.
+fn reference(table: &Table, plan: &Plan, outer: Option<&Row>, stats: &mut ExecStats) -> Vec<Row> {
+    let eval = |b: &BoundExpr| match *b {
+        BoundExpr::Const(v) => v,
+        BoundExpr::NegInf => i64::MIN,
+        BoundExpr::PosInf => i64::MAX,
+        BoundExpr::Outer(i) => outer.expect("generated plans bind every Outer")[i],
+    };
+    match plan {
+        Plan::CollectionIterator { rows, .. } => {
+            stats.rows_examined += rows.len() as u64;
+            rows.clone()
+        }
+        Plan::IndexRangeScan { index, lo, hi, .. } => {
+            let (lo, hi): (Vec<i64>, Vec<i64>) =
+                (lo.iter().map(eval).collect(), hi.iter().map(eval).collect());
+            stats.index_searches += 1;
+            let rows: Vec<Row> = table
+                .index(index)
+                .unwrap()
+                .scan_range(&lo, &hi)
+                .map(|e| e.unwrap())
+                .map(|e| e.key.as_slice().iter().copied().chain([e.payload as i64]).collect())
+                .collect();
+            stats.rows_examined += rows.len() as u64;
+            rows
+        }
+        Plan::TableScan { .. } => {
+            let rows: Vec<Row> = table.scan().unwrap().into_iter().map(|(_, row)| row).collect();
+            stats.rows_examined += rows.len() as u64;
+            rows
+        }
+        Plan::NestedLoops { outer: o, inner } => reference(table, o, outer, stats)
+            .iter()
+            .flat_map(|row| reference(table, inner, Some(row), stats))
+            .collect(),
+        Plan::UnionAll(inputs) => {
+            inputs.iter().flat_map(|p| reference(table, p, outer, stats)).collect()
+        }
+        Plan::Filter { input, pred } => {
+            reference(table, input, outer, stats).into_iter().filter(|r| pred.matches(r)).collect()
+        }
+        Plan::Project { input, cols } => reference(table, input, outer, stats)
+            .iter()
+            .map(|r| cols.iter().map(|&c| r[c]).collect())
+            .collect(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    #[test]
+    fn streaming_execution_equals_materializing_execution(
+        tape in prop::collection::vec(any::<u32>(), 0..160),
+    ) {
+        let db = database();
+        let table = db.table("T").unwrap();
+        let (plan, width) = Tape(tape.iter()).plan(3, 0);
+
+        let mut collected_stats = ExecStats::default();
+        let collected = db.execute(&plan, &mut collected_stats).unwrap();
+
+        let mut streamed_stats = ExecStats::default();
+        let mut streamed: Vec<Row> = Vec::new();
+        db.execute_with(&plan, &mut streamed_stats, &mut |row| streamed.push(row.to_vec())).unwrap();
+        prop_assert_eq!(&streamed, &collected);
+        prop_assert_eq!(streamed_stats, collected_stats);
+
+        let mut reference_stats = ExecStats::default();
+        let expected = reference(&table, &plan, None, &mut reference_stats);
+        reference_stats.result_rows = expected.len() as u64;
+        prop_assert_eq!(&collected, &expected);
+        prop_assert_eq!(collected_stats, reference_stats);
+        prop_assert!(collected.iter().all(|row| row.len() >= width));
+    }
+}

@@ -200,3 +200,75 @@ fn deep_failure_leaves_prior_data_intact() {
     let after = tree.intersection(Interval::new(0, 5000).unwrap()).unwrap();
     assert_eq!(before, after, "read faults must not corrupt state");
 }
+
+/// Forged or rotted B-link node headers — an entry count past the page,
+/// an unknown tag, the wrong arity, a pre-B-link format version — on every
+/// leaf or every internal node of both indexes: the read path validates
+/// each page header before searching it in place, so a raw index scan and
+/// a whole `RiTree::intersection` report `Error::Corrupt`.  Nothing
+/// panics, nothing indexes past a page, and once the device is repaired
+/// the answers are back.
+#[test]
+fn forged_index_pages_surface_as_corrupt_errors() {
+    use ri_tree::pagestore::{DiskManager, Error};
+    let disk = Arc::new(MemDisk::new(DEFAULT_PAGE_SIZE));
+    let pool = Arc::new(BufferPool::new(Arc::clone(&disk), BufferPoolConfig::with_capacity(64)));
+    let db = Arc::new(Database::create(Arc::clone(&pool)).unwrap());
+    let tree = RiTree::create(Arc::clone(&db), "forged").unwrap();
+    for i in 0..3_000i64 {
+        tree.insert(Interval::new(i * 5, i * 5 + 40).unwrap(), i).unwrap();
+    }
+    let q = Interval::new(2_000, 9_000).unwrap();
+    let honest = tree.intersection(q).unwrap();
+    assert!(!honest.is_empty());
+    pool.clear_cache().unwrap();
+
+    // Index nodes by header signature: tag 1/2, arity 3, format 2 (heap
+    // pages carry tag 0x11, meta and catalog pages a magic word).
+    let mut buf = vec![0u8; DEFAULT_PAGE_SIZE];
+    let mut nodes = Vec::new();
+    for id in (0..disk.num_pages()).map(PageId) {
+        disk.read_page(id, &mut buf).unwrap();
+        if matches!(buf[0], 1 | 2) && buf[1] == 3 && buf[4] == 2 {
+            nodes.push((id, buf[0]));
+        }
+    }
+    let table = db.table(tree.table_name()).unwrap();
+    let forgeries: [(&str, usize, &[u8]); 4] =
+        [("count", 2, &[0xFF, 0xFF]), ("tag", 0, &[7]), ("arity", 1, &[2]), ("version", 4, &[1])];
+    for (kind, name) in [(1u8, "leaf"), (2, "internal")] {
+        let pristine: Vec<(PageId, Vec<u8>)> = nodes
+            .iter()
+            .filter(|n| n.1 == kind)
+            .map(|&(id, _)| {
+                disk.read_page(id, &mut buf).unwrap();
+                (id, buf.clone())
+            })
+            .collect();
+        assert!(pristine.len() >= 2, "both indexes need {name} pages");
+        for (what, off, bytes) in forgeries {
+            for (id, page) in &pristine {
+                let mut forged = page.clone();
+                forged[off..off + bytes.len()].copy_from_slice(bytes);
+                disk.write_page(*id, &forged).unwrap();
+            }
+            let err = tree.intersection(q).expect_err("a forged page must not answer");
+            assert!(matches!(err, Error::Corrupt(_)), "{name} {what}: {err}");
+            for index in ["RI_forged_LOWER", "RI_forged_UPPER"] {
+                let scanned: Result<Vec<_>, Error> = table
+                    .index(index)
+                    .unwrap()
+                    .scan_range(&[i64::MIN; 3], &[i64::MAX; 3])
+                    .collect();
+                assert!(matches!(scanned, Err(Error::Corrupt(_))), "{index} {name} {what}");
+            }
+            // Repair the device under an empty cache: the answers return.
+            pool.clear_cache().unwrap();
+            for (id, page) in &pristine {
+                disk.write_page(*id, page).unwrap();
+            }
+            assert_eq!(tree.intersection(q).unwrap(), honest, "after repairing {name} {what}");
+            pool.clear_cache().unwrap();
+        }
+    }
+}
