@@ -41,8 +41,9 @@
 //! excluded from the JSON.
 
 use crate::harness::{durable_db, f, section, wal_stats};
+use crate::sim::Policy;
+pub use crate::sim::SimResult;
 use ri_pagestore::{FlushPolicy, WalConfig, DEFAULT_PAGE_SIZE};
-use std::collections::VecDeque;
 use std::io::Write as _;
 
 /// Committing writer thread counts evaluated.
@@ -97,39 +98,16 @@ impl Trace {
     }
 }
 
-/// One simulated policy outcome.
-#[derive(Clone, Copy, Debug)]
-pub struct SimResult {
-    /// Total commits performed (always `threads x commits_per_writer`).
-    pub commits: u64,
-    /// Log fsyncs issued.
-    pub fsyncs: u64,
-    /// Sum over commits of (durable instant - commit request instant).
-    pub total_latency_ns: u64,
-    /// End-to-end simulated nanoseconds.
-    pub makespan_ns: u64,
-    /// Largest group a single fsync covered.
-    pub max_group: u64,
-}
-
-impl SimResult {
-    /// Mean commit latency — the figure's y-axis.
-    pub fn mean_latency_ns(&self) -> u64 {
-        self.total_latency_ns / self.commits.max(1)
-    }
-}
-
-/// Discrete-event simulation of `threads` writers each committing
-/// `commits_per_writer` transactions of `full_pages` whole log pages
-/// (+ a partial tail page), thinking `t_think` ns per transaction.
+/// `threads` writers each committing `commits_per_writer` transactions
+/// of `full_pages` whole log pages (+ a partial tail page), thinking
+/// `t_think` ns per transaction, on the shared queueing core
+/// ([`crate::sim`]) under `fig20`'s group-commit rule.
 ///
-/// The device serializes everything.  With `flusher` off, the
-/// group-commit leader writes all covered backlog pages plus one tail
-/// page, then fsyncs; with it on, a background drain writes buffered
-/// pages FIFO during device idle gaps (page-granular; it yields rather
-/// than delay a pending commit), and the leader pays only the
-/// still-unwritten residual plus the tail page and the fsync.  Ties
-/// break on lowest writer index.
+/// With `flusher` off, the group-commit leader writes all covered
+/// backlog pages plus one tail page, then fsyncs; with it on, a
+/// background drain writes buffered pages FIFO during device idle gaps,
+/// and the leader pays only the still-unwritten residual plus the tail
+/// page and the fsync.
 pub fn simulate(
     threads: usize,
     commits_per_writer: u64,
@@ -137,68 +115,14 @@ pub fn simulate(
     t_think: u64,
     flusher: bool,
 ) -> SimResult {
-    // Commit-request instant of each writer's current transaction.
-    let mut ready: Vec<u64> = vec![t_think; threads];
-    let mut remaining: Vec<u64> = vec![commits_per_writer; threads];
-    // Whole pages of the current transaction not yet on the device.
-    let mut unflushed: Vec<u64> = vec![full_pages; threads];
-    // Writers with unflushed pages, FIFO by transaction start (the
-    // append order the flusher drains in).  Entries whose pages were
-    // consumed by a leader are dropped lazily.
-    let mut queue: VecDeque<(u64, usize)> =
-        if flusher { (0..threads).map(|i| (0u64, i)).collect() } else { VecDeque::new() };
-    let mut device_free = 0u64;
-    let mut fsyncs = 0u64;
-    let mut commits = 0u64;
-    let mut total_latency = 0u64;
-    let mut makespan = 0u64;
-    let mut max_group = 0u64;
-    while let Some((req, _)) =
-        (0..threads).filter(|&i| remaining[i] > 0).map(|i| (ready[i], i)).min()
-    {
-        let start = device_free.max(req);
-        if flusher {
-            // Background drain: spend the idle gap [device_free, start)
-            // writing available pages, never past the sync start.
-            while let Some(&(avail, w)) = queue.front() {
-                if unflushed[w] == 0 {
-                    queue.pop_front();
-                    continue;
-                }
-                let page_start = device_free.max(avail);
-                if page_start + T_PAGE_WRITE_NS > start {
-                    break;
-                }
-                device_free = page_start + T_PAGE_WRITE_NS;
-                unflushed[w] -= 1;
-            }
-        }
-        let covered: Vec<usize> =
-            (0..threads).filter(|&i| remaining[i] > 0 && ready[i] <= start).collect();
-        let residual: u64 = covered.iter().map(|&i| unflushed[i]).sum();
-        let service = (residual + 1) * T_PAGE_WRITE_NS + T_SYNC_NS;
-        let done = start + service;
-        fsyncs += 1;
-        max_group = max_group.max(covered.len() as u64);
-        for &i in &covered {
-            unflushed[i] = 0;
-            commits += 1;
-            total_latency += done - ready[i];
-            remaining[i] -= 1;
-            if remaining[i] > 0 {
-                // The next transaction starts immediately: its appends
-                // become flushable at `done`, its commit after `t_think`.
-                unflushed[i] = full_pages;
-                ready[i] = done + t_think;
-                if flusher && full_pages > 0 {
-                    queue.push_back((done, i));
-                }
-            }
-        }
-        device_free = done;
-        makespan = done;
-    }
-    SimResult { commits, fsyncs, total_latency_ns: total_latency, makespan_ns: makespan, max_group }
+    let policy = Policy {
+        full_pages,
+        t_page_ns: T_PAGE_WRITE_NS,
+        t_fixed_ns: T_PAGE_WRITE_NS + T_SYNC_NS,
+        flusher,
+        grouped: true,
+    };
+    crate::sim::simulate(threads, commits_per_writer, t_think, policy)
 }
 
 /// One figure row: both flush policies at one thread count.

@@ -44,6 +44,8 @@
 //! are printed for reference but excluded from the JSON.
 
 use crate::harness::{durable_db, f, section, wal_stats};
+use crate::sim::Policy;
+pub use crate::sim::SimResult;
 use ri_pagestore::WalConfig;
 use std::io::Write as _;
 
@@ -89,37 +91,13 @@ impl Trace {
     }
 }
 
-/// One simulated policy outcome.
-#[derive(Clone, Copy, Debug)]
-pub struct SimResult {
-    /// Total commits performed (always `threads x commits_per_writer`).
-    pub commits: u64,
-    /// Log fsyncs issued.
-    pub fsyncs: u64,
-    /// End-to-end simulated nanoseconds.
-    pub makespan_ns: u64,
-    /// Largest group a single fsync covered.
-    pub max_group: u64,
-}
-
-impl SimResult {
-    /// Fsyncs per committed insert — the figure's y-axis.
-    pub fn fsyncs_per_commit(&self) -> f64 {
-        self.fsyncs as f64 / self.commits as f64
-    }
-
-    /// Modelled commits per second.
-    pub fn commits_per_sec(&self) -> f64 {
-        self.commits as f64 * 1e9 / self.makespan_ns as f64
-    }
-}
-
-/// Discrete-event simulation of `threads` writers each performing
-/// `commits_per_writer` commits.  A writer computes for `t_op` ns, then
-/// requests durability; the log device runs one fsync (`t_sync` ns) at
-/// a time.  Under `grouped`, a starting fsync covers every request
-/// issued at or before its start instant; under the global policy it
-/// covers exactly the earliest request (FIFO, index tie-break).
+/// `threads` writers each performing `commits_per_writer` commits on
+/// the shared queueing core ([`crate::sim`]): a writer computes for
+/// `t_op` ns, then requests durability; the log device runs one fsync
+/// (`t_sync` ns, no page writes priced) at a time.  Under `grouped`, a
+/// starting fsync covers every request issued at or before its start
+/// instant; under the global policy it covers exactly the earliest
+/// request (FIFO, index tie-break).
 pub fn simulate(
     threads: usize,
     commits_per_writer: u64,
@@ -127,34 +105,9 @@ pub fn simulate(
     t_sync: u64,
     grouped: bool,
 ) -> SimResult {
-    let mut ready: Vec<u64> = vec![t_op; threads];
-    let mut remaining: Vec<u64> = vec![commits_per_writer; threads];
-    let mut device_free: u64 = 0;
-    let mut fsyncs = 0u64;
-    let mut commits = 0u64;
-    let mut makespan = 0u64;
-    let mut max_group = 0u64;
-    loop {
-        let earliest = (0..threads).filter(|&i| remaining[i] > 0).map(|i| (ready[i], i)).min();
-        let Some((req_time, req_idx)) = earliest else { break };
-        let start = device_free.max(req_time);
-        let covered: Vec<usize> = if grouped {
-            (0..threads).filter(|&i| remaining[i] > 0 && ready[i] <= start).collect()
-        } else {
-            vec![req_idx]
-        };
-        let done = start + t_sync;
-        fsyncs += 1;
-        max_group = max_group.max(covered.len() as u64);
-        for i in covered {
-            commits += 1;
-            remaining[i] -= 1;
-            ready[i] = done + t_op;
-        }
-        device_free = done;
-        makespan = done;
-    }
-    SimResult { commits, fsyncs, makespan_ns: makespan, max_group }
+    let policy =
+        Policy { full_pages: 0, t_page_ns: 0, t_fixed_ns: t_sync, flusher: false, grouped };
+    crate::sim::simulate(threads, commits_per_writer, t_op, policy)
 }
 
 /// One figure row: both policies at one thread count.

@@ -14,6 +14,7 @@ pub mod group_commit;
 pub mod harness;
 pub mod hot_tier;
 pub mod scaleup;
+pub mod sim;
 pub mod write_concurrency;
 
 pub use harness::*;

@@ -734,7 +734,7 @@ impl RiTree {
 
     /// Answers a batch of intersection queries concurrently, fanning the
     /// batch over at most `threads` worker threads
-    /// ([`ri_relstore::fan_out`], as [`Database::execute_parallel`] does).
+    /// ([`ri_relstore::fan_out`]).
     ///
     /// Results are returned in query order and, on a quiescent tree, are
     /// identical to calling [`RiTree::intersection`] once per query: plan

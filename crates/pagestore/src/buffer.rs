@@ -99,10 +99,10 @@ use crate::error::{Error, Result};
 use crate::latch::LatchManager;
 use crate::page::PageId;
 use crate::stats::{IoStats, PoolStats};
-use crate::wal::{FlushPolicy, RecoveryReport, Wal, WalConfig, WalRecord};
+use crate::wal::{FlushPolicy, RecoveryReport, Wal, WalConfig};
 use parking_lot::{Mutex, MutexGuard};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Condvar, PoisonError};
 
 /// Sizing knobs for [`BufferPool`].
@@ -371,10 +371,10 @@ impl BufferPool {
     }
 
     /// Replays the log tail found at attach time against the data device:
-    /// committed records are redone (FirstMod pre-image + deltas), pages
-    /// first modified after the last commit are rolled back to their
-    /// pre-images, every touched page is written out and synced, and the
-    /// log is checkpointed.  Idempotent — later calls (and calls on a
+    /// the log folds its records into page images (committed updates
+    /// redone, pages first modified after the last commit rolled back to
+    /// their pre-images), every such page is written out and synced, and
+    /// the log is checkpointed.  Idempotent — later calls (and calls on a
     /// pool with no WAL or a clean log) return `Ok(None)`.
     ///
     /// Must run before the pool caches any page of a crashed device; the
@@ -383,69 +383,10 @@ impl BufferPool {
         let Some(wal) = &self.wal else {
             return Ok(None);
         };
-        let Some(log) = wal.take_recovered() else {
+        let Some((images, report)) = wal.take_redo()? else {
             return Ok(None);
         };
         self.discard_cache();
-        let mut images: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-        let mut commits = 0u64;
-        let mut last_seq = 0u64;
-        for rec in &log.records[..log.committed] {
-            match rec {
-                WalRecord::FirstMod { page, before, delta_off, delta, .. } => {
-                    let mut img = before.clone();
-                    img[*delta_off..*delta_off + delta.len()].copy_from_slice(delta);
-                    images.insert(page.raw(), img);
-                }
-                WalRecord::Delta { page, delta_off, delta, .. } => {
-                    // A Delta is always preceded by its page's FirstMod at
-                    // or above the scan start (the truncation-horizon
-                    // fixpoint guarantees no page run straddles it), so a
-                    // missing image means the log is inconsistent.
-                    let img = images.get_mut(&page.raw()).ok_or_else(|| {
-                        Error::Corrupt(format!(
-                            "WAL delta for page {} without a prior first-mod",
-                            page.raw()
-                        ))
-                    })?;
-                    img[*delta_off..*delta_off + delta.len()].copy_from_slice(delta);
-                }
-                WalRecord::Commit { seq, .. } => {
-                    // Sequence numbers are strictly increasing within the
-                    // retained log; a regression means records from
-                    // different histories got mixed.
-                    if *seq <= last_seq {
-                        return Err(Error::Corrupt(format!(
-                            "WAL commit sequence regressed: {seq} after {last_seq}"
-                        )));
-                    }
-                    last_seq = *seq;
-                    commits += 1;
-                }
-                // A fuzzy checkpoint marker carries no page state.
-                WalRecord::Checkpoint { .. } => {}
-            }
-        }
-        let pages_redone = images.len();
-        // Roll back the uncommitted tail: a FirstMod there proves the page
-        // was untouched by the committed prefix *of this generation*; its
-        // pre-image is exactly the committed state.  (If the page also has
-        // a committed image — possible when it was re-FirstMod'ed after an
-        // interleaved checkpoint window — the committed image wins.)
-        let mut tail_txns = std::collections::BTreeSet::new();
-        for rec in &log.records[log.committed..] {
-            match rec {
-                WalRecord::FirstMod { page, txn, before, .. } => {
-                    images.entry(page.raw()).or_insert_with(|| before.clone());
-                    tail_txns.insert(*txn);
-                }
-                WalRecord::Delta { txn, .. } => {
-                    tail_txns.insert(*txn);
-                }
-                WalRecord::Commit { .. } | WalRecord::Checkpoint { .. } => {}
-            }
-        }
-        let pages_rolled_back = images.len() - pages_redone;
         for (&page, img) in &images {
             while self.disk.num_pages() <= page {
                 self.disk.allocate_page()?;
@@ -456,15 +397,7 @@ impl BufferPool {
         // Recovery is single-threaded with nothing in flight, so this
         // checkpoint always observes the quiescent instant and rewinds.
         wal.checkpoint(wal.end_lsn())?;
-        Ok(Some(RecoveryReport {
-            records_scanned: log.records.len(),
-            committed_records: log.committed,
-            tail_records: log.records.len() - log.committed,
-            commits,
-            pages_redone,
-            pages_rolled_back,
-            txns_rolled_back: tail_txns.len() as u64,
-        }))
+        Ok(Some(report))
     }
 
     /// Drops every cached frame *without* write-back: pre-recovery cache

@@ -19,7 +19,8 @@
 //! * [`wal`] — a page-oriented write-ahead log with group commit, fuzzy
 //!   checkpoint truncation (safe under concurrent DML), and redo recovery
 //!   ([`BufferPool::new_durable`] pools stamp frames with page LSNs and
-//!   enforce WAL-before-data),
+//!   enforce WAL-before-data); one submodule per concern — `format`,
+//!   `segments`, `flush`, `checkpoint`, `recover`,
 //! * [`faulty`] — a fault-injecting disk wrapper used by the failure tests,
 //!   including crash-point, crash-at-sync-barrier, and torn-write
 //!   (partial-sector) injection on a shared [`FaultClock`] for

@@ -1,0 +1,285 @@
+//! The log's on-disk format — the only file that knows a byte offset.
+//!
+//! Device pages 0 and 1 hold a pair of alternating **anchors**; the rest
+//! of the device is carved into fixed-size segment slots, each opened by
+//! a **segment header** page and holding a slice of the **record**
+//! stream.  All integers are little-endian; every checksum is FNV-1a 64
+//! (a torn or stale write only needs to be *detected*, not
+//! authenticated).
+//!
+//! ```text
+//! record          lsn u64 | body_len u32 | kind u8 | crc u64 | body …
+//!                 crc covers (lsn, kind, body); lsn = stream position
+//! FirstMod body   page u64 | txn u64 | delta_off u32 | delta_len u32
+//!                 | before [page_size] | delta [delta_len]
+//! Delta body      page u64 | txn u64 | delta_off u32 | delta_len u32
+//!                 | delta [delta_len]
+//! Commit body     seq u64 | txn u64
+//! Checkpoint body horizon u64 | n u32 | n × (txn u64 | first_lsn u64)
+//! anchor          magic u32 | version u16 | pad u16 | anchor_seq u64
+//!                 | start u64 | seg_pages u32 | count u32 | first_seg u64
+//!                 | count × slot u32 | crc u64 (covers all before it)
+//! segment header  magic u32 | pad u32 | first_lsn u64 | crc u64
+//! ```
+//!
+//! * **FirstMod** — the *first* modification of a page since the last
+//!   truncation horizon: the full pre-image plus this update's
+//!   byte-range delta.  Redo never needs the data device for such a page.
+//! * **Delta** — a later modification: byte-range delta only.
+//! * **Commit** — a transaction boundary; recovery replays exactly the
+//!   records up to the last durable Commit.
+//! * **Checkpoint** — a fuzzy checkpoint's begin marker: the truncation
+//!   horizon and the in-flight `(txn, first record LSN)` pairs.  Replay
+//!   skips it; it makes the log self-describing about what straddled the
+//!   checkpoint.
+//!
+//! The anchor with sequence `s` lives on device page `s & 1`, so a
+//! rewrite always lands on the page holding the *older* anchor.  `start`
+//! is where recovery scans from; the map assigns device slots to the
+//! consecutive segments `first_seg .. first_seg + count`.
+
+use super::segments::SegMap;
+use crate::codec::{get_u16, get_u32, get_u64, put_u16, put_u32, put_u64};
+use crate::{Error, PageId, Result};
+use std::collections::BTreeMap;
+
+pub(super) const REC_HDR: usize = 8 + 4 + 1 + 8;
+const KIND_FIRST_MOD: u8 = 1;
+const KIND_DELTA: u8 = 2;
+const KIND_COMMIT: u8 = 3;
+const KIND_CHECKPOINT: u8 = 4;
+/// `page | txn | delta_off | delta_len`, the fixed head of an update body.
+const UPDATE_HEAD: usize = 24;
+
+/// Most in-flight transactions a Checkpoint record enumerates.  The
+/// horizon alone is binding for truncation; the list is diagnostic, so
+/// capping it bounds the record size without affecting correctness.
+const MAX_CKPT_TXNS: usize = 4096;
+
+const WAL_MAGIC: u32 = 0x5249_574C; // "RIWL"
+const WAL_VERSION: u16 = 3;
+const ANCHOR_HDR: usize = 40;
+const SEG_MAGIC: u32 = 0x5249_5347; // "RISG"
+
+/// Map entries an anchor page can carry: header + entries + trailing crc.
+pub(super) fn anchor_capacity(page_size: usize) -> usize {
+    page_size.saturating_sub(ANCHOR_HDR + 8) / 4
+}
+
+fn fnv<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for part in parts {
+        for &b in part {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+fn record_checksum(lsn: u64, kind: u8, body_parts: &[&[u8]]) -> u64 {
+    fnv([&lsn.to_le_bytes()[..], &[kind]].into_iter().chain(body_parts.iter().copied()))
+}
+
+/// A decoded log record (a Commit commits every run appended so far).
+#[derive(Debug, Clone)]
+pub(super) enum WalRecord {
+    FirstMod { page: PageId, txn: u64, before: Vec<u8>, delta_off: usize, delta: Vec<u8> },
+    Delta { page: PageId, txn: u64, delta_off: usize, delta: Vec<u8> },
+    Commit { seq: u64, txn: u64 },
+    Checkpoint { horizon: u64, active: Vec<(u64, u64)> },
+}
+
+/// Frames one record onto `out`, returning the new stream end.
+fn encode_record(out: &mut Vec<u8>, lsn: u64, kind: u8, body_parts: &[&[u8]]) -> u64 {
+    let body_len: usize = body_parts.iter().map(|p| p.len()).sum();
+    out.extend_from_slice(&lsn.to_le_bytes());
+    out.extend_from_slice(&(body_len as u32).to_le_bytes());
+    out.push(kind);
+    out.extend_from_slice(&record_checksum(lsn, kind, body_parts).to_le_bytes());
+    for part in body_parts {
+        out.extend_from_slice(part);
+    }
+    lsn + (REC_HDR + body_len) as u64
+}
+
+/// Appends the record of an update that wrote `delta` at `delta_off` of
+/// `page` — a FirstMod when the page's pre-image is given, else a Delta.
+pub(super) fn encode_update(
+    out: &mut Vec<u8>,
+    lsn: u64,
+    page: PageId,
+    txn: u64,
+    before: Option<&[u8]>,
+    delta_off: usize,
+    delta: &[u8],
+) -> u64 {
+    let mut head = [0u8; UPDATE_HEAD];
+    put_u64(&mut head, 0, page.raw());
+    put_u64(&mut head, 8, txn);
+    put_u32(&mut head, 16, delta_off as u32);
+    put_u32(&mut head, 20, delta.len() as u32);
+    match before {
+        Some(before) => encode_record(out, lsn, KIND_FIRST_MOD, &[&head, before, delta]),
+        None => encode_record(out, lsn, KIND_DELTA, &[&head, delta]),
+    }
+}
+
+pub(super) fn encode_commit(out: &mut Vec<u8>, lsn: u64, seq: u64, txn: u64) -> u64 {
+    encode_record(out, lsn, KIND_COMMIT, &[&seq.to_le_bytes(), &txn.to_le_bytes()])
+}
+
+/// `active` maps in-flight transactions to their first record's LSN.
+pub(super) fn encode_checkpoint(
+    out: &mut Vec<u8>,
+    lsn: u64,
+    horizon: u64,
+    active: &BTreeMap<u64, u64>,
+) -> u64 {
+    let listed = active.len().min(MAX_CKPT_TXNS);
+    let mut body = Vec::with_capacity(12 + 16 * listed);
+    body.extend_from_slice(&horizon.to_le_bytes());
+    body.extend_from_slice(&(listed as u32).to_le_bytes());
+    for (&txn, &first) in active.iter().take(listed) {
+        body.extend_from_slice(&txn.to_le_bytes());
+        body.extend_from_slice(&first.to_le_bytes());
+    }
+    encode_record(out, lsn, KIND_CHECKPOINT, &[&body])
+}
+
+/// The body length announced by the record header `hdr` read at stream
+/// position `pos`, if it can start a valid record: its LSN is its
+/// position, its kind exists, and its body fits the largest record a log
+/// with `ps`-byte pages can hold — the bound on what a scan allocates.
+pub(super) fn body_len(hdr: &[u8], pos: u64, ps: usize) -> Option<usize> {
+    let (lsn, len, kind) = (get_u64(hdr, 0), get_u32(hdr, 8) as usize, hdr[12]);
+    let max_body = (UPDATE_HEAD + 2 * ps).max(12 + 16 * MAX_CKPT_TXNS);
+    (lsn == pos && len <= max_body && (KIND_FIRST_MOD..=KIND_CHECKPOINT).contains(&kind))
+        .then_some(len)
+}
+
+/// Decodes the record `hdr | body`; `None` if the checksum or the body's
+/// own structure is broken (the valid chain ends before this record).
+pub(super) fn decode_record(hdr: &[u8], body: &[u8], ps: usize) -> Option<WalRecord> {
+    let (lsn, kind) = (get_u64(hdr, 0), hdr[12]);
+    if record_checksum(lsn, kind, &[body]) != get_u64(hdr, 13) {
+        return None;
+    }
+    match decode_body(kind, body, ps)? {
+        // A horizon past its own record is nonsense.
+        WalRecord::Checkpoint { horizon, .. } if horizon > lsn => None,
+        rec => Some(rec),
+    }
+}
+
+fn decode_body(kind: u8, body: &[u8], ps: usize) -> Option<WalRecord> {
+    match kind {
+        KIND_COMMIT if body.len() == 16 => {
+            Some(WalRecord::Commit { seq: get_u64(body, 0), txn: get_u64(body, 8) })
+        }
+        KIND_CHECKPOINT if body.len() >= 12 => {
+            let n = get_u32(body, 8) as usize;
+            if n > MAX_CKPT_TXNS || body.len() != 12 + 16 * n {
+                return None;
+            }
+            let active =
+                (0..n).map(|i| (get_u64(body, 12 + 16 * i), get_u64(body, 20 + 16 * i))).collect();
+            Some(WalRecord::Checkpoint { horizon: get_u64(body, 0), active })
+        }
+        KIND_FIRST_MOD | KIND_DELTA if body.len() >= UPDATE_HEAD => {
+            let page = PageId(get_u64(body, 0));
+            let txn = get_u64(body, 8);
+            let delta_off = get_u32(body, 16) as usize;
+            let delta_len = get_u32(body, 20) as usize;
+            let before_len = if kind == KIND_FIRST_MOD { ps } else { 0 };
+            if delta_off + delta_len > ps || body.len() != UPDATE_HEAD + before_len + delta_len {
+                return None;
+            }
+            let (before, delta) = body[UPDATE_HEAD..].split_at(before_len);
+            let delta = delta.to_vec();
+            Some(if kind == KIND_FIRST_MOD {
+                WalRecord::FirstMod { page, txn, before: before.to_vec(), delta_off, delta }
+            } else {
+                WalRecord::Delta { page, txn, delta_off, delta }
+            })
+        }
+        _ => None,
+    }
+}
+
+/// A decoded, validated anchor.
+pub(super) struct Anchor {
+    pub(super) seq: u64,
+    pub(super) start: u64,
+    pub(super) map: SegMap,
+}
+
+/// The anchor page carrying `map` as sequence `seq`; it belongs on device
+/// page `seq & 1`.
+pub(super) fn encode_anchor(page_size: usize, seq: u64, start: u64, map: &SegMap) -> Vec<u8> {
+    debug_assert!(map.slots.len() <= anchor_capacity(page_size));
+    let mut page = vec![0u8; page_size];
+    put_u32(&mut page, 0, WAL_MAGIC);
+    put_u16(&mut page, 4, WAL_VERSION);
+    put_u64(&mut page, 8, seq);
+    put_u64(&mut page, 16, start);
+    put_u32(&mut page, 24, map.seg_pages as u32);
+    put_u32(&mut page, 28, map.slots.len() as u32);
+    put_u64(&mut page, 32, map.first_seg);
+    for (i, &slot) in map.slots.iter().enumerate() {
+        put_u32(&mut page, ANCHOR_HDR + 4 * i, slot);
+    }
+    let crc_off = ANCHOR_HDR + 4 * map.slots.len();
+    let crc = fnv([&page[..crc_off]]);
+    put_u64(&mut page, crc_off, crc);
+    page
+}
+
+/// Decodes one anchor page.  `Ok(None)` means "not a valid anchor"
+/// (zeroed, torn, or checksum-broken — fall back to the twin page);
+/// `Err` means a structurally recognizable anchor of the wrong version.
+pub(super) fn parse_anchor(page: &[u8]) -> Result<Option<Anchor>> {
+    if get_u32(page, 0) != WAL_MAGIC {
+        return Ok(None);
+    }
+    let version = get_u16(page, 4);
+    if version != WAL_VERSION {
+        return Err(Error::Corrupt(format!(
+            "WAL anchor version {version} (expected {WAL_VERSION})"
+        )));
+    }
+    let seg_pages = u64::from(get_u32(page, 24));
+    let count = get_u32(page, 28) as usize;
+    if seg_pages < 2 || count > anchor_capacity(page.len()) {
+        return Ok(None);
+    }
+    let crc_off = ANCHOR_HDR + 4 * count;
+    if get_u64(page, crc_off) != fnv([&page[..crc_off]]) {
+        return Ok(None);
+    }
+    let slots = (0..count).map(|i| get_u32(page, ANCHOR_HDR + 4 * i)).collect();
+    Ok(Some(Anchor {
+        seq: get_u64(page, 8),
+        start: get_u64(page, 16),
+        map: SegMap { seg_pages, first_seg: get_u64(page, 32), slots },
+    }))
+}
+
+/// The self-checksummed header page opening the segment whose stream
+/// range starts at `first_lsn`.
+pub(super) fn encode_segment_header(page_size: usize, first_lsn: u64) -> Vec<u8> {
+    let mut page = vec![0u8; page_size];
+    put_u32(&mut page, 0, SEG_MAGIC);
+    put_u64(&mut page, 8, first_lsn);
+    let crc = fnv([&page[..16]]);
+    put_u64(&mut page, 16, crc);
+    page
+}
+
+/// Whether `page` is the intact header of the segment starting at
+/// `first_lsn` (and not, say, a recycled slot's stale one).
+pub(super) fn is_segment_header(page: &[u8], first_lsn: u64) -> bool {
+    get_u32(page, 0) == SEG_MAGIC
+        && get_u64(page, 8) == first_lsn
+        && get_u64(page, 16) == fnv([&page[..16]])
+}

@@ -1,0 +1,581 @@
+use super::format::WalRecord;
+use super::*;
+use crate::disk::MemDisk;
+use std::sync::Arc;
+
+impl Wal {
+    /// Opens (or initializes) the log on `disk` with default settings.
+    fn attach(disk: Box<dyn DiskManager>) -> Result<Wal> {
+        Wal::attach_with(disk, WalConfig::default())
+    }
+}
+
+fn fresh_wal(ps: usize) -> (Arc<MemDisk>, Wal) {
+    let disk = Arc::new(MemDisk::new(ps));
+    let wal = Wal::attach(Box::new(Arc::clone(&disk))).unwrap();
+    (disk, wal)
+}
+
+fn fresh_wal_with(ps: usize, config: WalConfig) -> (Arc<MemDisk>, Wal) {
+    let disk = Arc::new(MemDisk::new(ps));
+    let wal = Wal::attach_with(Box::new(Arc::clone(&disk)), config).unwrap();
+    (disk, wal)
+}
+
+/// Scans a device the way a fresh attach would: via its best anchor.
+fn scan_fresh(disk: &dyn DiskManager) -> RecoveredLog {
+    let anchor = segments::read_best_anchor(disk).unwrap();
+    recover::scan_records(disk, &anchor.map, anchor.start)
+}
+
+#[test]
+fn identical_images_log_nothing() {
+    let (_d, wal) = fresh_wal(128);
+    let img = vec![3u8; 128];
+    assert_eq!(wal.log_update(PageId(5), &img, &img).unwrap(), 0);
+    assert_eq!(wal.stats().records, 0);
+    assert_eq!(wal.end_lsn(), 0);
+}
+
+#[test]
+fn first_mod_then_delta_then_commit_roundtrips_through_scan() {
+    let (disk, wal) = fresh_wal(128);
+    let old = vec![0u8; 128];
+    let mut v1 = old.clone();
+    v1[10..20].copy_from_slice(&[7u8; 10]);
+    let mut v2 = v1.clone();
+    v2[100] = 9;
+    assert!(wal.log_update(PageId(4), &old, &v1).unwrap() > 0);
+    assert!(wal.log_update(PageId(4), &v1, &v2).unwrap() > 0);
+    let end = wal.commit().unwrap();
+    assert_eq!(wal.durable_lsn(), end);
+    let s = wal.stats();
+    assert_eq!((s.records, s.commits, s.commit_syncs, s.group_commits), (2, 1, 1, 0));
+    drop(wal);
+
+    // A fresh attach finds the full committed stream.
+    let scan = scan_fresh(&*disk);
+    assert_eq!(scan.records.len(), 3);
+    assert_eq!(scan.committed, 3);
+    assert_eq!(scan.committed_end, end);
+    assert_eq!((scan.max_seq, scan.max_txn), (1, 1));
+    assert!(matches!(&scan.records[0],
+        WalRecord::FirstMod { page, txn: 1, before, delta_off, delta }
+        if *page == PageId(4) && before == &old && *delta_off == 10 && delta == &vec![7u8; 10]));
+    assert!(matches!(&scan.records[1],
+        WalRecord::Delta { page, txn: 1, delta_off, delta }
+        if *page == PageId(4) && *delta_off == 100 && delta == &vec![9u8]));
+    assert!(matches!(&scan.records[2], WalRecord::Commit { seq: 1, txn: 1 }));
+}
+
+#[test]
+fn uncommitted_tail_is_dropped_on_attach() {
+    let (disk, wal) = fresh_wal(128);
+    let old = vec![0u8; 128];
+    let mut new = old.clone();
+    new[0] = 1;
+    wal.log_update(PageId(2), &old, &new).unwrap();
+    let committed_end = wal.commit().unwrap();
+    // An uncommitted record past the commit, flushed but not committed.
+    let mut newer = new.clone();
+    newer[1] = 2;
+    let lsn = wal.log_update(PageId(2), &new, &newer).unwrap();
+    wal.make_durable(lsn).unwrap();
+    drop(wal);
+
+    let wal2 = Wal::attach(Box::new(Arc::clone(&disk))).unwrap();
+    let log = wal2.take_recovered().unwrap();
+    assert_eq!(log.records.len(), 3, "commit + committed mod + tail mod");
+    assert_eq!(log.committed, 2);
+    assert_eq!(wal2.end_lsn(), committed_end, "appends resume at the commit boundary");
+}
+
+#[test]
+fn checkpoint_truncates_and_old_records_are_not_rescanned() {
+    let (disk, wal) = fresh_wal(128);
+    let old = vec![0u8; 128];
+    let mut new = old.clone();
+    new[5] = 5;
+    wal.log_update(PageId(9), &old, &new).unwrap();
+    wal.commit().unwrap();
+    wal.checkpoint(wal.end_lsn()).unwrap();
+    assert_eq!(wal.stats().checkpoints, 1);
+    drop(wal);
+
+    let wal2 = Wal::attach(Box::new(Arc::clone(&disk))).unwrap();
+    assert!(wal2.take_recovered().is_none(), "truncated log has no records");
+    // Appends resume past the truncated region without tripping over
+    // the stale record bytes still physically present below `start`.
+    let mut v2 = new.clone();
+    v2[6] = 6;
+    wal2.log_update(PageId(9), &new, &v2).unwrap();
+    let end = wal2.commit().unwrap();
+    drop(wal2);
+    let wal3 = Wal::attach(Box::new(Arc::clone(&disk))).unwrap();
+    let log = wal3.take_recovered().unwrap();
+    assert_eq!(log.committed, 2);
+    assert_eq!(wal3.end_lsn(), end);
+}
+
+#[test]
+fn records_spanning_many_pages_survive() {
+    // Page size 128 but FirstMod bodies are > 128 bytes: every record
+    // spans pages, partial tail pages are append-rewritten.
+    let (disk, wal) = fresh_wal(128);
+    let mut prev = vec![0u8; 128];
+    let mut ends = Vec::new();
+    for i in 0..20u8 {
+        let mut next = prev.clone();
+        next[(i as usize * 5) % 128] = i + 1;
+        assert!(wal.log_update(PageId(u64::from(i) % 3), &prev, &next).unwrap() > 0);
+        ends.push(wal.commit().unwrap());
+        prev = next;
+    }
+    drop(wal);
+    let scan = scan_fresh(&*disk);
+    assert_eq!(scan.records.len(), 40, "20 mods + 20 commits");
+    assert_eq!(scan.committed, 40);
+    assert_eq!(scan.committed_end, *ends.last().unwrap());
+}
+
+#[test]
+fn torn_tail_page_breaks_the_chain_cleanly() {
+    let (disk, wal) = fresh_wal(128);
+    let old = vec![0u8; 128];
+    let mut new = old.clone();
+    new[0] = 1;
+    wal.log_update(PageId(1), &old, &new).unwrap();
+    wal.commit().unwrap();
+    let end = wal.end_lsn();
+    drop(wal);
+    // Corrupt one byte in the middle of the committed record's body.
+    // Segment 0 lives in slot 0: header on device page 2, payload
+    // pages from 3.
+    let victim = PageId(3 + (end / 2) / 128);
+    let mut page = vec![0u8; 128];
+    disk.read_page(victim, &mut page).unwrap();
+    page[(end / 2 % 128) as usize] ^= 0xFF;
+    disk.write_page(victim, &page).unwrap();
+    let scan = scan_fresh(&*disk);
+    assert_eq!(scan.records.len(), 0, "checksum break stops the scan");
+    assert_eq!(scan.committed, 0);
+}
+
+#[test]
+fn commit_accounting_identity_holds_under_threads() {
+    let wal = Arc::new({
+        let disk = MemDisk::new(256);
+        Wal::attach(Box::new(disk)).unwrap()
+    });
+    let threads: Vec<_> = (0..4u64)
+        .map(|t| {
+            let wal = Arc::clone(&wal);
+            std::thread::spawn(move || {
+                let mut prev = vec![0u8; 256];
+                for i in 0..50u8 {
+                    let mut next = prev.clone();
+                    next[t as usize * 8] = i.wrapping_add(1);
+                    wal.log_update(PageId(t), &prev, &next).unwrap();
+                    wal.commit().unwrap();
+                    prev = next;
+                }
+            })
+        })
+        .collect();
+    for th in threads {
+        th.join().unwrap();
+    }
+    let s = wal.stats();
+    assert_eq!(s.commits, 200);
+    assert_eq!(s.commit_syncs + s.group_commits, s.commits, "exact commit accounting");
+    assert_eq!(s.syncs, s.commit_syncs + s.forced_syncs + s.checkpoint_syncs);
+    assert_eq!(wal.durable_lsn(), wal.end_lsn());
+}
+
+#[test]
+fn fuzzy_checkpoint_spares_the_open_transactions_records() {
+    let (disk, wal) = fresh_wal(128);
+    let old = vec![0u8; 128];
+    let mut v1 = old.clone();
+    v1[0] = 1;
+    // A committed transaction, fully flushed...
+    wal.log_update(PageId(1), &old, &v1).unwrap();
+    wal.commit().unwrap();
+    // ...then an open transaction whose record reaches the device.
+    let lsn = wal.log_update(PageId(2), &old, &v1).unwrap();
+    wal.make_durable(lsn).unwrap();
+    let fence = wal.end_lsn();
+    wal.checkpoint(fence).unwrap();
+    let s = wal.stats();
+    assert_eq!(s.checkpoints, 1);
+    assert_eq!(s.checkpoint_syncs, 2, "record flush + anchor rewrite");
+    assert_eq!(s.syncs, s.commit_syncs + s.forced_syncs + s.checkpoint_syncs);
+    drop(wal);
+
+    // The committed generation was truncated, but the open
+    // transaction's FirstMod pre-image survives for rollback, followed
+    // by the CheckpointBegin naming it.
+    let wal2 = Wal::attach(Box::new(Arc::clone(&disk))).unwrap();
+    let log = wal2.take_recovered().unwrap();
+    assert_eq!(log.committed, 0, "nothing at or above the horizon is committed");
+    assert_eq!(log.records.len(), 2);
+    assert!(matches!(&log.records[0],
+        WalRecord::FirstMod { page, txn, before, .. }
+        if *page == PageId(2) && *txn == 2 && before == &old));
+    assert!(matches!(&log.records[1],
+        WalRecord::Checkpoint { active, .. } if active.len() == 1 && active[0].0 == 2));
+}
+
+#[test]
+fn fuzzy_then_idle_checkpoint_truncates_everything() {
+    let (disk, wal) = fresh_wal(128);
+    let old = vec![0u8; 128];
+    let mut v1 = old.clone();
+    v1[3] = 3;
+    // Open transaction at checkpoint time: horizon pins to its first
+    // record (LSN 0), so the start cannot move at all.
+    wal.log_update(PageId(5), &old, &v1).unwrap();
+    wal.checkpoint(wal.end_lsn()).unwrap();
+    assert_eq!(wal.stats().checkpoints, 1);
+    // Commit closes the run; a second checkpoint moves `start` to the
+    // very end, so the whole log is logically empty.
+    wal.commit().unwrap();
+    wal.checkpoint(wal.end_lsn()).unwrap();
+    drop(wal);
+    let wal2 = Wal::attach(Box::new(Arc::clone(&disk))).unwrap();
+    assert!(wal2.take_recovered().is_none(), "truncated log has no records");
+    // Appending past the truncated prefix still works after the fuzzy
+    // interlude.
+    let mut v2 = v1.clone();
+    v2[4] = 4;
+    wal2.log_update(PageId(5), &v1, &v2).unwrap();
+    let end = wal2.commit().unwrap();
+    drop(wal2);
+    let wal3 = Wal::attach(Box::new(Arc::clone(&disk))).unwrap();
+    let log = wal3.take_recovered().unwrap();
+    assert_eq!(log.committed, 2);
+    assert_eq!(wal3.end_lsn(), end);
+}
+
+#[test]
+fn straddling_page_run_drags_the_horizon_down() {
+    let (disk, wal) = fresh_wal(128);
+    let old = vec![0u8; 128];
+    let mut v1 = old.clone();
+    v1[7] = 7;
+    let mut v2 = v1.clone();
+    v2[8] = 8;
+    // FirstMod below the fence, Delta above it, then a commit: the
+    // fixpoint must refuse to orphan the Delta and keep everything.
+    wal.log_update(PageId(7), &old, &v1).unwrap();
+    let fence = wal.end_lsn();
+    wal.log_update(PageId(7), &v1, &v2).unwrap();
+    wal.commit().unwrap();
+    wal.checkpoint(fence).unwrap();
+    drop(wal);
+    let wal2 = Wal::attach(Box::new(Arc::clone(&disk))).unwrap();
+    let log = wal2.take_recovered().unwrap();
+    assert_eq!(log.committed, 3, "FirstMod + Delta + Commit all survive");
+    assert!(
+        matches!(&log.records[0], WalRecord::FirstMod { page, .. } if *page == PageId(7)),
+        "the pre-image stayed below the horizon"
+    );
+}
+
+#[test]
+fn log_rolls_over_into_new_segments() {
+    // seg_pages = 2 at ps = 128 leaves a single 128-byte payload page
+    // per segment, so every commit straddles several rollovers.
+    let config = WalConfig { segment_pages: 2, flush_policy: FlushPolicy::Off };
+    let (disk, wal) = fresh_wal_with(128, config);
+    let old = vec![0u8; 128];
+    let mut new = old.clone();
+    new[9] = 9;
+    for _ in 0..8 {
+        wal.log_update(PageId(9), &old, &new).unwrap();
+        wal.commit().unwrap();
+    }
+    let s = wal.stats();
+    assert!(s.segments_created >= 6, "tiny segments must force rollovers: {s:?}");
+    let end = wal.end_lsn();
+    drop(wal);
+    // A fresh attach reads seg_pages back from the anchor, walks the
+    // segment map, and finds every committed record.
+    let wal2 = Wal::attach(Box::new(Arc::clone(&disk))).unwrap();
+    let log = wal2.take_recovered().unwrap();
+    assert_eq!(log.committed, 16, "8 FirstMods + 8 Commits span the segment chain");
+    assert_eq!(wal2.end_lsn(), end);
+}
+
+#[test]
+fn checkpoint_retires_whole_segments_and_recycles_their_slots() {
+    let config = WalConfig { segment_pages: 2, flush_policy: FlushPolicy::Off };
+    let (disk, wal) = fresh_wal_with(128, config);
+    let old = vec![0u8; 128];
+    let mut new = old.clone();
+    new[1] = 1;
+    for _ in 0..6 {
+        wal.log_update(PageId(4), &old, &new).unwrap();
+        wal.commit().unwrap();
+    }
+    wal.checkpoint(wal.end_lsn()).unwrap();
+    let s = wal.stats();
+    assert!(s.segments_retired >= 4, "segments wholly below start must retire: {s:?}");
+    // Keep writing through more checkpoints: retired slots are
+    // recycled, so the device ends up with fewer slots than segments
+    // ever created.
+    for _ in 0..6 {
+        wal.log_update(PageId(4), &old, &new).unwrap();
+        wal.commit().unwrap();
+        wal.checkpoint(wal.end_lsn()).unwrap();
+    }
+    let s2 = wal.stats();
+    assert!(s2.segments_created > s.segments_created, "the tail kept rolling over");
+    let device_slots = (disk.num_pages() - 2) / 2;
+    assert!(
+        device_slots < s2.segments_created,
+        "recycling must reuse slots: {} slots on device, {} segments created",
+        device_slots,
+        s2.segments_created
+    );
+}
+
+#[test]
+fn torn_anchor_write_falls_back_to_the_other_anchor() {
+    // Enough traffic for at least one rollover, then a checkpoint with
+    // fence 0: it rewrites the anchor (same map, same start) without
+    // retiring anything, so the two on-device anchors describe the
+    // same committed stream.
+    let config = WalConfig { segment_pages: 4, flush_policy: FlushPolicy::Off };
+    let (disk, wal) = fresh_wal_with(128, config);
+    let old = vec![0u8; 128];
+    let mut new = old.clone();
+    new[5] = 5;
+    for _ in 0..4 {
+        wal.log_update(PageId(8), &old, &new).unwrap();
+        wal.commit().unwrap();
+    }
+    wal.checkpoint(0).unwrap();
+    assert!(wal.stats().segments_created >= 2, "need at least one rollover");
+    drop(wal);
+
+    // Torch the page holding the *newest* anchor, as a torn anchor
+    // rewrite would: recovery must fall back to the older twin.
+    let best = segments::read_best_anchor(&*disk).unwrap();
+    disk.write_page(PageId(best.seq & 1), &[0xAA; 128]).unwrap();
+
+    let wal2 = Wal::attach(Box::new(Arc::clone(&disk))).unwrap();
+    let log = wal2.take_recovered().unwrap();
+    assert_eq!(log.committed, 8, "the fallback anchor still maps every segment");
+    // The survivor is fully operational: new appends commit and
+    // survive yet another attach.
+    wal2.log_update(PageId(8), &new, &old).unwrap();
+    let end = wal2.commit().unwrap();
+    drop(wal2);
+    let wal3 = Wal::attach(Box::new(Arc::clone(&disk))).unwrap();
+    assert_eq!(wal3.end_lsn(), end);
+    assert_eq!(wal3.take_recovered().unwrap().committed, 10);
+}
+
+#[test]
+fn full_segment_map_reports_a_clean_error() {
+    // ps = 128 caps the anchor at (128 - 48) / 4 = 20 slots; with
+    // 128-byte segments and no checkpoints the map must fill up.
+    let config = WalConfig { segment_pages: 2, flush_policy: FlushPolicy::Off };
+    let (_d, wal) = fresh_wal_with(128, config);
+    let old = vec![0u8; 128];
+    let mut new = old.clone();
+    new[2] = 2;
+    let mut hit = None;
+    for _ in 0..200 {
+        if let Err(e) = wal.log_update(PageId(3), &old, &new).and_then(|_| wal.commit()) {
+            hit = Some(e);
+            break;
+        }
+    }
+    match hit {
+        Some(Error::InvalidArgument(msg)) => {
+            assert!(msg.contains("segment map full"), "unexpected message: {msg}")
+        }
+        other => panic!("expected a segment-map-full error, got {other:?}"),
+    }
+}
+
+#[test]
+fn background_flusher_drains_ahead_of_commit() {
+    let config = WalConfig {
+        segment_pages: 4,
+        flush_policy: FlushPolicy::Background { watermark_bytes: 64 },
+    };
+    let disk = Arc::new(MemDisk::new(128));
+    let wal = Arc::new(Wal::attach_with(Box::new(Arc::clone(&disk)), config).unwrap());
+    let runner = {
+        let wal = Arc::clone(&wal);
+        std::thread::spawn(move || wal.flusher_run())
+    };
+    let old = vec![0u8; 128];
+    let mut new = old.clone();
+    new[6] = 6;
+    for _ in 0..4 {
+        wal.log_update(PageId(6), &old, &new).unwrap();
+    }
+    // Each append crossed the 64-byte watermark, so the flusher was
+    // woken; wait for it to drain at least once.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while wal.stats().flusher_writes == 0 {
+        assert!(std::time::Instant::now() < deadline, "flusher never drained the buffer");
+        std::thread::yield_now();
+    }
+    assert!(wal.stats().flusher_bytes > 0);
+    // Commit still waits for its own durability (the flusher never
+    // syncs), and the sync ledger stays exact.
+    let end = wal.commit().unwrap();
+    assert_eq!(wal.durable_lsn(), end, "commit returns only once durable");
+    let s = wal.stats();
+    assert_eq!(s.syncs, s.commit_syncs + s.forced_syncs + s.checkpoint_syncs);
+    wal.flusher_stop();
+    runner.join().unwrap();
+    drop(wal);
+    let wal2 = Wal::attach(Box::new(Arc::clone(&disk))).unwrap();
+    let log = wal2.take_recovered().unwrap();
+    assert_eq!(log.committed, 5, "FirstMod + three Deltas + Commit all recovered");
+}
+
+#[test]
+fn double_rollover_in_one_flush_pre_syncs_the_anchor() {
+    // seg_pages = 2 at ps = 128: a single 211-byte commit flush spans
+    // segments 0 and 1, so two anchor rewrites happen inside one
+    // flush.  The second lands on the page of the only durable anchor
+    // (parities alternate) and must be preceded by a guard sync —
+    // otherwise a torn write there, with the first rollover's anchor
+    // never destaged, would leave no usable anchor at all.
+    let config = WalConfig { segment_pages: 2, flush_policy: FlushPolicy::Off };
+    let (disk, wal) = fresh_wal_with(128, config);
+    let old = vec![0u8; 128];
+    let mut new = old.clone();
+    new[9] = 9;
+    wal.log_update(PageId(9), &old, &new).unwrap();
+    let end = wal.commit().unwrap();
+    let s = wal.stats();
+    assert_eq!(s.segments_created, 2, "the flush must straddle one rollover: {s:?}");
+    assert_eq!(
+        (s.commit_syncs, s.forced_syncs, s.syncs),
+        (1, 1, 2),
+        "the second rollover's anchor guard must sync once, attributed as forced: {s:?}"
+    );
+    assert_eq!(s.syncs, s.commit_syncs + s.forced_syncs + s.checkpoint_syncs);
+    assert_eq!(wal.durable_lsn(), end);
+    drop(wal);
+    let scan = scan_fresh(&*disk);
+    assert_eq!(scan.committed, 2, "FirstMod + Commit recovered across the rollovers");
+}
+
+#[test]
+fn kill_at_every_write_with_tiny_segments_keeps_every_durable_commit() {
+    use crate::disk::MemDisk;
+    use crate::faulty::{CrashPlan, FaultClock, FaultPlan, FaultyDisk};
+    // seg_pages = 2 at ps = 128: every commit's flush crosses one or
+    // more rollovers, so anchor rewrites outnumber syncs — the
+    // geometry where an unsynced rollover anchor write can land on
+    // the page holding the only durable anchor.  Kill the machine at
+    // every global write index, torn and clean, across persistence
+    // seeds: whatever survives, a reattach must find an intact
+    // anchor mapping every commit that returned before the cut.
+    const COMMITS: usize = 6;
+    let config = WalConfig { segment_pages: 2, flush_policy: FlushPolicy::Off };
+    let old = vec![0u8; 128];
+    for torn in [0usize, 1] {
+        for seed in [1u64, 7, 23, 41] {
+            let mut crash_at = 0u64;
+            loop {
+                let mem = Arc::new(MemDisk::new(128));
+                let clock = FaultClock::new();
+                let faulty = Arc::new(FaultyDisk::with_clock(
+                    Arc::clone(&mem),
+                    FaultPlan::default(),
+                    Arc::clone(&clock),
+                ));
+                let wal = Wal::attach_with(Box::new(Arc::clone(&faulty)), config).unwrap();
+                // The clock counts from device creation, so index the
+                // sweep past the writes the attach already consumed.
+                let base = faulty.writes_attempted();
+                clock.arm_crash(CrashPlan {
+                    crash_at_write: Some(base + crash_at),
+                    torn_sectors: torn,
+                    sector_bytes: 32,
+                    persist_seed: seed,
+                    ..CrashPlan::default()
+                });
+                let mut survived = 0usize;
+                for i in 0..COMMITS {
+                    let mut img = old.clone();
+                    img[i] = i as u8 + 1;
+                    let res =
+                        wal.log_update(PageId(i as u64), &old, &img).and_then(|_| wal.commit());
+                    match res {
+                        Ok(_) => survived = i + 1,
+                        Err(_) => break,
+                    }
+                }
+                let done = !clock.crashed();
+                drop(wal);
+                faulty.settle_crash();
+                if done {
+                    break; // crash index past the whole workload: sweep over
+                }
+                let ctx = format!("crash at write {crash_at} (torn {torn}, seed {seed})");
+                let wal2 = Wal::attach(Box::new(Arc::clone(&mem)))
+                    .unwrap_or_else(|e| panic!("{ctx}: reattach failed: {e:?}"));
+                let committed = wal2.take_recovered().map_or(0, |log| log.committed);
+                assert!(
+                    committed >= 2 * survived,
+                    "{ctx}: {survived} commits returned but only {committed} committed \
+                     records recovered — a durable anchor was destroyed"
+                );
+                assert_eq!(committed % 2, 0, "{ctx}: half a transaction recovered");
+                crash_at += 1;
+            }
+        }
+    }
+}
+
+#[test]
+fn checkpoint_relieves_a_full_segment_map() {
+    // ps = 128 caps the anchor map at 20 slots; distinct pages keep
+    // every FirstMod run short, so nothing pins the horizon.  Fill
+    // the map until an append wedges on "segment map full" with the
+    // failed commit's bytes stuck in the pending backlog — then a
+    // checkpoint must retire the flushed segments *before* its own
+    // record flush, drain the backlog into the freed slots, and
+    // leave the log fully operational.
+    let config = WalConfig { segment_pages: 2, flush_policy: FlushPolicy::Off };
+    let (disk, wal) = fresh_wal_with(128, config);
+    let old = vec![0u8; 128];
+    let mut wedged = false;
+    for i in 0..200u64 {
+        let mut img = old.clone();
+        img[(i % 128) as usize] = 1;
+        if wal.log_update(PageId(i), &old, &img).and_then(|_| wal.commit()).is_err() {
+            wedged = true;
+            break;
+        }
+    }
+    assert!(wedged, "the tiny anchor map must fill up");
+    // Pre-fix, this checkpoint died on the very map-full error it was
+    // advised to fix: its record flush ran before any retirement.
+    wal.checkpoint(wal.end_lsn()).expect("checkpoint must relieve the full map");
+    let s = wal.stats();
+    assert!(s.segments_retired > 0, "relief must retire segments: {s:?}");
+    // The log is unwedged: fresh commits append and survive attach.
+    for i in 0..4u64 {
+        let mut img = old.clone();
+        img[1] = i as u8 + 1;
+        wal.log_update(PageId(1000 + i), &old, &img).unwrap();
+        wal.commit().unwrap();
+    }
+    let s = wal.stats();
+    assert_eq!(s.syncs, s.commit_syncs + s.forced_syncs + s.checkpoint_syncs);
+    drop(wal);
+    let scan = scan_fresh(&*disk);
+    assert_eq!(scan.committed, 8, "the four post-relief commits all recovered");
+}

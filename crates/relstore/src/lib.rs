@@ -19,9 +19,9 @@
 //!   query plan in the paper (RI-tree, Tile Index, IST, MAP21); rows stream
 //!   into the caller's sink ([`Database::execute_with`]) with nothing
 //!   materialized in between;
-//! * [`par`] — the concurrent query façade: independent read plans fan out
-//!   over scoped worker threads ([`Database::execute_parallel`]), scaling
-//!   with the buffer pool's lock striping;
+//! * [`par`] — the fan-out scaffold ([`fan_out`]): independent statements
+//!   run over scoped worker threads, scaling with the buffer pool's lock
+//!   striping;
 //! * [`explain`] — renders plans in the style of the paper's Figure 10.
 //!
 //! Everything is measured: each operator run reports rows examined, and all
@@ -40,7 +40,7 @@ pub use access::IntervalAccessMethod;
 pub use catalog::{Database, IndexDef, TableDef};
 pub use exec::{BoundExpr, ExecStats, Plan, Predicate, Row};
 pub use heap::{Heap, RowId};
-pub use par::{fan_out, PlanResult, Statement, StatementOutcome};
+pub use par::fan_out;
 pub use sql::SqlResult;
 pub use table::Table;
 

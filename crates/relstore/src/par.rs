@@ -1,5 +1,5 @@
-//! Concurrent statement façade: execute independent plans — and, since
-//! PR 3, writes — from multiple threads.
+//! Fan-out scaffold: run independent statements — reads and writes —
+//! from multiple threads.
 //!
 //! The paper's setting delegates all locking to the host RDBMS; in this
 //! reproduction every structure below the executor is internally
@@ -7,59 +7,12 @@
 //! its reader-writer lock, the heap by its meta-page latch, the B-link
 //! trees by per-node write latches (their readers are latch-free) — so
 //! *independent* statements can run concurrently with no coordination
-//! beyond a scoped thread join.
-//!
-//! [`Database::execute_parallel`] fans out a read-only plan batch;
-//! [`Database::execute_mixed`] does the same for a mixed batch of
-//! queries, row inserts and row deletes ([`Statement`]).  Both partition
-//! the batch over a bounded number of worker threads, execute each
-//! statement exactly as the sequential API would, and return results in
-//! input order.  Single-statement or single-thread calls take the
-//! sequential path, so the façade adds no overhead (and no
-//! nondeterminism) to the paper's single-threaded figure experiments.
-
-use crate::catalog::Database;
-use crate::exec::{ExecStats, Plan, Row};
-use crate::heap::RowId;
-use ri_pagestore::Result;
-use std::collections::HashMap;
-
-/// Result of one plan in a parallel batch: the rows it produced plus the
-/// executor counters it accumulated.
-pub type PlanResult = (Vec<Row>, ExecStats);
-
-/// One statement of a mixed read/write batch for
-/// [`Database::execute_mixed`].
-#[derive(Clone, Debug)]
-pub enum Statement {
-    /// A read-only query plan.
-    Query(Plan),
-    /// Insert `row` into `table`, maintaining all of its indexes.
-    Insert {
-        /// Target table name.
-        table: String,
-        /// Column values in storage order.
-        row: Row,
-    },
-    /// Delete the row `rid` from `table`, maintaining all of its indexes.
-    Delete {
-        /// Target table name.
-        table: String,
-        /// Row id, as returned by the insert or found via an index.
-        rid: RowId,
-    },
-}
-
-/// Outcome of one [`Statement`], in batch order.
-#[derive(Clone, Debug)]
-pub enum StatementOutcome {
-    /// Rows and executor counters of a [`Statement::Query`].
-    Rows(Vec<Row>, ExecStats),
-    /// Row id assigned by a [`Statement::Insert`].
-    Inserted(RowId),
-    /// Whether a [`Statement::Delete`] found a live row.
-    Deleted(bool),
-}
+//! beyond a scoped thread join.  [`fan_out`] is that join: it partitions
+//! a batch over a bounded number of worker threads, runs the caller's
+//! closure on each item exactly as a sequential loop would, and returns
+//! the results in input order.  Single-item or single-thread calls take
+//! the sequential path, so it adds no overhead (and no nondeterminism) to
+//! the paper's single-threaded figure experiments.
 
 /// Fans `items` out over at most `threads` worker threads in contiguous
 /// chunks, applying `f` to each and returning the outputs **in input
@@ -67,8 +20,8 @@ pub enum StatementOutcome {
 /// sequentially on the caller's thread; a panicking worker propagates its
 /// panic after all workers are joined.
 ///
-/// This is the one fan-out scaffold behind [`Database::execute_parallel`],
-/// [`Database::execute_mixed`], and `RiTree::insert_batch`.
+/// This is the one fan-out scaffold behind `RiTree::insert_batch`,
+/// `RiTree::intersection_batch_at` and the concurrency benches.
 pub fn fan_out<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -96,89 +49,12 @@ where
     slots.into_iter().map(|s| s.expect("every chunk was executed")).collect()
 }
 
-impl Database {
-    /// Executes every plan in `plans`, fanning the batch out over at most
-    /// `threads` worker threads, and returns per-plan results **in input
-    /// order**.
-    ///
-    /// Plans are distributed in contiguous chunks; each worker executes its
-    /// chunk sequentially with its own [`ExecStats`].  The first error
-    /// encountered (in input order) is returned; a panicking worker
-    /// propagates its panic after all workers have been joined.
-    ///
-    /// With `threads <= 1` or a single plan this degenerates to plain
-    /// sequential [`Database::execute`] calls on the caller's thread.
-    pub fn execute_parallel(&self, plans: &[Plan], threads: usize) -> Result<Vec<PlanResult>> {
-        fan_out(plans, threads, |plan| self.run_one(plan)).into_iter().collect()
-    }
-
-    /// Executes a mixed batch of queries, inserts and deletes, fanning it
-    /// out over at most `threads` worker threads; outcomes are returned
-    /// **in input order**.
-    ///
-    /// Statements are distributed in contiguous chunks exactly like
-    /// [`Database::execute_parallel`].  Writes in the batch rely on the
-    /// engine's internal synchronization (heap meta latch, B-link
-    /// per-node latches), so no statement needs to know about any other; but as
-    /// with any concurrent DML, the *interleaving* of independent
-    /// statements is scheduler-chosen — callers that need a specific
-    /// order must put the dependent statements in one chunk or run
-    /// sequentially.
-    pub fn execute_mixed(
-        &self,
-        stmts: &[Statement],
-        threads: usize,
-    ) -> Result<Vec<StatementOutcome>> {
-        // Resolve each referenced table once for the whole batch (a
-        // handle per statement would re-open the heap and every index —
-        // redundant meta-page reads that would also pollute the I/O
-        // counters the deterministic benches trace).
-        let mut tables: HashMap<&str, crate::table::Table> = HashMap::new();
-        for stmt in stmts {
-            if let Statement::Insert { table, .. } | Statement::Delete { table, .. } = stmt {
-                if !tables.contains_key(table.as_str()) {
-                    tables.insert(table, self.table(table)?);
-                }
-            }
-        }
-        fan_out(stmts, threads, |stmt| self.run_stmt(stmt, &tables)).into_iter().collect()
-    }
-
-    fn run_stmt(
-        &self,
-        stmt: &Statement,
-        tables: &HashMap<&str, crate::table::Table>,
-    ) -> Result<StatementOutcome> {
-        let resolved = |name: &String| {
-            tables.get(name.as_str()).expect("every referenced table was resolved up front")
-        };
-        match stmt {
-            Statement::Query(plan) => {
-                let (rows, stats) = self.run_one(plan)?;
-                Ok(StatementOutcome::Rows(rows, stats))
-            }
-            Statement::Insert { table, row } => {
-                Ok(StatementOutcome::Inserted(resolved(table).insert(row)?))
-            }
-            Statement::Delete { table, rid } => {
-                Ok(StatementOutcome::Deleted(resolved(table).delete(*rid)?))
-            }
-        }
-    }
-
-    fn run_one(&self, plan: &Plan) -> Result<PlanResult> {
-        let mut stats = ExecStats::default();
-        let rows = self.execute(plan, &mut stats)?;
-        Ok((rows, stats))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::{IndexDef, TableDef};
-    use crate::exec::BoundExpr;
-    use ri_pagestore::{BufferPool, BufferPoolConfig, MemDisk};
+    use crate::catalog::{Database, IndexDef, TableDef};
+    use crate::exec::{BoundExpr, ExecStats, Plan, Row};
+    use ri_pagestore::{BufferPool, BufferPoolConfig, MemDisk, Result};
     use std::sync::Arc;
 
     fn setup(shards: usize) -> Database {
@@ -207,21 +83,21 @@ mod tests {
         }
     }
 
+    fn run(db: &Database, plan: &Plan) -> Result<(Vec<Row>, ExecStats)> {
+        let mut stats = ExecStats::default();
+        let rows = db.execute(plan, &mut stats)?;
+        Ok((rows, stats))
+    }
+
     #[test]
     fn parallel_matches_sequential_in_order() {
         for shards in [1, 4] {
             let db = setup(shards);
             let plans: Vec<Plan> = (0..10).map(scan_plan).collect();
-            let sequential = db.execute_parallel(&plans, 1).unwrap();
-            for threads in [2, 3, 4, 16] {
-                let parallel = db.execute_parallel(&plans, threads).unwrap();
-                assert_eq!(parallel.len(), sequential.len());
-                for (i, ((rows_p, stats_p), (rows_s, stats_s))) in
-                    parallel.iter().zip(sequential.iter()).enumerate()
-                {
-                    assert_eq!(rows_p, rows_s, "plan {i} rows diverged at {threads} threads");
-                    assert_eq!(stats_p, stats_s, "plan {i} stats diverged at {threads} threads");
-                }
+            let sequential: Vec<_> = plans.iter().map(|p| run(&db, p).unwrap()).collect();
+            for threads in [1, 2, 8] {
+                let parallel = fan_out(&plans, threads, |p| run(&db, p).unwrap());
+                assert_eq!(parallel, sequential, "rows or stats diverged at {threads} threads");
             }
         }
     }
@@ -229,7 +105,7 @@ mod tests {
     #[test]
     fn empty_batch_is_fine() {
         let db = setup(1);
-        assert!(db.execute_parallel(&[], 8).unwrap().is_empty());
+        assert!(fan_out(&[], 8, |p| run(&db, p)).is_empty());
     }
 
     #[test]
@@ -237,53 +113,33 @@ mod tests {
         let db = setup(2);
         let bad = Plan::TableScan { table: "NO_SUCH_TABLE".into() };
         let plans = vec![scan_plan(1), bad, scan_plan(2)];
-        assert!(db.execute_parallel(&plans, 3).is_err());
+        let results = fan_out(&plans, 3, |p| run(&db, p));
+        assert!(results[0].is_ok() && results[1].is_err() && results[2].is_ok());
+        assert!(results.into_iter().collect::<Result<Vec<_>>>().is_err());
     }
 
     #[test]
     fn mixed_batch_inserts_queries_and_deletes() {
         for threads in [1, 4] {
             let db = setup(4);
+            let t = db.table("T").unwrap();
             // 40 concurrent inserts...
-            let inserts: Vec<Statement> = (0..40i64)
-                .map(|i| Statement::Insert { table: "T".into(), row: vec![100, 9000 + i, i] })
-                .collect();
-            let outcomes = db.execute_mixed(&inserts, threads).unwrap();
-            let rids: Vec<_> = outcomes
-                .iter()
-                .map(|o| match o {
-                    StatementOutcome::Inserted(rid) => *rid,
-                    other => panic!("expected Inserted, got {other:?}"),
-                })
-                .collect();
-            // ...visible to a query in the same facade...
-            let q = Statement::Query(scan_plan(100));
-            let mixed: Vec<Statement> = rids
-                .iter()
-                .take(10)
-                .map(|&rid| Statement::Delete { table: "T".into(), rid })
-                .chain(std::iter::once(q))
-                .collect();
-            let outcomes = db.execute_mixed(&mixed, threads).unwrap();
-            for o in &outcomes[..10] {
-                assert!(matches!(o, StatementOutcome::Deleted(true)), "{o:?}");
-            }
-            let StatementOutcome::Rows(rows, _) = &outcomes[10] else {
-                panic!("expected Rows");
-            };
+            let rows: Vec<Row> = (0..40i64).map(|i| vec![100, 9000 + i, i]).collect();
+            let rids = fan_out(&rows, threads, |row| t.insert(row).unwrap());
+            // ...then ten deletes racing one query over the inserted key:
+            // `Some(rid)` deletes, `None` counts the rows of key 100.
+            let mixed: Vec<_> = rids.iter().take(10).map(|&rid| Some(rid)).chain([None]).collect();
+            let outcomes = fan_out(&mixed, threads, |stmt| match stmt {
+                Some(rid) => usize::from(t.delete(*rid).unwrap()),
+                None => run(&db, &scan_plan(100)).unwrap().0.len(),
+            });
+            assert!(outcomes[..10].iter().all(|&deleted| deleted == 1), "{outcomes:?}");
             // The query ran concurrently with the deletes: it sees between
             // 30 (all deletes applied first) and 40 rows for key 100.
-            assert!((30..=40).contains(&rows.len()), "saw {} rows", rows.len());
-            // ...and a second delete of the same rows reports false.
-            let again: Vec<Statement> = rids
-                .iter()
-                .take(10)
-                .map(|&rid| Statement::Delete { table: "T".into(), rid })
-                .collect();
-            for o in db.execute_mixed(&again, threads).unwrap() {
-                assert!(matches!(o, StatementOutcome::Deleted(false)), "{o:?}");
-            }
-            let t = db.table("T").unwrap();
+            assert!((30..=40).contains(&outcomes[10]), "saw {} rows", outcomes[10]);
+            // A second delete of the same rows reports false.
+            let again = fan_out(&rids[..10], threads, |&rid| t.delete(rid).unwrap());
+            assert!(again.iter().all(|&deleted| !deleted));
             assert_eq!(t.row_count().unwrap(), 400 + 30);
         }
     }

@@ -45,14 +45,13 @@
 //! Readers and writers both scale across threads: the buffer pool is
 //! lock-striped, the B+-trees are **B-link trees** (readers descend with
 //! no latches at all; writers latch one node at a time and splits never
-//! exclude anyone), and the relational layer exposes batch façades —
-//! [`relstore::Database::execute_parallel`] /
-//! [`core::RiTree::intersection_batch`] for reads,
-//! [`relstore::Database::execute_mixed`] / [`core::RiTree::insert_batch`]
-//! for mixed and write batches.  Single-threaded use stays deterministic:
-//! the page-access sequence is pinned by golden counters, so every figure
-//! of the paper is exactly reproducible.  See ARCHITECTURE.md for the
-//! B-link protocol.
+//! exclude anyone), and the RI-tree exposes batch façades over one
+//! fan-out scaffold ([`relstore::fan_out`]):
+//! [`core::RiTree::intersection_batch`] for reads and
+//! [`core::RiTree::insert_batch`] for writes.  Single-threaded use stays
+//! deterministic: the page-access sequence is pinned by golden counters,
+//! so every figure of the paper is exactly reproducible.  See
+//! ARCHITECTURE.md for the B-link protocol.
 //!
 //! ## Durability
 //!

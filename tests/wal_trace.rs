@@ -1,0 +1,404 @@
+//! Log-device trace golden: for one fixed single-threaded script, every
+//! write, allocation and sync the log device receives — in order, with
+//! the bytes written — must not move when the log's code is reorganised.
+//!
+//! [`RecordingDisk`] sits under the log and folds each `(op, page id,
+//! FNV of bytes)` into a running hash; after every step of the script
+//! the hash, the operation count and the full [`WalSnapshot`] are
+//! compared with the table below.  The script runs `FlushPolicy::Off`
+//! (no flusher thread, so the sequence is exact) with 128-byte pages and
+//! 3-page segments — 256 stream bytes per segment, 20 map entries per
+//! anchor — and covers: small and page-spanning transactions, single
+//! rollovers, a double rollover inside one flush (the anchor-guard
+//! pre-sync), a quiescent checkpoint, a fuzzy checkpoint with an open
+//! transaction, a wedged full segment map and the checkpoint pass that
+//! relieves it, a crash with an uncommitted tail on both devices, and
+//! reopen + `recover`.
+//!
+//! The constants were captured at the commit *before* `wal.rs` became the
+//! `wal/` module (PR 16) and pin that the split changed no format, added
+//! no sync and reordered no write.  Sibling of `tests/read_path_trace.rs`
+//! and `tests/pool_determinism.rs`.
+
+use ri_tree::pagestore::{
+    BufferPool, BufferPoolConfig, DiskManager, Error, FlushPolicy, MemDisk, PageId, RecoveryReport,
+    Result, WalConfig, WalSnapshot,
+};
+use std::sync::{Arc, Mutex};
+
+const PS: usize = 128;
+const CONFIG: WalConfig = WalConfig { segment_pages: 3, flush_policy: FlushPolicy::Off };
+
+/// What one step of the script left behind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Step {
+    label: &'static str,
+    /// Writes + allocations + syncs the log device has seen so far.
+    ops: u64,
+    /// Running FNV-1a over every `(op, page id, FNV of bytes)` so far.
+    trace: u64,
+    /// The `WalSnapshot` fields, in declaration order.
+    snap: [u64; 14],
+}
+
+#[rustfmt::skip]
+const GOLDEN_STEPS: &[Step] = &[
+    Step { label: "attach (fresh device)", ops: 4, trace: 0x73dbc570afb85648, snap: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] },
+    Step { label: "small txn, first rollover", ops: 12, trace: 0x8dbf402d25f8b56e, snap: [1, 211, 1, 1, 0, 0, 0, 1, 0, 2, 0, 0, 1, 0] },
+    Step { label: "delta txn, second rollover", ops: 20, trace: 0xf77fe64e0e85a4a0, snap: [2, 294, 2, 2, 0, 0, 0, 2, 0, 4, 0, 0, 2, 0] },
+    Step { label: "page-spanning txn, double rollover in one flush", ops: 37, trace: 0x19d6cde50220a841, snap: [5, 853, 3, 3, 0, 1, 0, 4, 0, 9, 0, 0, 4, 0] },
+    Step { label: "quiescent checkpoint", ops: 40, trace: 0x32c6869342ba8257, snap: [5, 853, 3, 3, 0, 1, 2, 6, 1, 9, 0, 0, 4, 3] },
+    Step { label: "txn after truncation (fresh FirstMod, recycled slot)", ops: 46, trace: 0x95eecd94e68d450c, snap: [6, 1064, 4, 4, 0, 1, 2, 7, 1, 12, 0, 0, 5, 3] },
+    Step { label: "fuzzy checkpoint with an open transaction", ops: 56, trace: 0x174f443d4124e51b, snap: [7, 1287, 4, 4, 0, 2, 4, 10, 2, 16, 0, 0, 6, 4] },
+    Step { label: "open transaction commits", ops: 58, trace: 0x53aa3438da7911f6, snap: [8, 1370, 5, 5, 0, 2, 4, 11, 2, 17, 0, 0, 6, 4] },
+    Step { label: "write-back pass while filling the map", ops: 107, trace: 0x6da463e4486d0119, snap: [15, 2847, 12, 12, 0, 2, 4, 18, 2, 35, 0, 0, 12, 4] },
+    Step { label: "commit wedged on a full segment map", ops: 223, trace: 0xb36c420e55fb2cd1, snap: [31, 6223, 28, 27, 0, 2, 4, 33, 2, 76, 0, 0, 24, 4] },
+    Step { label: "checkpoint relieves the full map", ops: 233, trace: 0xf49059fb8beeee38, snap: [31, 6256, 28, 27, 0, 2, 7, 36, 3, 79, 0, 0, 25, 11] },
+    Step { label: "page-spanning txn after relief", ops: 240, trace: 0x0812e2a685edc5a5, snap: [33, 6641, 29, 28, 0, 2, 7, 37, 3, 83, 0, 0, 26, 11] },
+    Step { label: "uncommitted tail written back", ops: 250, trace: 0xc403b4ddcf817759, snap: [35, 6989, 29, 28, 0, 4, 7, 39, 3, 87, 0, 0, 28, 11] },
+    Step { label: "reopen + recover", ops: 253, trace: 0x42c779d0380ec66f, snap: [0, 0, 0, 0, 0, 0, 2, 2, 1, 0, 0, 0, 0, 14] },
+];
+
+const GOLDEN_LOG_IMAGE_HASH: u64 = 0x8646_8be1_4ae0_ffaf;
+const GOLDEN_DATA_IMAGE_HASH: u64 = 0x8538_75e4_0151_15f7;
+const GOLDEN_REPORT: RecoveryReport = RecoveryReport {
+    records_scanned: 38,
+    committed_records: 36,
+    tail_records: 2,
+    commits: 17,
+    pages_redone: 18,
+    pages_rolled_back: 2,
+    txns_rolled_back: 1,
+};
+
+const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fnv1a(h: u64, v: u64) -> u64 {
+    (h ^ v).wrapping_mul(0x100_0000_01b3)
+}
+
+fn fnv_bytes(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(FNV_SEED, |h, &b| fnv1a(h, u64::from(b)))
+}
+
+const OP_WRITE: u64 = 1;
+const OP_ALLOCATE: u64 = 2;
+const OP_SYNC: u64 = 3;
+
+#[derive(Default)]
+struct Trace {
+    ops: u64,
+    hash: u64,
+    /// Operations since the last step, printed when a step drifts.
+    recent: Vec<(u64, u64, u64)>,
+}
+
+/// A `MemDisk` that records every mutation it is asked to perform.
+struct RecordingDisk {
+    inner: MemDisk,
+    trace: Mutex<Trace>,
+}
+
+impl RecordingDisk {
+    fn new() -> Self {
+        let trace = Trace { hash: FNV_SEED, ..Trace::default() };
+        RecordingDisk { inner: MemDisk::new(PS), trace: Mutex::new(trace) }
+    }
+
+    fn record(&self, op: u64, page: u64, bytes: u64) {
+        let mut t = self.trace.lock().unwrap();
+        t.ops += 1;
+        t.hash = [op, page, bytes].into_iter().fold(t.hash, fnv1a);
+        t.recent.push((op, page, bytes));
+    }
+}
+
+impl DiskManager for RecordingDisk {
+    fn page_size(&self) -> usize {
+        self.inner.page_size()
+    }
+    fn num_pages(&self) -> u64 {
+        self.inner.num_pages()
+    }
+    fn read_page(&self, id: PageId, buf: &mut [u8]) -> Result<()> {
+        self.inner.read_page(id, buf)
+    }
+    fn write_page(&self, id: PageId, buf: &[u8]) -> Result<()> {
+        self.record(OP_WRITE, id.raw(), fnv_bytes(buf));
+        self.inner.write_page(id, buf)
+    }
+    fn allocate_page(&self) -> Result<PageId> {
+        let id = self.inner.allocate_page()?;
+        self.record(OP_ALLOCATE, id.raw(), 0);
+        Ok(id)
+    }
+    fn sync(&self) -> Result<()> {
+        self.record(OP_SYNC, 0, 0);
+        self.inner.sync()
+    }
+}
+
+fn image_hash(disk: &dyn DiskManager) -> u64 {
+    let mut buf = vec![0u8; PS];
+    (0..disk.num_pages()).fold(FNV_SEED, |h, p| {
+        disk.read_page(PageId(p), &mut buf).unwrap();
+        fnv1a(h, fnv_bytes(&buf))
+    })
+}
+
+fn snap_fields(s: WalSnapshot) -> [u64; 14] {
+    // Exhaustive: a new counter must be added to the golden deliberately.
+    let WalSnapshot {
+        records,
+        record_bytes,
+        commits,
+        commit_syncs,
+        group_commits,
+        forced_syncs,
+        checkpoint_syncs,
+        syncs,
+        checkpoints,
+        log_page_writes,
+        flusher_writes,
+        flusher_bytes,
+        segments_created,
+        segments_retired,
+    } = s;
+    [
+        records,
+        record_bytes,
+        commits,
+        commit_syncs,
+        group_commits,
+        forced_syncs,
+        checkpoint_syncs,
+        syncs,
+        checkpoints,
+        log_page_writes,
+        flusher_writes,
+        flusher_bytes,
+        segments_created,
+        segments_retired,
+    ]
+}
+
+/// The script's view of the two devices plus what the committed state of
+/// every data page must be.
+struct Script {
+    log: Arc<RecordingDisk>,
+    data: Arc<MemDisk>,
+    pool: BufferPool,
+    /// Page images as of the last commit boundary.
+    committed: Vec<[u8; PS]>,
+    /// Page images including the open transaction's updates.
+    current: Vec<[u8; PS]>,
+    steps: Vec<Step>,
+}
+
+fn open_pool(log: &Arc<RecordingDisk>, data: &Arc<MemDisk>) -> BufferPool {
+    BufferPool::new_durable_with(
+        Arc::clone(data),
+        BufferPoolConfig::with_capacity(64),
+        Arc::clone(log),
+        CONFIG,
+    )
+    .unwrap()
+}
+
+impl Script {
+    fn wal_stats(&self) -> WalSnapshot {
+        self.pool.wal().unwrap().stats()
+    }
+
+    fn step(&mut self, label: &'static str) {
+        let mut t = self.log.trace.lock().unwrap();
+        let step = Step {
+            label,
+            ops: t.ops,
+            trace: t.hash,
+            snap: snap_fields(self.pool.wal().unwrap().stats()),
+        };
+        let ops = std::mem::take(&mut t.recent);
+        drop(t);
+        eprintln!(
+            "GOLDEN-WAL     Step {{ label: {:?}, ops: {}, trace: {:#018x}, snap: {:?} }},",
+            step.label, step.ops, step.trace, step.snap
+        );
+        if GOLDEN_STEPS.get(self.steps.len()) != Some(&step) {
+            eprintln!("  drifted; (op, page, bytes-hash) since the previous step: {ops:x?}");
+        }
+        self.steps.push(step);
+    }
+
+    fn new_page(&mut self) -> usize {
+        self.pool.allocate_page().unwrap();
+        self.committed.push([0; PS]);
+        self.current.push([0; PS]);
+        self.current.len() - 1
+    }
+
+    fn touch(&mut self, page: usize, off: usize, val: u8) {
+        self.pool.with_page_mut(PageId(page as u64), |d| d[off] = val).unwrap();
+        self.current[page][off] = val;
+    }
+
+    fn commit(&mut self) -> Result<u64> {
+        // The Commit record is appended even when making it durable
+        // fails, so the boundary holds either way.
+        self.committed = self.current.clone();
+        self.pool.wal().unwrap().commit()
+    }
+
+    /// `Database::checkpoint`, spelled out at pool level.
+    fn checkpoint(&mut self) {
+        let wal = self.pool.wal().unwrap();
+        let fence = wal.end_lsn();
+        self.pool.flush_all().unwrap();
+        wal.checkpoint(fence).unwrap();
+    }
+}
+
+#[test]
+fn log_device_trace_is_pinned() {
+    let log = Arc::new(RecordingDisk::new());
+    let data = Arc::new(MemDisk::new(PS));
+    let pool = open_pool(&log, &data);
+    let mut s = Script {
+        log: Arc::clone(&log),
+        data: Arc::clone(&data),
+        pool,
+        committed: Vec::new(),
+        current: Vec::new(),
+        steps: Vec::new(),
+    };
+    for _ in 0..40 {
+        s.new_page();
+    }
+    s.step("attach (fresh device)");
+
+    // A FirstMod + Commit: 211 bytes, opens segment 0.
+    s.touch(0, 5, 1);
+    s.commit().unwrap();
+    s.step("small txn, first rollover");
+
+    // A Delta + Commit: 83 bytes, crosses into segment 1 and rewrites the
+    // partial tail page with its already-written prefix.
+    s.touch(0, 6, 2);
+    s.commit().unwrap();
+    s.step("delta txn, second rollover");
+
+    // Three FirstMods + Commit: 559 bytes over segments 1..=3, so one
+    // flush rolls over twice and the second anchor write must pre-sync.
+    let before = s.wal_stats();
+    for (page, val) in [(1, 11), (2, 12), (3, 13)] {
+        s.touch(page, 9, val);
+    }
+    s.commit().unwrap();
+    let after = s.wal_stats();
+    assert_eq!(after.segments_created - before.segments_created, 2, "double rollover");
+    assert_eq!(after.forced_syncs - before.forced_syncs, 1, "anchor-guard pre-sync");
+    s.step("page-spanning txn, double rollover in one flush");
+
+    let before = s.wal_stats();
+    s.checkpoint();
+    let after = s.wal_stats();
+    assert_eq!(after.checkpoint_syncs - before.checkpoint_syncs, 2, "record flush + anchor");
+    assert_eq!(after.record_bytes, before.record_bytes, "quiescent: no CheckpointBegin");
+    assert!(after.segments_retired > before.segments_retired);
+    s.step("quiescent checkpoint");
+
+    s.touch(0, 7, 3);
+    s.commit().unwrap();
+    s.step("txn after truncation (fresh FirstMod, recycled slot)");
+
+    // An open transaction straddles the checkpoint: the write-back pass
+    // forces its record durable and its image onto the data device; the
+    // horizon stops at its first record and a CheckpointBegin names it.
+    s.touch(4, 1, 9);
+    let before = s.wal_stats();
+    s.checkpoint();
+    let after = s.wal_stats();
+    assert_eq!(after.forced_syncs - before.forced_syncs, 1, "WAL-before-data barrier");
+    assert!(after.record_bytes > before.record_bytes, "fuzzy: CheckpointBegin appended");
+    s.step("fuzzy checkpoint with an open transaction");
+    s.touch(4, 2, 10);
+    s.commit().unwrap();
+    s.step("open transaction commits");
+
+    // Fill the 20-entry segment map: one fresh page per transaction, so no
+    // page run straddles and pins the horizon.  The fence for the relief
+    // checkpoint is sampled honestly, before a write-back pass part-way.
+    let mut fence = None;
+    let mut wedged = None;
+    for page in 5..40 {
+        if page == 12 {
+            fence = Some(s.pool.wal().unwrap().end_lsn());
+            s.pool.flush_all().unwrap();
+            s.step("write-back pass while filling the map");
+        }
+        s.touch(page, 3, page as u8);
+        if let Err(e) = s.commit() {
+            wedged = Some(e);
+            break;
+        }
+    }
+    match wedged {
+        Some(Error::InvalidArgument(msg)) => assert!(msg.contains("segment map full"), "{msg}"),
+        other => panic!("the map must fill up, got {other:?}"),
+    }
+    s.step("commit wedged on a full segment map");
+
+    let before = s.wal_stats();
+    s.pool.wal().unwrap().checkpoint(fence.unwrap()).unwrap();
+    let after = s.wal_stats();
+    assert_eq!(after.checkpoint_syncs - before.checkpoint_syncs, 3, "relief pass syncs once more");
+    assert!(after.segments_retired > before.segments_retired);
+    s.step("checkpoint relieves the full map");
+
+    s.touch(1, 10, 21);
+    s.touch(2, 10, 22);
+    s.commit().unwrap();
+    s.step("page-spanning txn after relief");
+
+    // The crash: an uncommitted tail, forced onto both devices by a
+    // write-back pass, then the pool vanishes without its `Drop` flush.
+    s.touch(3, 10, 23);
+    s.touch(39, 0, 99);
+    s.pool.flush_all().unwrap();
+    s.step("uncommitted tail written back");
+    let Script { pool, committed, mut steps, .. } = s;
+    std::mem::forget(pool);
+
+    let pool = open_pool(&log, &data);
+    let report = pool.recover().unwrap().expect("the log has a tail to recover");
+    assert!(pool.recover().unwrap().is_none(), "recovery runs once");
+    let mut s = Script {
+        log,
+        data,
+        pool,
+        committed,
+        current: Vec::new(),
+        steps: std::mem::take(&mut steps),
+    };
+    s.step("reopen + recover");
+    assert!(report.pages_rolled_back >= 2 && report.txns_rolled_back == 1, "{report:?}");
+
+    // Not only pinned but right: the data device holds exactly the
+    // committed state.
+    let mut buf = vec![0u8; PS];
+    for (page, want) in s.committed.iter().enumerate() {
+        s.data.read_page(PageId(page as u64), &mut buf).unwrap();
+        assert_eq!(&buf[..], &want[..], "page {page} is not at its committed state");
+    }
+
+    let (log_image, data_image) = (image_hash(&*s.log), image_hash(&*s.data));
+    eprintln!("GOLDEN-WAL log_image: {log_image:#018x}, data_image: {data_image:#018x}");
+    eprintln!("GOLDEN-WAL {report:?}");
+    assert_eq!(s.steps.len(), GOLDEN_STEPS.len(), "the script's step list changed");
+    for (got, want) in s.steps.iter().zip(GOLDEN_STEPS) {
+        assert_eq!(got, want, "log-device trace drifted from the parent at {:?}", got.label);
+    }
+    assert_eq!(report, GOLDEN_REPORT, "recovery report drifted");
+    assert_eq!(log_image, GOLDEN_LOG_IMAGE_HASH, "final log device image drifted");
+    assert_eq!(data_image, GOLDEN_DATA_IMAGE_HASH, "final data device image drifted");
+}
