@@ -61,21 +61,46 @@ impl<D: DiskManager + ?Sized> DiskManager for std::sync::Arc<D> {
     }
 }
 
-/// Volatile block device backed by a `Vec` of boxed pages.
+/// Pages per [`MemDisk`] extent.
+const EXTENT_PAGES: usize = 512;
+
+/// Volatile block device backed by fixed-size extents of 512 pages each.
 ///
 /// This is what the experiments run on: physical I/O is counted by the
 /// buffer pool, while the device itself is deliberately simple and fast so
-/// figure regeneration stays laptop-scale.
+/// figure regeneration stays laptop-scale.  Extents rather than one
+/// allocation per page: a device of a few hundred thousand pages would
+/// otherwise spend an allocator header and a vector slot on each.
 pub struct MemDisk {
     page_size: usize,
-    pages: Mutex<Vec<Box<[u8]>>>,
+    inner: Mutex<MemDiskInner>,
+}
+
+#[derive(Default)]
+struct MemDiskInner {
+    /// Zero-initialised blocks of `EXTENT_PAGES * page_size` bytes; page
+    /// `p` lives in extent `p / EXTENT_PAGES`.
+    extents: Vec<Box<[u8]>>,
+    num_pages: u64,
+}
+
+impl MemDiskInner {
+    /// Where page `id` lives: its extent and byte range within it.
+    fn locate(&self, id: PageId, page_size: usize) -> Result<(usize, std::ops::Range<usize>)> {
+        if id.raw() >= self.num_pages {
+            return Err(Error::PageOutOfBounds { page: id.raw(), num_pages: self.num_pages });
+        }
+        let idx = id.raw() as usize;
+        let start = idx % EXTENT_PAGES * page_size;
+        Ok((idx / EXTENT_PAGES, start..start + page_size))
+    }
 }
 
 impl MemDisk {
     /// Creates an empty in-memory device with the given page size.
     pub fn new(page_size: usize) -> Self {
         assert!(page_size >= 64, "page size too small to be useful");
-        MemDisk { page_size, pages: Mutex::new(Vec::new()) }
+        MemDisk { page_size, inner: Mutex::new(MemDiskInner::default()) }
     }
 }
 
@@ -85,34 +110,33 @@ impl DiskManager for MemDisk {
     }
 
     fn num_pages(&self) -> u64 {
-        self.pages.lock().len() as u64
+        self.inner.lock().num_pages
     }
 
     fn read_page(&self, id: PageId, buf: &mut [u8]) -> Result<()> {
         debug_assert_eq!(buf.len(), self.page_size);
-        let pages = self.pages.lock();
-        let page = pages
-            .get(id.raw() as usize)
-            .ok_or(Error::PageOutOfBounds { page: id.raw(), num_pages: pages.len() as u64 })?;
-        buf.copy_from_slice(page);
+        let inner = self.inner.lock();
+        let (extent, range) = inner.locate(id, self.page_size)?;
+        buf.copy_from_slice(&inner.extents[extent][range]);
         Ok(())
     }
 
     fn write_page(&self, id: PageId, buf: &[u8]) -> Result<()> {
         debug_assert_eq!(buf.len(), self.page_size);
-        let mut pages = self.pages.lock();
-        let n = pages.len() as u64;
-        let page = pages
-            .get_mut(id.raw() as usize)
-            .ok_or(Error::PageOutOfBounds { page: id.raw(), num_pages: n })?;
-        page.copy_from_slice(buf);
+        let mut inner = self.inner.lock();
+        let (extent, range) = inner.locate(id, self.page_size)?;
+        inner.extents[extent][range].copy_from_slice(buf);
         Ok(())
     }
 
     fn allocate_page(&self) -> Result<PageId> {
-        let mut pages = self.pages.lock();
-        pages.push(vec![0u8; self.page_size].into_boxed_slice());
-        Ok(PageId(pages.len() as u64 - 1))
+        let mut inner = self.inner.lock();
+        let id = inner.num_pages;
+        if id as usize % EXTENT_PAGES == 0 {
+            inner.extents.push(vec![0u8; EXTENT_PAGES * self.page_size].into_boxed_slice());
+        }
+        inner.num_pages += 1;
+        Ok(PageId(id))
     }
 
     fn sync(&self) -> Result<()> {
@@ -235,6 +259,35 @@ mod tests {
         let mut buf = vec![0u8; 128];
         assert!(matches!(disk.read_page(PageId(0), &mut buf), Err(Error::PageOutOfBounds { .. })));
         assert!(matches!(disk.write_page(PageId(5), &buf), Err(Error::PageOutOfBounds { .. })));
+    }
+
+    #[test]
+    fn mem_disk_pages_keep_their_bytes_across_an_extent_boundary() {
+        let disk = MemDisk::new(64);
+        let n = EXTENT_PAGES as u64 + 2;
+        for p in 0..n {
+            assert_eq!(disk.allocate_page().unwrap(), PageId(p));
+        }
+        assert_eq!(disk.num_pages(), n);
+        // The last two pages of extent 0 and the first two of extent 1,
+        // written out of order.
+        let boundary = EXTENT_PAGES as u64;
+        let around = [boundary, boundary - 2, boundary + 1, boundary - 1];
+        for p in around {
+            disk.write_page(PageId(p), &[p as u8; 64]).unwrap();
+        }
+        let mut buf = vec![0u8; 64];
+        for p in around {
+            disk.read_page(PageId(p), &mut buf).unwrap();
+            assert!(buf.iter().all(|&x| x == p as u8), "page {p} lost its bytes");
+        }
+        disk.read_page(PageId(boundary - 3), &mut buf).unwrap();
+        assert!(buf.iter().all(|&x| x == 0), "an unwritten neighbour stays zeroed");
+        // The extent's unallocated remainder is not addressable.
+        assert!(matches!(
+            disk.read_page(PageId(n), &mut buf),
+            Err(Error::PageOutOfBounds { page, num_pages }) if page == n && num_pages == n
+        ));
     }
 
     #[test]

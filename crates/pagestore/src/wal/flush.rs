@@ -44,32 +44,69 @@ pub(super) struct FlusherCtl {
     shutdown: bool,
 }
 
+/// Largest capacity a drained append buffer keeps for reuse.  One bulk
+/// load grows the backlog to many megabytes; a larger buffer is dropped
+/// once written so the burst does not pin its allocation for the life of
+/// the log.
+pub(super) const SPARE_MAX_BYTES: usize = 256 << 10;
+
+/// `buf` emptied for reuse as the next spare — or a fresh, unallocated
+/// one if it outgrew [`SPARE_MAX_BYTES`].
+fn recycled(mut buf: Vec<u8>) -> Vec<u8> {
+    buf.clear();
+    if buf.capacity() > SPARE_MAX_BYTES {
+        buf = Vec::new();
+    }
+    buf
+}
+
 impl Wal {
     /// Writes every pending stream byte to its log pages and, if `sync`,
     /// syncs the device.  Returns the stream end now on the device and
     /// the bytes this call wrote.  Syncing callers hold the I/O
-    /// leadership.  On failure — including a failed sync *after* the
-    /// page writes landed — the pending buffer, `flushed_lsn` and
-    /// `partial` are untouched, so nothing is published and a retry
-    /// rewrites the identical bytes.
+    /// leadership.
+    ///
+    /// The backlog is *taken*, not copied: the append buffer is swapped
+    /// with the flush state's empty spare, so appends made while the
+    /// device writes run land in the spare, and the written buffer becomes
+    /// the next spare.  On failure — including a failed sync *after* the
+    /// page writes landed — the taken bytes go back in front of whatever
+    /// was appended meanwhile and `flushed_lsn` and `partial` are
+    /// untouched, so nothing is published and a retry rewrites the
+    /// identical bytes.
     pub(super) fn flush(&self, sync: bool) -> Result<(u64, usize)> {
         let mut fs = self.flush.lock();
-        let (bytes, target_end) = {
-            let ap = self.append.lock();
-            (ap.pending.clone(), ap.end_lsn)
+        let fs = &mut *fs;
+        let (mut bytes, target_end) = {
+            let mut ap = self.append.lock();
+            let spare = std::mem::take(&mut fs.spare);
+            (std::mem::replace(&mut ap.pending, spare), ap.end_lsn)
         };
         debug_assert_eq!(fs.flushed_lsn + bytes.len() as u64, target_end);
-        let new_partial = self.write_stream(&mut fs, &bytes)?;
-        if sync {
-            self.disk.sync()?;
-            self.stats.syncs.fetch_add(1, Ordering::Release);
-            // The sync also destaged any rollover anchor written above.
-            fs.synced_anchor_seq = fs.anchor_seq;
+        let res = self.write_stream(fs, &bytes).and_then(|new_partial| {
+            if sync {
+                self.disk.sync()?;
+                self.stats.syncs.fetch_add(1, Ordering::Release);
+                // The sync also destaged any rollover anchor written above.
+                fs.synced_anchor_seq = fs.anchor_seq;
+            }
+            Ok(new_partial)
+        });
+        match res {
+            Ok(new_partial) => {
+                fs.flushed_lsn = target_end;
+                fs.partial = new_partial;
+                let written = bytes.len();
+                fs.spare = recycled(bytes);
+                Ok((target_end, written))
+            }
+            Err(e) => {
+                let mut ap = self.append.lock();
+                bytes.extend_from_slice(&ap.pending);
+                fs.spare = recycled(std::mem::replace(&mut ap.pending, bytes));
+                Err(e)
+            }
         }
-        self.append.lock().pending.drain(..bytes.len());
-        fs.flushed_lsn = target_end;
-        fs.partial = new_partial;
-        Ok((target_end, bytes.len()))
     }
 
     /// Writes `bytes` (the stream range starting at `fs.flushed_lsn`) to

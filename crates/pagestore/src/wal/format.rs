@@ -10,10 +10,14 @@
 //! ```text
 //! record          lsn u64 | body_len u32 | kind u8 | crc u64 | body …
 //!                 crc covers (lsn, kind, body); lsn = stream position
-//! FirstMod body   page u64 | txn u64 | delta_off u32 | delta_len u32
-//!                 | before [page_size] | delta [delta_len]
-//! Delta body      page u64 | txn u64 | delta_off u32 | delta_len u32
+//! FirstMod body   page u64 | txn u64 | n u32 | delta_len u32
+//!                 | n × (off u32 | len u32) | before [page_size]
 //!                 | delta [delta_len]
+//! Delta body      page u64 | txn u64 | n u32 | delta_len u32
+//!                 | n × (off u32 | len u32) | delta [delta_len]
+//!                 1 ≤ n ≤ 8 runs, ascending and disjoint, each non-empty
+//!                 and inside the page; delta = the runs' new bytes
+//!                 concatenated, delta_len = Σ len
 //! Commit body     seq u64 | txn u64
 //! Checkpoint body horizon u64 | n u32 | n × (txn u64 | first_lsn u64)
 //! anchor          magic u32 | version u16 | pad u16 | anchor_seq u64
@@ -23,9 +27,9 @@
 //! ```
 //!
 //! * **FirstMod** — the *first* modification of a page since the last
-//!   truncation horizon: the full pre-image plus this update's
-//!   byte-range delta.  Redo never needs the data device for such a page.
-//! * **Delta** — a later modification: byte-range delta only.
+//!   truncation horizon: the full pre-image plus the byte runs this
+//!   update changed.  Redo never needs the data device for such a page.
+//! * **Delta** — a later modification: the changed byte runs only.
 //! * **Commit** — a transaction boundary; recovery replays exactly the
 //!   records up to the last durable Commit.
 //! * **Checkpoint** — a fuzzy checkpoint's begin marker: the truncation
@@ -38,6 +42,7 @@
 //! is where recovery scans from; the map assigns device slots to the
 //! consecutive segments `first_seg .. first_seg + count`.
 
+use super::diff::{Runs, MAX_RUNS};
 use super::segments::SegMap;
 use crate::codec::{get_u16, get_u32, get_u64, put_u16, put_u32, put_u64};
 use crate::{Error, PageId, Result};
@@ -48,8 +53,10 @@ const KIND_FIRST_MOD: u8 = 1;
 const KIND_DELTA: u8 = 2;
 const KIND_COMMIT: u8 = 3;
 const KIND_CHECKPOINT: u8 = 4;
-/// `page | txn | delta_off | delta_len`, the fixed head of an update body.
+/// `page | txn | n | delta_len`, the fixed head of an update body.
 const UPDATE_HEAD: usize = 24;
+/// One run-table entry, `off | len`.
+const RUN_ENTRY: usize = 8;
 
 /// Most in-flight transactions a Checkpoint record enumerates.  The
 /// horizon alone is binding for truncation; the list is diagnostic, so
@@ -57,7 +64,7 @@ const UPDATE_HEAD: usize = 24;
 const MAX_CKPT_TXNS: usize = 4096;
 
 const WAL_MAGIC: u32 = 0x5249_574C; // "RIWL"
-const WAL_VERSION: u16 = 3;
+const WAL_VERSION: u16 = 4;
 const ANCHOR_HDR: usize = 40;
 const SEG_MAGIC: u32 = 0x5249_5347; // "RISG"
 
@@ -84,8 +91,8 @@ fn record_checksum(lsn: u64, kind: u8, body_parts: &[&[u8]]) -> u64 {
 /// A decoded log record (a Commit commits every run appended so far).
 #[derive(Debug, Clone)]
 pub(super) enum WalRecord {
-    FirstMod { page: PageId, txn: u64, before: Vec<u8>, delta_off: usize, delta: Vec<u8> },
-    Delta { page: PageId, txn: u64, delta_off: usize, delta: Vec<u8> },
+    FirstMod { page: PageId, txn: u64, before: Vec<u8>, runs: Runs, delta: Vec<u8> },
+    Delta { page: PageId, txn: u64, runs: Runs, delta: Vec<u8> },
     Commit { seq: u64, txn: u64 },
     Checkpoint { horizon: u64, active: Vec<(u64, u64)> },
 }
@@ -103,26 +110,37 @@ fn encode_record(out: &mut Vec<u8>, lsn: u64, kind: u8, body_parts: &[&[u8]]) ->
     lsn + (REC_HDR + body_len) as u64
 }
 
-/// Appends the record of an update that wrote `delta` at `delta_off` of
-/// `page` — a FirstMod when the page's pre-image is given, else a Delta.
+/// Appends the record of an update that left `runs` of `page` as they
+/// are in the image `new` — a FirstMod when the page's pre-image is
+/// given, else a Delta.
 pub(super) fn encode_update(
     out: &mut Vec<u8>,
     lsn: u64,
     page: PageId,
     txn: u64,
     before: Option<&[u8]>,
-    delta_off: usize,
-    delta: &[u8],
+    runs: &Runs,
+    new: &[u8],
 ) -> u64 {
-    let mut head = [0u8; UPDATE_HEAD];
+    let runs = runs.as_slice();
+    let mut head = [0u8; UPDATE_HEAD + RUN_ENTRY * MAX_RUNS];
     put_u64(&mut head, 0, page.raw());
     put_u64(&mut head, 8, txn);
-    put_u32(&mut head, 16, delta_off as u32);
-    put_u32(&mut head, 20, delta.len() as u32);
-    match before {
-        Some(before) => encode_record(out, lsn, KIND_FIRST_MOD, &[&head, before, delta]),
-        None => encode_record(out, lsn, KIND_DELTA, &[&head, delta]),
+    put_u32(&mut head, 16, runs.len() as u32);
+    // head | before | one part per run
+    let mut parts: [&[u8]; 2 + MAX_RUNS] = [&[]; 2 + MAX_RUNS];
+    let mut delta_len = 0;
+    for (i, &(off, len)) in runs.iter().enumerate() {
+        put_u32(&mut head, UPDATE_HEAD + RUN_ENTRY * i, off);
+        put_u32(&mut head, UPDATE_HEAD + RUN_ENTRY * i + 4, len);
+        parts[2 + i] = &new[off as usize..][..len as usize];
+        delta_len += len;
     }
+    put_u32(&mut head, 20, delta_len);
+    parts[0] = &head[..UPDATE_HEAD + RUN_ENTRY * runs.len()];
+    parts[1] = before.unwrap_or(&[]);
+    let kind = if before.is_some() { KIND_FIRST_MOD } else { KIND_DELTA };
+    encode_record(out, lsn, kind, &parts[..2 + runs.len()])
 }
 
 pub(super) fn encode_commit(out: &mut Vec<u8>, lsn: u64, seq: u64, txn: u64) -> u64 {
@@ -153,7 +171,7 @@ pub(super) fn encode_checkpoint(
 /// with `ps`-byte pages can hold — the bound on what a scan allocates.
 pub(super) fn body_len(hdr: &[u8], pos: u64, ps: usize) -> Option<usize> {
     let (lsn, len, kind) = (get_u64(hdr, 0), get_u32(hdr, 8) as usize, hdr[12]);
-    let max_body = (UPDATE_HEAD + 2 * ps).max(12 + 16 * MAX_CKPT_TXNS);
+    let max_body = (UPDATE_HEAD + RUN_ENTRY * MAX_RUNS + 2 * ps).max(12 + 16 * MAX_CKPT_TXNS);
     (lsn == pos && len <= max_body && (KIND_FIRST_MOD..=KIND_CHECKPOINT).contains(&kind))
         .then_some(len)
 }
@@ -189,18 +207,37 @@ fn decode_body(kind: u8, body: &[u8], ps: usize) -> Option<WalRecord> {
         KIND_FIRST_MOD | KIND_DELTA if body.len() >= UPDATE_HEAD => {
             let page = PageId(get_u64(body, 0));
             let txn = get_u64(body, 8);
-            let delta_off = get_u32(body, 16) as usize;
+            let n = get_u32(body, 16) as usize;
             let delta_len = get_u32(body, 20) as usize;
             let before_len = if kind == KIND_FIRST_MOD { ps } else { 0 };
-            if delta_off + delta_len > ps || body.len() != UPDATE_HEAD + before_len + delta_len {
+            // `n` and `delta_len` are bounded before they enter a sum.
+            if !(1..=MAX_RUNS).contains(&n)
+                || delta_len > ps
+                || body.len() != UPDATE_HEAD + RUN_ENTRY * n + before_len + delta_len
+            {
                 return None;
             }
-            let (before, delta) = body[UPDATE_HEAD..].split_at(before_len);
+            let mut runs = Runs::default();
+            let (mut end, mut total) = (0usize, 0usize);
+            for i in 0..n {
+                let off = get_u32(body, UPDATE_HEAD + RUN_ENTRY * i);
+                let len = get_u32(body, UPDATE_HEAD + RUN_ENTRY * i + 4);
+                let run_end = (off as usize).checked_add(len as usize)?;
+                if len == 0 || (off as usize) < end || run_end > ps {
+                    return None;
+                }
+                (end, total) = (run_end, total + len as usize);
+                runs.push(off, len);
+            }
+            if total != delta_len {
+                return None;
+            }
+            let (before, delta) = body[UPDATE_HEAD + RUN_ENTRY * n..].split_at(before_len);
             let delta = delta.to_vec();
             Some(if kind == KIND_FIRST_MOD {
-                WalRecord::FirstMod { page, txn, before: before.to_vec(), delta_off, delta }
+                WalRecord::FirstMod { page, txn, before: before.to_vec(), runs, delta }
             } else {
-                WalRecord::Delta { page, txn, delta_off, delta }
+                WalRecord::Delta { page, txn, runs, delta }
             })
         }
         _ => None,
@@ -282,4 +319,122 @@ pub(super) fn is_segment_header(page: &[u8], first_lsn: u64) -> bool {
     get_u32(page, 0) == SEG_MAGIC
         && get_u64(page, 8) == first_lsn
         && get_u64(page, 16) == fnv([&page[..16]])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{DiskManager, MemDisk};
+
+    const PS: usize = 64;
+
+    /// An update body with the head fields and table as given — whether
+    /// or not they agree — a pre-image if `kind` is FirstMod, and
+    /// `bytes` run bytes.
+    fn body(kind: u8, n: u32, delta_len: u32, table: &[(u32, u32)], bytes: usize) -> Vec<u8> {
+        let mut b = vec![0u8; UPDATE_HEAD];
+        put_u64(&mut b, 0, 3);
+        put_u64(&mut b, 8, 1);
+        put_u32(&mut b, 16, n);
+        put_u32(&mut b, 20, delta_len);
+        for &(off, len) in table {
+            b.extend_from_slice(&off.to_le_bytes());
+            b.extend_from_slice(&len.to_le_bytes());
+        }
+        if kind == KIND_FIRST_MOD {
+            b.extend_from_slice(&[0xBB; PS]);
+        }
+        b.resize(b.len() + bytes, 0xDD);
+        b
+    }
+
+    /// A body whose head and length agree with `table`.
+    fn consistent(kind: u8, table: &[(u32, u32)]) -> Vec<u8> {
+        let total: u32 = table.iter().map(|&(_, len)| len).sum();
+        body(kind, table.len() as u32, total, table, total as usize)
+    }
+
+    #[test]
+    fn update_bodies_decode_to_their_run_table() {
+        // Adjacent runs are disjoint, hence valid; so is a full table.
+        let full: Vec<(u32, u32)> = (0..MAX_RUNS as u32).map(|i| (8 * i, 1)).collect();
+        for table in [&[(2, 2), (40, 8)][..], &[(2, 2), (4, 4)], &[(0, 64)], &full] {
+            for kind in [KIND_FIRST_MOD, KIND_DELTA] {
+                let rec = decode_body(kind, &consistent(kind, table), PS).expect("valid body");
+                let (runs, delta, before) = match rec {
+                    WalRecord::FirstMod { runs, delta, before, .. } => (runs, delta, Some(before)),
+                    WalRecord::Delta { runs, delta, .. } => (runs, delta, None),
+                    other => panic!("decoded an update as {other:?}"),
+                };
+                assert_eq!(runs.as_slice(), table);
+                assert!(delta.iter().all(|&b| b == 0xDD));
+                assert_eq!(delta.len(), table.iter().map(|&(_, len)| len as usize).sum::<usize>());
+                assert_eq!(before, (kind == KIND_FIRST_MOD).then(|| vec![0xBB; PS]));
+            }
+        }
+    }
+
+    #[test]
+    fn update_decoder_rejects_every_malformed_run_table() {
+        let nine: Vec<(u32, u32)> = (0..9).map(|i| (i, 1)).collect();
+        for kind in [KIND_FIRST_MOD, KIND_DELTA] {
+            let rejected: [(&str, Vec<u8>); 14] = [
+                ("no runs", consistent(kind, &[])),
+                ("more runs than the table holds", consistent(kind, &nine)),
+                ("a run count far past the body", body(kind, u32::MAX, 4, &[(0, 4)], 4)),
+                ("a zero-length run", consistent(kind, &[(2, 0), (40, 8)])),
+                ("a zero-length only run", consistent(kind, &[(2, 0)])),
+                ("overlapping runs", consistent(kind, &[(10, 8), (17, 2)])),
+                ("descending runs", consistent(kind, &[(40, 8), (2, 2)])),
+                ("a run past the page", consistent(kind, &[(60, 8)])),
+                ("a run starting past the page", consistent(kind, &[(64, 1)])),
+                ("a run whose end wraps", body(kind, 1, 2, &[(u32::MAX, 2)], 2)),
+                ("delta_len one short of the runs", body(kind, 2, 9, &[(2, 2), (40, 8)], 9)),
+                ("delta_len one past the runs", body(kind, 2, 11, &[(2, 2), (40, 8)], 11)),
+                ("a body one byte short", body(kind, 1, 4, &[(0, 4)], 3)),
+                ("a body one byte long", body(kind, 1, 4, &[(0, 4)], 5)),
+            ];
+            for (what, body) in rejected {
+                assert!(decode_body(kind, &body, PS).is_none(), "kind {kind} accepted {what}");
+            }
+        }
+        // The pre-image is part of the announced length, too.
+        let delta_shaped = consistent(KIND_DELTA, &[(0, 4)]);
+        assert!(decode_body(KIND_FIRST_MOD, &delta_shaped, PS).is_none());
+    }
+
+    #[test]
+    fn scan_allocation_bound_covers_the_largest_update_and_no_more() {
+        // Past 32 KB pages the FirstMod bound exceeds the Checkpoint one.
+        // The largest record: a full table whose runs cover the page.
+        let ps = 1 << 16;
+        let mut runs = Runs::default();
+        for i in 0..MAX_RUNS {
+            runs.push((i * ps / MAX_RUNS) as u32, (ps / MAX_RUNS) as u32);
+        }
+        let (image, mut out) = (vec![7u8; ps], Vec::new());
+        encode_update(&mut out, 0, PageId(1), 1, Some(&image), &runs, &image);
+        let (hdr, body) = out.split_at(REC_HDR);
+        assert_eq!(body_len(hdr, 0, ps), Some(body.len()));
+        assert!(decode_record(hdr, body, ps).is_some());
+        let mut longer = hdr.to_vec();
+        put_u32(&mut longer, 8, body.len() as u32 + 1);
+        assert_eq!(body_len(&longer, 0, ps), None);
+    }
+
+    #[test]
+    fn an_anchor_of_the_previous_format_version_is_refused_as_corrupt() {
+        let map = SegMap { seg_pages: 4, first_seg: 0, slots: [0].into() };
+        let mut page = encode_anchor(128, 1, 0, &map);
+        assert!(parse_anchor(&page).unwrap().is_some());
+        put_u16(&mut page, 4, WAL_VERSION - 1);
+        assert!(matches!(parse_anchor(&page), Err(Error::Corrupt(_))));
+        // … and so is a device that carries nothing newer.
+        let disk = MemDisk::new(128);
+        disk.allocate_page().unwrap();
+        disk.write_page(PageId(0), &page).unwrap();
+        let attached = crate::wal::Wal::attach_with(Box::new(disk), Default::default());
+        let named = format!("version {}", WAL_VERSION - 1);
+        assert!(matches!(attached, Err(Error::Corrupt(msg)) if msg.contains(&named)));
+    }
 }

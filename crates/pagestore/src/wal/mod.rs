@@ -8,6 +8,7 @@
 //! | module | owns |
 //! |---|---|
 //! | `format` | every byte offset: record framing and checksums, the four record kinds, anchor and segment-header pages |
+//! | `diff` | which bytes of a page an update changed: the byte runs an update record carries |
 //! | `segments` | where the stream lives on the device: the segment map, rollover, slot recycling, the anchor-write guard, the stream reader |
 //! | `flush` | append buffer → device: the one flush routine, the I/O-leader protocol behind group commit, the background flusher's thread body |
 //! | `checkpoint` | the truncation horizon and the one routine that advances the scan start and retires segments |
@@ -67,6 +68,7 @@
 //! including other threads' open runs.
 
 mod checkpoint;
+mod diff;
 mod flush;
 mod format;
 mod recover;
@@ -215,8 +217,8 @@ pub struct WalSnapshot {
 struct AppendState {
     /// Next LSN to assign == current logical end of the stream.
     end_lsn: u64,
-    /// Encoded bytes not yet written to the device; `pending[0]` is the
-    /// stream byte at offset `flushed_lsn`.
+    /// Encoded bytes no flush has taken yet: the stream's tail up to
+    /// `end_lsn` (between flushes, everything from `flushed_lsn` on).
     pending: Vec<u8>,
     /// Pages FirstMod-logged since the current truncation horizon, with
     /// the LSNs of their first and latest records — the horizon fixpoint
@@ -348,10 +350,13 @@ impl Wal {
     }
 
     /// Appends a redo record for an update of `page` from image `old` to
-    /// image `new`.  Returns the record's end LSN — the page's new LSN
-    /// stamp — or 0 if the images are identical (nothing to log).  The
-    /// record is buffered in memory; durability comes from [`Wal::commit`]
-    /// or [`Wal::make_durable`].
+    /// image `new`: the byte runs in which the two differ (a few, each
+    /// byte-exact — not the span from the first to the last difference),
+    /// behind the full pre-image if this is the page's first record since
+    /// the truncation horizon.  Returns the record's end LSN — the page's
+    /// new LSN stamp — or 0 if the images are identical (nothing to log).
+    /// The record is buffered in memory; durability comes from
+    /// [`Wal::commit`] or [`Wal::make_durable`].
     pub fn log_update(&self, page: PageId, old: &[u8], new: &[u8]) -> Result<u64> {
         if old.len() != new.len() || old.len() != self.page_size {
             return Err(Error::InvalidArgument(format!(
@@ -361,11 +366,10 @@ impl Wal {
                 self.page_size
             )));
         }
-        let Some(first) = old.iter().zip(new.iter()).position(|(a, b)| a != b) else {
+        let runs = diff::diff(old, new);
+        if runs.as_slice().is_empty() {
             return Ok(0);
-        };
-        let last = (first..old.len()).rev().find(|&i| old[i] != new[i]).expect("diff exists");
-        let delta = &new[first..=last];
+        }
 
         let mut guard = self.append.lock();
         let ap = &mut *guard;
@@ -387,7 +391,7 @@ impl Wal {
                 Some(old)
             }
         };
-        let end = format::encode_update(&mut ap.pending, lsn, page, txn, before, first, delta);
+        let end = format::encode_update(&mut ap.pending, lsn, page, txn, before, &runs, new);
         ap.end_lsn = end;
         let wake = self.watermark.is_some_and(|w| ap.pending.len() >= w);
         drop(guard);

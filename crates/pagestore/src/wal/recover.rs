@@ -12,6 +12,7 @@
 //! the truncation horizon guarantees — so writing the images out yields
 //! exactly the committed prefix of history.
 
+use super::diff::Runs;
 use super::format::{self, WalRecord, REC_HDR};
 use super::segments::{SegMap, StreamReader};
 use super::{RecoveryReport, Wal};
@@ -74,6 +75,17 @@ pub(super) fn scan_records(disk: &dyn DiskManager, map: &SegMap, start: u64) -> 
     out
 }
 
+/// Redoes one update on `img`: `delta` holds the new bytes of `runs`,
+/// concatenated (the decoder checked that the two agree and fit the page).
+fn apply_runs(img: &mut [u8], runs: &Runs, delta: &[u8]) {
+    let mut rest = delta;
+    for &(off, len) in runs.as_slice() {
+        let (bytes, tail) = rest.split_at(len as usize);
+        img[off as usize..][..bytes.len()].copy_from_slice(bytes);
+        rest = tail;
+    }
+}
+
 impl RecoveredLog {
     /// Folds the scanned records into the page images recovery must
     /// write — committed records redone, the uncommitted tail rolled
@@ -85,11 +97,11 @@ impl RecoveredLog {
         let (mut commits, mut last_seq) = (0u64, 0u64);
         for rec in self.records {
             match rec {
-                WalRecord::FirstMod { page, before: mut img, delta_off, delta, .. } => {
-                    img[delta_off..delta_off + delta.len()].copy_from_slice(&delta);
+                WalRecord::FirstMod { page, before: mut img, runs, delta, .. } => {
+                    apply_runs(&mut img, &runs, &delta);
                     images.insert(page.raw(), img);
                 }
-                WalRecord::Delta { page, delta_off, delta, .. } => {
+                WalRecord::Delta { page, runs, delta, .. } => {
                     // A Delta is always preceded by its page's FirstMod at
                     // or above the scan start (the truncation-horizon
                     // fixpoint guarantees no page run straddles it), so a
@@ -100,7 +112,7 @@ impl RecoveredLog {
                             page.raw()
                         ))
                     })?;
-                    img[delta_off..delta_off + delta.len()].copy_from_slice(&delta);
+                    apply_runs(img, &runs, &delta);
                 }
                 WalRecord::Commit { seq, .. } => {
                     // Sequence numbers are strictly increasing within the
@@ -157,5 +169,21 @@ impl Wal {
     /// `None` when there is nothing to recover.
     pub(crate) fn take_redo(&self) -> Result<Option<(PageImages, RecoveryReport)>> {
         self.take_recovered().map(|log| log.redo()).transpose()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn runs_are_applied_in_table_order_and_touch_nothing_else() {
+        let mut runs = Runs::default();
+        for (off, len) in [(1, 2), (3, 1), (9, 3)] {
+            runs.push(off, len);
+        }
+        let mut img = [0u8; 12];
+        apply_runs(&mut img, &runs, &[1, 2, 3, 4, 5, 6]);
+        assert_eq!(img, [0, 1, 2, 3, 0, 0, 0, 0, 0, 4, 5, 6]);
     }
 }

@@ -119,6 +119,9 @@ pub(super) struct FlushState {
     pub(super) map: SegMap,
     /// Retired slots available for rollover reuse (lowest first).
     pub(super) free: BTreeSet<u32>,
+    /// The empty buffer the next flush hands the appenders in exchange
+    /// for their backlog (see [`Wal::flush`]).
+    pub(super) spare: Vec<u8>,
 }
 
 /// Whole slots the device has room for behind its two anchor pages.
@@ -159,6 +162,7 @@ impl FlushState {
             synced_anchor_seq: anchor.seq,
             map: anchor.map,
             free,
+            spare: Vec::new(),
         })
     }
 }

@@ -1,12 +1,21 @@
+use super::diff::{diff, MAX_RUNS};
+use super::flush::SPARE_MAX_BYTES;
 use super::format::WalRecord;
 use super::*;
 use crate::disk::MemDisk;
+use crate::faulty::{FaultPlan, FaultyDisk};
+use proptest::prelude::*;
 use std::sync::Arc;
 
 impl Wal {
     /// Opens (or initializes) the log on `disk` with default settings.
     fn attach(disk: Box<dyn DiskManager>) -> Result<Wal> {
         Wal::attach_with(disk, WalConfig::default())
+    }
+
+    /// Capacities of the append buffer and of the flush routine's spare.
+    fn buffer_capacities(&self) -> (usize, usize) {
+        (self.append.lock().pending.capacity(), self.flush.lock().spare.capacity())
     }
 }
 
@@ -60,11 +69,12 @@ fn first_mod_then_delta_then_commit_roundtrips_through_scan() {
     assert_eq!(scan.committed_end, end);
     assert_eq!((scan.max_seq, scan.max_txn), (1, 1));
     assert!(matches!(&scan.records[0],
-        WalRecord::FirstMod { page, txn: 1, before, delta_off, delta }
-        if *page == PageId(4) && before == &old && *delta_off == 10 && delta == &vec![7u8; 10]));
+        WalRecord::FirstMod { page, txn: 1, before, runs, delta }
+        if *page == PageId(4) && before == &old && runs.as_slice() == [(10, 10)]
+            && delta == &vec![7u8; 10]));
     assert!(matches!(&scan.records[1],
-        WalRecord::Delta { page, txn: 1, delta_off, delta }
-        if *page == PageId(4) && *delta_off == 100 && delta == &vec![9u8]));
+        WalRecord::Delta { page, txn: 1, runs, delta }
+        if *page == PageId(4) && runs.as_slice() == [(100, 1)] && delta == &vec![9u8]));
     assert!(matches!(&scan.records[2], WalRecord::Commit { seq: 1, txn: 1 }));
 }
 
@@ -443,7 +453,7 @@ fn background_flusher_drains_ahead_of_commit() {
 
 #[test]
 fn double_rollover_in_one_flush_pre_syncs_the_anchor() {
-    // seg_pages = 2 at ps = 128: a single 211-byte commit flush spans
+    // seg_pages = 2 at ps = 128: a single 219-byte commit flush spans
     // segments 0 and 1, so two anchor rewrites happen inside one
     // flush.  The second lands on the page of the only durable anchor
     // (parities alternate) and must be preceded by a guard sync —
@@ -578,4 +588,206 @@ fn checkpoint_relieves_a_full_segment_map() {
     drop(wal);
     let scan = scan_fresh(&*disk);
     assert_eq!(scan.committed, 8, "the four post-relief commits all recovered");
+}
+
+#[test]
+fn a_drained_backlog_does_not_keep_its_allocation() {
+    let (_d, wal) = fresh_wal(1024);
+    let (old, new) = (vec![0u8; 1024], vec![0xFFu8; 1024]);
+    // One transaction buffers a backlog several times the spare bound…
+    for page in 0..600 {
+        wal.log_update(PageId(page), &old, &new).unwrap();
+    }
+    assert!(wal.buffer_capacities().0 > 4 * SPARE_MAX_BYTES);
+    // …and the flush that writes it out lets the allocation go.
+    wal.commit().unwrap();
+    assert_eq!(wal.buffer_capacities(), (0, 0));
+    // Ordinary transactions then alternate between two small buffers.
+    for page in 0..4 {
+        wal.log_update(PageId(page), &new, &old).unwrap();
+        wal.commit().unwrap();
+        let (pending, spare) = wal.buffer_capacities();
+        assert!(pending <= SPARE_MAX_BYTES && spare <= SPARE_MAX_BYTES);
+    }
+    let (pending, spare) = wal.buffer_capacities();
+    assert!(pending > 0 && spare > 0, "small buffers are kept for reuse: {pending}, {spare}");
+}
+
+/// Appends one single-byte FirstMod per page of `pages`.
+fn append_first_mods(wal: &Wal, pages: std::ops::Range<u64>) -> u64 {
+    let old = vec![0u8; 128];
+    let mut new = old.clone();
+    new[40] = 4;
+    pages.map(|p| wal.log_update(PageId(p), &old, &new).unwrap()).last().unwrap()
+}
+
+#[test]
+fn failed_flush_puts_the_backlog_back_in_front_of_racing_appends() {
+    // The same three appends on a device that never fails: its unflushed
+    // backlog is the byte string the failing log must end up holding, its
+    // device after the commit the image the retry must produce.
+    let (twin_disk, twin) = fresh_wal(128);
+    append_first_mods(&twin, 1..4);
+    let expected = twin.append.lock().pending.clone();
+    twin.commit().unwrap();
+
+    // Write indices from the flush's start: 0 the segment header, 1 the
+    // rollover's anchor, 2.. the three payload pages of the backlog.
+    for fail_at_write in [Some(3), None] {
+        let mem = Arc::new(MemDisk::new(128));
+        let faulty = Arc::new(FaultyDisk::new(Arc::clone(&mem), FaultPlan::default()));
+        let wal = Arc::new(Wal::attach(Box::new(Arc::clone(&faulty))).unwrap());
+        let target = append_first_mods(&wal, 1..3);
+        // The third append races the flush: it arrives while the first
+        // device write is under way, after the backlog was taken.
+        let racer = Arc::downgrade(&wal);
+        let raced = std::sync::atomic::AtomicBool::new(false);
+        faulty.set_write_hook(Some(Arc::new(move |_, _| {
+            if !raced.swap(true, Ordering::SeqCst) {
+                append_first_mods(&racer.upgrade().unwrap(), 3..4);
+            }
+        })));
+        faulty.set_plan(FaultPlan {
+            fail_write_at: fail_at_write.map(|n| faulty.writes_attempted() + n),
+            // Otherwise the sync fails, after every page write landed.
+            fail_sync_at: fail_at_write.is_none().then(|| faulty.syncs_attempted()),
+            ..FaultPlan::default()
+        });
+        let ctx = format!("failing write {fail_at_write:?}");
+        assert!(wal.make_durable(target).is_err(), "{ctx}: the injected fault must surface");
+        assert_eq!(wal.append.lock().pending, expected, "{ctx}: backlog order");
+        {
+            let fs = wal.flush.lock();
+            assert_eq!((fs.flushed_lsn, fs.partial.len()), (0, 0), "{ctx}: nothing is published");
+            assert!(fs.spare.is_empty(), "{ctx}: the spare is handed back empty");
+        }
+        assert_eq!(wal.durable_lsn(), 0, "{ctx}");
+        // The retry rewrites the identical bytes in the original order.
+        faulty.set_plan(FaultPlan::default());
+        assert_eq!(wal.commit().unwrap(), twin.end_lsn(), "{ctx}");
+        assert_eq!(mem.num_pages(), twin_disk.num_pages(), "{ctx}");
+        let (mut got, mut want) = (vec![0u8; 128], vec![0u8; 128]);
+        for p in (0..mem.num_pages()).map(PageId) {
+            mem.read_page(p, &mut got).unwrap();
+            twin_disk.read_page(p, &mut want).unwrap();
+            assert_eq!(got, want, "{ctx}: device page {p:?} differs from the unfailed twin's");
+        }
+        let pages: Vec<_> = scan_fresh(&*mem)
+            .records
+            .iter()
+            .filter_map(|r| match r {
+                WalRecord::FirstMod { page, .. } => Some(page.raw()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(pages, [1, 2, 3], "{ctx}: recovered record order");
+    }
+}
+
+#[test]
+fn differences_past_the_run_table_fold_into_the_last_run() {
+    // Ten single-byte differences 20 bytes apart: too far to merge, two
+    // more than the table holds.
+    let (disk, wal) = fresh_wal(256);
+    let old = vec![0u8; 256];
+    let mut new = old.clone();
+    for i in 0..10 {
+        new[5 + 20 * i] = i as u8 + 1;
+    }
+    // Page 1 gets there by a FirstMod, page 2 by a Delta.
+    let mut mid = old.clone();
+    mid[255] = 9;
+    let mut new2 = new.clone();
+    new2[255] = 9;
+    wal.log_update(PageId(1), &old, &new).unwrap();
+    wal.log_update(PageId(2), &old, &mid).unwrap();
+    wal.log_update(PageId(2), &mid, &new2).unwrap();
+    wal.commit().unwrap();
+    drop(wal);
+    let mut want: Vec<(u32, u32)> = (0..7).map(|i| (5 + 20 * i, 1)).collect();
+    want.push((145, 41)); // differences eight to ten: 145, 165, 185
+    let scan = scan_fresh(&*disk);
+    for rec in [&scan.records[0], &scan.records[2]] {
+        let (WalRecord::FirstMod { runs, delta, .. } | WalRecord::Delta { runs, delta, .. }) = rec
+        else {
+            panic!("expected an update record, got {rec:?}");
+        };
+        assert_eq!(runs.as_slice(), want);
+        assert_eq!(delta[..7], [1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(delta[7..], new[145..186], "the last run carries the equal bytes it spans");
+    }
+    // The same images through redo.
+    let wal = Wal::attach(Box::new(Arc::clone(&disk))).unwrap();
+    let (images, _) = wal.take_redo().unwrap().unwrap();
+    assert_eq!((&images[&1], &images[&2]), (&new, &new2));
+}
+
+/// `(old, new)` images of one page: a 100-byte page (whose last four
+/// bytes lie past the final whole word), or a 128- or 256-byte one, with
+/// no, sparse, dense or last-bytes-only edits.
+fn page_pair() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
+    // `count` edits of `(offset, length, byte)`.
+    let some = |count: std::ops::Range<usize>, len: std::ops::Range<usize>| {
+        prop::collection::vec((0usize..256, len, any::<u8>()), count)
+    };
+    let edits = prop_oneof![
+        some(0..1, 1..2),
+        some(1..5, 1..40),
+        some(20..60, 1..4),
+        some(1..4, 1..2)
+            .prop_map(|es| es.into_iter().map(|(o, l, b)| (255 - o % 4, l, b)).collect()),
+    ];
+    (0usize..3, prop::collection::vec(any::<u8>(), 256..257), edits).prop_map(
+        |(size, mut old, edits): (usize, Vec<u8>, Vec<(usize, usize, u8)>)| {
+            let ps = [100, 128, 256][size];
+            old.truncate(ps);
+            let mut new = old.clone();
+            for (off, len, byte) in edits {
+                // Counted from the page's end, so "the last bytes" are
+                // the last bytes at every page size.
+                let end = ps - (255 - off) % ps;
+                new[end.saturating_sub(len)..end].fill(byte);
+            }
+            (old, new)
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    #[test]
+    fn diff_runs_are_exact_and_redo_reproduces_the_new_image((old, new) in page_pair()) {
+        let runs = diff(&old, &new);
+        let runs = runs.as_slice();
+        prop_assert!(runs.len() <= MAX_RUNS);
+        prop_assert_eq!(runs.is_empty(), old == new);
+        let (mut end, mut patched) = (0, old.clone());
+        for &(off, len) in runs {
+            let (off, len) = (off as usize, len as usize);
+            prop_assert!(len > 0 && off >= end, "ascending, disjoint, non-empty: {runs:?}");
+            prop_assert_eq!(&old[end..off], &new[end..off], "bytes between runs are equal");
+            prop_assert!(old[off] != new[off] && old[off + len - 1] != new[off + len - 1]);
+            patched[off..off + len].copy_from_slice(&new[off..off + len]);
+            end = off + len;
+        }
+        prop_assert_eq!(&old[end..], &new[end..], "bytes past the last run are equal");
+        prop_assert_eq!(&patched, &new);
+
+        // Encode → device → scan → decode → redo: page 1 reaches `new`
+        // through a FirstMod, page 2 through a Delta.
+        let (disk, wal) = fresh_wal(old.len());
+        let lsn = wal.log_update(PageId(1), &old, &new).unwrap();
+        prop_assert_eq!(lsn == 0, old == new);
+        let filler = vec![old[0].wrapping_add(1); old.len()];
+        wal.log_update(PageId(2), &filler, &old).unwrap();
+        wal.log_update(PageId(2), &old, &new).unwrap();
+        wal.commit().unwrap();
+        drop(wal);
+        let wal = Wal::attach(Box::new(Arc::clone(&disk))).unwrap();
+        let (images, report) = wal.take_redo().unwrap().unwrap();
+        prop_assert_eq!(report.commits, 1);
+        prop_assert_eq!(images.get(&1), (old != new).then_some(&new));
+        prop_assert_eq!(&images[&2], &new);
+    }
 }

@@ -102,8 +102,10 @@ for workload in workloads:
         side[name] = [json.load(open(f"{runs}/{workload}.{name}.{i}.json")) for i in range(pairs)]
     failed = {n: sum(r["failed"] for r in rs) for n, rs in side.items()}
     wrong = {n: sum(not r["correct"] for r in rs) for n, rs in side.items()}
+    attempted = {n: statistics.median(r["attempted"] for r in rs) for n, rs in side.items()}
     print(f"\n## {workload}: failed operations parent {failed['parent']}, change {failed['change']};"
-          f" incorrect runs parent {wrong['parent']}, change {wrong['change']}")
+          f" incorrect runs parent {wrong['parent']}, change {wrong['change']};"
+          f" median attempted parent {attempted['parent']:.0f}, change {attempted['change']:.0f}")
     print(f"{'metric':<30}{'parent q1 / median / q3':>36}{'change q1 / median / q3':>36}"
           f"{'delta':>9}{'wins':>7}  verdict")
     for m in spec["end_to_end"]:
@@ -126,4 +128,7 @@ for workload in workloads:
             verdict = "no regression"
         fmt = lambda a, b, c_: f"{a:>11.4g} /{b:>11.4g} /{c_:>11.4g}"
         print(f"{name:<30}{fmt(p1, pm, p3)}{fmt(c1, cm, c3)}{delta:>+9.1%}{wins:>4}/{wins + losses:<2}  {verdict}")
+        if (workload, name) == ("write_commit", "peak_rss_mb") and cm > pm and attempted["change"] > attempted["parent"]:
+            print("note: peak_rss_mb and attempted rose together: the benchmark's op log grows"
+                  " ≈ 60 B per operation; see ROADMAP B")
 EOF

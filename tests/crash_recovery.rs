@@ -37,7 +37,7 @@ const SECTOR: usize = 256;
 /// the WAL barrier) mid-workload, not only at checkpoints.
 const FRAMES: usize = 16;
 /// Committed inserts in the seeded workload.
-const OPS: usize = 96;
+const OPS: usize = 128;
 /// A checkpoint (flush + log truncation) runs after every this many ops,
 /// so crash indices also land inside checkpoints and after truncations.
 const CHECKPOINT_EVERY: usize = 24;
@@ -284,7 +284,7 @@ fn kill_at_every_write_index_and_recover() {
 }
 
 /// Two-insert transactions in the checkpoint-race workload.
-const RACE_TXNS: usize = 24;
+const RACE_TXNS: usize = 30;
 /// Every this many transactions, a checkpoint runs **between** the two
 /// inserts — i.e. with the transaction open and its first row's records
 /// in the truncation candidate range.

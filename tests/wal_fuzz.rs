@@ -148,26 +148,94 @@ fn log_with_frame(kind: u8, body: &[u8], announced_len: Option<u32>) -> Image {
     image
 }
 
+/// Ways to break an update body's run table, one per rule the decoder
+/// enforces; any larger value leaves the body as laid out.
+const HOSTILITIES: usize = 11;
+
+/// An update body as `wal/format.rs` lays it out — `page | txn | n |
+/// delta_len | n × (off | len) | [before] | run bytes` — around the run
+/// table that `layout`'s `(gap, len)` pairs describe: ascending and
+/// disjoint (though it may run off the page), then broken as `hostile`
+/// says.
+fn update_body(
+    first_mod: bool,
+    (page, txn): (u64, u64),
+    hostile: usize,
+    layout: &[(u32, u32)],
+    fill: &[u8],
+) -> (u8, Vec<u8>) {
+    let mut table = Vec::new();
+    let mut end = 0u32;
+    for &(gap, len) in layout {
+        table.push((end + gap, len));
+        end += gap + len;
+    }
+    let bytes: u32 = table.iter().map(|&(_, len)| len).sum();
+    let (mut n, mut delta_len, mut body_bytes) = (table.len() as u32, bytes, bytes);
+    match hostile {
+        0 => table.reverse(),
+        1 => table.iter_mut().take(1).for_each(|run| run.1 = 0),
+        2 => (1..table.len()).for_each(|i| table[i].0 = table[i - 1].0 + table[i - 1].1 - 1),
+        3 => table.iter_mut().last().into_iter().for_each(|run| run.0 = u32::MAX - 1),
+        4 => n = 0,
+        5 => n = 9,
+        6 => n = u32::MAX,
+        7 => delta_len += 1,
+        8 => delta_len = delta_len.wrapping_sub(1),
+        9 => body_bytes += 1,
+        10 => body_bytes = body_bytes.saturating_sub(1),
+        _ => {}
+    }
+    let mut body = Vec::new();
+    body.extend_from_slice(&page.to_le_bytes());
+    body.extend_from_slice(&txn.to_le_bytes());
+    body.extend_from_slice(&n.to_le_bytes());
+    body.extend_from_slice(&delta_len.to_le_bytes());
+    for (off, len) in table {
+        body.extend_from_slice(&off.to_le_bytes());
+        body.extend_from_slice(&len.to_le_bytes());
+    }
+    let rest = if first_mod { PS } else { 0 } + body_bytes as usize;
+    body.extend((0..rest).map(|i| fill[i % fill.len()]));
+    (if first_mod { 1u8 } else { 2u8 }, body)
+}
+
+/// The strategy below only earns its keep while its update bodies are
+/// the shape the decoder expects: laid out unbroken they must get past
+/// it (the scan counts one record), and each way of breaking them must
+/// be the reason they do not (the scan counts none).
+#[test]
+fn update_bodies_are_decoded_unless_broken() {
+    let scanned = |hostile: usize| {
+        let layout = [(3, 2), (20, 5), (30, 1)];
+        let (kind, body) = update_body(true, (0, 1), hostile, &layout, &[7]);
+        let log = log_with_frame(kind, &body, None);
+        let pool = open(&disk_from(&vec![vec![0u8; PS]; 1]), &disk_from(&log)).unwrap();
+        let report = pool.recover().unwrap();
+        std::mem::forget(pool);
+        report.map_or(0, |r| r.records_scanned)
+    };
+    assert_eq!(scanned(HOSTILITIES), 1, "a well-formed FirstMod must reach the decoder's end");
+    for hostile in 0..HOSTILITIES {
+        assert_eq!(scanned(hostile), 0, "hostility {hostile} was not what the decoder refused");
+    }
+}
+
 /// Bodies shaped like each record kind — right length, hostile fields —
 /// next to wholly arbitrary ones.  Page ids stay small: a checksummed
 /// record naming page 2^60 is the engine's own output, not decoder input.
 fn body_strategy() -> impl Strategy<Value = (u8, Vec<u8>)> {
     let update = |first_mod: bool| {
         (
-            (0u64..16, any::<u64>(), any::<u32>(), 0u32..200),
-            prop::collection::vec(any::<u8>(), 0..40),
+            (0u64..16, any::<u64>(), 0..HOSTILITIES + 1),
+            prop_oneof![
+                prop::collection::vec((0u32..30, 1u32..9), 0..11),
+                prop::collection::vec((0u32..30, 1u32..9), 8..10),
+            ],
+            prop::collection::vec(any::<u8>(), 1..40),
         )
-            .prop_map(move |((page, txn, off, len), fill)| {
-                let mut body = Vec::new();
-                body.extend_from_slice(&page.to_le_bytes());
-                body.extend_from_slice(&txn.to_le_bytes());
-                body.extend_from_slice(&(off % 300).to_le_bytes());
-                body.extend_from_slice(&len.to_le_bytes());
-                let rest = if first_mod { PS } else { 0 } + len as usize;
-                body.extend(
-                    (0..rest).map(|i| fill.get(i % fill.len().max(1)).copied().unwrap_or(7)),
-                );
-                (if first_mod { 1u8 } else { 2u8 }, body)
+            .prop_map(move |((page, txn, hostile), layout, fill)| {
+                update_body(first_mod, (page, txn), hostile, &layout, &fill)
             })
     };
     let checkpoint = (any::<u64>(), 0u32..6, 0usize..6).prop_map(|(horizon, n, listed)| {

@@ -11,14 +11,20 @@
 //! anchor — and covers: small and page-spanning transactions, single
 //! rollovers, a double rollover inside one flush (the anchor-guard
 //! pre-sync), a quiescent checkpoint, a fuzzy checkpoint with an open
-//! transaction, a wedged full segment map and the checkpoint pass that
+//! transaction, update records with one, three and the full table of
+//! eight byte runs (as Delta and as FirstMod) and with differences merged
+//! into one run, a wedged full segment map and the checkpoint pass that
 //! relieves it, a crash with an uncommitted tail on both devices, and
 //! reopen + `recover`.
 //!
-//! The constants were captured at the commit *before* `wal.rs` became the
-//! `wal/` module (PR 16) and pin that the split changed no format, added
-//! no sync and reordered no write.  Sibling of `tests/read_path_trace.rs`
-//! and `tests/pool_determinism.rs`.
+//! The constants were first captured at the commit *before* `wal.rs`
+//! became the `wal/` module and passed unmodified until log format v4
+//! (PR 18: update records carry byte runs instead of one span), which
+//! changed the version in every anchor and the bytes of every update
+//! record.  They were recaptured once, at that commit, after the two
+//! multi-run steps were added to the script; what they pin since is that
+//! format, sync count and write order do not move.  Sibling of
+//! `tests/read_path_trace.rs` and `tests/pool_determinism.rs`.
 
 use ri_tree::pagestore::{
     BufferPool, BufferPoolConfig, DiskManager, Error, FlushPolicy, MemDisk, PageId, RecoveryReport,
@@ -43,30 +49,32 @@ struct Step {
 
 #[rustfmt::skip]
 const GOLDEN_STEPS: &[Step] = &[
-    Step { label: "attach (fresh device)", ops: 4, trace: 0x73dbc570afb85648, snap: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] },
-    Step { label: "small txn, first rollover", ops: 12, trace: 0x8dbf402d25f8b56e, snap: [1, 211, 1, 1, 0, 0, 0, 1, 0, 2, 0, 0, 1, 0] },
-    Step { label: "delta txn, second rollover", ops: 20, trace: 0xf77fe64e0e85a4a0, snap: [2, 294, 2, 2, 0, 0, 0, 2, 0, 4, 0, 0, 2, 0] },
-    Step { label: "page-spanning txn, double rollover in one flush", ops: 37, trace: 0x19d6cde50220a841, snap: [5, 853, 3, 3, 0, 1, 0, 4, 0, 9, 0, 0, 4, 0] },
-    Step { label: "quiescent checkpoint", ops: 40, trace: 0x32c6869342ba8257, snap: [5, 853, 3, 3, 0, 1, 2, 6, 1, 9, 0, 0, 4, 3] },
-    Step { label: "txn after truncation (fresh FirstMod, recycled slot)", ops: 46, trace: 0x95eecd94e68d450c, snap: [6, 1064, 4, 4, 0, 1, 2, 7, 1, 12, 0, 0, 5, 3] },
-    Step { label: "fuzzy checkpoint with an open transaction", ops: 56, trace: 0x174f443d4124e51b, snap: [7, 1287, 4, 4, 0, 2, 4, 10, 2, 16, 0, 0, 6, 4] },
-    Step { label: "open transaction commits", ops: 58, trace: 0x53aa3438da7911f6, snap: [8, 1370, 5, 5, 0, 2, 4, 11, 2, 17, 0, 0, 6, 4] },
-    Step { label: "write-back pass while filling the map", ops: 107, trace: 0x6da463e4486d0119, snap: [15, 2847, 12, 12, 0, 2, 4, 18, 2, 35, 0, 0, 12, 4] },
-    Step { label: "commit wedged on a full segment map", ops: 223, trace: 0xb36c420e55fb2cd1, snap: [31, 6223, 28, 27, 0, 2, 4, 33, 2, 76, 0, 0, 24, 4] },
-    Step { label: "checkpoint relieves the full map", ops: 233, trace: 0xf49059fb8beeee38, snap: [31, 6256, 28, 27, 0, 2, 7, 36, 3, 79, 0, 0, 25, 11] },
-    Step { label: "page-spanning txn after relief", ops: 240, trace: 0x0812e2a685edc5a5, snap: [33, 6641, 29, 28, 0, 2, 7, 37, 3, 83, 0, 0, 26, 11] },
-    Step { label: "uncommitted tail written back", ops: 250, trace: 0xc403b4ddcf817759, snap: [35, 6989, 29, 28, 0, 4, 7, 39, 3, 87, 0, 0, 28, 11] },
-    Step { label: "reopen + recover", ops: 253, trace: 0x42c779d0380ec66f, snap: [0, 0, 0, 0, 0, 0, 2, 2, 1, 0, 0, 0, 0, 14] },
+    Step { label: "attach (fresh device)", ops: 4, trace: 0x0b65a6d78201f418, snap: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] },
+    Step { label: "small txn, first rollover", ops: 12, trace: 0xa8cc097014c2fce4, snap: [1, 219, 1, 1, 0, 0, 0, 1, 0, 2, 0, 0, 1, 0] },
+    Step { label: "delta txn, second rollover", ops: 20, trace: 0xf6b0e8885ff86797, snap: [2, 310, 2, 2, 0, 0, 0, 2, 0, 4, 0, 0, 2, 0] },
+    Step { label: "page-spanning txn, double rollover in one flush", ops: 37, trace: 0x8d0674f02fe5ea14, snap: [5, 893, 3, 3, 0, 1, 0, 4, 0, 9, 0, 0, 4, 0] },
+    Step { label: "quiescent checkpoint", ops: 40, trace: 0x33c64bc5cb945323, snap: [5, 893, 3, 3, 0, 1, 2, 6, 1, 9, 0, 0, 4, 3] },
+    Step { label: "txn after truncation (fresh FirstMod, recycled slot)", ops: 46, trace: 0xf4a4279b67394a0a, snap: [6, 1112, 4, 4, 0, 1, 2, 7, 1, 12, 0, 0, 5, 3] },
+    Step { label: "fuzzy checkpoint with an open transaction", ops: 56, trace: 0xee9ab5fe9e5829e4, snap: [7, 1343, 4, 4, 0, 2, 4, 10, 2, 16, 0, 0, 6, 4] },
+    Step { label: "open transaction commits", ops: 59, trace: 0x1e2257b493aa6bb1, snap: [8, 1434, 5, 5, 0, 2, 4, 11, 2, 18, 0, 0, 6, 4] },
+    Step { label: "full run tables and a merged run", ops: 77, trace: 0x4e88ce76a4358de7, snap: [11, 2087, 6, 6, 0, 4, 4, 14, 2, 24, 0, 0, 9, 4] },
+    Step { label: "write-back pass while filling the map", ops: 133, trace: 0x4111e644e875eda8, snap: [18, 3620, 13, 13, 0, 4, 4, 21, 2, 43, 0, 0, 15, 4] },
+    Step { label: "commit wedged on a full segment map", ops: 220, trace: 0xf8aa3f4907390b9d, snap: [30, 6248, 25, 24, 0, 4, 4, 32, 2, 74, 0, 0, 24, 4] },
+    Step { label: "checkpoint relieves the full map", ops: 230, trace: 0xfabb3f04622b2833, snap: [30, 6281, 25, 24, 0, 4, 7, 35, 3, 77, 0, 0, 25, 14] },
+    Step { label: "page-spanning txn after relief", ops: 240, trace: 0xf9485cb6098ac3e7, snap: [32, 6682, 26, 25, 0, 5, 7, 37, 3, 81, 0, 0, 27, 14] },
+    Step { label: "three-run Delta and FirstMod", ops: 246, trace: 0x388d43ba5c0fba88, snap: [34, 6992, 27, 26, 0, 5, 7, 38, 3, 84, 0, 0, 28, 14] },
+    Step { label: "uncommitted tail written back", ops: 253, trace: 0xc89fb2c0d7033ef3, snap: [36, 7356, 27, 26, 0, 6, 7, 39, 3, 88, 0, 0, 29, 14] },
+    Step { label: "reopen + recover", ops: 256, trace: 0x7f2a20f010e074a2, snap: [0, 0, 0, 0, 0, 0, 2, 2, 1, 0, 0, 0, 0, 13] },
 ];
 
-const GOLDEN_LOG_IMAGE_HASH: u64 = 0x8646_8be1_4ae0_ffaf;
-const GOLDEN_DATA_IMAGE_HASH: u64 = 0x8538_75e4_0151_15f7;
+const GOLDEN_LOG_IMAGE_HASH: u64 = 0x5727_5d54_1e41_29fe;
+const GOLDEN_DATA_IMAGE_HASH: u64 = 0x3651_f51a_24f9_a4bb;
 const GOLDEN_REPORT: RecoveryReport = RecoveryReport {
-    records_scanned: 38,
-    committed_records: 36,
+    records_scanned: 33,
+    committed_records: 31,
     tail_records: 2,
-    commits: 17,
-    pages_redone: 18,
+    commits: 14,
+    pages_redone: 15,
     pages_rolled_back: 2,
     txns_rolled_back: 1,
 };
@@ -238,8 +246,14 @@ impl Script {
     }
 
     fn touch(&mut self, page: usize, off: usize, val: u8) {
-        self.pool.with_page_mut(PageId(page as u64), |d| d[off] = val).unwrap();
-        self.current[page][off] = val;
+        self.touch_all(page, &[(off, val)]);
+    }
+
+    /// One update — one log record — changing every `(offset, value)`.
+    fn touch_all(&mut self, page: usize, bytes: &[(usize, u8)]) {
+        let write = |d: &mut [u8]| bytes.iter().for_each(|&(off, val)| d[off] = val);
+        self.pool.with_page_mut(PageId(page as u64), write).unwrap();
+        write(&mut self.current[page]);
     }
 
     fn commit(&mut self) -> Result<u64> {
@@ -276,18 +290,18 @@ fn log_device_trace_is_pinned() {
     }
     s.step("attach (fresh device)");
 
-    // A FirstMod + Commit: 211 bytes, opens segment 0.
+    // A FirstMod + Commit: 219 bytes, opens segment 0.
     s.touch(0, 5, 1);
     s.commit().unwrap();
     s.step("small txn, first rollover");
 
-    // A Delta + Commit: 83 bytes, crosses into segment 1 and rewrites the
+    // A Delta + Commit: 91 bytes, crosses into segment 1 and rewrites the
     // partial tail page with its already-written prefix.
     s.touch(0, 6, 2);
     s.commit().unwrap();
     s.step("delta txn, second rollover");
 
-    // Three FirstMods + Commit: 559 bytes over segments 1..=3, so one
+    // Three FirstMods + Commit: 583 bytes over segments 1..=3, so one
     // flush rolls over twice and the second anchor write must pre-sync.
     let before = s.wal_stats();
     for (page, val) in [(1, 11), (2, 12), (3, 13)] {
@@ -325,6 +339,19 @@ fn log_device_trace_is_pinned() {
     s.commit().unwrap();
     s.step("open transaction commits");
 
+    // A full run table, as a Delta (page 4 was logged just above) and as
+    // a FirstMod: runs merge across up to 16 equal bytes, so eight single
+    // bytes 18 apart are all a 128-byte page has room for, and the fold
+    // beyond the table's end is pinned in `wal::tests` on larger pages.
+    // And nine differences 9 apart that travel as one merged run.
+    let stride = |n: usize, step: usize| (0..n).map(|i| (step * i, 0x50 + i as u8)).collect();
+    let (full, merged): (Vec<_>, Vec<_>) = (stride(8, 18), stride(9, 9));
+    s.touch_all(4, &full);
+    s.touch_all(37, &full);
+    s.touch_all(36, &merged);
+    s.commit().unwrap();
+    s.step("full run tables and a merged run");
+
     // Fill the 20-entry segment map: one fresh page per transaction, so no
     // page run straddles and pins the horizon.  The fence for the relief
     // checkpoint is sampled honestly, before a write-back pass part-way.
@@ -359,6 +386,16 @@ fn log_device_trace_is_pinned() {
     s.touch(2, 10, 22);
     s.commit().unwrap();
     s.step("page-spanning txn after relief");
+
+    // Updates that change a page in several places, each further from
+    // the next than runs merge across: page 1 has its FirstMod above the
+    // scan start, so its record is a three-run Delta; page 38 is
+    // untouched so far, so its record is a three-run FirstMod.  Recovery
+    // below replays both.
+    s.touch_all(1, &[(20, 31), (60, 32), (100, 33)]);
+    s.touch_all(38, &[(0, 41), (50, 42), (51, 43), (127, 44)]);
+    s.commit().unwrap();
+    s.step("three-run Delta and FirstMod");
 
     // The crash: an uncommitted tail, forced onto both devices by a
     // write-back pass, then the pool vanishes without its `Drop` flush.
