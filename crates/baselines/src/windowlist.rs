@@ -112,11 +112,6 @@ impl WindowList {
         }
     }
 
-    /// Number of windows.
-    pub fn window_count(&self) -> usize {
-        self.boundaries.len()
-    }
-
     /// Rows stored per interval (≈ 2 by construction).
     pub fn duplication_factor(&self) -> Result<f64> {
         let rows = self.db.table(&self.table_name)?.row_count()? as f64;
@@ -237,7 +232,6 @@ mod tests {
     fn empty_structure() {
         let wl = build(&[]);
         assert_eq!(wl.am_intersection(0, 100).unwrap(), Vec::<i64>::new());
-        assert_eq!(wl.window_count(), 0);
     }
 
     #[test]

@@ -2,10 +2,9 @@
 //! (our concurrency experiment; see `ri_bench::concurrency` for the
 //! deterministic contention model).
 //!
-//! Usage: `fig18_concurrency [--quick]`.  The deterministic snapshot
-//! (`BENCH_concurrency.json`) is written by `run_all --snapshots DIR`.
+//! Usage: `fig18_concurrency [--quick]`.
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    ri_bench::concurrency::run(quick, None);
+    ri_bench::concurrency::run(quick);
 }

@@ -3,10 +3,9 @@
 //! experiment; see `ri_bench::write_concurrency` for the deterministic
 //! contention model).
 //!
-//! Usage: `fig19_write_concurrency [--quick]`.  The deterministic snapshot
-//! (`BENCH_write_concurrency.json`) is written by `run_all --snapshots DIR`.
+//! Usage: `fig19_write_concurrency [--quick]`.
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    ri_bench::write_concurrency::run(quick, None);
+    ri_bench::write_concurrency::run(quick);
 }

@@ -3,10 +3,9 @@
 //! baseline (our durability experiment; see `ri_bench::group_commit`
 //! for the deterministic commit-policy model).
 //!
-//! Usage: `fig20_group_commit [--quick]`.  The deterministic snapshot
-//! (`BENCH_group_commit.json`) is written by `run_all --snapshots DIR`.
+//! Usage: `fig20_group_commit [--quick]`.
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    ri_bench::group_commit::run(quick, None);
+    ri_bench::group_commit::run(quick);
 }

@@ -3,10 +3,9 @@
 //! `ri_bench::scaleup` for the measured-anchor + verified-model
 //! methodology).
 //!
-//! Usage: `fig21_scaleup [--quick]`.  The deterministic snapshot
-//! (`BENCH_scaleup.json`) is written by `run_all --snapshots DIR`.
+//! Usage: `fig21_scaleup [--quick]`.
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    ri_bench::scaleup::run(quick, None);
+    ri_bench::scaleup::run(quick);
 }

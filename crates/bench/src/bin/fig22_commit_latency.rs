@@ -3,10 +3,9 @@
 //! (our durability experiment; see `ri_bench::commit_latency` for the
 //! deterministic flush-policy model).
 //!
-//! Usage: `fig22_commit_latency [--quick]`.  The deterministic snapshot
-//! (`BENCH_commit_latency.json`) is written by `run_all --snapshots DIR`.
+//! Usage: `fig22_commit_latency [--quick]`.
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    ri_bench::commit_latency::run(quick, None);
+    ri_bench::commit_latency::run(quick);
 }

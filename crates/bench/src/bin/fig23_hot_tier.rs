@@ -3,10 +3,9 @@
 //! read-through tier over the RI-tree under Zipf skew × interval budget
 //! (our main-memory experiment; see `ri_bench::hot_tier` for the model).
 //!
-//! Usage: `fig23_hot_tier [--quick]`.  The deterministic snapshot
-//! (`BENCH_hint.json`) is written by `run_all --snapshots DIR`.
+//! Usage: `fig23_hot_tier [--quick]`.
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    ri_bench::hot_tier::run(quick, None);
+    ri_bench::hot_tier::run(quick);
 }

@@ -2,31 +2,23 @@
 //! `ri_bench::figures::REGISTRY` — one table lists all figures, so a new
 //! figure registered there is automatically part of this regeneration.
 //!
-//! Usage: `run_all [--quick] [--snapshots DIR]`
+//! Usage: `run_all [--quick]`
 //!
 //! Default is full (paper-sized) mode; pass `--quick` for a 10x smaller
-//! smoke run.  `--snapshots DIR` additionally writes every registered
-//! deterministic snapshot (`BENCH_*.json`) into `DIR` — the files CI
-//! double-runs and diffs.
-
-use std::path::PathBuf;
+//! smoke run.  Every line that does not start with `#` is deterministic:
+//! `run_all --quick | grep -v '^#'` is the snapshot of a commit, and CI
+//! diffs that text from two runs.
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let snapshots = args.iter().position(|a| a == "--snapshots").map(|i| {
-        let dir = PathBuf::from(args.get(i + 1).expect("--snapshots needs a directory"));
-        std::fs::create_dir_all(&dir).expect("create the snapshot directory");
-        dir
-    });
+    let quick = std::env::args().any(|a| a == "--quick");
     eprintln!(
         "regenerating all {} tables and figures ({} mode)...",
         ri_bench::figures::REGISTRY.len(),
         if quick { "quick" } else { "full" }
     );
+    println!("# runner_cores: {}", ri_bench::runner_cores());
     for figure in ri_bench::figures::REGISTRY {
         eprintln!("--- {} ---", figure.name);
-        let json = snapshots.as_ref().zip(figure.snapshot).map(|(dir, file)| dir.join(file));
-        (figure.run)(quick, json.as_deref());
+        (figure.run)(quick);
     }
 }

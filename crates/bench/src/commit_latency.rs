@@ -29,22 +29,19 @@
 //!
 //! Both policies share the group-commit rule of `fig20` (a starting
 //! fsync covers every request issued at or before its start, lowest
-//! writer index first), so the snapshot (`BENCH_commit_latency.json`)
-//! is byte-stable across runs and machines.  Device costs are the
-//! paper-era disk: [`T_SYNC_NS`] per fsync, [`T_PAGE_WRITE_NS`] per
-//! 2 KB log page (~10 MB/s sequential).
+//! writer index first), so the tables are byte-stable across runs and
+//! machines.  Device costs are the paper-era disk: [`T_SYNC_NS`] per
+//! fsync, [`T_PAGE_WRITE_NS`] per 2 KB log page (~10 MB/s sequential).
 //!
 //! Alongside the model, the experiment *actually runs* a
 //! `FlushPolicy::Background` database and reports its flusher counters
 //! plus the WAL's absolute sync-accounting identity.  Those counters
-//! depend on thread scheduling, so they are printed as `#` comments and
-//! excluded from the JSON.
+//! depend on thread scheduling, so they are printed on `#` lines.
 
-use crate::harness::{durable_db, f, section, wal_stats};
+use crate::harness::{durable_db, run_txns, section, wal_stats};
 use crate::sim::Policy;
 pub use crate::sim::SimResult;
 use ri_pagestore::{FlushPolicy, WalConfig, DEFAULT_PAGE_SIZE};
-use std::io::Write as _;
 
 /// Committing writer thread counts evaluated.
 pub const THREAD_COUNTS: [usize; 6] = [1, 2, 4, 8, 16, 32];
@@ -153,10 +150,8 @@ pub struct Workload {
     pub rows: Vec<Row>,
 }
 
-/// Everything the experiment produced, ready for printing / JSON.
+/// Everything the experiment produced.
 pub struct Report {
-    /// Commits each simulated writer performs.
-    pub commits_per_writer: u64,
     /// The small- and large-transaction workloads.
     pub workloads: Vec<Workload>,
 }
@@ -166,14 +161,7 @@ pub struct Report {
 /// inserts each, one fsync per commit (nobody to follow).
 fn trace_txn(inserts_per_commit: u64, commits: u64) -> Trace {
     let db = durable_db(WalConfig::default());
-    let t = db.table("T").expect("table");
-    for c in 0..commits as i64 {
-        for k in 0..inserts_per_commit as i64 {
-            let id = c * inserts_per_commit as i64 + k;
-            t.insert(&[id, (id * 37) % 1000]).expect("insert");
-        }
-        db.commit().expect("commit");
-    }
+    run_txns(&db, inserts_per_commit, commits);
     let stats = wal_stats(&db);
     assert_eq!(stats.commits, commits, "one commit per transaction");
     assert_eq!(stats.commit_syncs, commits, "single-threaded: every commit leads");
@@ -189,14 +177,7 @@ fn report_real_flusher_run(inserts_per_commit: u64, commits: u64) {
         flush_policy: FlushPolicy::Background { watermark_bytes: 2 * PAGE_BYTES as usize },
         ..WalConfig::default()
     });
-    let t = db.table("T").expect("table");
-    for c in 0..commits as i64 {
-        for k in 0..inserts_per_commit as i64 {
-            let id = c * inserts_per_commit as i64 + k;
-            t.insert(&[id, id % 7]).expect("insert");
-        }
-        db.commit().expect("commit");
-    }
+    run_txns(&db, inserts_per_commit, commits);
     let s = wal_stats(&db);
     assert_eq!(
         s.syncs,
@@ -217,51 +198,63 @@ fn report_real_flusher_run(inserts_per_commit: u64, commits: u64) {
     db.close().expect("close");
 }
 
-/// Runs the experiment; when `json_path` is set, also writes the
-/// deterministic snapshot there (the CI artifact).
-pub fn run(quick: bool, json_path: Option<&std::path::Path>) -> Report {
+/// Runs the experiment and prints its tables.
+pub fn run(quick: bool) -> Report {
     section("Figure 22: mean commit latency, inline first-flush vs background flusher");
     let commits_per_writer: u64 = if quick { 50 } else { 200 };
     let small_commits: u64 = if quick { 400 } else { 2_000 };
     let large_commits: u64 = if quick { 8 } else { 40 };
+    println!("model: commits_per_writer,t_sync_ns,t_page_write_ns,page_bytes");
+    println!("{commits_per_writer},{T_SYNC_NS},{T_PAGE_WRITE_NS},{PAGE_BYTES}");
+
+    println!(
+        "trace: label,commits,inserts_per_commit,wal_record_bytes,bytes_per_commit,\
+         full_pages_per_commit,t_think_ns"
+    );
     let mut workloads = Vec::new();
     for (label, ipc, traced) in
         [("small", 1, small_commits), ("large", LARGE_TXN_INSERTS, large_commits)]
     {
         let trace = trace_txn(ipc, traced);
-        let full_pages = trace.full_pages_per_commit();
-        let t_think = trace.t_think_ns();
+        let (full_pages, t_think) = (trace.full_pages_per_commit(), trace.t_think_ns());
         println!(
-            "# trace[{label}]: {} commits x {} inserts, {} stream bytes \
-             ({} B/commit, {} full pages), t_think = {} ns",
+            "{label},{},{},{},{},{full_pages},{t_think}",
             trace.commits,
             trace.inserts_per_commit,
             trace.wal_record_bytes,
-            trace.bytes_per_commit(),
-            full_pages,
-            t_think
+            trace.bytes_per_commit()
         );
-        println!(
-            "{label}: threads,mean_latency_ms_inline,mean_latency_ms_ahead,latency_ratio,\
-             fsyncs_inline,fsyncs_ahead,max_group_ahead"
-        );
-        let mut rows = Vec::new();
-        for &threads in &THREAD_COUNTS {
-            let inline = simulate(threads, commits_per_writer, full_pages, t_think, false);
-            let ahead = simulate(threads, commits_per_writer, full_pages, t_think, true);
-            let row = Row { threads, inline, ahead };
-            println!(
-                "{threads},{},{},{},{},{},{}",
-                f(inline.mean_latency_ns() as f64 / 1e6),
-                f(ahead.mean_latency_ns() as f64 / 1e6),
-                f(row.latency_ratio()),
-                inline.fsyncs,
-                ahead.fsyncs,
-                ahead.max_group
-            );
-            rows.push(row);
-        }
+        let rows = THREAD_COUNTS
+            .iter()
+            .map(|&threads| Row {
+                threads,
+                inline: simulate(threads, commits_per_writer, full_pages, t_think, false),
+                ahead: simulate(threads, commits_per_writer, full_pages, t_think, true),
+            })
+            .collect();
         workloads.push(Workload { label, trace, rows });
+    }
+    println!(
+        "label,threads,commits,mean_latency_ns_inline,mean_latency_ns_ahead,latency_ratio,\
+         fsyncs_inline,fsyncs_ahead,makespan_ns_inline,makespan_ns_ahead,max_group_ahead"
+    );
+    for w in &workloads {
+        for r in &w.rows {
+            println!(
+                "{},{},{},{},{},{:.4},{},{},{},{},{}",
+                w.label,
+                r.threads,
+                r.ahead.commits,
+                r.inline.mean_latency_ns(),
+                r.ahead.mean_latency_ns(),
+                r.latency_ratio(),
+                r.inline.fsyncs,
+                r.ahead.fsyncs,
+                r.inline.makespan_ns,
+                r.ahead.makespan_ns,
+                r.ahead.max_group
+            );
+        }
     }
 
     // Correctness of the real background-flusher path (counters depend
@@ -272,72 +265,7 @@ pub fn run(quick: bool, json_path: Option<&std::path::Path>) -> Report {
     println!("# commit critical path; the flusher writes it during think-time device");
     println!("# idle gaps, so large-transaction commits pay only the tail page + fsync.");
     println!("# Small transactions fill no whole page, so both policies coincide.");
-    let report = Report { commits_per_writer, workloads };
-    if let Some(path) = json_path {
-        write_json(&report, path, quick).expect("write bench snapshot");
-        println!("# wrote {}", path.display());
-    }
-    report
-}
-
-/// Serializes the deterministic part of the report as JSON (hand-rolled,
-/// like the other snapshots; the workspace is offline and needs no serde).
-fn write_json(report: &Report, path: &std::path::Path, quick: bool) -> std::io::Result<()> {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"benchmark\": \"fig22_commit_latency\",\n");
-    out.push_str(&format!("  \"mode\": \"{}\",\n", if quick { "quick" } else { "full" }));
-    out.push_str(
-        "  \"protocol\": \"group-commit leaders under two flush policies: inline \
-         (the leader writes every unflushed log page of the covered commits, then \
-         the tail page, then fsyncs) vs flusher-ahead (a background drain writes \
-         buffered pages during device idle gaps, so the leader pays only the \
-         still-unwritten residual + tail page + fsync). Identical per-commit work, \
-         traced from real FlushPolicy::Off runs\",\n",
-    );
-    out.push_str(&format!("  \"runner_cores\": {},\n", crate::harness::runner_cores()));
-    out.push_str(&format!("  \"commits_per_writer\": {},\n", report.commits_per_writer));
-    out.push_str("  \"model\": {\n");
-    out.push_str(&format!(
-        "    \"t_sync_ns\": {T_SYNC_NS},\n    \"t_page_write_ns\": {T_PAGE_WRITE_NS},\n    \"page_bytes\": {PAGE_BYTES}\n  }},\n"
-    ));
-    out.push_str("  \"workloads\": [\n");
-    for (wi, w) in report.workloads.iter().enumerate() {
-        out.push_str(&format!("    {{\"label\": \"{}\",\n", w.label));
-        out.push_str(&format!(
-            "     \"trace\": {{\"commits\": {}, \"inserts_per_commit\": {}, \"wal_record_bytes\": {}, \"bytes_per_commit\": {}, \"full_pages_per_commit\": {}, \"t_think_ns\": {}}},\n",
-            w.trace.commits,
-            w.trace.inserts_per_commit,
-            w.trace.wal_record_bytes,
-            w.trace.bytes_per_commit(),
-            w.trace.full_pages_per_commit(),
-            w.trace.t_think_ns()
-        ));
-        out.push_str("     \"results\": [\n");
-        for (i, r) in w.rows.iter().enumerate() {
-            out.push_str(&format!(
-                "       {{\"threads\": {}, \"commits\": {}, \"mean_latency_ns_inline\": {}, \"mean_latency_ns_ahead\": {}, \"latency_ratio\": {:.4}, \"fsyncs_inline\": {}, \"fsyncs_ahead\": {}, \"makespan_ns_inline\": {}, \"makespan_ns_ahead\": {}, \"max_group_ahead\": {}}}{}\n",
-                r.threads,
-                r.ahead.commits,
-                r.inline.mean_latency_ns(),
-                r.ahead.mean_latency_ns(),
-                r.latency_ratio(),
-                r.inline.fsyncs,
-                r.ahead.fsyncs,
-                r.inline.makespan_ns,
-                r.ahead.makespan_ns,
-                r.ahead.max_group,
-                if i + 1 == w.rows.len() { "" } else { "," }
-            ));
-        }
-        out.push_str(&format!(
-            "     ]}}{}\n",
-            if wi + 1 == report.workloads.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    let mut file = std::fs::File::create(path)?;
-    file.write_all(out.as_bytes())
+    Report { workloads }
 }
 
 #[cfg(test)]
@@ -386,8 +314,8 @@ mod tests {
 
     #[test]
     fn quick_run_is_deterministic_and_meets_the_bar() {
-        let a = run(true, None);
-        let b = run(true, None);
+        let a = run(true);
+        let b = run(true);
         for (wa, wb) in a.workloads.iter().zip(&b.workloads) {
             assert_eq!(
                 wa.trace.wal_record_bytes, wb.trace.wal_record_bytes,

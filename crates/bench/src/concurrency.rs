@@ -52,14 +52,13 @@
 //! threads through [`RiTree::intersection_batch`] at every configuration
 //! and asserts the answers are identical to the sequential run — the
 //! façade's correctness is exercised even where its speed cannot be
-//! observed.  Wall-clock numbers are printed for reference but kept out
-//! of the JSON snapshot, which must stay byte-stable across runs.
+//! observed.  Wall-clock numbers are printed for reference on `#` lines;
+//! every other line must stay byte-stable across runs.
 
 use crate::harness::{build_ritree, f, fresh_env_sharded, section, Env};
 use ri_pagestore::{IoSnapshot, LatencyModel};
 use ri_workloads::{d1, queries_for_selectivity};
 use ritree_core::{Interval, RiTree, UPPER_NOW};
-use std::io::Write as _;
 use std::time::Instant;
 
 /// Shard counts compared by the experiment.
@@ -138,14 +137,8 @@ pub struct Throughput {
     pub max_shard_serial_sec: f64,
 }
 
-/// Everything the experiment produced, ready for printing / JSON.
+/// Everything the experiment produced.
 pub struct ConcurrencyReport {
-    /// Intervals in the database.
-    pub intervals: usize,
-    /// Queries in the batch.
-    pub queries: usize,
-    /// The cost model used.
-    pub model: ContentionModel,
     /// One entry per (shards, threads) pair, shards-major.
     pub rows: Vec<Throughput>,
 }
@@ -174,9 +167,8 @@ fn trace_batch(env: &Env, tree: &RiTree, queries: &[Interval]) -> BatchTrace {
     BatchTrace { per_shard, rows_examined, wall_seq_ms }
 }
 
-/// Runs the experiment; when `json_path` is set, also writes the
-/// deterministic snapshot there (the CI `bench-snapshot` artifact).
-pub fn run(quick: bool, json_path: Option<&std::path::Path>) -> ConcurrencyReport {
+/// Runs the experiment and prints its tables.
+pub fn run(quick: bool) -> ConcurrencyReport {
     section("Figure 18: query throughput vs reader threads, pool shards 1/4/16");
     let n = if quick { 10_000 } else { 100_000 };
     let nq = if quick { 50 } else { 200 };
@@ -194,7 +186,23 @@ pub fn run(quick: bool, json_path: Option<&std::path::Path>) -> ConcurrencyRepor
     assert_eq!(SHARD_COUNTS[0], 1, "the global-lock baseline must come first");
     let mut global_lock_qps = vec![0.0f64; THREAD_COUNTS.len()];
 
-    println!("shards,threads,qps_model,speedup_vs_1shard,phys_io/query,max_shard_serial_s");
+    println!("workload: intervals,queries");
+    println!("{n},{}", queries.len());
+    println!(
+        "model: seconds_per_read,seconds_per_write,seconds_per_row,seconds_per_latch,\
+         seconds_per_access_cpu"
+    );
+    println!(
+        "{},{},{},{},{}",
+        model.latency.seconds_per_read,
+        model.latency.seconds_per_write,
+        model.latency.seconds_per_row,
+        model.seconds_per_latch,
+        model.seconds_per_access_cpu
+    );
+    println!(
+        "shards,threads,queries_per_sec,speedup_vs_1shard,phys_io_per_query,max_shard_serial_sec"
+    );
     for &shards in &SHARD_COUNTS {
         let env = fresh_env_sharded(200, shards);
         let tree = build_ritree(&env, &data);
@@ -228,19 +236,14 @@ pub fn run(quick: bool, json_path: Option<&std::path::Path>) -> ConcurrencyRepor
                 .iter()
                 .map(|s| model.shard_serial_seconds(s))
                 .fold(0.0f64, f64::max);
-            println!(
-                "{shards},{threads},{},{},{},{}",
-                f(qps),
-                f(speedup),
-                f(phys_total as f64 / queries.len() as f64),
-                f(max_floor)
-            );
+            let phys_io = phys_total as f64 / queries.len() as f64;
+            println!("{shards},{threads},{qps:.3},{speedup:.3},{phys_io:.3},{max_floor:.6}");
             rows.push(Throughput {
                 shards,
                 threads,
                 queries_per_sec: qps,
                 speedup_vs_global_lock: speedup,
-                phys_io_per_query: phys_total as f64 / queries.len() as f64,
+                phys_io_per_query: phys_io,
                 max_shard_serial_sec: max_floor,
             });
         }
@@ -254,63 +257,7 @@ pub fn run(quick: bool, json_path: Option<&std::path::Path>) -> ConcurrencyRepor
     println!("# even the 1-shard pool scales with reader threads on miss-heavy work;");
     println!("# the residual per-shard floor is latch bookkeeping (reserve/hit + publish)");
 
-    let report = ConcurrencyReport { intervals: n, queries: queries.len(), model, rows };
-    if let Some(path) = json_path {
-        write_json(&report, path, quick).expect("write bench snapshot");
-        println!("# wrote {}", path.display());
-    }
-    report
-}
-
-/// Serializes the deterministic part of the report as JSON (hand-rolled;
-/// the workspace is offline and needs no serde for one flat schema).
-fn write_json(
-    report: &ConcurrencyReport,
-    path: &std::path::Path,
-    quick: bool,
-) -> std::io::Result<()> {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"benchmark\": \"fig18_concurrency\",\n");
-    out.push_str(&format!("  \"mode\": \"{}\",\n", if quick { "quick" } else { "full" }));
-    // The contention model this snapshot was priced under, so a diff
-    // between snapshots from different protocol generations explains
-    // itself.  `runner_cores` records the machine (wall-clock columns can
-    // only ever be compared across equal core counts; the modeled columns
-    // are machine-independent).
-    out.push_str(
-        "  \"protocol\": \"miss promotion: device reads run outside the shard lock; \
-         per-shard serial floor charges lock holds only (one per access + one per \
-         device op), not device latency\",\n",
-    );
-    out.push_str(&format!("  \"runner_cores\": {},\n", crate::harness::runner_cores()));
-    out.push_str(&format!("  \"intervals\": {},\n", report.intervals));
-    out.push_str(&format!("  \"queries\": {},\n", report.queries));
-    out.push_str("  \"model\": {\n");
-    out.push_str(&format!(
-        "    \"seconds_per_read\": {},\n    \"seconds_per_write\": {},\n    \"seconds_per_row\": {},\n    \"seconds_per_latch\": {},\n    \"seconds_per_access_cpu\": {}\n  }},\n",
-        report.model.latency.seconds_per_read,
-        report.model.latency.seconds_per_write,
-        report.model.latency.seconds_per_row,
-        report.model.seconds_per_latch,
-        report.model.seconds_per_access_cpu
-    ));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in report.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"shards\": {}, \"threads\": {}, \"queries_per_sec\": {:.3}, \"speedup_vs_1shard\": {:.3}, \"phys_io_per_query\": {:.3}, \"max_shard_serial_sec\": {:.6}}}{}\n",
-            r.shards,
-            r.threads,
-            r.queries_per_sec,
-            r.speedup_vs_global_lock,
-            r.phys_io_per_query,
-            r.max_shard_serial_sec,
-            if i + 1 == report.rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    let mut file = std::fs::File::create(path)?;
-    file.write_all(out.as_bytes())
+    ConcurrencyReport { rows }
 }
 
 #[cfg(test)]
@@ -379,7 +326,7 @@ mod tests {
 
     #[test]
     fn quick_run_meets_the_scaling_bar() {
-        let report = run(true, None);
+        let report = run(true);
         let qps = |shards: usize, threads: usize| {
             report
                 .rows

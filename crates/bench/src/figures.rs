@@ -11,7 +11,6 @@ use ri_workloads::{
     d1, d2, d3, d4, queries_for_selectivity, restricted_d3, sweep_points, WorkloadSpec, DOMAIN_MAX,
 };
 use ritree_core::Interval;
-use std::path::Path;
 use std::sync::Arc;
 
 fn scaled(n: usize, quick: bool) -> usize {
@@ -391,59 +390,30 @@ pub mod table1 {
 pub struct Figure {
     /// Name of the standalone binary in `src/bin/`.
     pub name: &'static str,
-    /// File name of the byte-stable JSON snapshot the experiment writes
-    /// (fig18 onward); `None` for the paper's figures and tables.
-    pub snapshot: Option<&'static str>,
-    /// Entry point: takes `quick` and the snapshot path to write, if any,
-    /// and prints its tables.
-    pub run: fn(bool, Option<&Path>),
+    /// Entry point: takes `quick` and prints its tables.
+    pub run: fn(bool),
 }
 
 /// Every figure/table experiment in the suite, in run order — the one
 /// table `run_all` iterates, so a figure added here is automatically
 /// part of the full regeneration and cannot be forgotten.
-/// `run_all --snapshots DIR` writes each entry's snapshot into `DIR`.
 pub const REGISTRY: &[Figure] = &[
-    Figure { name: "table1", snapshot: None, run: |q, _| table1::run(q) },
-    Figure { name: "fig10_plan", snapshot: None, run: |q, _| fig10::run(q) },
-    Figure { name: "fig12_storage", snapshot: None, run: |q, _| fig12::run(q) },
-    Figure { name: "fig13_selectivity", snapshot: None, run: |q, _| fig13::run(q) },
-    Figure { name: "fig14_scaleup", snapshot: None, run: |q, _| fig14::run(q) },
-    Figure { name: "fig15_granularity", snapshot: None, run: |q, _| fig15::run(q) },
-    Figure { name: "fig16_duration", snapshot: None, run: |q, _| fig16::run(q) },
-    Figure { name: "fig17_sweep", snapshot: None, run: |q, _| fig17::run(q) },
-    Figure { name: "table_windowlist", snapshot: None, run: |q, _| table_windowlist::run(q) },
-    Figure { name: "table_tindex_tuning", snapshot: None, run: |q, _| table_tindex_tuning::run(q) },
-    Figure {
-        name: "fig18_concurrency",
-        snapshot: Some("BENCH_concurrency.json"),
-        run: |q, json| drop(crate::concurrency::run(q, json)),
-    },
-    Figure {
-        name: "fig19_write_concurrency",
-        snapshot: Some("BENCH_write_concurrency.json"),
-        run: |q, json| drop(crate::write_concurrency::run(q, json)),
-    },
-    Figure {
-        name: "fig20_group_commit",
-        snapshot: Some("BENCH_group_commit.json"),
-        run: |q, json| drop(crate::group_commit::run(q, json)),
-    },
-    Figure {
-        name: "fig21_scaleup",
-        snapshot: Some("BENCH_scaleup.json"),
-        run: |q, json| drop(crate::scaleup::run(q, json)),
-    },
-    Figure {
-        name: "fig22_commit_latency",
-        snapshot: Some("BENCH_commit_latency.json"),
-        run: |q, json| drop(crate::commit_latency::run(q, json)),
-    },
-    Figure {
-        name: "fig23_hot_tier",
-        snapshot: Some("BENCH_hint.json"),
-        run: |q, json| drop(crate::hot_tier::run(q, json)),
-    },
+    Figure { name: "table1", run: table1::run },
+    Figure { name: "fig10_plan", run: fig10::run },
+    Figure { name: "fig12_storage", run: fig12::run },
+    Figure { name: "fig13_selectivity", run: fig13::run },
+    Figure { name: "fig14_scaleup", run: fig14::run },
+    Figure { name: "fig15_granularity", run: fig15::run },
+    Figure { name: "fig16_duration", run: fig16::run },
+    Figure { name: "fig17_sweep", run: fig17::run },
+    Figure { name: "table_windowlist", run: table_windowlist::run },
+    Figure { name: "table_tindex_tuning", run: table_tindex_tuning::run },
+    Figure { name: "fig18_concurrency", run: |q| drop(crate::concurrency::run(q)) },
+    Figure { name: "fig19_write_concurrency", run: |q| drop(crate::write_concurrency::run(q)) },
+    Figure { name: "fig20_group_commit", run: |q| drop(crate::group_commit::run(q)) },
+    Figure { name: "fig21_scaleup", run: |q| drop(crate::scaleup::run(q)) },
+    Figure { name: "fig22_commit_latency", run: |q| drop(crate::commit_latency::run(q)) },
+    Figure { name: "fig23_hot_tier", run: |q| drop(crate::hot_tier::run(q)) },
 ];
 
 #[cfg(test)]
@@ -457,13 +427,11 @@ mod tests {
         super::table_tindex_tuning::run(true);
     }
 
-    /// The registry stays in sync with the binaries: distinct names (and
-    /// snapshot files), one entry per `src/bin/` figure (run_all itself
-    /// excluded).
+    /// The registry stays in sync with the binaries: distinct names, one
+    /// entry per `src/bin/` figure (run_all itself excluded).
     #[test]
     fn registry_names_are_distinct() {
-        let mut names: Vec<&str> =
-            super::REGISTRY.iter().flat_map(|f| [Some(f.name), f.snapshot]).flatten().collect();
+        let mut names: Vec<&str> = super::REGISTRY.iter().map(|f| f.name).collect();
         let total = names.len();
         names.sort_unstable();
         names.dedup();

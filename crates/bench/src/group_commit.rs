@@ -29,8 +29,8 @@
 //!   up and are absorbed by the next leader — the entire win.
 //!
 //! Both policies are simulated with the same deterministic tie-break
-//! (lowest writer index first), so the snapshot
-//! (`BENCH_group_commit.json`) is byte-stable across runs and machines.
+//! (lowest writer index first), so the tables are byte-stable across
+//! runs and machines.
 //! The per-commit CPU+append cost is derived from the traced record
 //! bytes; the fsync cost is the late-1990s disk of
 //! [`ri_pagestore::LatencyModel`]: ~10 ms of seek + rotation + settle.
@@ -40,14 +40,13 @@
 //! `ri_relstore::fan_out`, one `Database::commit` per insert) and
 //! asserts the WAL's exact accounting identity — every commit is either
 //! a leader (`commit_syncs`) or a follower (`group_commits`), and the
-//! log is durable through its end.  Wall-clock-dependent group sizes
-//! are printed for reference but excluded from the JSON.
+//! log is durable through its end.  Scheduling-dependent group sizes
+//! are printed for reference on `#` lines.
 
-use crate::harness::{durable_db, f, section, wal_stats};
+use crate::harness::{durable_db, run_txns, section, wal_stats};
 use crate::sim::Policy;
 pub use crate::sim::SimResult;
 use ri_pagestore::WalConfig;
-use std::io::Write as _;
 
 /// Committing writer thread counts evaluated.
 pub const THREAD_COUNTS: [usize; 6] = [1, 2, 4, 8, 16, 32];
@@ -128,10 +127,8 @@ impl Row {
     }
 }
 
-/// Everything the experiment produced, ready for printing / JSON.
+/// Everything the experiment produced.
 pub struct Report {
-    /// Commits each simulated writer performs.
-    pub commits_per_writer: u64,
     /// The traced single-writer facts.
     pub trace: Trace,
     /// One entry per thread count.
@@ -143,11 +140,7 @@ pub struct Report {
 /// sync (there is nobody to follow).
 fn trace_single_writer(inserts: u64) -> Trace {
     let db = durable_db(WalConfig::default());
-    let t = db.table("T").expect("table");
-    for i in 0..inserts as i64 {
-        t.insert(&[i, (i * 37) % 1000]).expect("insert");
-        db.commit().expect("commit");
-    }
+    run_txns(&db, 1, inserts);
     let stats = wal_stats(&db);
     assert_eq!(stats.commits, inserts, "one commit per insert");
     assert_eq!(stats.commit_syncs, inserts, "single-threaded: every commit leads");
@@ -192,16 +185,19 @@ fn verify_concurrent_commits(threads: usize, per_writer: u64) -> (u64, u64, u64,
     (commits, after.syncs - before.syncs, commit_syncs, group_commits)
 }
 
-/// Runs the experiment; when `json_path` is set, also writes the
-/// deterministic snapshot there (the CI artifact).
-pub fn run(quick: bool, json_path: Option<&std::path::Path>) -> Report {
+/// Runs the experiment and prints its tables.
+pub fn run(quick: bool) -> Report {
     section("Figure 20: log fsyncs per committed insert, group commit vs one-fsync-per-commit");
     let traced_inserts: u64 = if quick { 400 } else { 2_000 };
     let commits_per_writer: u64 = if quick { 50 } else { 200 };
     let trace = trace_single_writer(traced_inserts);
     let t_op = trace.t_op_ns();
     println!(
-        "# trace: {} commits, {} records, {} stream bytes ({} B/commit), {} syncs, {} log page writes",
+        "trace: commits,wal_records,wal_record_bytes,bytes_per_commit,syncs_single_writer,\
+         log_page_writes"
+    );
+    println!(
+        "{},{},{},{},{},{}",
         trace.commits,
         trace.wal_records,
         trace.wal_record_bytes,
@@ -209,21 +205,28 @@ pub fn run(quick: bool, json_path: Option<&std::path::Path>) -> Report {
         trace.syncs,
         trace.log_page_writes
     );
-    println!("# model: t_sync = {T_SYNC_NS} ns, t_op = {t_op} ns");
+    println!("model: commits_per_writer,t_sync_ns,t_op_ns");
+    println!("{commits_per_writer},{T_SYNC_NS},{t_op}");
 
     let mut rows = Vec::new();
-    println!("threads,fsyncs_per_commit_global,fsyncs_per_commit_grouped,commits_per_sec_global,commits_per_sec_grouped,speedup,max_group");
+    println!(
+        "threads,commits,fsyncs_global,fsyncs_grouped,fsyncs_per_commit_global,\
+         fsyncs_per_commit_grouped,commits_per_sec_global,commits_per_sec_grouped,speedup,max_group"
+    );
     for &threads in &THREAD_COUNTS {
         let global = simulate(threads, commits_per_writer, t_op, T_SYNC_NS, false);
         let grouped = simulate(threads, commits_per_writer, t_op, T_SYNC_NS, true);
         let row = Row { threads, global, grouped };
         println!(
-            "{threads},{},{},{},{},{},{}",
-            f(global.fsyncs_per_commit()),
-            f(grouped.fsyncs_per_commit()),
-            f(global.commits_per_sec()),
-            f(grouped.commits_per_sec()),
-            f(row.speedup()),
+            "{threads},{},{},{},{:.5},{:.5},{:.3},{:.3},{:.3},{}",
+            grouped.commits,
+            global.fsyncs,
+            grouped.fsyncs,
+            global.fsyncs_per_commit(),
+            grouped.fsyncs_per_commit(),
+            global.commits_per_sec(),
+            grouped.commits_per_sec(),
+            row.speedup(),
             grouped.max_group
         );
         rows.push(row);
@@ -244,67 +247,7 @@ pub fn run(quick: bool, json_path: Option<&std::path::Path>) -> Report {
     println!("# serializes the batch at one sync latency each; group commit lets every");
     println!("# request that arrives during an in-flight sync ride the next leader's");
     println!("# fsync, so fsyncs per commit falls toward 1/T as writers are added");
-    let report = Report { commits_per_writer, trace, rows };
-    if let Some(path) = json_path {
-        write_json(&report, path, quick).expect("write bench snapshot");
-        println!("# wrote {}", path.display());
-    }
-    report
-}
-
-/// Serializes the deterministic part of the report as JSON (hand-rolled,
-/// like the fig18/fig19 snapshots; the workspace is offline and needs no
-/// serde).
-fn write_json(report: &Report, path: &std::path::Path, quick: bool) -> std::io::Result<()> {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"benchmark\": \"fig20_group_commit\",\n");
-    out.push_str(&format!("  \"mode\": \"{}\",\n", if quick { "quick" } else { "full" }));
-    out.push_str(
-        "  \"protocol\": \"leader/follower group commit: the first committer to reach \
-         the idle log device syncs for everyone whose commit record was appended by \
-         the sync's start; requests arriving during an in-flight sync are absorbed by \
-         the next leader. The global column is the one-fsync-per-commit baseline \
-         priced over the identical per-commit work\",\n",
-    );
-    out.push_str(&format!("  \"runner_cores\": {},\n", crate::harness::runner_cores()));
-    out.push_str(&format!("  \"commits_per_writer\": {},\n", report.commits_per_writer));
-    out.push_str("  \"trace\": {\n");
-    out.push_str(&format!(
-        "    \"commits\": {},\n    \"wal_records\": {},\n    \"wal_record_bytes\": {},\n    \"bytes_per_commit\": {},\n    \"syncs_single_writer\": {},\n    \"log_page_writes\": {}\n  }},\n",
-        report.trace.commits,
-        report.trace.wal_records,
-        report.trace.wal_record_bytes,
-        report.trace.bytes_per_commit(),
-        report.trace.syncs,
-        report.trace.log_page_writes
-    ));
-    out.push_str("  \"model\": {\n");
-    out.push_str(&format!(
-        "    \"t_sync_ns\": {},\n    \"t_op_ns\": {}\n  }},\n",
-        T_SYNC_NS,
-        report.trace.t_op_ns()
-    ));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in report.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"threads\": {}, \"commits\": {}, \"fsyncs_global\": {}, \"fsyncs_grouped\": {}, \"fsyncs_per_commit_global\": {:.5}, \"fsyncs_per_commit_grouped\": {:.5}, \"commits_per_sec_global\": {:.3}, \"commits_per_sec_grouped\": {:.3}, \"speedup\": {:.3}, \"max_group\": {}}}{}\n",
-            r.threads,
-            r.grouped.commits,
-            r.global.fsyncs,
-            r.grouped.fsyncs,
-            r.global.fsyncs_per_commit(),
-            r.grouped.fsyncs_per_commit(),
-            r.global.commits_per_sec(),
-            r.grouped.commits_per_sec(),
-            r.speedup(),
-            r.grouped.max_group,
-            if i + 1 == report.rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    let mut file = std::fs::File::create(path)?;
-    file.write_all(out.as_bytes())
+    Report { trace, rows }
 }
 
 #[cfg(test)]
@@ -361,8 +304,8 @@ mod tests {
 
     #[test]
     fn quick_run_is_deterministic_and_meets_the_bar() {
-        let a = run(true, None);
-        let b = run(true, None);
+        let a = run(true);
+        let b = run(true);
         for (ra, rb) in a.rows.iter().zip(&b.rows) {
             assert_eq!(ra.grouped.fsyncs, rb.grouped.fsyncs, "simulation must be deterministic");
             assert_eq!(ra.grouped.makespan_ns, rb.grouped.makespan_ns);

@@ -8,7 +8,6 @@ use ri_pagestore::{
 use ri_relstore::{Database, IntervalAccessMethod, TableDef};
 use ritree_core::{Interval, RiTree};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The fixed level the figure experiments pin for the T-index: the paper's
 /// sample-based tuning found "the optimum ... at the level 7, 8 or 9"
@@ -73,12 +72,8 @@ pub struct Measured {
     pub phys_reads: f64,
     /// Average simulated response time in seconds (latency model).
     pub sim_seconds: f64,
-    /// Average wall-clock milliseconds per query on this machine.
-    pub wall_ms: f64,
     /// Average result cardinality.
     pub results: f64,
-    /// Average rows examined by the executor.
-    pub rows_examined: f64,
 }
 
 impl Measured {
@@ -105,21 +100,17 @@ pub fn run_queries(
     let before: IoSnapshot = env.pool.stats().snapshot();
     let mut results = 0u64;
     let mut rows = 0u64;
-    let wall = Instant::now();
     for &(ql, qu) in queries {
         let (ids, stats) = method.am_intersection_with_stats(ql, qu).expect("query");
         results += ids.len() as u64;
         rows += stats.rows_examined;
     }
-    let wall = wall.elapsed();
     let delta = env.pool.stats().snapshot().since(&before);
     let nq = queries.len().max(1) as f64;
     Measured {
         phys_reads: delta.physical_reads as f64 / nq,
         sim_seconds: model.simulate(&delta, rows) / nq,
-        wall_ms: wall.as_secs_f64() * 1000.0 / nq,
         results: results as f64 / nq,
-        rows_examined: rows as f64 / nq,
     }
 }
 
@@ -147,11 +138,25 @@ pub fn wal_stats(db: &Database) -> WalSnapshot {
     db.pool().wal().expect("durable pool").stats()
 }
 
-/// Core count of the machine regenerating a snapshot, recorded in the
-/// bench JSON metadata.  The modeled columns are machine-independent;
-/// this field is prep for the ROADMAP wall-clock item — once CI has
-/// multicore runners, snapshots with equal `runner_cores` become
-/// wall-clock-comparable too.
+/// The single-writer durable workload behind the commit experiments'
+/// traces: `commits` transactions of `inserts_per_commit` rows
+/// `[id, (id * 37) % 1000]` into a [`durable_db`]'s table, one
+/// `commit()` per transaction, all on the calling thread.
+pub(crate) fn run_txns(db: &Database, inserts_per_commit: u64, commits: u64) {
+    let t = db.table("T").expect("table");
+    for c in 0..commits as i64 {
+        for k in 0..inserts_per_commit as i64 {
+            let id = c * inserts_per_commit as i64 + k;
+            t.insert(&[id, (id * 37) % 1000]).expect("insert");
+        }
+        db.commit().expect("commit");
+    }
+}
+
+/// Core count of the machine regenerating the figures, printed by
+/// `run_all` on a `#` line.  The modelled columns are
+/// machine-independent; the wall-clock commentary can only ever be
+/// compared across equal core counts.
 pub fn runner_cores() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }

@@ -7,7 +7,7 @@
 //! HINT over the same D1 dataset, priced in *simulated endpoint
 //! comparisons* (each structure's `*_with_cost` query path; see
 //! `ri_mem::QueryCost`).  No wall clock — the counts are exact and
-//! machine-independent, like every snapshot in this suite.  The claim
+//! machine-independent, like every table in this suite.  The claim
 //! being priced: HINT answers intersection queries with **zero**
 //! endpoint comparisons where the interval tree pays one per secondary-
 //! list entry it examines, and the scan pays ~2n.
@@ -27,7 +27,7 @@
 //! Every tier answer is asserted equal to the tree's, so the figure
 //! doubles as an end-to-end coherence check.
 
-use crate::harness::{f, fresh_env_with_cache, section};
+use crate::harness::{fresh_env_with_cache, section};
 use ri_mem::{HintIndex, IntervalTree, NaiveIntervalSet, QueryCost};
 use ritree_core::{HotTier, HotTierConfig, Interval, RiTree};
 use std::sync::Arc;
@@ -89,30 +89,17 @@ pub struct TierSkew {
     pub budgets: Vec<TierBudget>,
 }
 
-/// Everything the experiment produced, ready for printing / JSON.
+/// Everything the experiment produced.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Report {
-    /// Part A dataset size.
-    pub mem_n: usize,
-    /// Part A queries per selectivity.
-    pub mem_queries: usize,
     /// Part A results.
     pub mem: Vec<MemSel>,
-    /// Part B dataset size.
-    pub tier_n: usize,
-    /// Part B queries per skew (warmup + measured).
-    pub tier_queries: usize,
-    /// Part B warmup prefix length.
-    pub tier_warmup: usize,
-    /// Part B buffer-pool frames.
-    pub pool_frames: usize,
     /// Part B results.
     pub skews: Vec<TierSkew>,
 }
 
-/// Runs the experiment; when `json_path` is set, also writes the
-/// deterministic snapshot there (the CI artifact).
-pub fn run(quick: bool, json_path: Option<&std::path::Path>) -> Report {
+/// Runs the experiment and prints its tables.
+pub fn run(quick: bool) -> Report {
     section("Figure 23: HINT hot tier — comparisons in memory, saved physical reads under skew");
     let mem_n = if quick { 100_000 } else { 1_000_000 };
     let mem_queries = if quick { 10 } else { 20 };
@@ -130,13 +117,7 @@ pub fn run(quick: bool, json_path: Option<&std::path::Path>) -> Report {
     println!("# result, so its comparison count is structurally zero.");
     println!("# part B: physical reads over the measured window (second half of each");
     println!("# stream); every tier answer asserted equal to the tree's.");
-    let report =
-        Report { mem_n, mem_queries, mem, tier_n, tier_queries, tier_warmup, pool_frames, skews };
-    if let Some(path) = json_path {
-        write_json(&report, path, quick).expect("write bench snapshot");
-        println!("# wrote {}", path.display());
-    }
-    report
+    Report { mem, skews }
 }
 
 fn run_mem_part(n: usize, queries_per_sel: usize) -> Vec<MemSel> {
@@ -150,13 +131,9 @@ fn run_mem_part(n: usize, queries_per_sel: usize) -> Vec<MemSel> {
     for &(l, u, id) in &triples {
         hint.insert(l, u, id);
     }
-    println!(
-        "# mem: n = {n}, hint levels = {}, hint replicas = {} ({} per interval)",
-        hint.level_count(),
-        hint.replica_count(),
-        f(hint.replica_count() as f64 / n as f64)
-    );
-    println!("selectivity,structure,comparisons/query,entries/query,nodes/query,results/query");
+    println!("memory: n,queries_per_selectivity,hint_levels,hint_replicas");
+    println!("{n},{queries_per_sel},{},{}", hint.level_count(), hint.replica_count());
+    println!("selectivity,structure,comparisons,entries,nodes,results");
     let mut out = Vec::new();
     for (si, &sel) in MEM_SELECTIVITIES.iter().enumerate() {
         let queries =
@@ -180,15 +157,10 @@ fn run_mem_part(n: usize, queries_per_sel: usize) -> Vec<MemSel> {
                 row.results += ids.len() as u64;
             }
         }
-        let nq = queries.len() as f64;
         for row in &rows {
             println!(
                 "{sel},{},{},{},{},{}",
-                row.structure,
-                f(row.cost.comparisons as f64 / nq),
-                f(row.cost.entries as f64 / nq),
-                f(row.cost.nodes as f64 / nq),
-                f(row.results as f64 / nq)
+                row.structure, row.cost.comparisons, row.cost.entries, row.cost.nodes, row.results
             );
         }
         out.push(MemSel { selectivity: sel, rows });
@@ -205,8 +177,12 @@ fn run_tier_part(n: usize, nq: usize, warmup: usize, pool_frames: usize) -> Vec<
         tree.insert(Interval::new(l, u).expect("valid interval"), id as i64).expect("insert");
     }
     let mut tree = Some(tree);
-    println!("# tier: n = {n}, {nq} queries/skew (first {warmup} warm up), {pool_frames}-frame pool, sel = {TIER_SELECTIVITY}");
-    println!("s,budget,hit_rate,baseline_phys,tier_phys,saved_ratio,admissions,evictions");
+    println!("tier: n,queries_per_skew,warmup,pool_frames,selectivity");
+    println!("{n},{nq},{warmup},{pool_frames},{TIER_SELECTIVITY}");
+    println!(
+        "s,capacity,hit_rate,baseline_phys_reads,tier_phys_reads,saved_ratio,admissions,\
+         evicted_blocks"
+    );
     let mut out = Vec::new();
     for (ki, &s) in TIER_SKEWS.iter().enumerate() {
         let qspec = ri_workloads::zipf(n, 2000, s);
@@ -261,11 +237,8 @@ fn run_tier_part(n: usize, nq: usize, warmup: usize, pool_frames: usize) -> Vec<
                 evicted_blocks: stats.evicted_blocks,
             };
             println!(
-                "{s},{capacity},{},{baseline_phys},{tier_phys},{},{},{}",
-                f(row.hit_rate),
-                f(row.saved_ratio),
-                row.admissions,
-                row.evicted_blocks
+                "{s:.1},{capacity},{:.4},{baseline_phys},{tier_phys},{:.2},{},{}",
+                row.hit_rate, row.saved_ratio, row.admissions, row.evicted_blocks
             );
             budgets.push(row);
             tree = Some(tier.into_tree());
@@ -275,87 +248,14 @@ fn run_tier_part(n: usize, nq: usize, warmup: usize, pool_frames: usize) -> Vec<
     out
 }
 
-/// Serializes the deterministic report as JSON (hand-rolled, like the
-/// other snapshots; the workspace is offline and needs no serde).
-fn write_json(report: &Report, path: &std::path::Path, quick: bool) -> std::io::Result<()> {
-    use std::io::Write;
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"benchmark\": \"fig23_hot_tier\",\n");
-    out.push_str(&format!("  \"mode\": \"{}\",\n", if quick { "quick" } else { "full" }));
-    out.push_str(
-        "  \"protocol\": \"part A prices intersection queries in simulated endpoint \
-         comparisons over one D1 dataset (naive scan vs Edelsbrunner interval tree vs \
-         HINT; exact counters, no wall clock). Part B runs Zipf-skewed query streams \
-         through a HINT read-through hot tier over the RI-tree at three interval \
-         budgets, measuring physical buffer-pool reads in the post-warmup window \
-         against the identical stream straight at the tree; every tier answer is \
-         asserted equal to the tree's\",\n",
-    );
-    out.push_str(&format!("  \"runner_cores\": {},\n", crate::harness::runner_cores()));
-    out.push_str(&format!(
-        "  \"memory\": {{\"n\": {}, \"queries_per_selectivity\": {},\n",
-        report.mem_n, report.mem_queries
-    ));
-    out.push_str("   \"selectivities\": [\n");
-    for (mi, m) in report.mem.iter().enumerate() {
-        out.push_str(&format!("     {{\"selectivity\": {},\n", m.selectivity));
-        out.push_str("      \"structures\": [\n");
-        for (ri, r) in m.rows.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{\"structure\": \"{}\", \"comparisons\": {}, \"entries\": {}, \"nodes\": {}, \"results\": {}}}{}\n",
-                r.structure,
-                r.cost.comparisons,
-                r.cost.entries,
-                r.cost.nodes,
-                r.results,
-                if ri + 1 == m.rows.len() { "" } else { "," }
-            ));
-        }
-        out.push_str(&format!("      ]}}{}\n", if mi + 1 == report.mem.len() { "" } else { "," }));
-    }
-    out.push_str("   ]},\n");
-    out.push_str(&format!(
-        "  \"tier\": {{\"n\": {}, \"queries_per_skew\": {}, \"warmup\": {}, \"pool_frames\": {}, \"selectivity\": {},\n",
-        report.tier_n, report.tier_queries, report.tier_warmup, report.pool_frames, TIER_SELECTIVITY
-    ));
-    out.push_str("   \"skews\": [\n");
-    for (si, sk) in report.skews.iter().enumerate() {
-        out.push_str(&format!(
-            "     {{\"s\": {:.1}, \"baseline_phys_reads\": {},\n",
-            sk.s, sk.baseline_phys
-        ));
-        out.push_str("      \"budgets\": [\n");
-        for (bi, b) in sk.budgets.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{\"capacity\": {}, \"hit_rate\": {:.4}, \"tier_phys_reads\": {}, \"saved_ratio\": {:.2}, \"admissions\": {}, \"evicted_blocks\": {}}}{}\n",
-                b.capacity,
-                b.hit_rate,
-                b.tier_phys,
-                b.saved_ratio,
-                b.admissions,
-                b.evicted_blocks,
-                if bi + 1 == sk.budgets.len() { "" } else { "," }
-            ));
-        }
-        out.push_str(&format!(
-            "      ]}}{}\n",
-            if si + 1 == report.skews.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("   ]}\n}\n");
-    let mut file = std::fs::File::create(path)?;
-    file.write_all(out.as_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn quick_run_is_deterministic_and_meets_the_bars() {
-        let a = run(true, None);
-        let b = run(true, None);
+        let a = run(true);
+        let b = run(true);
         assert_eq!(a, b, "fig23 must be run-to-run deterministic");
 
         // Part A bar: HINT is comparison-free and beats the interval

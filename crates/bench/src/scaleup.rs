@@ -36,10 +36,9 @@
 //!
 //! Response times come from [`ri_pagestore::LatencyModel`] (the paper's
 //! late-1990s disk) over the physical counters plus one executor-row
-//! charge per interval.  Everything in the snapshot
-//! (`BENCH_scaleup.json`) derives from deterministic counters and
-//! integer arithmetic — byte-stable across runs and machines, like the
-//! fig18/fig19/fig20 snapshots.
+//! charge per interval.  Everything the figure prints derives from
+//! deterministic counters and integer arithmetic — byte-stable across
+//! runs and machines, like the fig18/fig19/fig20 tables.
 
 use crate::harness::section;
 use ri_btree::layout::{internal_capacity, leaf_capacity};
@@ -50,7 +49,6 @@ use ri_pagestore::{
 use ri_relstore::Database;
 use ri_workloads::d1;
 use ritree_core::{Interval, RiTree};
-use std::io::Write as _;
 use std::sync::Arc;
 
 /// Workload seed: every size draws from the same D1 stream family.
@@ -168,12 +166,8 @@ fn io(reads: u64, writes: u64) -> IoSnapshot {
     IoSnapshot { physical_reads: reads, physical_writes: writes, ..IoSnapshot::default() }
 }
 
-/// Everything the experiment produced, ready for printing / JSON.
+/// Everything the experiment produced.
 pub struct Report {
-    /// The shape that was run.
-    pub config: Config,
-    /// The descent calibration trace.
-    pub calibration: Calibration,
     /// One entry per dataset size, measured anchors first.
     pub rows: Vec<Row>,
 }
@@ -274,20 +268,19 @@ fn model_bulk(anchor: &Anchor, n: u64) -> (u64, u64, u64) {
     (per_index, pages, pages)
 }
 
-/// Runs the experiment; when `json_path` is set, also writes the
-/// deterministic snapshot there (the CI artifact).
-pub fn run(quick: bool, json_path: Option<&std::path::Path>) -> Report {
-    let config = if quick { Config::quick() } else { Config::full() };
-    run_with(config, json_path, quick)
+/// Runs the experiment and prints its tables.
+pub fn run(quick: bool) -> Report {
+    run_with(if quick { Config::quick() } else { Config::full() })
 }
 
 /// [`run`] with an explicit shape — the determinism test uses tiny sizes.
-pub fn run_with(config: Config, json_path: Option<&std::path::Path>, quick: bool) -> Report {
+pub fn run_with(config: Config) -> Report {
     section("Figure 21: scale-up to 10M intervals — bottom-up bulk load vs repeated-descent build");
     let model = LatencyModel::default();
     let calibration = calibrate_descent(config.calibration_inserts);
+    println!("calibration: inserts,physical_reads,physical_writes,height");
     println!(
-        "# descent calibration: {} inserts, {} physical reads, {} physical writes, height {}",
+        "{},{},{},{}",
         calibration.inserts,
         calibration.io.physical_reads,
         calibration.io.physical_writes,
@@ -327,7 +320,7 @@ pub fn run_with(config: Config, json_path: Option<&std::path::Path>, quick: bool
     }
     for r in &rows {
         println!(
-            "{},{},{},{},{},{:.1},{},{},{:.1},{:.2}",
+            "{},{},{},{},{},{:.3},{},{},{:.3},{:.3}",
             r.n,
             r.measured,
             r.per_index_pages,
@@ -343,59 +336,7 @@ pub fn run_with(config: Config, json_path: Option<&std::path::Path>, quick: bool
     println!("# model: bulk writes each packed page once (fill 1.0, predicted_pages verified");
     println!("# on the measured anchors); descent pays per-insert leaf faults that grow with");
     println!("# the half-fill tree height — the gap widens as n grows");
-    let report = Report { config, calibration, rows };
-    if let Some(path) = json_path {
-        write_json(&report, path, quick).expect("write bench snapshot");
-        println!("# wrote {}", path.display());
-    }
-    report
-}
-
-/// Serializes the deterministic report as JSON (hand-rolled, like the
-/// fig18/fig19/fig20 snapshots; the workspace is offline, no serde).
-fn write_json(report: &Report, path: &std::path::Path, quick: bool) -> std::io::Result<()> {
-    let model = LatencyModel::default();
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"benchmark\": \"fig21_scaleup\",\n");
-    out.push_str(&format!("  \"mode\": \"{}\",\n", if quick { "quick" } else { "full" }));
-    out.push_str(
-        "  \"protocol\": \"streamed D1 workload (uniform, i.e. randomly ordered, starting \
-         points) built two ways: the PR 7 bottom-up bulk \
-         load (measured sizes run for real and asserted to land on predicted_pages per \
-         index; larger sizes priced one-fault-in/one-write-back per modeled page) versus \
-         per-row descents (real calibration run scaled by n and the half-fill height \
-         ratio). Seconds from the paper-era LatencyModel\",\n",
-    );
-    out.push_str(&format!("  \"runner_cores\": {},\n", crate::harness::runner_cores()));
-    out.push_str("  \"calibration\": {\n");
-    out.push_str(&format!(
-        "    \"inserts\": {},\n    \"physical_reads\": {},\n    \"physical_writes\": {},\n    \"height\": {}\n  }},\n",
-        report.calibration.inserts,
-        report.calibration.io.physical_reads,
-        report.calibration.io.physical_writes,
-        report.calibration.height
-    ));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in report.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"n\": {}, \"measured\": {}, \"pages_per_index\": {}, \"bulk_reads\": {}, \"bulk_writes\": {}, \"bulk_seconds\": {:.3}, \"descent_reads\": {}, \"descent_writes\": {}, \"descent_seconds\": {:.3}, \"speedup\": {:.3}}}{}\n",
-            r.n,
-            r.measured,
-            r.per_index_pages,
-            r.bulk_reads,
-            r.bulk_writes,
-            r.bulk_seconds(&model),
-            r.descent_reads,
-            r.descent_writes,
-            r.descent_seconds(&model),
-            r.speedup(&model),
-            if i + 1 == report.rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    let mut file = std::fs::File::create(path)?;
-    file.write_all(out.as_bytes())
+    Report { rows }
 }
 
 #[cfg(test)]
@@ -429,8 +370,8 @@ mod tests {
     #[test]
     fn tiny_run_is_deterministic_and_bulk_wins() {
         let model = LatencyModel::default();
-        let a = run_with(tiny(), None, true);
-        let b = run_with(tiny(), None, true);
+        let a = run_with(tiny());
+        let b = run_with(tiny());
         assert_eq!(a.rows.len(), b.rows.len());
         for (ra, rb) in a.rows.iter().zip(&b.rows) {
             assert_eq!(ra.bulk_reads, rb.bulk_reads, "n = {}", ra.n);

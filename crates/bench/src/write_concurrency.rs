@@ -28,10 +28,8 @@
 //! rare) and an **SMO-heavy** configuration (256-byte pages, leaf
 //! capacity 6, where roughly every third insert splits) whose trace
 //! summary reports how much of the work is structure modification.
-//! Wall-clock numbers are printed for
-//! reference but excluded from the JSON snapshot
-//! (`BENCH_write_concurrency.json`), which must stay byte-stable across
-//! runs and machines.
+//! Wall-clock numbers are printed for reference on `#` lines; every
+//! other line must stay byte-stable across runs and machines.
 //!
 //! Alongside the model, the experiment *actually runs* concurrent
 //! writers: disjoint insert batches through raw [`ri_btree::BTree`]
@@ -46,7 +44,6 @@ use crate::harness::{f, section};
 use ri_btree::BTree;
 use ri_pagestore::{BufferPool, BufferPoolConfig, IoSnapshot, MemDisk, DEFAULT_PAGE_SIZE};
 use ritree_core::{Interval, RiTree};
-use std::io::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -151,29 +148,8 @@ pub struct WriteThroughput {
     pub speedup_vs_global: f64,
 }
 
-/// Deterministic summary of one traced configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct TraceSummary {
-    /// Traced workload name.
-    pub workload: &'static str,
-    /// Buffer pool shard count of this trace.
-    pub shards: usize,
-    /// Fraction of inserts that modified structure.
-    pub smo_fraction: f64,
-    /// Fraction of the total simulated work done by SMO inserts.
-    pub smo_work_fraction: f64,
-    /// Physical block accesses per insert.
-    pub phys_io_per_insert: f64,
-}
-
-/// Everything the experiment produced, ready for printing / JSON.
+/// Everything the experiment produced.
 pub struct WriteReport {
-    /// Inserts in the traced batch.
-    pub inserts: usize,
-    /// One summary per traced (workload, shards) pair.
-    pub traces: Vec<TraceSummary>,
-    /// The cost model used.
-    pub model: WriteContentionModel,
     /// One entry per (workload, shards, threads) triple.
     pub rows: Vec<WriteThroughput>,
 }
@@ -280,38 +256,37 @@ fn verify_concurrent_btree(keys: &[[i64; 3]], threads: usize) -> f64 {
     elapsed
 }
 
-/// Runs the experiment; when `json_path` is set, also writes the
-/// deterministic snapshot there (the CI artifact).
-pub fn run(quick: bool, json_path: Option<&std::path::Path>) -> WriteReport {
+/// Runs the experiment and prints its tables.
+pub fn run(quick: bool) -> WriteReport {
     section("Figure 19: insert throughput vs writer threads, B-link vs global writer");
     let n = if quick { 20_000 } else { 100_000 };
     let keys = workload_keys(n);
     let model = WriteContentionModel::default();
+    println!("model: inserts,seconds_per_read,seconds_per_write,seconds_per_latch,seconds_per_access_cpu");
+    println!(
+        "{n},{},{},{},{}",
+        model.base.latency.seconds_per_read,
+        model.base.latency.seconds_per_write,
+        model.base.seconds_per_latch,
+        model.base.seconds_per_access_cpu
+    );
 
     let mut rows: Vec<WriteThroughput> = Vec::new();
-    let mut traces: Vec<TraceSummary> = Vec::new();
-    println!("workload,shards,threads,ips_global,ips_blink,blink_vs_global");
+    println!("traces: workload,shards,smo_fraction,smo_work_fraction,phys_io_per_insert");
     for cfg in &WORKLOADS {
         for &shards in &SHARD_COUNTS {
             let trace = trace_inserts(cfg, shards, &keys, &model);
             assert_eq!(trace.right_link_chases, 0, "single-threaded traces never chase");
-            traces.push(TraceSummary {
-                workload: cfg.name,
-                shards,
-                smo_fraction: trace.smo_count as f64 / trace.inserts as f64,
-                smo_work_fraction: trace.smo_work / trace.total_work,
-                phys_io_per_insert: trace.phys_total as f64 / trace.inserts as f64,
-            });
+            println!(
+                "{},{shards},{:.5},{:.5},{:.3}",
+                cfg.name,
+                trace.smo_count as f64 / trace.inserts as f64,
+                trace.smo_work / trace.total_work,
+                trace.phys_total as f64 / trace.inserts as f64
+            );
             for &threads in &THREAD_COUNTS {
                 let global = n as f64 / model.makespan_global(&trace);
                 let blink = n as f64 / model.makespan_blink(&trace, threads);
-                println!(
-                    "{},{shards},{threads},{},{},{}",
-                    cfg.name,
-                    f(global),
-                    f(blink),
-                    f(blink / global)
-                );
                 rows.push(WriteThroughput {
                     workload: cfg.name,
                     shards,
@@ -322,6 +297,20 @@ pub fn run(quick: bool, json_path: Option<&std::path::Path>) -> WriteReport {
                 });
             }
         }
+    }
+    println!(
+        "workload,shards,threads,inserts_per_sec_global,inserts_per_sec_blink,blink_vs_global"
+    );
+    for r in &rows {
+        println!(
+            "{},{},{},{:.3},{:.3},{:.3}",
+            r.workload,
+            r.shards,
+            r.threads,
+            r.inserts_per_sec_global,
+            r.inserts_per_sec_blink,
+            r.speedup_vs_global
+        );
     }
 
     // Correctness of the real concurrent write paths (wall-clock numbers
@@ -338,16 +327,14 @@ pub fn run(quick: bool, json_path: Option<&std::path::Path>) -> WriteReport {
     println!("# model: the global writer serializes every insert; B-link splits hold");
     println!("# only the splitting node's latch, so there is no serial SMO timeline and");
     println!("# the floor is max(shard lock holds, meta-latch holds)");
-    let report = WriteReport { inserts: n, traces, model, rows };
-    if let Some(path) = json_path {
-        write_json(&report, path, quick).expect("write bench snapshot");
-        println!("# wrote {}", path.display());
-    }
-    report
+    WriteReport { rows }
 }
 
 /// `RiTree::insert_batch` against per-interval inserts: identical query
-/// answers at every thread count.
+/// answers at every thread count.  Each tree is seeded with the first
+/// interval before the batch, because a batch into an *empty* tree is a
+/// sequential bulk load that never consults `threads` — the seed puts
+/// the rest on the per-row fan-out route this check is about.
 fn verify_ritree_batch(quick: bool) {
     use crate::harness::fresh_env_sharded;
     let n = if quick { 3_000 } else { 20_000 };
@@ -366,11 +353,13 @@ fn verify_ritree_batch(quick: bool) {
         (0..16).map(|i| Interval::new(i * 2500, i * 2500 + 900).unwrap()).collect();
     let answers: Vec<Vec<i64>> =
         queries.iter().map(|&q| sequential.intersection(q).expect("query")).collect();
+    let (&(seed_iv, seed_id), batch) = data.split_first().expect("non-empty data");
     for &threads in &THREAD_COUNTS {
         let env = fresh_env_sharded(200, 16);
         let tree = RiTree::create(Arc::clone(&env.db), "batch").expect("create");
+        tree.insert(seed_iv, seed_id).expect("seed insert");
         let wall = Instant::now();
-        tree.insert_batch(&data, threads).expect("insert_batch");
+        tree.insert_batch(batch, threads).expect("insert_batch");
         let wall_ms = wall.elapsed().as_secs_f64() * 1000.0;
         for (q, want) in queries.iter().zip(&answers) {
             assert_eq!(
@@ -381,60 +370,6 @@ fn verify_ritree_batch(quick: bool) {
         }
         println!("# ritree: insert_batch({threads}) equals sequential inserts ({} ms)", f(wall_ms));
     }
-}
-
-/// Serializes the deterministic part of the report as JSON (hand-rolled,
-/// like the fig18 snapshot; the workspace is offline and needs no serde).
-fn write_json(report: &WriteReport, path: &std::path::Path, quick: bool) -> std::io::Result<()> {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"benchmark\": \"fig19_write_concurrency\",\n");
-    out.push_str(&format!("  \"mode\": \"{}\",\n", if quick { "quick" } else { "full" }));
-    out.push_str(
-        "  \"protocol\": \"B-link (Lehman-Yao): splits hold only the splitting node's \
-         latch and post the separator in a separate latched step, so there is no \
-         serial SMO timeline; the B-link floor is max(per-shard lock holds, meta-latch \
-         holds: one count bump per insert + one allocation per split)\",\n",
-    );
-    out.push_str(&format!("  \"runner_cores\": {},\n", crate::harness::runner_cores()));
-    out.push_str(&format!("  \"inserts\": {},\n", report.inserts));
-    out.push_str("  \"traces\": [\n");
-    for (i, t) in report.traces.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"shards\": {}, \"smo_fraction\": {:.5}, \"smo_work_fraction\": {:.5}, \"phys_io_per_insert\": {:.3}}}{}\n",
-            t.workload,
-            t.shards,
-            t.smo_fraction,
-            t.smo_work_fraction,
-            t.phys_io_per_insert,
-            if i + 1 == report.traces.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"model\": {\n");
-    out.push_str(&format!(
-        "    \"seconds_per_read\": {},\n    \"seconds_per_write\": {},\n    \"seconds_per_latch\": {},\n    \"seconds_per_access_cpu\": {}\n  }},\n",
-        report.model.base.latency.seconds_per_read,
-        report.model.base.latency.seconds_per_write,
-        report.model.base.seconds_per_latch,
-        report.model.base.seconds_per_access_cpu
-    ));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in report.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"shards\": {}, \"threads\": {}, \"inserts_per_sec_global\": {:.3}, \"inserts_per_sec_blink\": {:.3}, \"blink_vs_global\": {:.3}}}{}\n",
-            r.workload,
-            r.shards,
-            r.threads,
-            r.inserts_per_sec_global,
-            r.inserts_per_sec_blink,
-            r.speedup_vs_global,
-            if i + 1 == report.rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    let mut file = std::fs::File::create(path)?;
-    file.write_all(out.as_bytes())
 }
 
 #[cfg(test)]
@@ -485,7 +420,7 @@ mod tests {
 
     #[test]
     fn quick_run_meets_the_scaling_bar() {
-        let report = run(true, None);
+        let report = run(true);
         let row = |workload: &str, shards: usize, threads: usize| {
             *report
                 .rows

@@ -103,11 +103,6 @@ impl<'t> RangeScan<'t> {
         while self.visit_leaf(&mut f)? {}
         Ok(())
     }
-
-    /// Drains the scan, panicking on I/O errors (test convenience).
-    pub fn collect_payloads(self) -> Vec<u64> {
-        self.map(|r| r.expect("scan I/O error").payload).collect()
-    }
 }
 
 impl Iterator for RangeScan<'_> {
@@ -159,7 +154,7 @@ mod tests {
     #[test]
     fn inclusive_bounds() {
         let (_pool, tree) = tree_with(100);
-        let got: Vec<u64> = tree.scan_range(&[10], &[20]).collect_payloads();
+        let got: Vec<u64> = tree.scan_range(&[10], &[20]).map(|e| e.unwrap().payload).collect();
         assert_eq!(got, (1010..=1020).collect::<Vec<_>>());
     }
 
@@ -174,14 +169,14 @@ mod tests {
     #[test]
     fn point_scan() {
         let (_pool, tree) = tree_with(64);
-        let got: Vec<u64> = tree.scan_range(&[7], &[7]).collect_payloads();
+        let got: Vec<u64> = tree.scan_range(&[7], &[7]).map(|e| e.unwrap().payload).collect();
         assert_eq!(got, vec![1007]);
     }
 
     #[test]
     fn scan_crosses_many_leaves_in_order() {
         let (_pool, tree) = tree_with(2000);
-        let got: Vec<u64> = tree.scan_all().collect_payloads();
+        let got: Vec<u64> = tree.scan_all().map(|e| e.unwrap().payload).collect();
         assert_eq!(got.len(), 2000);
         assert!(got.windows(2).all(|w| w[0] < w[1]));
     }
@@ -194,7 +189,7 @@ mod tests {
         for i in 20..30 {
             assert!(tree.delete(&[i], i as u64 + 1000).unwrap());
         }
-        let got: Vec<u64> = tree.scan_all().collect_payloads();
+        let got: Vec<u64> = tree.scan_all().map(|e| e.unwrap().payload).collect();
         let want: Vec<u64> =
             (0..64).filter(|i| !(20..30).contains(i)).map(|i| i as u64 + 1000).collect();
         assert_eq!(got, want);

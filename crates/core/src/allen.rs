@@ -108,20 +108,6 @@ impl AllenRelation {
             AllenRelation::After => AllenRelation::Before,
         }
     }
-
-    /// Whether the candidate query only references one interval bound
-    /// (`lower` for before/meets, `upper` for met-by/after) — the class the
-    /// paper singles out in Section 4.5 as poorly supported by the IB+-tree
-    /// and IST.
-    pub fn is_one_sided(&self) -> bool {
-        matches!(
-            self,
-            AllenRelation::Before
-                | AllenRelation::Meets
-                | AllenRelation::MetBy
-                | AllenRelation::After
-        )
-    }
 }
 
 impl RiTree {
@@ -301,15 +287,6 @@ mod tests {
                 assert_eq!(got, want, "{rel:?} on {q}");
             }
         }
-    }
-
-    #[test]
-    fn one_sided_relations_flagged() {
-        assert!(AllenRelation::Before.is_one_sided());
-        assert!(AllenRelation::After.is_one_sided());
-        assert!(AllenRelation::Meets.is_one_sided());
-        assert!(AllenRelation::MetBy.is_one_sided());
-        assert!(!AllenRelation::During.is_one_sided());
     }
 
     #[test]

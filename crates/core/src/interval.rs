@@ -41,12 +41,6 @@ impl Interval {
     pub fn intersects(&self, other: &Interval) -> bool {
         self.lower <= other.upper && other.lower <= self.upper
     }
-
-    /// Containment test: does `self` contain `p`?
-    #[inline]
-    pub fn contains_point(&self, p: i64) -> bool {
-        self.lower <= p && p <= self.upper
-    }
 }
 
 impl std::fmt::Display for Interval {
@@ -80,9 +74,9 @@ mod tests {
     fn length_and_membership() {
         let a = Interval::new(-3, 4).unwrap();
         assert_eq!(a.length(), 7);
-        assert!(a.contains_point(-3));
-        assert!(a.contains_point(4));
-        assert!(!a.contains_point(5));
+        assert!(a.intersects(&Interval::point(-3)));
+        assert!(a.intersects(&Interval::point(4)));
+        assert!(!a.intersects(&Interval::point(5)));
         assert_eq!(Interval::point(9).length(), 0);
     }
 

@@ -53,9 +53,7 @@ pub use allen::AllenRelation;
 pub use hot_tier::{HotTier, HotTierConfig, HotTierStats};
 pub use interval::Interval;
 pub use skeleton::SkeletonDirectory;
-pub use tree::{
-    OpenEnd, RiOptions, RiStorage, RiTree, BULK_BATCH_MIN, FORK_INF, FORK_NOW, UPPER_INF, UPPER_NOW,
-};
+pub use tree::{OpenEnd, RiOptions, RiStorage, RiTree, FORK_INF, FORK_NOW, UPPER_INF, UPPER_NOW};
 pub use vtree::{fork_node_fig4, BackboneParams, QueryNodes};
 
 pub use ri_pagestore::{Error, Result};

@@ -87,11 +87,6 @@ impl IntervalTree {
         self.len == 0
     }
 
-    /// Number of non-empty backbone nodes (size of the tertiary structure).
-    pub fn nonempty_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Sorted ids of intervals intersecting `[ql, qu]`.
     ///
     /// Implements the three query phases of Section 4.1: scanning `U(w)`

@@ -95,16 +95,6 @@ impl IoStats {
             lock_free_reads: self.lock_free_reads.load(Ordering::Relaxed),
         }
     }
-
-    /// Resets all counters to zero (useful between experiment phases).
-    pub fn reset(&self) {
-        self.logical_reads.store(0, Ordering::Relaxed);
-        self.logical_writes.store(0, Ordering::Relaxed);
-        self.physical_reads.store(0, Ordering::Relaxed);
-        self.physical_writes.store(0, Ordering::Relaxed);
-        self.coalesced_faults.store(0, Ordering::Relaxed);
-        self.lock_free_reads.store(0, Ordering::Relaxed);
-    }
 }
 
 /// Aggregating handle over a sharded pool's per-shard [`IoStats`].
@@ -128,11 +118,6 @@ impl PoolStats {
     pub fn new(shards: Vec<Arc<IoStats>>) -> Self {
         assert!(!shards.is_empty(), "a pool has at least one shard");
         PoolStats { shards: shards.into() }
-    }
-
-    /// Number of shards contributing counters.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Lossless aggregate of all shards' counters.
@@ -160,13 +145,6 @@ impl PoolStats {
             total.accumulate(&s.miss_snapshot());
         }
         total
-    }
-
-    /// Resets every shard's counters to zero.
-    pub fn reset(&self) {
-        for s in self.shards.iter() {
-            s.reset();
-        }
     }
 }
 
@@ -317,17 +295,6 @@ mod tests {
         let one = IoSnapshot { physical_reads: 1, ..Default::default() };
         let ten = IoSnapshot { physical_reads: 10, ..Default::default() };
         assert!((m.simulate(&ten, 0) - 10.0 * m.simulate(&one, 0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reset_zeroes_counters() {
-        let s = IoStats::default();
-        s.record_physical_read();
-        s.record_coalesced_fault();
-        s.record_lock_free_read();
-        s.reset();
-        assert_eq!(s.snapshot(), IoSnapshot::default());
-        assert_eq!(s.miss_snapshot(), MissSnapshot::default());
     }
 
     #[test]

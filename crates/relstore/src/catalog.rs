@@ -330,18 +330,6 @@ impl Database {
         self.catalog.read().params.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
     }
 
-    /// Removes a named parameter; returns whether it existed.
-    pub fn unset_param(&self, name: &str) -> Result<bool> {
-        let mut cat = self.catalog.write();
-        let before = cat.params.len();
-        cat.params.retain(|(n, _)| n != name);
-        let removed = cat.params.len() != before;
-        if removed {
-            self.persist_locked(&cat)?;
-        }
-        Ok(removed)
-    }
-
     // ------------------------------------------------------------------
     // Catalog persistence
     // ------------------------------------------------------------------
@@ -414,29 +402,31 @@ struct Reader<'a> {
     pos: usize,
 }
 
-impl Reader<'_> {
+impl<'a> Reader<'a> {
+    /// The next `n` bytes — `Corrupt` where a forged count or length
+    /// would run past the page (the encoder's `Cursor::need`, reading).
+    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+        let bytes = self
+            .buf
+            .get(self.pos..self.pos + n)
+            .ok_or_else(|| Error::Corrupt("catalog runs past the header page".to_string()))?;
+        self.pos += n;
+        Ok(bytes)
+    }
     fn get_str(&mut self) -> Result<String> {
-        let len = self.buf[self.pos] as usize;
-        let s = std::str::from_utf8(&self.buf[self.pos + 1..self.pos + 1 + len])
-            .map_err(|_| Error::Corrupt("catalog string is not UTF-8".to_string()))?
-            .to_string();
-        self.pos += 1 + len;
-        Ok(s)
+        let len = self.get_u8()? as usize;
+        std::str::from_utf8(self.take(len)?)
+            .map(str::to_string)
+            .map_err(|_| Error::Corrupt("catalog string is not UTF-8".to_string()))
     }
-    fn get_u64(&mut self) -> u64 {
-        let v = get_u64(self.buf, self.pos);
-        self.pos += 8;
-        v
+    fn get_u64(&mut self) -> Result<u64> {
+        Ok(get_u64(self.take(8)?, 0))
     }
-    fn get_i64(&mut self) -> i64 {
-        let v = get_i64(self.buf, self.pos);
-        self.pos += 8;
-        v
+    fn get_i64(&mut self) -> Result<i64> {
+        Ok(get_i64(self.take(8)?, 0))
     }
-    fn get_u8(&mut self) -> u8 {
-        let v = self.buf[self.pos];
-        self.pos += 1;
-        v
+    fn get_u8(&mut self) -> Result<u8> {
+        Ok(self.take(1)?[0])
     }
 }
 
@@ -480,23 +470,34 @@ fn decode_catalog(buf: &[u8]) -> Result<Catalog> {
     let mut cat = Catalog::default();
     for _ in 0..n_tables {
         let name = r.get_str()?;
-        let n_cols = r.get_u8() as usize;
+        let n_cols = r.get_u8()? as usize;
         let columns = (0..n_cols).map(|_| r.get_str()).collect::<Result<Vec<_>>>()?;
-        let heap_meta = PageId(r.get_u64());
-        let n_idx = r.get_u8() as usize;
+        let heap_meta = PageId(r.get_u64()?);
+        let n_idx = r.get_u8()? as usize;
         let mut indexes = Vec::with_capacity(n_idx);
         for _ in 0..n_idx {
             let iname = r.get_str()?;
-            let n_keys = r.get_u8() as usize;
-            let key_cols = (0..n_keys).map(|_| r.get_u8() as usize).collect();
-            let btree_meta = PageId(r.get_u64());
+            let n_keys = r.get_u8()? as usize;
+            let key_cols =
+                (0..n_keys).map(|_| r.get_u8().map(usize::from)).collect::<Result<Vec<_>>>()?;
+            // The conditions `create_index` enforces; DML indexes rows
+            // by these positions unchecked.
+            if key_cols.is_empty()
+                || key_cols.len() > ri_btree::MAX_ARITY
+                || key_cols.iter().any(|&c| c >= n_cols)
+            {
+                return Err(Error::Corrupt(format!(
+                    "index {iname} of table {name} has invalid key columns {key_cols:?}"
+                )));
+            }
+            let btree_meta = PageId(r.get_u64()?);
             indexes.push(IndexMeta { name: iname, key_cols, btree_meta });
         }
         cat.tables.push(TableMeta { name, columns, heap_meta, indexes });
     }
     for _ in 0..n_params {
         let name = r.get_str()?;
-        let value = r.get_i64();
+        let value = r.get_i64()?;
         cat.params.push((name, value));
     }
     Ok(cat)
@@ -610,15 +611,12 @@ mod tests {
     }
 
     #[test]
-    fn params_update_and_unset() {
+    fn params_update() {
         let db = fresh_db();
         assert_eq!(db.get_param("x"), None);
         db.set_param("x", 1).unwrap();
         db.set_param("x", 2).unwrap();
         assert_eq!(db.get_param("x"), Some(2));
-        assert!(db.unset_param("x").unwrap());
-        assert!(!db.unset_param("x").unwrap());
-        assert_eq!(db.get_param("x"), None);
     }
 
     #[test]
@@ -627,5 +625,65 @@ mod tests {
             Arc::new(BufferPool::new(MemDisk::new(2048), BufferPoolConfig::with_capacity(8)));
         pool.allocate_page().unwrap();
         assert!(Database::open(pool).is_err());
+    }
+
+    /// Reopens a flushed database (one table, one index, one parameter)
+    /// after `forge` has edited its header page.
+    fn open_forged(forge: impl FnOnce(&mut [u8])) -> Result<Database> {
+        let pool =
+            Arc::new(BufferPool::new(MemDisk::new(2048), BufferPoolConfig::with_capacity(32)));
+        let db = Database::create(Arc::clone(&pool)).unwrap();
+        db.create_table(TableDef { name: "T".into(), columns: vec!["a".into(), "b".into()] })
+            .unwrap();
+        db.create_index("T", IndexDef { name: "IA".into(), key_cols: vec![0] }).unwrap();
+        db.set_param("offset", 17).unwrap();
+        db.checkpoint().unwrap();
+        pool.with_page_mut(HEADER_PAGE, forge).unwrap();
+        Database::open(pool)
+    }
+
+    #[test]
+    fn forged_table_count_is_corrupt_not_a_panic() {
+        let reopened = open_forged(|page| put_u16(page, 4, 0xFFFF));
+        assert!(matches!(reopened, Err(Error::Corrupt(_))));
+    }
+
+    #[test]
+    fn forged_param_count_is_corrupt_not_a_panic() {
+        let reopened = open_forged(|page| put_u16(page, 6, 0xFFFF));
+        assert!(matches!(reopened, Err(Error::Corrupt(_))));
+    }
+
+    /// `Table::insert` indexes each row by the stored key positions
+    /// unchecked, so a bad one must not survive `open`.
+    #[test]
+    fn forged_index_key_columns_are_corrupt() {
+        assert!(open_forged(|_| ()).is_ok(), "the unforged header reopens");
+        for key_cols in [vec![2], vec![], vec![0; ri_btree::MAX_ARITY + 1]] {
+            let reopened = open_forged(|page| {
+                let mut cat = decode_catalog(page).unwrap();
+                cat.tables[0].indexes[0].key_cols = key_cols.clone();
+                page.copy_from_slice(&encode_catalog(&cat, page.len()).unwrap());
+            });
+            assert!(matches!(reopened, Err(Error::Corrupt(_))), "key columns {key_cols:?}");
+        }
+    }
+
+    proptest::proptest! {
+        /// Arbitrary header pages behind a valid magic decode to `Ok` or
+        /// `Err`, never a panic.  Half the cases keep every byte below
+        /// 0x80, so that strings pass the UTF-8 check and the decoder
+        /// runs on until the page ends.
+        #[test]
+        fn arbitrary_header_pages_never_panic(
+            mut page in proptest::collection::vec(proptest::any::<u8>(), 2048..2049),
+            ascii in proptest::any::<bool>(),
+        ) {
+            if ascii {
+                page.iter_mut().for_each(|b| *b &= 0x7F);
+            }
+            put_u32(&mut page, 0, DB_MAGIC);
+            let _ = decode_catalog(&page);
+        }
     }
 }

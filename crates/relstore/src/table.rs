@@ -77,6 +77,10 @@ impl Table {
     /// caller provides quiescence: concurrent DML on the same table
     /// during the build is unsupported (a lost race surfaces as the
     /// index builder's clean not-empty error, not as corruption).
+    ///
+    /// An index that held entries once and was emptied by deletes keeps
+    /// its pages, so the builder cannot install over it; such an index
+    /// is filled per entry instead.
     pub fn bulk_insert(&self, rows: &[impl AsRef<[i64]>]) -> Result<Vec<RowId>> {
         if rows.is_empty() {
             return Ok(Vec::new());
@@ -115,8 +119,14 @@ impl Table {
                 }
                 entries.push(Entry::new(&cols[..idx.key_cols.len()], rid.raw()));
             }
-            entries.sort_unstable();
-            idx.tree.bulk_build_into(entries, 1.0)?;
+            if idx.tree.stats()?.height == 0 {
+                entries.sort_unstable();
+                idx.tree.bulk_build_into(entries, 1.0)?;
+            } else {
+                for e in &entries {
+                    idx.tree.insert(e.key.as_slice(), e.payload)?;
+                }
+            }
         }
         Ok(rids)
     }
@@ -175,15 +185,6 @@ impl Table {
             .iter()
             .find(|i| i.name == name)
             .map(|i| &i.tree)
-            .ok_or_else(|| Error::InvalidArgument(format!("no such index {name}")))
-    }
-
-    /// Key column positions of an index.
-    pub fn index_key_cols(&self, name: &str) -> Result<&[usize]> {
-        self.indexes
-            .iter()
-            .find(|i| i.name == name)
-            .map(|i| i.key_cols.as_slice())
             .ok_or_else(|| Error::InvalidArgument(format!("no such index {name}")))
     }
 }
@@ -279,6 +280,26 @@ mod tests {
         assert_eq!(t.row_count().unwrap(), 1001);
     }
 
+    /// A table emptied by deletes counts zero rows but its indexes keep
+    /// their pages: the bulk builder cannot install over them, and must
+    /// not be tried after the heap rows are already appended.
+    #[test]
+    fn bulk_insert_into_an_emptied_table_keeps_heap_and_indexes_in_step() {
+        let db = db_with_indexed_table();
+        let t = db.table("T").unwrap();
+        let rid = t.insert(&[1, 2, 3]).unwrap();
+        assert!(t.delete(rid).unwrap());
+        let rows: Vec<[i64; 3]> = (0..1000i64).map(|i| [i % 10, i, -i]).collect();
+        t.bulk_insert(&rows).unwrap();
+        assert_eq!(t.row_count().unwrap(), 1000);
+        for name in ["AB", "C"] {
+            assert_eq!(db.index_stats("T", name).unwrap().entries, 1000);
+            t.index(name).unwrap().check_invariants().unwrap();
+        }
+        let hits = t.index("AB").unwrap().scan_range(&[3, i64::MIN], &[3, i64::MAX]).count();
+        assert_eq!(hits, 100);
+    }
+
     #[test]
     fn wrong_arity_rejected() {
         let db = db_with_indexed_table();
@@ -291,6 +312,5 @@ mod tests {
         let db = db_with_indexed_table();
         let t = db.table("T").unwrap();
         assert!(t.index("NOPE").is_err());
-        assert!(t.index_key_cols("NOPE").is_err());
     }
 }

@@ -176,16 +176,8 @@ impl WorkloadSpec {
         }
     }
 
-    /// A starting point drawn from this workload's start distribution —
-    /// used to make query workloads "compatible" with the data.
-    ///
-    /// For repeated sampling prefer [`WorkloadSpec::start_sampler`],
-    /// which builds the Zipf popularity table once.
-    pub fn sample_start(&self, rng: &mut StdRng) -> i64 {
-        self.start_sampler().sample(rng)
-    }
-
-    /// A reusable sampler for this workload's start distribution.
+    /// A reusable sampler for this workload's start distribution — used
+    /// to make query workloads "compatible" with the data.
     pub fn start_sampler(&self) -> StartSampler {
         match self.start {
             // For query generation both Uniform and Poisson starts are
@@ -272,12 +264,6 @@ impl ZipfCells {
         // index space, scattering popular ranks across the domain.
         let cell = ((rank as u64).wrapping_mul(0x9E37_79B1) & self.mask) as i64;
         cell * self.cell_width + rng.gen_range(0..self.cell_width)
-    }
-
-    /// The domain slice (cell index) a rank maps to — exposed so tests
-    /// and figures can locate the hot cells.
-    pub fn cell_of_rank(&self, rank: u32) -> u32 {
-        (u64::from(rank).wrapping_mul(0x9E37_79B1) & self.mask) as u32
     }
 }
 
@@ -413,7 +399,7 @@ mod tests {
         }
         let hottest =
             counts.iter().enumerate().max_by_key(|&(_, c)| c).map(|(i, _)| i as u32).unwrap();
-        assert_eq!(hottest, z.cell_of_rank(0), "rank 0 must land in the hottest cell");
+        assert_eq!(hottest, 0, "rank 0 scatters to cell 0, which must be the hottest");
     }
 
     #[test]

@@ -76,8 +76,8 @@
 //! [`core::RiTree::create_with_options`]) followed by
 //! [`core::RiTree::insert_batch`] — and loading a large dataset into a
 //! fresh tree does not descend the tree once per row: `insert_batch`
-//! routes batches of
-//! ≥ [`core::BULK_BATCH_MIN`] intervals into an *empty* tree through a
+//! routes the first batch into an *empty* tree, whatever its size,
+//! through a
 //! bottom-up, fill-rate-1.0 builder ([`btree::BTree::bulk_build_into`])
 //! that writes each index page exactly once, left to right — `O(pages)`
 //! sequential I/O instead of `O(n · height)` descents.

@@ -6,7 +6,6 @@
 
 use ri_tree::btree::layout::{internal_capacity, leaf_capacity};
 use ri_tree::btree::{predicted_pages, BTree, Entry};
-use ri_tree::core::BULK_BATCH_MIN;
 mod common;
 
 use common::{durable_file_pool, TempDir};
@@ -145,15 +144,14 @@ mod equivalence {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
-        /// Property: a bulk-routed batch (empty tree, `len >=
-        /// BULK_BATCH_MIN`) answers every query exactly like a tree
-        /// built by per-row inserts.
+        /// Property: a bulk-routed batch (the first batch into an
+        /// empty tree, of any size) answers every query exactly like a
+        /// tree built by per-row inserts.
         #[test]
         fn bulk_built_tree_is_equivalent_to_insert_built_tree(
             seed in 0u64..1_000,
-            extra in 0usize..300,
+            n in 1usize..1_324,
         ) {
-            let n = BULK_BATCH_MIN + extra;
             let mk = || {
                 let pool = Arc::new(BufferPool::with_defaults(MemDisk::new(DEFAULT_PAGE_SIZE)));
                 let db = Arc::new(Database::create(pool).unwrap());
@@ -236,7 +234,6 @@ fn bulk_load_then_dml_survives_a_crash() {
                 (Interval::new(l, l + 200 + id % 31).unwrap(), id)
             })
             .collect();
-        assert!(items.len() >= BULK_BATCH_MIN, "must exercise the bulk route");
         tree.insert_batch(&items, 1).unwrap();
         db.commit().unwrap();
 
