@@ -2,7 +2,7 @@
 //!
 //! The RI-tree pays a relational B-tree descent — buffer-pool page
 //! accesses — on every query, even when the working set is a handful of
-//! hot domain regions.  [`HotTier`] puts a [`HintIndex`] (the
+//! hot domain regions.  [`HotTier`] puts [`HintIndex`]es (the
 //! hierarchical comparison-free interval index from `ri-mem`) in front
 //! of the tree: queries that land entirely on *resident* domain blocks
 //! are answered from memory without touching the pool at all.
@@ -10,13 +10,13 @@
 //! # Block-grained read-through caching
 //!
 //! The configured domain (default: the paper's `[0, 2^20)`) splits into
-//! equal *blocks* of `2^block_bits` values.  The unit of admission and
-//! eviction is the block, not the interval: a block is *resident* when
-//! every live interval intersecting it is present in the HINT, so a
-//! query whose span touches only resident blocks can be answered
-//! exactly from memory.  On a miss, the tier runs the query against the
-//! tree (one block-aligned fetch covering the query's span), returns
-//! the filtered answer, and *may* install the fetched blocks:
+//! equal *blocks* of `2^block_bits` values.  The block is the unit of
+//! admission, of eviction and of storage: a *resident* block owns a copy
+//! of every live interval intersecting it, so a query whose span touches
+//! only resident blocks can be answered exactly from memory.  On a miss,
+//! the tier runs the query against the tree (one block-aligned fetch
+//! covering the query's span), returns the filtered answer, and *may*
+//! install the fetched blocks:
 //!
 //! * **Admission is 2Q-style with a frequency gate**: a block is
 //!   admitted on its second miss while on the ghost list, so one-off
@@ -32,9 +32,39 @@
 //!   block number, keeping runs deterministic).  Using one metric for
 //!   both decisions means an admitted block displaces exactly the
 //!   block it beat at the gate — admission and eviction can never
-//!   disagree and churn each other.  Intervals are refcounted by the
-//!   number of resident blocks they intersect and leave the HINT when
-//!   the last one goes.
+//!   disagree and churn each other.
+//!
+//! **Blocks own their entries.**  A resident block is a pair of small
+//! HINTs over the block's own `2^block_bits` values: `own` holds the
+//! intervals whose (domain-clamped) lower bound lies in the block,
+//! `carry` those that start in an earlier block and reach into this one —
+//! HINT's originals / replicas split, applied one level up.  Each is
+//! registered under its part inside the block
+//! ([`HintIndex::insert_clipped`]) and keeps its bounds.  A hit over
+//! blocks `first..=last` is `carry(first)` plus `own(b)` for every `b`,
+//! scanned with the query's bounds into one buffer and sorted once.  That
+//! is exactly-once and still comparison-free: an interval meeting the
+//! query starts either inside the span — and is found in the `own` of the
+//! one block it starts in — or before `first`, in which case it reaches
+//! into `first` and is found in that block's `carry`; and within a block
+//! the clipped part meets the query iff the interval does.  An interval
+//! meeting `k` resident blocks is stored `k` times and counted once:
+//! `cached_intervals`, which the budget and the gate read, is the number
+//! of *distinct* cached intervals.  It moves by ±1 on DML and, when a
+//! block is installed or evicted, by the number of its entries no other
+//! resident block holds — a pass over the few entries that reach out of
+//! the block (`carry`, and a stab of `own` at the block's last value),
+//! never over all of them.
+//!
+//! **What the lock covers.**  One mutex guards the policy state (ghost
+//! list, frequencies, counters), the map of resident blocks, and the
+//! entries while DML edits them or a hit scans them.  An admission's tree
+//! fetch, the building of its blocks from the fetched snapshot and the
+//! freeing of evicted blocks all run with the lock released: installing
+//! is a map insert plus the counting pass above, evicting a map removal
+//! plus the same pass, and the victim is dropped by whoever evicted it
+//! after unlocking.  (`crates/bench/benches/tier_admission.rs` prices an
+//! admission and, with a polling second thread, the lock hold.)
 //!
 //! # Coherence: the write path, not vacuum
 //!
@@ -44,12 +74,17 @@
 //! wrappers (that is the contract; use [`HotTier::invalidate_all`]
 //! after any out-of-band write).  A writer first applies the tree
 //! operation, then — under the tier lock — bumps an *epoch counter* and
-//! updates the HINT in place: inserts land in the cache immediately
-//! when they intersect a resident block, deletes remove the cached
-//! entry.  Admissions read the epoch before their unlocked tree fetch
-//! and install only if it is unchanged, so a fetch that raced a writer
-//! is discarded (the query still returns its — valid at fetch time —
-//! answer).  Hits are served entirely under the same lock the writers
+//! updates the resident blocks in place: an insert lands in every
+//! resident block it meets, a delete leaves every one.  Admissions read
+//! the epoch before their unlocked tree fetch and install only if it is
+//! unchanged, so a fetch that raced a writer is discarded (the query
+//! still returns its — valid at fetch time — answer).  Two races remain
+//! at an unchanged epoch, and both are closed by asking the blocks what
+//! they hold: a writer whose tree operation a fetch already saw adds its
+//! triple only to the blocks that lack it (and counts it once), and of
+//! two admissions of one block whose fetches overlapped the second finds
+//! the block resident and is discarded (counted under
+//! `aborted_admissions`).  Hits scan under the same lock the writers
 //! update through, so a query through the tier can never return a
 //! deleted interval or miss a committed insert; `tests/hot_tier.rs`
 //! stress-tests exactly that contract under concurrent DML.
@@ -64,7 +99,7 @@ use crate::interval::Interval;
 use crate::tree::{OpenEnd, RiTree};
 use ri_mem::HintIndex;
 use ri_pagestore::Result;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;
 
 /// Every this many block touches, all frequency counters halve (the
@@ -112,7 +147,7 @@ impl HotTierConfig {
 /// Counters describing a [`HotTier`]'s behaviour so far.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HotTierStats {
-    /// Queries answered entirely from the HINT.
+    /// Queries answered entirely from resident blocks.
     pub hits: u64,
     /// Queries that went to the tree (span not fully resident).
     pub misses: u64,
@@ -121,7 +156,8 @@ pub struct HotTierStats {
     pub bypasses: u64,
     /// Blocks admitted to residency.
     pub admissions: u64,
-    /// Admissions discarded because a writer raced the fetch.
+    /// Admissions discarded because a writer raced the fetch, plus blocks
+    /// discarded because an overlapping admission installed them first.
     pub aborted_admissions: u64,
     /// Blocks evicted over budget (lowest frequency first).
     pub evicted_blocks: u64,
@@ -133,10 +169,76 @@ pub struct HotTierStats {
     pub resident_blocks: usize,
 }
 
+/// A cached `(lower, upper, id)`, bounds clamped to the tier's domain.
+type Triple = (i64, i64, i64);
+
+/// One resident block's entries: every live interval meeting the block,
+/// split by where it starts, in two HINTs over the block's own values.
+/// An interval is registered under its part inside the block
+/// ([`HintIndex::insert_clipped`]); the stored triple keeps its bounds.
+struct Block {
+    /// Intervals whose lower bound lies in this block.
+    own: HintIndex,
+    /// Intervals that start in an earlier block and reach into this one.
+    carry: HintIndex,
+}
+
+impl Block {
+    fn new(lo: i64, bits: u32) -> Block {
+        Block { own: HintIndex::new(lo, bits), carry: HintIndex::new(lo, bits) }
+    }
+
+    /// The index that holds (or would hold) an interval starting at `lower`.
+    fn side(&self, lower: i64) -> &HintIndex {
+        if lower >= self.own.domain().0 {
+            &self.own
+        } else {
+            &self.carry
+        }
+    }
+
+    fn side_mut(&mut self, lower: i64) -> &mut HintIndex {
+        if lower >= self.own.domain().0 {
+            &mut self.own
+        } else {
+            &mut self.carry
+        }
+    }
+
+    fn contains(&self, (cl, cu, id): Triple) -> bool {
+        self.side(cl).contains(cl, cu, id)
+    }
+
+    fn insert(&mut self, (cl, cu, id): Triple) {
+        self.side_mut(cl).insert_clipped(cl, cu, id);
+    }
+
+    fn delete(&mut self, (cl, cu, id): Triple) -> bool {
+        self.side_mut(cl).delete_clipped(cl, cu, id)
+    }
+
+    fn len(&self) -> usize {
+        self.own.len() + self.carry.len()
+    }
+
+    /// The stored triples that may be cached in other blocks too: all of
+    /// `carry`, and what of `own` covers the block's last value (a stab —
+    /// no walk over the intervals that end inside the block).
+    fn reaching_out(&self) -> impl Iterator<Item = Triple> {
+        let (lo, hi) = self.own.domain();
+        self.own
+            .intersecting_triples(hi, hi)
+            .into_iter()
+            .chain(self.carry.intersecting_triples(lo, hi))
+    }
+}
+
 struct TierState {
-    hint: HintIndex,
-    /// Resident blocks.
-    resident: HashSet<u64>,
+    /// Resident blocks and their entries.
+    resident: HashMap<u64, Block>,
+    /// Distinct intervals cached in `resident` (an interval meeting
+    /// several resident blocks is stored in each and counted once).
+    cached: usize,
     /// 2Q ghost list: recently missed, not (yet) admitted blocks.
     ghosts: VecDeque<u64>,
     /// TinyLFU-style decaying touch counters per block (hits and
@@ -145,8 +247,6 @@ struct TierState {
     freq: HashMap<u64, u32>,
     /// Block touches since the last halving of `freq`.
     freq_touches: u64,
-    /// Cached triple → number of resident blocks it intersects.
-    refcount: HashMap<(i64, i64, i64), u32>,
     /// Bumped by every write; admissions installing across an epoch
     /// change are discarded.
     epoch: u64,
@@ -178,22 +278,29 @@ impl HotTier {
     /// Wraps `tree` with an empty tier.
     ///
     /// # Panics
-    /// Panics on a degenerate geometry (`block_bits > domain_bits`,
-    /// `domain_bits` outside `[1, 40]`, or a zero capacity).
+    /// Panics on a degenerate geometry (`block_bits` of 0 or above
+    /// `domain_bits`, `domain_bits` outside `[1, 40]`, a domain that
+    /// overflows `i64`, or a zero capacity).
     pub fn new(tree: RiTree, cfg: HotTierConfig) -> HotTier {
-        assert!(cfg.block_bits <= cfg.domain_bits, "blocks wider than the domain");
+        assert!((1..=40).contains(&cfg.domain_bits), "domain bits outside 1..=40");
+        assert!(
+            cfg.domain_lower.checked_add(1i64 << cfg.domain_bits).is_some(),
+            "domain overflows"
+        );
+        assert!(
+            (1..=cfg.domain_bits).contains(&cfg.block_bits),
+            "block bits outside 1..=domain_bits"
+        );
         assert!(cfg.capacity > 0, "zero interval budget");
-        let hint = HintIndex::new(cfg.domain_lower, cfg.domain_bits);
         HotTier {
             tree,
             cfg,
             state: Mutex::new(TierState {
-                hint,
-                resident: HashSet::new(),
+                resident: HashMap::new(),
+                cached: 0,
                 ghosts: VecDeque::new(),
                 freq: HashMap::new(),
                 freq_touches: 0,
-                refcount: HashMap::new(),
                 epoch: 0,
                 hits: 0,
                 misses: 0,
@@ -227,7 +334,7 @@ impl HotTier {
             aborted_admissions: st.aborted_admissions,
             evicted_blocks: st.evicted_blocks,
             invalidations: st.invalidations,
-            cached_intervals: st.refcount.len(),
+            cached_intervals: st.cached,
             resident_blocks: st.resident.len(),
         }
     }
@@ -237,12 +344,13 @@ impl HotTier {
     pub fn invalidate_all(&self) {
         let mut st = self.state.lock().unwrap();
         st.epoch += 1;
-        st.hint = HintIndex::new(self.cfg.domain_lower, self.cfg.domain_bits);
-        st.resident.clear();
+        let dropped = std::mem::take(&mut st.resident);
+        st.cached = 0;
         st.ghosts.clear();
         st.freq.clear();
         st.freq_touches = 0;
-        st.refcount.clear();
+        drop(st);
+        drop(dropped); // freed with the lock released, like evicted blocks
     }
 
     // ------------------------------------------------------------------
@@ -250,43 +358,71 @@ impl HotTier {
     // ------------------------------------------------------------------
 
     /// Inserts through the tier: the tree operation, then the cache
-    /// update (the interval lands in the HINT immediately if it
-    /// intersects a resident block).
+    /// update (the interval lands in every resident block it meets,
+    /// immediately).
     pub fn insert(&self, iv: Interval, id: i64) -> Result<()> {
         self.tree.insert(iv, id)?;
-        let mut st = self.state.lock().unwrap();
-        st.epoch += 1;
-        if let Some((cl, cu)) = self.clamp(iv) {
-            let k = self.resident_overlaps(&st, cl, cu);
-            if k > 0 {
-                // `insert` returns the previous value: an occupied entry
-                // means an admission raced us and already cached the
-                // triple — overwriting with the recomputed count restores
-                // the refcount invariant without a duplicate HINT entry.
-                if st.refcount.insert((cl, cu, id), k).is_none() {
-                    st.hint.insert(cl, cu, id);
-                }
-                self.evict_over_budget(&mut st);
-            }
-        }
+        self.cache_insert(iv, id);
         Ok(())
     }
 
     /// Deletes through the tier: the tree operation, then cache
-    /// invalidation of the exact entry.
+    /// invalidation of the exact entry in every resident block.
     pub fn delete(&self, iv: Interval, id: i64) -> Result<bool> {
         let deleted = self.tree.delete(iv, id)?;
         if deleted {
-            let mut st = self.state.lock().unwrap();
-            st.epoch += 1;
-            if let Some((cl, cu)) = self.clamp(iv) {
-                if st.refcount.remove(&(cl, cu, id)).is_some() {
-                    st.hint.delete(cl, cu, id);
-                    st.invalidations += 1;
-                }
-            }
+            self.cache_delete(iv, id);
         }
         Ok(deleted)
+    }
+
+    /// The cache half of [`HotTier::insert`].  The tree operation ran
+    /// before the lock is taken here, so an admission may have fetched the
+    /// row and installed it already: the triple is added only where it is
+    /// missing, and counted only if no resident block held it.
+    fn cache_insert(&self, iv: Interval, id: i64) {
+        let mut st = self.state.lock().unwrap();
+        st.epoch += 1;
+        let mut evicted = Vec::new();
+        if let Some((cl, cu)) = self.clamp(iv) {
+            let (mut held, mut added) = (false, false);
+            for b in self.block_of(cl)..=self.block_of(cu) {
+                if let Some(block) = st.resident.get_mut(&b) {
+                    if block.contains((cl, cu, id)) {
+                        held = true;
+                    } else {
+                        block.insert((cl, cu, id));
+                        added = true;
+                    }
+                }
+            }
+            if added && !held {
+                st.cached += 1;
+                evicted = self.evict_over_budget(&mut st);
+            }
+        }
+        drop(st);
+        drop(evicted); // freed with the lock released
+    }
+
+    /// The cache half of [`HotTier::delete`]: a block admitted after the
+    /// tree operation never held the triple, so it counts as removed if
+    /// any resident block did.
+    fn cache_delete(&self, iv: Interval, id: i64) {
+        let mut st = self.state.lock().unwrap();
+        st.epoch += 1;
+        if let Some((cl, cu)) = self.clamp(iv) {
+            let mut removed = false;
+            for b in self.block_of(cl)..=self.block_of(cu) {
+                if let Some(block) = st.resident.get_mut(&b) {
+                    removed |= block.delete((cl, cu, id));
+                }
+            }
+            if removed {
+                st.cached -= 1;
+                st.invalidations += 1;
+            }
+        }
     }
 
     /// Inserts an open-ended interval (never cached; while any are
@@ -325,16 +461,26 @@ impl HotTier {
             for b in first..=last {
                 Self::touch_freq(&mut st, b);
             }
-            if (first..=last).all(|b| st.resident.contains(&b)) {
+            if (first..=last).all(|b| st.resident.contains_key(&b)) {
                 st.hits += 1;
-                return Ok(st.hint.intersection(q.lower, q.upper));
+                // Exactly once: an interval meeting the query starts in
+                // one of the span's blocks (found in that block's `own`)
+                // or before the first and reaches into it (its `carry`).
+                let mut ids = Vec::new();
+                st.resident[&first].carry.intersection_into(q.lower, q.upper, &mut ids);
+                for b in first..=last {
+                    st.resident[&b].own.intersection_into(q.lower, q.upper, &mut ids);
+                }
+                drop(st);
+                ids.sort_unstable();
+                return Ok(ids);
             }
             st.misses += 1;
             // 2Q admission: a missing block is admitted only if it is on
             // the ghost list (second miss); otherwise it becomes a ghost.
             let mut admit = Vec::new();
             for b in first..=last {
-                if st.resident.contains(&b) {
+                if st.resident.contains_key(&b) {
                     continue;
                 }
                 if let Some(pos) = st.ghosts.iter().position(|&g| g == b) {
@@ -358,11 +504,11 @@ impl HotTier {
             // keeps missing accumulates frequency and eventually wins
             // the gate.
             if !admit.is_empty() && !st.resident.is_empty() {
-                let per_block = st.refcount.len() / st.resident.len();
-                if st.refcount.len() + per_block * admit.len() > self.cfg.capacity {
+                let per_block = st.cached / st.resident.len();
+                if st.cached + per_block * admit.len() > self.cfg.capacity {
                     let weakest = st
                         .resident
-                        .iter()
+                        .keys()
                         .map(|b| st.freq.get(b).copied().unwrap_or(0))
                         .min()
                         .unwrap_or(0);
@@ -385,19 +531,26 @@ impl HotTier {
             }
             (st.epoch, admit)
         };
-        // Fetch outside the lock: one block-aligned, index-only tree
-        // query covering the span ([`RiTree::span_snapshot`] joins the
-        // two composite indexes instead of probing the heap per row),
-        // so the admitted blocks become fully resident.
+        // Fetch and build outside the lock: one block-aligned, index-only
+        // tree query covering the span ([`RiTree::span_snapshot`] joins the
+        // two composite indexes instead of probing the heap per row), so
+        // the admitted blocks are complete before anyone can see them.
         let span = Interval { lower: self.block_lo(first), upper: self.block_hi(last) };
         let fetched = self.tree.span_snapshot(span)?;
-        let mut triples = Vec::with_capacity(fetched.len());
+        let mut blocks: Vec<(u64, Block)> =
+            admit.iter().map(|&b| (b, Block::new(self.block_lo(b), self.cfg.block_bits))).collect();
         let mut ids = Vec::new();
         for (iv, id) in fetched {
             if iv.lower <= q.upper && q.lower <= iv.upper {
                 ids.push(id);
             }
-            triples.push((iv.lower.max(dom_lo), iv.upper.min(dom_hi), id));
+            let (cl, cu) = (iv.lower.max(dom_lo), iv.upper.min(dom_hi));
+            let meets = self.block_of(cl)..=self.block_of(cu);
+            for (b, block) in &mut blocks {
+                if meets.contains(b) {
+                    block.insert((cl, cu, id));
+                }
+            }
         }
         ids.sort_unstable();
         let mut st = self.state.lock().unwrap();
@@ -405,28 +558,25 @@ impl HotTier {
             // A writer raced the fetch; the answer (valid at fetch time)
             // stands, the installation does not.
             st.aborted_admissions += 1;
+            drop(st); // before `blocks` is freed
             return Ok(ids);
         }
-        for &b in &admit {
-            st.resident.insert(b);
-        }
-        st.admissions += admit.len() as u64;
-        for &(cl, cu, id) in &triples {
-            let k =
-                admit.iter().filter(|&&b| self.block_lo(b) <= cu && cl <= self.block_hi(b)).count()
-                    as u32;
-            if k == 0 {
-                continue; // intersects only already-resident span blocks: cached
+        let mut retired = Vec::new();
+        for (b, block) in blocks {
+            if st.resident.contains_key(&b) {
+                // Another admission of this block, fetched at the same
+                // epoch, installed first: the two blocks are equal.
+                st.aborted_admissions += 1;
+                retired.push(block);
+                continue;
             }
-            match st.refcount.entry((cl, cu, id)) {
-                std::collections::hash_map::Entry::Occupied(mut e) => *e.get_mut() += k,
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(k);
-                    st.hint.insert(cl, cu, id);
-                }
-            }
+            st.cached += self.held_only_by(&st, b, &block);
+            st.resident.insert(b, block);
+            st.admissions += 1;
         }
-        self.evict_over_budget(&mut st);
+        retired.extend(self.evict_over_budget(&mut st));
+        drop(st);
+        drop(retired); // freed with the lock released
         Ok(ids)
     }
 
@@ -481,43 +631,49 @@ impl HotTier {
         *st.freq.entry(b).or_insert(0) += 1;
     }
 
-    /// Number of resident blocks intersecting `[cl, cu]` (domain-clamped).
-    fn resident_overlaps(&self, st: &TierState, cl: i64, cu: i64) -> u32 {
-        (self.block_of(cl)..=self.block_of(cu)).filter(|b| st.resident.contains(b)).count() as u32
+    /// How many of block `b`'s intervals no *other* resident block holds:
+    /// what installing `block` adds to, and evicting it takes from, the
+    /// distinct cached intervals.
+    fn held_only_by(&self, st: &TierState, b: u64, block: &Block) -> usize {
+        let shared = block.reaching_out().filter(|&(cl, cu, id)| {
+            (self.block_of(cl)..=self.block_of(cu)).any(|o| {
+                o != b && st.resident.get(&o).is_some_and(|other| other.contains((cl, cu, id)))
+            })
+        });
+        block.len() - shared.count()
     }
 
     /// Lowest-frequency-first eviction until the interval budget holds
     /// (ties broken by block number: the victim order is deterministic
-    /// even though residency is hashed).
-    fn evict_over_budget(&self, st: &mut TierState) {
-        while st.refcount.len() > self.cfg.capacity {
+    /// even though residency is hashed).  Returns the victims, for the
+    /// caller to drop once it has released the lock.
+    fn evict_over_budget(&self, st: &mut TierState) -> Vec<Block> {
+        let mut victims = Vec::new();
+        while st.cached > self.cfg.capacity {
             let Some(b) = st
                 .resident
-                .iter()
+                .keys()
                 .min_by_key(|b| (st.freq.get(b).copied().unwrap_or(0), **b))
                 .copied()
             else {
                 break;
             };
-            st.resident.remove(&b);
+            let block = st.resident.remove(&b).expect("victim is resident");
             st.evicted_blocks += 1;
-            for (cl, cu, id) in st.hint.intersecting_triples(self.block_lo(b), self.block_hi(b)) {
-                let count = st.refcount.get_mut(&(cl, cu, id)).expect("cached triple refcount");
-                *count -= 1;
-                if *count == 0 {
-                    st.refcount.remove(&(cl, cu, id));
-                    st.hint.delete(cl, cu, id);
-                }
-            }
+            st.cached -= self.held_only_by(st, b, &block);
+            victims.push(block);
         }
+        victims
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ri_mem::NaiveIntervalSet;
     use ri_pagestore::{BufferPool, BufferPoolConfig, MemDisk, DEFAULT_PAGE_SIZE};
     use ri_relstore::Database;
+    use std::collections::HashSet;
     use std::sync::Arc;
 
     fn fresh_tier(cfg: HotTierConfig) -> HotTier {
@@ -685,5 +841,158 @@ mod tests {
             assert_eq!(tier.stab(105).unwrap(), tier.tree().stab(105).unwrap());
         }
         assert!(tier.stats().hits >= 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "block bits outside")]
+    fn one_value_blocks_are_rejected() {
+        fresh_tier(HotTierConfig { block_bits: 0, ..HotTierConfig::default() });
+    }
+
+    /// What the tier's storage promises, checked against the oracle's live
+    /// set: every resident block holds exactly the live intervals meeting
+    /// it, split by where they start, and `cached` counts the distinct
+    /// ones.
+    fn assert_blocks_match(tier: &HotTier, oracle: &NaiveIntervalSet, step: usize) {
+        let st = tier.state.lock().unwrap();
+        let (dom_lo, dom_hi) = tier.domain();
+        let mut distinct = HashSet::new();
+        for (&b, block) in &st.resident {
+            let (lo, hi) = (tier.block_lo(b), tier.block_hi(b));
+            let (mut own, mut carry) = (Vec::new(), Vec::new());
+            for &(l, u, id) in oracle.triples().iter().filter(|&&(l, u, _)| l <= hi && lo <= u) {
+                let t = (l.max(dom_lo), u.min(dom_hi), id);
+                if t.0 >= lo { &mut own } else { &mut carry }.push(t);
+                distinct.insert(t);
+            }
+            for (index, mut want, side) in
+                [(&block.own, own, "own"), (&block.carry, carry, "carry")]
+            {
+                let mut got = index.intersecting_triples(lo, hi);
+                assert_eq!(got.len(), index.len(), "step {step}: block {b} {side} hides entries");
+                got.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(got, want, "step {step}: block {b} {side}");
+            }
+        }
+        assert_eq!(st.cached, distinct.len(), "step {step}: distinct cached intervals");
+    }
+
+    fn xorshift(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
+    }
+
+    /// A random insert / delete / query stream over 64 blocks of 64 values
+    /// with a budget of a few blocks: intervals up to 16 blocks long (they
+    /// cover whole blocks and are cached in many), some straddling the
+    /// domain's edges, queries up to four blocks wide piled onto the low
+    /// blocks so neighbours are resident together.  The storage invariants
+    /// hold after *every* step and every answer is the oracle's.
+    #[test]
+    fn blocks_hold_exactly_the_live_intervals_after_every_step() {
+        let (mut wide_hits, mut evicted, mut invalidations) = (0, 0, 0);
+        for seed in [0x5EED_0001_u64, 0x5EED_0002, 0x5EED_0003] {
+            let cfg = HotTierConfig {
+                domain_lower: 0,
+                domain_bits: 12,
+                block_bits: 6,
+                capacity: 240,
+                ghost_capacity: 24,
+            };
+            let tier = fresh_tier(cfg);
+            let mut oracle = NaiveIntervalSet::new();
+            let mut x = seed;
+            let mut next_id = 0;
+            for step in 0..2_000 {
+                let r = xorshift(&mut x);
+                match if step < 400 { 8 } else { r % 10 } {
+                    0..=6 => {
+                        // Cubing a uniform variate piles the queries low.
+                        let u = (r >> 8) % 4096;
+                        let lower = ((u * u * u) >> 24) as i64;
+                        let width = if (r >> 20) & 1 == 0 { 0 } else { (r >> 24) % 256 };
+                        let upper = (lower + width as i64).min(4095);
+                        let q = iv(lower, upper);
+                        let hits_before = tier.stats().hits;
+                        let got = tier.intersection(q).unwrap();
+                        assert_eq!(got, oracle.intersection(lower, upper), "step {step}: {q:?}");
+                        assert!(got.windows(2).all(|w| w[0] < w[1]), "step {step}: duplicate id");
+                        if tier.stats().hits > hits_before && upper / 64 - lower / 64 >= 2 {
+                            wide_hits += 1;
+                        }
+                    }
+                    7 | 8 => {
+                        let lower = ((r >> 8) % 4200) as i64 - 100;
+                        let len = match (r >> 24) % 8 {
+                            0 => (r >> 32) % 1024,
+                            _ => (r >> 32) % 48,
+                        };
+                        tier.insert(iv(lower, lower + len as i64), next_id).unwrap();
+                        oracle.insert(lower, lower + len as i64, next_id);
+                        next_id += 1;
+                    }
+                    _ => {
+                        let (l, u, id) =
+                            oracle.triples()[(r >> 8) as usize % oracle.triples().len()];
+                        assert!(tier.delete(iv(l, u), id).unwrap());
+                        assert!(oracle.delete(l, u, id));
+                    }
+                }
+                assert_blocks_match(&tier, &oracle, step);
+            }
+            let stats = tier.stats();
+            evicted += stats.evicted_blocks;
+            invalidations += stats.invalidations;
+        }
+        assert!(wide_hits > 50, "only {wide_hits} hits over three or more resident blocks");
+        assert!(evicted > 50 && invalidations > 50, "{evicted} evictions, {invalidations}");
+    }
+
+    /// `HotTier::insert` and `delete` run the tree operation before they
+    /// take the tier's lock, so an admission can fetch and install in
+    /// between — at an unchanged epoch.  Replayed here step by step: the
+    /// cache half must add the triple only where it is missing, remove it
+    /// wherever it is, and move the distinct count once.
+    #[test]
+    fn dml_racing_an_admission_counts_once() {
+        let cfg = HotTierConfig { domain_bits: 12, block_bits: 6, ..HotTierConfig::default() };
+        let tier = fresh_tier(cfg);
+        let mut oracle = NaiveIntervalSet::new();
+        for i in 0..40 {
+            tier.insert(iv(i * 10, i * 10 + 5), i).unwrap();
+            oracle.insert(i * 10, i * 10 + 5, i);
+        }
+        let admit = |lower: i64| {
+            let before = tier.stats().admissions;
+            tier.stab(lower).unwrap();
+            tier.stab(lower).unwrap();
+            assert_eq!(tier.stats().admissions, before + 1, "block of {lower} admitted");
+        };
+        admit(0); // block 0 is resident before the racing row exists
+
+        // Insert: the row reaches the tree, block 1 is admitted (with it),
+        // and only then does the writer reach the cache.
+        let (racer, id) = (iv(30, 200), 900); // blocks 0..=3
+        tier.tree().insert(racer, id).unwrap();
+        oracle.insert(30, 200, id);
+        admit(64);
+        tier.cache_insert(racer, id);
+        assert_blocks_match(&tier, &oracle, 1);
+        assert_eq!(tier.intersection(iv(0, 127)).unwrap(), oracle.intersection(0, 127));
+
+        // Delete: the row leaves the tree, block 2 is admitted (without
+        // it), then the writer reaches the cache.
+        assert!(tier.tree().delete(racer, id).unwrap());
+        assert!(oracle.delete(30, 200, id));
+        admit(128);
+        let invalidations = tier.stats().invalidations;
+        tier.cache_delete(racer, id);
+        assert_eq!(tier.stats().invalidations, invalidations + 1);
+        assert_blocks_match(&tier, &oracle, 2);
+        assert_eq!(tier.intersection(iv(0, 191)).unwrap(), oracle.intersection(0, 191));
+        assert_eq!(tier.stats().aborted_admissions, 0);
     }
 }

@@ -3,14 +3,20 @@
 //! admitted-then-deleted interval must never reappear from the cache,
 //! and under genuinely concurrent DML a reader may never observe a
 //! stale id (deleted strictly before its query began) nor miss a
-//! committed one (inserted strictly before, never deleted).
+//! committed one (inserted strictly before, never deleted).  And two
+//! admissions of one block whose fetches overlap — forced with device read
+//! hooks, not sleeps — must count the block's intervals once.
 
 use ri_mem::NaiveIntervalSet;
-use ri_pagestore::{BufferPool, BufferPoolConfig, MemDisk, DEFAULT_PAGE_SIZE};
+use ri_pagestore::{
+    BufferPool, BufferPoolConfig, FaultPlan, FaultyDisk, MemDisk, PageId, DEFAULT_PAGE_SIZE,
+};
 use ri_relstore::Database;
 use ritree_core::{HotTier, HotTierConfig, Interval, RiTree};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 fn fresh_tier(cfg: HotTierConfig) -> HotTier {
     let pool = Arc::new(BufferPool::new(
@@ -240,4 +246,122 @@ fn concurrent_writers_and_readers_see_no_stale_reads() {
     let stats = tier.stats();
     assert!(stats.hits > 0, "the stress never exercised the cache: {stats:?}");
     assert!(stats.admissions > 0, "{stats:?}");
+}
+
+/// Generous bound for "the other thread gets scheduled"; reached only on a
+/// regression that deadlocks the protocol below, never in passing runs.
+const STALL: Duration = Duration::from_secs(20);
+
+/// A one-way flag threads can block on.
+#[derive(Default)]
+struct Flag {
+    set: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl Flag {
+    fn raise(&self) {
+        *self.set.lock().unwrap() = true;
+        self.cv.notify_all();
+    }
+
+    fn is_raised(&self) -> bool {
+        *self.set.lock().unwrap()
+    }
+
+    fn wait(&self, why: &str) {
+        let deadline = Instant::now() + STALL;
+        let mut set = self.set.lock().unwrap();
+        while !*set {
+            let left = deadline.saturating_duration_since(Instant::now());
+            assert!(!left.is_zero(), "flag timed out — {why}");
+            set = self.cv.wait_timeout(set, left).unwrap().0;
+        }
+    }
+}
+
+/// Two admissions of one block whose fetches overlap: `admit-a`'s miss
+/// admits block 0 and is parked inside its fetch; a third miss puts the
+/// block back on the ghost list, so `admit-c`'s miss admits it *again*; no
+/// writer runs, so both installs find the epoch they started from.  The
+/// second one must be discarded: counting the block's 400 intervals twice
+/// leaves them "cached" for good once the block is evicted, and a budget of
+/// 500 then admits and evicts the 200-interval block 1 in the same call,
+/// forever.
+#[test]
+fn overlapping_admissions_of_one_block_count_it_once() {
+    let disk = Arc::new(FaultyDisk::new(MemDisk::new(DEFAULT_PAGE_SIZE), FaultPlan::default()));
+    let pool = Arc::new(BufferPool::new(Arc::clone(&disk), BufferPoolConfig::with_capacity(8)));
+    let db = Arc::new(Database::create(Arc::clone(&pool)).unwrap());
+    let tier = HotTier::new(RiTree::create(db, "race").unwrap(), HotTierConfig::with_capacity(500));
+    // Default geometry: block 0 is [0, 16383], block 1 the next 16384.
+    for i in 0..400 {
+        tier.insert(iv(i * 40, i * 40 + 20), i).unwrap();
+    }
+    for i in 0..200 {
+        tier.insert(iv(16_384 + i * 80, 16_384 + i * 80 + 20), 400 + i).unwrap();
+    }
+    let q0 = iv(100, 300);
+    let q1 = iv(20_000, 20_300);
+    let want0 = tier.tree().intersection(q0).unwrap();
+    let want1 = tier.tree().intersection(q1).unwrap();
+
+    // The pages a plain `q0` query reads.  `admit-a` is parked on a page
+    // outside this set, so the main thread's own `q0` below can never
+    // coalesce onto the parked fault.
+    let plain: Arc<Mutex<HashSet<PageId>>> = Arc::default();
+    let seen = Arc::clone(&plain);
+    pool.clear_cache().unwrap();
+    disk.set_read_hook(Some(Arc::new(move |page, _n| {
+        seen.lock().unwrap().insert(page);
+    })));
+    assert_eq!(tier.tree().intersection(q0).unwrap(), want0);
+    let plain = std::mem::take(&mut *plain.lock().unwrap());
+
+    let (parked, gate) = (Arc::new(Flag::default()), Arc::new(Flag::default()));
+    let (p, g) = (Arc::clone(&parked), Arc::clone(&gate));
+    disk.set_read_hook(Some(Arc::new(move |page, _n| {
+        let mine = std::thread::current().name() == Some("admit-a");
+        if mine && !plain.contains(&page) && !p.is_raised() {
+            p.raise();
+            g.wait("the main thread opens the gate after the fourth miss");
+        }
+    })));
+
+    assert_eq!(tier.intersection(q0).unwrap(), want0); // miss 1: block 0 becomes a ghost
+    std::thread::scope(|s| {
+        let spawn = |name: &str| {
+            let (tier, want0) = (&tier, &want0);
+            std::thread::Builder::new()
+                .name(name.into())
+                .spawn_scoped(s, move || assert_eq!(&tier.intersection(q0).unwrap(), want0))
+                .unwrap()
+        };
+        let a = spawn("admit-a"); // miss 2: admits block 0, parks inside the fetch
+        parked.wait("admit-a's fetch reads a page the plain query does not");
+        assert_eq!(tier.intersection(q0).unwrap(), want0); // miss 3: a ghost again
+        let c = spawn("admit-c"); // miss 4: admits block 0 a second time
+        let deadline = Instant::now() + STALL;
+        while tier.stats().misses < 4 {
+            assert!(Instant::now() < deadline, "admit-c never took its miss");
+            std::thread::yield_now();
+        }
+        gate.raise();
+        a.join().unwrap();
+        c.join().unwrap();
+    });
+    disk.set_read_hook(None);
+    let stats = tier.stats();
+    assert_eq!((stats.resident_blocks, stats.cached_intervals), (1, 400), "{stats:?}");
+    assert_eq!(tier.intersection(q0).unwrap(), want0);
+
+    // Heat block 1 until it wins the gate and displaces block 0.
+    for _ in 0..12 {
+        assert_eq!(tier.intersection(q1).unwrap(), want1);
+    }
+    let stats = tier.stats();
+    assert_eq!((stats.resident_blocks, stats.cached_intervals), (1, 200), "{stats:?}");
+    assert!(stats.hits > 1, "block 1 never stayed resident: {stats:?}");
+    // Block 0 once, block 1 once; the second install of block 0 discarded.
+    assert_eq!((stats.admissions, stats.aborted_admissions), (2, 1), "{stats:?}");
 }

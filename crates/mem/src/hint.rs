@@ -33,6 +33,22 @@
 //! Space: an interval of length `L` owns at most two blocks on each of
 //! the bottom `log2(L) + 2` levels, so replication is `O(log L)` per
 //! interval (cf. [`HintIndex::replica_count`]), not `O(log domain)`.
+//!
+//! # Clipped registration
+//!
+//! [`HintIndex::insert`] requires the interval to lie inside the domain.
+//! [`HintIndex::insert_clipped`] (with [`HintIndex::delete_clipped`])
+//! accepts any interval that *meets* the domain and registers it under
+//! the part inside, while the stored triple keeps its bounds.  Queries
+//! are clamped to the domain as well, and inside the domain the clipped
+//! part meets a query exactly when the interval does, so every answer is
+//! unchanged — and still comparison-free.  It exists for the hot tier,
+//! which keeps one small index per resident *block* of its domain: an
+//! interval spanning several blocks is registered in each under its part
+//! there, instead of once in full in a tier-wide index (or, worse, in
+//! full in every block's index over the whole domain).  Both entry points
+//! share one registration routine; [`HintIndex::contains`] answers for
+//! triples stored through either.
 
 use crate::index::QueryCost;
 use std::collections::BTreeMap;
@@ -58,7 +74,8 @@ impl Partition {
 /// semantics, like every structure in this crate.  Unlike its static
 /// siblings the HINT is dynamic — [`HintIndex::insert`] and
 /// [`HintIndex::delete`] are native `O(log)` operations — but the
-/// domain is fixed at construction: endpoints must lie inside it.
+/// domain is fixed at construction: endpoints must lie inside it (or
+/// the interval goes through the `_clipped` entry points; module docs).
 #[derive(Debug)]
 pub struct HintIndex {
     /// Lowest domain value.
@@ -144,19 +161,22 @@ impl HintIndex {
     /// # Panics
     /// Panics if `lower > upper` or the interval leaves the domain.
     pub fn insert(&mut self, lower: i64, upper: i64, id: i64) {
-        let (a, b) = self.to_domain(lower, upper);
-        let mut blocks = 0usize;
-        for_each_block(self.m, a, b, |level, idx, original| {
-            let p = self.levels[level as usize].entry(idx).or_default();
-            if original {
-                p.originals.push((lower, upper, id));
-            } else {
-                p.replicas.push((lower, upper, id));
-            }
-            blocks += 1;
+        let span = self.to_domain(lower, upper);
+        self.register(span, (lower, upper, id));
+    }
+
+    /// Inserts `(lower, upper, id)` under the part of `[lower, upper]`
+    /// that lies inside the domain; the stored triple keeps its bounds.
+    /// Equivalent to [`HintIndex::insert`] for every query, since queries
+    /// are clamped to the domain too — see the module docs.
+    ///
+    /// # Panics
+    /// Panics if `lower > upper` or the interval misses the domain.
+    pub fn insert_clipped(&mut self, lower: i64, upper: i64, id: i64) {
+        let span = self.clip(lower, upper).unwrap_or_else(|| {
+            panic!("interval [{lower}, {upper}] misses the domain {:?}", self.domain())
         });
-        self.len += 1;
-        self.replicas += blocks - 1;
+        self.register(span, (lower, upper, id));
     }
 
     /// Removes one exact `(lower, upper, id)` occurrence from every
@@ -165,26 +185,69 @@ impl HintIndex {
     /// # Panics
     /// Panics if `lower > upper` or the interval leaves the domain.
     pub fn delete(&mut self, lower: i64, upper: i64, id: i64) -> bool {
-        let (a, b) = self.to_domain(lower, upper);
-        let t = (lower, upper, id);
-        // Presence check on the original block alone: every stored copy
-        // registers its original exactly once.
+        let span = self.to_domain(lower, upper);
+        self.unregister(span, (lower, upper, id))
+    }
+
+    /// [`HintIndex::delete`] for a triple stored by
+    /// [`HintIndex::insert_clipped`]; `false` if it is not stored (an
+    /// interval that misses the domain never is).
+    ///
+    /// # Panics
+    /// Panics if `lower > upper`.
+    pub fn delete_clipped(&mut self, lower: i64, upper: i64, id: i64) -> bool {
+        self.clip(lower, upper).is_some_and(|span| self.unregister(span, (lower, upper, id)))
+    }
+
+    /// Whether the exact triple is stored, by either entry point.
+    ///
+    /// # Panics
+    /// Panics if `lower > upper`.
+    pub fn contains(&self, lower: i64, upper: i64, id: i64) -> bool {
+        self.clip(lower, upper).is_some_and(|span| self.registered(span, &(lower, upper, id)))
+    }
+
+    /// Registers `triple` in every block of `span`'s decomposition.
+    fn register(&mut self, (a, b): (u64, u64), triple: (i64, i64, i64)) {
+        let mut blocks = 0usize;
+        for_each_block(self.m, a, b, |level, idx, original| {
+            let p = self.levels[level as usize].entry(idx).or_default();
+            if original {
+                p.originals.push(triple);
+            } else {
+                p.replicas.push(triple);
+            }
+            blocks += 1;
+        });
+        self.len += 1;
+        self.replicas += blocks - 1;
+    }
+
+    /// Presence check on the original block alone: every stored copy
+    /// registers its original exactly once.
+    fn registered(&self, (a, b): (u64, u64), triple: &(i64, i64, i64)) -> bool {
         let mut present = false;
         for_each_block(self.m, a, b, |level, idx, original| {
             if original {
-                present =
-                    self.levels[level as usize].get(&idx).is_some_and(|p| p.originals.contains(&t));
+                present = self.levels[level as usize]
+                    .get(&idx)
+                    .is_some_and(|p| p.originals.contains(triple));
             }
         });
-        if !present {
+        present
+    }
+
+    /// Removes one registration of `triple` under `span`, if there is one.
+    fn unregister(&mut self, span: (u64, u64), triple: (i64, i64, i64)) -> bool {
+        if !self.registered(span, &triple) {
             return false;
         }
         let mut blocks = 0usize;
-        for_each_block(self.m, a, b, |level, idx, original| {
+        for_each_block(self.m, span.0, span.1, |level, idx, original| {
             let map = &mut self.levels[level as usize];
             let p = map.get_mut(&idx).expect("present triple registers every block");
             let list = if original { &mut p.originals } else { &mut p.replicas };
-            let pos = list.iter().position(|&x| x == t).expect("registered copy");
+            let pos = list.iter().position(|&x| x == triple).expect("registered copy");
             list.swap_remove(pos);
             if p.is_empty() {
                 map.remove(&idx);
@@ -217,7 +280,17 @@ impl HintIndex {
 
     /// Sorted ids of intervals intersecting `[ql, qu]` (closed).
     pub fn intersection(&self, ql: i64, qu: i64) -> Vec<i64> {
-        self.intersection_with_cost(ql, qu).0
+        let mut out = Vec::new();
+        self.intersection_into(ql, qu, &mut out);
+        out.sort_unstable();
+        out
+    }
+
+    /// Appends the ids of intervals intersecting `[ql, qu]` to `out`, in
+    /// traversal order — each exactly once.  For a caller that merges
+    /// several indexes' answers and sorts once (the hot tier's hits).
+    pub fn intersection_into(&self, ql: i64, qu: i64, out: &mut Vec<i64>) {
+        self.scan(ql, qu, &mut QueryCost::default(), |&(_, _, id)| out.push(id));
     }
 
     /// [`HintIndex::intersection`] plus its work counters.  The
@@ -232,8 +305,8 @@ impl HintIndex {
     }
 
     /// The stored `(lower, upper, id)` triples intersecting `[ql, qu]`,
-    /// in traversal order — each exactly once.  The hot tier's eviction
-    /// path uses this to find a block's cached entries.
+    /// in traversal order — each exactly once, with the bounds it was
+    /// stored with.  The hot tier walks a block's entries with this.
     pub fn intersecting_triples(&self, ql: i64, qu: i64) -> Vec<(i64, i64, i64)> {
         let mut cost = QueryCost::default();
         let mut out = Vec::new();
@@ -285,6 +358,15 @@ impl HintIndex {
             "interval [{lower}, {upper}] outside the domain [{lo}, {hi}]"
         );
         ((lower - self.offset) as u64, (upper - self.offset) as u64)
+    }
+
+    /// The part of a closed interval inside the domain, in domain units;
+    /// `None` if there is none.
+    fn clip(&self, lower: i64, upper: i64) -> Option<(u64, u64)> {
+        assert!(lower <= upper, "invalid interval [{lower}, {upper}]");
+        let (lo, hi) = self.domain();
+        (lower <= hi && upper >= lo)
+            .then(|| ((lower.max(lo) - self.offset) as u64, (upper.min(hi) - self.offset) as u64))
     }
 }
 

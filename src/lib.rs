@@ -91,8 +91,9 @@
 //!
 //! Skewed read workloads can keep their hot range in memory:
 //! [`core::HotTier`] wraps an [`core::RiTree`] with a read-through
-//! cache backed by [`mem::HintIndex`] — a comparison-free hierarchical
-//! interval index (HINT) — under a configurable interval budget
+//! cache of domain blocks, each resident block a pair of small
+//! [`mem::HintIndex`]es — a comparison-free hierarchical interval index
+//! (HINT) — under a configurable interval budget
 //! ([`core::HotTierConfig`]).  Admission is 2Q with a decaying
 //! frequency gate (scans cannot thrash residents), eviction is
 //! lowest-frequency-first, and coherence is exact: route DML through
