@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the RI-tree's primitive operations.
 //!
-//! These complement the figure binaries (which measure I/O): here we
+//! These complement the figures (which measure I/O): here we
 //! measure CPU cost of the virtual backbone arithmetic, insertion, and
 //! query execution at a fixed scale.
 

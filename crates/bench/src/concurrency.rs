@@ -17,17 +17,17 @@
 //! ([`ri_pagestore::PoolStats::per_shard`]):
 //!
 //! 1. **Per-shard serial floor** — a shard's lock admits one *lock hold*
-//!    at a time.  Since miss promotion (PR 4), a miss holds the lock only
+//!    at a time.  With miss promotion, a miss holds the lock only
 //!    to reserve a frame and again to publish the fetched page; the
 //!    device read itself runs **outside** the lock (see
 //!    `ri_pagestore::buffer`, "Miss promotion").  So shard `s`
 //!    contributes a serial timeline of
 //!    `(logical(s) + phys_reads(s) + phys_writes(s))·t_latch` — one
 //!    bookkeeping hold per access plus one publish hold per device op —
-//!    and *no* device latency.  (Pre-PR 4 the floor charged
-//!    `phys·t_read/t_write` too, which made one cold page stall every
-//!    hot hit on its shard; that is exactly the term the promotion
-//!    removed, from the implementation and therefore from the model.)
+//!    and *no* device latency.  (A pool that fetched under the lock
+//!    would add `phys·t_read/t_write` to the floor, one cold page
+//!    stalling every hot hit on its shard; promotion removes exactly
+//!    that term, from the implementation and therefore from the model.)
 //! 2. **Aggregate work spread over `T` threads** — simulated I/O plus
 //!    per-access CPU (latch + search) plus the executor's per-row cost,
 //!    divided evenly among threads.
@@ -335,8 +335,8 @@ mod tests {
                 .map(|r| r.queries_per_sec)
                 .expect("configuration measured")
         };
-        // The PR 4 acceptance bar: the 1-shard pool scales with reader
-        // threads on this miss-heavy workload, because misses no longer
+        // The bar miss promotion must clear: the 1-shard pool scales with
+        // reader threads on this miss-heavy workload, because misses no longer
         // serialize on the shard lock.
         for threads in [4, 8] {
             assert!(

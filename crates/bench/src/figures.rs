@@ -2,7 +2,7 @@
 //!
 //! Every `run(quick)` prints a self-describing table to stdout; `quick`
 //! shrinks database sizes by 10× for smoke runs (used by `cargo test` and
-//! the default `run_all`).
+//! `run_all --quick`).
 
 use crate::harness::*;
 use ri_baselines::{TileIndex, WindowList};
@@ -388,14 +388,15 @@ pub mod table1 {
 
 /// One registered experiment.
 pub struct Figure {
-    /// Name of the standalone binary in `src/bin/`.
+    /// The name `run_all` takes on its command line to run this
+    /// experiment alone.
     pub name: &'static str,
     /// Entry point: takes `quick` and prints its tables.
     pub run: fn(bool),
 }
 
 /// Every figure/table experiment in the suite, in run order — the one
-/// table `run_all` iterates, so a figure added here is automatically
+/// table `run_all` runs from, so a figure added here is automatically
 /// part of the full regeneration and cannot be forgotten.
 pub const REGISTRY: &[Figure] = &[
     Figure { name: "table1", run: table1::run },
@@ -416,6 +417,18 @@ pub const REGISTRY: &[Figure] = &[
     Figure { name: "fig23_hot_tier", run: |q| drop(crate::hot_tier::run(q)) },
 ];
 
+/// The registered figures `names` asks for, in registry order whatever
+/// the order or repetition of `names`; all of them when `names` is empty.
+/// Anything that is not a registered name — a mistyped flag included —
+/// is an error naming it and listing the registry.
+pub fn select(names: &[String]) -> Result<Vec<&'static Figure>, String> {
+    if let Some(unknown) = names.iter().find(|n| REGISTRY.iter().all(|f| f.name != **n)) {
+        let registered: Vec<&str> = REGISTRY.iter().map(|f| f.name).collect();
+        return Err(format!("unknown figure `{unknown}`; registered: {}", registered.join(", ")));
+    }
+    Ok(REGISTRY.iter().filter(|f| names.is_empty() || names.iter().any(|n| n == f.name)).collect())
+}
+
 #[cfg(test)]
 mod tests {
     /// Every figure runs end-to-end in quick mode (smoke test for the whole
@@ -427,8 +440,7 @@ mod tests {
         super::table_tindex_tuning::run(true);
     }
 
-    /// The registry stays in sync with the binaries: distinct names, one
-    /// entry per `src/bin/` figure (run_all itself excluded).
+    /// `select` looks figures up by name, so names must be distinct.
     #[test]
     fn registry_names_are_distinct() {
         let mut names: Vec<&str> = super::REGISTRY.iter().map(|f| f.name).collect();
@@ -436,5 +448,27 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), total);
+    }
+
+    #[test]
+    fn select_is_by_name_in_registry_order() {
+        let selected = |names: &[&str]| {
+            let names: Vec<String> = names.iter().map(|n| n.to_string()).collect();
+            super::select(&names).map(|figures| figures.iter().map(|f| f.name).collect::<Vec<_>>())
+        };
+        let all: Vec<&str> = super::REGISTRY.iter().map(|f| f.name).collect();
+        assert_eq!(all.len(), 16);
+        assert_eq!(selected(&[]).unwrap(), all);
+        assert_eq!(
+            selected(&["fig13_selectivity", "table1"]).unwrap(),
+            ["table1", "fig13_selectivity"]
+        );
+        assert_eq!(selected(&["fig10_plan", "fig10_plan"]).unwrap(), ["fig10_plan"]);
+        // An unknown name or a mistyped flag: the error names it and the registry.
+        for bad in ["nope", "--quik", "-q"] {
+            let err = selected(&["table1", bad]).unwrap_err();
+            assert!(err.contains(&format!("`{bad}`")), "{err}");
+            assert!(all.iter().all(|name| err.contains(name)), "{err}");
+        }
     }
 }

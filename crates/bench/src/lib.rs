@@ -1,7 +1,8 @@
 //! Experiment harness for regenerating the paper's evaluation (Section 6).
 //!
-//! Each binary in `src/bin/` reproduces one table or figure; this library
-//! holds the shared machinery: building access methods on the paper's
+//! `src/bin/run_all.rs` is the one binary; it runs the tables and figures
+//! registered in [`figures::REGISTRY`], all or by name.  This library
+//! holds them and the shared machinery: building access methods on the paper's
 //! server configuration (2 KB blocks, 200-block cache), running query
 //! batches, and reporting the two metrics of the paper — *physical disk
 //! block accesses* and *response time* (simulated via the disk latency

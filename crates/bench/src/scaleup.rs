@@ -7,7 +7,7 @@
 //! The paper's own scale-up figure (Figure 14, `fig14`) stops at
 //! n = 100,000 — a dataset its 1999-era server could rebuild by
 //! per-row insertion.  This experiment extends the axis two orders of
-//! magnitude using the PR 7 machinery: a *streamed* D1 workload
+//! magnitude with the bulk-load machinery: a *streamed* D1 workload
 //! ([`ri_workloads::WorkloadSpec::stream`], `O(1)` generator memory)
 //! feeding [`ritree_core::RiTree::insert_batch`], whose empty-tree bulk
 //! route builds both composite indexes bottom-up at fill 1.0.  D1's

@@ -1,6 +1,6 @@
 //! The write-concurrency experiment (ours, not the paper's): modelled
 //! insert throughput versus writer threads — the B-link protocol against
-//! the global-writer baseline the engine enforced before PR 3.
+//! a global-writer baseline.
 //!
 //! # Methodology
 //!
@@ -12,10 +12,10 @@
 //! [`WriteContentionModel`] then prices two writer protocols over the
 //! identical trace:
 //!
-//! * **global writer** — the pre-PR 3 contract: every insert holds the
-//!   one writer slot, so the batch's makespan is the *sum* of all
+//! * **global writer** — one tree-wide writer slot: every insert holds
+//!   it, so the batch's makespan is the *sum* of all
 //!   per-insert costs no matter how many threads submit work;
-//! * **B-link (PR 5, current)** — splits hold only the splitting node's
+//! * **B-link (what the engine runs)** — splits hold only the splitting node's
 //!   latch and post the separator in a separate latched step, so
 //!   structure modifications on different nodes overlap like any other
 //!   writes.  There is no tree-wide SMO timeline; what remains serial
@@ -333,8 +333,8 @@ pub fn run(quick: bool) -> WriteReport {
 /// `RiTree::insert_batch` against per-interval inserts: identical query
 /// answers at every thread count.  Each tree is seeded with the first
 /// interval before the batch, because a batch into an *empty* tree is a
-/// sequential bulk load that never consults `threads` — the seed puts
-/// the rest on the per-row fan-out route this check is about.
+/// sequential bulk load that never consults `threads` — that first row
+/// puts the rest on the per-row fan-out route this check is about.
 fn verify_ritree_batch(quick: bool) {
     use crate::harness::fresh_env_sharded;
     let n = if quick { 3_000 } else { 20_000 };
@@ -430,7 +430,8 @@ mod tests {
         };
         for cfg in &WORKLOADS {
             for shards in SHARD_COUNTS {
-                // The PR 3 acceptance bar against the global writer.
+                // The bar the B-link protocol must clear against the
+                // global writer.
                 assert!(
                     row(cfg.name, shards, 4).speedup_vs_global >= 2.0,
                     "{}: expected >= 2x vs global at 4 threads on {shards} shard(s)",

@@ -19,10 +19,10 @@
 //!   readers, see `tree`'s module docs),
 //! * sorted [`bulk loading`](BTree::bulk_load) with a configurable fill
 //!   factor (the paper bulk-loads the competitors' indexes in Section 6) —
-//!   since PR 7 a streaming bottom-up build (`builder` module): one
-//!   sequential write pass, every page stored exactly once, `O(height)`
-//!   memory, so million-entry loads cost `O(pages)` writes instead of
-//!   per-entry descents ([`BTree::bulk_build_into`]),
+//!   a streaming bottom-up build (`builder` module): one sequential write
+//!   pass, every page stored exactly once, `O(height)` memory, so
+//!   million-entry loads cost `O(pages)` writes instead of per-entry
+//!   descents ([`BTree::bulk_build_into`]),
 //! * an exhaustive [`BTree::check_invariants`] used by the property tests.
 //!
 //! All I/O goes through [`ri_pagestore::BufferPool`], so every page this
@@ -33,8 +33,8 @@
 //! A [`BTree`] handle is `Send + Sync` (asserted at compile time below):
 //! any number of threads may read **and write** one tree concurrently —
 //! the paper delegates locking to the host RDBMS, and this crate plays
-//! that host.  Since PR 5 the tree is a **B-link tree** (Lehman–Yao:
-//! every node carries a right-sibling link and a high key): readers
+//! that host.  The tree is a **B-link tree** (Lehman–Yao: every node
+//! carries a right-sibling link and a high key): readers
 //! descend with *no latches at all*, writers hold one exclusive node
 //! latch at a time, and splits are two-phase — publish the right
 //! sibling under the splitting node's latch, then post the separator to
@@ -42,9 +42,9 @@
 //! never exclude readers or leaf-disjoint writers (see `tree`'s module
 //! docs and ARCHITECTURE.md).  There are **no caller-side rules**: even
 //! writing through a tree while holding one of its scan cursors is
-//! legal now.  Single-threaded page-access sequences are deterministic
-//! and pinned by goldens (`tests/pool_determinism.rs`, re-captured for
-//! the B-link page format via `scripts/recapture-goldens.sh`).
+//! legal.  Single-threaded page-access sequences are deterministic
+//! and pinned by goldens (`tests/pool_determinism.rs`, re-captured only
+//! via `scripts/recapture-goldens.sh`).
 
 pub mod builder;
 pub mod key;
@@ -85,6 +85,34 @@ mod tests {
         assert_eq!(hits.len(), 50);
         assert!(hits.windows(2).all(|w| w[0] < w[1]));
         tree.check_invariants().unwrap();
+    }
+
+    /// A leaf whose high key lies below the probe and whose right link
+    /// points at itself: every move-right loop must give up with
+    /// `Corrupt` after a bounded number of links, not spin.
+    #[test]
+    fn forged_right_link_cycle_is_corrupt_not_a_hang() {
+        let pool = Arc::new(BufferPool::with_defaults(MemDisk::new(512)));
+        let tree = BTree::create(Arc::clone(&pool), 2).unwrap();
+        tree.insert(&[1, 1], 1).unwrap();
+        let probe = Entry::new(&[5, 5], 5);
+        let leaf = tree.leaf_for(&probe).unwrap().unwrap();
+        let forged = layout::LeafNode {
+            entries: vec![Entry::new(&[1, 1], 1)],
+            next: leaf,
+            high: Some(Entry::new(&[2, 0], 0)),
+        };
+        pool.with_page_mut(leaf, |buf| layout::write_leaf(buf, &forged, 2)).unwrap();
+
+        let chases = || pool.latches().stats().right_link_chases;
+        let per_loop = pool.num_pages() + 1;
+        assert!(matches!(tree.contains(&[5, 5], 5), Err(Error::Corrupt(_))));
+        assert_eq!(chases(), per_loop);
+        let mut scan = tree.scan_range(&[5, 5], &[9, 9]);
+        assert!(matches!(scan.next(), Some(Err(Error::Corrupt(_)))));
+        assert_eq!(chases(), 2 * per_loop);
+        assert!(matches!(tree.insert(&[5, 5], 5), Err(Error::Corrupt(_))));
+        assert_eq!(chases(), 3 * per_loop);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! # Write concurrency: the Lehman–Yao B-link protocol
 //!
-//! Since PR 5 the tree is a **B-link tree**: every node carries a *right
+//! The tree is a **B-link tree**: every node carries a *right
 //! link* to its sibling and a *high key* bounding its key range
 //! (`layout`).  That one structural relaxation removes the tree-wide
 //! latch entirely — there is no latch under which the whole structure is
@@ -116,8 +116,8 @@ pub(crate) struct Meta {
     /// grows (roots are never collapsed: deletes do not restructure).
     pub(crate) height: u16,
     pub(crate) count: u64,
-    /// Head of the free list.  Always invalid since PR 5 — the B-link
-    /// tree never frees pages — but the slot is kept for the format's
+    /// Head of the free list.  Always invalid — the B-link tree never
+    /// frees pages — but the slot is kept for the format's
     /// stability and a future vacuum.
     pub(crate) free_head: PageId,
     pub(crate) first_leaf: PageId,
@@ -391,6 +391,7 @@ impl BTree {
         mut f: impl FnMut(NodeView<'_>) -> T,
     ) -> Result<(PageId, T)> {
         let arity = self.arity;
+        let mut chased = 0;
         loop {
             let step = self.pool.with_page(page, |buf| {
                 let node = NodeView::parse(buf, arity)?;
@@ -404,11 +405,24 @@ impl BTree {
                 Break(found) => return Ok((page, found)),
                 Continue(next) => {
                     debug_assert!(!next.is_invalid(), "missing high key implies no right move");
-                    self.latches().record_right_link_chase();
+                    self.count_chase(&mut chased, page)?;
                     page = next;
                 }
             }
         }
+    }
+
+    /// Records one more right link followed from `page` in a chase that
+    /// has followed `chased` so far.  A chain visits each of its pages
+    /// once, so following more links than the device has pages means the
+    /// links loop back: `Corrupt`, not a traversal that never ends.
+    fn count_chase(&self, chased: &mut u64, page: PageId) -> Result<()> {
+        self.latches().record_right_link_chase();
+        *chased += 1;
+        if *chased > self.pool.num_pages() {
+            return Err(Error::Corrupt(format!("right links cycle through {page}")));
+        }
+        Ok(())
     }
 
     /// Latched move-right: prefetches and exclusively latches `page`,
@@ -423,6 +437,7 @@ impl BTree {
     ) -> Result<(PageId, Node, LatchGuard<'_>)> {
         self.pool.prefetch(page)?;
         let mut guard = self.latches().page_exclusive(page);
+        let mut chased = 0;
         loop {
             let node = self.read_any(page)?;
             let (high, next) = match &node {
@@ -434,7 +449,7 @@ impl BTree {
             }
             debug_assert!(!next.is_invalid(), "missing high key implies no right move");
             drop(guard);
-            self.latches().record_right_link_chase();
+            self.count_chase(&mut chased, page)?;
             self.pool.prefetch(next)?;
             guard = self.latches().page_exclusive(next);
             page = next;
@@ -619,7 +634,7 @@ impl BTree {
             // The parent overflows: split it the same two-phase way and
             // continue posting one level up.  The promoted separator
             // moves to the parent level; the right node's first child is
-            // the promoted separator's child, exactly as in the seed.
+            // the promoted separator's child.
             let mid = node.entries.len() / 2;
             let mut upper = node.entries.split_off(mid);
             let (promoted, promoted_child) = upper.remove(0);

@@ -68,7 +68,7 @@
 //!
 //! # Coherence: the write path, not vacuum
 //!
-//! PR 5's B-link deletes never reclaim pages, so there is no vacuum
+//! The B-link tree's deletes never reclaim pages, so there is no vacuum
 //! pass to hang invalidation on — and none is needed.  All DML must go
 //! through the tier's [`HotTier::insert`] / [`HotTier::delete`]
 //! wrappers (that is the contract; use [`HotTier::invalidate_all`]

@@ -12,8 +12,7 @@
 //! shard lock), the RI-tree level holds no latch across a fault on any
 //! descent: query descents acquire no latches at all (the B-link trees'
 //! read paths and scan cursors are fully latch-free — see
-//! `ri_btree::tree`; the PR 3 shared tree latch that cursors used to pin
-//! is gone), and row/index writes go through the heap's and B-link
+//! `ri_btree::tree`), and row/index writes go through the heap's and B-link
 //! trees' prefetch-before-latch sections.  The one RI-tree-level latch
 //! is the *parameter latch* ([`Database::param_guard`]): it spans
 //! in-memory parameter reads plus at most one header-page persist, which
@@ -732,7 +731,7 @@ impl RiTree {
     /// identical to calling [`RiTree::intersection`] once per query: plan
     /// compilation is deterministic and the buffer pool's lock striping
     /// makes concurrent descents safe.  Concurrent writers are *safe*
-    /// (the B+-trees latch internally since PR 3) but make results
+    /// (the B+-trees latch internally) but make results
     /// schedule-dependent, as with any query racing DML.
     pub fn intersection_batch(
         &self,

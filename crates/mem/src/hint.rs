@@ -50,7 +50,7 @@
 //! share one registration routine; [`HintIndex::contains`] answers for
 //! triples stored through either.
 
-use crate::index::QueryCost;
+use crate::QueryCost;
 use std::collections::BTreeMap;
 
 /// One partition's interval lists (the paper's `O`/`R` split).
@@ -402,17 +402,7 @@ mod tests {
     use crate::naive::NaiveIntervalSet;
 
     fn pseudo_items(n: usize, seed: u64) -> Vec<(i64, i64, i64)> {
-        let mut x = seed;
-        (0..n)
-            .map(|i| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                let l = (x % 4000) as i64;
-                let len = ((x >> 32) % 400) as i64;
-                (l, (l + len).min(4095), i as i64)
-            })
-            .collect()
+        crate::tests::pseudo_items(n, seed, 4000, 400, 4095)
     }
 
     #[test]

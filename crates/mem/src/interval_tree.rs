@@ -22,9 +22,6 @@ pub struct IntervalTree {
     /// Node id -> secondary structure, only for non-empty nodes
     /// (the paper's tertiary structure links exactly these).
     nodes: std::collections::HashMap<i64, NodeLists>,
-    /// The raw input, kept so [`crate::IntervalIndex`] updates can
-    /// rebuild (this structure is static; see the trait docs).
-    items: Vec<(i64, i64, i64)>,
     len: usize,
 }
 
@@ -43,13 +40,7 @@ impl IntervalTree {
     /// Panics if any triple has `lower > upper`.
     pub fn build(items: &[(i64, i64, i64)]) -> IntervalTree {
         if items.is_empty() {
-            return IntervalTree {
-                root: 0,
-                offset: 0,
-                nodes: Default::default(),
-                items: Vec::new(),
-                len: 0,
-            };
+            return IntervalTree { root: 0, offset: 0, nodes: Default::default(), len: 0 };
         }
         let min = items.iter().map(|&(l, _, _)| l).min().unwrap();
         let max = items.iter().map(|&(_, u, _)| u).max().unwrap();
@@ -69,12 +60,7 @@ impl IntervalTree {
             lists.lower.sort_unstable();
             lists.upper.sort_unstable_by(|a, b| b.cmp(a));
         }
-        IntervalTree { root, offset, nodes, items: items.to_vec(), len: items.len() }
-    }
-
-    /// All stored triples (unordered).
-    pub fn triples(&self) -> &[(i64, i64, i64)] {
-        &self.items
+        IntervalTree { root, offset, nodes, len: items.len() }
     }
 
     /// Number of stored intervals.
@@ -212,17 +198,7 @@ mod tests {
     use crate::naive::NaiveIntervalSet;
 
     fn pseudo_random_items(n: usize, seed: u64) -> Vec<(i64, i64, i64)> {
-        let mut x = seed;
-        (0..n)
-            .map(|i| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                let l = (x % 5000) as i64;
-                let len = ((x >> 32) % 300) as i64;
-                (l, l + len, i as i64)
-            })
-            .collect()
+        crate::tests::pseudo_items(n, seed, 5000, 300, i64::MAX)
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! With the default `shards = 1` the pool is a *single* LRU over a single
 //! lock — bit-for-bit the behavior the paper experiments were calibrated
 //! against (one global cache of 200 blocks), which keeps every figure
-//! binary deterministic.  `tests/pool_determinism.rs` pins this.  Larger
+//! deterministic.  `tests/pool_determinism.rs` pins this.  Larger
 //! shard counts trade exact global LRU for concurrency, the same trade
 //! made by any production block cache (PostgreSQL buffer mapping
 //! partitions, InnoDB buffer pool instances).
@@ -65,10 +65,10 @@
 //! [`BufferPool::flush_all`] and [`BufferPool::clear_cache`] drain each
 //! shard's in-flight reads *and* write-backs before touching its frames.
 //!
-//! Single-threaded the protocol is observationally the seed pool verbatim:
-//! one fault performs the same write-back and read, in the same order,
-//! against the same LRU state — `tests/pool_determinism.rs` pins this
-//! byte-for-byte.
+//! Single-threaded the protocol is observationally a pool that fetches
+//! under the lock: one fault performs the same write-back and read, in the
+//! same order, against the same LRU state — `tests/pool_determinism.rs`
+//! pins this byte-for-byte.
 //!
 //! # Durability (optional WAL)
 //!
@@ -81,8 +81,9 @@
 //! WAL-before-data invariant: no page image whose update is not durable
 //! in the log can reach the data device, so [`BufferPool::recover`]
 //! (invoked by `Database::open`) can always rebuild the committed state.
-//! Pools built without a WAL are bit-for-bit the seed pool — the
-//! golden-pinned figures never pay for durability they don't use.
+//! Pools built without a WAL perform no log I/O at all and the same data
+//! I/O — the golden-pinned figures never pay for durability they don't
+//! use.
 //!
 //! A durable pool built with [`BufferPool::new_durable_with`] and
 //! [`FlushPolicy::Background`] additionally owns the WAL's **background
@@ -441,7 +442,8 @@ impl BufferPool {
     }
 
     /// The shard index page `id` is routed to.
-    pub fn shard_of(&self, id: PageId) -> usize {
+    #[cfg(test)]
+    fn shard_of(&self, id: PageId) -> usize {
         (id.raw() & self.mask) as usize
     }
 
@@ -543,8 +545,8 @@ impl BufferPool {
 
     /// Writes every dirty cached page back to the device and syncs it.
     ///
-    /// Shards are flushed in index order, frames in slot order — the same
-    /// deterministic write-back order as the seed pool when `shards = 1`.
+    /// Shards are flushed in index order, frames in slot order — a
+    /// deterministic write-back order, pinned by the pool goldens.
     /// In-flight misses are drained first: a reserved frame's buffer is
     /// out with its fetcher, so the flush waits for every fetch to publish
     /// (or fail) before walking the shard's frames.
@@ -644,7 +646,7 @@ impl BufferPool {
     /// module docs).
     ///
     /// Single-threaded (no concurrent fault on this shard) the observable
-    /// behavior is the seed pool's `ensure_resident` verbatim: one LRU
+    /// behavior is that of a fetch under the lock: one LRU
     /// clock tick, the same victim, write-back before read, counters
     /// bumped at the same points, and the same failure states — only the
     /// *lock* is released around the device I/O.
@@ -745,7 +747,7 @@ impl BufferPool {
 
             // Phase 2 — fetch, with no lock held: hot hits on this shard
             // proceed while the device works.  Write-back first, then the
-            // read — the seed pool's exact device-op order.
+            // read — the device-op order the pool goldens pin.
             let mut failure: Option<Error> = None;
             let mut wrote_back = false;
             if old_dirty {
@@ -774,7 +776,7 @@ impl BufferPool {
             // during the fetch carry fresher ticks than our entry-time
             // `now`, and a freshly faulted page must not publish as the
             // shard's LRU minimum.  Single-threaded no tick intervened,
-            // so the stamp equals `now` — the seed's exact value.
+            // so the stamp equals `now` — the value the pool goldens pin.
             let stamp = inner2.clock.max(now);
             {
                 let fr = &mut inner2.frames[idx];

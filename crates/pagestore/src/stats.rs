@@ -86,9 +86,9 @@ impl IoStats {
 
     /// Takes a point-in-time copy of the miss-promotion counters.
     ///
-    /// These live beside (not inside) [`IoSnapshot`] because the golden
-    /// determinism suites compare `IoSnapshot` literals captured from the
-    /// seed implementation; the seed had no notion of these events.
+    /// These live beside (not inside) [`IoSnapshot`] because
+    /// `tests/pool_determinism.rs` compares whole `IoSnapshot` literals:
+    /// a field added there would have to be added to every golden.
     pub fn miss_snapshot(&self) -> MissSnapshot {
         MissSnapshot {
             coalesced_faults: self.coalesced_faults.load(Ordering::Relaxed),

@@ -69,10 +69,10 @@ pub(crate) struct Catalog {
 ///
 /// The in-memory catalog sits behind a reader-writer lock: metadata
 /// lookups (`table`, `get_param`, plan execution) share it, only DDL and
-/// parameter writes take it exclusively.  Before PR 3 this was a plain
-/// mutex — the next convoy after the buffer pool once queries and writers
-/// run on many threads, since *every* executed plan resolves its table
-/// and index metadata here.
+/// parameter writes take it exclusively.  A plain mutex here would be
+/// the next convoy after the buffer pool once queries and writers run on
+/// many threads, since *every* executed plan resolves its table and index
+/// metadata here.
 pub struct Database {
     pool: Arc<BufferPool>,
     catalog: RwLock<Catalog>,

@@ -33,7 +33,6 @@ pub mod exec;
 pub mod explain;
 pub mod heap;
 pub mod par;
-pub mod sql;
 pub mod table;
 
 pub use access::IntervalAccessMethod;
@@ -41,7 +40,6 @@ pub use catalog::{Database, IndexDef, TableDef};
 pub use exec::{BoundExpr, ExecStats, Plan, Predicate, Row};
 pub use heap::{Heap, RowId};
 pub use par::fan_out;
-pub use sql::SqlResult;
 pub use table::Table;
 
 pub use ri_pagestore::{Error, Result};

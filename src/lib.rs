@@ -16,7 +16,7 @@
 //! | [`btree`] | `ri-btree` | the disk-based composite-key B+-tree |
 //! | [`pagestore`] | `ri-pagestore` | buffer pool, block devices, I/O statistics, latency model |
 //! | [`baselines`] | `ri-baselines` | T-index, IST, MAP21, Window-List |
-//! | [`mem`] | `ri-mem` | main-memory structures behind the [`mem::IntervalIndex`] trait: naive oracle, interval tree, HINT |
+//! | [`mem`] | `ri-mem` | main-memory structures: naive oracle, interval tree, HINT |
 //! | [`workloads`] | `ri-workloads` | the paper's Table 1 data distributions and query generators |
 //!
 //! ## Quick start
@@ -105,7 +105,7 @@
 //!
 //! See `examples/` for runnable scenarios (temporal reservations with
 //! `now`/∞, spatial curve segments, engineering tolerances) and
-//! `crates/bench/src/bin/` for the per-figure experiment binaries.
+//! `crates/bench/src/bin/run_all.rs` for the figure experiments' one binary.
 
 pub use ri_baselines as baselines;
 pub use ri_btree as btree;
