@@ -146,7 +146,8 @@ impl WindowList {
         }
         if qu > ql {
             // Range branch: intervals starting inside (ql, qu].  Output
-            // columns (lower, upper, id, rowid): pad to align id at col 3.
+            // columns (lower, upper, id, rowid): pad to the stab branch's
+            // five, id at col 3.
             branches.push(Plan::Project {
                 input: Box::new(Plan::IndexRangeScan {
                     table: self.table_name.clone(),
@@ -154,7 +155,7 @@ impl WindowList {
                     lo: vec![BoundExpr::Const(ql + 1), BoundExpr::NegInf, BoundExpr::NegInf],
                     hi: vec![BoundExpr::Const(qu), BoundExpr::PosInf, BoundExpr::PosInf],
                 }),
-                cols: vec![0, 0, 1, 2],
+                cols: vec![0, 0, 1, 2, 3],
             });
         }
         let plan = Plan::UnionAll(branches);

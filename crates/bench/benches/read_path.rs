@@ -3,16 +3,19 @@
 //! traced run splits it (`core.plan_us`, `relstore.exec_us`,
 //! `btree.scan_ns_per_entry`) — but from `cargo bench`, in seconds.
 //!
-//! Uses only calls that predate the decode-free read path
-//! (`RiTree::{intersection_plan, execute_id_plan}`, `Table::index`,
-//! `BTree::scan_all`), so the same file runs on an older checkout and the
-//! two printouts are the before and after.  The header line prints how
-//! many rows one `exec` iteration returns and how many entries one `scan`
-//! iteration walks: ns/row and ns/entry are ns/iter ÷ those.
+//! `exec` is `RiTree::execute_id_plan`, ids sorted; `exec, unsorted` is the
+//! same plans through `Database::execute_with` into the same id gather
+//! with no sort, so their difference is what `sort_ids` costs, and `sort
+//! ids` is what the comparison sort it replaces costs on the same unsorted
+//! answers (cloning them included).  `scan` walks both indexes through the
+//! per-entry `Iterator`, `scan runs` through `RangeScan::for_each_run`,
+//! the form the executor uses.  The header line prints how many rows one
+//! `exec` iteration returns and how many entries one `scan` iteration
+//! walks: ns/row and ns/entry are ns/iter ÷ those.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ri_bench::{build_ritree, fresh_env_with_cache};
-use ri_relstore::Plan;
+use ri_relstore::{ExecStats, Plan};
 use ri_workloads::{d1, queries_for_selectivity};
 use ritree_core::{Interval, UPPER_NOW};
 use std::hint::black_box;
@@ -35,7 +38,14 @@ fn bench_read_path(c: &mut Criterion) {
     let now = UPPER_NOW - 1;
     let plans: Vec<Plan> =
         queries.iter().map(|&q| tree.intersection_plan(q, now).unwrap()).collect();
-    let rows: usize = plans.iter().map(|p| tree.execute_id_plan(p).unwrap().0.len()).sum();
+    let unsorted = |plan: &Plan| {
+        let mut ids = Vec::new();
+        let gather = &mut |rows: ri_relstore::Rows<'_>| ids.extend(rows.column(2));
+        env.db.execute_with(plan, &mut ExecStats::default(), gather).unwrap();
+        ids
+    };
+    let answers: Vec<Vec<i64>> = plans.iter().map(unsorted).collect();
+    let rows: usize = answers.iter().map(Vec::len).sum();
     let table = env.db.table(tree.table_name()).unwrap();
     let indexes = ["RI_bench_LOWER", "RI_bench_UPPER"].map(|name| table.index(name).unwrap());
     println!("# read_path: exec = {QUERIES} queries, {rows} rows; scan = {} entries", 2 * ROWS);
@@ -52,6 +62,18 @@ fn bench_read_path(c: &mut Criterion) {
     group.bench_function("exec (query set)", |b| {
         b.iter(|| plans.iter().map(|p| tree.execute_id_plan(p).unwrap().0.len()).sum::<usize>())
     });
+    group.bench_function("exec, unsorted (query set)", |b| {
+        b.iter(|| plans.iter().map(|p| unsorted(p).len()).sum::<usize>())
+    });
+    group.bench_function("sort ids (query set)", |b| {
+        b.iter(|| {
+            for answer in &answers {
+                let mut ids = answer.clone();
+                ids.sort_unstable();
+                black_box(ids);
+            }
+        })
+    });
     group.bench_function("scan (both indexes)", |b| {
         b.iter(|| {
             let mut entries = 0;
@@ -60,6 +82,15 @@ fn bench_read_path(c: &mut Criterion) {
                 entries += 1;
             }
             assert_eq!(entries, 2 * ROWS);
+        })
+    });
+    group.bench_function("scan runs (both indexes)", |b| {
+        b.iter(|| {
+            let mut bytes = 0;
+            for index in &indexes {
+                index.scan_all().for_each_run(|run| bytes += black_box(run).len()).unwrap();
+            }
+            assert_eq!(bytes, 2 * ROWS * 32, "arity 3: 32 bytes an entry");
         })
     });
     group.finish();

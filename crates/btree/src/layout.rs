@@ -156,7 +156,22 @@ pub enum Node {
     Internal(InternalNode),
 }
 
-fn write_entry(buf: &mut [u8], off: usize, e: &Entry) {
+/// Decodes one leaf entry (or separator) from its on-page bytes: `arity`
+/// little-endian `i64` key columns, then the `u64` payload.
+#[inline]
+pub fn read_entry(words: &[u8], arity: usize) -> Entry {
+    // One bounds check for the whole entry, then fixed-trip loads.
+    let words = &words[..leaf_entry_size(arity)];
+    let mut cols = [0i64; crate::key::MAX_ARITY];
+    for (c, slot) in cols.iter_mut().enumerate() {
+        if c < arity {
+            *slot = get_i64(words, c * 8);
+        }
+    }
+    Entry { key: Key::from_padded(cols, arity), payload: get_u64(words, arity * 8) }
+}
+
+pub(crate) fn write_entry(buf: &mut [u8], off: usize, e: &Entry) {
     let arity = e.key.arity();
     for (c, v) in e.key.as_slice().iter().enumerate() {
         put_i64(buf, off + c * 8, *v);
@@ -344,15 +359,16 @@ impl<'a> NodeView<'a> {
 
     #[inline]
     fn entry_at(&self, off: usize) -> Entry {
-        // One bounds check for the whole entry, then fixed-trip loads.
-        let words = &self.buf[off..off + leaf_entry_size(self.arity)];
-        let mut cols = [0i64; crate::key::MAX_ARITY];
-        for (c, slot) in cols.iter_mut().enumerate() {
-            if c < self.arity {
-                *slot = get_i64(words, c * 8);
-            }
-        }
-        Entry { key: Key::from_padded(cols, self.arity), payload: get_u64(words, self.arity * 8) }
+        read_entry(&self.buf[off..], self.arity)
+    }
+
+    /// Leaf: the dense on-page bytes of entries `from..end` — a *leaf
+    /// run*, `end - from` records of [`leaf_entry_size`] bytes, each what
+    /// [`read_entry`] decodes.  Nothing is decoded or copied.
+    #[inline]
+    pub fn leaf_run(&self, from: usize, end: usize) -> &'a [u8] {
+        debug_assert!(self.leaf && from <= end && end <= self.count);
+        &self.buf[self.offset(from)..self.offset(end)]
     }
 }
 

@@ -115,6 +115,63 @@ mod tests {
         assert_eq!(chases(), 3 * per_loop);
     }
 
+    /// Two leaves that both cover the scan's range, the second linked back
+    /// to the first: no move-right loop is entered (nothing is chased), so
+    /// the scan's own count of links followed must end it.
+    #[test]
+    fn forged_leaf_chain_cycle_ends_a_scan_in_both_cursor_forms() {
+        let pool = Arc::new(BufferPool::with_defaults(MemDisk::new(512)));
+        let tree = BTree::create(Arc::clone(&pool), 2).unwrap();
+        for i in 0..25 {
+            tree.insert(&[i, i], i as u64).unwrap();
+        }
+        let first = tree.leaf_for(&Entry::new(&[0, 0], 0)).unwrap().unwrap();
+        let layout::Node::Leaf(head) = tree.read_any(first).unwrap() else { panic!("a leaf") };
+        let layout::Node::Leaf(mut last) = tree.read_any(head.next).unwrap() else {
+            panic!("twenty-five entries split the root leaf once")
+        };
+        assert!(last.next.is_invalid() && last.high.is_none());
+        last.next = first;
+        pool.with_page_mut(head.next, |buf| layout::write_leaf(buf, &last, 2)).unwrap();
+
+        let mut scan = tree.scan_all();
+        assert!(matches!(scan.find_map(|e| e.err()), Some(Error::Corrupt(_))));
+        assert!(scan.next().is_none(), "the error ends the scan");
+        let mut entries = 0;
+        let walked = tree.scan_all().for_each_run(|run| entries += run.len() / 24);
+        assert!(matches!(walked, Err(Error::Corrupt(_))));
+        assert!(entries as u64 <= 25 * (pool.num_pages() + 1), "bounded by the device's pages");
+        assert_eq!(pool.latches().stats().right_link_chases, 0, "every leaf covered `lo`");
+        // A scan that stops inside the first lap never notices.
+        assert_eq!(tree.scan_range(&[0, 0], &[20, 20]).filter(|e| e.is_ok()).count(), 21);
+    }
+
+    /// A high key below the probe says "move right"; with no right link
+    /// there is nowhere to go.  The two are written together, so this is
+    /// `Corrupt` — not an assertion, and not a read of page `INVALID`.
+    #[test]
+    fn forged_high_key_without_a_right_link_is_corrupt() {
+        let pool = Arc::new(BufferPool::with_defaults(MemDisk::new(512)));
+        let tree = BTree::create(Arc::clone(&pool), 2).unwrap();
+        tree.insert(&[1, 1], 1).unwrap();
+        let leaf = tree.leaf_for(&Entry::new(&[5, 5], 5)).unwrap().unwrap();
+        let forged = layout::LeafNode {
+            entries: vec![Entry::new(&[1, 1], 1)],
+            next: ri_pagestore::PageId::INVALID,
+            high: Some(Entry::new(&[2, 0], 0)),
+        };
+        pool.with_page_mut(leaf, |buf| layout::write_leaf(buf, &forged, 2)).unwrap();
+
+        let linkless = |e: &Error| matches!(e, Error::Corrupt(why) if why.contains("right link"));
+        assert!(linkless(&tree.scan_range(&[5, 5], &[9, 9]).next().unwrap().unwrap_err()));
+        assert!(linkless(&tree.scan_range(&[5, 5], &[9, 9]).for_each_run(|_| ()).unwrap_err()));
+        assert!(linkless(&tree.contains(&[5, 5], 5).unwrap_err()));
+        assert!(linkless(&tree.insert(&[5, 5], 5).unwrap_err()));
+        assert_eq!(pool.latches().stats().right_link_chases, 0, "no link, no chase");
+        // Below the high key nothing moves right and nothing is wrong.
+        assert!(tree.contains(&[1, 1], 1).unwrap());
+    }
+
     #[test]
     fn concurrent_descents_over_sharded_pool() {
         use ri_pagestore::BufferPoolConfig;

@@ -1,13 +1,16 @@
 //! Range scan cursor over the leaf chain.
 
 use crate::key::{Entry, Key};
+use crate::layout::{leaf_entry_size, read_entry, write_entry};
 use crate::tree::BTree;
-use ri_pagestore::{PageId, Result};
+use ri_pagestore::{Error, PageId, Result};
 
 /// Cursor over all entries whose key columns lie in `[lo, hi]`
 /// (inclusive, lexicographic): an [`Iterator`] of `Result<Entry>`, or —
-/// for callers that consume everything — [`RangeScan::visit`], which
-/// hands each entry to a closure with nothing buffered in between.
+/// for callers that consume everything — [`RangeScan::for_each_run`],
+/// which hands each leaf's in-range entries to a closure as one *leaf
+/// run*, the on-page bytes themselves, with nothing decoded or buffered
+/// in between.
 ///
 /// Nothing is read until the first entry is asked for.  The search phase
 /// then costs `O(log_b n)` page accesses and the scan phase one access per
@@ -15,9 +18,9 @@ use ri_pagestore::{PageId, Result};
 /// leaf is looked at once, *in place*, inside the pool's copy-atomic page
 /// snapshot ([`crate::layout::NodeView`]): the header is validated, the first leaf's
 /// start and every leaf's `hi` boundary are found by binary search, and
-/// only the entries inside the bounds are decoded.  No node is
-/// materialized and nothing is allocated per leaf or per entry; the
-/// iterator form keeps one entry buffer for the whole scan.
+/// the entries between them move as one slice.  No node is materialized
+/// and nothing is allocated per leaf or per entry; the iterator form keeps
+/// one entry buffer for the whole scan and decodes a leaf's run into it.
 ///
 /// Cursors are **latch-free** (B-link protocol): each leaf is read as a
 /// copy-atomic snapshot and the cursor follows right links, so concurrent
@@ -31,6 +34,10 @@ use ri_pagestore::{PageId, Result};
 /// the cursor moves right with them.  Entries inserted or deleted
 /// concurrently may or may not appear, as with any non-snapshot index
 /// scan.
+///
+/// A leaf chain is outside input: a scan that has followed more right
+/// links than the device has pages is walking a forged cycle and ends
+/// with [`Error::Corrupt`].
 pub struct RangeScan<'t> {
     tree: &'t BTree,
     /// `(lo, payload 0)`: payloads are unsigned, so this sorts before
@@ -38,7 +45,12 @@ pub struct RangeScan<'t> {
     lo: Entry,
     hi: Key,
     at: Cursor,
-    /// Iterator form only: the current leaf's in-range entries.
+    /// Right links followed so far, and the device's page count when that
+    /// number last reached it (re-read only then: it takes a device lock).
+    followed: u64,
+    page_limit: u64,
+    /// Iterator form only: the current leaf's run, decoded, and the
+    /// position of the next entry in it.
     buf: Vec<Entry>,
     idx: usize,
 }
@@ -61,20 +73,37 @@ impl<'t> RangeScan<'t> {
             lo: Entry { key: Key::new(lo), payload: 0 },
             hi: Key::new(hi),
             at: Cursor::Start,
+            followed: 0,
+            page_limit: 0,
             buf: Vec::new(),
             idx: 0,
         }
     }
 
+    /// Counts the right link into `page`.  A correct chain visits each
+    /// leaf once, so more links than pages means the chain loops.
+    fn follow(&mut self, page: PageId) -> Result<PageId> {
+        self.followed += 1;
+        if self.followed > self.page_limit {
+            // Pages may have been allocated since the last look.
+            self.page_limit = self.tree.pool().num_pages();
+            if self.followed > self.page_limit {
+                return Err(Error::Corrupt(format!("leaf chain cycles through {page}")));
+            }
+        }
+        Ok(page)
+    }
+
     /// The one leaf walk: visits the leaf under the cursor, hands its
-    /// in-range entries to `f` from inside the page snapshot, and moves
-    /// the cursor right.  `Ok(false)` once the scan is exhausted.
-    fn visit_leaf(&mut self, f: &mut impl FnMut(Entry)) -> Result<bool> {
+    /// in-range run (when there is one) to `f` from inside the page
+    /// snapshot, and moves the cursor right.  `Ok(false)` once the scan
+    /// is exhausted.
+    fn visit_leaf(&mut self, f: &mut impl FnMut(&[u8])) -> Result<bool> {
         let (lo, hi) = (self.lo, self.hi);
         // `Done` first, so that an error ends the scan instead of repeating.
         let page = match std::mem::replace(&mut self.at, Cursor::Done) {
             Cursor::Start => self.tree.leaf_for(&lo)?,
-            Cursor::Leaf(page) => Some(page),
+            Cursor::Leaf(page) => Some(self.follow(page)?),
             Cursor::Done => None,
         };
         let Some(page) = page else { return Ok(false) };
@@ -83,7 +112,9 @@ impl<'t> RangeScan<'t> {
         let visited = self.tree.with_covering_node(page, &lo, true, |leaf| {
             let from = leaf.lower_bound(&lo);
             let end = leaf.key_upper_bound(from, &hi);
-            (from..end).for_each(|i| f(leaf.entry(i)));
+            if from < end {
+                f(leaf.leaf_run(from, end));
+            }
             if end < leaf.count() || leaf.next().is_invalid() {
                 Cursor::Done
             } else {
@@ -94,12 +125,27 @@ impl<'t> RangeScan<'t> {
         Ok(true)
     }
 
-    /// Drains the scan by internal iteration: `f` sees every remaining
-    /// entry in order, called from inside each leaf's page snapshot, so
-    /// nothing is buffered or allocated.  `f` may itself read (other
-    /// scans included) — no latch or lock is held while it runs.
-    pub fn visit(mut self, mut f: impl FnMut(Entry)) -> Result<()> {
-        self.buf.drain(..).skip(self.idx).for_each(&mut f);
+    /// Drains the scan by internal iteration, a leaf at a time: `f` sees
+    /// every remaining entry in order as non-empty runs of on-page bytes —
+    /// [`leaf_entry_size`] bytes per entry, the key columns as
+    /// little-endian `i64`s followed by the `u64` payload, what
+    /// [`read_entry`] decodes — one run per leaf that holds any.  A run is
+    /// valid only during the call: `f` runs inside the leaf's page
+    /// snapshot, so nothing is decoded, copied or allocated.  `f` may
+    /// itself read (other scans included) — no latch or lock is held while
+    /// it runs.
+    pub fn for_each_run(mut self, mut f: impl FnMut(&[u8])) -> Result<()> {
+        // What the iterator form had decoded and not yet yielded goes back
+        // into the on-page encoding.
+        let rest = &self.buf[self.idx..];
+        if !rest.is_empty() {
+            let size = leaf_entry_size(self.tree.arity());
+            let mut run = vec![0; rest.len() * size];
+            for (words, entry) in run.chunks_exact_mut(size).zip(rest) {
+                write_entry(words, 0, entry);
+            }
+            f(&run);
+        }
         while self.visit_leaf(&mut f)? {}
         Ok(())
     }
@@ -109,6 +155,7 @@ impl Iterator for RangeScan<'_> {
     type Item = Result<Entry>;
 
     fn next(&mut self) -> Option<Self::Item> {
+        let arity = self.tree.arity();
         loop {
             if let Some(&entry) = self.buf.get(self.idx) {
                 self.idx += 1;
@@ -117,7 +164,10 @@ impl Iterator for RangeScan<'_> {
             let mut buf = std::mem::take(&mut self.buf);
             buf.clear();
             self.idx = 0;
-            let more = self.visit_leaf(&mut |entry| buf.push(entry));
+            let more = self.visit_leaf(&mut |run| {
+                let entries = run.chunks_exact(leaf_entry_size(arity));
+                buf.extend(entries.map(|words| read_entry(words, arity)))
+            });
             self.buf = buf;
             match more {
                 Ok(true) => {}
@@ -237,14 +287,19 @@ mod tests {
         let want = reference_scan(tree, lo, hi);
         let iterated: Vec<Entry> = tree.scan_range(lo, hi).map(|e| e.unwrap()).collect();
         assert_eq!(iterated, want, "iterator over [{lo:?}, {hi:?}]");
-        let mut visited = Vec::new();
-        tree.scan_range(lo, hi).visit(|e| visited.push(e)).unwrap();
-        assert_eq!(visited, want, "visit over [{lo:?}, {hi:?}]");
+        let arity = tree.arity();
+        let decode_into = |out: &mut Vec<Entry>, run: &[u8]| {
+            assert!(!run.is_empty() && run.len() % leaf_entry_size(arity) == 0, "whole entries");
+            out.extend(run.chunks(leaf_entry_size(arity)).map(|words| read_entry(words, arity)));
+        };
+        let mut runs = Vec::new();
+        tree.scan_range(lo, hi).for_each_run(|run| decode_into(&mut runs, run)).unwrap();
+        assert_eq!(runs, want, "runs over [{lo:?}, {hi:?}]");
         // Switching forms mid-scan loses and repeats nothing.
         let mut scan = tree.scan_range(lo, hi);
         let mut mixed: Vec<Entry> = scan.by_ref().take(3).map(|e| e.unwrap()).collect();
-        scan.visit(|e| mixed.push(e)).unwrap();
-        assert_eq!(mixed, want, "iterator then visit over [{lo:?}, {hi:?}]");
+        scan.for_each_run(|run| decode_into(&mut mixed, run)).unwrap();
+        assert_eq!(mixed, want, "iterator then runs over [{lo:?}, {hi:?}]");
     }
 
     #[test]

@@ -404,19 +404,23 @@ impl BTree {
             match step {
                 Break(found) => return Ok((page, found)),
                 Continue(next) => {
-                    debug_assert!(!next.is_invalid(), "missing high key implies no right move");
-                    self.count_chase(&mut chased, page)?;
+                    self.count_chase(&mut chased, page, next)?;
                     page = next;
                 }
             }
         }
     }
 
-    /// Records one more right link followed from `page` in a chase that
-    /// has followed `chased` so far.  A chain visits each of its pages
-    /// once, so following more links than the device has pages means the
-    /// links loop back: `Corrupt`, not a traversal that never ends.
-    fn count_chase(&self, chased: &mut u64, page: PageId) -> Result<()> {
+    /// Records one more right link, `page` → `next`, followed in a chase
+    /// that has followed `chased` so far.  A node is only left through its
+    /// link when its high key says so, and the two are written together:
+    /// a high key with no link is `Corrupt`.  So is a chain that loops
+    /// back — it visits each of its pages once, so following more links
+    /// than the device has pages is a traversal that would never end.
+    fn count_chase(&self, chased: &mut u64, page: PageId, next: PageId) -> Result<()> {
+        if next.is_invalid() {
+            return Err(Error::Corrupt(format!("high key without a right link at {page}")));
+        }
         self.latches().record_right_link_chase();
         *chased += 1;
         if *chased > self.pool.num_pages() {
@@ -447,9 +451,8 @@ impl BTree {
             if high.is_none_or(|h| *target < h) {
                 return Ok((page, node, guard));
             }
-            debug_assert!(!next.is_invalid(), "missing high key implies no right move");
             drop(guard);
-            self.count_chase(&mut chased, page)?;
+            self.count_chase(&mut chased, page, next)?;
             self.pool.prefetch(next)?;
             guard = self.latches().page_exclusive(next);
             page = next;

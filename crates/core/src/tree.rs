@@ -681,13 +681,14 @@ impl RiTree {
     /// extracts sorted result ids (used by the ablation benchmarks).
     ///
     /// The `id` column (position 2 in every id-plan's output rows: `node,
-    /// lower-or-upper, id, rowid`) streams from the executor straight into
-    /// the id vector — the one place that knows the result-row layout.
+    /// lower-or-upper, id, rowid`) is gathered out of each leaf run the
+    /// executor pushes, straight into the id vector — the one place that
+    /// knows the result-row layout.
     pub fn execute_id_plan(&self, plan: &Plan) -> Result<(Vec<i64>, ExecStats)> {
         let mut stats = ExecStats::default();
         let mut ids = Vec::new();
-        self.db.execute_with(plan, &mut stats, &mut |row| ids.push(row[2]))?;
-        ids.sort_unstable();
+        self.db.execute_with(plan, &mut stats, &mut |rows| ids.extend(rows.column(2)))?;
+        crate::sort::sort_ids(&mut ids);
         Ok((ids, stats))
     }
 
@@ -832,9 +833,11 @@ impl RiTree {
         // below exactly like an open-ended interval.
         let mut out = Vec::new();
         let mut slot_of = std::collections::HashMap::new();
-        self.db.execute_with(&plan, &mut stats, &mut |r| {
-            slot_of.insert((r[0], r[2]), out.len());
-            out.push((Interval { lower: r[1], upper: UPPER_INF }, r[2]));
+        self.db.execute_with(&plan, &mut stats, &mut |rows| {
+            for r in rows.iter() {
+                slot_of.insert((r.get(0), r.get(2)), out.len());
+                out.push((Interval { lower: r.get(1), upper: UPPER_INF }, r.get(2)));
+            }
         })?;
         // Pass 2, the same nodes of upperIndex, rows `(node, upper, id,
         // rowid)`: each streams into the slot of its `(node, id)`.
@@ -843,9 +846,11 @@ impl RiTree {
             unreachable!("node_join's inner plan is an index scan")
         };
         index.clone_from(&self.upper_index);
-        self.db.execute_with(&plan, &mut stats, &mut |r| {
-            if let Some(&slot) = slot_of.get(&(r[0], r[2])) {
-                out[slot].0.upper = r[1];
+        self.db.execute_with(&plan, &mut stats, &mut |rows| {
+            for r in rows.iter() {
+                if let Some(&slot) = slot_of.get(&(r.get(0), r.get(2))) {
+                    out[slot].0.upper = r.get(1);
+                }
             }
         })?;
         out.retain(|(iv, _)| iv.upper < UPPER_NOW && iv.lower <= q.upper && q.lower <= iv.upper);

@@ -17,8 +17,9 @@
 //!   transient tables, `INDEX RANGE SCAN`, `NESTED LOOPS`, `UNION-ALL`,
 //!   `FILTER` and `TABLE ACCESS FULL`, which is sufficient to express every
 //!   query plan in the paper (RI-tree, Tile Index, IST, MAP21); rows stream
-//!   into the caller's sink ([`Database::execute_with`]) with nothing
-//!   materialized in between;
+//!   into the caller's sink ([`Database::execute_with`]) as [`Rows`]
+//!   batches — one B-link leaf's in-range entries at a time, as they lie
+//!   on the page — with nothing materialized in between;
 //! * [`par`] — the fan-out scaffold ([`fan_out`]): independent statements
 //!   run over scoped worker threads, scaling with the buffer pool's lock
 //!   striping;
@@ -37,7 +38,7 @@ pub mod table;
 
 pub use access::IntervalAccessMethod;
 pub use catalog::{Database, IndexDef, TableDef};
-pub use exec::{BoundExpr, ExecStats, Plan, Predicate, Row};
+pub use exec::{BoundExpr, ExecStats, Plan, Predicate, Row, RowRef, Rows};
 pub use heap::{Heap, RowId};
 pub use par::fan_out;
 pub use table::Table;

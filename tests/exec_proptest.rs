@@ -1,10 +1,11 @@
 //! Property test of the push-based executor: for random plans — `FILTER`,
 //! `PROJECT`, `UNION-ALL` and `NESTED LOOPS` nested in each other, joins
-//! driven by collections *and* by other scans — `Database::execute_with`
-//! into a collecting sink, `Database::execute`, and a materializing
-//! reference evaluator (the executor this one replaced, over
-//! `Table::index` + `BTree::scan_range`) produce the same rows in the same
-//! order with the same `ExecStats`.
+//! driven by collections *and* by other scans — the batches
+//! `Database::execute_with` pushes, concatenated, `Database::execute`, and
+//! a materializing reference evaluator (the executor this one replaced,
+//! over `Table::index` + `BTree::scan_range`) are the same rows in the same
+//! order with the same `ExecStats`.  No batch is empty, and a batch stays
+//! what it was while its sink runs another query.
 
 use proptest::prelude::*;
 use ri_tree::pagestore::{BufferPool, BufferPoolConfig};
@@ -74,7 +75,12 @@ impl Tape<'_> {
                 let inputs: Vec<_> =
                     (0..1 + self.draw(3)).map(|_| self.plan(depth - 1, bind_width)).collect();
                 let width = inputs.iter().map(|i| i.1).min().unwrap();
-                (Plan::UnionAll(inputs.into_iter().map(|i| i.0).collect()), width)
+                // UNION-ALL wants one width: cut the wider inputs down.
+                let cut = |(input, w): (Plan, usize)| match w == width {
+                    true => input,
+                    false => Plan::Project { input: Box::new(input), cols: (0..width).collect() },
+                };
+                (Plan::UnionAll(inputs.into_iter().map(cut).collect()), width)
             }
             5 => {
                 let (input, width) = self.plan(depth - 1, bind_width);
@@ -171,9 +177,31 @@ proptest! {
         let mut collected_stats = ExecStats::default();
         let collected = db.execute(&plan, &mut collected_stats).unwrap();
 
+        // A query for the sink to run from inside each batch.
+        let probe = Plan::IndexRangeScan {
+            table: "T".into(),
+            index: "V".into(),
+            lo: vec![BoundExpr::Const(3)],
+            hi: vec![BoundExpr::Const(30)],
+        };
+        let probed = db.execute(&probe, &mut ExecStats::default()).unwrap();
+
         let mut streamed_stats = ExecStats::default();
         let mut streamed: Vec<Row> = Vec::new();
-        db.execute_with(&plan, &mut streamed_stats, &mut |row| streamed.push(row.to_vec())).unwrap();
+        db.execute_with(&plan, &mut streamed_stats, &mut |rows| {
+            assert!(!rows.is_empty(), "an empty batch");
+            let owned = || rows.iter().map(|row| row.iter().collect()).collect::<Vec<Row>>();
+            let before = owned();
+            assert_eq!(db.execute(&probe, &mut ExecStats::default()).unwrap(), probed);
+            assert_eq!(owned(), before, "a nested query must leave the batch alone");
+            assert_eq!((before.len(), before[0].len()), (rows.len(), rows.width()));
+            for col in 0..rows.width() {
+                assert!(rows.column(col).eq(before.iter().map(|row| row[col])));
+                assert!((0..rows.len()).all(|row| rows.get(row, col) == before[row][col]));
+            }
+            streamed.extend(before);
+        })
+        .unwrap();
         prop_assert_eq!(&streamed, &collected);
         prop_assert_eq!(streamed_stats, collected_stats);
 
@@ -182,6 +210,6 @@ proptest! {
         reference_stats.result_rows = expected.len() as u64;
         prop_assert_eq!(&collected, &expected);
         prop_assert_eq!(collected_stats, reference_stats);
-        prop_assert!(collected.iter().all(|row| row.len() >= width));
+        prop_assert!(collected.iter().all(|row| row.len() == width));
     }
 }
