@@ -2,10 +2,12 @@
 //!
 //! These complement the figures (which measure I/O): here we
 //! measure CPU cost of the virtual backbone arithmetic, insertion, and
-//! query execution at a fixed scale.
+//! query execution at a fixed scale — and of building one hot-tier block's
+//! HINT.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ri_bench::{build_ritree, fresh_env};
+use ri_mem::HintIndex;
 use ri_workloads::{d1, queries_for_selectivity};
 use ritree_core::{BackboneParams, Interval};
 use std::hint::black_box;
@@ -87,10 +89,38 @@ fn bench_delete(c: &mut Criterion) {
     });
 }
 
+/// One hot-tier block's HINT (2^14 values, the default block) built from
+/// the triples that block of D1(1M, 2000) holds — what an admission builds
+/// per block — in bulk, and item by item through the path DML takes.
+fn bench_hint_block_build(c: &mut Criterion) {
+    const BLOCK_BITS: u32 = 14;
+    let lo = 16i64 << BLOCK_BITS;
+    let hi = lo + (1 << BLOCK_BITS) - 1;
+    let data = d1(1_000_000, 2000).generate(7);
+    let triples: Vec<(i64, i64, i64)> = (0..)
+        .zip(&data)
+        .filter(|&(_, &(l, u))| l <= hi && u >= lo)
+        .map(|(id, &(l, u))| (l, u, id))
+        .collect();
+    println!("# hint/block_build: {} triples over 2^{BLOCK_BITS} values", triples.len());
+    c.bench_function("hint/block_build_bulk", |b| {
+        b.iter(|| HintIndex::build_clipped(lo, BLOCK_BITS, black_box(&triples)))
+    });
+    c.bench_function("hint/block_build_per_item", |b| {
+        b.iter(|| {
+            let mut index = HintIndex::new(lo, BLOCK_BITS);
+            for &(l, u, id) in black_box(&triples) {
+                index.insert_clipped(l, u, id);
+            }
+            index
+        })
+    });
+}
+
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(20);
     targets = bench_fork_node, bench_query_traversal, bench_insert,
-              bench_intersection_query, bench_delete
+              bench_intersection_query, bench_delete, bench_hint_block_build
 }
 criterion_main!(micro);

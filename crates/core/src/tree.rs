@@ -27,6 +27,8 @@ use crate::interval::Interval;
 use crate::vtree::BackboneParams;
 use ri_pagestore::{Error, Result};
 use ri_relstore::{BoundExpr, Database, ExecStats, IndexDef, Plan, Row, RowId, Table, TableDef};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Artificial, exclusive `node` value for intervals ending at *infinity*
@@ -688,7 +690,7 @@ impl RiTree {
         let mut stats = ExecStats::default();
         let mut ids = Vec::new();
         self.db.execute_with(plan, &mut stats, &mut |rows| ids.extend(rows.column(2)))?;
-        crate::sort::sort_ids(&mut ids);
+        ri_mem::sort::sort_ids(&mut ids);
         Ok((ids, stats))
     }
 
@@ -808,9 +810,11 @@ impl RiTree {
     /// tier exists to save.
     ///
     /// The scans drop the plan's bound filters (whole partitions are
-    /// read, then filtered exactly), which is correct because the
-    /// left-path, covered and right-path node sets are disjoint — the
-    /// same Section 4.2 argument that makes the id plan duplicate-free.
+    /// read, and each pass filters its own bound as the rows stream by:
+    /// the first drops what starts after `q`, the second what ends before
+    /// it), which is correct because the left-path, covered and right-path
+    /// node sets are disjoint — the same Section 4.2 argument that makes
+    /// the id plan duplicate-free.
     /// Open-ended intervals are skipped (callers bypass the tier while
     /// any are stored), and ids must be distinct, as everywhere on the
     /// query path.
@@ -827,33 +831,37 @@ impl RiTree {
             vec![BoundExpr::Outer(1), BoundExpr::PosInf, BoundExpr::PosInf],
         );
         let mut stats = ExecStats::default();
-        // Pass 1, lowerIndex rows `(node, lower, id, rowid)`: every row
-        // takes its output slot, upper bound pending.  `UPPER_INF` is the
-        // placeholder: a slot the second pass never fills is dropped
-        // below exactly like an open-ended interval.
+        // Pass 1, lowerIndex rows `(node, lower, id, rowid)`: every row that
+        // does not start after `q` takes its output slot, upper bound
+        // pending.  `UPPER_INF` is the placeholder: a slot the second pass
+        // never fills is dropped below exactly like an open-ended interval.
         let mut out = Vec::new();
-        let mut slot_of = std::collections::HashMap::new();
+        let mut nodes = Vec::new();
         self.db.execute_with(&plan, &mut stats, &mut |rows| {
-            for r in rows.iter() {
-                slot_of.insert((r.get(0), r.get(2)), out.len());
+            for r in rows.iter().filter(|r| r.get(1) <= q.upper) {
+                nodes.push(r.get(0));
                 out.push((Interval { lower: r.get(1), upper: UPPER_INF }, r.get(2)));
             }
         })?;
+        let mut slot_of = HashMap::with_capacity_and_hasher(out.len(), JoinKeyHash::default());
+        slot_of
+            .extend(nodes.into_iter().zip(&out).enumerate().map(|(s, (n, &(_, id)))| ((n, id), s)));
         // Pass 2, the same nodes of upperIndex, rows `(node, upper, id,
-        // rowid)`: each streams into the slot of its `(node, id)`.
+        // rowid)`: each that does not end before `q` streams into the slot
+        // of its `(node, id)`.
         let Plan::NestedLoops { inner, .. } = &mut plan else { unreachable!("node_join joins") };
         let Plan::IndexRangeScan { index, .. } = inner.as_mut() else {
             unreachable!("node_join's inner plan is an index scan")
         };
         index.clone_from(&self.upper_index);
         self.db.execute_with(&plan, &mut stats, &mut |rows| {
-            for r in rows.iter() {
+            for r in rows.iter().filter(|r| r.get(1) >= q.lower) {
                 if let Some(&slot) = slot_of.get(&(r.get(0), r.get(2))) {
                     out[slot].0.upper = r.get(1);
                 }
             }
         })?;
-        out.retain(|(iv, _)| iv.upper < UPPER_NOW && iv.lower <= q.upper && q.lower <= iv.upper);
+        out.retain(|(iv, _)| iv.upper < UPPER_NOW);
         Ok(out)
     }
 
@@ -871,6 +879,32 @@ impl RiTree {
     /// Largest stored finite upper bound; `None` while empty.
     pub fn max_upper(&self) -> Option<i64> {
         self.db.get_param(&self.keys.max_upper)
+    }
+}
+
+/// The hasher of [`RiTree::span_snapshot`]'s `(node, id)` join: one add
+/// and one multiply per word, where SipHash was most of the join's time.
+/// The ids are the application's, so ids chosen to collide can slow an
+/// admission down; they cannot change what it fetches.
+type JoinKeyHash = BuildHasherDefault<JoinKeyHasher>;
+
+/// Multiplicative hashing in the Fx style: the product's high bits mix
+/// every input bit, so `finish` rotates them down to where the table takes
+/// its bucket index.
+#[derive(Default)]
+struct JoinKeyHasher(u64);
+
+impl Hasher for JoinKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_i64(b.into()));
+    }
+
+    fn write_i64(&mut self, word: i64) {
+        self.0 = self.0.wrapping_add(word as u64).wrapping_mul(0xF135_7AEA_2E62_A9C5);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
     }
 }
 
@@ -1344,6 +1378,51 @@ mod tests {
         assert_eq!(dir_len(&reopened), dir_len(&skel));
         let q = Interval::new(0, 2000).unwrap();
         assert_eq!(reopened.intersection(q).unwrap(), skel.intersection(q).unwrap());
+    }
+
+    /// `span_snapshot` against a heap scan: exactly the closed intervals
+    /// meeting the span, each once with its true bounds.  The node
+    /// partitions it scans also hold intervals that start after the span
+    /// or end before it — its two passes drop those before the join — and
+    /// the open-ended rows are never reported.
+    #[test]
+    fn span_snapshot_is_the_heap_rows_meeting_the_span() {
+        let (_db, tree) = fresh();
+        let mut x = 0x5EA_u64;
+        for id in 0..2_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let l = (x % 100_000) as i64;
+            let len = ((x >> 40) % if id % 10 == 0 { 20_000 } else { 600 }) as i64;
+            tree.insert(Interval::new(l, l + len).unwrap(), id).unwrap();
+        }
+        tree.insert_open(30_000, OpenEnd::Infinity, 5_000).unwrap();
+        tree.insert_open(31_000, OpenEnd::Now, 5_001).unwrap();
+        let rows: Vec<Row> = tree.table.scan().unwrap().into_iter().map(|(_, r)| r).collect();
+        let (mut starting_after, mut ending_before) = (0, 0);
+        for (ql, qu) in [(0, 16_383), (40_000, 49_151), (98_304, 131_071), (-10, 5), (50, 50)] {
+            let q = Interval::new(ql, qu).unwrap();
+            let snapshot = tree.span_snapshot(q).unwrap();
+            let mut got: Vec<_> =
+                snapshot.iter().map(|&(iv, id)| (iv.lower, iv.upper, id)).collect();
+            got.sort_unstable();
+            let meets = |r: &&Row| r[2] < UPPER_NOW && r[1] <= qu && ql <= r[2];
+            let mut want: Vec<_> = rows.iter().filter(meets).map(|r| (r[1], r[2], r[3])).collect();
+            want.sort_unstable();
+            assert_eq!(got, want, "{q}");
+            // What the scans read besides: rows of the same node partitions.
+            let nodes = tree.load_params().unwrap().query_nodes(ql, qu);
+            let scanned = |node: i64| {
+                nodes.left.iter().any(|&(a, b)| (a..=b).contains(&node))
+                    || nodes.right.contains(&node)
+            };
+            for r in rows.iter().filter(|r| scanned(r[0])) {
+                starting_after += usize::from(r[1] > qu);
+                ending_before += usize::from(r[2] < ql);
+            }
+        }
+        assert!(starting_after > 0 && ending_before > 0, "{starting_after}, {ending_before}");
     }
 
     #[test]

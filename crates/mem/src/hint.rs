@@ -49,6 +49,22 @@
 //! full in every block's index over the whole domain).  Both entry points
 //! share one registration routine; [`HintIndex::contains`] answers for
 //! triples stored through either.
+//!
+//! # Bulk build
+//!
+//! [`HintIndex::build_clipped`] (and [`HintIndex::build`], its caller)
+//! lays an index out from all of its items at once instead of registering
+//! them one by one.  Every item's decomposition emits one `(partition,
+//! item)` pair per block; one stable radix sort ([`crate::sort`]) groups
+//! the pairs by partition — levels in order, partitions by index,
+//! originals before replicas — and each partition's run becomes its two
+//! lists at exactly their length, each level's map built in bulk from its
+//! sorted partitions.  The result is the index that registering the items
+//! one by one, in input order, would have produced, down to the order
+//! within each list; only the spare capacity differs.  So the per-item
+//! [`HintIndex::insert_clipped`] / [`HintIndex::delete_clipped`] keep
+//! working on a bulk-built index unchanged (a list grows again on its next
+//! push).  The hot tier builds every block it admits this way.
 
 use crate::QueryCost;
 use std::collections::BTreeMap;
@@ -112,21 +128,74 @@ impl HintIndex {
     }
 
     /// Builds an index from `(lower, upper, id)` triples, sizing the
-    /// domain to the data's extent (empty input gets `[0, 2)`).
+    /// domain to the data's extent (empty input gets `[0, 2)`), in bulk
+    /// ([`HintIndex::build_clipped`]).
     ///
     /// # Panics
-    /// Panics if any triple has `lower > upper`.
+    /// Panics if any triple has `lower > upper`, and with "does not fit a
+    /// HINT domain" if the data spans more than 2^40 values or the domain
+    /// sized to it would reach past `i64::MAX`.
     pub fn build(items: &[(i64, i64, i64)]) -> HintIndex {
         let Some(min) = items.iter().map(|&(l, _, _)| l).min() else {
             return HintIndex::new(0, 1);
         };
         let max = items.iter().map(|&(_, u, _)| u).max().unwrap();
-        let span = (max - min + 1) as u64;
-        let bits = (64 - span.leading_zeros()).clamp(1, 40);
-        let mut index = HintIndex::new(min, bits);
-        for &(l, u, id) in items {
-            index.insert(l, u, id);
+        // The fewest bits whose `2^bits` values from `min` on reach `max`
+        // (`abs_diff` is exact for any two `i64`s).
+        let bits = (u64::BITS - max.abs_diff(min).leading_zeros()).max(1);
+        assert!(
+            bits <= 40 && min.checked_add(1i64 << bits).is_some(),
+            "data [{min}, {max}] does not fit a HINT domain (at most 2^40 values, below i64::MAX)"
+        );
+        HintIndex::build_clipped(min, bits, items)
+    }
+
+    /// An index over `[offset, offset + 2^bits)` holding `items`, each
+    /// registered under its part inside the domain: for every query and
+    /// every later update the same index as [`HintIndex::new`] followed by
+    /// [`HintIndex::insert_clipped`] of each item in order — down to the
+    /// order within each partition — but built in bulk (module docs).
+    ///
+    /// # Panics
+    /// As [`HintIndex::new`], and if any triple has `lower > upper` or
+    /// misses the domain.
+    pub fn build_clipped(offset: i64, bits: u32, items: &[(i64, i64, i64)]) -> HintIndex {
+        let mut index = HintIndex::new(offset, bits);
+        // One `(partition, item)` pair per block of every decomposition.
+        // A partition is keyed by its heap number `(1 << level) | idx`,
+        // shifted up for the replica bit: `m + 2` bits, ascending by level,
+        // then index, originals before replicas.
+        let mut keyed: Vec<(u64, usize)> = Vec::with_capacity(items.len());
+        for (item, &(lower, upper, _)) in items.iter().enumerate() {
+            let (a, b) = index.clip(lower, upper).unwrap_or_else(|| {
+                panic!("interval [{lower}, {upper}] misses the domain {:?}", index.domain())
+            });
+            for_each_block(bits, a, b, |level, idx, original| {
+                keyed.push(((((1 << level) | idx) << 1) | u64::from(!original), item));
+            });
         }
+        // Stable (the fallback sorts by item too), so each partition lists
+        // its items in input order.
+        if !crate::sort::radix_sort_by_key(&mut keyed, bits + 2, |(key, _)| key) {
+            keyed.sort_unstable();
+        }
+        // Each partition's run, cut into two exact-capacity lists; each
+        // level's partitions arrive in index order, for `BTreeMap`'s bulk
+        // build.
+        let triples =
+            |run: &[(u64, usize)]| -> Vec<_> { run.iter().map(|&(_, i)| items[i]).collect() };
+        let mut levels: Vec<Vec<(u64, Partition)>> = (0..=bits).map(|_| Vec::new()).collect();
+        for run in keyed.chunk_by(|x, y| x.0 >> 1 == y.0 >> 1) {
+            let heap = run[0].0 >> 1;
+            let level = heap.ilog2();
+            let (originals, replicas) = run.split_at(run.partition_point(|&(key, _)| key & 1 == 0));
+            let partition =
+                Partition { originals: triples(originals), replicas: triples(replicas) };
+            levels[level as usize].push((heap ^ (1 << level), partition));
+        }
+        index.levels = levels.into_iter().map(BTreeMap::from_iter).collect();
+        index.len = items.len();
+        index.replicas = keyed.len() - items.len();
         index
     }
 
@@ -540,6 +609,39 @@ mod tests {
     #[should_panic(expected = "invalid interval")]
     fn rejects_reversed_bounds() {
         HintIndex::new(0, 8).insert(5, 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a HINT domain")]
+    fn build_refuses_data_spanning_all_of_i64() {
+        HintIndex::build(&[(i64::MIN, i64::MIN + 3, 1), (i64::MAX - 3, i64::MAX, 2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a HINT domain")]
+    fn build_refuses_data_spread_over_more_than_2_pow_40_values() {
+        HintIndex::build(&[(0, 5, 1), ((1 << 41) - 5, 1 << 41, 2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a HINT domain")]
+    fn build_refuses_data_whose_domain_would_pass_i64_max() {
+        // Five values need a domain of eight, one more than is left.
+        HintIndex::build(&[(i64::MAX - 5, i64::MAX - 1, 1)]);
+    }
+
+    #[test]
+    fn build_takes_data_up_to_the_edges_of_what_fits() {
+        let h = HintIndex::build(&[(0, 3, 1), ((1 << 40) - 4, (1 << 40) - 1, 2)]);
+        assert_eq!(h.domain(), (0, (1 << 40) - 1), "2^40 values fit exactly");
+        assert_eq!(h.intersection(2, 1 << 39), vec![1]);
+        // Seven values take eight, the last of them `i64::MAX - 1`.
+        let top = i64::MAX - 8;
+        let h = HintIndex::build(&[(top, top + 4, 1), (top + 1, top + 6, 2)]);
+        assert_eq!(h.domain(), (top, i64::MAX - 1));
+        assert_eq!(h.stab(top + 5), vec![2]);
+        let h = HintIndex::build(&[(i64::MIN, i64::MIN + 9, 1)]);
+        assert_eq!(h.intersection(i64::MIN + 9, 0), vec![1]);
     }
 
     #[test]

@@ -19,10 +19,15 @@
 //! All three structures store `(lower, upper, id)` triples of `i64` with closed interval semantics
 //! (`lower <= upper`, intersection includes shared endpoints), matching
 //! the `Interval` type in `ritree-core`.
+//!
+//! The workspace's one radix sort lives here too ([`sort`]): HINT's bulk
+//! build sorts its block registrations with it, and `ritree-core` sorts
+//! every query answer's ids with it.
 
 pub mod hint;
 pub mod interval_tree;
 pub mod naive;
+pub mod sort;
 
 pub use hint::HintIndex;
 pub use interval_tree::IntervalTree;

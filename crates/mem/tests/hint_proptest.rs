@@ -4,7 +4,10 @@
 //! deletes — and must do it without a single endpoint comparison.  The
 //! same holds for an index over a *sub-domain* filled through the clipped
 //! entry point (how the hot tier's blocks use it), against the oracle
-//! restricted to that sub-domain.
+//! restricted to that sub-domain.  An index built in bulk
+//! ([`HintIndex::build_clipped`], how the hot tier admits a block) must be
+//! indistinguishable from one filled item by item, before and after
+//! per-item updates.
 
 use proptest::prelude::*;
 use ri_mem::{HintIndex, NaiveIntervalSet};
@@ -65,6 +68,120 @@ fn restricted(n: &NaiveIntervalSet, ql: i64, qu: i64) -> Vec<i64> {
     n.intersection(ql, qu)
 }
 
+/// The two domains of the bulk-build tests as `(offset, bits)`: the whole
+/// domain every interval lies in, and [`SUB`], which clips.
+const DOMAINS: [(i64, u32); 2] = [(-1024, 12), (SUB.0, 9)];
+
+/// Triples for the bulk-build tests: intervals of every length the
+/// strategy draws, ids from a small pool, and some triples repeated
+/// verbatim — the index is a multiset.
+fn triples_strategy() -> impl Strategy<Value = Vec<(i64, i64, i64)>> {
+    (
+        prop::collection::vec((interval_strategy(), 0i64..50), 0..120),
+        prop::collection::vec(0usize..1000, 0..20),
+    )
+        .prop_map(|(items, repeats)| {
+            let mut triples: Vec<_> = items.into_iter().map(|((l, u), id)| (l, u, id)).collect();
+            let n = triples.len();
+            if n > 0 {
+                triples.extend(repeats.iter().map(|&r| triples[r % n]).collect::<Vec<_>>());
+            }
+            triples
+        })
+}
+
+/// The triples of `triples` that meet `h`'s domain.
+fn meeting(h: &HintIndex, triples: &[(i64, i64, i64)]) -> Vec<(i64, i64, i64)> {
+    let (lo, hi) = h.domain();
+    triples.iter().copied().filter(|&(l, u, _)| l <= hi && u >= lo).collect()
+}
+
+fn sorted<T: Ord>(mut v: Vec<T>) -> Vec<T> {
+    v.sort_unstable();
+    v
+}
+
+/// Everything a caller can observe of two indexes agrees: size, replicas,
+/// each query's ids and cost, the triples it meets (as multisets), stabs
+/// at its ends, the whole domain's triples, and `contains` for `probes`
+/// and for the same bounds under an id never stored.
+fn assert_same(
+    got: &HintIndex,
+    want: &HintIndex,
+    queries: &[(i64, i64)],
+    probes: &[(i64, i64, i64)],
+) {
+    assert_eq!(got.domain(), want.domain());
+    assert_eq!(got.len(), want.len());
+    assert_eq!(got.replica_count(), want.replica_count());
+    let (lo, hi) = want.domain();
+    assert_eq!(sorted(got.intersecting_triples(lo, hi)), sorted(want.intersecting_triples(lo, hi)));
+    for &(ql, qu) in queries {
+        assert_eq!(got.intersection_with_cost(ql, qu), want.intersection_with_cost(ql, qu));
+        assert_eq!(
+            sorted(got.intersecting_triples(ql, qu)),
+            sorted(want.intersecting_triples(ql, qu))
+        );
+        assert_eq!(got.stab(ql), want.stab(ql));
+        assert_eq!(got.stab(qu), want.stab(qu));
+    }
+    for &(l, u, id) in probes {
+        assert_eq!(got.contains(l, u, id), want.contains(l, u, id));
+        assert!(!got.contains(l, u, -1));
+    }
+}
+
+/// [`HintIndex::build_clipped`] and the per-item path it replaces, over
+/// one domain and the items of `triples` that meet it.
+fn bulk_and_per_item(
+    (offset, bits): (i64, u32),
+    triples: &[(i64, i64, i64)],
+) -> (HintIndex, HintIndex) {
+    let mut per_item = HintIndex::new(offset, bits);
+    let items = meeting(&per_item, triples);
+    for &(l, u, id) in &items {
+        per_item.insert_clipped(l, u, id);
+    }
+    (HintIndex::build_clipped(offset, bits, &items), per_item)
+}
+
+#[test]
+fn bulk_build_of_nothing_is_an_empty_index_that_grows() {
+    for (offset, bits) in DOMAINS {
+        let (mut bulk, mut per_item) = bulk_and_per_item((offset, bits), &[]);
+        assert!(bulk.is_empty() && bulk.replica_count() == 0);
+        assert_same(&bulk, &per_item, &[(-2000, 4000), (0, 0)], &[]);
+        for h in [&mut bulk, &mut per_item] {
+            h.insert_clipped(-300, 20, 1);
+            h.insert_clipped(7, 7, 2);
+        }
+        assert_same(&bulk, &per_item, &[(-2000, 4000), (7, 9)], &[(-300, 20, 1)]);
+        assert_eq!(bulk.intersection(0, 10), vec![1, 2]);
+    }
+}
+
+/// Nested aligned blocks all holding the domain's first value put one
+/// partition on every level (a point query there visits `level_count`
+/// partitions), and unaligned neighbours give every level replicas.
+#[test]
+fn bulk_build_populates_every_level_like_per_item_insertion() {
+    let (offset, bits) = DOMAINS[1];
+    let mut items = Vec::new();
+    for level in 0..=bits {
+        let width = 1i64 << (bits - level);
+        items.push((offset, offset + width - 1, level as i64));
+        items.push((offset + width / 2 + 1, offset + 2 * width + 2, 100 + level as i64));
+    }
+    items.extend([(offset - 50, offset + 3, 200), (offset + 3, SUB.1 + 50, 201)]);
+    items.extend_from_slice(&items.clone()[..4]); // duplicates
+    let (bulk, per_item) = bulk_and_per_item((offset, bits), &items);
+    let (_, cost) = bulk.intersection_with_cost(offset, offset);
+    assert_eq!(cost.nodes, bulk.level_count() as u64, "a partition on every level");
+    let queries: Vec<(i64, i64)> =
+        (0..40).map(|i| (offset + i * 13, offset + i * 13 + i * i % 97)).collect();
+    assert_same(&bulk, &per_item, &queries, &items);
+}
+
 /// The clipped entry point relaxes nothing about the strict one.
 #[test]
 #[should_panic(expected = "outside the domain")]
@@ -83,6 +200,71 @@ fn clipped_insert_rejects_an_interval_with_no_part_inside() {
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// A bulk-built index is the per-item one: on the whole domain and on
+    /// a clipped sub-domain, with duplicates, every observable agrees.
+    #[test]
+    fn bulk_build_equals_per_item_insertion(
+        triples in triples_strategy(),
+        queries in prop::collection::vec(interval_strategy(), 1..8),
+    ) {
+        for domain in DOMAINS {
+            let (bulk, per_item) = bulk_and_per_item(domain, &triples);
+            assert_same(&bulk, &per_item, &queries, &triples);
+        }
+    }
+
+    /// Per-item updates keep working on a bulk-built index: interleaved
+    /// clipped inserts and deletes — of stored triples, of duplicates, of
+    /// triples never stored, of intervals that miss a sub-domain — leave it
+    /// equal to the per-item index taking the same updates, and its
+    /// answers equal to the oracle's, after every step.
+    #[test]
+    fn bulk_built_index_takes_per_item_updates(
+        triples in triples_strategy(),
+        steps in prop::collection::vec((any::<bool>(), interval_strategy(), 0i64..60), 1..40),
+        query in interval_strategy(),
+    ) {
+        for domain in DOMAINS {
+            let (mut bulk, mut per_item) = bulk_and_per_item(domain, &triples);
+            let mut stored = meeting(&bulk, &triples);
+            let mut oracle = NaiveIntervalSet::new();
+            for &(l, u, id) in &stored {
+                oracle.insert(l, u, id);
+            }
+            let (lo, hi) = bulk.domain();
+            for &(insert, (l, u), id) in &steps {
+                if insert {
+                    if l > hi || u < lo {
+                        continue;
+                    }
+                    bulk.insert_clipped(l, u, id);
+                    per_item.insert_clipped(l, u, id);
+                    oracle.insert(l, u, id);
+                    stored.push((l, u, id));
+                } else {
+                    // Half the deletes name a stored triple, half a drawn one.
+                    let (l, u, id) = if id % 2 == 0 && !stored.is_empty() {
+                        stored[id as usize % stored.len()]
+                    } else {
+                        (l, u, id)
+                    };
+                    let deleted = bulk.delete_clipped(l, u, id);
+                    prop_assert_eq!(deleted, per_item.delete_clipped(l, u, id));
+                    prop_assert_eq!(deleted, oracle.delete(l, u, id));
+                    if deleted {
+                        let pos = stored.iter().position(|&t| t == (l, u, id)).unwrap();
+                        stored.swap_remove(pos);
+                    }
+                }
+                assert_same(&bulk, &per_item, &[query, (l, u)], &stored);
+                let (ql, qu) = (query.0.max(lo), query.1.min(hi));
+                if ql <= qu {
+                    prop_assert_eq!(bulk.intersection(ql, qu), oracle.intersection(ql, qu));
+                }
+            }
+        }
+    }
 
     /// Queries against a clipped sub-domain index: ids like the restricted
     /// oracle's, triples with the bounds they were stored with (not the
