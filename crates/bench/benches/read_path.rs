@@ -12,9 +12,17 @@
 //! the form the executor uses.  The header line prints how many rows one
 //! `exec` iteration returns and how many entries one `scan` iteration
 //! walks: ns/row and ns/entry are ns/iter ÷ those.
+//!
+//! Under the tree, the buffer pool's two paths, `POOL_ACCESSES` page
+//! accesses an iteration: `pool hit` on pages the tree's pool holds, and
+//! `pool miss (file)` through the paper's 200-frame pool over a `FileDisk`
+//! four times its size, cycled, so under LRU every access evicts and
+//! fetches — the benchmark's `pool.miss_ns` probe, on the device
+//! `read_cold` runs on.  ns/access is ns/iter ÷ `POOL_ACCESSES`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ri_bench::{build_ritree, fresh_env_with_cache};
+use ri_pagestore::{BufferPool, FileDisk, PageId, DEFAULT_PAGE_SIZE};
 use ri_relstore::{ExecStats, Plan};
 use ri_workloads::{d1, queries_for_selectivity};
 use ritree_core::{Interval, UPPER_NOW};
@@ -25,6 +33,8 @@ const QUERIES: usize = 16;
 /// Answers of ≈ 3,000 rows, about `read_hot`'s mean: per-row cost
 /// dominates per-scan cost, as it does there.
 const SELECTIVITY: f64 = 0.03;
+/// Page accesses per iteration of the two pool benches.
+const POOL_ACCESSES: u64 = 4096;
 
 fn bench_read_path(c: &mut Criterion) {
     // Room for the whole database: after the first pass nothing faults.
@@ -93,7 +103,22 @@ fn bench_read_path(c: &mut Criterion) {
             assert_eq!(bytes, 2 * ROWS * 32, "arity 3: 32 bytes an entry");
         })
     });
+    let cycle = |pool: &BufferPool, pages: u64| {
+        let access = |i| pool.with_page(PageId(i % pages), |d| u64::from(d[0])).unwrap();
+        (0..POOL_ACCESSES).map(access).sum::<u64>()
+    };
+    group.bench_function("pool hit", |b| b.iter(|| cycle(&env.pool, 64)));
+    let path = std::env::temp_dir().join(format!("ri-bench-read-path-{}.db", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let file_pool = BufferPool::with_defaults(FileDisk::open(&path, DEFAULT_PAGE_SIZE).unwrap());
+    let span = 4 * file_pool.capacity() as u64;
+    for _ in 0..span {
+        file_pool.allocate_page().unwrap();
+    }
+    group.bench_function("pool miss (file)", |b| b.iter(|| cycle(&file_pool, span)));
     group.finish();
+    drop(file_pool);
+    std::fs::remove_file(&path).unwrap();
 }
 
 criterion_group! {

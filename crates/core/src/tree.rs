@@ -25,10 +25,9 @@
 
 use crate::interval::Interval;
 use crate::vtree::BackboneParams;
-use ri_pagestore::{Error, Result};
+use ri_pagestore::{Error, IdHash, Result};
 use ri_relstore::{BoundExpr, Database, ExecStats, IndexDef, Plan, Row, RowId, Table, TableDef};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Artificial, exclusive `node` value for intervals ending at *infinity*
@@ -843,7 +842,7 @@ impl RiTree {
                 out.push((Interval { lower: r.get(1), upper: UPPER_INF }, r.get(2)));
             }
         })?;
-        let mut slot_of = HashMap::with_capacity_and_hasher(out.len(), JoinKeyHash::default());
+        let mut slot_of = HashMap::with_capacity_and_hasher(out.len(), IdHash::default());
         slot_of
             .extend(nodes.into_iter().zip(&out).enumerate().map(|(s, (n, &(_, id)))| ((n, id), s)));
         // Pass 2, the same nodes of upperIndex, rows `(node, upper, id,
@@ -879,32 +878,6 @@ impl RiTree {
     /// Largest stored finite upper bound; `None` while empty.
     pub fn max_upper(&self) -> Option<i64> {
         self.db.get_param(&self.keys.max_upper)
-    }
-}
-
-/// The hasher of [`RiTree::span_snapshot`]'s `(node, id)` join: one add
-/// and one multiply per word, where SipHash was most of the join's time.
-/// The ids are the application's, so ids chosen to collide can slow an
-/// admission down; they cannot change what it fetches.
-type JoinKeyHash = BuildHasherDefault<JoinKeyHasher>;
-
-/// Multiplicative hashing in the Fx style: the product's high bits mix
-/// every input bit, so `finish` rotates them down to where the table takes
-/// its bucket index.
-#[derive(Default)]
-struct JoinKeyHasher(u64);
-
-impl Hasher for JoinKeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|&b| self.write_i64(b.into()));
-    }
-
-    fn write_i64(&mut self, word: i64) {
-        self.0 = self.0.wrapping_add(word as u64).wrapping_mul(0xF135_7AEA_2E62_A9C5);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
     }
 }
 

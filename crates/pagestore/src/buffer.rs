@@ -25,15 +25,24 @@
 //!
 //! # Access model
 //!
-//! Access is closure-based and *copy-in/copy-out*: [`BufferPool::with_page`]
-//! copies the cached page into a scratch buffer under the shard lock, then
-//! runs the caller's closure on the copy with the lock released.  This keeps
-//! the implementation entirely safe Rust, allows closures to issue nested
-//! page accesses (a B+-tree descent reads a parent, then its children, which
-//! may live in *any* shard — no lock is held while a closure runs, so no
-//! lock ordering issues arise), and costs one 2 KB memcpy per logical
-//! access — irrelevant next to the simulated physical I/O the experiments
-//! measure.  Callers must not access the *same* page from two nested
+//! Access is closure-based, and no lock is held while a closure runs, so
+//! closures may issue nested page accesses (a B+-tree descent reads a
+//! parent, then its children, which may live in *any* shard) with no lock
+//! ordering issues.
+//!
+//! A read **shares the frame**: each frame's bytes are an `Arc<[u8]>`, and
+//! [`BufferPool::with_page`] clones that `Arc` under the shard lock and runs
+//! the caller's closure on it with the lock released — an immutable
+//! snapshot that costs a reference count, not a page copy.  The bytes are
+//! **copy-on-write**: wherever a frame's bytes change, they change in place
+//! only when no snapshot shares them (`Arc::get_mut`), and otherwise the
+//! frame gets a fresh buffer while the readers keep the old image.  That
+//! happens in two places: [`BufferPool::with_page_mut`]'s install, and a
+//! miss's fetch, which reads into its victim's buffer only when that buffer
+//! is unique.  A write still works on a private copy, taken from a
+//! per-thread stack of scratch buffers (a stack, so nested writes each get
+//! their own) and installed when its closure returns.  The whole scheme is
+//! safe Rust.  Callers must not access the *same* page from two nested
 //! closures when either access is mutable; the B+-tree and heap layers are
 //! structured to never do so.
 //!
@@ -51,6 +60,14 @@
 //!    fetch.
 //! 3. **Publish** (under the lock again): install the buffer, clear the
 //!    reservation, remove the in-flight entry, and wake waiters.
+//!
+//! Every wait on the shard's condition variable goes through one helper
+//! that counts the parked threads in the shard state, and a publish or the
+//! end of a drain wakes them only when that count is non-zero: a futex
+//! wake is a syscall, and single-threaded nobody ever waits.  Waiters
+//! register, and notifiers check, under the shard lock, so no wakeup can
+//! be lost.  The shard's page tables hash ids with [`crate::IdHash`], one
+//! multiply per probe.
 //!
 //! Concurrent faults on the same page **coalesce single-flight**: the first
 //! becomes the fetcher, later ones block on the in-flight entry and are
@@ -98,7 +115,7 @@
 use crate::disk::DiskManager;
 use crate::error::{Error, Result};
 use crate::latch::LatchManager;
-use crate::page::PageId;
+use crate::page::{IdHash, PageId};
 use crate::stats::{IoStats, PoolStats};
 use crate::wal::{FlushPolicy, RecoveryReport, Wal, WalConfig};
 use parking_lot::{Mutex, MutexGuard};
@@ -141,7 +158,9 @@ impl BufferPoolConfig {
 /// One cached page frame.
 struct Frame {
     page: PageId,
-    data: Box<[u8]>,
+    /// The page's bytes, shared with every `with_page` snapshot still
+    /// running; copy-on-write (see "Access model" in the module docs).
+    data: Arc<[u8]>,
     dirty: bool,
     /// Logical timestamp of the most recent access, for LRU victim selection.
     last_used: u64,
@@ -158,29 +177,33 @@ struct Frame {
 struct PoolInner {
     frames: Vec<Frame>,
     /// Maps a cached page id to its frame index.
-    table: HashMap<PageId, usize>,
+    table: HashMap<PageId, usize, IdHash>,
     /// Pages whose device read is currently in flight, mapped to their
     /// reserved frame (the single-flight miss table).
-    in_flight: HashMap<PageId, usize>,
+    in_flight: HashMap<PageId, usize, IdHash>,
     /// Dirty eviction victims whose write-back is currently in flight.
     /// Such a page is out of the table but its *disk image is stale*; a
     /// fault on it must wait for the write-back to land (or fail back
     /// into the cache) or it would resurrect the pre-update image — the
     /// lost-update race the shard lock used to prevent by construction.
-    evicting: HashSet<PageId>,
+    evicting: HashSet<PageId, IdHash>,
     /// Janitors (flush/clear) currently draining this shard.  While
     /// non-zero, *new* reservations are turned away so the drain cannot
     /// be starved by sustained miss traffic; hits and already-in-flight
     /// fetches proceed untouched.
     draining: u32,
+    /// Threads parked on the shard's condition variable (see
+    /// [`Shard::wait`]); the notifiers skip the wake while it is zero.
+    waiters: u32,
     clock: u64,
 }
 
 /// One lock stripe: its own frame set, LRU clock, and I/O counters.
 struct Shard {
     inner: Mutex<PoolInner>,
-    /// Signalled on every publish / fetch failure: same-page waiters,
-    /// frame-starved faults, and flush/clear drains block here.
+    /// Signalled on every publish / fetch failure and at the end of a
+    /// drain, when anyone waits: same-page waiters, frame-starved faults,
+    /// and flush/clear drains block here.
     cv: Condvar,
     stats: Arc<IoStats>,
     /// Frames this shard may hold (the pool capacity is split across
@@ -188,14 +211,34 @@ struct Shard {
     capacity: usize,
 }
 
+impl Shard {
+    /// Parks on `cv` until a publish or the end of a drain, counted in
+    /// `waiters` for as long as the thread is parked.  Every wait of the
+    /// pool goes through here, or [`Shard::wake`] could skip it.
+    fn wait<'a>(&self, mut inner: MutexGuard<'a, PoolInner>) -> MutexGuard<'a, PoolInner> {
+        inner.waiters += 1;
+        let mut inner = self.cv.wait(inner).unwrap_or_else(PoisonError::into_inner);
+        inner.waiters -= 1;
+        inner
+    }
+
+    /// Wakes every parked thread, if there is one; the caller holds the
+    /// lock, so no waiter can be between its count and its park.
+    fn wake(&self, inner: &PoolInner) {
+        if inner.waiters > 0 {
+            self.cv.notify_all();
+        }
+    }
+}
+
 thread_local! {
     /// Stack of reusable scratch buffers; a stack (not a single buffer) so
-    /// nested `with_page` calls each get their own copy.
+    /// nested `with_page_mut` calls each get their own copy.
     static SCRATCH: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A `len`-byte buffer whose contents are unspecified: both callers
-/// overwrite all of it with the page image, so a recycled buffer keeps
+/// A `len`-byte buffer whose contents are unspecified: the caller
+/// overwrites all of it with the page image, so a recycled buffer keeps
 /// its stale bytes and only growth is zero-filled.
 fn take_scratch(len: usize) -> Vec<u8> {
     SCRATCH.with(|s| {
@@ -269,10 +312,11 @@ impl BufferPool {
                 Shard {
                     inner: Mutex::new(PoolInner {
                         frames: Vec::new(),
-                        table: HashMap::with_capacity(capacity),
-                        in_flight: HashMap::new(),
-                        evicting: HashSet::new(),
+                        table: HashMap::with_capacity_and_hasher(capacity, IdHash::default()),
+                        in_flight: HashMap::default(),
+                        evicting: HashSet::default(),
                         draining: 0,
+                        waiters: 0,
                         clock: 0,
                     }),
                     cv: Condvar::new(),
@@ -479,18 +523,16 @@ impl BufferPool {
         &self.shards[(id.raw() & self.mask) as usize]
     }
 
-    /// Runs `f` over an immutable snapshot of page `id`.
+    /// Runs `f` over an immutable snapshot of page `id`: the frame's bytes,
+    /// shared, with no lock held (see "Access model" in the module docs).
     pub fn with_page<T>(&self, id: PageId, f: impl FnOnce(&[u8]) -> T) -> Result<T> {
         let shard = self.shard(id);
         shard.stats.record_logical_read();
-        let mut buf = take_scratch(self.page_size);
-        {
+        let snapshot = {
             let (inner, idx) = self.acquire_resident(shard, id)?;
-            buf.copy_from_slice(&inner.frames[idx].data);
-        }
-        let result = f(&buf);
-        return_scratch(buf);
-        Ok(result)
+            Arc::clone(&inner.frames[idx].data)
+        };
+        Ok(f(&snapshot))
     }
 
     /// Runs `f` over a mutable copy of page `id`, then installs the modified
@@ -518,8 +560,14 @@ impl BufferPool {
                     inner.frames[idx].page_lsn = lsn;
                 }
             }
-            inner.frames[idx].data.copy_from_slice(&buf);
-            inner.frames[idx].dirty = true;
+            let fr = &mut inner.frames[idx];
+            match Arc::get_mut(&mut fr.data) {
+                Some(data) => data.copy_from_slice(&buf),
+                // A `with_page` snapshot still shares the old image: it
+                // keeps it, and the frame takes a fresh buffer.
+                None => fr.data = Arc::from(&buf[..]),
+            }
+            fr.dirty = true;
         }
         return_scratch(buf);
         Ok(result)
@@ -627,7 +675,7 @@ impl BufferPool {
     ) -> MutexGuard<'a, PoolInner> {
         inner.draining += 1;
         while !inner.in_flight.is_empty() || !inner.evicting.is_empty() {
-            inner = shard.cv.wait(inner).unwrap_or_else(PoisonError::into_inner);
+            inner = shard.wait(inner);
         }
         inner
     }
@@ -637,7 +685,7 @@ impl BufferPool {
     fn release_drain(&self, shard: &Shard, inner: &mut PoolInner) {
         inner.draining -= 1;
         if inner.draining == 0 {
-            shard.cv.notify_all();
+            shard.wake(inner);
         }
     }
 
@@ -678,7 +726,7 @@ impl BufferPool {
                     coalesced = true;
                     shard.stats.record_coalesced_fault();
                 }
-                inner = shard.cv.wait(inner).unwrap_or_else(PoisonError::into_inner);
+                inner = shard.wait(inner);
                 continue;
             }
             // The page is a dirty eviction victim whose write-back has not
@@ -686,13 +734,13 @@ impl BufferPool {
             // write-back, then fault the fresh image (not a coalesced
             // fault — we will issue our own read).
             if inner.evicting.contains(&id) {
-                inner = shard.cv.wait(inner).unwrap_or_else(PoisonError::into_inner);
+                inner = shard.wait(inner);
                 continue;
             }
             // A janitor is draining this shard: hold new reservations back
             // so the drain terminates even under sustained miss traffic.
             if inner.draining > 0 {
-                inner = shard.cv.wait(inner).unwrap_or_else(PoisonError::into_inner);
+                inner = shard.wait(inner);
                 continue;
             }
             // Phase 1 — reserve, under the lock: grow up to the shard's
@@ -700,7 +748,7 @@ impl BufferPool {
             let idx = if inner.frames.len() < shard.capacity {
                 inner.frames.push(Frame {
                     page: PageId::INVALID,
-                    data: vec![0u8; self.page_size].into_boxed_slice(),
+                    data: vec![0u8; self.page_size].into(),
                     dirty: false,
                     last_used: 0,
                     reserved: true,
@@ -723,7 +771,7 @@ impl BufferPool {
                     None => {
                         // Every frame is reserved by an in-flight miss:
                         // wait for a publish to free one, then retry.
-                        inner = shard.cv.wait(inner).unwrap_or_else(PoisonError::into_inner);
+                        inner = shard.wait(inner);
                         continue;
                     }
                 }
@@ -764,7 +812,10 @@ impl BufferPool {
             }
             let mut read_ok = false;
             if failure.is_none() {
-                match self.disk.read_page(id, &mut buf) {
+                // The victim's buffer is read into in place unless a
+                // `with_page` snapshot still shares it; then the read goes
+                // to a fresh buffer and the snapshot keeps its image.
+                match self.disk.read_page(id, Arc::make_mut(&mut buf)) {
                     Ok(()) => read_ok = true,
                     Err(e) => failure = Some(e),
                 }
@@ -817,7 +868,7 @@ impl BufferPool {
             } else if old_dirty && !wrote_back {
                 inner2.table.insert(old_page, idx);
             }
-            shard.cv.notify_all();
+            shard.wake(&inner2);
             return match failure {
                 Some(e) => Err(e),
                 None => Ok((inner2, idx)),
@@ -964,6 +1015,44 @@ mod tests {
             assert!(small.with_page(s, |d| d.iter().all(|&x| x == 0xCD)).unwrap());
             assert!(small.with_page(zeroed, |d| d.iter().all(|&x| x == 0)).unwrap());
         }
+    }
+
+    #[test]
+    fn a_snapshot_keeps_its_image_while_the_page_is_rewritten_evicted_and_refetched() {
+        use std::sync::Barrier;
+        // One frame: every fault on another page evicts `p`.
+        let pool = small_pool(1);
+        let (p, q) = (pool.allocate_page().unwrap(), pool.allocate_page().unwrap());
+        pool.with_page_mut(p, |d| d.fill(0x11)).unwrap();
+        let (held, done) = (Barrier::new(2), Barrier::new(2));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                pool.with_page(p, |old| {
+                    held.wait();
+                    done.wait();
+                    assert!(old.iter().all(|&x| x == 0x11), "a snapshot changed under its reader");
+                })
+                .unwrap();
+                assert!(pool.with_page(p, |d| d.iter().all(|&x| x == 0x22)).unwrap());
+            });
+            held.wait();
+            // The install finds the frame shared with the snapshot: the
+            // frame takes a fresh buffer.
+            pool.with_page_mut(p, |d| d.fill(0x22)).unwrap();
+            pool.with_page(p, |mine| {
+                // The fetch of `q` finds its victim's buffer shared with
+                // this snapshot: it reads into a fresh one.  The write-back
+                // of `p` goes out from the shared buffer.
+                assert!(pool.with_page(q, |d| d.iter().all(|&x| x == 0)).unwrap());
+                assert!(mine.iter().all(|&x| x == 0x22));
+            })
+            .unwrap();
+            // Faulted back in, into `q`'s buffer, which nobody shares.
+            assert!(pool.with_page(p, |d| d.iter().all(|&x| x == 0x22)).unwrap());
+            done.wait();
+        });
+        let io = pool.stats().snapshot();
+        assert_eq!((io.physical_reads, io.physical_writes), (3, 1), "read p, q, p; wrote p");
     }
 
     #[test]

@@ -8,10 +8,12 @@
 //!
 //! * [`disk`] — a block device abstraction with an in-memory implementation
 //!   ([`MemDisk`]) used by the experiments and a file-backed implementation
-//!   ([`FileDisk`]) used by the persistence tests,
+//!   ([`FileDisk`], positional I/O) used by the persistence tests and the
+//!   repo benchmark's `read_cold` workload,
 //! * [`buffer`] — a lock-striped buffer pool with per-shard LRU replacement
 //!   and write-back caching (the "database block cache"; the default single
-//!   shard reproduces the paper's global 200-block cache exactly),
+//!   shard reproduces the paper's global 200-block cache exactly); its page
+//!   tables, and any other map keyed by ids, hash with [`IdHash`],
 //! * [`stats`] — shared counters for logical/physical reads and writes plus a
 //!   late-1990s disk [`LatencyModel`] that converts physical I/O volume into
 //!   a *simulated response time*, making the paper's seconds-scale response
@@ -46,7 +48,7 @@ pub use disk::{DiskManager, FileDisk, MemDisk};
 pub use error::{Error, Result};
 pub use faulty::{CrashPlan, FaultClock, FaultPlan, FaultyDisk, ReadHook, SyncHook, WriteHook};
 pub use latch::{LatchGuard, LatchManager, LatchSnapshot, LatchStats};
-pub use page::{PageId, DEFAULT_PAGE_SIZE};
+pub use page::{IdHash, PageId, DEFAULT_PAGE_SIZE};
 pub use stats::{IoSnapshot, IoStats, LatencyModel, MissSnapshot, PoolStats};
 pub use wal::{FlushPolicy, RecoveryReport, Wal, WalConfig, WalSnapshot};
 

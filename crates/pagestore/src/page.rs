@@ -1,4 +1,6 @@
-//! Page identifiers and sizing.
+//! Page identifiers and sizing, and the hasher for maps keyed by ids.
+
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Default page size in bytes.
 ///
@@ -39,6 +41,37 @@ impl std::fmt::Display for PageId {
     }
 }
 
+/// The hasher of the workspace's maps keyed by integer ids: the buffer
+/// pool's page tables and `RiTree::span_snapshot`'s `(node, id)` join.
+/// One add and one multiply per word, where SipHash was most of a probe's
+/// time.  Keys that someone chose to collide can slow such a map down;
+/// they cannot change what it holds.
+pub type IdHash = BuildHasherDefault<IdHasher>;
+
+/// Multiplicative hashing in the Fx style: the product's high bits mix
+/// every input bit, so `finish` rotates them down to where the table takes
+/// its bucket index.
+#[derive(Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b.into()));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = self.0.wrapping_add(word).wrapping_mul(0xF135_7AEA_2E62_A9C5);
+    }
+
+    fn write_i64(&mut self, word: i64) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,5 +87,21 @@ mod tests {
     fn display() {
         assert_eq!(PageId(7).to_string(), "P7");
         assert_eq!(PageId::INVALID.to_string(), "P<nil>");
+    }
+
+    #[test]
+    fn id_hash_spreads_strided_page_ids_over_the_low_bits() {
+        use std::hash::BuildHasher;
+        // Dense ids, one `MemDisk` extent apart, and one virtual-tree level
+        // apart: 2^16 of each into 2^16 buckets taken from the low bits.
+        for stride in [1u64, 1 << 9, 1 << 11] {
+            let mut buckets = vec![0u32; 1 << 16];
+            for i in 0..1u64 << 16 {
+                let h = IdHash::default().hash_one(PageId(i * stride));
+                buckets[(h & 0xFFFF) as usize] += 1;
+            }
+            let worst = buckets.iter().max().copied().unwrap();
+            assert!(worst <= 8, "stride {stride}: {worst} ids in one bucket");
+        }
     }
 }

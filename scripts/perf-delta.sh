@@ -129,6 +129,8 @@ for workload in workloads:
         fmt = lambda a, b, c_: f"{a:>11.4g} /{b:>11.4g} /{c_:>11.4g}"
         print(f"{name:<30}{fmt(p1, pm, p3)}{fmt(c1, cm, c3)}{delta:>+9.1%}{wins:>4}/{wins + losses:<2}  {verdict}")
         if (workload, name) == ("write_commit", "peak_rss_mb") and cm > pm and attempted["change"] > attempted["parent"]:
+            op_log_mb = (attempted["change"] - attempted["parent"]) * 60 / 1e6
             print("note: peak_rss_mb and attempted rose together: the benchmark's op log grows"
-                  " ≈ 60 B per operation; see ROADMAP B")
+                  f" ≈ 60 B per operation, so it alone explains {op_log_mb:+.2f} MB"
+                  f" ({op_log_mb / (cm - pm):.0%}) of the median's {cm - pm:+.2f} MB; see ROADMAP F")
 EOF

@@ -8,12 +8,17 @@
 //! [`FaultyDisk`] read hooks: a hook blocks (or rendezvouses) inside the
 //! device read itself, which is exactly the window the old
 //! fetch-under-the-lock implementation could never expose concurrently.
+//! Threads that can park are joined under a deadline: the pool wakes only
+//! waiters it has counted, so one wait that skipped the count would hang
+//! the test without it.  Each of the pool's five wait sites has a test
+//! here that fails if that site stops counting.
 
 use ri_tree::pagestore::{
     BufferPool, BufferPoolConfig, FaultPlan, FaultyDisk, MemDisk, PageId, PoolStats,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 const PAGE_SIZE: usize = 256;
@@ -53,6 +58,13 @@ fn wait_until(pred: impl Fn() -> bool, why: &str) {
         assert!(Instant::now() < deadline, "condition timed out — {why}");
         std::thread::yield_now();
     }
+}
+
+/// Joins `handle`, panicking if it is still running after [`STALL`]: a
+/// thread parked by a lost wakeup fails the test instead of hanging it.
+fn join_within<T>(handle: JoinHandle<T>, why: &str) -> T {
+    wait_until(|| handle.is_finished(), why);
+    handle.join().unwrap()
 }
 
 struct TestEnv {
@@ -148,7 +160,7 @@ fn same_page_faults_coalesce_to_one_device_read() {
         }));
     }
     for h in handles {
-        h.join().unwrap();
+        join_within(h, "the publish must wake the coalesced faults");
     }
     env.disk.set_read_hook(None);
 
@@ -193,8 +205,8 @@ fn fault_waits_when_every_frame_is_reserved() {
     let a = std::thread::spawn(move || assert_eq!(pool_a.with_page(p, |d| d[0]).unwrap(), 0));
     let pool_b = Arc::clone(&env.pool);
     let b = std::thread::spawn(move || assert_eq!(pool_b.with_page(q, |d| d[0]).unwrap(), 1));
-    a.join().unwrap();
-    b.join().unwrap();
+    join_within(a, "P's fetch publishes");
+    join_within(b, "P's publish must wake the fault that found every frame reserved");
     env.disk.set_read_hook(None);
     assert_eq!(
         env.stats.snapshot().since(&io_before).physical_reads,
@@ -237,8 +249,8 @@ fn flush_all_waits_for_in_flight_misses() {
     assert!(!flushed.load(Ordering::SeqCst), "flush_all ran past an in-flight miss");
 
     release.store(true, Ordering::SeqCst);
-    reader.join().unwrap();
-    flusher.join().unwrap();
+    join_within(reader, "the released fetch publishes");
+    join_within(flusher, "the publish must wake the draining flush");
     assert!(flushed.load(Ordering::SeqCst));
     env.disk.set_read_hook(None);
 }
@@ -280,7 +292,7 @@ fn clear_cache_drains_misses_and_waiters_survive() {
     release.store(true, Ordering::SeqCst);
     env.pool.clear_cache().unwrap();
     for r in readers {
-        r.join().unwrap();
+        join_within(r, "the publish or the end of the clear must wake each waiter");
     }
     env.disk.set_read_hook(None);
     // Everything still readable, correct, and quiesced.
@@ -330,8 +342,8 @@ fn fault_on_evicting_victim_waits_for_its_writeback() {
     assert_eq!(*got.lock().unwrap(), None, "fault served the stale window");
 
     release.store(true, Ordering::SeqCst);
-    evictor.join().unwrap();
-    reader.join().unwrap();
+    join_within(evictor, "the released write-back lands and Q publishes");
+    join_within(reader, "Q's publish must wake the fault on the evicting victim");
     env.disk.set_write_hook(None);
     assert_eq!(*got.lock().unwrap(), Some(77), "the dirty update survived promotion");
 }
@@ -373,9 +385,50 @@ fn flush_terminates_under_sustained_miss_traffic() {
     assert!(!done.load(Ordering::SeqCst), "flush returned while traffic was still live");
     done.store(true, Ordering::SeqCst);
     for r in readers {
-        r.join().unwrap();
+        join_within(r, "every fault the flush turned away must be woken");
     }
     env.disk.set_read_hook(None);
+}
+
+/// A fault turned away by a draining janitor parks until the drain ends,
+/// and only the end of the drain can wake it: no publish follows it.  To
+/// park it there, the thread whose publish ends the drain faults its next
+/// page at once — it usually reaches the shard before the janitor it just
+/// woke does.  The rounds make that interleaving all but certain.
+#[test]
+fn fault_turned_away_by_a_drain_is_woken_when_the_drain_ends() {
+    const ROUNDS: usize = 20;
+    let env = env(2, 1);
+    let pages = cold_pages(&env, 2);
+    let (p, q) = (pages[0], pages[1]);
+    for _ in 0..ROUNDS {
+        let release = Arc::new(AtomicBool::new(false));
+        let rel = Arc::clone(&release);
+        env.disk.set_read_hook(Some(Arc::new(move |page, _n| {
+            if page == p {
+                wait_until(|| rel.load(Ordering::SeqCst), "test releases the parked fetch");
+            }
+        })));
+        let reads_base = env.disk.reads_attempted();
+        let pool = Arc::clone(&env.pool);
+        let fetcher = std::thread::spawn(move || {
+            assert_eq!(pool.with_page(p, |d| d[0]).unwrap(), 0);
+            assert_eq!(pool.with_page(q, |d| d[0]).unwrap(), 1);
+        });
+        let disk = Arc::clone(&env.disk);
+        wait_until(|| disk.reads_attempted() > reads_base, "P's fetch reaches the device");
+        let pool = Arc::clone(&env.pool);
+        let janitor = std::thread::spawn(move || pool.flush_all().unwrap());
+        // Let the flush register as draining and park behind the fetch.
+        // (The drain is not observable from outside the pool; a round in
+        // which the flush arrives late just passes without testing.)
+        std::thread::sleep(Duration::from_millis(10));
+        release.store(true, Ordering::SeqCst);
+        join_within(janitor, "P's publish wakes the draining flush");
+        join_within(fetcher, "the end of the drain must wake the fault it turned away");
+        env.disk.set_read_hook(None);
+        env.pool.clear_cache().unwrap();
+    }
 }
 
 /// Injected read failures under contention: every faulting caller gets the
@@ -393,7 +446,8 @@ fn poisoned_page_fails_every_coalesced_caller_then_recovers() {
         handles.push(std::thread::spawn(move || pool.with_page(page, |d| d[0])));
     }
     for h in handles {
-        assert!(h.join().unwrap().is_err(), "a poisoned fault must error, not hang or serve");
+        let served = join_within(h, "every coalesced caller must be woken by a failed fetch");
+        assert!(served.is_err(), "a poisoned fault must error, not hang or serve");
     }
     env.disk.set_plan(FaultPlan::default());
     assert_eq!(env.pool.with_page(page, |d| d[0]).unwrap(), 0);
@@ -427,7 +481,7 @@ fn accounting_identity_holds_under_contention() {
         })
         .collect();
     for h in handles {
-        h.join().unwrap();
+        join_within(h, "every parked fault must be woken");
     }
     let io = env.stats.snapshot().since(&before_io);
     let miss = env.stats.miss_snapshot().since(&before_miss);
