@@ -15,15 +15,16 @@ use ri_pagestore::{Error, PageId, Result};
 /// Nothing is read until the first entry is asked for.  The search phase
 /// then costs `O(log_b n)` page accesses and the scan phase one access per
 /// leaf — the cost model of the paper's Theorem in Section 4.4.  Each
-/// leaf is looked at once, *in place*, inside the pool's copy-atomic page
+/// leaf is looked at once, *in place*, inside the pool's shared page
 /// snapshot ([`crate::layout::NodeView`]): the header is validated, the first leaf's
 /// start and every leaf's `hi` boundary are found by binary search, and
 /// the entries between them move as one slice.  No node is materialized
 /// and nothing is allocated per leaf or per entry; the iterator form keeps
 /// one entry buffer for the whole scan and decodes a leaf's run into it.
 ///
-/// Cursors are **latch-free** (B-link protocol): each leaf is read as a
-/// copy-atomic snapshot and the cursor follows right links, so concurrent
+/// Cursors are **latch-free** (B-link protocol): each leaf is read through
+/// the frame's immutable `Arc<[u8]>`, cloned under the shard lock and read
+/// with no lock held, and the cursor follows right links, so concurrent
 /// writers — including splits — proceed freely, and the owning thread may
 /// even write through the same tree while the cursor is live.  The first
 /// leaf is found by the *move-right rule*: the descent's leaf is only a

@@ -378,7 +378,7 @@ impl BTree {
 
     /// Latch-free move-right, in place: starting at `page`, looks at each
     /// node through its [`NodeView`] (header validated, kind checked) in
-    /// the pool's copy-atomic snapshot and chases right links until the
+    /// the pool's shared, immutable page snapshot and chases right links until the
     /// node's key range covers `target`, then runs `f` on that view.
     /// Returns the covering page with `f`'s result.  The single canonical
     /// chase loop — and the only way the read path looks at a node — on

@@ -31,15 +31,16 @@
 //!
 //! Several devices (e.g. the data disk and the WAL disk) can share one
 //! `FaultClock`, so a single global write index enumerates every crash
-//! point of a workload across all devices — the basis of the
-//! kill-anywhere suite in `tests/crash_recovery.rs`.  That enumeration is
-//! *thread-blind by design*: the WAL's background flusher thread and the
-//! segment-rollover path (header + anchor writes) issue ordinary device
-//! writes on the same clock, so sweeping `crash_at_write` over a workload
-//! automatically lands kills **inside flusher drains and mid-rollover** —
-//! no separate flusher-aware plumbing is needed, the flusher-enabled
-//! sweeps in `tests/crash_recovery.rs` just run a `FlushPolicy::Background`
-//! pool against the same advancing clock.
+//! point of a workload across all devices — the basis of the crash
+//! harness in `tests/common/crash.rs` (its two-device rig, oracle and
+//! write/sync sweeps), which the durability suites run through.  That
+//! enumeration is *thread-blind by design*: the WAL's background flusher
+//! thread and the segment-rollover path (header + anchor writes) issue
+//! ordinary device writes on the same clock, so sweeping `crash_at_write`
+//! over a workload automatically lands kills **inside flusher drains and
+//! mid-rollover** — no separate flusher-aware plumbing is needed, the
+//! flusher-enabled sweeps in `tests/crash_recovery.rs` just run a
+//! `FlushPolicy::Background` pool against the same advancing clock.
 //!
 //! Page allocation is modelled as immediately durable (it only extends the
 //! device; a crash can at worst leak zeroed pages, never tear data).
@@ -550,30 +551,22 @@ mod tests {
 
     #[test]
     fn poisoned_page_write_blocks_eviction() {
-        let disk = MemDisk::new(128);
-        let faulty = FaultyDisk::new(disk, FaultPlan::default());
-        let pool = BufferPool::new(faulty, BufferPoolConfig::with_capacity(1));
+        let faulty = Arc::new(FaultyDisk::new(MemDisk::new(128), FaultPlan::default()));
+        let pool = BufferPool::new(Arc::clone(&faulty), BufferPoolConfig::with_capacity(1));
         let a = pool.allocate_page().unwrap();
         let b = pool.allocate_page().unwrap();
         pool.with_page_mut(a, |d| d[0] = 1).unwrap();
         // Flushing works while no fault is scheduled.
         pool.flush_all().unwrap();
+        // Poison writes of `a`: evicting it dirty must fail loudly, not
+        // silently.
         pool.with_page_mut(a, |d| d[0] = 2).unwrap();
-        // Poison writes of `a`: evicting it must now fail loudly, not silently.
-        // (We cannot reach the inner FaultyDisk through the pool, so this
-        // test constructs the schedule up front instead.)
-        let disk2 = MemDisk::new(128);
-        let faulty2 = FaultyDisk::new(
-            disk2,
-            FaultPlan { poison_page_writes: Some(PageId(0)), ..Default::default() },
-        );
-        let pool2 = BufferPool::new(faulty2, BufferPoolConfig::with_capacity(1));
-        let p0 = pool2.allocate_page().unwrap();
-        let p1 = pool2.allocate_page().unwrap();
-        pool2.with_page_mut(p0, |d| d[0] = 9).unwrap();
-        let err = pool2.with_page(p1, |_| {}).unwrap_err();
-        assert!(matches!(err, Error::InjectedFault { op: "write", .. }));
-        let _ = b;
+        faulty.set_plan(FaultPlan { poison_page_writes: Some(a), ..Default::default() });
+        let err = pool.with_page(b, |_| {}).unwrap_err();
+        assert!(matches!(err, Error::InjectedFault { op: "write", .. }), "{err}");
+        // Lift the poison: the dirty page writes back.
+        faulty.set_plan(FaultPlan::default());
+        pool.flush_all().unwrap();
     }
 
     #[test]

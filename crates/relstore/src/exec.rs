@@ -47,10 +47,10 @@
 //! [`Database::execute`] is the same call with a sink that collects owned
 //! [`Row`]s.
 //!
-//! What this rests on still holds.  A scan looks at each leaf in the
-//! pool's **copy-atomic snapshot** — a private copy taken under the shard
-//! lock, read with the lock released — so the sink, and any scan nested in
-//! it, runs with no lock or latch held.  The B-link **move-right rule** and
+//! What this rests on still holds.  A scan looks at each leaf through the
+//! pool's **shared snapshot** — the frame's immutable `Arc<[u8]>`, cloned
+//! under the shard lock and read with the lock released — so the sink, and
+//! any scan nested in it, runs with no lock or latch held.  The B-link **move-right rule** and
 //! the cursor's **exactly-once, in-order** guarantee
 //! (`ri_btree::RangeScan`) are untouched.  One thing is observable: a
 //! `NESTED LOOPS` whose outer is itself a scan interleaves its inner

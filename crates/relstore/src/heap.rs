@@ -11,8 +11,10 @@
 //! number of threads may insert into one table concurrently.  The latch
 //! hold is a handful of page accesses — the expensive part of a row
 //! insert, the secondary-index maintenance, happens outside it in
-//! [`crate::Table::insert`].  Reads (`fetch`, `scan`) take no latch: page
-//! accesses are copy-atomic in the buffer pool.
+//! [`crate::Table::insert`].  Reads (`fetch`, `scan`) take no latch: a
+//! read shares the frame's immutable `Arc<[u8]>`, cloned under the shard
+//! lock and read with no lock held, and a write installs a new buffer
+//! instead of changing one a reader holds.
 
 use ri_pagestore::codec::{get_i64, get_u16, get_u32, get_u64, put_i64, put_u16, put_u32, put_u64};
 use ri_pagestore::{BufferPool, Error, PageId, Result};

@@ -68,7 +68,8 @@
 //! enforced by `tests/crash_recovery.rs`, which kills workloads
 //! (including checkpoints racing open transactions) at every
 //! device-write index and every sync barrier, torn writes included,
-//! and verifies recovery each time.
+//! and verifies recovery each time — through the crash harness in
+//! `tests/common/crash.rs` that every durability suite shares.
 //!
 //! ## Bulk load & beyond-paper scale
 //!

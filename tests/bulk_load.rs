@@ -8,8 +8,8 @@ use ri_tree::btree::layout::{internal_capacity, leaf_capacity};
 use ri_tree::btree::{predicted_pages, BTree, Entry};
 mod common;
 
-use common::{durable_file_pool, TempDir};
-use ri_tree::pagestore::{CrashPlan, FaultClock, FaultPlan, FaultyDisk};
+use common::crash::{Op, Oracle, Rig};
+use ri_tree::pagestore::{CrashPlan, WalConfig};
 use ri_tree::prelude::*;
 use ri_tree::workloads::d4;
 
@@ -205,65 +205,34 @@ mod equivalence {
 #[test]
 fn bulk_load_then_dml_survives_a_crash() {
     const BATCH: i64 = 1_500;
-    let dir = TempDir::new("crash");
-    let (data_path, wal_path) = (dir.file("data"), dir.file("wal"));
-    {
-        let clock = FaultClock::new();
-        let data = Arc::new(FaultyDisk::with_clock(
-            FileDisk::open(&data_path, DEFAULT_PAGE_SIZE).unwrap(),
-            FaultPlan::default(),
-            Arc::clone(&clock),
-        ));
-        let wal = Arc::new(FaultyDisk::with_clock(
-            FileDisk::open(&wal_path, DEFAULT_PAGE_SIZE).unwrap(),
-            FaultPlan::default(),
-            Arc::clone(&clock),
-        ));
-        // Device writes stay in the volatile cache until synced; the
-        // crash below discards everything not yet destaged.
-        clock.arm_crash(CrashPlan { crash_at_write: None, ..Default::default() });
-        let pool = Arc::new(
-            BufferPool::new_durable(data, BufferPoolConfig::with_capacity(64), wal).unwrap(),
-        );
-        let db = Arc::new(Database::create(Arc::clone(&pool)).unwrap());
-        let tree = RiTree::create(Arc::clone(&db), "t").unwrap();
-
-        let items: Vec<(Interval, i64)> = (0..BATCH)
-            .map(|id| {
-                let l = (id * 61) % 70_000;
-                (Interval::new(l, l + 200 + id % 31).unwrap(), id)
-            })
-            .collect();
-        tree.insert_batch(&items, 1).unwrap();
-        db.commit().unwrap();
-
-        // Ordinary DML on top of the bulk-built structure.
-        for id in 0..50i64 {
-            tree.insert(Interval::new(90_000 + id, 90_100 + id).unwrap(), BATCH + id).unwrap();
-        }
-        for id in 0..25i64 {
+    let rig = Rig::files("crash");
+    // Device writes stay in the volatile cache until synced; the crash
+    // below discards everything not yet destaged.
+    rig.arm(CrashPlan::default());
+    let tree = rig.create(WalConfig::default()).unwrap();
+    let items: Vec<(Interval, i64)> = (0..BATCH)
+        .map(|id| {
             let l = (id * 61) % 70_000;
-            assert!(tree.delete(Interval::new(l, l + 200 + id % 31).unwrap(), id).unwrap());
-        }
-        db.commit().unwrap();
-        // NO checkpoint: the data file never saw the committed pages.
-        clock.crash_now();
-    }
+            (Interval::new(l, l + 200 + id % 31).unwrap(), id)
+        })
+        .collect();
+    tree.insert_batch(&items, 1).unwrap();
+    tree.db().commit().unwrap();
+    let mut oracle: Oracle = items.iter().map(|&(iv, id)| (id, iv)).collect();
 
-    let pool = durable_file_pool(&data_path, &wal_path);
-    let db = Arc::new(Database::open(pool).unwrap());
-    let tree = RiTree::open(Arc::clone(&db), "t").unwrap();
-    assert_eq!(tree.count().unwrap(), (BATCH + 50 - 25) as u64);
-    for id in 25..BATCH {
-        let l = (id * 61) % 70_000;
-        assert!(tree.stab(l).unwrap().contains(&id), "bulk row {id} lost");
-    }
-    for id in 0..25i64 {
-        let l = (id * 61) % 70_000;
-        assert!(!tree.stab(l).unwrap().contains(&id), "deleted row {id} resurrected");
-    }
-    assert!(tree.stab(90_010).unwrap().contains(&(BATCH + 10)), "post-bulk insert lost");
+    // Ordinary DML on top of the bulk-built structure.
+    let dml: Vec<Op> = (0..50i64)
+        .map(|id| Op::Insert(BATCH + id, Interval::new(90_000 + id, 90_100 + id).unwrap()))
+        .chain(items[..25].iter().map(|&(iv, id)| Op::Delete(id, iv)))
+        .collect();
+    oracle.run_txn(&tree, &dml).unwrap();
+    // NO checkpoint: the data file never saw the committed pages.
+    rig.crash_now();
+    drop(tree);
+
+    let tree = rig.reopen().unwrap();
+    oracle.verify(&tree, "bulk load + DML, then a crash");
     // Still writable + durable going forward.
     tree.insert(Interval::new(3, 4).unwrap(), 999_999).unwrap();
-    db.commit().unwrap();
+    tree.db().commit().unwrap();
 }

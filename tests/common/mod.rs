@@ -1,9 +1,12 @@
-//! Helpers shared by the file-backed integration suites.
+//! Helpers shared by the integration suites: scratch directories, a
+//! durable pool over two files, and the crash harness in [`crash`].
 //!
 //! Each `tests/*.rs` file is its own crate, so anything here is pulled
 //! in with `mod common;` and only the items a suite uses are linked —
 //! hence the file-wide `dead_code` allowance.
 #![allow(dead_code)]
+
+pub mod crash;
 
 use ri_tree::pagestore::WalConfig;
 use ri_tree::prelude::*;
@@ -34,14 +37,8 @@ impl Drop for TempDir {
     }
 }
 
-/// A durable pool over two file-backed devices (data + WAL), default
-/// WAL configuration.
-pub fn durable_file_pool(data: &Path, wal: &Path) -> Arc<BufferPool> {
-    durable_file_pool_with(data, wal, WalConfig::default())
-}
-
-/// [`durable_file_pool`] with an explicit [`WalConfig`] (segment size,
-/// flush policy).
+/// A durable pool over two file-backed devices (data + WAL) with the
+/// given [`WalConfig`] (segment size, flush policy).
 pub fn durable_file_pool_with(data: &Path, wal: &Path, config: WalConfig) -> Arc<BufferPool> {
     Arc::new(
         BufferPool::new_durable_with(

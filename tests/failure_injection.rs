@@ -2,9 +2,10 @@
 //! surface as errors (never panics or silent corruption), and the database
 //! must remain usable once the fault clears.
 
-use ri_tree::pagestore::{
-    BufferPool, BufferPoolConfig, FaultClock, FaultPlan, FaultyDisk, MemDisk, PageId,
-};
+mod common;
+
+use common::crash::{Oracle, Rig};
+use ri_tree::pagestore::{FaultPlan, FaultyDisk, PageId, WalConfig};
 use ri_tree::prelude::*;
 
 /// Builds a database on a shared fault-injectable disk.  The `FaultyDisk`
@@ -14,34 +15,10 @@ struct FaultyEnv {
     pool: Arc<BufferPool>,
 }
 
-/// `DiskManager` pass-through so the pool can own an `Arc`d disk.
-struct SharedDisk(Arc<FaultyDisk<MemDisk>>);
-
-impl ri_tree::pagestore::DiskManager for SharedDisk {
-    fn page_size(&self) -> usize {
-        self.0.page_size()
-    }
-    fn num_pages(&self) -> u64 {
-        self.0.num_pages()
-    }
-    fn read_page(&self, id: PageId, buf: &mut [u8]) -> ri_tree::pagestore::Result<()> {
-        self.0.read_page(id, buf)
-    }
-    fn write_page(&self, id: PageId, buf: &[u8]) -> ri_tree::pagestore::Result<()> {
-        self.0.write_page(id, buf)
-    }
-    fn allocate_page(&self) -> ri_tree::pagestore::Result<PageId> {
-        self.0.allocate_page()
-    }
-    fn sync(&self) -> ri_tree::pagestore::Result<()> {
-        self.0.sync()
-    }
-}
-
 fn faulty_env() -> FaultyEnv {
     let faulty = Arc::new(FaultyDisk::new(MemDisk::new(DEFAULT_PAGE_SIZE), FaultPlan::default()));
     let pool = Arc::new(BufferPool::new(
-        SharedDisk(Arc::clone(&faulty)),
+        Arc::clone(&faulty),
         BufferPoolConfig::with_capacity(8), // tiny: faults trigger quickly
     ));
     FaultyEnv { faulty, pool }
@@ -106,42 +83,24 @@ fn write_fault_during_insert_is_reported() {
 /// post-crash reopen then proves durable.
 #[test]
 fn wal_append_fault_fails_commit_without_partial_publish() {
-    let data = Arc::new(MemDisk::new(DEFAULT_PAGE_SIZE));
-    let wal_mem = Arc::new(MemDisk::new(DEFAULT_PAGE_SIZE));
-    let clock = FaultClock::new();
-    let data_faulty = Arc::new(FaultyDisk::with_clock(
-        Arc::clone(&data),
-        FaultPlan::default(),
-        Arc::clone(&clock),
-    ));
-    let wal_faulty = Arc::new(FaultyDisk::with_clock(
-        Arc::clone(&wal_mem),
-        FaultPlan::default(),
-        Arc::clone(&clock),
-    ));
-    let pool = Arc::new(
-        BufferPool::new_durable(
-            Arc::clone(&data_faulty),
-            BufferPoolConfig::with_capacity(64),
-            Arc::clone(&wal_faulty),
-        )
-        .unwrap(),
-    );
-    let db = Arc::new(Database::create(Arc::clone(&pool)).unwrap());
-    let tree = RiTree::create(Arc::clone(&db), "t").unwrap();
-    for i in 0..50i64 {
-        tree.insert(Interval::new(i * 20, i * 20 + 30).unwrap(), i).unwrap();
+    let rig = Rig::mem(DEFAULT_PAGE_SIZE, 64);
+    let tree = rig.create(WalConfig::default()).unwrap();
+    let db = tree.db();
+    let mut rows: Vec<(i64, Interval)> =
+        (0..50i64).map(|i| (i, Interval::new(i * 20, i * 20 + 30).unwrap())).collect();
+    for &(id, iv) in &rows {
+        tree.insert(iv, id).unwrap();
     }
     db.commit().unwrap();
 
-    let wal = pool.wal().unwrap();
+    let wal = db.pool().wal().unwrap();
     let durable_before = wal.durable_lsn();
     assert_eq!(durable_before, wal.end_lsn());
 
     // Fail the next write on the log device: the commit's group flush
     // dies before any of its pages reach the disk.
-    wal_faulty.set_plan(FaultPlan {
-        fail_write_at: Some(wal_faulty.writes_attempted()),
+    rig.log.set_plan(FaultPlan {
+        fail_write_at: Some(rig.log.writes_attempted()),
         ..Default::default()
     });
     tree.insert(Interval::new(70_000, 70_100).unwrap(), 777).unwrap();
@@ -165,18 +124,12 @@ fn wal_append_fault_fails_commit_without_partial_publish() {
     // Power cut, reopen from the raw devices: everything the successful
     // commits covered — including the insert whose first commit attempt
     // failed — survives recovery.
-    clock.crash_now();
-    drop((tree, db, pool));
-    data_faulty.settle_crash();
-    wal_faulty.settle_crash();
-    let pool = Arc::new(
-        BufferPool::new_durable(data, BufferPoolConfig::with_capacity(64), wal_mem).unwrap(),
-    );
-    let db = Arc::new(Database::open(pool).unwrap());
-    let tree = RiTree::open(Arc::clone(&db), "t").unwrap();
-    assert_eq!(tree.count().unwrap(), 52);
-    assert!(tree.stab(70_050).unwrap().contains(&777));
-    assert!(tree.stab(80_050).unwrap().contains(&888));
+    rig.crash_now();
+    drop(tree);
+    rows.push((777, Interval::new(70_000, 70_100).unwrap()));
+    rows.push((888, Interval::new(80_000, 80_100).unwrap()));
+    let oracle: Oracle = rows.into_iter().collect();
+    oracle.verify(&rig.reopen().unwrap(), "power cut after the retried commit");
 }
 
 #[test]

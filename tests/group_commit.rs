@@ -4,10 +4,10 @@
 //! committers, and no committed work is lost when the machine dies right
 //! after the last commit returns.
 
-use ri_tree::pagestore::{
-    BufferPool, BufferPoolConfig, FaultClock, FaultPlan, FaultyDisk, FlushPolicy, MemDisk,
-    WalConfig,
-};
+mod common;
+
+use common::crash::{Oracle, Rig};
+use ri_tree::pagestore::{FlushPolicy, WalConfig};
 use ri_tree::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
@@ -26,32 +26,12 @@ fn iv(id: i64) -> Interval {
 
 #[test]
 fn concurrent_commits_share_fsyncs_and_lose_nothing() {
-    // Both devices share a clock so a final crash_now() freezes the pair.
-    let data = Arc::new(MemDisk::new(PAGE));
-    let wal_mem = Arc::new(MemDisk::new(PAGE));
-    let clock = FaultClock::new();
-    let data_faulty = Arc::new(FaultyDisk::with_clock(
-        Arc::clone(&data),
-        FaultPlan::default(),
-        Arc::clone(&clock),
-    ));
-    let wal_faulty = Arc::new(FaultyDisk::with_clock(
-        Arc::clone(&wal_mem),
-        FaultPlan::default(),
-        Arc::clone(&clock),
-    ));
-    let pool = Arc::new(
-        BufferPool::new_durable(
-            Arc::clone(&data_faulty),
-            // Roomy: no evictions, so no forced write-back syncs muddy
-            // the commit accounting under test.
-            BufferPoolConfig::with_capacity(200),
-            Arc::clone(&wal_faulty),
-        )
-        .expect("durable pool"),
-    );
-    let db = Arc::new(Database::create(Arc::clone(&pool)).expect("create"));
-    let tree = RiTree::create(Arc::clone(&db), "t").expect("ddl");
+    // Roomy pool: no evictions, so no forced write-back syncs muddy the
+    // commit accounting under test.
+    let rig = Rig::mem(PAGE, 200);
+    let tree = rig.create(WalConfig::default()).expect("create");
+    let db = tree.db();
+    let pool = db.pool();
     db.commit().expect("setup commit");
 
     let wal = pool.wal().expect("durable pool has a WAL");
@@ -67,7 +47,7 @@ fn concurrent_commits_share_fsyncs_and_lose_nothing() {
     {
         let armed = Arc::clone(&armed);
         let release = Arc::clone(&release);
-        wal_faulty.set_sync_hook(Some(Arc::new(move |_sync_idx| {
+        rig.log.set_sync_hook(Some(Arc::new(move |_sync_idx| {
             if armed.swap(false, Ordering::SeqCst) {
                 while !release.load(Ordering::SeqCst) {
                     thread::sleep(Duration::from_millis(1));
@@ -81,7 +61,6 @@ fn concurrent_commits_share_fsyncs_and_lose_nothing() {
     thread::scope(|s| {
         for t in 0..THREADS as i64 {
             let tree = &tree;
-            let db = &db;
             s.spawn(move || {
                 let id = t * 1000;
                 tree.insert(iv(id), id).expect("insert");
@@ -121,7 +100,6 @@ fn concurrent_commits_share_fsyncs_and_lose_nothing() {
         let mut writers = Vec::with_capacity(THREADS);
         for t in 0..THREADS as i64 {
             let tree = &tree;
-            let db = &db;
             writers.push(s.spawn(move || {
                 for k in 1..=FREE_COMMITS as i64 {
                     let id = t * 1000 + k;
@@ -130,7 +108,6 @@ fn concurrent_commits_share_fsyncs_and_lose_nothing() {
                 }
             }));
         }
-        let db = &db;
         let writers_done = &writers_done;
         let checkpointer = s.spawn(move || {
             let mut taken = 0u64;
@@ -192,28 +169,13 @@ fn concurrent_commits_share_fsyncs_and_lose_nothing() {
     // Power cut: every commit that returned must survive recovery — the
     // checkpoints flushed some pages and truncated their log records, the
     // WAL tail replays the rest.
-    clock.crash_now();
-    drop((tree, db, pool));
-    data_faulty.settle_crash();
-    wal_faulty.settle_crash();
-
-    let pool = Arc::new(
-        BufferPool::new_durable(data, BufferPoolConfig::with_capacity(200), wal_mem)
-            .expect("reopen"),
-    );
-    let db = Arc::new(Database::open(pool).expect("recovery"));
-    let tree = RiTree::open(Arc::clone(&db), "t").expect("tree open");
-    assert_eq!(tree.count().expect("count"), total_rows, "no committed insert may be lost");
-    let mut want: Vec<i64> = (0..THREADS as i64)
+    rig.crash_now();
+    drop(tree);
+    let oracle: Oracle = (0..THREADS as i64)
         .flat_map(|t| (0..=FREE_COMMITS as i64).map(move |k| t * 1000 + k))
+        .map(|id| (id, iv(id)))
         .collect();
-    want.sort_unstable();
-    let mut got = tree.intersection(Interval::new(0, 100_000).unwrap()).expect("query");
-    got.sort_unstable();
-    assert_eq!(got, want, "recovered rows diverge from the committed set");
-    for &id in &want {
-        assert!(tree.stab(iv(id).lower).expect("stab").contains(&id));
-    }
+    oracle.verify(&rig.reopen().expect("recovery"), "power cut after the last commit");
 }
 
 /// The background flusher racing group commit: with
@@ -225,35 +187,15 @@ fn concurrent_commits_share_fsyncs_and_lose_nothing() {
 #[test]
 fn flusher_races_group_commit_without_breaking_the_sync_ledger() {
     const BIG_TXN_ROWS: i64 = 200;
-    let data = Arc::new(MemDisk::new(PAGE));
-    let wal_mem = Arc::new(MemDisk::new(PAGE));
-    let clock = FaultClock::new();
-    let data_faulty = Arc::new(FaultyDisk::with_clock(
-        Arc::clone(&data),
-        FaultPlan::default(),
-        Arc::clone(&clock),
-    ));
-    let wal_faulty = Arc::new(FaultyDisk::with_clock(
-        Arc::clone(&wal_mem),
-        FaultPlan::default(),
-        Arc::clone(&clock),
-    ));
-    let pool = Arc::new(
-        BufferPool::new_durable_with(
-            Arc::clone(&data_faulty),
-            BufferPoolConfig::with_capacity(200),
-            Arc::clone(&wal_faulty),
-            WalConfig {
-                flush_policy: FlushPolicy::Background { watermark_bytes: 1024 },
-                ..WalConfig::default()
-            },
-        )
-        .expect("durable pool with flusher"),
-    );
-    let db = Arc::new(Database::create(Arc::clone(&pool)).expect("create"));
-    let tree = RiTree::create(Arc::clone(&db), "t").expect("ddl");
+    let rig = Rig::mem(PAGE, 200);
+    let config = WalConfig {
+        flush_policy: FlushPolicy::Background { watermark_bytes: 1024 },
+        ..WalConfig::default()
+    };
+    let tree = rig.create(config).expect("create with flusher");
+    let db = tree.db();
     db.commit().expect("setup commit");
-    let wal = pool.wal().expect("durable pool has a WAL");
+    let wal = db.pool().wal().expect("durable pool has a WAL");
 
     // One large open transaction: every insert crosses the 1 KB
     // watermark, so the flusher must drain the backlog while the commit
@@ -273,7 +215,6 @@ fn flusher_races_group_commit_without_breaking_the_sync_ledger() {
     thread::scope(|s| {
         for t in 1..=THREADS as i64 {
             let tree = &tree;
-            let db = &db;
             s.spawn(move || {
                 for k in 0..FREE_COMMITS as i64 {
                     let id = t * 1000 + k;
@@ -282,7 +223,6 @@ fn flusher_races_group_commit_without_breaking_the_sync_ledger() {
                 }
             });
         }
-        let db = &db;
         s.spawn(move || {
             for _ in 0..3 {
                 db.checkpoint().expect("checkpoint racing flusher and committers");
@@ -307,20 +247,13 @@ fn flusher_races_group_commit_without_breaking_the_sync_ledger() {
 
     // Power cut: the flusher thread dies with the machine; every commit
     // that returned must survive recovery.
-    clock.crash_now();
-    drop((tree, db, pool));
-    data_faulty.settle_crash();
-    wal_faulty.settle_crash();
-
-    let pool = Arc::new(
-        BufferPool::new_durable(data, BufferPoolConfig::with_capacity(200), wal_mem)
-            .expect("reopen"),
-    );
-    let db = Arc::new(Database::open(pool).expect("recovery"));
-    let tree = RiTree::open(Arc::clone(&db), "t").expect("tree open");
-    let total_rows = BIG_TXN_ROWS as u64 + THREADS as u64 * FREE_COMMITS as u64;
-    assert_eq!(tree.count().expect("count"), total_rows, "no committed insert may be lost");
-    for id in (0..BIG_TXN_ROWS).step_by(13) {
-        assert!(tree.stab(iv(id).lower).expect("stab").contains(&id), "big-txn row {id} lost");
-    }
+    rig.crash_now();
+    drop(tree);
+    let oracle: Oracle = (0..BIG_TXN_ROWS)
+        .chain(
+            (1..=THREADS as i64).flat_map(|t| (0..FREE_COMMITS as i64).map(move |k| t * 1000 + k)),
+        )
+        .map(|id| (id, iv(id)))
+        .collect();
+    oracle.verify(&rig.reopen().expect("recovery"), "power cut with the flusher racing");
 }

@@ -5,8 +5,9 @@
 
 mod common;
 
-use common::{durable_file_pool, TempDir};
-use ri_tree::pagestore::{CrashPlan, FaultClock, FaultPlan, FaultyDisk};
+use common::crash::{Op, Oracle, Rig};
+use common::TempDir;
+use ri_tree::pagestore::{CrashPlan, WalConfig};
 use ri_tree::prelude::*;
 
 #[test]
@@ -84,57 +85,31 @@ fn unflushed_changes_are_lost_but_db_stays_consistent() {
 /// replays the WAL tail.
 #[test]
 fn reopen_without_checkpoint_recovers_from_wal_tail() {
-    let dir = TempDir::new("waltail");
-    let (data_path, wal_path) = (dir.file("data"), dir.file("wal"));
-    const ROWS: i64 = 300;
-    {
-        let clock = FaultClock::new();
-        let data = Arc::new(FaultyDisk::with_clock(
-            FileDisk::open(&data_path, DEFAULT_PAGE_SIZE).unwrap(),
-            FaultPlan::default(),
-            Arc::clone(&clock),
-        ));
-        let wal = Arc::new(FaultyDisk::with_clock(
-            FileDisk::open(&wal_path, DEFAULT_PAGE_SIZE).unwrap(),
-            FaultPlan::default(),
-            Arc::clone(&clock),
-        ));
-        // Armed with no scheduled crash point: device writes stay in the
-        // volatile cache until a sync destages them, like a real disk's
-        // write cache.  The explicit crash below drops whatever was not
-        // yet synced.
-        clock.arm_crash(CrashPlan { crash_at_write: None, ..Default::default() });
-        let pool = Arc::new(
-            BufferPool::new_durable(data, BufferPoolConfig::with_capacity(64), wal).unwrap(),
-        );
-        let db = Arc::new(Database::create(Arc::clone(&pool)).unwrap());
-        let tree = RiTree::create(Arc::clone(&db), "t").unwrap();
-        for i in 0..ROWS {
+    let rig = Rig::files("waltail");
+    // Armed with no scheduled crash point: device writes stay in the
+    // volatile cache until a sync destages them, like a real disk's
+    // write cache.  The explicit crash below drops whatever was not yet
+    // synced.
+    rig.arm(CrashPlan::default());
+    let tree = rig.create(WalConfig::default()).unwrap();
+    let rows: Vec<Op> = (0..300i64)
+        .map(|i| {
             let l = (i * 53) % 80_000;
-            tree.insert(Interval::new(l, l + 100 + i % 40).unwrap(), i).unwrap();
-        }
-        db.commit().unwrap();
-        // NO checkpoint: the data file never sees the committed pages.
-        clock.crash_now();
-    } // drop settles both devices' surviving writes into the files
+            Op::Insert(i, Interval::new(l, l + 100 + i % 40).unwrap())
+        })
+        .collect();
+    // One transaction; NO checkpoint: the data file never sees the
+    // committed pages.
+    let mut oracle = Oracle::default();
+    oracle.run_txn(&tree, &rows).unwrap();
+    rig.crash_now();
+    drop(tree);
 
-    let pool = durable_file_pool(&data_path, &wal_path);
-    let db = Arc::new(Database::open(pool).unwrap());
-    let tree = RiTree::open(Arc::clone(&db), "t").unwrap();
-    assert_eq!(tree.count().unwrap(), ROWS as u64, "committed rows must be replayed");
-    let all = tree.intersection(Interval::new(0, 100_000).unwrap()).unwrap();
-    assert_eq!(all.len(), ROWS as usize);
-    for i in 0..ROWS {
-        let l = (i * 53) % 80_000;
-        assert!(tree.stab(l).unwrap().contains(&i), "row {i} lost without a checkpoint");
-    }
+    oracle.verify(&rig.reopen().unwrap(), "replayed WAL tail");
     // Recovery checkpointed; a plain second reopen sees the same state.
-    drop((tree, db));
-    let pool = durable_file_pool(&data_path, &wal_path);
-    let db = Arc::new(Database::open(pool).unwrap());
-    let tree = RiTree::open(Arc::clone(&db), "t").unwrap();
-    assert_eq!(tree.count().unwrap(), ROWS as u64);
+    let tree = rig.reopen().unwrap();
+    oracle.verify(&tree, "second reopen");
     // And it is still writable + durable going forward.
     tree.insert(Interval::new(5, 6).unwrap(), 999_999).unwrap();
-    db.commit().unwrap();
+    tree.db().commit().unwrap();
 }
