@@ -41,8 +41,8 @@
 //!
 //! Format version 1 pages (no version byte, a `prev` pointer instead of a
 //! high key) are **not readable**; [`NodeView::parse`] rejects them.  The
-//! write path's golden counters were re-captured for format 2 via
-//! `scripts/recapture-goldens.sh`.
+//! write path's golden counters were re-captured for format 2 (the
+//! command is in `tests/common/golden.rs`).
 //!
 //! # Two ways to read a page
 //!

@@ -44,7 +44,7 @@
 //! writing through a tree while holding one of its scan cursors is
 //! legal.  Single-threaded page-access sequences are deterministic
 //! and pinned by goldens (`tests/pool_determinism.rs`, re-captured only
-//! via `scripts/recapture-goldens.sh`).
+//! with the command in `tests/common/golden.rs`).
 
 pub mod builder;
 pub mod key;

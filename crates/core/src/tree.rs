@@ -740,20 +740,9 @@ impl RiTree {
         queries: &[Interval],
         threads: usize,
     ) -> Result<Vec<Vec<i64>>> {
-        self.intersection_batch_at(queries, UPPER_NOW - 1, threads)
-    }
-
-    /// [`RiTree::intersection_batch`] with an explicit `now` for
-    /// now-relative intervals (Section 4.6).
-    pub fn intersection_batch_at(
-        &self,
-        queries: &[Interval],
-        now: i64,
-        threads: usize,
-    ) -> Result<Vec<Vec<i64>>> {
         let plans = queries
             .iter()
-            .map(|&q| self.intersection_plan(q, now))
+            .map(|&q| self.intersection_plan(q, UPPER_NOW - 1))
             .collect::<Result<Vec<Plan>>>()?;
         ri_relstore::fan_out(&plans, threads, |plan| Ok(self.execute_id_plan(plan)?.0))
             .into_iter()

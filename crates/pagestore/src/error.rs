@@ -14,16 +14,11 @@ pub enum Error {
     },
     /// Underlying operating-system I/O failure (file-backed disks only).
     Io(std::io::Error),
-    /// Every frame of the buffer pool is pinned; no victim can be evicted.
-    PoolExhausted {
-        /// Configured capacity of the pool in frames.
-        capacity: usize,
-    },
     /// A fault injected by [`crate::faulty::FaultyDisk`] for testing.
     InjectedFault {
-        /// Which operation failed ("read" or "write").
+        /// Which operation failed ("read", "write" or "sync").
         op: &'static str,
-        /// The page the operation targeted.
+        /// The page the operation targeted (`u64::MAX` for a sync).
         page: u64,
     },
     /// The simulated process/machine died ([`crate::faulty::CrashPlan`]);
@@ -43,9 +38,6 @@ impl fmt::Display for Error {
                 write!(f, "page {page} out of bounds (device has {num_pages} pages)")
             }
             Error::Io(e) => write!(f, "I/O error: {e}"),
-            Error::PoolExhausted { capacity } => {
-                write!(f, "buffer pool exhausted: all {capacity} frames pinned")
-            }
             Error::InjectedFault { op, page } => {
                 write!(f, "injected {op} fault on page {page}")
             }
@@ -84,8 +76,6 @@ mod tests {
     fn display_formats_are_informative() {
         let e = Error::PageOutOfBounds { page: 9, num_pages: 3 };
         assert!(e.to_string().contains("page 9"));
-        let e = Error::PoolExhausted { capacity: 200 };
-        assert!(e.to_string().contains("200"));
         let e = Error::InjectedFault { op: "read", page: 7 };
         assert!(e.to_string().contains("read"));
     }

@@ -24,7 +24,6 @@ pub struct IoStats {
     physical_reads: AtomicU64,
     physical_writes: AtomicU64,
     coalesced_faults: AtomicU64,
-    lock_free_reads: AtomicU64,
 }
 
 impl IoStats {
@@ -65,15 +64,6 @@ impl IoStats {
         self.coalesced_faults.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a device read performed *outside* the shard lock (the
-    /// promoted miss path).  Every miss fetch since the three-phase
-    /// protocol is one of these; the counter exists so benchmarks and
-    /// tests can assert that no read snuck back under the lock.
-    #[inline]
-    pub fn record_lock_free_read(&self) {
-        self.lock_free_reads.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Takes a point-in-time copy of the four classic I/O counters.
     pub fn snapshot(&self) -> IoSnapshot {
         IoSnapshot {
@@ -90,10 +80,7 @@ impl IoStats {
     /// `tests/pool_determinism.rs` compares whole `IoSnapshot` literals:
     /// a field added there would have to be added to every golden.
     pub fn miss_snapshot(&self) -> MissSnapshot {
-        MissSnapshot {
-            coalesced_faults: self.coalesced_faults.load(Ordering::Relaxed),
-            lock_free_reads: self.lock_free_reads.load(Ordering::Relaxed),
-        }
+        MissSnapshot { coalesced_faults: self.coalesced_faults.load(Ordering::Relaxed) }
     }
 }
 
@@ -156,23 +143,18 @@ pub struct MissSnapshot {
     /// Faults that coalesced onto another thread's in-flight device read
     /// instead of issuing their own (single-flight).
     pub coalesced_faults: u64,
-    /// Device reads performed outside the shard lock (every miss fetch
-    /// under the three-phase protocol).
-    pub lock_free_reads: u64,
 }
 
 impl MissSnapshot {
     /// Counter-wise accumulation `self += other`.
     pub fn accumulate(&mut self, other: &MissSnapshot) {
         self.coalesced_faults += other.coalesced_faults;
-        self.lock_free_reads += other.lock_free_reads;
     }
 
     /// Counter-wise difference `self - earlier`; saturates at zero.
     pub fn since(&self, earlier: &MissSnapshot) -> MissSnapshot {
         MissSnapshot {
             coalesced_faults: self.coalesced_faults.saturating_sub(earlier.coalesced_faults),
-            lock_free_reads: self.lock_free_reads.saturating_sub(earlier.lock_free_reads),
         }
     }
 }
@@ -301,15 +283,13 @@ mod tests {
     fn miss_counters_live_beside_the_classic_four() {
         let s = IoStats::default();
         s.record_coalesced_fault();
-        s.record_lock_free_read();
-        s.record_lock_free_read();
+        s.record_coalesced_fault();
         // The classic snapshot is untouched by miss-promotion events…
         assert_eq!(s.snapshot(), IoSnapshot::default());
         // …and the miss snapshot diffs like the classic one.
         let a = s.miss_snapshot();
-        assert_eq!((a.coalesced_faults, a.lock_free_reads), (1, 2));
+        assert_eq!(a.coalesced_faults, 2);
         s.record_coalesced_fault();
-        let d = s.miss_snapshot().since(&a);
-        assert_eq!((d.coalesced_faults, d.lock_free_reads), (1, 0));
+        assert_eq!(s.miss_snapshot().since(&a).coalesced_faults, 1);
     }
 }

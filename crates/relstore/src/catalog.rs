@@ -253,11 +253,6 @@ impl Database {
         Table::from_meta(Arc::clone(&self.pool), tmeta)
     }
 
-    /// Names of all tables.
-    pub fn table_names(&self) -> Vec<String> {
-        self.catalog.read().tables.iter().map(|t| t.name.clone()).collect()
-    }
-
     /// Size statistics of an index (entries, height, pages) — the raw data
     /// behind the paper's storage comparison (Figure 12).
     pub fn index_stats(&self, table: &str, index: &str) -> Result<ri_btree::TreeStats> {
@@ -537,9 +532,9 @@ mod tests {
             db.checkpoint().unwrap();
         }
         let db = Database::open(pool).unwrap();
-        assert_eq!(db.table_names(), vec!["T".to_string()]);
         assert_eq!(db.get_param("offset"), Some(-17));
         let t = db.table("T").unwrap();
+        assert_eq!(t.columns(), ["a", "b"]);
         assert_eq!(t.row_count().unwrap(), 1);
         assert_eq!(db.index_stats("T", "IA").unwrap().entries, 1);
     }

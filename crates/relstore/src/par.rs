@@ -21,7 +21,7 @@
 /// panic after all workers are joined.
 ///
 /// This is the one fan-out scaffold behind `RiTree::insert_batch`,
-/// `RiTree::intersection_batch_at` and the concurrency benches.
+/// `RiTree::intersection_batch` and the concurrency benches.
 pub fn fan_out<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,

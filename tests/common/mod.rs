@@ -1,5 +1,6 @@
 //! Helpers shared by the integration suites: scratch directories, a
-//! durable pool over two files, and the crash harness in [`crash`].
+//! durable pool over two files, the crash harness in [`crash`] and the
+//! determinism-golden rig in [`golden`].
 //!
 //! Each `tests/*.rs` file is its own crate, so anything here is pulled
 //! in with `mod common;` and only the items a suite uses are linked —
@@ -7,6 +8,7 @@
 #![allow(dead_code)]
 
 pub mod crash;
+pub mod golden;
 
 use ri_tree::pagestore::WalConfig;
 use ri_tree::prelude::*;

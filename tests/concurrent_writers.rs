@@ -29,19 +29,15 @@
 //! The suite sizes itself to 1 000+ seeded schedules while staying
 //! inside the `cargo test -q` budget.
 
+mod common;
+
+use common::golden::xorshift;
 use ri_tree::btree::{BTree, SmoPhase};
 use ri_tree::pagestore::{BufferPool, BufferPoolConfig, MemDisk};
 use ri_tree::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-
-fn xorshift(x: &mut u64) -> u64 {
-    *x ^= *x << 13;
-    *x ^= *x >> 7;
-    *x ^= *x << 17;
-    *x
-}
 
 fn tiny_tree(seed: u64) -> (Arc<BufferPool>, BTree) {
     // 128-byte pages (leaf capacity 4 at arity 2) over 8 frames: every

@@ -14,13 +14,16 @@
 //! The constants were captured at the commit *before* blocks owned their
 //! entries (PR 20; the tier then kept one global HINT and a per-interval
 //! refcount map) and pin that the rewrite changed time, not decisions.
-//! Sibling of `tests/read_path_trace.rs`; its `GOLDEN-TIER` lines print
-//! what it measured.
+//! Sibling of `tests/read_path_trace.rs`; both print and re-capture through
+//! the golden rig, `tests/common/golden.rs`.
 
-use ri_mem::NaiveIntervalSet;
-use ri_pagestore::{BufferPool, BufferPoolConfig, MemDisk, DEFAULT_PAGE_SIZE};
-use ri_relstore::Database;
-use ritree_core::{HotTier, HotTierConfig, HotTierStats, Interval, RiTree};
+mod common;
+
+use common::golden::{fnv_answer, xorshift, Pins, FNV_SEED};
+use ri_tree::core::{HotTier, HotTierConfig, HotTierStats, Interval, RiTree};
+use ri_tree::mem::NaiveIntervalSet;
+use ri_tree::pagestore::{BufferPool, BufferPoolConfig, MemDisk, DEFAULT_PAGE_SIZE};
+use ri_tree::relstore::Database;
 use std::sync::Arc;
 
 const DOMAIN_BITS: u32 = 12;
@@ -63,26 +66,13 @@ const GOLDEN_TIER_STATS: [[u64; 9]; STEPS / EVERY] = [
 /// FNV-1a over every answer (length, then ids), in step order.
 const GOLDEN_TIER_ANSWER_HASH: u64 = 0xedbc_6661_39e5_f434;
 
-fn fnv1a(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(0x100_0000_01b3)
-}
-
-const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn next(x: &mut u64) -> u64 {
-    *x ^= *x << 13;
-    *x ^= *x >> 7;
-    *x ^= *x << 17;
-    *x
-}
-
 /// Zipf(1) over the blocks in integer arithmetic: rank `r` weighs
 /// `10^6 / (r + 1)`, and ranks map to blocks through a fixed stride so the
 /// hot blocks are scattered over the domain; `shift` moves the hot set.
 fn zipf_block(x: &mut u64, shift: u64) -> u64 {
     let weight = |rank: u64| 1_000_000 / (rank + 1);
     let total: u64 = (0..BLOCKS).map(weight).sum();
-    let mut r = next(x) % total;
+    let mut r = xorshift(x) % total;
     for rank in 0..BLOCKS {
         if r < weight(rank) {
             return (rank * 37 + shift) % BLOCKS;
@@ -95,7 +85,7 @@ fn zipf_block(x: &mut u64, shift: u64) -> u64 {
 /// An interval to store: mostly a fraction of a block long, one in eight up
 /// to 16 blocks, one in sixteen straddling or outside the domain.
 fn random_interval(x: &mut u64) -> Interval {
-    let r = next(x);
+    let r = xorshift(x);
     let lower = (r % DOMAIN as u64) as i64;
     let len = match (r >> 16) % 16 {
         0 | 1 => ((r >> 24) % (16 * BLOCK as u64)) as i64,
@@ -154,12 +144,12 @@ fn tier_decisions_are_pinned() {
     let mut answers = FNV_SEED;
     let mut rows = Vec::new();
     for step in 1..=STEPS {
-        match next(&mut x) % 20 {
+        match xorshift(&mut x) % 20 {
             0..=13 => {
                 // A query at a Zipf-placed block: a stab, or a range one to
                 // four blocks wide; one in 64 leaves the domain (a bypass).
                 // The hot set moves once, halfway: old residents must go.
-                let r = next(&mut x);
+                let r = xorshift(&mut x);
                 let shift = if step <= STEPS / 2 { 0 } else { 21 };
                 let lower = zipf_block(&mut x, shift) as i64 * BLOCK + (r % BLOCK as u64) as i64;
                 let q = if (r >> 8) % 64 == 0 {
@@ -174,14 +164,11 @@ fn tier_decisions_are_pinned() {
                     if q.lower == q.upper { tier.stab(q.lower) } else { tier.intersection(q) };
                 let ids = ids.unwrap();
                 assert_eq!(ids, oracle.intersection(q.lower, q.upper), "step {step}, query {q:?}");
-                answers = fnv1a(answers, ids.len() as u64);
-                for &id in &ids {
-                    answers = fnv1a(answers, id as u64);
-                }
+                answers = fnv_answer(answers, &ids);
             }
             14..=16 => live.push(insert(&tier, &mut oracle, &mut x)),
             _ => {
-                let (iv, id) = live.swap_remove((next(&mut x) % live.len() as u64) as usize);
+                let (iv, id) = live.swap_remove((xorshift(&mut x) % live.len() as u64) as usize);
                 assert!(tier.delete(iv, id).unwrap(), "step {step}: live triple deletes");
                 assert!(oracle.delete(iv.lower, iv.upper, id));
             }
@@ -191,14 +178,10 @@ fn tier_decisions_are_pinned() {
         }
     }
 
-    for row in &rows {
-        eprintln!("GOLDEN-TIER     {row:?},");
-    }
-    eprintln!("GOLDEN-TIER answer_hash: {answers:#x}");
+    let mut pins = Pins::default();
+    pins.rows("TIER_STATS", &rows, &GOLDEN_TIER_STATS);
+    pins.value("TIER_ANSWER_HASH", &answers, &GOLDEN_TIER_ANSWER_HASH);
     let last = rows.last().unwrap();
     assert!(last[0] > 1_000 && last[3] > 50 && last[5] > 50 && last[6] > 50, "dull stream");
-    assert_eq!(answers, GOLDEN_TIER_ANSWER_HASH, "answers drifted");
-    for (i, (got, want)) in rows.iter().zip(&GOLDEN_TIER_STATS).enumerate() {
-        assert_eq!(got, want, "tier counters drifted by step {}", (i + 1) * EVERY);
-    }
+    pins.check();
 }

@@ -126,7 +126,7 @@ fn disjoint_cold_misses_in_one_shard_overlap() {
     }
     env.disk.set_read_hook(None);
     assert_eq!(env.stats.snapshot().since(&io_before).physical_reads, 2);
-    assert_eq!(env.stats.miss_snapshot().since(&miss_before).lock_free_reads, 2);
+    assert_eq!(env.stats.miss_snapshot().since(&miss_before).coalesced_faults, 0);
 }
 
 /// Four threads fault the same cold page: exactly one device read is
@@ -170,7 +170,7 @@ fn same_page_faults_coalesce_to_one_device_read() {
     assert_eq!(io.logical_reads, 4);
     let miss = env.stats.miss_snapshot().since(&miss_before);
     assert_eq!(miss.coalesced_faults, 3);
-    assert_eq!(miss.lock_free_reads, 1);
+    assert_eq!(io.physical_reads + miss.coalesced_faults, io.logical_reads, "read or coalesced");
 }
 
 /// Capacity-1 shard: while the only frame is reserved by an in-flight
@@ -465,7 +465,6 @@ fn accounting_identity_holds_under_contention() {
     let env = env(8, 4);
     let pages = cold_pages(&env, 8);
     let before_io = env.stats.snapshot();
-    let before_miss = env.stats.miss_snapshot();
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
             let pool = Arc::clone(&env.pool);
@@ -484,12 +483,10 @@ fn accounting_identity_holds_under_contention() {
         join_within(h, "every parked fault must be woken");
     }
     let io = env.stats.snapshot().since(&before_io);
-    let miss = env.stats.miss_snapshot().since(&before_miss);
     assert_eq!(io.logical_reads, (THREADS * SWEEPS * pages.len()) as u64);
     // Pool capacity == working set: every page faults exactly once per
     // cold start regardless of racing, thanks to single-flight.
     assert_eq!(io.physical_reads, pages.len() as u64);
-    assert_eq!(miss.lock_free_reads, io.physical_reads, "every fetch was promoted");
-    // Lifetime identity: the device saw exactly the promoted reads.
-    assert_eq!(env.disk.reads_attempted(), env.stats.miss_snapshot().lock_free_reads);
+    // Lifetime identity: the device saw exactly the counted reads.
+    assert_eq!(env.disk.reads_attempted(), env.stats.snapshot().physical_reads);
 }

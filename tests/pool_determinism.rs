@@ -14,7 +14,12 @@
 //! 2. **golden constants** captured from the seed implementation pin the
 //!    final counters and a fingerprint of the whole counter trace, so the
 //!    reference model itself cannot drift along with the code under test.
+//!    They print and re-capture through the golden rig,
+//!    `tests/common/golden.rs`.
 
+mod common;
+
+use common::golden::{fnv1a, fnv_io, xorshift, Pins, FNV_SEED};
 use ri_tree::btree::BTree;
 use ri_tree::pagestore::{BufferPool, BufferPoolConfig, IoSnapshot, MemDisk, PageId};
 use std::collections::HashMap;
@@ -143,18 +148,6 @@ impl RefPool {
     }
 }
 
-/// xorshift64 — fixed seed, fully deterministic op sequence.
-fn next(x: &mut u64) -> u64 {
-    *x ^= *x << 13;
-    *x ^= *x >> 7;
-    *x ^= *x << 17;
-    *x
-}
-
-fn fnv1a(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(0x100_0000_01b3)
-}
-
 #[test]
 fn shards_1_reproduces_seed_pool_byte_for_byte() {
     let pool = BufferPool::new(MemDisk::new(PAGE_SIZE), BufferPoolConfig::with_capacity(CAPACITY));
@@ -162,9 +155,9 @@ fn shards_1_reproduces_seed_pool_byte_for_byte() {
     let mut model = RefPool::new(NUM_PAGES, CAPACITY);
 
     let mut x = 0x5EED_CAFE_u64;
-    let mut trace_hash = 0xcbf2_9ce4_8422_2325_u64;
+    let mut trace_hash = FNV_SEED;
     for op in 1..=OPS {
-        let r = next(&mut x);
+        let r = xorshift(&mut x);
         let id = r % NUM_PAGES;
         if op % 151 == 0 {
             pool.clear_cache().unwrap();
@@ -200,10 +193,7 @@ fn shards_1_reproduces_seed_pool_byte_for_byte() {
             ),
             "op {op}: counters diverged from the seed LRU model"
         );
-        trace_hash = fnv1a(trace_hash, snap.logical_reads);
-        trace_hash = fnv1a(trace_hash, snap.logical_writes);
-        trace_hash = fnv1a(trace_hash, snap.physical_reads);
-        trace_hash = fnv1a(trace_hash, snap.physical_writes);
+        trace_hash = fnv_io(trace_hash, &snap);
     }
 
     // Final state: every page byte-identical between pool and model.
@@ -214,17 +204,10 @@ fn shards_1_reproduces_seed_pool_byte_for_byte() {
         assert_eq!(got, model.disk[id], "page {id} final contents diverged");
     }
 
-    let final_snap = pool.stats().snapshot();
-    eprintln!(
-        "GOLDEN logical_reads: {}, logical_writes: {}, physical_reads: {}, physical_writes: {}, trace_hash: {:#x}",
-        final_snap.logical_reads,
-        final_snap.logical_writes,
-        final_snap.physical_reads,
-        final_snap.physical_writes,
-        trace_hash
-    );
-    assert_eq!(final_snap, GOLDEN_FINAL, "final counters drifted from the seed pool");
-    assert_eq!(trace_hash, GOLDEN_TRACE_HASH, "counter trace drifted from the seed pool");
+    let mut pins = Pins::default();
+    pins.value("FINAL", &pool.stats().snapshot(), &GOLDEN_FINAL);
+    pins.value("TRACE_HASH", &trace_hash, &GOLDEN_TRACE_HASH);
+    pins.check();
 }
 
 // ----------------------------------------------------------------------
@@ -246,9 +229,8 @@ fn shards_1_reproduces_seed_pool_byte_for_byte() {
 /// the tree's logical contents after the mixed phase are bit-for-bit
 /// what the seed algorithm produced.
 ///
-/// Re-capture with `scripts/recapture-goldens.sh` (never edit by hand);
-/// CI runs `scripts/recapture-goldens.sh --check` so these cannot drift
-/// silently.
+/// Re-capture with the command in `tests/common/golden.rs` (never edit by
+/// hand); CI's "Determinism goldens" step runs this suite by name.
 const GOLDEN_WRITE_FINAL: IoSnapshot = IoSnapshot {
     logical_reads: 5464,
     logical_writes: 1879,
@@ -275,21 +257,12 @@ fn btree_write_path_reproduces_seed_byte_for_byte() {
     let mut live: Vec<(i64, i64, u64)> = Vec::new();
     let mut model: std::collections::BTreeSet<(i64, i64, u64)> = std::collections::BTreeSet::new();
     let mut x = 0x5EED_1DEA_u64;
-    let mut trace_hash = 0xcbf2_9ce4_8422_2325_u64;
-    let mut op_count = 0u64;
-
-    let step = |snap: IoSnapshot, trace_hash: &mut u64, op_count: &mut u64| {
-        *op_count += 1;
-        *trace_hash = fnv1a(*trace_hash, snap.logical_reads);
-        *trace_hash = fnv1a(*trace_hash, snap.logical_writes);
-        *trace_hash = fnv1a(*trace_hash, snap.physical_reads);
-        *trace_hash = fnv1a(*trace_hash, snap.physical_writes);
-    };
+    let mut trace_hash = FNV_SEED;
 
     // Phase 1: mixed inserts / deletes / scans over a narrow key domain
     // (many duplicates, frequent delete hits, leaf splits throughout).
     for _ in 0..600 {
-        let r = next(&mut x);
+        let r = xorshift(&mut x);
         let a = (r % 40) as i64 - 20;
         let b = ((r >> 16) % 40) as i64 - 20;
         let p = (r >> 48) % 8;
@@ -319,17 +292,17 @@ fn btree_write_path_reproduces_seed_byte_for_byte() {
                 assert_eq!(got, want);
             }
         }
-        step(stats.snapshot(), &mut trace_hash, &mut op_count);
+        trace_hash = fnv_io(trace_hash, &stats.snapshot());
     }
 
     // Contents after the mixed phase, pinned independently of the
     // counters (the drain below empties the tree).
-    let mut content_hash = 0xcbf2_9ce4_8422_2325_u64;
+    let mut content_hash = FNV_SEED;
     for e in tree.scan_all() {
         let e = e.unwrap();
-        content_hash = fnv1a(content_hash, e.key.col(0) as u64);
-        content_hash = fnv1a(content_hash, e.key.col(1) as u64);
-        content_hash = fnv1a(content_hash, e.payload);
+        content_hash = [e.key.col(0) as u64, e.key.col(1) as u64, e.payload]
+            .into_iter()
+            .fold(content_hash, fnv1a);
     }
 
     // Phase 2: drain the tree in a seeded order — exercises the B-link
@@ -337,11 +310,11 @@ fn btree_write_path_reproduces_seed_byte_for_byte() {
     // linked (deletes never restructure), keep routing, and are refilled
     // by the interleaved re-inserts below.
     while !live.is_empty() {
-        let r = next(&mut x);
+        let r = xorshift(&mut x);
         let target = live.swap_remove(r as usize % live.len());
         assert!(model.remove(&target));
         assert!(tree.delete(&[target.0, target.1], target.2).unwrap());
-        step(stats.snapshot(), &mut trace_hash, &mut op_count);
+        trace_hash = fnv_io(trace_hash, &stats.snapshot());
         if r % 5 == 0 {
             // Re-grow a little so the drain crosses leaf boundaries
             // repeatedly instead of monotonically shrinking.
@@ -352,23 +325,15 @@ fn btree_write_path_reproduces_seed_byte_for_byte() {
                 tree.insert(&[a, b], p).unwrap();
                 live.push((a, b, p));
             }
-            step(stats.snapshot(), &mut trace_hash, &mut op_count);
+            trace_hash = fnv_io(trace_hash, &stats.snapshot());
         }
     }
     assert_eq!(tree.entry_count().unwrap(), 0, "phase 2 drains the tree");
     tree.check_invariants().unwrap();
 
-    let final_snap = stats.snapshot();
-    eprintln!(
-        "GOLDEN-WRITE ops: {op_count}, logical_reads: {}, logical_writes: {}, physical_reads: {}, physical_writes: {}, trace_hash: {:#x}, content_hash: {:#x}",
-        final_snap.logical_reads,
-        final_snap.logical_writes,
-        final_snap.physical_reads,
-        final_snap.physical_writes,
-        trace_hash,
-        content_hash
-    );
-    assert_eq!(final_snap, GOLDEN_WRITE_FINAL, "write-path counters drifted from the seed");
-    assert_eq!(trace_hash, GOLDEN_WRITE_TRACE_HASH, "write-path counter trace drifted");
-    assert_eq!(content_hash, GOLDEN_WRITE_CONTENT_HASH, "final tree contents drifted");
+    let mut pins = Pins::default();
+    pins.value("WRITE_FINAL", &stats.snapshot(), &GOLDEN_WRITE_FINAL);
+    pins.value("WRITE_TRACE_HASH", &trace_hash, &GOLDEN_WRITE_TRACE_HASH);
+    pins.value("WRITE_CONTENT_HASH", &content_hash, &GOLDEN_WRITE_CONTENT_HASH);
+    pins.check();
 }

@@ -103,7 +103,6 @@ fn every_wait_is_woken_under_mixed_contention() {
             assert_eq!(pool.with_page(page, uniform).unwrap(), Some(v), "{page} lost a write");
         }
     }
-    let (io, miss) = (pool.stats().snapshot(), pool.stats().miss_snapshot());
-    assert_eq!(miss.lock_free_reads, io.physical_reads, "every fetch ran outside the lock");
+    let io = pool.stats().snapshot();
     assert_eq!(disk.reads_attempted(), io.physical_reads, "the device saw exactly the fetches");
 }

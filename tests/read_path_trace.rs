@@ -4,9 +4,10 @@
 //!
 //! The pool is four frames wide, so nearly every logical page access is a
 //! device read: the device's read-id sequence *is* the access sequence
-//! (page ids and order), up to immediate repeats.  [`RecordingDisk`] folds
-//! that sequence into a hash, and the pool's four [`IoSnapshot`] counters
-//! are folded in after every query.  Covered: `RiTree::intersection` /
+//! (page ids and order), up to immediate repeats.  The golden rig's
+//! `RecordingDisk` (`tests/common/golden.rs`) folds that sequence into a
+//! hash, and the pool's four [`IoSnapshot`] counters are folded in after
+//! every query.  Covered: `RiTree::intersection` /
 //! `stab` / `intersection_batch`, the raw `BTree::scan_range` and
 //! `contains`, and the hot tier's miss and admission path
 //! (`RiTree::span_snapshot`).
@@ -15,12 +16,12 @@
 //! read path (PR 14) and pin that the rewrite changed time, not work.
 //! Sibling of `tests/pool_determinism.rs`, which pins the write path.
 
+mod common;
+
+use common::golden::{fnv_answer, fnv_io, xorshift, Pins, RecordingDisk, FNV_SEED};
 use ri_tree::core::{HotTier, HotTierConfig, Interval, RiTree};
-use ri_tree::pagestore::{
-    BufferPool, BufferPoolConfig, DiskManager, IoSnapshot, MemDisk, PageId, Result,
-};
+use ri_tree::pagestore::{BufferPool, BufferPoolConfig, IoSnapshot};
 use ri_tree::relstore::Database;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 const GOLDEN_READ_FINAL: IoSnapshot = IoSnapshot {
@@ -36,51 +37,9 @@ const GOLDEN_READ_COUNTER_TRACE_HASH: u64 = 0xad22_a706_6d43_d52a;
 /// FNV-1a over every answer (length, then ids).
 const GOLDEN_READ_ANSWER_HASH: u64 = 0x71f5_8ff1_9b25_b43f;
 
-fn fnv1a(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(0x100_0000_01b3)
-}
-
-const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// A `MemDisk` that hashes the id of every page read from it.
-struct RecordingDisk {
-    inner: MemDisk,
-    read_hash: AtomicU64,
-}
-
-impl DiskManager for RecordingDisk {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-    fn num_pages(&self) -> u64 {
-        self.inner.num_pages()
-    }
-    fn read_page(&self, id: PageId, buf: &mut [u8]) -> Result<()> {
-        // Single-threaded test: a plain load/store pair is exact.
-        self.read_hash.store(fnv1a(self.read_hash.load(Relaxed), id.raw()), Relaxed);
-        self.inner.read_page(id, buf)
-    }
-    fn write_page(&self, id: PageId, buf: &[u8]) -> Result<()> {
-        self.inner.write_page(id, buf)
-    }
-    fn allocate_page(&self) -> Result<PageId> {
-        self.inner.allocate_page()
-    }
-    fn sync(&self) -> Result<()> {
-        self.inner.sync()
-    }
-}
-
-fn next(x: &mut u64) -> u64 {
-    *x ^= *x << 13;
-    *x ^= *x >> 7;
-    *x ^= *x << 17;
-    *x
-}
-
 #[test]
 fn read_path_access_sequence_is_pinned() {
-    let disk = Arc::new(RecordingDisk { inner: MemDisk::new(512), read_hash: FNV_SEED.into() });
+    let disk = Arc::new(RecordingDisk::new(512));
     let pool = Arc::new(BufferPool::new(Arc::clone(&disk), BufferPoolConfig::with_capacity(4)));
     let db = Arc::new(Database::create(Arc::clone(&pool)).unwrap());
     let tree = RiTree::create(Arc::clone(&db), "trace").unwrap();
@@ -90,7 +49,7 @@ fn read_path_access_sequence_is_pinned() {
     let mut x = 0x5EED_7ACE_u64;
     let mut data = Vec::new();
     for id in 0..2_500i64 {
-        let r = next(&mut x);
+        let r = xorshift(&mut x);
         let lower = (r % (1 << 20)) as i64;
         let iv = Interval::new(lower, lower + ((r >> 24) % 6_000) as i64).unwrap();
         tree.insert(iv, id).unwrap();
@@ -103,28 +62,20 @@ fn read_path_access_sequence_is_pinned() {
 
     // Everything above is the fixture; the trace starts here.
     pool.clear_cache().unwrap();
-    disk.read_hash.store(FNV_SEED, Relaxed);
+    disk.reset();
     let stats = pool.stats();
     let before = stats.snapshot();
     let mut counter_trace = FNV_SEED;
     let mut answers = FNV_SEED;
     let mut step = |ids: &[i64]| {
-        let snap = stats.snapshot().since(&before);
-        for v in
-            [snap.logical_reads, snap.logical_writes, snap.physical_reads, snap.physical_writes]
-        {
-            counter_trace = fnv1a(counter_trace, v);
-        }
-        answers = fnv1a(answers, ids.len() as u64);
-        for &id in ids {
-            answers = fnv1a(answers, id as u64);
-        }
+        counter_trace = fnv_io(counter_trace, &stats.snapshot().since(&before));
+        answers = fnv_answer(answers, ids);
     };
 
     // 1. The facade's queries.
     let mut queries = Vec::new();
     for i in 0..60 {
-        let r = next(&mut x);
+        let r = xorshift(&mut x);
         let lower = (r % (1 << 20)) as i64;
         let len = if i % 2 == 0 { 0 } else { ((r >> 24) % 40_000) as i64 };
         queries.push(Interval::new(lower, lower + len).unwrap());
@@ -141,7 +92,7 @@ fn read_path_access_sequence_is_pinned() {
     let table = db.table(tree.table_name()).unwrap();
     let lower_index = table.index("RI_trace_LOWER").unwrap();
     for _ in 0..20 {
-        let r = next(&mut x);
+        let r = xorshift(&mut x);
         let (a, b) = ((r % (1 << 20)) as i64, ((r >> 20) % (1 << 20)) as i64);
         let (lo, hi) = (a.min(b), a.max(b));
         let ids: Vec<i64> = lower_index
@@ -169,20 +120,11 @@ fn read_path_access_sequence_is_pinned() {
     assert!(tier_stats.admissions > 0, "the admission path must be part of the trace");
     assert!(tier_stats.hits > 0 && tier_stats.misses > 0);
 
-    let final_snap = stats.snapshot().since(&before);
-    let page_sequence = disk.read_hash.load(Relaxed);
-    eprintln!(
-        "GOLDEN-READ logical_reads: {}, logical_writes: {}, physical_reads: {}, physical_writes: {}, page_sequence_hash: {:#x}, counter_trace_hash: {:#x}, answer_hash: {:#x}",
-        final_snap.logical_reads,
-        final_snap.logical_writes,
-        final_snap.physical_reads,
-        final_snap.physical_writes,
-        page_sequence,
-        counter_trace,
-        answers
-    );
-    assert_eq!(answers, GOLDEN_READ_ANSWER_HASH, "answers drifted");
-    assert_eq!(final_snap, GOLDEN_READ_FINAL, "read-path counters drifted from the parent");
-    assert_eq!(page_sequence, GOLDEN_READ_PAGE_SEQUENCE_HASH, "page-id access sequence drifted");
-    assert_eq!(counter_trace, GOLDEN_READ_COUNTER_TRACE_HASH, "per-query counter trace drifted");
+    let page_sequence = disk.recording().read_hash;
+    let mut pins = Pins::default();
+    pins.value("READ_FINAL", &stats.snapshot().since(&before), &GOLDEN_READ_FINAL);
+    pins.value("READ_PAGE_SEQUENCE_HASH", &page_sequence, &GOLDEN_READ_PAGE_SEQUENCE_HASH);
+    pins.value("READ_COUNTER_TRACE_HASH", &counter_trace, &GOLDEN_READ_COUNTER_TRACE_HASH);
+    pins.value("READ_ANSWER_HASH", &answers, &GOLDEN_READ_ANSWER_HASH);
+    pins.check();
 }

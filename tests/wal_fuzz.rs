@@ -16,6 +16,9 @@
 //!   file computes itself, so the bytes get past the chain check — the
 //!   record body decoder, with arbitrary kinds, lengths and contents.
 
+mod common;
+
+use common::golden::{fnv_bytes, image, FNV_SEED};
 use proptest::prelude::*;
 use ri_tree::pagestore::{
     BufferPool, BufferPoolConfig, DiskManager, Error, FlushPolicy, MemDisk, PageId, WalConfig,
@@ -30,16 +33,6 @@ const COMMITS: usize = 12;
 const REC_HDR: usize = 21;
 
 type Image = Vec<Vec<u8>>;
-
-fn image_of(disk: &MemDisk) -> Image {
-    (0..disk.num_pages())
-        .map(|p| {
-            let mut buf = vec![0u8; PS];
-            disk.read_page(PageId(p), &mut buf).unwrap();
-            buf
-        })
-        .collect()
-}
 
 fn disk_from(image: &Image) -> Arc<MemDisk> {
     let disk = Arc::new(MemDisk::new(PS));
@@ -76,7 +69,7 @@ fn fixture() -> &'static Fixture {
         for _ in 0..DATA_PAGES {
             pool.allocate_page().unwrap();
         }
-        let blank = image_of(&data);
+        let blank = image(&*data);
         let mut current = blank.clone();
         let mut states = vec![blank.clone()];
         let touch = |current: &mut Image, page: usize, off: usize, val: u8| {
@@ -95,8 +88,8 @@ fn fixture() -> &'static Fixture {
         assert!(wal.stats().segments_created >= 6, "the log must span several segments");
         // The crash: no write-back, no `Drop` flush.
         std::mem::forget(pool);
-        assert_eq!(image_of(&data), blank, "nothing may have reached the data device");
-        Fixture { log: image_of(&log), data: blank, states }
+        assert_eq!(image(&*data), blank, "nothing may have reached the data device");
+        Fixture { log: image(&*log), data: blank, states }
     })
 }
 
@@ -106,18 +99,11 @@ fn recover(log: &Image, data: &Image) -> ri_tree::pagestore::Result<Image> {
     let pool = open(&data, &log)?;
     pool.recover()?;
     std::mem::forget(pool);
-    Ok(image_of(&data))
+    Ok(image(&*data))
 }
 
 fn acceptable(e: &Error) -> bool {
     matches!(e, Error::Corrupt(_) | Error::InvalidArgument(_))
-}
-
-fn fnv1a(parts: &[&[u8]]) -> u64 {
-    parts
-        .iter()
-        .flat_map(|p| p.iter())
-        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
 /// A log whose stream starts (at LSN 0) with one frame carrying `kind`
@@ -131,21 +117,22 @@ fn log_with_frame(kind: u8, body: &[u8], announced_len: Option<u32>) -> Image {
     pool.with_page_mut(page, |d| d[0] = 1).unwrap();
     pool.wal().unwrap().commit().unwrap();
     std::mem::forget(pool);
-    let mut image = image_of(&log);
-    assert_eq!(image.len(), 2 + 3, "two anchors and one segment slot");
+    let mut log = image(&*log);
+    assert_eq!(log.len(), 2 + 3, "two anchors and one segment slot");
     let lsn = 0u64.to_le_bytes();
     let mut frame = Vec::with_capacity(REC_HDR + body.len());
     frame.extend_from_slice(&lsn);
     frame.extend_from_slice(&announced_len.unwrap_or(body.len() as u32).to_le_bytes());
     frame.push(kind);
-    frame.extend_from_slice(&fnv1a(&[&lsn, &[kind], body]).to_le_bytes());
+    let checksum = [&lsn[..], &[kind], body].into_iter().fold(FNV_SEED, fnv_bytes);
+    frame.extend_from_slice(&checksum.to_le_bytes());
     frame.extend_from_slice(body);
     assert!(frame.len() <= 2 * PS, "the frame must fit segment 0's two payload pages");
     frame.resize(2 * PS, 0);
     // Slot 0: header on page 2, payload on pages 3 and 4.
-    image[3].copy_from_slice(&frame[..PS]);
-    image[4].copy_from_slice(&frame[PS..]);
-    image
+    log[3].copy_from_slice(&frame[..PS]);
+    log[4].copy_from_slice(&frame[PS..]);
+    log
 }
 
 /// Ways to break an update body's run table, one per rule the decoder

@@ -2,20 +2,20 @@
 //! write, allocation and sync the log device receives — in order, with
 //! the bytes written — must not move when the log's code is reorganised.
 //!
-//! [`RecordingDisk`] sits under the log and folds each `(op, page id,
-//! FNV of bytes)` into a running hash; after every step of the script
-//! the hash, the operation count and the full [`WalSnapshot`] are
-//! compared with the table below.  The script runs `FlushPolicy::Off`
-//! (no flusher thread, so the sequence is exact) with 128-byte pages and
-//! 3-page segments — 256 stream bytes per segment, 20 map entries per
-//! anchor — and covers: small and page-spanning transactions, single
-//! rollovers, a double rollover inside one flush (the anchor-guard
-//! pre-sync), a quiescent checkpoint, a fuzzy checkpoint with an open
-//! transaction, update records with one, three and the full table of
-//! eight byte runs (as Delta and as FirstMod) and with differences merged
-//! into one run, a wedged full segment map and the checkpoint pass that
-//! relieves it, a crash with an uncommitted tail on both devices, and
-//! reopen + `recover`.
+//! The golden rig's `RecordingDisk` (`tests/common/golden.rs`) sits under
+//! the log and folds each `(op, page id, FNV of bytes)` into a running
+//! hash; after every step of the script the hash, the operation count and
+//! the full [`WalSnapshot`] are compared with the table below.  The
+//! script runs `FlushPolicy::Off` (no flusher thread, so the sequence is
+//! exact) with 128-byte pages and 3-page segments — 256 stream bytes per
+//! segment, 20 map entries per anchor — and covers: small and
+//! page-spanning transactions, single rollovers, a double rollover inside
+//! one flush (the anchor-guard pre-sync), a quiescent checkpoint, a fuzzy
+//! checkpoint with an open transaction, update records with one, three
+//! and the full table of eight byte runs (as Delta and as FirstMod) and
+//! with differences merged into one run, a wedged full segment map and
+//! the checkpoint pass that relieves it, a crash with an uncommitted tail
+//! on both devices, and reopen + `recover`.
 //!
 //! The constants were first captured at the commit *before* `wal.rs`
 //! became the `wal/` module and passed unmodified until log format v4
@@ -26,11 +26,14 @@
 //! format, sync count and write order do not move.  Sibling of
 //! `tests/read_path_trace.rs` and `tests/pool_determinism.rs`.
 
+mod common;
+
+use common::golden::{image, image_hash, Literal, Pins, RecordingDisk};
 use ri_tree::pagestore::{
-    BufferPool, BufferPoolConfig, DiskManager, Error, FlushPolicy, MemDisk, PageId, RecoveryReport,
-    Result, WalConfig, WalSnapshot,
+    BufferPool, BufferPoolConfig, Error, FlushPolicy, MemDisk, PageId, RecoveryReport, Result,
+    WalConfig, WalSnapshot,
 };
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 const PS: usize = 128;
 const CONFIG: WalConfig = WalConfig { segment_pages: 3, flush_policy: FlushPolicy::Off };
@@ -79,79 +82,12 @@ const GOLDEN_REPORT: RecoveryReport = RecoveryReport {
     txns_rolled_back: 1,
 };
 
-const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv1a(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(0x100_0000_01b3)
-}
-
-fn fnv_bytes(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_SEED, |h, &b| fnv1a(h, u64::from(b)))
-}
-
-const OP_WRITE: u64 = 1;
-const OP_ALLOCATE: u64 = 2;
-const OP_SYNC: u64 = 3;
-
-#[derive(Default)]
-struct Trace {
-    ops: u64,
-    hash: u64,
-    /// Operations since the last step, printed when a step drifts.
-    recent: Vec<(u64, u64, u64)>,
-}
-
-/// A `MemDisk` that records every mutation it is asked to perform.
-struct RecordingDisk {
-    inner: MemDisk,
-    trace: Mutex<Trace>,
-}
-
-impl RecordingDisk {
-    fn new() -> Self {
-        let trace = Trace { hash: FNV_SEED, ..Trace::default() };
-        RecordingDisk { inner: MemDisk::new(PS), trace: Mutex::new(trace) }
+/// A step prints as the row of [`GOLDEN_STEPS`] that pins it.
+impl Literal for Step {
+    fn literal(&self) -> String {
+        let Step { label, ops, trace, snap } = self;
+        format!("Step {{ label: {label:?}, ops: {ops}, trace: {trace:#018x}, snap: {snap:?} }}")
     }
-
-    fn record(&self, op: u64, page: u64, bytes: u64) {
-        let mut t = self.trace.lock().unwrap();
-        t.ops += 1;
-        t.hash = [op, page, bytes].into_iter().fold(t.hash, fnv1a);
-        t.recent.push((op, page, bytes));
-    }
-}
-
-impl DiskManager for RecordingDisk {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-    fn num_pages(&self) -> u64 {
-        self.inner.num_pages()
-    }
-    fn read_page(&self, id: PageId, buf: &mut [u8]) -> Result<()> {
-        self.inner.read_page(id, buf)
-    }
-    fn write_page(&self, id: PageId, buf: &[u8]) -> Result<()> {
-        self.record(OP_WRITE, id.raw(), fnv_bytes(buf));
-        self.inner.write_page(id, buf)
-    }
-    fn allocate_page(&self) -> Result<PageId> {
-        let id = self.inner.allocate_page()?;
-        self.record(OP_ALLOCATE, id.raw(), 0);
-        Ok(id)
-    }
-    fn sync(&self) -> Result<()> {
-        self.record(OP_SYNC, 0, 0);
-        self.inner.sync()
-    }
-}
-
-fn image_hash(disk: &dyn DiskManager) -> u64 {
-    let mut buf = vec![0u8; PS];
-    (0..disk.num_pages()).fold(FNV_SEED, |h, p| {
-        disk.read_page(PageId(p), &mut buf).unwrap();
-        fnv1a(h, fnv_bytes(&buf))
-    })
 }
 
 fn snap_fields(s: WalSnapshot) -> [u64; 14] {
@@ -219,21 +155,19 @@ impl Script {
     }
 
     fn step(&mut self, label: &'static str) {
-        let mut t = self.log.trace.lock().unwrap();
+        let mut r = self.log.recording();
         let step = Step {
             label,
-            ops: t.ops,
-            trace: t.hash,
+            ops: r.ops,
+            trace: r.write_hash,
             snap: snap_fields(self.pool.wal().unwrap().stats()),
         };
-        let ops = std::mem::take(&mut t.recent);
-        drop(t);
-        eprintln!(
-            "GOLDEN-WAL     Step {{ label: {:?}, ops: {}, trace: {:#018x}, snap: {:?} }},",
-            step.label, step.ops, step.trace, step.snap
-        );
+        let ops = std::mem::take(&mut r.recent);
+        drop(r);
         if GOLDEN_STEPS.get(self.steps.len()) != Some(&step) {
-            eprintln!("  drifted; (op, page, bytes-hash) since the previous step: {ops:x?}");
+            eprintln!(
+                "{label:?} drifted; (op, page, bytes-hash) since the previous step: {ops:x?}"
+            );
         }
         self.steps.push(step);
     }
@@ -274,7 +208,7 @@ impl Script {
 
 #[test]
 fn log_device_trace_is_pinned() {
-    let log = Arc::new(RecordingDisk::new());
+    let log = Arc::new(RecordingDisk::new(PS));
     let data = Arc::new(MemDisk::new(PS));
     let pool = open_pool(&log, &data);
     let mut s = Script {
@@ -422,20 +356,15 @@ fn log_device_trace_is_pinned() {
 
     // Not only pinned but right: the data device holds exactly the
     // committed state.
-    let mut buf = vec![0u8; PS];
+    let data = image(&*s.data);
     for (page, want) in s.committed.iter().enumerate() {
-        s.data.read_page(PageId(page as u64), &mut buf).unwrap();
-        assert_eq!(&buf[..], &want[..], "page {page} is not at its committed state");
+        assert_eq!(data[page], want[..], "page {page} is not at its committed state");
     }
 
-    let (log_image, data_image) = (image_hash(&*s.log), image_hash(&*s.data));
-    eprintln!("GOLDEN-WAL log_image: {log_image:#018x}, data_image: {data_image:#018x}");
-    eprintln!("GOLDEN-WAL {report:?}");
-    assert_eq!(s.steps.len(), GOLDEN_STEPS.len(), "the script's step list changed");
-    for (got, want) in s.steps.iter().zip(GOLDEN_STEPS) {
-        assert_eq!(got, want, "log-device trace drifted from the parent at {:?}", got.label);
-    }
-    assert_eq!(report, GOLDEN_REPORT, "recovery report drifted");
-    assert_eq!(log_image, GOLDEN_LOG_IMAGE_HASH, "final log device image drifted");
-    assert_eq!(data_image, GOLDEN_DATA_IMAGE_HASH, "final data device image drifted");
+    let mut pins = Pins::default();
+    pins.rows("STEPS", &s.steps, GOLDEN_STEPS);
+    pins.value("LOG_IMAGE_HASH", &image_hash(&*s.log), &GOLDEN_LOG_IMAGE_HASH);
+    pins.value("DATA_IMAGE_HASH", &image_hash(&*s.data), &GOLDEN_DATA_IMAGE_HASH);
+    pins.value("REPORT", &report, &GOLDEN_REPORT);
+    pins.check();
 }
