@@ -416,11 +416,12 @@ impl BufferPool {
     }
 
     /// Replays the log tail found at attach time against the data device:
-    /// the log folds its records into page images (committed updates
-    /// redone, pages first modified after the last commit rolled back to
-    /// their pre-images), every such page is written out and synced, and
-    /// the log is checkpointed.  Idempotent — later calls (and calls on a
-    /// pool with no WAL or a clean log) return `Ok(None)`.
+    /// the page images the attach-time scan folded its records into
+    /// (committed updates redone, pages first modified after the last
+    /// commit rolled back to their pre-images) are written out in page
+    /// order and synced, and the log is checkpointed.  Idempotent — later
+    /// calls (and calls on a pool with no WAL or a clean log) return
+    /// `Ok(None)`.
     ///
     /// Must run before the pool caches any page of a crashed device; the
     /// pre-recovery cache is discarded here for safety.

@@ -88,13 +88,21 @@ fn record_checksum(lsn: u64, kind: u8, body_parts: &[&[u8]]) -> u64 {
     fnv([&lsn.to_le_bytes()[..], &[kind]].into_iter().chain(body_parts.iter().copied()))
 }
 
-/// A decoded log record (a Commit commits every run appended so far).
-#[derive(Debug, Clone)]
-pub(super) enum WalRecord {
-    FirstMod { page: PageId, txn: u64, before: Vec<u8>, runs: Runs, delta: Vec<u8> },
-    Delta { page: PageId, txn: u64, runs: Runs, delta: Vec<u8> },
+/// A log record decoded in place: its byte fields borrow the buffer the
+/// record was read into (a Commit commits every run appended so far).  A
+/// Checkpoint's `active` is its logged `n × (txn u64 | first_lsn u64)`
+/// list, read with [`active_txns`].
+#[derive(Debug, Clone, Copy)]
+pub(super) enum Record<'a> {
+    FirstMod { page: PageId, txn: u64, before: &'a [u8], runs: Runs, delta: &'a [u8] },
+    Delta { page: PageId, txn: u64, runs: Runs, delta: &'a [u8] },
     Commit { seq: u64, txn: u64 },
-    Checkpoint { horizon: u64, active: Vec<(u64, u64)> },
+    Checkpoint { horizon: u64, active: &'a [u8] },
+}
+
+/// The `(txn, first record LSN)` pairs of a Checkpoint record's list.
+pub(super) fn active_txns(active: &[u8]) -> impl Iterator<Item = (u64, u64)> + '_ {
+    active.chunks_exact(16).map(|pair| (get_u64(pair, 0), get_u64(pair, 8)))
 }
 
 /// Frames one record onto `out`, returning the new stream end.
@@ -176,33 +184,32 @@ pub(super) fn body_len(hdr: &[u8], pos: u64, ps: usize) -> Option<usize> {
         .then_some(len)
 }
 
-/// Decodes the record `hdr | body`; `None` if the checksum or the body's
-/// own structure is broken (the valid chain ends before this record).
-pub(super) fn decode_record(hdr: &[u8], body: &[u8], ps: usize) -> Option<WalRecord> {
+/// Decodes the record `hdr | body` in place; `None` if the checksum or the
+/// body's own structure is broken (the valid chain ends before this
+/// record).
+pub(super) fn decode_record<'a>(hdr: &[u8], body: &'a [u8], ps: usize) -> Option<Record<'a>> {
     let (lsn, kind) = (get_u64(hdr, 0), hdr[12]);
     if record_checksum(lsn, kind, &[body]) != get_u64(hdr, 13) {
         return None;
     }
     match decode_body(kind, body, ps)? {
         // A horizon past its own record is nonsense.
-        WalRecord::Checkpoint { horizon, .. } if horizon > lsn => None,
+        Record::Checkpoint { horizon, .. } if horizon > lsn => None,
         rec => Some(rec),
     }
 }
 
-fn decode_body(kind: u8, body: &[u8], ps: usize) -> Option<WalRecord> {
+fn decode_body(kind: u8, body: &[u8], ps: usize) -> Option<Record<'_>> {
     match kind {
         KIND_COMMIT if body.len() == 16 => {
-            Some(WalRecord::Commit { seq: get_u64(body, 0), txn: get_u64(body, 8) })
+            Some(Record::Commit { seq: get_u64(body, 0), txn: get_u64(body, 8) })
         }
         KIND_CHECKPOINT if body.len() >= 12 => {
             let n = get_u32(body, 8) as usize;
             if n > MAX_CKPT_TXNS || body.len() != 12 + 16 * n {
                 return None;
             }
-            let active =
-                (0..n).map(|i| (get_u64(body, 12 + 16 * i), get_u64(body, 20 + 16 * i))).collect();
-            Some(WalRecord::Checkpoint { horizon: get_u64(body, 0), active })
+            Some(Record::Checkpoint { horizon: get_u64(body, 0), active: &body[12..] })
         }
         KIND_FIRST_MOD | KIND_DELTA if body.len() >= UPDATE_HEAD => {
             let page = PageId(get_u64(body, 0));
@@ -233,11 +240,10 @@ fn decode_body(kind: u8, body: &[u8], ps: usize) -> Option<WalRecord> {
                 return None;
             }
             let (before, delta) = body[UPDATE_HEAD + RUN_ENTRY * n..].split_at(before_len);
-            let delta = delta.to_vec();
             Some(if kind == KIND_FIRST_MOD {
-                WalRecord::FirstMod { page, txn, before: before.to_vec(), runs, delta }
+                Record::FirstMod { page, txn, before, runs, delta }
             } else {
-                WalRecord::Delta { page, txn, runs, delta }
+                Record::Delta { page, txn, runs, delta }
             })
         }
         _ => None,
@@ -360,16 +366,17 @@ mod tests {
         let full: Vec<(u32, u32)> = (0..MAX_RUNS as u32).map(|i| (8 * i, 1)).collect();
         for table in [&[(2, 2), (40, 8)][..], &[(2, 2), (4, 4)], &[(0, 64)], &full] {
             for kind in [KIND_FIRST_MOD, KIND_DELTA] {
-                let rec = decode_body(kind, &consistent(kind, table), PS).expect("valid body");
+                let body = consistent(kind, table);
+                let rec = decode_body(kind, &body, PS).expect("valid body");
                 let (runs, delta, before) = match rec {
-                    WalRecord::FirstMod { runs, delta, before, .. } => (runs, delta, Some(before)),
-                    WalRecord::Delta { runs, delta, .. } => (runs, delta, None),
+                    Record::FirstMod { runs, delta, before, .. } => (runs, delta, Some(before)),
+                    Record::Delta { runs, delta, .. } => (runs, delta, None),
                     other => panic!("decoded an update as {other:?}"),
                 };
                 assert_eq!(runs.as_slice(), table);
                 assert!(delta.iter().all(|&b| b == 0xDD));
                 assert_eq!(delta.len(), table.iter().map(|&(_, len)| len as usize).sum::<usize>());
-                assert_eq!(before, (kind == KIND_FIRST_MOD).then(|| vec![0xBB; PS]));
+                assert_eq!(before, (kind == KIND_FIRST_MOD).then_some(&[0xBB; PS][..]));
             }
         }
     }

@@ -12,7 +12,7 @@
 //! | `segments` | where the stream lives on the device: the segment map, rollover, slot recycling, the anchor-write guard, the stream reader |
 //! | `flush` | append buffer → device: the one flush routine, the I/O-leader protocol behind group commit, the background flusher's thread body |
 //! | `checkpoint` | the truncation horizon and the one routine that advances the scan start and retires segments |
-//! | `recover` | the attach-time scan and the redo/rollback fold that turns records into page images |
+//! | `recover` | the attach-time scan, one pass that folds each record into page images as it is read and rolls the uncommitted tail back at the end |
 //!
 //! # LSNs and transactions
 //!
@@ -54,10 +54,12 @@
 //! # Recovery
 //!
 //! Attaching adopts the newer valid anchor and scans the stream from its
-//! `start` to the first torn or stale record.
-//! [`crate::buffer::BufferPool::recover`] then puts the committed prefix
-//! of history on the data device: committed records redone, pages first
-//! modified in the uncommitted tail restored to their pre-images.
+//! `start` to the first torn or stale record, folding each record into
+//! page images as it reads it: memory follows the pages the log touches,
+//! not its length.  [`crate::buffer::BufferPool::recover`] then puts the
+//! committed prefix of history on the data device: committed records
+//! redone, pages first modified in the uncommitted tail restored to their
+//! pre-images.
 //!
 //! Commit atomicity is defined at commit boundaries of a serialized
 //! history: concurrent writers get durability (no committed record is
@@ -79,7 +81,7 @@ mod tests;
 use crate::{DiskManager, Error, PageId, Result};
 use flush::{FlusherCtl, IoState};
 use parking_lot::Mutex;
-use recover::RecoveredLog;
+use recover::Recovered;
 use segments::{FlushState, SegMap};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -250,7 +252,7 @@ pub struct Wal {
     flusher: Mutex<FlusherCtl>,
     flusher_cv: Condvar,
     stats: WalStats,
-    recovered: Mutex<Option<RecoveredLog>>,
+    recovered: Mutex<Option<Recovered>>,
 }
 
 impl Wal {
@@ -290,7 +292,7 @@ impl Wal {
             }
             anchor
         };
-        let log = recover::scan_records(&*disk, &anchor.map, anchor.start);
+        let log = Recovered::read(&*disk, &anchor.map, anchor.start);
         let end = log.committed_end;
         let flush = FlushState::resume(&*disk, anchor, end)?;
         Ok(Wal {
@@ -314,7 +316,7 @@ impl Wal {
             flusher: Mutex::new(FlusherCtl::default()),
             flusher_cv: Condvar::new(),
             stats: WalStats::default(),
-            recovered: Mutex::new((!log.records.is_empty()).then_some(log)),
+            recovered: Mutex::new((log.records > 0).then_some(log)),
         })
     }
 
@@ -376,10 +378,13 @@ impl Wal {
         let lsn = ap.end_lsn;
         // Transaction identity is thread-keyed: the first update after a
         // commit boundary opens a fresh run for the calling thread.
-        let txn = *ap.thread_txns.entry(std::thread::current().id()).or_insert_with(|| {
-            ap.next_txn += 1;
-            ap.next_txn
-        });
+        let txn = match ap.thread_txns.entry(std::thread::current().id()) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                ap.next_txn = next_in_sequence(ap.next_txn, "transaction id")?;
+                *e.insert(ap.next_txn)
+            }
+        };
         ap.active.entry(txn).or_insert(lsn);
         let before = match ap.logged.entry(page) {
             Entry::Occupied(mut e) => {
@@ -410,7 +415,7 @@ impl Wal {
         let target = {
             let mut ap = self.append.lock();
             let ap = &mut *ap;
-            ap.commit_seq += 1;
+            ap.commit_seq = next_in_sequence(ap.commit_seq, "commit sequence")?;
             let txn = ap.thread_txns.get(&std::thread::current().id()).copied().unwrap_or_default();
             let lsn = ap.end_lsn;
             ap.end_lsn = format::encode_commit(&mut ap.pending, lsn, ap.commit_seq, txn);
@@ -437,4 +442,13 @@ impl Wal {
         }
         Ok(())
     }
+}
+
+/// The successor of `last` in a monotone sequence the log persists.  Both
+/// sequences resume from the largest value a scan read, so a record that
+/// passes its checksum but carries `u64::MAX` exhausts them: that is
+/// `Corrupt`, not an overflow.
+fn next_in_sequence(last: u64, what: &str) -> Result<u64> {
+    last.checked_add(1)
+        .ok_or_else(|| Error::Corrupt(format!("WAL {what} exhausted: the log reached {last}")))
 }

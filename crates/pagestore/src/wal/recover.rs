@@ -1,50 +1,46 @@
-//! Reading the log back: the attach-time scan and the redo/rollback fold
-//! that turns its records into page images.
+//! Reading the log back: one pass from the checksummed stream to the page
+//! images recovery writes.
 //!
-//! [`scan_records`] follows the stream from the anchor's `start` until
-//! the LSN/checksum chain breaks or the mapped segments end, yielding
-//! the valid record prefix.  [`Wal::take_redo`] then replays all records
-//! up to the last Commit into in-memory page images (FirstMod starts
-//! from its pre-image, Delta applies on top, Checkpoint is a no-op) and
-//! **rolls back** the uncommitted tail by restoring the pre-images of
-//! pages first modified in the tail.  Pages whose records all sit below
-//! the scan start are bitwise correct on the data device — that is what
-//! the truncation horizon guarantees — so writing the images out yields
-//! exactly the committed prefix of history.
+//! [`scan`] follows the stream from the anchor's `start` until the
+//! LSN/checksum chain breaks or the mapped segments end, decoding each
+//! record in place in one reused buffer.  [`Recovered::fold`] applies it
+//! to the page images at once (FirstMod starts from its pre-image, Delta
+//! applies on top, Checkpoint is a no-op), so no record outlives its
+//! read.  Where the last Commit lies is known only when the stream ends,
+//! so the fold keeps, for every page touched since the latest Commit, the
+//! image a rollback restores — the page's state at that Commit, or the
+//! pre-image of its first FirstMod if the records had not touched it
+//! before — and drops them at each Commit.  When the stream ends,
+//! [`Recovered::finish`] restores them: the uncommitted tail is rolled
+//! back.  Memory is one image per page touched plus one per page touched
+//! since the last Commit, whatever the log's length.
+//!
+//! Pages whose records all sit below the scan start are bitwise correct on
+//! the data device — that is what the truncation horizon guarantees — so
+//! writing the images out yields exactly the committed prefix of history.
 
 use super::diff::Runs;
-use super::format::{self, WalRecord, REC_HDR};
+use super::format::{self, Record, REC_HDR};
 use super::segments::{SegMap, StreamReader};
 use super::{RecoveryReport, Wal};
 use crate::{DiskManager, Error, Result};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-/// Page images keyed by raw page id.
+/// Page images keyed by raw page id, in page order.
 type PageImages = BTreeMap<u64, Vec<u8>>;
 
-/// What a log scan found: the valid record prefix plus the high-water
-/// marks of the monotone sequences embedded in it.
-#[derive(Default)]
-pub(super) struct RecoveredLog {
-    /// All records of the valid prefix, in LSN order.
-    pub(super) records: Vec<WalRecord>,
-    /// Leading records up to and including the last Commit.
-    pub(super) committed: usize,
-    /// Stream position just past that last Commit (== `start` if none).
-    pub(super) committed_end: u64,
-    /// Highest commit sequence number seen (0 if none).
-    pub(super) max_seq: u64,
-    /// Highest transaction id seen (0 if none).
-    pub(super) max_txn: u64,
-}
-
-/// Scans the record stream from `start` (device-mapped via the anchor's
-/// segment map) until the LSN/checksum chain breaks or the mapped
-/// segments end.
-pub(super) fn scan_records(disk: &dyn DiskManager, map: &SegMap, start: u64) -> RecoveredLog {
+/// Calls `visit` with every record of the valid prefix of the stream
+/// from `start` (device-mapped via the anchor's segment map), in LSN
+/// order, and the stream position just past it.  The record borrows the
+/// scan's buffer, which the next record reuses.
+pub(super) fn scan(
+    disk: &dyn DiskManager,
+    map: &SegMap,
+    start: u64,
+    mut visit: impl FnMut(Record<'_>, u64),
+) {
     let ps = disk.page_size();
     let mut reader = StreamReader::new(disk, map);
-    let mut out = RecoveredLog { committed_end: start, ..RecoveredLog::default() };
     let mut pos = start;
     let (mut hdr, mut body) = (Vec::new(), Vec::new());
     while reader.read(pos, REC_HDR, &mut hdr) {
@@ -58,21 +54,8 @@ pub(super) fn scan_records(disk: &dyn DiskManager, map: &SegMap, start: u64) -> 
             break;
         };
         pos += (REC_HDR + body_len) as u64;
-        let txn = match &rec {
-            WalRecord::FirstMod { txn, .. } | WalRecord::Delta { txn, .. } => *txn,
-            WalRecord::Commit { seq, txn } => {
-                out.max_seq = out.max_seq.max(*seq);
-                (out.committed, out.committed_end) = (out.records.len() + 1, pos);
-                *txn
-            }
-            WalRecord::Checkpoint { active, .. } => {
-                active.iter().map(|&(txn, _)| txn).max().unwrap_or(0)
-            }
-        };
-        out.max_txn = out.max_txn.max(txn);
-        out.records.push(rec);
+        visit(rec, pos);
     }
-    out
 }
 
 /// Redoes one update on `img`: `delta` holds the new bytes of `runs`,
@@ -86,80 +69,164 @@ fn apply_runs(img: &mut [u8], runs: &Runs, delta: &[u8]) {
     }
 }
 
-impl RecoveredLog {
-    /// Folds the scanned records into the page images recovery must
-    /// write — committed records redone, the uncommitted tail rolled
-    /// back — keyed by raw page id.
-    fn redo(mut self) -> Result<(PageImages, RecoveryReport)> {
-        let tail = self.records.split_off(self.committed);
-        let (committed_records, tail_records) = (self.records.len(), tail.len());
-        let mut images = PageImages::new();
-        let (mut commits, mut last_seq) = (0u64, 0u64);
-        for rec in self.records {
-            match rec {
-                WalRecord::FirstMod { page, before: mut img, runs, delta, .. } => {
-                    apply_runs(&mut img, &runs, &delta);
-                    images.insert(page.raw(), img);
+/// The image a page returns to if no Commit follows its latest update.
+struct Undo {
+    image: Vec<u8>,
+    /// The records had not touched the page before: restoring `image`
+    /// rolls it back to a FirstMod pre-image.
+    created: bool,
+}
+
+/// What the attach-time scan found: the high-water marks of the log's
+/// monotone sequences and the page images its records fold into.
+#[derive(Default)]
+pub(super) struct Recovered {
+    /// Records of the valid prefix.
+    pub(super) records: usize,
+    /// Leading records up to and including the last Commit.
+    pub(super) committed: usize,
+    /// Stream position just past that last Commit (== `start` if none).
+    pub(super) committed_end: u64,
+    /// Highest commit sequence number seen (0 if none).
+    pub(super) max_seq: u64,
+    /// Highest transaction id seen (0 if none).
+    pub(super) max_txn: u64,
+    /// Every page the records touched, as of the latest record.
+    images: HashMap<u64, Vec<u8>>,
+    /// Pages touched since the last Commit, with what a rollback restores.
+    undo: HashMap<u64, Undo>,
+    /// Transactions with an update since the last Commit.
+    open: BTreeSet<u64>,
+    /// The first page since the last Commit whose Delta found no image:
+    /// the log is inconsistent if a Commit follows.
+    orphan: Option<u64>,
+    /// Commits folded, and the sequence number of the latest.
+    commits: u64,
+    last_seq: u64,
+    /// The first inconsistency among committed records; updates stop
+    /// folding there, and only the scan's marks keep moving.
+    error: Option<Error>,
+}
+
+impl Recovered {
+    /// Scans the stream from `start` and folds every record of its valid
+    /// prefix.
+    pub(super) fn read(disk: &dyn DiskManager, map: &SegMap, start: u64) -> Recovered {
+        let mut log = Recovered { committed_end: start, ..Recovered::default() };
+        scan(disk, map, start, |rec, end| log.fold(rec, end));
+        log
+    }
+
+    /// Folds one record, which ends at stream position `end`.
+    fn fold(&mut self, rec: Record<'_>, end: u64) {
+        self.records += 1;
+        match rec {
+            Record::FirstMod { page, txn, before, runs, delta } => {
+                self.open_update(txn);
+                if self.error.is_some() {
+                    return;
                 }
-                WalRecord::Delta { page, runs, delta, .. } => {
+                let mut img = before.to_vec();
+                apply_runs(&mut img, &runs, delta);
+                // A page FirstMod'ed again (after a checkpoint window
+                // re-keyed the dedup) starts over from its new pre-image.
+                let undo = match self.images.insert(page.raw(), img) {
+                    Some(prior) => Undo { image: prior, created: false },
+                    None => Undo { image: before.to_vec(), created: true },
+                };
+                self.undo.entry(page.raw()).or_insert(undo);
+            }
+            Record::Delta { page, txn, runs, delta } => {
+                self.open_update(txn);
+                if self.error.is_some() {
+                    return;
+                }
+                let Some(img) = self.images.get_mut(&page.raw()) else {
                     // A Delta is always preceded by its page's FirstMod at
                     // or above the scan start (the truncation-horizon
                     // fixpoint guarantees no page run straddles it), so a
-                    // missing image means the log is inconsistent.
-                    let img = images.get_mut(&page.raw()).ok_or_else(|| {
-                        Error::Corrupt(format!(
-                            "WAL delta for page {} without a prior first-mod",
-                            page.raw()
-                        ))
-                    })?;
-                    apply_runs(img, &runs, &delta);
+                    // Commit after this one proves the log inconsistent.
+                    self.orphan.get_or_insert(page.raw());
+                    return;
+                };
+                self.undo
+                    .entry(page.raw())
+                    .or_insert_with(|| Undo { image: img.clone(), created: false });
+                apply_runs(img, &runs, delta);
+            }
+            Record::Commit { seq, txn } => {
+                self.max_seq = self.max_seq.max(seq);
+                self.max_txn = self.max_txn.max(txn);
+                (self.committed, self.committed_end) = (self.records, end);
+                if self.error.is_none() {
+                    self.error = self.check_commit(seq).err();
                 }
-                WalRecord::Commit { seq, .. } => {
-                    // Sequence numbers are strictly increasing within the
-                    // retained log; a regression means records from
-                    // different histories got mixed.
-                    if seq <= last_seq {
-                        return Err(Error::Corrupt(format!(
-                            "WAL commit sequence regressed: {seq} after {last_seq}"
-                        )));
-                    }
-                    last_seq = seq;
-                    commits += 1;
-                }
-                WalRecord::Checkpoint { .. } => {}
+                (self.commits, self.last_seq) = (self.commits + 1, seq);
+                self.undo.clear();
+                self.open.clear();
+                self.orphan = None;
+            }
+            Record::Checkpoint { active, .. } => {
+                let txns = format::active_txns(active).map(|(txn, _)| txn);
+                self.max_txn = txns.fold(self.max_txn, u64::max);
             }
         }
-        let pages_redone = images.len();
-        // Roll back the uncommitted tail: a FirstMod there proves the page
-        // was untouched by the committed prefix *of this generation*; its
-        // pre-image is exactly the committed state.  (If the page also has
-        // a committed image — possible when it was re-FirstMod'ed after an
-        // interleaved checkpoint window — the committed image wins.)
-        let mut tail_txns = BTreeSet::new();
-        for rec in tail {
-            if let WalRecord::FirstMod { txn, .. } | WalRecord::Delta { txn, .. } = &rec {
-                tail_txns.insert(*txn);
-            }
-            if let WalRecord::FirstMod { page, before, .. } = rec {
-                images.entry(page.raw()).or_insert(before);
-            }
+    }
+
+    fn open_update(&mut self, txn: u64) {
+        self.max_txn = self.max_txn.max(txn);
+        self.open.insert(txn);
+    }
+
+    /// Whether the records a Commit with sequence `seq` commits are
+    /// consistent, in LSN order: the orphaned Delta came before it.
+    fn check_commit(&self, seq: u64) -> Result<()> {
+        if let Some(page) = self.orphan {
+            return Err(Error::Corrupt(format!(
+                "WAL delta for page {page} without a prior first-mod"
+            )));
+        }
+        // Sequence numbers are strictly increasing within the retained
+        // log; a regression means records from different histories got
+        // mixed.
+        if seq <= self.last_seq {
+            return Err(Error::Corrupt(format!(
+                "WAL commit sequence regressed: {seq} after {}",
+                self.last_seq
+            )));
+        }
+        Ok(())
+    }
+
+    /// The page images recovery must write — committed records redone,
+    /// the uncommitted tail rolled back — plus the report of what they
+    /// came from.
+    fn finish(self) -> Result<(PageImages, RecoveryReport)> {
+        if let Some(err) = self.error {
+            return Err(err);
+        }
+        let mut images = self.images;
+        let mut pages_rolled_back = 0;
+        for (page, undo) in self.undo {
+            pages_rolled_back += usize::from(undo.created);
+            images.insert(page, undo.image);
         }
         let report = RecoveryReport {
-            records_scanned: committed_records + tail_records,
-            committed_records,
-            tail_records,
-            commits,
-            pages_redone,
-            pages_rolled_back: images.len() - pages_redone,
-            txns_rolled_back: tail_txns.len() as u64,
+            records_scanned: self.records,
+            committed_records: self.committed,
+            tail_records: self.records - self.committed,
+            commits: self.commits,
+            pages_redone: images.len() - pages_rolled_back,
+            pages_rolled_back,
+            txns_rolled_back: self.open.len() as u64,
         };
-        Ok((images, report))
+        Ok((images.into_iter().collect(), report))
     }
 }
 
 impl Wal {
     /// Takes the log contents found at attach time (once).
-    pub(super) fn take_recovered(&self) -> Option<RecoveredLog> {
+    pub(super) fn take_recovered(&self) -> Option<Recovered> {
         self.recovered.lock().take()
     }
 
@@ -168,7 +235,7 @@ impl Wal {
     /// checkpoints the log, plus the report of what they came from.
     /// `None` when there is nothing to recover.
     pub(crate) fn take_redo(&self) -> Result<Option<(PageImages, RecoveryReport)>> {
-        self.take_recovered().map(|log| log.redo()).transpose()
+        self.take_recovered().map(Recovered::finish).transpose()
     }
 }
 

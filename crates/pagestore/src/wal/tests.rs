@@ -1,6 +1,6 @@
-use super::diff::{diff, MAX_RUNS};
+use super::diff::{diff, Runs, MAX_RUNS};
 use super::flush::SPARE_MAX_BYTES;
-use super::format::WalRecord;
+use super::format::{self, Record};
 use super::*;
 use crate::disk::MemDisk;
 use crate::faulty::{FaultPlan, FaultyDisk};
@@ -32,9 +32,46 @@ fn fresh_wal_with(ps: usize, config: WalConfig) -> (Arc<MemDisk>, Wal) {
 }
 
 /// Scans a device the way a fresh attach would: via its best anchor.
-fn scan_fresh(disk: &dyn DiskManager) -> RecoveredLog {
+fn scan_fresh(disk: &dyn DiskManager) -> Recovered {
     let anchor = segments::read_best_anchor(disk).unwrap();
-    recover::scan_records(disk, &anchor.map, anchor.start)
+    Recovered::read(disk, &anchor.map, anchor.start)
+}
+
+/// A scanned record with its bytes copied out, for assertions.
+#[derive(Debug, Clone, PartialEq)]
+enum Rec {
+    FirstMod { page: u64, txn: u64, before: Vec<u8>, runs: Vec<(u32, u32)>, delta: Vec<u8> },
+    Delta { page: u64, txn: u64, runs: Vec<(u32, u32)>, delta: Vec<u8> },
+    Commit { seq: u64, txn: u64 },
+    Checkpoint { active: Vec<(u64, u64)> },
+}
+
+/// The records a fresh attach would read from `disk`, copied out.
+fn records(disk: &dyn DiskManager) -> Vec<Rec> {
+    let anchor = segments::read_best_anchor(disk).unwrap();
+    let mut out = Vec::new();
+    recover::scan(disk, &anchor.map, anchor.start, |rec, _| {
+        out.push(match rec {
+            Record::FirstMod { page, txn, before, runs, delta } => Rec::FirstMod {
+                page: page.raw(),
+                txn,
+                before: before.to_vec(),
+                runs: runs.as_slice().to_vec(),
+                delta: delta.to_vec(),
+            },
+            Record::Delta { page, txn, runs, delta } => Rec::Delta {
+                page: page.raw(),
+                txn,
+                runs: runs.as_slice().to_vec(),
+                delta: delta.to_vec(),
+            },
+            Record::Commit { seq, txn } => Rec::Commit { seq, txn },
+            Record::Checkpoint { active, .. } => {
+                Rec::Checkpoint { active: format::active_txns(active).collect() }
+            }
+        })
+    });
+    out
 }
 
 #[test]
@@ -64,18 +101,24 @@ fn first_mod_then_delta_then_commit_roundtrips_through_scan() {
 
     // A fresh attach finds the full committed stream.
     let scan = scan_fresh(&*disk);
-    assert_eq!(scan.records.len(), 3);
+    assert_eq!(scan.records, 3);
     assert_eq!(scan.committed, 3);
     assert_eq!(scan.committed_end, end);
     assert_eq!((scan.max_seq, scan.max_txn), (1, 1));
-    assert!(matches!(&scan.records[0],
-        WalRecord::FirstMod { page, txn: 1, before, runs, delta }
-        if *page == PageId(4) && before == &old && runs.as_slice() == [(10, 10)]
-            && delta == &vec![7u8; 10]));
-    assert!(matches!(&scan.records[1],
-        WalRecord::Delta { page, txn: 1, runs, delta }
-        if *page == PageId(4) && runs.as_slice() == [(100, 1)] && delta == &vec![9u8]));
-    assert!(matches!(&scan.records[2], WalRecord::Commit { seq: 1, txn: 1 }));
+    assert_eq!(
+        records(&*disk),
+        [
+            Rec::FirstMod {
+                page: 4,
+                txn: 1,
+                before: old,
+                runs: vec![(10, 10)],
+                delta: vec![7u8; 10]
+            },
+            Rec::Delta { page: 4, txn: 1, runs: vec![(100, 1)], delta: vec![9u8] },
+            Rec::Commit { seq: 1, txn: 1 },
+        ]
+    );
 }
 
 #[test]
@@ -95,7 +138,7 @@ fn uncommitted_tail_is_dropped_on_attach() {
 
     let wal2 = Wal::attach(Box::new(Arc::clone(&disk))).unwrap();
     let log = wal2.take_recovered().unwrap();
-    assert_eq!(log.records.len(), 3, "commit + committed mod + tail mod");
+    assert_eq!(log.records, 3, "commit + committed mod + tail mod");
     assert_eq!(log.committed, 2);
     assert_eq!(wal2.end_lsn(), committed_end, "appends resume at the commit boundary");
 }
@@ -143,7 +186,7 @@ fn records_spanning_many_pages_survive() {
     }
     drop(wal);
     let scan = scan_fresh(&*disk);
-    assert_eq!(scan.records.len(), 40, "20 mods + 20 commits");
+    assert_eq!(scan.records, 40, "20 mods + 20 commits");
     assert_eq!(scan.committed, 40);
     assert_eq!(scan.committed_end, *ends.last().unwrap());
 }
@@ -167,7 +210,7 @@ fn torn_tail_page_breaks_the_chain_cleanly() {
     page[(end / 2 % 128) as usize] ^= 0xFF;
     disk.write_page(victim, &page).unwrap();
     let scan = scan_fresh(&*disk);
-    assert_eq!(scan.records.len(), 0, "checksum break stops the scan");
+    assert_eq!(scan.records, 0, "checksum break stops the scan");
     assert_eq!(scan.committed, 0);
 }
 
@@ -228,12 +271,13 @@ fn fuzzy_checkpoint_spares_the_open_transactions_records() {
     let wal2 = Wal::attach(Box::new(Arc::clone(&disk))).unwrap();
     let log = wal2.take_recovered().unwrap();
     assert_eq!(log.committed, 0, "nothing at or above the horizon is committed");
-    assert_eq!(log.records.len(), 2);
-    assert!(matches!(&log.records[0],
-        WalRecord::FirstMod { page, txn, before, .. }
-        if *page == PageId(2) && *txn == 2 && before == &old));
-    assert!(matches!(&log.records[1],
-        WalRecord::Checkpoint { active, .. } if active.len() == 1 && active[0].0 == 2));
+    let recs = records(&*disk);
+    assert_eq!(recs.len(), 2);
+    assert!(matches!(&recs[0],
+        Rec::FirstMod { page: 2, txn: 2, before, .. } if before == &old));
+    assert!(
+        matches!(&recs[1], Rec::Checkpoint { active } if active.len() == 1 && active[0].0 == 2)
+    );
 }
 
 #[test]
@@ -287,7 +331,7 @@ fn straddling_page_run_drags_the_horizon_down() {
     let log = wal2.take_recovered().unwrap();
     assert_eq!(log.committed, 3, "FirstMod + Delta + Commit all survive");
     assert!(
-        matches!(&log.records[0], WalRecord::FirstMod { page, .. } if *page == PageId(7)),
+        matches!(records(&*disk)[0], Rec::FirstMod { page: 7, .. }),
         "the pre-image stayed below the horizon"
     );
 }
@@ -672,11 +716,10 @@ fn failed_flush_puts_the_backlog_back_in_front_of_racing_appends() {
             twin_disk.read_page(p, &mut want).unwrap();
             assert_eq!(got, want, "{ctx}: device page {p:?} differs from the unfailed twin's");
         }
-        let pages: Vec<_> = scan_fresh(&*mem)
-            .records
+        let pages: Vec<_> = records(&*mem)
             .iter()
             .filter_map(|r| match r {
-                WalRecord::FirstMod { page, .. } => Some(page.raw()),
+                Rec::FirstMod { page, .. } => Some(*page),
                 _ => None,
             })
             .collect();
@@ -706,13 +749,12 @@ fn differences_past_the_run_table_fold_into_the_last_run() {
     drop(wal);
     let mut want: Vec<(u32, u32)> = (0..7).map(|i| (5 + 20 * i, 1)).collect();
     want.push((145, 41)); // differences eight to ten: 145, 165, 185
-    let scan = scan_fresh(&*disk);
-    for rec in [&scan.records[0], &scan.records[2]] {
-        let (WalRecord::FirstMod { runs, delta, .. } | WalRecord::Delta { runs, delta, .. }) = rec
-        else {
+    let recs = records(&*disk);
+    for rec in [&recs[0], &recs[2]] {
+        let (Rec::FirstMod { runs, delta, .. } | Rec::Delta { runs, delta, .. }) = rec else {
             panic!("expected an update record, got {rec:?}");
         };
-        assert_eq!(runs.as_slice(), want);
+        assert_eq!(runs, &want);
         assert_eq!(delta[..7], [1, 2, 3, 4, 5, 6, 7]);
         assert_eq!(delta[7..], new[145..186], "the last run carries the equal bytes it spans");
     }
@@ -789,5 +831,182 @@ proptest! {
         prop_assert_eq!(report.commits, 1);
         prop_assert_eq!(images.get(&1), (old != new).then_some(&new));
         prop_assert_eq!(&images[&2], &new);
+    }
+}
+
+/// One record of a forged log: the API never writes orphaned Deltas or
+/// regressing commit sequences, so the fold's equivalence to the
+/// two-pass redo is checked over records encoded directly.
+#[derive(Debug, Clone)]
+enum Forged {
+    /// A one-run update of `page` writing `byte` over `off .. off + len`;
+    /// a FirstMod's pre-image is filled with `byte + 1`.
+    Update {
+        first: bool,
+        page: u64,
+        txn: u64,
+        off: u32,
+        len: u32,
+        byte: u8,
+    },
+    /// A Commit whose sequence number is the last one plus `step` (0
+    /// repeats it: a regression).
+    Commit {
+        step: u64,
+    },
+    Checkpoint {
+        txn: u64,
+    },
+}
+
+fn forged() -> impl Strategy<Value = Forged> {
+    let update = |first| {
+        (0u64..5, 1u64..4, 0u32..120, 1u32..9, any::<u8>()).prop_map(
+            move |(page, txn, off, len, byte)| Forged::Update { first, page, txn, off, len, byte },
+        )
+    };
+    prop_oneof![
+        3 => update(true),
+        5 => update(false),
+        3 => (0u64..12).prop_map(|step| Forged::Commit { step }),
+        1 => (1u64..4).prop_map(|txn| Forged::Checkpoint { txn }),
+    ]
+}
+
+/// Writes `log` to a fresh 128-byte-page log device, durably.
+fn write_forged(log: &[Forged]) -> Arc<MemDisk> {
+    let (disk, wal) = fresh_wal(128);
+    let mut seq = 0;
+    for rec in log {
+        forge(&wal, |out, lsn| match *rec {
+            Forged::Update { first, page, txn, off, len, byte } => {
+                let mut runs = Runs::default();
+                runs.push(off, len);
+                let (before, new) = ([byte.wrapping_add(1); 128], [byte; 128]);
+                let before = first.then_some(&before[..]);
+                format::encode_update(out, lsn, PageId(page), txn, before, &runs, &new)
+            }
+            Forged::Commit { step } => {
+                seq += step;
+                format::encode_commit(out, lsn, seq, 0)
+            }
+            Forged::Checkpoint { txn } => {
+                format::encode_checkpoint(out, lsn, lsn, &[(txn, lsn)].into())
+            }
+        });
+    }
+    wal.make_durable(wal.end_lsn()).unwrap();
+    disk
+}
+
+/// Appends the record `encode` frames at the stream end to `wal`'s
+/// backlog, bypassing the API's bookkeeping.
+fn forge(wal: &Wal, encode: impl FnOnce(&mut Vec<u8>, u64) -> u64) {
+    let mut guard = wal.append.lock();
+    let ap = &mut *guard;
+    ap.end_lsn = encode(&mut ap.pending, ap.end_lsn);
+}
+
+#[test]
+fn a_log_at_the_largest_sequence_numbers_refuses_the_next_ones() {
+    // A Commit that passes its checksum but carries u64::MAX as both its
+    // sequence number and its transaction id: the attach reseeds both
+    // sequences from it, so the next of each cannot exist.
+    let (disk, wal) = fresh_wal(128);
+    forge(&wal, |out, lsn| format::encode_commit(out, lsn, u64::MAX, u64::MAX));
+    wal.make_durable(wal.end_lsn()).unwrap();
+    drop(wal);
+    let wal = Wal::attach(Box::new(Arc::clone(&disk))).unwrap();
+    assert_eq!(wal.take_redo().unwrap().unwrap().1.commits, 1, "the log itself recovers");
+    let end = wal.end_lsn();
+    let (old, new) = (vec![0u8; 128], vec![1u8; 128]);
+    let update = wal.log_update(PageId(1), &old, &new);
+    assert!(matches!(update, Err(Error::Corrupt(m)) if m.contains("transaction id")));
+    assert!(matches!(wal.commit(), Err(Error::Corrupt(m)) if m.contains("commit sequence")));
+    assert_eq!(wal.end_lsn(), end, "neither appended a record");
+}
+
+type Redone = (std::collections::BTreeMap<u64, Vec<u8>>, RecoveryReport);
+
+/// The redo the one-pass fold replaced: the records up to the last Commit
+/// replayed in order, then each page first modified in the uncommitted
+/// tail given its pre-image unless a committed record wrote it.
+fn two_pass_redo(recs: &[Rec]) -> std::result::Result<Redone, String> {
+    let apply = |img: &mut Vec<u8>, runs: &[(u32, u32)], delta: &[u8]| {
+        let mut rest = delta;
+        for &(off, len) in runs {
+            let (bytes, tail) = rest.split_at(len as usize);
+            img[off as usize..][..bytes.len()].copy_from_slice(bytes);
+            rest = tail;
+        }
+    };
+    let committed = recs.iter().rposition(|r| matches!(r, Rec::Commit { .. })).map_or(0, |i| i + 1);
+    let (done, tail) = recs.split_at(committed);
+    let mut images = std::collections::BTreeMap::new();
+    let (mut commits, mut last_seq) = (0, 0);
+    for rec in done {
+        match rec {
+            Rec::FirstMod { page, before, runs, delta, .. } => {
+                let mut img = before.clone();
+                apply(&mut img, runs, delta);
+                images.insert(*page, img);
+            }
+            Rec::Delta { page, runs, delta, .. } => {
+                let img = images
+                    .get_mut(page)
+                    .ok_or(format!("WAL delta for page {page} without a prior first-mod"))?;
+                apply(img, runs, delta);
+            }
+            Rec::Commit { seq, .. } => {
+                if *seq <= last_seq {
+                    return Err(format!("WAL commit sequence regressed: {seq} after {last_seq}"));
+                }
+                (commits, last_seq) = (commits + 1, *seq);
+            }
+            Rec::Checkpoint { .. } => {}
+        }
+    }
+    let pages_redone = images.len();
+    let mut txns = std::collections::BTreeSet::new();
+    for rec in tail {
+        match rec {
+            Rec::FirstMod { page, txn, before, .. } => {
+                txns.insert(*txn);
+                images.entry(*page).or_insert_with(|| before.clone());
+            }
+            Rec::Delta { txn, .. } => {
+                txns.insert(*txn);
+            }
+            _ => {}
+        }
+    }
+    let report = RecoveryReport {
+        records_scanned: recs.len(),
+        committed_records: committed,
+        tail_records: tail.len(),
+        commits,
+        pages_redone,
+        pages_rolled_back: images.len() - pages_redone,
+        txns_rolled_back: txns.len() as u64,
+    };
+    Ok((images, report))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    #[test]
+    fn one_pass_fold_matches_the_two_pass_redo(log in prop::collection::vec(forged(), 0..40)) {
+        let disk = write_forged(&log);
+        let want = two_pass_redo(&records(&*disk));
+        let wal = Wal::attach(Box::new(Arc::clone(&disk))).unwrap();
+        let got = match wal.take_redo() {
+            Ok(redone) => Ok(redone.unwrap_or_else(|| {
+                (Default::default(), two_pass_redo(&[]).unwrap().1)
+            })),
+            Err(Error::Corrupt(msg)) => Err(msg),
+            Err(other) => panic!("redo failed with {other:?}"),
+        };
+        prop_assert_eq!(got, want);
     }
 }
