@@ -3,11 +3,12 @@
 //! These complement the figures (which measure I/O): here we
 //! measure CPU cost of the virtual backbone arithmetic, insertion, and
 //! query execution at a fixed scale — and of building one hot-tier block's
-//! HINT.
+//! HINT and taking one page latch.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ri_bench::{build_ritree, fresh_env};
 use ri_mem::HintIndex;
+use ri_pagestore::{LatchManager, PageId};
 use ri_workloads::{d1, queries_for_selectivity};
 use ritree_core::{BackboneParams, Interval};
 use std::hint::black_box;
@@ -117,10 +118,19 @@ fn bench_hint_block_build(c: &mut Criterion) {
     });
 }
 
+/// One uncontended exclusive latch taken and released on one page: the
+/// host service under every B-link, heap and RI-tree parameter write.
+fn bench_latch(c: &mut Criterion) {
+    let latches = LatchManager::default();
+    c.bench_function("latch/acquire_release", |b| {
+        b.iter(|| drop(latches.page_exclusive(black_box(PageId(7)))))
+    });
+}
+
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(20);
     targets = bench_fork_node, bench_query_traversal, bench_insert,
-              bench_intersection_query, bench_delete, bench_hint_block_build
+              bench_intersection_query, bench_delete, bench_hint_block_build, bench_latch
 }
 criterion_main!(micro);

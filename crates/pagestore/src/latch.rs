@@ -11,8 +11,17 @@
 //! B-link node writes and meta-page holds (`ri_btree::tree`, at most one
 //! node latch at a time), the bulk builder's install step, the heap's
 //! append latch and the catalog's parameter latch — while readers descend
-//! latch-free, so a cell is simply "held or not" and there is nothing
+//! latch-free, so a latch is simply "held or not" and there is nothing
 //! tree-wide to lock (see ARCHITECTURE.md).
+//!
+//! So **a latch is a page id in a set.**  The table is 16 stripes
+//! (`STRIPES`), each one mutex over the set of its held page ids (hashed
+//! with [`IdHash`]) plus one condition variable.  An acquire inserts the
+//! id, parking while it is already there; a release removes it and wakes
+//! the stripe only when its waiter count says a thread is parked — the
+//! buffer pool's `Shard::wait` / `Shard::wake` discipline.  An uncontended
+//! acquire plus release is two lock round trips and, once the stripe's set
+//! has grown to its working size, no allocation.
 //!
 //! Beside the latches the manager carries the B-link protocol's
 //! deterministic counters: node **splits**, **right-link chases** (a
@@ -32,20 +41,14 @@
 //! deterministic single-threaded (chases are 0 without concurrency;
 //! splits and completions depend only on the operation sequence).
 
-use crate::page::PageId;
-use std::collections::HashMap;
+use crate::page::{IdHash, PageId};
+use parking_lot::Mutex;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, PoisonError};
 
-/// Number of hash-striped cell maps (a power of two).
+/// Number of hash stripes (a power of two).
 const STRIPES: usize = 16;
-
-#[derive(Default)]
-struct Cell {
-    /// Whether the latch is currently held.
-    held: Mutex<bool>,
-    cv: Condvar,
-}
 
 /// Cumulative latch / protocol counters (deterministic: no wait counts).
 #[derive(Debug, Default)]
@@ -116,29 +119,46 @@ impl LatchStats {
     }
 }
 
-/// One hash stripe of the cell table.
-type Stripe = Mutex<HashMap<u64, Arc<Cell>>>;
-
-/// Per-pool latch table; obtain it via [`crate::BufferPool::latches`].
-pub struct LatchManager {
-    stripes: Box<[Stripe]>,
-    stats: Arc<LatchStats>,
+/// What one stripe's mutex guards.
+#[derive(Default)]
+struct Held {
+    /// Raw ids of this stripe's pages whose latch is held.
+    pages: HashSet<u64, IdHash>,
+    /// Threads parked on the stripe's condition variable; a release skips
+    /// the wake while it is zero.
+    waiters: u32,
 }
 
-impl Default for LatchManager {
-    fn default() -> Self {
-        LatchManager {
-            stripes: (0..STRIPES).map(|_| Mutex::new(HashMap::new())).collect(),
-            stats: Arc::new(LatchStats::default()),
-        }
-    }
+/// One hash stripe of the latch table.
+#[derive(Default)]
+struct Stripe {
+    held: Mutex<Held>,
+    /// Signalled on a release when anyone waits.  Waiters for every page
+    /// of the stripe park here, so a wake may be for another page; each
+    /// rechecks its own.
+    cv: Condvar,
+}
+
+/// Per-pool latch table; obtain it via [`crate::BufferPool::latches`].
+#[derive(Default)]
+pub struct LatchManager {
+    stripes: [Stripe; STRIPES],
+    stats: LatchStats,
 }
 
 impl LatchManager {
     /// Exclusive latch on one page (leaf/parent writes, meta holds).
     pub fn page_exclusive(&self, page: PageId) -> LatchGuard<'_> {
         self.stats.page_exclusive.fetch_add(1, Ordering::Relaxed);
-        self.acquire(page.raw())
+        let key = page.raw();
+        let stripe = self.stripe(key);
+        let mut held = stripe.held.lock();
+        while !held.pages.insert(key) {
+            held.waiters += 1;
+            held = stripe.cv.wait(held).unwrap_or_else(PoisonError::into_inner);
+            held.waiters -= 1;
+        }
+        LatchGuard { stripe, key }
     }
 
     /// Records a node split (phase 1 of the two-phase B-link split).
@@ -173,48 +193,24 @@ impl LatchManager {
         let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         &self.stripes[(h as usize) & (STRIPES - 1)]
     }
-
-    fn acquire(&self, key: u64) -> LatchGuard<'_> {
-        let cell = {
-            let mut map = self.stripe(key).lock().unwrap_or_else(|e| e.into_inner());
-            Arc::clone(map.entry(key).or_default())
-        };
-        {
-            let mut held = cell.held.lock().unwrap_or_else(|e| e.into_inner());
-            while *held {
-                held = cell.cv.wait(held).unwrap_or_else(|e| e.into_inner());
-            }
-            *held = true;
-        }
-        LatchGuard { manager: self, key, cell }
-    }
-
-    /// Called by a dropping guard: release the latch, wake waiters, and
-    /// garbage-collect the cell if nobody else references it.
-    fn release(&self, key: u64, cell: &Arc<Cell>) {
-        *cell.held.lock().unwrap_or_else(|e| e.into_inner()) = false;
-        cell.cv.notify_all();
-        // GC: while holding the stripe lock nobody can fetch the Arc, so a
-        // strong count of 2 (map + our clone) proves the cell is unwanted.
-        let mut map = self.stripe(key).lock().unwrap_or_else(|e| e.into_inner());
-        if Arc::strong_count(cell) == 2 && !*cell.held.lock().unwrap_or_else(|e| e.into_inner()) {
-            map.remove(&key);
-        }
-    }
 }
 
 /// RAII latch hold; releasing is dropping.  Holds no buffer-pool state, so
 /// guards are freely `Send`/`Sync`.
 #[must_use = "a latch protects nothing once dropped"]
 pub struct LatchGuard<'m> {
-    manager: &'m LatchManager,
+    stripe: &'m Stripe,
     key: u64,
-    cell: Arc<Cell>,
 }
 
 impl Drop for LatchGuard<'_> {
     fn drop(&mut self) {
-        self.manager.release(self.key, &self.cell);
+        let mut held = self.stripe.held.lock();
+        held.pages.remove(&self.key);
+        // Under the lock, so no waiter is between its count and its park.
+        if held.waiters > 0 {
+            self.stripe.cv.notify_all();
+        }
     }
 }
 
@@ -222,7 +218,8 @@ impl Drop for LatchGuard<'_> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, AtomicUsize};
-    use std::sync::mpsc;
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
 
     #[test]
     fn exclusive_excludes_exclusive() {
@@ -258,13 +255,81 @@ mod tests {
     }
 
     #[test]
-    fn cells_are_garbage_collected() {
+    fn released_latches_leave_nothing_behind() {
         let m = LatchManager::default();
+        let capacities = |m: &LatchManager| -> Vec<usize> {
+            m.stripes.iter().map(|s| s.held.lock().pages.capacity()).collect()
+        };
         for i in 0..100u64 {
             let _g = m.page_exclusive(PageId(i));
         }
-        let live: usize = m.stripes.iter().map(|s| s.lock().unwrap().len()).sum();
-        assert_eq!(live, 0, "idle cells must be removed on release");
+        let warm = capacities(&m);
+        for i in 100..10_000u64 {
+            let _g = m.page_exclusive(PageId(i));
+        }
+        for (stripe, (s, &cap)) in m.stripes.iter().zip(&warm).enumerate() {
+            let held = s.held.lock();
+            assert!(held.pages.is_empty(), "stripe {stripe} still holds {:?}", held.pages);
+            assert_eq!(held.waiters, 0);
+            assert!(
+                held.pages.capacity() <= cap,
+                "stripe {stripe} grew {cap} -> {}: a warm acquire allocated",
+                held.pages.capacity()
+            );
+        }
+    }
+
+    #[test]
+    fn pages_sharing_a_stripe_latch_independently() {
+        let m = Arc::new(LatchManager::default());
+        let same_stripe = |p: u64| std::ptr::eq(m.stripe(p), m.stripe(1));
+        let mut sharing = (2..).filter(|&p| same_stripe(p));
+        let (a, b, c) =
+            (PageId(1), PageId(sharing.next().unwrap()), PageId(sharing.next().unwrap()));
+        let deadline = Duration::from_secs(10);
+
+        let held_a = m.page_exclusive(a);
+        // Holding `a` must not block `b`.
+        let (b_tx, b_rx) = mpsc::channel();
+        let (release_b_tx, release_b_rx) = mpsc::channel::<()>();
+        let holder_b = {
+            let m = Arc::clone(&m);
+            std::thread::spawn(move || {
+                let _b = m.page_exclusive(b);
+                b_tx.send(()).unwrap();
+                release_b_rx.recv().unwrap();
+            })
+        };
+        b_rx.recv_timeout(deadline).expect("holding one page blocked another on its stripe");
+
+        // A thread waiting on `a` parks ...
+        let (a_tx, a_rx) = mpsc::channel();
+        let waiter_a = {
+            let m = Arc::clone(&m);
+            std::thread::spawn(move || {
+                let _a = m.page_exclusive(a);
+                a_tx.send(()).unwrap();
+            })
+        };
+        let parked = std::time::Instant::now();
+        while m.stripe(a.raw()).held.lock().waiters == 0 {
+            assert!(parked.elapsed() < deadline, "the waiter on a held page never parked");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // ... sleeps through a wake meant for another page of its stripe ...
+        drop(m.page_exclusive(c));
+        assert_eq!(
+            a_rx.recv_timeout(Duration::from_millis(50)),
+            Err(mpsc::RecvTimeoutError::Timeout),
+            "entered past a live holder"
+        );
+        // ... and wakes when `a` is released while `b` is still held.
+        drop(held_a);
+        a_rx.recv_timeout(deadline).expect("a released latch did not wake its waiter");
+        waiter_a.join().unwrap();
+        release_b_tx.send(()).unwrap();
+        holder_b.join().unwrap();
+        assert!(m.stripe(a.raw()).held.lock().pages.is_empty());
     }
 
     #[test]

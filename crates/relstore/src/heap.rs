@@ -40,6 +40,12 @@ const TAG_DATA: u8 = 0x11;
 const SLOT_BITS: u32 = 12;
 
 /// Stable identifier of a heap row: `(page id << 12) | slot`.
+///
+/// A heap refuses a row id whose slot lies past its own page geometry, or
+/// past the slots its page has used, and one that names a page that is
+/// not a heap data page.  An in-range row id taken from *another* heap
+/// still resolves, to whatever row that page holds at that slot: data
+/// pages carry no owner stamp.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct RowId(pub u64);
 
@@ -219,16 +225,31 @@ impl Heap {
         })
     }
 
+    /// The byte offset of `id`'s slot, or `InvalidArgument` when the slot
+    /// lies past this heap's page geometry.
+    fn checked_slot_offset(&self, id: RowId) -> Result<usize> {
+        if id.slot() >= self.slots_per_page {
+            return Err(Error::InvalidArgument(format!("row id {} slot out of range", id.0)));
+        }
+        Ok(self.slot_offset(id.slot()))
+    }
+
+    /// `Ok` when `buf` is a data page whose used slots include `id`'s.
+    fn check_row(buf: &[u8], id: RowId) -> Result<()> {
+        if buf[OFF_TAG] != TAG_DATA {
+            return Err(Error::Corrupt(format!("row id {} points at a non-heap page", id.0)));
+        }
+        if id.slot() >= get_u16(buf, OFF_SLOTS) as usize {
+            return Err(Error::InvalidArgument(format!("row id {} slot out of range", id.0)));
+        }
+        Ok(())
+    }
+
     /// Fetches a live row; `Ok(None)` if the row was deleted.
     pub fn fetch(&self, id: RowId) -> Result<Option<Vec<i64>>> {
-        let off = self.slot_offset(id.slot());
+        let off = self.checked_slot_offset(id)?;
         self.pool.with_page(id.page(), |buf| {
-            if buf[OFF_TAG] != TAG_DATA {
-                return Err(Error::Corrupt(format!("row id {} points at a non-heap page", id.0)));
-            }
-            if id.slot() >= get_u16(buf, OFF_SLOTS) as usize {
-                return Err(Error::InvalidArgument(format!("row id {} slot out of range", id.0)));
-            }
+            Self::check_row(buf, id)?;
             if buf[off] == 0 {
                 return Ok(None);
             }
@@ -246,15 +267,16 @@ impl Heap {
     /// one row resolve to exactly one `true` — [`crate::Table::delete`]
     /// uses this as its claim.
     pub fn delete(&self, id: RowId) -> Result<bool> {
+        let off = self.checked_slot_offset(id)?;
         // As in `insert`: the first access under the latch must hit.
         self.pool.prefetch(id.page())?;
         let _latch = self.exclusive_latch();
-        let off = self.slot_offset(id.slot());
-        let was_live = self.pool.with_page_mut(id.page(), |buf| {
+        let was_live = self.pool.with_page_mut(id.page(), |buf| -> Result<bool> {
+            Self::check_row(buf, id)?;
             let live = buf[off] == 1;
             buf[off] = 0;
-            live
-        })?;
+            Ok(live)
+        })??;
         if was_live {
             let mut meta = self.read_meta()?;
             meta.count -= 1;
@@ -264,13 +286,29 @@ impl Heap {
     }
 
     /// Full scan of all live rows in insertion order.
+    ///
+    /// A forged chain ends the scan with `Corrupt`: a page that is not a
+    /// data page, a slot count past the page, or more links followed than
+    /// the device has pages (a cycle) — the B-link leaf walk's rule.
     pub fn scan(&self) -> Result<Vec<(RowId, Vec<i64>)>> {
         let meta = self.read_meta()?;
         let mut out = Vec::with_capacity(meta.count as usize);
         let mut page = meta.first;
+        let (mut followed, mut page_limit) = (0, self.pool.num_pages());
         while !page.is_invalid() {
+            followed += 1;
+            if followed > page_limit {
+                // Pages may have been allocated since the last look.
+                page_limit = self.pool.num_pages();
+                if followed > page_limit {
+                    return Err(Error::Corrupt(format!("heap page chain cycles through {page}")));
+                }
+            }
             let next = self.pool.with_page(page, |buf| {
                 let used = get_u16(buf, OFF_SLOTS) as usize;
+                if buf[OFF_TAG] != TAG_DATA || used > self.slots_per_page {
+                    return Err(Error::Corrupt(format!("heap page {page} has a forged header")));
+                }
                 for slot in 0..used {
                     let off = self.slot_offset(slot);
                     if buf[off] == 1 {
@@ -281,8 +319,8 @@ impl Heap {
                         out.push((RowId::new(page, slot), row));
                     }
                 }
-                PageId(get_u64(buf, OFF_NEXT))
-            })?;
+                Ok(PageId(get_u64(buf, OFF_NEXT)))
+            })??;
             page = next;
         }
         Ok(out)
@@ -292,7 +330,7 @@ impl Heap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ri_pagestore::{BufferPoolConfig, MemDisk};
+    use ri_pagestore::{BufferPoolConfig, MemDisk, DEFAULT_PAGE_SIZE};
 
     fn heap(arity: usize) -> Heap {
         let pool = Arc::new(BufferPool::new(MemDisk::new(256), BufferPoolConfig::with_capacity(8)));
@@ -352,6 +390,52 @@ mod tests {
         let h2 = Heap::open(pool, meta).unwrap();
         assert_eq!(h2.arity(), 2);
         assert_eq!(h2.fetch(id).unwrap(), Some(vec![5, 6]));
+    }
+
+    #[test]
+    fn row_ids_past_a_heaps_geometry_are_refused() {
+        let pool = Arc::new(BufferPool::new(
+            MemDisk::new(DEFAULT_PAGE_SIZE),
+            BufferPoolConfig::with_capacity(8),
+        ));
+        let wide = Heap::create(Arc::clone(&pool), 4).unwrap();
+        let narrow = Heap::create(Arc::clone(&pool), 1).unwrap();
+        let ids: Vec<RowId> = (0..101).map(|i| narrow.insert(&[i]).unwrap()).collect();
+        let foreign = ids[100];
+        assert!(foreign.slot() >= wide.slots_per_page);
+        assert!(matches!(wide.fetch(foreign), Err(Error::InvalidArgument(_))));
+        assert!(matches!(wide.delete(foreign), Err(Error::InvalidArgument(_))));
+        assert_eq!(narrow.fetch(foreign).unwrap(), Some(vec![100]), "the refused delete wrote");
+
+        // In the heap's geometry, but past the slots the page has used, or
+        // on a page that is not a data page: refused before any write.
+        let own = wide.insert(&[1, 2, 3, 4]).unwrap();
+        let unused = RowId::new(own.page(), own.slot() + 1);
+        assert!(matches!(wide.fetch(unused), Err(Error::InvalidArgument(_))));
+        assert!(matches!(wide.delete(unused), Err(Error::InvalidArgument(_))));
+        let meta = RowId::new(wide.meta_page(), 0);
+        assert!(matches!(wide.delete(meta), Err(Error::Corrupt(_))));
+        assert_eq!(wide.row_count().unwrap(), 1);
+        assert_eq!(wide.scan().unwrap(), vec![(own, vec![1, 2, 3, 4])]);
+    }
+
+    #[test]
+    fn scan_ends_on_forged_pages() {
+        let pool = Arc::new(BufferPool::new(MemDisk::new(256), BufferPoolConfig::with_capacity(8)));
+        let h = Heap::create(Arc::clone(&pool), 1).unwrap();
+        let ids: Vec<RowId> = (0..40).map(|i| h.insert(&[i]).unwrap()).collect();
+        let (first, second) = (ids[0].page(), ids[39].page());
+        assert_ne!(first, second, "the rows fill two data pages");
+        assert_eq!(h.scan().unwrap().len(), 40);
+
+        pool.with_page_mut(second, |buf| put_u64(buf, OFF_NEXT, first.raw())).unwrap();
+        assert!(matches!(h.scan(), Err(Error::Corrupt(_))), "a next cycle must end the scan");
+        pool.with_page_mut(second, |buf| {
+            put_u64(buf, OFF_NEXT, PageId::INVALID.raw());
+            put_u16(buf, OFF_SLOTS, 0xFFFF);
+        })
+        .unwrap();
+        assert!(matches!(h.scan(), Err(Error::Corrupt(_))), "a slot count past the page");
     }
 
     #[test]
