@@ -3,15 +3,20 @@
 //! These complement the figures (which measure I/O): here we
 //! measure CPU cost of the virtual backbone arithmetic, insertion, and
 //! query execution at a fixed scale — and of building one hot-tier block's
-//! HINT and taking one page latch.
+//! HINT, taking one page latch and bulk-loading a durable tree.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ri_bench::{build_ritree, fresh_env};
 use ri_mem::HintIndex;
-use ri_pagestore::{LatchManager, PageId};
+use ri_pagestore::{
+    BufferPool, BufferPoolConfig, LatchManager, MemDisk, PageId, DEFAULT_PAGE_SIZE,
+};
+use ri_relstore::Database;
 use ri_workloads::{d1, queries_for_selectivity};
-use ritree_core::{BackboneParams, Interval};
+use ritree_core::{BackboneParams, Interval, RiTree};
+use std::cell::RefCell;
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_fork_node(c: &mut Criterion) {
     let mut p = BackboneParams::new();
@@ -127,10 +132,47 @@ fn bench_latch(c: &mut Criterion) {
     });
 }
 
+/// A 20 k-row `insert_batch` into a fresh tree on a durable pool over
+/// `MemDisk`s (the paper's 200 frames, default log), and its commit: the
+/// bulk route's page writes, the flushes that publish them and the logged
+/// meta writes.  The pool of the previous iteration is dropped in the
+/// untimed setup.
+fn bench_durable_insert_batch(c: &mut Criterion) {
+    let items: Vec<(Interval, i64)> = (0..)
+        .zip(d1(20_000, 2000).generate(5))
+        .map(|(id, (l, u))| (Interval::new(l, u).unwrap(), id))
+        .collect();
+    let done: RefCell<Option<RiTree>> = RefCell::new(None);
+    c.bench_function("bulk/durable_insert_batch", |b| {
+        b.iter_batched(
+            || {
+                done.borrow_mut().take();
+                let pool = BufferPool::new_durable(
+                    MemDisk::new(DEFAULT_PAGE_SIZE),
+                    BufferPoolConfig::default(),
+                    MemDisk::new(DEFAULT_PAGE_SIZE),
+                )
+                .unwrap();
+                let db = Arc::new(Database::create(Arc::new(pool)).unwrap());
+                let tree = RiTree::create(Arc::clone(&db), "bench").unwrap();
+                db.commit().unwrap();
+                tree
+            },
+            |tree| {
+                tree.insert_batch(black_box(&items), 1).unwrap();
+                tree.db().commit().unwrap();
+                *done.borrow_mut() = Some(tree);
+            },
+            BatchSize::SmallInput,
+        )
+    });
+}
+
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(20);
     targets = bench_fork_node, bench_query_traversal, bench_insert,
-              bench_intersection_query, bench_delete, bench_hint_block_build, bench_latch
+              bench_intersection_query, bench_delete, bench_hint_block_build, bench_latch,
+              bench_durable_insert_batch
 }
 criterion_main!(micro);

@@ -28,8 +28,15 @@
 //!   once, the moment it is known complete (its successor's first entry
 //!   is in hand, which becomes the high key).  Loading `n` entries
 //!   costs `O(pages)` page writes and `O(1)` page reads — no
-//!   per-entry root-to-leaf descent.  On a durable pool each packed
-//!   page therefore logs exactly one WAL `FirstMod` record.
+//!   per-entry root-to-leaf descent.
+//! * **No log records for packed pages.**  Each store goes through
+//!   [`ri_pagestore::BufferPool::write_fresh_page`], which logs nothing
+//!   and refuses any page the build did not allocate.  Before the meta
+//!   install, [`ri_pagestore::BufferPool::publish_fresh_pages`] flushes
+//!   and syncs them on a durable pool; the install is then an ordinary
+//!   logged meta write in the caller's transaction.  A crash before the
+//!   commit rolls the meta back to empty and leaks the pages; a crash
+//!   after it finds every page on the synced device.
 //! * **O(height) memory.**  The builder holds one pending (partially
 //!   packed) node per level; levels above the leaves are discovered on
 //!   demand.  A million-entry load carries three pending nodes, not a
@@ -44,7 +51,7 @@
 //! leaf, one that serves a read-mostly workload wants fill 1.0.
 
 use crate::key::Entry;
-use crate::layout::{InternalNode, LeafNode};
+use crate::layout::{self, InternalNode, LeafNode};
 use crate::tree::{BTree, Meta};
 use ri_pagestore::{Error, PageId, Result};
 
@@ -80,6 +87,9 @@ struct Built {
 /// with the upper levels as nodes complete.
 struct BulkBuilder<'t> {
     tree: &'t BTree,
+    /// The pool's page count when the build began: every page at or
+    /// above it that the builder stores, it allocated itself.
+    build_start: u64,
     leaf_target: usize,
     internal_target: usize,
     leaf: Option<LeafState>,
@@ -99,6 +109,7 @@ impl<'t> BulkBuilder<'t> {
         let internal_cap = tree.internal_cap;
         BulkBuilder {
             tree,
+            build_start: tree.pool().num_pages(),
             leaf_target: ((leaf_cap as f64 * fill).floor() as usize).clamp(1, leaf_cap),
             internal_target: ((internal_cap as f64 * fill).floor() as usize).clamp(1, internal_cap),
             leaf: None,
@@ -118,6 +129,22 @@ impl<'t> BulkBuilder<'t> {
         let page = self.tree.pool().allocate_page()?;
         self.pages += 1;
         Ok(page)
+    }
+
+    /// Stores a packed leaf: its one write, unlogged (see the module docs).
+    fn store_leaf(&self, page: PageId, node: &LeafNode) -> Result<()> {
+        let arity = self.tree.arity();
+        self.tree
+            .pool()
+            .write_fresh_page(self.build_start, page, |buf| layout::write_leaf(buf, node, arity))
+    }
+
+    /// Stores a packed internal node: its one write, unlogged.
+    fn store_internal(&self, page: PageId, node: &InternalNode) -> Result<()> {
+        let arity = self.tree.arity();
+        self.tree.pool().write_fresh_page(self.build_start, page, |buf| {
+            layout::write_internal(buf, node, arity)
+        })
     }
 
     fn push(&mut self, e: Entry) -> Result<()> {
@@ -145,7 +172,7 @@ impl<'t> BulkBuilder<'t> {
                 let state = self.leaf.take().expect("checked above");
                 let node = LeafNode { entries: state.entries, next: succ, high: Some(e) };
                 let min = node.entries[0];
-                self.tree.store_leaf(state.page, &node)?;
+                self.store_leaf(state.page, &node)?;
                 self.leaf = Some(LeafState { page: succ, entries: vec![e] });
                 self.emit(0, min, state.page)?;
             }
@@ -179,7 +206,7 @@ impl<'t> BulkBuilder<'t> {
                         next: succ,
                         high: Some(min),
                     };
-                    self.tree.store_internal(state.page, &node)?;
+                    self.store_internal(state.page, &node)?;
                     self.inner[li] =
                         Some(InnerState { page: succ, min, child0: child, entries: Vec::new() });
                     // The flushed node itself now registers one level up.
@@ -205,7 +232,7 @@ impl<'t> BulkBuilder<'t> {
         };
         let node = LeafNode { entries: state.entries, next: PageId::INVALID, high: None };
         let min = node.entries[0];
-        self.tree.store_leaf(state.page, &node)?;
+        self.store_leaf(state.page, &node)?;
         if self.inner.is_empty() {
             // Single-leaf tree: the leaf is the root.
             return Ok(Some(Built {
@@ -226,7 +253,7 @@ impl<'t> BulkBuilder<'t> {
                 next: PageId::INVALID,
                 high: None,
             };
-            self.tree.store_internal(state.page, &node)?;
+            self.store_internal(state.page, &node)?;
             if li + 1 == self.inner.len() {
                 // A level with no level above it holds exactly one
                 // node (a second node would have created the parent
@@ -255,8 +282,10 @@ impl BTree {
     /// builder keeps one pending node per level, so loading `n` entries
     /// costs `O(pages)` sequential page writes and `O(height)` memory —
     /// no per-entry descents (see the module docs).  On a durable pool
-    /// every packed page logs one WAL `FirstMod` record through the
-    /// ordinary write path; commit/checkpoint semantics are unchanged.
+    /// the packed pages are written unlogged and synced to the data
+    /// device, and only the meta install is logged, in the caller's
+    /// transaction: the build commits, checkpoints and recovers like any
+    /// other write.
     ///
     /// Errors with `InvalidArgument` if the tree is not empty, if the
     /// input is unsorted, if an entry's arity differs from the tree's,
@@ -313,6 +342,9 @@ impl BTree {
         let Some(built) = builder.finish()? else {
             return Ok(0); // empty input: the tree stays empty
         };
+        // The packed pages reach the synced device before the meta write
+        // below makes them reachable.
+        self.pool().publish_fresh_pages()?;
         // Install the finished structure.  On a fresh tree the latch is
         // uncontended by construction; it exists to detect (not to
         // support) a racing writer.

@@ -102,6 +102,13 @@
 //! I/O — the golden-pinned figures never pay for durability they don't
 //! use.
 //!
+//! The one exception to logging every install is
+//! [`BufferPool::write_fresh_page`], the same install without the record,
+//! for the pages a bulk build allocates itself.  The build makes them
+//! durable with [`BufferPool::publish_fresh_pages`] before a logged meta
+//! write makes them reachable, so the log carries the build's
+//! publication, not its pages.
+//!
 //! A durable pool built with [`BufferPool::new_durable_with`] and
 //! [`FlushPolicy::Background`] additionally owns the WAL's **background
 //! flusher thread**: spawned at construction, it drains the append buffer
@@ -539,6 +546,57 @@ impl BufferPool {
     /// Runs `f` over a mutable copy of page `id`, then installs the modified
     /// copy in the cache and marks the page dirty.
     pub fn with_page_mut<T>(&self, id: PageId, f: impl FnOnce(&mut [u8]) -> T) -> Result<T> {
+        self.modify(id, true, f)
+    }
+
+    /// [`BufferPool::with_page_mut`] without the log record, for a page a
+    /// bulk build allocated itself and nothing can reach yet.  `build_start`
+    /// is [`BufferPool::num_pages`] sampled when the build began.
+    ///
+    /// The write is made durable by [`BufferPool::publish_fresh_pages`],
+    /// and the build then makes its pages reachable with an ordinary
+    /// logged write of its meta page, inside the caller's transaction.  A
+    /// crash before that commit rolls the meta back and leaves the pages
+    /// leaked; a crash after it finds them on the synced device.  A later
+    /// logged update of such a page logs a `FirstMod` whose pre-image is
+    /// the built page.
+    ///
+    /// Refuses, with `InvalidArgument` and nothing written, a page the
+    /// build cannot have allocated: one below `build_start`, or one the
+    /// log holds a record of since its truncation horizon.
+    pub fn write_fresh_page<T>(
+        &self,
+        build_start: u64,
+        id: PageId,
+        f: impl FnOnce(&mut [u8]) -> T,
+    ) -> Result<T> {
+        if id.raw() < build_start {
+            return Err(Error::InvalidArgument(format!(
+                "unlogged write of page {id}, allocated before the build began at {build_start}"
+            )));
+        }
+        if self.wal.as_ref().is_some_and(|wal| wal.has_record(id)) {
+            return Err(Error::InvalidArgument(format!(
+                "unlogged write of page {id}, which the log already holds a record of"
+            )));
+        }
+        self.modify(id, false, f)
+    }
+
+    /// Makes every page written by [`BufferPool::write_fresh_page`] so far
+    /// durable: [`BufferPool::flush_all`], which syncs, on a durable pool,
+    /// and nothing on a volatile one.  A build calls it before the logged
+    /// meta write that publishes its pages.
+    pub fn publish_fresh_pages(&self) -> Result<()> {
+        match self.wal {
+            Some(_) => self.flush_all(),
+            None => Ok(()),
+        }
+    }
+
+    /// The one write path: copy, run `f`, install — logged when `log`
+    /// and the pool is durable.
+    fn modify<T>(&self, id: PageId, log: bool, f: impl FnOnce(&mut [u8]) -> T) -> Result<T> {
         let shard = self.shard(id);
         shard.stats.record_logical_write();
         let mut buf = take_scratch(self.page_size);
@@ -551,7 +609,7 @@ impl BufferPool {
             // The page may have been evicted by nested accesses inside `f`;
             // fault it back in before installing the modified copy.
             let (mut inner, idx) = self.acquire_resident(shard, id)?;
-            if let Some(wal) = &self.wal {
+            if let Some(wal) = self.wal.as_ref().filter(|_| log) {
                 // Log the byte-range delta of this install before the new
                 // image becomes visible; the frame's stamp is the record's
                 // end LSN.  (The WAL append lock nests under the shard
@@ -1231,5 +1289,57 @@ mod tests {
         for (i, &p) in pages.iter().enumerate() {
             assert_eq!(pool.with_page(p, |d| d[0]).unwrap(), i as u8);
         }
+    }
+
+    /// A durable pool over two `MemDisk`s of 512-byte pages.
+    fn durable_pool(frames: usize) -> BufferPool {
+        BufferPool::new_durable(
+            MemDisk::new(512),
+            BufferPoolConfig::with_capacity(frames),
+            MemDisk::new(512),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn an_unlogged_write_takes_a_fresh_page_and_logs_nothing() {
+        let pool = durable_pool(4);
+        let start = pool.num_pages();
+        let fresh = pool.allocate_page().unwrap();
+        let wal = pool.wal().unwrap().stats();
+        pool.write_fresh_page(start, fresh, |d| d[0] = 9).unwrap();
+        assert_eq!(pool.wal().unwrap().stats(), wal, "the write appended a log record");
+        let written = pool.stats().snapshot().physical_writes;
+        pool.publish_fresh_pages().unwrap();
+        assert_eq!(pool.stats().snapshot().physical_writes, written + 1);
+        assert_eq!(pool.with_page(fresh, |d| d[0]).unwrap(), 9);
+        // A later logged update of the page logs its pre-image as usual.
+        pool.with_page_mut(fresh, |d| d[1] = 1).unwrap();
+        assert_eq!(pool.wal().unwrap().stats().records, wal.records + 1);
+    }
+
+    #[test]
+    fn an_unlogged_write_refuses_a_page_allocated_before_the_build() {
+        let pool = durable_pool(4);
+        let old = pool.allocate_page().unwrap();
+        let start = pool.num_pages();
+        let io = pool.stats().snapshot();
+        let err = pool.write_fresh_page(start, old, |d| d[0] = 9).unwrap_err();
+        assert!(matches!(err, Error::InvalidArgument(_)), "{err}");
+        assert_eq!(pool.stats().snapshot().logical_writes, io.logical_writes);
+        assert_eq!(pool.with_page(old, |d| d[0]).unwrap(), 0, "the refused write landed");
+    }
+
+    #[test]
+    fn an_unlogged_write_refuses_a_page_the_log_holds_a_record_of() {
+        let pool = durable_pool(4);
+        let start = pool.num_pages();
+        let logged = pool.allocate_page().unwrap();
+        pool.with_page_mut(logged, |d| d[0] = 1).unwrap();
+        let io = pool.stats().snapshot();
+        let err = pool.write_fresh_page(start, logged, |d| d[0] = 9).unwrap_err();
+        assert!(matches!(err, Error::InvalidArgument(_)), "{err}");
+        assert_eq!(pool.stats().snapshot().logical_writes, io.logical_writes);
+        assert_eq!(pool.with_page(logged, |d| d[0]).unwrap(), 1, "the refused write landed");
     }
 }

@@ -44,10 +44,11 @@ pub(super) struct FlusherCtl {
     shutdown: bool,
 }
 
-/// Largest capacity a drained append buffer keeps for reuse.  One bulk
-/// load grows the backlog to many megabytes; a larger buffer is dropped
+/// Largest capacity a drained append buffer keeps for reuse.  One large
+/// transaction grows the backlog to megabytes; a larger buffer is dropped
 /// once written so the burst does not pin its allocation for the life of
-/// the log.
+/// the log.  (A bulk load no longer does: it logs only the meta writes
+/// that publish its pages.)
 pub(super) const SPARE_MAX_BYTES: usize = 256 << 10;
 
 /// `buf` emptied for reuse as the next spare — or a fresh, unallocated

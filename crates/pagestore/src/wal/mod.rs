@@ -351,6 +351,12 @@ impl Wal {
         self.io.lock().durable_lsn
     }
 
+    /// Whether `page` has a record at or above the truncation horizon:
+    /// the buffer pool refuses an unlogged write of such a page.
+    pub(crate) fn has_record(&self, page: PageId) -> bool {
+        self.append.lock().logged.contains_key(&page)
+    }
+
     /// Appends a redo record for an update of `page` from image `old` to
     /// image `new`: the byte runs in which the two differ (a few, each
     /// byte-exact — not the span from the first to the last difference),

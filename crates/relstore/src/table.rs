@@ -64,12 +64,15 @@ impl Table {
         Ok(rid)
     }
 
-    /// Bulk-loads an **empty** table: appends every row to the heap in
-    /// input order, then builds each secondary index bottom-up at full
-    /// fill from its sorted run of `(key, row id)` entries — one
-    /// sequential write pass per index instead of one root-to-leaf
-    /// descent per row (see `ri_btree`'s `builder` module).  Returns
-    /// the assigned row ids in input order.
+    /// Bulk-loads an **empty** table: packs every row into the heap in
+    /// input order (`Heap::append_packed`), then builds each secondary
+    /// index bottom-up at full fill from its sorted run of `(key, row
+    /// id)` entries — one sequential write pass per index instead of one
+    /// root-to-leaf descent per row (see `ri_btree`'s `builder` module).
+    /// Returns the assigned row ids in input order, the ones per-row
+    /// inserts would assign.  On a durable pool the heap's and each
+    /// index's pages are written unlogged and synced, and only the meta
+    /// writes that publish them join the caller's transaction.
     ///
     /// Errors with `InvalidArgument` if the heap or any index already
     /// holds data (callers fall back to [`Table::insert`] then) or if
@@ -105,10 +108,7 @@ impl Table {
                 )));
             }
         }
-        let mut rids = Vec::with_capacity(rows.len());
-        for row in rows {
-            rids.push(self.heap.insert(row.as_ref())?);
-        }
+        let rids = self.heap.append_packed(rows)?;
         for idx in &self.indexes {
             let mut entries = Vec::with_capacity(rows.len());
             for (row, rid) in rows.iter().zip(&rids) {

@@ -81,7 +81,10 @@
 //! through a
 //! bottom-up, fill-rate-1.0 builder ([`btree::BTree::bulk_build_into`])
 //! that writes each index page exactly once, left to right — `O(pages)`
-//! sequential I/O instead of `O(n · height)` descents.
+//! sequential I/O instead of `O(n · height)` descents.  On a durable
+//! pool those pages bypass the log: they are synced to the data device,
+//! and only the meta writes that publish them are logged, so a
+//! million-row load logs well under a kilobyte.
 //! [`workloads::WorkloadSpec::stream`] generates the paper's data
 //! distributions as `O(1)`-memory iterators, so million-to-ten-million
 //! interval datasets (the `fig21_scaleup` figure) never materialize in

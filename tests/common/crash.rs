@@ -135,11 +135,19 @@ impl Rig {
     }
 }
 
+/// The scripts' workload rows `lo..hi` as `(id, interval)` pairs.
+pub fn batch_rows(lo: usize, hi: usize) -> impl Iterator<Item = (i64, Interval)> {
+    (lo..hi).map(|i| (i as i64, op_interval(i)))
+}
+
 /// One operation inside a transaction.
 #[derive(Clone, Copy, Debug)]
 pub enum Op {
     /// Insert the row `(id, interval)`.
     Insert(i64, Interval),
+    /// `RiTree::insert_batch` of the scripts' workload rows `lo..hi`
+    /// ([`batch_rows`]): the bulk builder's route into an empty tree.
+    Batch(usize, usize),
     /// Delete the row `(id, interval)`, which must exist.
     Delete(i64, Interval),
     /// `Database::checkpoint` with the transaction open.
@@ -151,6 +159,11 @@ impl Op {
     pub fn apply(&self, tree: &RiTree) -> Result<()> {
         match *self {
             Op::Insert(id, iv) => tree.insert(iv, id),
+            Op::Batch(lo, hi) => {
+                let items: Vec<(Interval, i64)> =
+                    batch_rows(lo, hi).map(|(id, iv)| (iv, id)).collect();
+                tree.insert_batch(&items, 1)
+            }
             Op::Delete(id, iv) => {
                 assert!(tree.delete(iv, id)?, "script deletes row {id}, which is not there");
                 Ok(())
@@ -186,8 +199,12 @@ impl Oracle {
     /// first operation runs, and committed once `Database::commit` returns.
     pub fn run_txn(&mut self, tree: &RiTree, ops: &[Op]) -> Result<()> {
         for op in ops {
-            if let Op::Insert(id, iv) = *op {
-                self.seen.insert(id, iv);
+            match *op {
+                Op::Insert(id, iv) => {
+                    self.seen.insert(id, iv);
+                }
+                Op::Batch(lo, hi) => self.seen.extend(batch_rows(lo, hi)),
+                Op::Delete(..) | Op::Checkpoint => {}
             }
         }
         self.in_flight = ops.to_vec();
@@ -253,6 +270,7 @@ fn apply(rows: &mut BTreeMap<i64, Interval>, ops: &[Op]) {
             Op::Insert(id, iv) => {
                 rows.insert(id, iv);
             }
+            Op::Batch(lo, hi) => rows.extend(batch_rows(lo, hi)),
             Op::Delete(id, _) => {
                 rows.remove(&id);
             }
@@ -283,6 +301,17 @@ pub struct Script {
 
 /// Multiplier of a crash point's persistence seed in the sync sweep.
 const SYNC_SEED: u64 = 0x51C2;
+
+/// The background-flusher configuration the `flusher_*` sweeps run
+/// under: a low watermark keeps the flusher draining concurrently with
+/// the workload, so — the shared fault clock being thread-blind — crash
+/// indices land inside its drains just like anyone else's writes.
+pub fn flusher_config() -> WalConfig {
+    WalConfig {
+        flush_policy: FlushPolicy::Background { watermark_bytes: 512 },
+        ..WalConfig::default()
+    }
+}
 
 /// The kill-anywhere workload's interval for row `i`.
 pub fn op_interval(i: usize) -> Interval {
@@ -337,11 +366,34 @@ impl Script {
         Script { write_seed: 0xC0FFEE, ..Script::new("ckpt-race", steps) }
     }
 
+    /// A 300-row `insert_batch` into the empty tree, then 16 transactions
+    /// that each delete a built row and insert a new one, with a
+    /// checkpoint after the eighth.  Crash indices land among the build's
+    /// unlogged page writes, in the flushes that publish them, on the
+    /// logged meta writes and on DML over the built pages; the
+    /// whole-transaction rule means none or all of the batch survives.
+    pub fn bulk_build() -> Script {
+        const BUILT: usize = 300;
+        let mut steps = vec![Step::Txn(vec![Op::Batch(0, BUILT)])];
+        for t in 0..16 {
+            let built = 17 * t;
+            steps.push(Step::Txn(vec![
+                Op::Delete(built as i64, op_interval(built)),
+                insert(BUILT + t),
+            ]));
+            if t == 7 {
+                steps.push(Step::Checkpoint);
+            }
+        }
+        Script { write_seed: 0xB17D, ..Script::new("bulk-build", steps) }
+    }
+
     /// The registered script called `name`.
     pub fn named(name: &str) -> Script {
         match name {
             "kill-anywhere" => Script::kill_anywhere(),
             "ckpt-race" => Script::checkpoint_race(),
+            "bulk-build" => Script::bulk_build(),
             _ => panic!("no script is named {name:?}"),
         }
     }
@@ -461,11 +513,9 @@ pub fn sweep_writes(script: &Script, wal: WalConfig, floor: u64) {
 
 /// Kills `script` at every post-setup sync barrier, under `seeds`
 /// persistence seeds each: the dying sync destages nothing, so the whole
-/// write cache settles by coin.
-pub fn sweep_syncs(script: &Script, wal: WalConfig, seeds: u64) {
-    sweep(script, wal, At::Sync, |rel| {
-        (0..seeds).map(|salt| (0, rel * SYNC_SEED + salt)).collect()
-    });
+/// write cache settles by coin.  Returns the number of crash points.
+pub fn sweep_syncs(script: &Script, wal: WalConfig, seeds: u64) -> u64 {
+    sweep(script, wal, At::Sync, |rel| (0..seeds).map(|salt| (0, rel * SYNC_SEED + salt)).collect())
 }
 
 /// The sweep both kinds share: a dry run measures the post-setup span of

@@ -23,25 +23,14 @@
 mod common;
 
 use common::crash::{
-    insert, op_interval, replay, sweep_syncs, sweep_writes, At, CrashPoint, Oracle, Rig, Script,
-    FRAMES, PAGE,
+    flusher_config, insert, op_interval, replay, sweep_syncs, sweep_writes, At, CrashPoint, Oracle,
+    Rig, Script, FRAMES, PAGE,
 };
 use ri_tree::pagestore::{CrashPlan, FlushPolicy, WalConfig};
 use ri_tree::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
 use std::time::Duration;
-
-/// The background-flusher configuration the `flusher_*` sweeps run
-/// under: a low watermark keeps the flusher draining concurrently with
-/// the workload, so — the shared fault clock being thread-blind — crash
-/// indices land inside its drains just like anyone else's writes.
-fn flusher_config() -> WalConfig {
-    WalConfig {
-        flush_policy: FlushPolicy::Background { watermark_bytes: 512 },
-        ..WalConfig::default()
-    }
-}
 
 /// The exhaustive sweep: 128 one-insert transactions with a checkpoint
 /// every 24, killed at every write index — once cleanly (the dying write
