@@ -3,7 +3,8 @@
 //! These complement the figures (which measure I/O): here we
 //! measure CPU cost of the virtual backbone arithmetic, insertion, and
 //! query execution at a fixed scale — and of building one hot-tier block's
-//! HINT, taking one page latch and bulk-loading a durable tree.
+//! HINT, taking one page latch and bulk-loading a tree, volatile and
+//! durable.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ri_bench::{build_ritree, fresh_env};
@@ -132,6 +133,37 @@ fn bench_latch(c: &mut Criterion) {
     });
 }
 
+/// A 100 k-row `insert_batch` into a fresh tree on a volatile pool with a
+/// frame for every page the load writes (≈ 5 k) — `read_hot`'s set-up in
+/// miniature: the fork pass, the heap append, and each index's sort and
+/// bottom-up build.  The tree of the previous iteration is dropped in the
+/// untimed setup.
+fn bench_insert_batch(c: &mut Criterion) {
+    let items: Vec<(Interval, i64)> = (0..)
+        .zip(d1(100_000, 2000).generate(5))
+        .map(|(id, (l, u))| (Interval::new(l, u).unwrap(), id))
+        .collect();
+    let done: RefCell<Option<RiTree>> = RefCell::new(None);
+    c.bench_function("bulk/insert_batch", |b| {
+        b.iter_batched(
+            || {
+                done.borrow_mut().take();
+                let pool = BufferPool::new(
+                    MemDisk::new(DEFAULT_PAGE_SIZE),
+                    BufferPoolConfig::with_capacity(8_192),
+                );
+                let db = Arc::new(Database::create(Arc::new(pool)).unwrap());
+                RiTree::create(db, "bench").unwrap()
+            },
+            |tree| {
+                tree.insert_batch(black_box(&items), 1).unwrap();
+                *done.borrow_mut() = Some(tree);
+            },
+            BatchSize::SmallInput,
+        )
+    });
+}
+
 /// A 20 k-row `insert_batch` into a fresh tree on a durable pool over
 /// `MemDisk`s (the paper's 200 frames, default log), and its commit: the
 /// bulk route's page writes, the flushes that publish them and the logged
@@ -173,6 +205,6 @@ criterion_group! {
     config = Criterion::default().sample_size(20);
     targets = bench_fork_node, bench_query_traversal, bench_insert,
               bench_intersection_query, bench_delete, bench_hint_block_build, bench_latch,
-              bench_durable_insert_batch
+              bench_insert_batch, bench_durable_insert_batch
 }
 criterion_main!(micro);

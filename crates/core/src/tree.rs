@@ -133,6 +133,26 @@ pub struct RiOptions {
     pub skeleton: bool,
 }
 
+/// Refuses an interval [`RiTree::insert`] cannot register: an upper bound
+/// on a temporal sentinel, or bounds outside the backbone's span around its
+/// offset ([`BackboneParams::admits`]), which a wrapped shift would file
+/// under a node no query visits.
+fn insertable(p: &BackboneParams, iv: Interval) -> Result<()> {
+    if iv.upper >= UPPER_NOW {
+        return Err(Error::InvalidArgument(format!(
+            "upper bound {} collides with the temporal sentinels",
+            iv.upper
+        )));
+    }
+    if !p.admits(iv.lower, iv.upper) {
+        return Err(Error::InvalidArgument(format!(
+            "interval {iv} lies outside the backbone's span around offset {}",
+            p.offset.unwrap_or(iv.lower)
+        )));
+    }
+    Ok(())
+}
+
 impl RiTree {
     /// Creates the relational schema of Figure 2 (table plus `lowerIndex`
     /// and `upperIndex`) and registers the backbone parameters in the data
@@ -268,28 +288,31 @@ impl RiTree {
 
     /// Inserts an interval with an application-supplied `id`.
     ///
-    /// This is Figure 6 followed by Figure 5: O(height) arithmetic to find
-    /// the fork node and maintain the parameters, then a single relational
+    /// This is Figure 6 followed by Figure 5: O(1) arithmetic to find the
+    /// fork node and maintain the parameters, then a single relational
     /// insert costing O(log_b n) I/Os.
+    ///
+    /// Errors with `InvalidArgument` if the upper bound is a temporal
+    /// sentinel ([`UPPER_NOW`] or above), or if a bound lies outside the
+    /// backbone's span: shifted by the offset (fixed by the first insert),
+    /// it must fit in an `i64`, and on one root's side stay strictly
+    /// inside `±2^62` ([`BackboneParams::admits`]).
     pub fn insert(&self, iv: Interval, id: i64) -> Result<()> {
-        if iv.upper >= UPPER_NOW {
-            return Err(Error::InvalidArgument(format!(
-                "upper bound {} collides with the temporal sentinels",
-                iv.upper
-            )));
-        }
         let mut p = self.load_params()?;
+        insertable(&p, iv)?;
         let before = p;
         let mut node = p.prepare_insert(iv.lower, iv.upper);
         if p != before {
             // The backbone must grow (or fix its offset): redo the
             // decision under the parameter latch, since a concurrent
-            // writer may have expanded the space first.  Fork nodes are
-            // stable under data-space expansion, so a node computed
-            // against the freshest parameters stays correct even if the
-            // space grows again the moment the latch drops.
+            // writer may have expanded the space (or fixed the offset)
+            // first.  Fork nodes are stable under data-space expansion,
+            // so a node computed against the freshest parameters stays
+            // correct even if the space grows again the moment the latch
+            // drops.
             let _guard = self.db.param_guard();
             let mut p = self.load_params()?;
+            insertable(&p, iv)?;
             let before = p;
             node = p.prepare_insert(iv.lower, iv.upper);
             if p != before {
@@ -340,11 +363,13 @@ impl RiTree {
     /// return the same ids — except that heap row *order* (and therefore
     /// the internal row ids) follows the scheduler under concurrency.
     ///
-    /// The backbone parameters are computed for the whole batch up front
-    /// under the parameter latch:
-    /// fork nodes are stable under data-space expansion, so evaluating
-    /// every interval against the *final* parameters yields the same
-    /// nodes incremental insertion would have produced.  The per-row
+    /// The backbone parameters and the fork nodes are computed for the
+    /// whole batch up front, in one pass under the parameter latch: fork
+    /// nodes are stable under data-space expansion, so the node each
+    /// interval gets against the parameters the intervals before it left
+    /// is the one incremental insertion would have produced.  An interval
+    /// [`RiTree::insert`] would refuse fails the whole batch with
+    /// `InvalidArgument` before anything is written.  The per-row
     /// inserts then scale through the heap's append latch and the
     /// B-link trees' per-node write latches; with `threads <= 1` the
     /// rows are inserted sequentially in input order.
@@ -381,43 +406,35 @@ impl RiTree {
     /// assert!(tree.stab(25).unwrap().contains(&0));
     /// ```
     pub fn insert_batch(&self, items: &[(Interval, i64)], threads: usize) -> Result<()> {
-        for &(iv, _) in items {
-            if iv.upper >= UPPER_NOW {
-                return Err(Error::InvalidArgument(format!(
-                    "upper bound {} collides with the temporal sentinels",
-                    iv.upper
-                )));
-            }
-        }
         if items.is_empty() {
             return Ok(());
         }
-        // Phase 1: backbone parameters, once for the whole batch.
-        let forks: Vec<i64> = {
+        // Phase 1: backbone parameters and rows, one O(1) fork step per
+        // item under the parameter latch.  Every item is checked before
+        // anything is written.  Fork nodes are stable under data-space
+        // expansion, so the node an item gets here, against the
+        // parameters the items before it left, is the one the final
+        // parameters (and a later delete) compute.
+        let rows: Vec<[i64; 4]> = {
             let _guard = self.db.param_guard();
             let mut p = self.load_params()?;
             let before = p;
-            for &(iv, _) in items {
-                p.prepare_insert(iv.lower, iv.upper);
+            let mut rows = Vec::with_capacity(items.len());
+            for &(iv, id) in items {
+                insertable(&p, iv)?;
+                rows.push([p.prepare_insert(iv.lower, iv.upper), iv.lower, iv.upper, id]);
             }
             if p != before {
                 self.save_params(&p)?;
             }
-            items
-                .iter()
-                .map(|&(iv, _)| p.fork_of(iv.lower, iv.upper).expect("offset fixed in phase 1"))
-                .collect()
+            rows
         };
-        // Phase 2: rows and index entries.  A batch into an empty table
-        // takes the bulk path — heap rows appended in input order, then
-        // every index built bottom-up in one sequential write pass with
-        // no per-row descents; everything else fans the per-row inserts
-        // out over the worker threads.
-        let rows: Vec<[i64; 4]> = items
-            .iter()
-            .zip(&forks)
-            .map(|(&(iv, id), &node)| [node, iv.lower, iv.upper, id])
-            .collect();
+        // Phase 2: heap rows and index entries.  A batch into an empty
+        // table takes the bulk path — heap rows appended in input order,
+        // then each index's entries sorted as compact fixed-width rows in
+        // one reused buffer and built bottom-up in one sequential write
+        // pass with no per-row descents; everything else fans the per-row
+        // inserts out over the worker threads.
         if self.table.row_count()? == 0 {
             self.table.bulk_insert(&rows)?;
         } else {
@@ -428,7 +445,7 @@ impl RiTree {
         // Phase 3: skeleton directory and bound bookkeeping, once.
         if let Some(dir) = &self.skeleton {
             let _guard = self.db.param_guard();
-            let mut nodes = forks;
+            let mut nodes: Vec<i64> = rows.iter().map(|row| row[0]).collect();
             nodes.sort_unstable();
             nodes.dedup();
             for node in nodes {

@@ -17,6 +17,39 @@
 //! a fork found while descending with step `s` contributes `2·s`, and a fork
 //! at a leaf (the conceptual 0.5) contributes 1 — which is why the stored
 //! minimum is 1, matching the value the paper reports in Section 6.1.
+//!
+//! # The fork node in closed form
+//!
+//! Figure 4 descends from a root `R = 2^k` with steps `R/2, R/4, …, 1`;
+//! the nodes it can reach are exactly the integers in `(0, 2R)`, arranged
+//! in order, and a node's level is its number of trailing zeros.  The
+//! descent stops at the first node inside `[l, u]`, so the fork is the
+//! *highest* node of the interval: the one with the most trailing zeros,
+//! which is unique (between two numbers with `t` trailing zeros lies one
+//! with more).  For `1 <= l <= u` it is `u` with every bit below the
+//! highest bit in which `l − 1` and `u` differ cleared.  Figure 6 runs the
+//! same descent in the two-rooted tree, so [`BackboneParams`] computes it
+//! in O(1) instead of O(height):
+//!
+//! - an interval containing the shifted origin forks at the global root 0;
+//! - an interval right of it forks at the highest node of `[l, u]`
+//!   clamped into the right root's span `(0, 2·rightRoot)` — an interval
+//!   past the span (only a deletion probe can be one) ends the loop at
+//!   the span's last leaf, as the clamp does;
+//! - an interval left of it is the mirror image under the left root.
+//!
+//! The step at which Figure 6 stops at a node is half that node's lowest
+//! set bit, so the `minstep2` a registration contributes is the fork
+//! node's lowest set bit (1 at a leaf).  Figure 6's loop is kept in
+//! `tests/vtree_proptest.rs` as the reference the closed form is checked
+//! against, as [`fork_node_fig4`] is kept for Figure 4.
+//!
+//! # The backbone's span
+//!
+//! Shifted bounds on one root's side must lie strictly inside `±2^62`:
+//! Figure 6 compares a bound with twice its root, and a root expanded to
+//! `2^62` could not be doubled again.  [`BackboneParams::admits`] says
+//! whether an interval can be registered; the RI-tree refuses the rest.
 
 /// The four persistent parameters of the virtual primary structure, plus
 /// whether the offset has been fixed yet.
@@ -85,13 +118,21 @@ pub fn fork_node_fig4(root: i64, lower: i64, upper: i64) -> i64 {
     node
 }
 
-/// Result of a fork-node search in the dynamic (two-rooted) backbone.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Fork {
-    /// The fork node, in shifted coordinates.
-    node: i64,
-    /// `minstep2` candidate: `2·step` at the break, or 1 at a leaf.
-    minstep2_candidate: i64,
+/// Bounds of one root's side lie strictly inside `±SPAN` (module docs).
+const SPAN: i64 = 1 << 62;
+
+/// The node at which Figure 4's descent from `root` (a power of two, or 0
+/// for a side that holds nothing) stops for `1 <= l <= u`: the node of
+/// `[l, u]` with the most trailing zeros, after both bounds are clamped
+/// into the subtree's span `(0, 2·root)` (module docs).
+fn highest_node(root: i64, l: i64, u: i64) -> i64 {
+    if root == 0 {
+        return 0;
+    }
+    let last = 2 * root - 1;
+    let (l, u) = (l.min(last), u.min(last));
+    let h = 63 - ((l - 1) ^ u).leading_zeros();
+    (u >> h) << h
 }
 
 impl BackboneParams {
@@ -107,13 +148,31 @@ impl BackboneParams {
         self.offset.map(|off| raw - off)
     }
 
+    /// Whether `[lower, upper]` (raw coordinates) can be registered: both
+    /// shifted bounds fit in an `i64` — against the offset this interval
+    /// would fix, if none is fixed yet — and an interval on one root's side
+    /// stays strictly inside `±2^62` (see the module docs).  An interval
+    /// containing the shifted origin forks at the global root and expands
+    /// nothing, so only its shift must fit.
+    pub fn admits(&self, lower: i64, upper: i64) -> bool {
+        let offset = self.offset.unwrap_or(lower);
+        match (lower.checked_sub(offset), upper.checked_sub(offset)) {
+            (Some(l), Some(u)) if u < 0 => l > -SPAN,
+            (Some(l), Some(u)) if 0 < l => u < SPAN,
+            (Some(_), Some(_)) => true,
+            _ => false,
+        }
+    }
+
     /// Figure 6: computes the fork node for inserting `[lower, upper]`
     /// (raw coordinates) and updates `offset`, `leftRoot`, `rightRoot` and
-    /// `minstep` — all in O(height) integer operations, no I/O.
+    /// `minstep` — all in O(1) integer operations, no I/O.  The interval
+    /// must be one the backbone [`admits`](BackboneParams::admits).
     ///
     /// Returns the (shifted) node value to store in the `node` column.
     pub fn prepare_insert(&mut self, lower: i64, upper: i64) -> i64 {
         debug_assert!(lower <= upper);
+        debug_assert!(self.admits(lower, upper), "[{lower}, {upper}] outside the backbone");
         // "if (offset = NULL) offset = lower" — fixed by the first interval.
         let offset = *self.offset.get_or_insert(lower);
         let l = lower - offset;
@@ -126,13 +185,14 @@ impl BackboneParams {
         if 0 < l && u >= 2 * self.right_root {
             self.right_root = 1i64 << floor_log2(u);
         }
-        let fork = self.fork_search(l, u);
-        // "if (node != 0 and step < minstep) minstep = step" — the global
-        // root never contributes.
-        if fork.node != 0 {
-            self.minstep2 = self.minstep2.min(fork.minstep2_candidate);
+        let node = self.fork_search(l, u);
+        // "if (node != 0 and step < minstep) minstep = step" — the loop
+        // stops at `node` with `2·step` its lowest set bit (1 at a leaf),
+        // and the global root never contributes.
+        if node != 0 {
+            self.minstep2 = self.minstep2.min(node & node.wrapping_neg());
         }
-        fork.node
+        node
     }
 
     /// Pure fork-node computation for `[lower, upper]` with the *current*
@@ -141,38 +201,27 @@ impl BackboneParams {
     /// Fork nodes are stable under root expansion — doubling a root `R` to
     /// `2R` prepends one step that leads straight back to `R` — so the value
     /// computed at deletion time equals the one stored at insertion time.
-    /// Returns `None` while the tree has no offset (nothing was inserted).
+    /// Returns `None` while the tree has no offset (nothing was inserted)
+    /// and when a shifted bound overflows (no stored interval has one).
     pub fn fork_of(&self, lower: i64, upper: i64) -> Option<i64> {
         debug_assert!(lower <= upper);
         let offset = self.offset?;
-        Some(self.fork_search(lower - offset, upper - offset).node)
+        Some(self.fork_search(lower.checked_sub(offset)?, upper.checked_sub(offset)?))
     }
 
-    /// Shared descent: Figure 6's loop over the two-rooted virtual tree.
-    /// `l` and `u` are shifted coordinates.
-    fn fork_search(&self, l: i64, u: i64) -> Fork {
-        let mut node = if u < 0 {
-            self.left_root
+    /// Figure 6's descent over the two-rooted virtual tree, in closed form
+    /// (module docs).  `l` and `u` are shifted coordinates.
+    fn fork_search(&self, l: i64, u: i64) -> i64 {
+        if u < 0 {
+            // The mirror image of the right side; the saturated bounds are
+            // clamped into the left root's span anyway.
+            -highest_node(-self.left_root, u.saturating_neg(), l.saturating_neg())
         } else if 0 < l {
-            self.right_root
+            highest_node(self.right_root, l, u)
         } else {
             // The global root 0 overlaps [l, u].
-            return Fork { node: 0, minstep2_candidate: i64::MAX };
-        };
-        let mut step = (node / 2).abs();
-        while step >= 1 {
-            if u < node {
-                node -= step;
-            } else if node < l {
-                node += step;
-            } else {
-                return Fork { node, minstep2_candidate: 2 * step };
-            }
-            step /= 2;
+            0
         }
-        // Loop exhausted: the fork is a leaf of the virtual tree (this is
-        // the conceptual minstep of 0.5, stored as 1 — see module docs).
-        Fork { node, minstep2_candidate: 1 }
     }
 
     /// Query traversal (Sections 4.1–4.3): computes the transient node

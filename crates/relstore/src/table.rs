@@ -2,9 +2,26 @@
 
 use crate::catalog::TableMeta;
 use crate::heap::{Heap, RowId};
-use ri_btree::{BTree, Entry};
+use ri_btree::{BTree, Entry, MAX_ARITY};
 use ri_pagestore::{BufferPool, Error, Result};
 use std::sync::Arc;
+
+/// One index entry as `Table::bulk_insert` sorts it: the key columns, the
+/// payload as a [`payload_word`], then zeros.  The array order of two rows
+/// of one index is the order of their `Entry`s, `(key, payload)`: the
+/// payload word makes every row unique, so the padding is never compared.
+type CompactRow = [i64; MAX_ARITY + 1];
+
+/// A `u64` payload as an `i64` word that sorts the same: the sign bit
+/// flipped, so 0 becomes `i64::MIN` and `u64::MAX` becomes `i64::MAX`.
+fn payload_word(payload: u64) -> i64 {
+    (payload ^ (1 << 63)) as i64
+}
+
+/// The payload a [`payload_word`] holds.
+fn payload_of(word: i64) -> u64 {
+    word as u64 ^ (1 << 63)
+}
 
 /// A handle on a table and its secondary indexes.
 ///
@@ -69,8 +86,10 @@ impl Table {
     /// index bottom-up at full fill from its sorted run of `(key, row
     /// id)` entries — one sequential write pass per index instead of one
     /// root-to-leaf descent per row (see `ri_btree`'s `builder` module).
-    /// Returns the assigned row ids in input order, the ones per-row
-    /// inserts would assign.  On a durable pool the heap's and each
+    /// Each run is sorted as fixed-width compact rows (`CompactRow`) in
+    /// one buffer that every index reuses, and streamed into the builder
+    /// as entries.  Returns the assigned row ids in input order, the ones
+    /// per-row inserts would assign.  On a durable pool the heap's and each
     /// index's pages are written unlogged and synced, and only the meta
     /// writes that publish them join the caller's transaction.
     ///
@@ -109,24 +128,31 @@ impl Table {
             }
         }
         let rids = self.heap.append_packed(rows)?;
+        // One buffer of compact rows, reserved once and refilled per index.
+        let mut sorted: Vec<CompactRow> = Vec::with_capacity(rows.len());
         for idx in &self.indexes {
-            let mut entries = Vec::with_capacity(rows.len());
-            for (row, rid) in rows.iter().zip(&rids) {
-                let row = row.as_ref();
-                let mut cols = [0i64; ri_btree::MAX_ARITY];
-                for (slot, &c) in cols.iter_mut().zip(&idx.key_cols) {
+            let arity = idx.key_cols.len();
+            let compact = |row: &[i64], rid: &RowId| -> CompactRow {
+                let mut compact = [0i64; MAX_ARITY + 1];
+                for (slot, &c) in compact.iter_mut().zip(&idx.key_cols) {
                     *slot = row[c];
                 }
-                entries.push(Entry::new(&cols[..idx.key_cols.len()], rid.raw()));
-            }
-            if idx.tree.stats()?.height == 0 {
-                entries.sort_unstable();
-                idx.tree.bulk_build_into(entries, 1.0)?;
-            } else {
-                for e in &entries {
-                    idx.tree.insert(e.key.as_slice(), e.payload)?;
+                compact[arity] = payload_word(rid.raw());
+                compact
+            };
+            if idx.tree.stats()?.height != 0 {
+                for (row, rid) in rows.iter().zip(&rids) {
+                    idx.tree.insert(&compact(row.as_ref(), rid)[..arity], rid.raw())?;
                 }
+                continue;
             }
+            sorted.clear();
+            sorted.extend(rows.iter().zip(&rids).map(|(row, rid)| compact(row.as_ref(), rid)));
+            sorted.sort_unstable();
+            idx.tree.bulk_build_into(
+                sorted.iter().map(|r| Entry::new(&r[..arity], payload_of(r[arity]))),
+                1.0,
+            )?;
         }
         Ok(rids)
     }
@@ -298,6 +324,74 @@ mod tests {
         }
         let hits = t.index("AB").unwrap().scan_range(&[3, i64::MIN], &[3, i64::MAX]).count();
         assert_eq!(hits, 100);
+    }
+
+    /// The compact rows sort as `Entry`s do: at every arity, over negative
+    /// keys (the extremes included) with ties on every key column, each
+    /// index of a bulk load scans exactly the entries a `Vec<Entry>`
+    /// sorted by `Entry`'s own order holds.
+    #[test]
+    fn bulk_insert_sorts_compact_rows_as_entries_sort() {
+        use ri_btree::{Entry, MAX_ARITY};
+        let pool =
+            Arc::new(BufferPool::new(MemDisk::new(2048), BufferPoolConfig::with_capacity(256)));
+        let db = Database::create(pool).unwrap();
+        let columns: Vec<String> = (0..MAX_ARITY).map(|c| format!("c{c}")).collect();
+        db.create_table(TableDef { name: "T".into(), columns }).unwrap();
+        // Arity `a` indexes `a` columns in a scrambled order.
+        let key_cols =
+            |arity: usize| -> Vec<usize> { (0..arity).map(|i| (i * 3 + 1) % MAX_ARITY).collect() };
+        for arity in 1..=MAX_ARITY {
+            let def = IndexDef { name: format!("I{arity}"), key_cols: key_cols(arity) };
+            db.create_index("T", def).unwrap();
+        }
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let rows: Vec<Vec<i64>> = (0..1500)
+            .map(|_| {
+                (0..MAX_ARITY)
+                    .map(|_| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        match x % 16 {
+                            0 => i64::MIN,
+                            1 => i64::MAX,
+                            r => r as i64 % 5 - 3,
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let t = db.table("T").unwrap();
+        let rids = t.bulk_insert(&rows).unwrap();
+        for arity in 1..=MAX_ARITY {
+            let cols = key_cols(arity);
+            let mut expected: Vec<Entry> = rows
+                .iter()
+                .zip(&rids)
+                .map(|(row, rid)| {
+                    let key: Vec<i64> = cols.iter().map(|&c| row[c]).collect();
+                    Entry::new(&key, rid.raw())
+                })
+                .collect();
+            expected.sort_unstable();
+            let index = t.index(&format!("I{arity}")).unwrap();
+            let scanned: Vec<Entry> = index
+                .scan_range(&vec![i64::MIN; arity], &vec![i64::MAX; arity])
+                .collect::<ri_pagestore::Result<_>>()
+                .unwrap();
+            assert_eq!(scanned, expected, "arity {arity}");
+            index.check_invariants().unwrap();
+        }
+    }
+
+    #[test]
+    fn bulk_payload_word_flips_the_sign_bit_and_keeps_the_order() {
+        use super::{payload_of, payload_word};
+        let payloads = [0, (1 << 63) - 1, 1 << 63, u64::MAX];
+        let words = payloads.map(payload_word);
+        assert_eq!(words, [i64::MIN, -1, 0, i64::MAX]);
+        assert_eq!(words.map(payload_of), payloads);
     }
 
     #[test]
