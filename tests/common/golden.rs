@@ -22,7 +22,9 @@
 //! cargo test --release --test <golden> -- --nocapture 2>&1 | grep GOLDEN-
 //! ```
 
-use ri_tree::pagestore::{DiskManager, IoSnapshot, MemDisk, PageId, RecoveryReport, Result};
+use ri_tree::pagestore::{
+    DiskManager, IoSnapshot, MemDisk, PageId, RecoveryReport, Result, WalSnapshot,
+};
 use std::sync::{Mutex, MutexGuard};
 
 /// FNV-1a's offset basis: where every golden hash starts.
@@ -179,7 +181,7 @@ macro_rules! debug_literal {
         }
     )*};
 }
-debug_literal!(IoSnapshot, RecoveryReport, [u64; 9]);
+debug_literal!(IoSnapshot, RecoveryReport, WalSnapshot, [u64; 9]);
 
 /// The print-then-assert convention: every `value` / `rows` call prints
 /// at once and only remembers a drift; [`Pins::check`] asserts them all.

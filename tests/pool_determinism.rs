@@ -19,9 +19,9 @@
 
 mod common;
 
-use common::golden::{fnv1a, fnv_io, xorshift, Pins, FNV_SEED};
+use common::golden::{fnv1a, fnv_io, image_hash, xorshift, Pins, FNV_SEED};
 use ri_tree::btree::BTree;
-use ri_tree::pagestore::{BufferPool, BufferPoolConfig, IoSnapshot, MemDisk, PageId};
+use ri_tree::pagestore::{BufferPool, BufferPoolConfig, IoSnapshot, MemDisk, PageId, WalSnapshot};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -244,23 +244,20 @@ const GOLDEN_WRITE_TRACE_HASH: u64 = 0x2421_b40b_9a31_2471;
 /// what the tree stores.
 const GOLDEN_WRITE_CONTENT_HASH: u64 = 0xa89f_0873_6e03_39b2;
 
-#[test]
-fn btree_write_path_reproduces_seed_byte_for_byte() {
-    // 256-byte pages (leaf capacity 9, internal capacity 7) over an
-    // 8-frame single-shard pool: constant splits and evictions, the seed
-    // pool's LRU exercised by every structural move the tree makes.
-    let pool =
-        Arc::new(BufferPool::new(MemDisk::new(PAGE_SIZE), BufferPoolConfig::with_capacity(8)));
-    let stats = pool.stats();
-    let tree = BTree::create(Arc::clone(&pool), 2).unwrap();
-
+/// The write-path workload both B-link goldens run.  Phase 1: mixed
+/// inserts / deletes / scans over a narrow key domain (many duplicates,
+/// frequent delete hits, leaf splits throughout).  Phase 2: drain the tree
+/// in a seeded order — the B-link delete path down to the entry-free tree:
+/// emptied leaves stay linked (deletes never restructure), keep routing,
+/// and are refilled by interleaved re-inserts.  An arity-3 tree's third
+/// column is `a - b`.  `step` runs after every operation; returns the
+/// FNV-1a over the phase-1 `(key0, key1, payload)` stream of `scan_all`.
+fn mixed_and_drain(tree: &BTree, mut step: impl FnMut()) -> u64 {
+    let key = |a: i64, b: i64| [a, b, a - b][..tree.arity()].to_vec();
     let mut live: Vec<(i64, i64, u64)> = Vec::new();
     let mut model: std::collections::BTreeSet<(i64, i64, u64)> = std::collections::BTreeSet::new();
     let mut x = 0x5EED_1DEA_u64;
-    let mut trace_hash = FNV_SEED;
 
-    // Phase 1: mixed inserts / deletes / scans over a narrow key domain
-    // (many duplicates, frequent delete hits, leaf splits throughout).
     for _ in 0..600 {
         let r = xorshift(&mut x);
         let a = (r % 40) as i64 - 20;
@@ -269,7 +266,7 @@ fn btree_write_path_reproduces_seed_byte_for_byte() {
         match r % 100 {
             0..=59 => {
                 if model.insert((a, b, p)) {
-                    tree.insert(&[a, b], p).unwrap();
+                    tree.insert(&key(a, b), p).unwrap();
                     live.push((a, b, p));
                 }
             }
@@ -280,19 +277,20 @@ fn btree_write_path_reproduces_seed_byte_for_byte() {
                     (a, b, p) // often a miss
                 };
                 let existed = model.remove(&target);
-                assert_eq!(tree.delete(&[target.0, target.1], target.2).unwrap(), existed);
+                assert_eq!(tree.delete(&key(target.0, target.1), target.2).unwrap(), existed);
                 if existed {
                     live.retain(|&e| e != target);
                 }
             }
             _ => {
                 let (lo, hi) = (a.min(b), a.max(b));
-                let got = tree.scan_range(&[lo, i64::MIN], &[hi, i64::MAX]).count();
+                let bound = |k: i64, rest: i64| [k, rest, rest][..tree.arity()].to_vec();
+                let got = tree.scan_range(&bound(lo, i64::MIN), &bound(hi, i64::MAX)).count();
                 let want = model.iter().filter(|&&(k, _, _)| k >= lo && k <= hi).count();
                 assert_eq!(got, want);
             }
         }
-        trace_hash = fnv_io(trace_hash, &stats.snapshot());
+        step();
     }
 
     // Contents after the mixed phase, pinned independently of the
@@ -305,16 +303,12 @@ fn btree_write_path_reproduces_seed_byte_for_byte() {
             .fold(content_hash, fnv1a);
     }
 
-    // Phase 2: drain the tree in a seeded order — exercises the B-link
-    // delete path down to the entry-free tree: emptied leaves stay
-    // linked (deletes never restructure), keep routing, and are refilled
-    // by the interleaved re-inserts below.
     while !live.is_empty() {
         let r = xorshift(&mut x);
         let target = live.swap_remove(r as usize % live.len());
         assert!(model.remove(&target));
-        assert!(tree.delete(&[target.0, target.1], target.2).unwrap());
-        trace_hash = fnv_io(trace_hash, &stats.snapshot());
+        assert!(tree.delete(&key(target.0, target.1), target.2).unwrap());
+        step();
         if r % 5 == 0 {
             // Re-grow a little so the drain crosses leaf boundaries
             // repeatedly instead of monotonically shrinking.
@@ -322,18 +316,101 @@ fn btree_write_path_reproduces_seed_byte_for_byte() {
             let b = ((r >> 20) % 23) as i64 - 11;
             let p = 8 + (r >> 50) % 4;
             if model.insert((a, b, p)) {
-                tree.insert(&[a, b], p).unwrap();
+                tree.insert(&key(a, b), p).unwrap();
                 live.push((a, b, p));
             }
-            trace_hash = fnv_io(trace_hash, &stats.snapshot());
+            step();
         }
     }
     assert_eq!(tree.entry_count().unwrap(), 0, "phase 2 drains the tree");
     tree.check_invariants().unwrap();
+    content_hash
+}
+
+#[test]
+fn btree_write_path_reproduces_seed_byte_for_byte() {
+    // 256-byte pages (leaf capacity 9, internal capacity 7) over an
+    // 8-frame single-shard pool: constant splits and evictions, the seed
+    // pool's LRU exercised by every structural move the tree makes.
+    let pool =
+        Arc::new(BufferPool::new(MemDisk::new(PAGE_SIZE), BufferPoolConfig::with_capacity(8)));
+    let stats = pool.stats();
+    let tree = BTree::create(Arc::clone(&pool), 2).unwrap();
+    let mut trace_hash = FNV_SEED;
+    let content_hash =
+        mixed_and_drain(&tree, || trace_hash = fnv_io(trace_hash, &stats.snapshot()));
 
     let mut pins = Pins::default();
     pins.value("WRITE_FINAL", &stats.snapshot(), &GOLDEN_WRITE_FINAL);
     pins.value("WRITE_TRACE_HASH", &trace_hash, &GOLDEN_WRITE_TRACE_HASH);
     pins.value("WRITE_CONTENT_HASH", &content_hash, &GOLDEN_WRITE_CONTENT_HASH);
+    pins.check();
+}
+
+// ----------------------------------------------------------------------
+// B-link page bytes
+// ----------------------------------------------------------------------
+
+/// The B-link write path's page images, byte for byte, captured before
+/// the write path edited pages in place (it decoded each node, edited the
+/// entry vector and re-encoded the page).  The data image pins every byte
+/// a write leaves on a page — stale slots past the entry count included —
+/// and the log image pins every byte run each write changed.
+const GOLDEN_PAGES_DATA_IMAGE_HASH: u64 = 0x4dbe_fec2_83ec_09a6;
+const GOLDEN_PAGES_LOG_IMAGE_HASH: u64 = 0x58bb_0197_2eee_0da5;
+const GOLDEN_PAGES_WAL: WalSnapshot = WalSnapshot {
+    records: 3832,
+    record_bytes: 431785,
+    commits: 1998,
+    commit_syncs: 1998,
+    group_commits: 0,
+    forced_syncs: 4,
+    checkpoint_syncs: 0,
+    syncs: 2002,
+    checkpoints: 0,
+    log_page_writes: 3682,
+    flusher_writes: 0,
+    flusher_bytes: 0,
+    segments_created: 7,
+    segments_retired: 0,
+};
+
+#[test]
+fn btree_page_images_are_pinned() {
+    // The write-path golden's workload on a durable pool (same page size
+    // and frame count), committed after every operation, at arity 2 and
+    // 3; then bulk loads at fill 0.9 and 1.0 onto the same device.
+    let data = Arc::new(MemDisk::new(PAGE_SIZE));
+    let log = Arc::new(MemDisk::new(PAGE_SIZE));
+    let pool = Arc::new(
+        BufferPool::new_durable(
+            Arc::clone(&data),
+            BufferPoolConfig::with_capacity(8),
+            Arc::clone(&log),
+        )
+        .unwrap(),
+    );
+    let commit = || {
+        pool.wal().unwrap().commit().unwrap();
+    };
+    for arity in [2, 3] {
+        let tree = BTree::create(Arc::clone(&pool), arity).unwrap();
+        commit();
+        mixed_and_drain(&tree, commit);
+    }
+    for arity in [2, 3] {
+        for fill in [0.9, 1.0] {
+            let rows = (0..300i64).map(|i| ([i / 3, i % 3, -i][..arity].to_vec(), i as u64 % 7));
+            let tree = BTree::bulk_load(Arc::clone(&pool), arity, rows, fill).unwrap();
+            commit();
+            tree.check_invariants().unwrap();
+        }
+    }
+    pool.flush_all().unwrap();
+
+    let mut pins = Pins::default();
+    pins.value("PAGES_DATA_IMAGE_HASH", &image_hash(&*data), &GOLDEN_PAGES_DATA_IMAGE_HASH);
+    pins.value("PAGES_LOG_IMAGE_HASH", &image_hash(&*log), &GOLDEN_PAGES_LOG_IMAGE_HASH);
+    pins.value("PAGES_WAL", &pool.wal().unwrap().stats(), &GOLDEN_PAGES_WAL);
     pins.check();
 }
