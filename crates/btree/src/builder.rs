@@ -37,10 +37,12 @@
 //!   logged meta write in the caller's transaction.  A crash before the
 //!   commit rolls the meta back to empty and leaks the pages; a crash
 //!   after it finds every page on the synced device.
-//! * **O(height) memory.**  The builder holds one pending (partially
-//!   packed) node per level; levels above the leaves are discovered on
-//!   demand.  A million-entry load carries three pending nodes, not a
-//!   million entries.
+//! * **O(height) memory.**  The builder holds one page image per level:
+//!   the node being packed there, written through the same
+//!   [`crate::layout::NodeMut`] the insert path edits pages with, and
+//!   copied into its page once complete.  Levels above the leaves are
+//!   discovered on demand.  A million-entry load carries three page
+//!   images, not a million entries.
 //!
 //! Packing at fill 1.0 produces the minimum possible page count: every
 //! node except the rightmost of its level holds exactly its capacity.
@@ -51,38 +53,20 @@
 //! leaf, one that serves a read-mostly workload wants fill 1.0.
 
 use crate::key::Entry;
-use crate::layout::{self, InternalNode, LeafNode};
+use crate::layout::NodeMut;
 use crate::tree::{BTree, Meta};
 use ri_pagestore::{Error, PageId, Result};
 
-/// The leaf currently being packed: its pre-allocated page and the
-/// entries accumulated so far (never more than the leaf target).
-struct LeafState {
+/// A node being packed: its pre-allocated page, its page image so far,
+/// and the first entry stored under it (the separator it is registered
+/// under in *its* parent).
+struct Pending {
     page: PageId,
-    entries: Vec<Entry>,
-}
-
-/// An internal node currently being packed at some level: its page, the
-/// first entry of its leftmost descendant (`min`, the separator this
-/// node will be registered under in *its* parent), its leftmost child,
-/// and the separator entries accumulated so far.
-struct InnerState {
-    page: PageId,
+    node: NodeMut<Vec<u8>>,
     min: Entry,
-    child0: PageId,
-    entries: Vec<(Entry, PageId)>,
 }
 
-/// What a completed build hands back for the metadata install.
-struct Built {
-    root: PageId,
-    height: u16,
-    first_leaf: PageId,
-    count: u64,
-    pages: u64,
-}
-
-/// The streaming bottom-up builder.  One pending node per level; pages
+/// The streaming bottom-up builder.  One page image per level; pages
 /// are written exactly once, left to right, bottom levels interleaved
 /// with the upper levels as nodes complete.
 struct BulkBuilder<'t> {
@@ -92,11 +76,9 @@ struct BulkBuilder<'t> {
     build_start: u64,
     leaf_target: usize,
     internal_target: usize,
-    leaf: Option<LeafState>,
-    /// Pending node per internal level; `inner[0]` is the leaves'
-    /// parent level (tree level 2).  Levels appear when their first
-    /// node is emitted from below.
-    inner: Vec<Option<InnerState>>,
+    /// Pending node per level; `levels[0]` is the leaves.  Levels appear
+    /// when their first node is registered from below.
+    levels: Vec<Option<Pending>>,
     first_leaf: PageId,
     count: u64,
     pages: u64,
@@ -112,39 +94,12 @@ impl<'t> BulkBuilder<'t> {
             build_start: tree.pool().num_pages(),
             leaf_target: ((leaf_cap as f64 * fill).floor() as usize).clamp(1, leaf_cap),
             internal_target: ((internal_cap as f64 * fill).floor() as usize).clamp(1, internal_cap),
-            leaf: None,
-            inner: Vec::new(),
+            levels: Vec::new(),
             first_leaf: PageId::INVALID,
             count: 0,
             pages: 0,
             prev: None,
         }
-    }
-
-    /// Allocates a page for the node being started.  Plain pool
-    /// allocation, no meta latch: the page is unreachable until the
-    /// final install publishes the root, and the page total is charged
-    /// to the metadata in that same install.
-    fn alloc(&mut self) -> Result<PageId> {
-        let page = self.tree.pool().allocate_page()?;
-        self.pages += 1;
-        Ok(page)
-    }
-
-    /// Stores a packed leaf: its one write, unlogged (see the module docs).
-    fn store_leaf(&self, page: PageId, node: &LeafNode) -> Result<()> {
-        let arity = self.tree.arity();
-        self.tree
-            .pool()
-            .write_fresh_page(self.build_start, page, |buf| layout::write_leaf(buf, node, arity))
-    }
-
-    /// Stores a packed internal node: its one write, unlogged.
-    fn store_internal(&self, page: PageId, node: &InternalNode) -> Result<()> {
-        let arity = self.tree.arity();
-        self.tree.pool().write_fresh_page(self.build_start, page, |buf| {
-            layout::write_internal(buf, node, arity)
-        })
     }
 
     fn push(&mut self, e: Entry) -> Result<()> {
@@ -157,118 +112,91 @@ impl<'t> BulkBuilder<'t> {
         }
         self.prev = Some(e);
         self.count += 1;
-        match &mut self.leaf {
-            None => {
-                let page = self.alloc()?;
-                self.first_leaf = page;
-                self.leaf = Some(LeafState { page, entries: vec![e] });
-            }
-            Some(state) if state.entries.len() == self.leaf_target => {
-                // The pending leaf is complete: its successor starts at
-                // `e`, which is exactly its high key.  Store it (its
-                // one and only write) and register it with the parent
-                // level.
-                let succ = self.alloc()?;
-                let state = self.leaf.take().expect("checked above");
-                let node = LeafNode { entries: state.entries, next: succ, high: Some(e) };
-                let min = node.entries[0];
-                self.store_leaf(state.page, &node)?;
-                self.leaf = Some(LeafState { page: succ, entries: vec![e] });
-                self.emit(0, min, state.page)?;
-            }
-            Some(state) => state.entries.push(e),
-        }
-        Ok(())
+        self.add(0, e, None)
     }
 
-    /// Registers a completed node `(min, child)` with internal level
-    /// `li` (0 = the leaves' parent), cascading upward when that
-    /// level's pending node is itself complete.
-    fn emit(&mut self, mut li: usize, mut min: Entry, mut child: PageId) -> Result<()> {
+    /// Adds `min` to level `li`: as an entry on a leaf, or as the separator
+    /// of `child` on an internal node.  When that level's pending node is
+    /// complete, `min` is exactly its high key: the node is stored (its
+    /// one and only write), a successor starts at `min`, and the stored
+    /// node registers one level up.
+    fn add(&mut self, mut li: usize, mut min: Entry, mut child: Option<PageId>) -> Result<()> {
         loop {
-            if self.inner.len() == li {
-                self.inner.push(None);
+            if self.levels.len() == li {
+                self.levels.push(None);
             }
-            match self.inner[li].take() {
-                None => {
-                    let page = self.alloc()?;
-                    self.inner[li] =
-                        Some(InnerState { page, min, child0: child, entries: Vec::new() });
-                    return Ok(());
+            let target = if li == 0 { self.leaf_target } else { self.internal_target };
+            let pending = self.levels[li].as_mut().filter(|p| p.node.view().count() < target);
+            if let Some(Pending { node, .. }) = pending {
+                node.push(&min);
+                if let Some(child) = child {
+                    node.set_child(node.view().count(), child);
                 }
-                Some(mut state) if state.entries.len() == self.internal_target => {
-                    // Complete: `min` (the first entry under the newly
-                    // arrived child) bounds this node from above.
-                    let succ = self.alloc()?;
-                    let node = InternalNode {
-                        child0: state.child0,
-                        entries: std::mem::take(&mut state.entries),
-                        next: succ,
-                        high: Some(min),
-                    };
-                    self.store_internal(state.page, &node)?;
-                    self.inner[li] =
-                        Some(InnerState { page: succ, min, child0: child, entries: Vec::new() });
-                    // The flushed node itself now registers one level up.
-                    li += 1;
-                    min = state.min;
-                    child = state.page;
-                }
-                Some(mut state) => {
-                    state.entries.push((min, child));
-                    self.inner[li] = Some(state);
-                    return Ok(());
-                }
+                return Ok(());
             }
-        }
-    }
-
-    /// Flushes every level's rightmost pending node (no right link, no
-    /// high key — they bound `+∞`) bottom-up.  The single node of the
-    /// topmost level is the root.  Returns `None` for an empty input.
-    fn finish(mut self) -> Result<Option<Built>> {
-        let Some(state) = self.leaf.take() else {
-            return Ok(None);
-        };
-        let node = LeafNode { entries: state.entries, next: PageId::INVALID, high: None };
-        let min = node.entries[0];
-        self.store_leaf(state.page, &node)?;
-        if self.inner.is_empty() {
-            // Single-leaf tree: the leaf is the root.
-            return Ok(Some(Built {
-                root: state.page,
-                height: 1,
-                first_leaf: self.first_leaf,
-                count: self.count,
-                pages: self.pages,
-            }));
-        }
-        self.emit(0, min, state.page)?;
-        let mut li = 0;
-        loop {
-            let state = self.inner[li].take().expect("every created level has a pending node");
-            let node = InternalNode {
-                child0: state.child0,
-                entries: state.entries,
-                next: PageId::INVALID,
-                high: None,
+            let succ = self.start(min, child)?;
+            let succ_page = succ.page;
+            let Some(done) = self.levels[li].replace(succ) else {
+                if li == 0 {
+                    self.first_leaf = succ_page;
+                }
+                return Ok(());
             };
-            self.store_internal(state.page, &node)?;
-            if li + 1 == self.inner.len() {
-                // A level with no level above it holds exactly one
-                // node (a second node would have created the parent
-                // when the first was emitted): the root.
-                return Ok(Some(Built {
-                    root: state.page,
-                    height: li as u16 + 2,
-                    first_leaf: self.first_leaf,
-                    count: self.count,
-                    pages: self.pages,
-                }));
+            let registered = (done.min, Some(done.page));
+            self.store(done, succ_page, Some(&min))?;
+            (li, (min, child)) = (li + 1, registered);
+        }
+    }
+
+    /// Starts a node on a freshly allocated page, in a zeroed image (what
+    /// a fresh page holds): a leaf holding `min`, or an internal node
+    /// whose `child0` is `child`, the subtree `min` starts.  Plain pool
+    /// allocation, no meta latch: the page is unreachable until the final
+    /// install publishes the root, which also charges the page total.
+    fn start(&mut self, min: Entry, child: Option<PageId>) -> Result<Pending> {
+        let page = self.tree.pool().allocate_page()?;
+        self.pages += 1;
+        let image = vec![0; self.tree.pool().page_size()];
+        let mut node = NodeMut::init(image, self.tree.arity(), child.is_none());
+        match child {
+            None => node.push(&min),
+            Some(child) => node.set_child(0, child),
+        }
+        Ok(Pending { page, node, min })
+    }
+
+    /// Stores a completed node with its right link and high key (none:
+    /// the rightmost of its level): its one write, unlogged (see the
+    /// module docs).
+    fn store(&self, mut done: Pending, next: PageId, high: Option<&Entry>) -> Result<()> {
+        done.node.set_next(next);
+        done.node.set_high(high);
+        let image = done.node.into_inner();
+        self.tree
+            .pool()
+            .write_fresh_page(self.build_start, done.page, |buf| buf.copy_from_slice(&image))
+    }
+
+    /// Stores every level's rightmost pending node (no right link, no
+    /// high key — they bound `+∞`) bottom-up, each registered with the
+    /// level above first.  A level with no level above it holds exactly
+    /// one node (a second would have created the parent when the first
+    /// was registered): the root.  Returns `(root, height)`, `None` for
+    /// an empty input.
+    fn finish(&mut self) -> Result<Option<(PageId, u16)>> {
+        let mut below = None;
+        let mut li = 0;
+        // A registration may create a level, so the bound is re-read.
+        while li < self.levels.len() {
+            if let Some((min, page)) = below {
+                self.add(li, min, Some(page))?;
             }
-            self.emit(li + 1, state.min, state.page)?;
+            let top = self.levels[li].take().expect("every created level has a pending node");
+            below = Some((top.min, top.page));
+            self.store(top, PageId::INVALID, None)?;
             li += 1;
         }
+        Ok(below.map(|(_, root)| (root, li as u16)))
     }
 }
 
@@ -279,7 +207,7 @@ impl BTree {
     /// remainder).
     ///
     /// One streaming pass: each page is written exactly once and the
-    /// builder keeps one pending node per level, so loading `n` entries
+    /// builder keeps one page image per level, so loading `n` entries
     /// costs `O(pages)` sequential page writes and `O(height)` memory —
     /// no per-entry descents (see the module docs).  On a durable pool
     /// the packed pages are written unlogged and synced to the data
@@ -339,7 +267,7 @@ impl BTree {
             self.check_arity(e.key.as_slice())?;
             builder.push(e)?;
         }
-        let Some(built) = builder.finish()? else {
+        let Some((root, height)) = builder.finish()? else {
             return Ok(0); // empty input: the tree stays empty
         };
         // The packed pages reach the synced device before the meta write
@@ -357,13 +285,13 @@ impl BTree {
                     .to_string(),
             ));
         }
-        meta.root = built.root;
-        meta.height = built.height;
-        meta.count = built.count;
-        meta.first_leaf = built.first_leaf;
-        meta.pages += built.pages;
+        meta.root = root;
+        meta.height = height;
+        meta.count = builder.count;
+        meta.first_leaf = builder.first_leaf;
+        meta.pages += builder.pages;
         self.write_meta(&meta)?;
-        Ok(built.count)
+        Ok(builder.count)
     }
 }
 
@@ -388,7 +316,8 @@ pub fn predicted_pages(n: u64, leaf_cap: usize, internal_cap: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::{leaf_capacity, Node};
+    use crate::layout::leaf_capacity;
+    use crate::layout::tests::node;
     use ri_pagestore::{BufferPool, BufferPoolConfig, MemDisk};
     use std::sync::Arc;
 
@@ -399,9 +328,9 @@ mod tests {
     /// Minimum entry stored anywhere under `page` (leftmost descent).
     fn min_under(tree: &BTree, mut page: PageId) -> Entry {
         loop {
-            match tree.read_any(page).unwrap() {
-                Node::Leaf(l) => return l.entries[0],
-                Node::Internal(n) => page = n.child0,
+            match node(tree, page) {
+                l if l.leaf => return l.entries[0].0,
+                n => page = n.child0,
             }
         }
     }
@@ -414,10 +343,8 @@ mod tests {
         let mut page = first;
         loop {
             pages.push(page);
-            let (len, next, high) = match tree.read_any(page).unwrap() {
-                Node::Leaf(l) => (l.entries.len(), l.next, l.high),
-                Node::Internal(n) => (n.entries.len(), n.next, n.high),
-            };
+            let n = node(tree, page);
+            let (len, next, high) = (n.entries.len(), n.next, n.high);
             let next_min = (!next.is_invalid()).then(|| min_under(tree, next));
             match next_min {
                 Some(min) => {
@@ -454,9 +381,9 @@ mod tests {
         let mut lefts = Vec::new();
         for _ in 2..=meta.height {
             lefts.push(page);
-            page = match tree.read_any(page).unwrap() {
-                Node::Internal(node) => node.child0,
-                Node::Leaf(_) => panic!("spine ended early"),
+            page = match node(&tree, page) {
+                n if !n.leaf => n.child0,
+                _ => panic!("spine ended early"),
             };
         }
         assert_eq!(page, meta.first_leaf, "spine must land on the first leaf");

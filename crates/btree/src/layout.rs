@@ -44,15 +44,18 @@
 //! write path's golden counters were re-captured for format 2 (the
 //! command is in `tests/common/golden.rs`).
 //!
-//! # Two ways to read a page
+//! # One view, a read side and a write side
 //!
-//! [`NodeView`] is the read path's: it validates the header once, then
-//! compares, binary-searches and reads columns *in place* — no allocation,
-//! nothing decoded that is not returned.  [`read_node`] decodes the whole
-//! page into an owned [`Node`] on top of the same validation; the write
-//! path (which edits the entry vector) and the invariant checker use it.
-//! Either way a page is outside input: a header that does not describe a
-//! node of this tree is [`Error::Corrupt`], never a panic.
+//! [`NodeView`] reads a page: it validates the header once, then compares,
+//! binary-searches and reads columns *in place* — no allocation, nothing
+//! decoded that is not returned.  [`NodeMut`] is its write twin over
+//! `&mut [u8]`, sharing the validation and the offsets: an insert or a
+//! delete shifts the entries after its slot by one and rewrites the
+//! count, a split copies whole entries, and [`NodeMut::init`] formats a
+//! fresh page.  An edit writes only the bytes it changes, so the slots
+//! past the count keep what they last held.  Either way a page is outside
+//! input: a header that does not describe a node of this tree is
+//! [`Error::Corrupt`], never a panic.
 
 use crate::key::{Entry, Key};
 use ri_pagestore::codec::{get_i64, get_u16, get_u64, put_i64, put_u16, put_u64};
@@ -64,8 +67,8 @@ pub const NODE_LEAF: u8 = 1;
 /// Node type tag for internal nodes.
 pub const NODE_INTERNAL: u8 = 2;
 /// Node type tag reserved for free-list pages.  The tree never frees a
-/// page (see `tree`'s module docs), so nothing writes it; [`read_node`]
-/// rejects it like any unknown tag.
+/// page (see `tree`'s module docs), so nothing writes it;
+/// [`NodeView::parse`] rejects it like any unknown tag.
 pub const NODE_FREE: u8 = 3;
 
 /// On-page format version written into (and required of) every node.
@@ -102,7 +105,7 @@ pub fn internal_entry_size(arity: usize) -> usize {
 /// slot at the page tail is reserved for the high key).
 #[inline]
 pub fn leaf_capacity(page_size: usize, arity: usize) -> usize {
-    (page_size - HEADER_SIZE - leaf_entry_size(arity)) / leaf_entry_size(arity)
+    capacity(page_size, arity, true)
 }
 
 /// Maximum number of separator entries an internal page can hold
@@ -110,50 +113,30 @@ pub fn leaf_capacity(page_size: usize, arity: usize) -> usize {
 /// slot is reserved exactly as on leaves).
 #[inline]
 pub fn internal_capacity(page_size: usize, arity: usize) -> usize {
-    (page_size - HEADER_SIZE - leaf_entry_size(arity)) / internal_entry_size(arity)
+    capacity(page_size, arity, false)
 }
 
-/// Parsed form of a leaf page.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LeafNode {
-    /// Sorted entries, all `< high` (when a high key is present).
-    pub entries: Vec<Entry>,
-    /// Right sibling (= next leaf in key order), or [`PageId::INVALID`].
-    pub next: PageId,
-    /// Exclusive upper bound of this node's key range; `None` = +∞
-    /// (rightmost leaf).
-    pub high: Option<Entry>,
-}
-
-impl LeafNode {
-    /// An empty, unlinked, unbounded leaf.
-    pub fn empty() -> LeafNode {
-        LeafNode { entries: Vec::new(), next: PageId::INVALID, high: None }
+/// Bytes per entry slot: an entry on a leaf, a separator and the child
+/// right of it on an internal node.
+#[inline]
+fn slot_size(arity: usize, leaf: bool) -> usize {
+    if leaf {
+        leaf_entry_size(arity)
+    } else {
+        internal_entry_size(arity)
     }
 }
 
-/// Parsed form of an internal page.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct InternalNode {
-    /// Child holding entries strictly below the first separator.
-    pub child0: PageId,
-    /// `(separator, child)` pairs: `child` holds entries `>= separator`
-    /// (and below the following separator, if any).
-    pub entries: Vec<(Entry, PageId)>,
-    /// Right sibling on the same level, or [`PageId::INVALID`].
-    pub next: PageId,
-    /// Exclusive upper bound of this subtree's key range; `None` = +∞
-    /// (rightmost node of its level).
-    pub high: Option<Entry>,
+/// Entry slots a node of `page_size` bytes holds.
+#[inline]
+fn capacity(page_size: usize, arity: usize, leaf: bool) -> usize {
+    (page_size - HEADER_SIZE - leaf_entry_size(arity)) / slot_size(arity, leaf)
 }
 
-/// Parsed form of any node page.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Node {
-    /// A leaf page.
-    Leaf(LeafNode),
-    /// An internal page.
-    Internal(InternalNode),
+/// Offset of the high-key slot, the last separator-sized slot of the page.
+#[inline]
+fn high_offset(page_size: usize, arity: usize) -> usize {
+    page_size - leaf_entry_size(arity)
 }
 
 /// Decodes one leaf entry (or separator) from its on-page bytes: `arity`
@@ -177,19 +160,6 @@ pub(crate) fn write_entry(buf: &mut [u8], off: usize, e: &Entry) {
         put_i64(buf, off + c * 8, *v);
     }
     put_u64(buf, off + arity * 8, e.payload);
-}
-
-fn write_header(buf: &mut [u8], tag: u8, arity: usize, count: usize, high: &Option<Entry>) {
-    buf[OFF_TYPE] = tag;
-    buf[OFF_ARITY] = arity as u8;
-    put_u16(buf, OFF_COUNT, count as u16);
-    buf[OFF_VERSION] = FORMAT_VERSION;
-    buf[OFF_FLAGS] = if high.is_some() { FLAG_HIGH_KEY } else { 0 };
-    if let Some(h) = high {
-        debug_assert_eq!(h.key.arity(), arity);
-        let off = buf.len() - leaf_entry_size(arity);
-        write_entry(buf, off, h);
-    }
 }
 
 /// A validated, borrowed view of one node page — the read path's way to
@@ -221,12 +191,13 @@ impl<'a> NodeView<'a> {
                 "node arity {stored_arity} does not match tree arity {arity}"
             )));
         }
-        let (leaf, capacity) = match buf[OFF_TYPE] {
-            NODE_LEAF => (true, leaf_capacity(buf.len(), arity)),
-            NODE_INTERNAL => (false, internal_capacity(buf.len(), arity)),
+        let leaf = match buf[OFF_TYPE] {
+            NODE_LEAF => true,
+            NODE_INTERNAL => false,
             other => return Err(Error::Corrupt(format!("unexpected node tag {other}"))),
         };
-        let count = get_u16(buf, OFF_COUNT) as usize;
+        let (count, capacity) =
+            (get_u16(buf, OFF_COUNT) as usize, capacity(buf.len(), arity, leaf));
         if count > capacity {
             return Err(Error::Corrupt(format!(
                 "node claims {count} entries, a page holds at most {capacity}"
@@ -255,9 +226,7 @@ impl<'a> NodeView<'a> {
 
     #[inline]
     fn offset(&self, i: usize) -> usize {
-        let stride =
-            if self.leaf { leaf_entry_size(self.arity) } else { internal_entry_size(self.arity) };
-        HEADER_SIZE + i * stride
+        HEADER_SIZE + i * slot_size(self.arity, self.leaf)
     }
 
     /// Orders the on-page key columns at `off` against `cols`.
@@ -297,11 +266,10 @@ impl<'a> NodeView<'a> {
         lo
     }
 
-    /// Offset of the high-key slot; `None` = +∞, the rightmost node of a level.
+    /// Offset of the high key; `None` = +∞, the rightmost node of a level.
     #[inline]
     fn high_offset(&self) -> Option<usize> {
-        (self.buf[OFF_FLAGS] & FLAG_HIGH_KEY != 0)
-            .then(|| self.buf.len() - leaf_entry_size(self.arity))
+        (self.buf[OFF_FLAGS] & FLAG_HIGH_KEY != 0).then(|| high_offset(self.buf.len(), self.arity))
     }
 
     /// The high key, decoded.
@@ -327,10 +295,15 @@ impl<'a> NodeView<'a> {
         self.partition_point(from, |off| self.cmp_cols_at(off, hi.as_slice()) != Ordering::Greater)
     }
 
+    /// Index of the first entry equal to `target`, if the node stores it.
+    pub fn find(&self, target: &Entry) -> Option<usize> {
+        let i = self.lower_bound(target);
+        (i < self.count && self.cmp_at(self.offset(i), target) == Ordering::Equal).then_some(i)
+    }
+
     /// `true` when a leaf stores exactly `target`.
     pub fn contains(&self, target: &Entry) -> bool {
-        let i = self.lower_bound(target);
-        i < self.count && self.cmp_at(self.offset(i), target) == Ordering::Equal
+        self.find(target).is_some()
     }
 
     /// Internal node: the child page that must contain `target` — the one
@@ -370,109 +343,251 @@ impl<'a> NodeView<'a> {
         debug_assert!(self.leaf && from <= end && end <= self.count);
         &self.buf[self.offset(from)..self.offset(end)]
     }
-}
 
-/// Decodes a whole node page into an owned [`Node`] (the write path's
-/// form).  `arity` must match the tree's arity.
-pub fn read_node(buf: &[u8], arity: usize) -> Result<Node> {
-    let view = NodeView::parse(buf, arity)?;
-    let (next, high) = (view.next(), view.high());
-    Ok(if view.is_leaf() {
-        Node::Leaf(LeafNode {
-            entries: (0..view.count()).map(|i| view.entry(i)).collect(),
-            next,
-            high,
-        })
-    } else {
-        Node::Internal(InternalNode {
-            child0: view.child_at(0),
-            entries: (0..view.count()).map(|i| (view.entry(i), view.child_at(i + 1))).collect(),
-            next,
-            high,
-        })
-    })
-}
-
-/// Encodes a leaf page.
-pub fn write_leaf(buf: &mut [u8], node: &LeafNode, arity: usize) {
-    let cap = leaf_capacity(buf.len(), arity);
-    assert!(node.entries.len() <= cap, "leaf overflow: {} > {cap}", node.entries.len());
-    write_header(buf, NODE_LEAF, arity, node.entries.len(), &node.high);
-    put_u64(buf, OFF_LINK, node.next.raw());
-    put_u64(buf, OFF_INTERNAL_NEXT, PageId::INVALID.raw());
-    let esz = leaf_entry_size(arity);
-    for (i, e) in node.entries.iter().enumerate() {
-        debug_assert_eq!(e.key.arity(), arity);
-        write_entry(buf, HEADER_SIZE + i * esz, e);
+    /// The entry slots of this node with `e` spliced in at its sorted
+    /// place (ahead of equal entries) — and, on an internal node, `child`
+    /// as the child right of it: the `count() + 1` slots a full node
+    /// splits, in one page-sized scratch.
+    pub fn spliced(&self, e: &Entry, child: PageId) -> Vec<u8> {
+        let at = self.offset(self.lower_bound(e)) - HEADER_SIZE;
+        let mut slots = Vec::with_capacity(self.buf.len());
+        slots.extend_from_slice(&self.buf[HEADER_SIZE..][..at]);
+        slots.resize(at + slot_size(self.arity, self.leaf), 0);
+        write_entry(&mut slots, at, e);
+        if !self.leaf {
+            put_u64(&mut slots, at + leaf_entry_size(self.arity), child.raw());
+        }
+        slots.extend_from_slice(&self.buf[HEADER_SIZE + at..self.offset(self.count)]);
+        slots
     }
 }
 
-/// Encodes an internal page.
-pub fn write_internal(buf: &mut [u8], node: &InternalNode, arity: usize) {
-    let cap = internal_capacity(buf.len(), arity);
-    assert!(node.entries.len() <= cap, "internal overflow: {} > {cap}", node.entries.len());
-    write_header(buf, NODE_INTERNAL, arity, node.entries.len(), &node.high);
-    put_u64(buf, OFF_LINK, node.child0.raw());
-    put_u64(buf, OFF_INTERNAL_NEXT, node.next.raw());
-    let esz = internal_entry_size(arity);
-    let sep_sz = leaf_entry_size(arity);
-    for (i, (sep, child)) in node.entries.iter().enumerate() {
-        let off = HEADER_SIZE + i * esz;
-        write_entry(buf, off, sep);
-        put_u64(buf, off + sep_sz, child.raw());
+/// The write side of [`NodeView`]: the same validated header and the
+/// same offsets over a page it may edit — a pool frame's `&mut [u8]`, or
+/// an owned image the bulk builder packs.  An edit writes only the bytes
+/// it changes: the slots past the count keep what they last held.
+pub struct NodeMut<B> {
+    buf: B,
+    arity: usize,
+    count: usize,
+    capacity: usize,
+    leaf: bool,
+}
+
+impl<B: AsRef<[u8]> + AsMut<[u8]>> NodeMut<B> {
+    /// Validates `buf` exactly as [`NodeView::parse`] does.
+    pub fn parse(buf: B, arity: usize) -> Result<NodeMut<B>> {
+        let NodeView { count, leaf, .. } = NodeView::parse(buf.as_ref(), arity)?;
+        let capacity = capacity(buf.as_ref().len(), arity, leaf);
+        Ok(NodeMut { buf, arity, count, capacity, leaf })
+    }
+
+    /// Formats `buf` as an empty node of a tree with `arity` key columns:
+    /// the header, no high key, and both link slots [`PageId::INVALID`].
+    /// Nothing else is written.
+    pub fn init(mut buf: B, arity: usize, leaf: bool) -> NodeMut<B> {
+        let page = buf.as_mut();
+        page[OFF_TYPE] = if leaf { NODE_LEAF } else { NODE_INTERNAL };
+        page[OFF_ARITY] = arity as u8;
+        put_u16(page, OFF_COUNT, 0);
+        page[OFF_VERSION] = FORMAT_VERSION;
+        page[OFF_FLAGS] = 0;
+        put_u64(page, OFF_LINK, PageId::INVALID.raw());
+        put_u64(page, OFF_INTERNAL_NEXT, PageId::INVALID.raw());
+        let capacity = capacity(page.len(), arity, leaf);
+        NodeMut { buf, arity, count: 0, capacity, leaf }
+    }
+
+    /// The read side of the page as edited so far.
+    #[inline]
+    pub fn view(&self) -> NodeView<'_> {
+        NodeView { buf: self.buf.as_ref(), arity: self.arity, count: self.count, leaf: self.leaf }
+    }
+
+    /// The page buffer, written.
+    pub fn into_inner(self) -> B {
+        self.buf
+    }
+
+    /// Byte range of slots `from..end`, checked against the capacity.
+    #[inline]
+    fn slots(&self, from: usize, end: usize) -> std::ops::Range<usize> {
+        assert!(end <= self.capacity, "node overflow: {end} entries");
+        let view = self.view();
+        view.offset(from)..view.offset(end)
+    }
+
+    #[inline]
+    fn set_count(&mut self, count: usize) {
+        self.count = count;
+        put_u16(self.buf.as_mut(), OFF_COUNT, count as u16);
+    }
+
+    /// Inserts `e` at its sorted place, ahead of equal entries, shifting
+    /// the entries after it one slot right; returns its index.  On an
+    /// internal node the child right of it is [`NodeMut::set_child`]'s.
+    /// Panics if the node is full.
+    pub fn insert(&mut self, e: &Entry) -> usize {
+        let pos = self.view().lower_bound(e);
+        let (from, to) = (self.slots(pos, self.count), self.slots(pos + 1, self.count + 1));
+        self.buf.as_mut().copy_within(from.clone(), to.start);
+        write_entry(self.buf.as_mut(), from.start, e);
+        self.set_count(self.count + 1);
+        pos
+    }
+
+    /// Appends `e` after the last entry (the caller keeps the order).
+    /// Panics if the node is full.
+    #[inline]
+    pub fn push(&mut self, e: &Entry) {
+        let at = self.slots(self.count, self.count + 1).start;
+        write_entry(self.buf.as_mut(), at, e);
+        self.set_count(self.count + 1);
+    }
+
+    /// Removes entry `i`, shifting the entries after it one slot left.
+    pub fn remove(&mut self, i: usize) {
+        assert!(i < self.count, "no entry {i} of {}", self.count);
+        let (from, to) = (self.slots(i + 1, self.count), self.slots(i, self.count - 1));
+        self.buf.as_mut().copy_within(from, to.start);
+        self.set_count(self.count - 1);
+    }
+
+    /// Replaces the entries with whole entry slots, as
+    /// [`NodeView::spliced`] hands them out.  Panics if they do not fit.
+    pub fn set_slots(&mut self, slots: &[u8]) {
+        let count = slots.len() / slot_size(self.arity, self.leaf);
+        let range = self.slots(0, count);
+        self.buf.as_mut()[range].copy_from_slice(slots);
+        self.set_count(count);
+    }
+
+    /// Internal node: sets the child at routing slot `slot` (`0` for
+    /// `child0`, `i + 1` for the child right of separator `i`), as
+    /// [`NodeView::child_at`] reads it.
+    pub fn set_child(&mut self, slot: usize, child: PageId) {
+        assert!(!self.leaf && slot <= self.count, "no routing slot {slot}");
+        let off = match slot {
+            0 => OFF_LINK,
+            i => self.view().offset(i - 1) + leaf_entry_size(self.arity),
+        };
+        put_u64(self.buf.as_mut(), off, child.raw());
+    }
+
+    /// Sets the right link.
+    pub fn set_next(&mut self, next: PageId) {
+        let off = if self.leaf { OFF_LINK } else { OFF_INTERNAL_NEXT };
+        put_u64(self.buf.as_mut(), off, next.raw());
+    }
+
+    /// Sets the high key; `None` = +∞, the rightmost node of a level.
+    pub fn set_high(&mut self, high: Option<&Entry>) {
+        let page = self.buf.as_mut();
+        page[OFF_FLAGS] = if high.is_some() { FLAG_HIGH_KEY } else { 0 };
+        if let Some(h) = high {
+            write_entry(page, high_offset(page.len(), self.arity), h);
+        }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::BTree;
+
+    /// A node decoded whole through [`NodeView`] — the form tests compare
+    /// pages against: every entry with the child right of it (internal;
+    /// [`PageId::INVALID`] on a leaf, as is `child0`), the right link and
+    /// the high key.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub(crate) struct Decoded {
+        pub(crate) leaf: bool,
+        pub(crate) child0: PageId,
+        pub(crate) entries: Vec<(Entry, PageId)>,
+        pub(crate) next: PageId,
+        pub(crate) high: Option<Entry>,
+    }
+
+    impl Decoded {
+        /// A leaf holding `entries`.
+        pub(crate) fn leaf(entries: &[Entry], next: PageId, high: Option<Entry>) -> Decoded {
+            let entries = entries.iter().map(|&e| (e, PageId::INVALID)).collect();
+            Decoded { leaf: true, child0: PageId::INVALID, entries, next, high }
+        }
+
+        /// The entries (or separators) alone.
+        pub(crate) fn keys(&self) -> Vec<Entry> {
+            self.entries.iter().map(|&(e, _)| e).collect()
+        }
+    }
+
+    pub(crate) fn decode(buf: &[u8], arity: usize) -> Result<Decoded> {
+        let view = NodeView::parse(buf, arity)?;
+        let child = |slot| if view.is_leaf() { PageId::INVALID } else { view.child_at(slot) };
+        Ok(Decoded {
+            leaf: view.is_leaf(),
+            child0: child(0),
+            entries: (0..view.count()).map(|i| (view.entry(i), child(i + 1))).collect(),
+            next: view.next(),
+            high: view.high(),
+        })
+    }
+
+    /// [`decode`]s page `page` of `tree`.
+    pub(crate) fn node(tree: &BTree, page: PageId) -> Decoded {
+        tree.pool().with_page(page, |buf| decode(buf, tree.arity())).unwrap().unwrap()
+    }
+
+    /// Formats `buf` as the node `d` describes, through the writer.
+    pub(crate) fn encode(buf: &mut [u8], arity: usize, d: &Decoded) {
+        let mut node = NodeMut::init(buf, arity, d.leaf);
+        for (i, (e, child)) in d.entries.iter().enumerate() {
+            node.push(e);
+            if !d.leaf {
+                node.set_child(i + 1, *child);
+            }
+        }
+        if !d.leaf {
+            node.set_child(0, d.child0);
+        }
+        node.set_next(d.next);
+        node.set_high(d.high.as_ref());
+    }
 
     #[test]
     fn leaf_roundtrip() {
         let mut buf = vec![0u8; 512];
-        let node = LeafNode {
-            entries: vec![Entry::new(&[1, -2], 10), Entry::new(&[3, 4], 11)],
-            next: PageId(7),
-            high: Some(Entry::new(&[5, 0], 12)),
-        };
-        write_leaf(&mut buf, &node, 2);
-        match read_node(&buf, 2).unwrap() {
-            Node::Leaf(l) => assert_eq!(l, node),
-            _ => panic!("expected leaf"),
-        }
+        let node = Decoded::leaf(
+            &[Entry::new(&[1, -2], 10), Entry::new(&[3, 4], 11)],
+            PageId(7),
+            Some(Entry::new(&[5, 0], 12)),
+        );
+        encode(&mut buf, 2, &node);
+        assert_eq!(decode(&buf, 2).unwrap(), node);
     }
 
     #[test]
     fn rightmost_leaf_has_no_high_key() {
         let mut buf = vec![0u8; 512];
-        let node =
-            LeafNode { entries: vec![Entry::new(&[9], 1)], next: PageId::INVALID, high: None };
-        write_leaf(&mut buf, &node, 1);
-        match read_node(&buf, 1).unwrap() {
-            Node::Leaf(l) => {
-                assert_eq!(l, node);
-                let view = NodeView::parse(&buf, 1).unwrap();
-                assert!(view.covers(&Entry::new(&[i64::MAX], u64::MAX)), "no high key bounds +inf");
-            }
-            _ => panic!("expected leaf"),
-        }
+        let node = Decoded::leaf(&[Entry::new(&[9], 1)], PageId::INVALID, None);
+        encode(&mut buf, 1, &node);
+        assert_eq!(decode(&buf, 1).unwrap(), node);
+        let view = NodeView::parse(&buf, 1).unwrap();
+        assert!(view.covers(&Entry::new(&[i64::MAX], u64::MAX)), "no high key bounds +inf");
     }
 
     #[test]
     fn internal_roundtrip_routing_and_coverage() {
         let mut buf = vec![0u8; 512];
-        let node = InternalNode {
+        let node = Decoded {
+            leaf: false,
             child0: PageId(1),
             entries: vec![(Entry::new(&[10], 0), PageId(2)), (Entry::new(&[20], 0), PageId(3))],
             next: PageId(8),
             high: Some(Entry::new(&[30], 0)),
         };
-        write_internal(&mut buf, &node, 1);
-        let parsed = match read_node(&buf, 1).unwrap() {
-            Node::Internal(n) => n,
-            _ => panic!("expected internal"),
-        };
-        assert_eq!(parsed, node);
+        encode(&mut buf, 1, &node);
+        assert_eq!(decode(&buf, 1).unwrap(), node);
         // The in-place view routes and bounds exactly like the decoded node.
         let view = NodeView::parse(&buf, 1).unwrap();
         assert!(!view.is_leaf());
@@ -497,7 +612,7 @@ mod tests {
             Entry::new(&[3, 4], 0),
             Entry::new(&[i64::MAX, i64::MAX], u64::MAX),
         ];
-        write_leaf(&mut buf, &LeafNode { entries: entries.clone(), ..LeafNode::empty() }, 2);
+        encode(&mut buf, 2, &Decoded::leaf(&entries, PageId::INVALID, None));
         let view = NodeView::parse(&buf, 2).unwrap();
         assert!(view.is_leaf());
         for probe in entries.iter().copied().chain([
@@ -516,22 +631,61 @@ mod tests {
         assert_eq!((0..view.count()).map(|i| view.entry(i)).collect::<Vec<_>>(), entries);
     }
 
+    /// The writer's edits against a decoded reference, slot by slot — and
+    /// the bytes past the count, which an edit leaves as they were.
+    #[test]
+    fn in_place_edits_shift_one_slot_and_keep_stale_slots() {
+        let e = |k: i64| Entry::new(&[k, -k], k as u64);
+        let size = leaf_entry_size(2);
+        let mut buf = vec![0u8; 256];
+        let mut node = NodeMut::init(&mut buf[..], 2, true);
+        for k in [10, 30, 20, 40, 0] {
+            node.insert(&e(k));
+        }
+        assert_eq!(node.insert(&e(20)), 2, "ahead of the equal entry");
+        let slots = node.view().leaf_run(0, 6).to_vec();
+        node.remove(2);
+        node.remove(4);
+        assert_eq!(decode(&buf, 2).unwrap().keys(), [0, 10, 20, 30].map(e));
+        // Both vacated slots still hold the last entry: the first shift
+        // copied it left, and nothing has written either since.
+        for slot in [4, 5] {
+            assert_eq!(&buf[HEADER_SIZE + slot * size..][..size], &slots[5 * size..]);
+        }
+
+        // A full node splices one more entry into a scratch of its slots;
+        // keeping the lower half leaves the upper half's bytes in place.
+        let (mut full, cap) = (vec![0u8; 256], leaf_capacity(256, 2));
+        let mut node = NodeMut::init(&mut full[..], 2, true);
+        (0..cap as i64).for_each(|k| node.push(&e(2 * k)));
+        let spliced = node.view().spliced(&e(5), PageId::INVALID);
+        let mut want: Vec<Entry> = (0..cap as i64).map(|k| e(2 * k)).collect();
+        want.insert(3, e(5));
+        assert_eq!(spliced.chunks(size).map(|w| read_entry(w, 2)).collect::<Vec<_>>(), want);
+        let mid = want.len() / 2; // as a split cuts it
+        node.set_slots(&spliced[..mid * size]);
+        assert_eq!(decode(&full, 2).unwrap().keys(), want[..mid]);
+        let stale = (mid..cap).map(|i| read_entry(&full[HEADER_SIZE + i * size..], 2));
+        assert!(stale.eq((mid as i64..cap as i64).map(|k| e(2 * k))));
+    }
+
     #[test]
     fn forged_headers_are_corrupt_not_panics() {
         for leaf in [true, false] {
             let mut page = vec![0u8; 256];
             if leaf {
-                write_leaf(&mut page, &LeafNode::empty(), 2);
+                encode(&mut page, 2, &Decoded::leaf(&[], PageId::INVALID, None));
             } else {
-                let node = InternalNode {
+                let node = Decoded {
+                    leaf: false,
                     child0: PageId(1),
                     entries: vec![(Entry::new(&[1, 1], 0), PageId(2))],
                     next: PageId::INVALID,
                     high: None,
                 };
-                write_internal(&mut page, &node, 2);
+                encode(&mut page, 2, &node);
             }
-            assert!(read_node(&page, 2).is_ok());
+            assert!(decode(&page, 2).is_ok());
             let capacity =
                 if leaf { leaf_capacity(256, 2) } else { internal_capacity(256, 2) } as u16;
             // (offset, forged bytes): count past the page, count one past
@@ -548,22 +702,21 @@ mod tests {
             for (off, bytes) in forgeries {
                 let mut forged = page.clone();
                 forged[off..off + bytes.len()].copy_from_slice(bytes);
-                assert!(matches!(read_node(&forged, 2), Err(Error::Corrupt(_))), "{off} {bytes:?}");
+                assert!(matches!(decode(&forged, 2), Err(Error::Corrupt(_))), "{off} {bytes:?}");
                 assert!(matches!(NodeView::parse(&forged, 2), Err(Error::Corrupt(_))));
+                assert!(matches!(NodeMut::parse(&mut forged[..], 2), Err(Error::Corrupt(_))));
             }
             // A count exactly at capacity is legal.
             let mut full = page.clone();
             full[OFF_COUNT..OFF_COUNT + 2].copy_from_slice(&capacity.to_le_bytes());
-            assert!(read_node(&full, 2).is_ok());
+            assert!(decode(&full, 2).is_ok());
         }
     }
 
     #[test]
     fn high_key_comparison_is_exclusive_and_payload_aware() {
         let mut buf = vec![0u8; 256];
-        let node =
-            LeafNode { entries: Vec::new(), next: PageId(4), high: Some(Entry::new(&[7, 7], 3)) };
-        write_leaf(&mut buf, &node, 2);
+        encode(&mut buf, 2, &Decoded::leaf(&[], PageId(4), Some(Entry::new(&[7, 7], 3))));
         let leaf = NodeView::parse(&buf, 2).unwrap();
         assert!(leaf.covers(&Entry::new(&[7, 7], 2)), "payload below the high key's stays");
         assert!(!leaf.covers(&Entry::new(&[7, 7], 3)), "exactly the high key moves right");
@@ -573,16 +726,16 @@ mod tests {
     #[test]
     fn arity_mismatch_is_corrupt() {
         let mut buf = vec![0u8; 256];
-        write_leaf(&mut buf, &LeafNode::empty(), 2);
-        assert!(matches!(read_node(&buf, 3), Err(Error::Corrupt(_))));
+        NodeMut::init(&mut buf[..], 2, true);
+        assert!(matches!(decode(&buf, 3), Err(Error::Corrupt(_))));
     }
 
     #[test]
     fn unknown_format_version_is_corrupt() {
         let mut buf = vec![0u8; 256];
-        write_leaf(&mut buf, &LeafNode::empty(), 2);
+        NodeMut::init(&mut buf[..], 2, true);
         buf[4] = 1; // format 1: pre-B-link
-        let err = read_node(&buf, 2).unwrap_err();
+        let err = decode(&buf, 2).unwrap_err();
         assert!(err.to_string().contains("format version 1"), "{err}");
     }
 

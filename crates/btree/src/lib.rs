@@ -97,12 +97,13 @@ mod tests {
         tree.insert(&[1, 1], 1).unwrap();
         let probe = Entry::new(&[5, 5], 5);
         let leaf = tree.leaf_for(&probe).unwrap().unwrap();
-        let forged = layout::LeafNode {
-            entries: vec![Entry::new(&[1, 1], 1)],
-            next: leaf,
-            high: Some(Entry::new(&[2, 0], 0)),
-        };
-        pool.with_page_mut(leaf, |buf| layout::write_leaf(buf, &forged, 2)).unwrap();
+        pool.with_page_mut(leaf, |buf| {
+            let mut forged = layout::NodeMut::init(buf, 2, true);
+            forged.push(&Entry::new(&[1, 1], 1));
+            forged.set_next(leaf);
+            forged.set_high(Some(&Entry::new(&[2, 0], 0)));
+        })
+        .unwrap();
 
         let chases = || pool.latches().stats().right_link_chases;
         let per_loop = pool.num_pages() + 1;
@@ -126,13 +127,14 @@ mod tests {
             tree.insert(&[i, i], i as u64).unwrap();
         }
         let first = tree.leaf_for(&Entry::new(&[0, 0], 0)).unwrap().unwrap();
-        let layout::Node::Leaf(head) = tree.read_any(first).unwrap() else { panic!("a leaf") };
-        let layout::Node::Leaf(mut last) = tree.read_any(head.next).unwrap() else {
-            panic!("twenty-five entries split the root leaf once")
-        };
-        assert!(last.next.is_invalid() && last.high.is_none());
-        last.next = first;
-        pool.with_page_mut(head.next, |buf| layout::write_leaf(buf, &last, 2)).unwrap();
+        let head = layout::tests::node(&tree, first);
+        let last = layout::tests::node(&tree, head.next);
+        assert!(head.leaf && last.leaf, "a leaf");
+        assert!(last.next.is_invalid() && last.high.is_none(), "twenty-five entries split once");
+        pool.with_page_mut(head.next, |buf| {
+            layout::NodeMut::parse(buf, 2).unwrap().set_next(first)
+        })
+        .unwrap();
 
         let mut scan = tree.scan_all();
         assert!(matches!(scan.find_map(|e| e.err()), Some(Error::Corrupt(_))));
@@ -155,12 +157,12 @@ mod tests {
         let tree = BTree::create(Arc::clone(&pool), 2).unwrap();
         tree.insert(&[1, 1], 1).unwrap();
         let leaf = tree.leaf_for(&Entry::new(&[5, 5], 5)).unwrap().unwrap();
-        let forged = layout::LeafNode {
-            entries: vec![Entry::new(&[1, 1], 1)],
-            next: ri_pagestore::PageId::INVALID,
-            high: Some(Entry::new(&[2, 0], 0)),
-        };
-        pool.with_page_mut(leaf, |buf| layout::write_leaf(buf, &forged, 2)).unwrap();
+        pool.with_page_mut(leaf, |buf| {
+            let mut forged = layout::NodeMut::init(buf, 2, true);
+            forged.push(&Entry::new(&[1, 1], 1));
+            forged.set_high(Some(&Entry::new(&[2, 0], 0)));
+        })
+        .unwrap();
 
         let linkless = |e: &Error| matches!(e, Error::Corrupt(why) if why.contains("right link"));
         assert!(linkless(&tree.scan_range(&[5, 5], &[9, 9]).next().unwrap().unwrap_err()));
@@ -170,6 +172,28 @@ mod tests {
         assert_eq!(pool.latches().stats().right_link_chases, 0, "no link, no chase");
         // Below the high key nothing moves right and nothing is wrong.
         assert!(tree.contains(&[1, 1], 1).unwrap());
+    }
+
+    /// `check_invariants` walks the leaf chain from the meta page's first
+    /// leaf.  A forged first leaf that links to itself must end that walk
+    /// with `Corrupt` once it has visited more pages than the leaf level
+    /// holds, not loop forever.
+    #[test]
+    fn forged_first_leaf_self_link_is_corrupt_not_a_hang() {
+        let pool = Arc::new(BufferPool::with_defaults(MemDisk::new(512)));
+        let tree = BTree::create(Arc::clone(&pool), 2).unwrap();
+        tree.insert(&[1, 1], 1).unwrap();
+        let orphan = pool.allocate_page().unwrap();
+        pool.with_page_mut(orphan, |buf| {
+            let mut forged = layout::NodeMut::init(buf, 2, true);
+            forged.set_next(orphan);
+            forged.set_high(Some(&Entry::new(&[2, 0], 0)));
+        })
+        .unwrap();
+        let mut meta = tree.read_meta().unwrap();
+        meta.first_leaf = orphan;
+        tree.write_meta(&meta).unwrap();
+        assert!(matches!(tree.check_invariants(), Err(Error::Corrupt(_))));
     }
 
     #[test]

@@ -182,6 +182,7 @@ impl Iterator for RangeScan<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::tests::node;
     use ri_pagestore::{BufferPool, BufferPoolConfig, MemDisk};
     use std::sync::Arc;
 
@@ -248,36 +249,32 @@ mod tests {
     }
 
     /// What a scan must yield, computed the pre-`NodeView` way: whole
-    /// nodes decoded with `read_node`, routed by their separator vectors,
-    /// moved right past high keys, the leaf chain filtered entry by entry.
+    /// nodes decoded (`layout::tests::decode`), routed by their separator
+    /// vectors, moved right past high keys, the leaf chain filtered entry
+    /// by entry.
     fn reference_scan(tree: &BTree, lo: &[i64], hi: &[i64]) -> Vec<Entry> {
-        use crate::layout::Node;
         let (target, hi) = (Entry { key: Key::new(lo), payload: 0 }, Key::new(hi));
         let mut page = tree.read_meta().unwrap().root;
         let mut out = Vec::new();
         let mut positioned = false;
         while !page.is_invalid() {
-            let node = tree.read_any(page).unwrap();
-            let (high, next) = match &node {
-                Node::Leaf(l) => (l.high, l.next),
-                Node::Internal(n) => (n.high, n.next),
-            };
-            page = match node {
-                _ if !positioned && high.is_some_and(|h| target >= h) => next, // move right
-                Node::Internal(n) => match n.entries.partition_point(|(s, _)| *s <= target) {
+            let n = node(tree, page);
+            page = if !positioned && n.high.is_some_and(|h| target >= h) {
+                n.next // move right
+            } else if !n.leaf {
+                match n.entries.partition_point(|(s, _)| *s <= target) {
                     0 => n.child0,
                     slot => n.entries[slot - 1].1,
-                },
-                Node::Leaf(l) => {
-                    positioned = true;
-                    for e in l.entries.into_iter().filter(|e| *e >= target) {
-                        if e.key > hi {
-                            return out;
-                        }
-                        out.push(e);
-                    }
-                    next
                 }
+            } else {
+                positioned = true;
+                for e in n.keys().into_iter().filter(|e| *e >= target) {
+                    if e.key > hi {
+                        return out;
+                    }
+                    out.push(e);
+                }
+                n.next
             };
         }
         out
@@ -350,11 +347,11 @@ mod tests {
                 // The sibling is published, its separator is not posted:
                 // a scan from a key past the separator descends to the
                 // left node and must follow the right link to find it.
-                let crate::layout::Node::Leaf(sibling) = tree_in.read_any(right).unwrap() else {
-                    panic!("leaf split published a non-leaf");
-                };
-                let lo = sibling.entries.last().unwrap().key;
-                if lo == sibling.entries[0].key {
+                let sibling = node(&tree_in, right);
+                assert!(sibling.leaf, "leaf split published a non-leaf");
+                let sibling = sibling.keys();
+                let lo = sibling.last().unwrap().key;
+                if lo == sibling[0].key {
                     return; // `(lo, payload 0)` sorts below the separator: no move
                 }
                 windows.fetch_add(1, SeqCst);
@@ -363,7 +360,7 @@ mod tests {
                 let got: Vec<Entry> =
                     tree_in.scan_range(lo.as_slice(), &[i64::MAX; 2]).map(|e| e.unwrap()).collect();
                 assert!(chases() > before, "the move right must be recorded");
-                assert!(got.contains(sibling.entries.last().unwrap()));
+                assert!(got.contains(sibling.last().unwrap()));
                 assert_eq!(got, reference_scan(&tree_in, lo.as_slice(), &[i64::MAX; 2]));
                 assert_scan_matches_reference(&tree_in, &[i64::MIN; 2], &[i64::MAX; 2]);
             })));

@@ -83,7 +83,8 @@
 
 use crate::key::Entry;
 use crate::layout::{
-    self, internal_capacity, leaf_capacity, InternalNode, LeafNode, Node, NodeView,
+    internal_capacity, internal_entry_size, leaf_capacity, leaf_entry_size, read_entry, NodeMut,
+    NodeView,
 };
 use crate::scan::RangeScan;
 use ri_pagestore::codec::{get_u16, get_u32, get_u64, put_u16, put_u32, put_u64};
@@ -192,6 +193,30 @@ pub struct BTree {
     pub(crate) internal_cap: usize,
     /// Test instrumentation for the split window; `None` in production.
     smo_probe: Mutex<Option<Arc<SmoProbe>>>,
+}
+
+/// A full node's entry slots with the new one spliced in
+/// ([`NodeView::spliced`]: one more than fit), and the right link and high
+/// key its split's sibling inherits — all read under the node's latch.
+struct Overfull {
+    leaf: bool,
+    slots: Vec<u8>,
+    next: PageId,
+    high: Option<Entry>,
+}
+
+impl Overfull {
+    /// `None` while `node` has room for one more of its `cap` entries;
+    /// otherwise its slots with `e` (and, internal, `child` right of it)
+    /// spliced in.
+    fn of(node: NodeView<'_>, cap: usize, e: &Entry, child: PageId) -> Option<Overfull> {
+        (node.count() >= cap).then(|| Overfull {
+            leaf: node.is_leaf(),
+            slots: node.spliced(e, child),
+            next: node.next(),
+            high: node.high(),
+        })
+    }
 }
 
 /// Outcome of [`BTree::grow_or_relocate`]: either the root grew (the
@@ -354,22 +379,27 @@ impl BTree {
     }
 
     // ------------------------------------------------------------------
-    // Node I/O helpers
+    // Node I/O: a write edits its page in place
     // ------------------------------------------------------------------
 
-    pub(crate) fn read_any(&self, page: PageId) -> Result<Node> {
+    /// Edits node `page` in place through its [`NodeMut`], the header
+    /// validated inside the one `with_page_mut`.  Writes only the bytes
+    /// `f` changes.
+    fn edit<T>(&self, page: PageId, f: impl FnOnce(&mut NodeMut<&mut [u8]>) -> T) -> Result<T> {
         let arity = self.arity;
-        self.pool.with_page(page, |buf| layout::read_node(buf, arity))?
+        self.pool.with_page_mut(page, |buf| NodeMut::parse(buf, arity).map(|mut n| f(&mut n)))?
     }
 
-    pub(crate) fn store_leaf(&self, page: PageId, node: &LeafNode) -> Result<()> {
+    /// Formats the freshly allocated `page` as an empty node
+    /// ([`NodeMut::init`]) and fills it with `f`, in one `with_page_mut`.
+    fn format(
+        &self,
+        page: PageId,
+        leaf: bool,
+        f: impl FnOnce(&mut NodeMut<&mut [u8]>),
+    ) -> Result<()> {
         let arity = self.arity;
-        self.pool.with_page_mut(page, |buf| layout::write_leaf(buf, node, arity))
-    }
-
-    pub(crate) fn store_internal(&self, page: PageId, node: &InternalNode) -> Result<()> {
-        let arity = self.arity;
-        self.pool.with_page_mut(page, |buf| layout::write_internal(buf, node, arity))
+        self.pool.with_page_mut(page, |buf| f(&mut NodeMut::init(buf, arity, leaf)))
     }
 
     // ------------------------------------------------------------------
@@ -380,19 +410,53 @@ impl BTree {
     /// node through its [`NodeView`] (header validated, kind checked) in
     /// the pool's shared, immutable page snapshot and chases right links until the
     /// node's key range covers `target`, then runs `f` on that view.
-    /// Returns the covering page with `f`'s result.  The single canonical
-    /// chase loop — and the only way the read path looks at a node — on
-    /// internal levels and the leaf level alike.
+    /// Returns the covering page with `f`'s result.  The read path's form
+    /// of [`BTree::chase`], on internal levels and the leaf level alike.
     pub(crate) fn with_covering_node<T>(
+        &self,
+        page: PageId,
+        target: &Entry,
+        want_leaf: bool,
+        f: impl FnMut(NodeView<'_>) -> T,
+    ) -> Result<(PageId, T)> {
+        let (page, found, _) = self.chase(page, target, want_leaf, false, f)?;
+        Ok((page, found))
+    }
+
+    /// Latched move-right: [`BTree::with_covering_node`] with each page
+    /// prefetched and exclusively latched before it is read, and the latch
+    /// released before the chase moves right.  Returns the covering page,
+    /// `f`'s result and the latch, still held.
+    fn latch_covering_node<T>(
+        &self,
+        page: PageId,
+        target: &Entry,
+        want_leaf: bool,
+        f: impl FnMut(NodeView<'_>) -> T,
+    ) -> Result<(PageId, T, LatchGuard<'_>)> {
+        let (page, found, guard) = self.chase(page, target, want_leaf, true, f)?;
+        Ok((page, found, guard.expect("a latched chase returns its node's latch")))
+    }
+
+    /// The single canonical chase loop, latch-free or (`latch`) latched:
+    /// the coverage test is [`NodeView::covers`] either way.
+    fn chase<T>(
         &self,
         mut page: PageId,
         target: &Entry,
         want_leaf: bool,
+        latch: bool,
         mut f: impl FnMut(NodeView<'_>) -> T,
-    ) -> Result<(PageId, T)> {
+    ) -> Result<(PageId, T, Option<LatchGuard<'_>>)> {
         let arity = self.arity;
         let mut chased = 0;
         loop {
+            let guard = if latch {
+                self.pool.prefetch(page)?;
+                Some(self.latches().page_exclusive(page))
+            } else {
+                None
+            };
             let step = self.pool.with_page(page, |buf| {
                 let node = NodeView::parse(buf, arity)?;
                 if node.is_leaf() != want_leaf {
@@ -402,8 +466,9 @@ impl BTree {
                 Ok(if node.covers(target) { Break(f(node)) } else { Continue(node.next()) })
             })??;
             match step {
-                Break(found) => return Ok((page, found)),
+                Break(found) => return Ok((page, found, guard)),
                 Continue(next) => {
+                    drop(guard);
                     self.count_chase(&mut chased, page, next)?;
                     page = next;
                 }
@@ -427,36 +492,6 @@ impl BTree {
             return Err(Error::Corrupt(format!("right links cycle through {page}")));
         }
         Ok(())
-    }
-
-    /// Latched move-right: prefetches and exclusively latches `page`,
-    /// re-chasing right links under the latch (release, prefetch, latch
-    /// next) until the node read under the latch covers `target`.  The
-    /// single canonical chase loop for latched traversals; callers match
-    /// the node type they expect.
-    fn latch_covering_node(
-        &self,
-        mut page: PageId,
-        target: &Entry,
-    ) -> Result<(PageId, Node, LatchGuard<'_>)> {
-        self.pool.prefetch(page)?;
-        let mut guard = self.latches().page_exclusive(page);
-        let mut chased = 0;
-        loop {
-            let node = self.read_any(page)?;
-            let (high, next) = match &node {
-                Node::Leaf(l) => (l.high, l.next),
-                Node::Internal(n) => (n.high, n.next),
-            };
-            if high.is_none_or(|h| *target < h) {
-                return Ok((page, node, guard));
-            }
-            drop(guard);
-            self.count_chase(&mut chased, page, next)?;
-            self.pool.prefetch(next)?;
-            guard = self.latches().page_exclusive(next);
-            page = next;
-        }
     }
 
     /// Descends from `meta.root` to the leaf level, routing toward
@@ -488,23 +523,6 @@ impl BTree {
         Ok((page, stack))
     }
 
-    /// Exclusively latches the leaf responsible for `target`, starting
-    /// from the descent's `page` hint and moving right under the latch if
-    /// a concurrent split shifted the key range.  The page is prefetched
-    /// before each latch acquisition so the latched read is a cache hit.
-    fn latch_leaf_for_write(
-        &self,
-        page: PageId,
-        target: &Entry,
-    ) -> Result<(PageId, LeafNode, LatchGuard<'_>)> {
-        match self.latch_covering_node(page, target)? {
-            (page, Node::Leaf(leaf), guard) => Ok((page, leaf, guard)),
-            (page, Node::Internal(_), _) => {
-                Err(Error::Corrupt(format!("expected leaf at {page}, found internal node")))
-            }
-        }
-    }
-
     // ------------------------------------------------------------------
     // Insert
     // ------------------------------------------------------------------
@@ -530,19 +548,20 @@ impl BTree {
                 continue; // lost the empty-tree race; a root exists now
             }
             let (leaf_hint, stack) = self.descend(&meta, &entry, true)?;
-            let (leaf_page, mut leaf, guard) = self.latch_leaf_for_write(leaf_hint, &entry)?;
-            let pos = leaf.entries.partition_point(|e| e < &entry);
-            leaf.entries.insert(pos, entry);
-            if leaf.entries.len() <= self.leaf_cap {
-                // Safe leaf: one latched in-place store.  This is the
-                // parallel path — leaf-disjoint writers never touch.
-                self.store_leaf(leaf_page, &leaf)?;
-                drop(guard);
-            } else {
-                let (sep, right_page) = self.split_leaf(leaf_page, leaf)?;
+            let (leaf_page, full, guard) =
+                self.latch_covering_node(leaf_hint, &entry, true, |leaf| {
+                    Overfull::of(leaf, self.leaf_cap, &entry, PageId::INVALID)
+                })?;
+            if let Some(full) = full {
+                let (sep, right_page) = self.split(leaf_page, full)?;
                 drop(guard);
                 self.probe(SmoPhase::LeafSplitLinked { left: leaf_page, right: right_page });
                 self.post_separator(stack, leaf_page, 1, sep, right_page)?;
+            } else {
+                // Safe leaf: one latched in-place edit.  This is the
+                // parallel path — leaf-disjoint writers never touch.
+                self.edit(leaf_page, |leaf| leaf.insert(&entry))?;
+                drop(guard);
             }
             // Prefetch so the count bump under the meta latch is a hit —
             // the meta page is the hottest latch in the tree and must
@@ -565,8 +584,7 @@ impl BTree {
         }
         let root = self.pool.allocate_page()?;
         meta.pages += 1;
-        let node = LeafNode { entries: vec![entry], ..LeafNode::empty() };
-        self.store_leaf(root, &node)?;
+        self.format(root, true, |leaf| leaf.push(&entry))?;
         meta.root = root;
         meta.first_leaf = root;
         meta.height = 1;
@@ -575,22 +593,36 @@ impl BTree {
         Ok(true)
     }
 
-    /// Phase 1 of a leaf split.  Caller holds the leaf latch and passes
-    /// the over-full (capacity + 1) in-memory leaf; the right sibling
-    /// takes the upper half, the old right link, and the old high key.
-    /// The sibling page is stored **before** the left node is relinked,
-    /// so the link is never dangling for latch-free readers.  Returns
-    /// the separator (the sibling's first entry) and the sibling page.
-    fn split_leaf(&self, leaf_page: PageId, mut leaf: LeafNode) -> Result<(Entry, PageId)> {
-        let mid = leaf.entries.len() / 2;
-        let right_entries = leaf.entries.split_off(mid);
+    /// Phase 1 of a split, leaf or internal.  The caller holds the latch
+    /// of `page`, whose slots it read under that latch into `full`.  The
+    /// right sibling takes the upper half, the old right link and the old
+    /// high key.  The sibling page is stored **before** the left node is
+    /// truncated and relinked, so the link is never dangling for latch-free
+    /// readers.  Returns the separator and the sibling page: a leaf
+    /// sibling's first entry, or an internal node's middle separator, which
+    /// moves up while its child becomes the sibling's `child0`.
+    fn split(&self, page: PageId, full: Overfull) -> Result<(Entry, PageId)> {
+        let Overfull { leaf, slots, next, high } = full;
+        let sep_size = leaf_entry_size(self.arity);
+        let stride = if leaf { sep_size } else { internal_entry_size(self.arity) };
+        let (lower, upper) = slots.split_at(slots.len() / stride / 2 * stride);
+        let sep = read_entry(upper, self.arity);
         let right_page = self.alloc_page_latched()?;
-        let right = LeafNode { entries: right_entries, next: leaf.next, high: leaf.high };
-        let sep = right.entries[0];
-        leaf.next = right_page;
-        leaf.high = Some(sep);
-        self.store_leaf(right_page, &right)?;
-        self.store_leaf(leaf_page, &leaf)?;
+        self.format(right_page, leaf, |right| {
+            if leaf {
+                right.set_slots(upper);
+            } else {
+                right.set_child(0, PageId(get_u64(upper, sep_size)));
+                right.set_slots(&upper[stride..]);
+            }
+            right.set_next(next);
+            right.set_high(high.as_ref());
+        })?;
+        self.edit(page, |left| {
+            left.set_slots(lower);
+            left.set_next(right_page);
+            left.set_high(Some(&sep));
+        })?;
         self.latches().record_split();
         Ok((sep, right_page))
     }
@@ -619,40 +651,22 @@ impl BTree {
                     ParentSearch::At(p) => p,
                 },
             };
-            let (page, mut node, guard) = match self.latch_covering_node(hint, &sep)? {
-                (page, Node::Internal(node), guard) => (page, node, guard),
-                (page, Node::Leaf(_), _) => {
-                    return Err(Error::Corrupt(format!(
-                        "expected internal node at {page}, found leaf"
-                    )))
-                }
-            };
-            let pos = node.entries.partition_point(|(s, _)| s < &sep);
-            node.entries.insert(pos, (sep, right));
+            let (page, full, guard) = self.latch_covering_node(hint, &sep, false, |node| {
+                Overfull::of(node, self.internal_cap, &sep, right)
+            })?;
             self.latches().record_smo_completion();
-            if node.entries.len() <= self.internal_cap {
-                self.store_internal(page, &node)?;
+            let Some(full) = full else {
+                self.edit(page, |node| {
+                    let pos = node.insert(&sep);
+                    node.set_child(pos + 1, right);
+                })?;
                 return Ok(());
-            }
+            };
             // The parent overflows: split it the same two-phase way and
             // continue posting one level up.  The promoted separator
             // moves to the parent level; the right node's first child is
             // the promoted separator's child.
-            let mid = node.entries.len() / 2;
-            let mut upper = node.entries.split_off(mid);
-            let (promoted, promoted_child) = upper.remove(0);
-            let new_right = self.alloc_page_latched()?;
-            let rnode = InternalNode {
-                child0: promoted_child,
-                entries: upper,
-                next: node.next,
-                high: node.high,
-            };
-            node.next = new_right;
-            node.high = Some(promoted);
-            self.store_internal(new_right, &rnode)?;
-            self.store_internal(page, &node)?;
-            self.latches().record_split();
+            let (promoted, new_right) = self.split(page, full)?;
             drop(guard);
             self.probe(SmoPhase::InternalSplitLinked { left: page, right: new_right });
             left = page;
@@ -697,13 +711,11 @@ impl BTree {
                 if meta.root == left {
                     let new_root = self.pool.allocate_page()?;
                     meta.pages += 1;
-                    let node = InternalNode {
-                        child0: left,
-                        entries: vec![(sep, right)],
-                        next: PageId::INVALID,
-                        high: None,
-                    };
-                    self.store_internal(new_root, &node)?;
+                    self.format(new_root, false, |root| {
+                        root.set_child(0, left);
+                        root.push(&sep);
+                        root.set_child(1, right);
+                    })?;
                     meta.root = new_root;
                     meta.height += 1;
                     self.write_meta(&meta)?;
@@ -764,12 +776,12 @@ impl BTree {
         let Some(leaf_hint) = self.leaf_for(&target)? else {
             return Ok(false);
         };
-        let (leaf_page, mut leaf, guard) = self.latch_leaf_for_write(leaf_hint, &target)?;
-        let Ok(pos) = leaf.entries.binary_search(&target) else {
+        let (leaf_page, found, guard) =
+            self.latch_covering_node(leaf_hint, &target, true, |leaf| leaf.find(&target))?;
+        let Some(pos) = found else {
             return Ok(false);
         };
-        leaf.entries.remove(pos);
-        self.store_leaf(leaf_page, &leaf)?;
+        self.edit(leaf_page, |leaf| leaf.remove(pos))?;
         drop(guard);
         // As in `insert`: the bump under the meta latch must hit.
         self.pool.prefetch(self.meta_page)?;
@@ -927,10 +939,18 @@ impl BTree {
                 meta.pages
             )));
         }
-        // Leaf chain must enumerate exactly the in-order leaves.
+        // The leaf chain must enumerate exactly the in-order leaves.  A
+        // chain longer than the leaf level is forged, and may loop.
         let mut chained = Vec::new();
         let mut page = meta.first_leaf;
         while !page.is_invalid() {
+            if chained.len() == levels[0].len() {
+                return Err(Error::Corrupt(format!(
+                    "leaf chain from {} runs past the {} in-order leaves",
+                    meta.first_leaf,
+                    levels[0].len()
+                )));
+            }
             chained.push(page);
             page = self.right_link_of(page)?;
         }
@@ -943,12 +963,14 @@ impl BTree {
     }
 
     fn right_link_of(&self, page: PageId) -> Result<PageId> {
-        Ok(match self.read_any(page)? {
-            Node::Leaf(l) => l.next,
-            Node::Internal(n) => n.next,
-        })
+        let arity = self.arity;
+        self.pool.with_page(page, |buf| NodeView::parse(buf, arity).map(|node| node.next()))?
     }
 
+    /// Checks the subtree under `page`, a node at `level` whose entries
+    /// must lie in `[lo, hi)`, through its [`NodeView`]; its children are
+    /// checked from inside its page snapshot.  Returns the entries counted.
+    /// (A count over capacity is [`NodeView::parse`]'s to reject.)
     fn check_subtree(
         &self,
         page: PageId,
@@ -957,74 +979,46 @@ impl BTree {
         hi: Option<Entry>,
         levels: &mut Vec<Vec<PageId>>,
     ) -> Result<u64> {
-        let in_bounds = |e: &Entry| lo.is_none_or(|l| *e >= l) && hi.is_none_or(|h| *e < h);
-        match self.read_any(page)? {
-            Node::Leaf(leaf) => {
-                if level != 1 {
-                    return Err(Error::Corrupt(format!("leaf {page} at level {level}")));
-                }
-                if leaf.entries.len() > self.leaf_cap {
-                    return Err(Error::Corrupt(format!("leaf {page} over capacity")));
-                }
-                if leaf.high != hi {
-                    return Err(Error::Corrupt(format!(
-                        "leaf {page} high key disagrees with its parent separator"
-                    )));
-                }
-                if leaf.high.is_some() == leaf.next.is_invalid() {
-                    return Err(Error::Corrupt(format!(
-                        "leaf {page}: high key and right link must be set together"
-                    )));
-                }
-                if !leaf.entries.windows(2).all(|w| w[0] < w[1]) {
-                    return Err(Error::Corrupt(format!("leaf {page} not strictly sorted")));
-                }
-                if !leaf.entries.iter().all(in_bounds) {
-                    return Err(Error::Corrupt(format!("leaf {page} violates separator bounds")));
-                }
-                levels[0].push(page);
-                Ok(leaf.entries.len() as u64)
+        let arity = self.arity;
+        self.pool.with_page(page, |buf| {
+            let node = NodeView::parse(buf, arity)?;
+            let kind = if node.is_leaf() { "leaf" } else { "internal" };
+            if node.is_leaf() != (level == 1) {
+                return Err(Error::Corrupt(format!("{kind} {page} at level {level}")));
             }
-            Node::Internal(node) => {
-                if level < 2 {
-                    return Err(Error::Corrupt(format!("internal node {page} at leaf level")));
-                }
-                if node.entries.len() > self.internal_cap {
-                    return Err(Error::Corrupt(format!("internal {page} over capacity")));
-                }
-                if node.high != hi {
-                    return Err(Error::Corrupt(format!(
-                        "internal {page} high key disagrees with its parent separator"
-                    )));
-                }
-                if node.high.is_some() == node.next.is_invalid() {
-                    return Err(Error::Corrupt(format!(
-                        "internal {page}: high key and right link must be set together"
-                    )));
-                }
-                let seps: Vec<Entry> = node.entries.iter().map(|(s, _)| *s).collect();
-                if !seps.windows(2).all(|w| w[0] < w[1]) {
-                    return Err(Error::Corrupt(format!("internal {page} separators unsorted")));
-                }
-                if !seps.iter().all(in_bounds) {
-                    return Err(Error::Corrupt(format!(
-                        "internal {page} separator violates bounds"
-                    )));
-                }
-                levels[level as usize - 1].push(page);
-                let mut total = 0;
-                let mut child_lo = lo;
-                for i in 0..=node.entries.len() {
-                    let child = if i == 0 { node.child0 } else { node.entries[i - 1].1 };
-                    let child_hi =
-                        if i < node.entries.len() { Some(node.entries[i].0) } else { hi };
-                    total += self.check_subtree(child, level - 1, child_lo, child_hi, levels)?;
-                    if i < node.entries.len() {
-                        child_lo = Some(node.entries[i].0);
-                    }
-                }
-                Ok(total)
+            let high = node.high();
+            if high != hi {
+                return Err(Error::Corrupt(format!(
+                    "{kind} {page} high key disagrees with its parent separator"
+                )));
             }
-        }
+            if high.is_some() == node.next().is_invalid() {
+                return Err(Error::Corrupt(format!(
+                    "{kind} {page}: high key and right link must be set together"
+                )));
+            }
+            let mut prev: Option<Entry> = None;
+            for e in (0..node.count()).map(|i| node.entry(i)) {
+                if prev.is_some_and(|p| p >= e) {
+                    return Err(Error::Corrupt(format!("{kind} {page} not strictly sorted")));
+                }
+                if lo.is_some_and(|l| e < l) || hi.is_some_and(|h| e >= h) {
+                    return Err(Error::Corrupt(format!("{kind} {page} violates separator bounds")));
+                }
+                prev = Some(e);
+            }
+            levels[level as usize - 1].push(page);
+            if node.is_leaf() {
+                return Ok(node.count() as u64);
+            }
+            let mut total = 0;
+            for slot in 0..=node.count() {
+                let child_lo = if slot == 0 { lo } else { Some(node.entry(slot - 1)) };
+                let child_hi = if slot < node.count() { Some(node.entry(slot)) } else { hi };
+                total +=
+                    self.check_subtree(node.child_at(slot), level - 1, child_lo, child_hi, levels)?;
+            }
+            Ok(total)
+        })?
     }
 }
