@@ -39,7 +39,7 @@
 //!   after it finds every page on the synced device.
 //! * **O(height) memory.**  The builder holds one page image per level:
 //!   the node being packed there, written through the same
-//!   [`crate::layout::NodeMut`] the insert path edits pages with, and
+//!   `layout::NodeMut` the insert path edits pages with, and
 //!   copied into its page once complete.  Levels above the leaves are
 //!   discovered on demand.  A million-entry load carries three page
 //!   images, not a million entries.

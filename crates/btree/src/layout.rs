@@ -48,10 +48,10 @@
 //!
 //! [`NodeView`] reads a page: it validates the header once, then compares,
 //! binary-searches and reads columns *in place* — no allocation, nothing
-//! decoded that is not returned.  [`NodeMut`] is its write twin over
+//! decoded that is not returned.  `NodeMut` is its write twin over
 //! `&mut [u8]`, sharing the validation and the offsets: an insert or a
 //! delete shifts the entries after its slot by one and rewrites the
-//! count, a split copies whole entries, and [`NodeMut::init`] formats a
+//! count, a split copies whole entries, and `NodeMut::init` formats a
 //! fresh page.  An edit writes only the bytes it changes, so the slots
 //! past the count keep what they last held.  Either way a page is outside
 //! input: a header that does not describe a node of this tree is
@@ -296,7 +296,7 @@ impl<'a> NodeView<'a> {
     }
 
     /// Index of the first entry equal to `target`, if the node stores it.
-    pub fn find(&self, target: &Entry) -> Option<usize> {
+    pub(crate) fn find(&self, target: &Entry) -> Option<usize> {
         let i = self.lower_bound(target);
         (i < self.count && self.cmp_at(self.offset(i), target) == Ordering::Equal).then_some(i)
     }
@@ -348,7 +348,7 @@ impl<'a> NodeView<'a> {
     /// place (ahead of equal entries) — and, on an internal node, `child`
     /// as the child right of it: the `count() + 1` slots a full node
     /// splits, in one page-sized scratch.
-    pub fn spliced(&self, e: &Entry, child: PageId) -> Vec<u8> {
+    pub(crate) fn spliced(&self, e: &Entry, child: PageId) -> Vec<u8> {
         let at = self.offset(self.lower_bound(e)) - HEADER_SIZE;
         let mut slots = Vec::with_capacity(self.buf.len());
         slots.extend_from_slice(&self.buf[HEADER_SIZE..][..at]);
@@ -366,7 +366,7 @@ impl<'a> NodeView<'a> {
 /// same offsets over a page it may edit — a pool frame's `&mut [u8]`, or
 /// an owned image the bulk builder packs.  An edit writes only the bytes
 /// it changes: the slots past the count keep what they last held.
-pub struct NodeMut<B> {
+pub(crate) struct NodeMut<B> {
     buf: B,
     arity: usize,
     count: usize,
