@@ -12,6 +12,9 @@
 //! `contains`, and the hot tier's miss and admission path
 //! (`RiTree::span_snapshot`).
 //!
+//! `READ_ANSWER_HASH` folds each query answer sorted with `sort_ids`, so
+//! it pins the answer *sets* whatever order a query returns them in.
+//!
 //! The constants were captured at the commit *before* the decode-free
 //! read path (PR 14) and pin that the rewrite changed time, not work.
 //! Sibling of `tests/pool_determinism.rs`, which pins the write path.
@@ -20,6 +23,7 @@ mod common;
 
 use common::golden::{fnv_answer, fnv_io, xorshift, Pins, RecordingDisk, FNV_SEED};
 use ri_tree::core::{HotTier, HotTierConfig, Interval, RiTree};
+use ri_tree::mem::sort::sort_ids;
 use ri_tree::pagestore::{BufferPool, BufferPoolConfig, IoSnapshot};
 use ri_tree::relstore::Database;
 use std::sync::Arc;
@@ -34,7 +38,8 @@ const GOLDEN_READ_FINAL: IoSnapshot = IoSnapshot {
 const GOLDEN_READ_PAGE_SEQUENCE_HASH: u64 = 0x0839_07f3_9a4a_2475;
 /// FNV-1a over the four pool counters after every query.
 const GOLDEN_READ_COUNTER_TRACE_HASH: u64 = 0xad22_a706_6d43_d52a;
-/// FNV-1a over every answer (length, then ids).
+/// FNV-1a over every answer (length, then ids), each query answer in
+/// ascending id order.
 const GOLDEN_READ_ANSWER_HASH: u64 = 0x71f5_8ff1_9b25_b43f;
 
 #[test]
@@ -67,9 +72,15 @@ fn read_path_access_sequence_is_pinned() {
     let before = stats.snapshot();
     let mut counter_trace = FNV_SEED;
     let mut answers = FNV_SEED;
-    let mut step = |ids: &[i64]| {
+    // `query`: `ids` is a query answer, whose set `READ_ANSWER_HASH` pins;
+    // otherwise it is cursor output, pinned in key order.
+    let mut step = |ids: &[i64], query: bool| {
         counter_trace = fnv_io(counter_trace, &stats.snapshot().since(&before));
-        answers = fnv_answer(answers, ids);
+        let mut ids = ids.to_vec();
+        if query {
+            sort_ids(&mut ids);
+        }
+        answers = fnv_answer(answers, &ids);
     };
 
     // 1. The facade's queries.
@@ -82,10 +93,10 @@ fn read_path_access_sequence_is_pinned() {
     }
     for (i, &q) in queries.iter().enumerate() {
         let ids = if i % 2 == 0 { tree.stab(q.lower) } else { tree.intersection(q) };
-        step(&ids.unwrap());
+        step(&ids.unwrap(), true);
     }
     for ids in tree.intersection_batch(&queries[..12], 1).unwrap() {
-        step(&ids);
+        step(&ids, true);
     }
 
     // 2. The raw B-link cursor and point lookup on one index.
@@ -99,14 +110,14 @@ fn read_path_access_sequence_is_pinned() {
             .scan_range(&[lo, i64::MIN, i64::MIN], &[hi, i64::MAX, i64::MAX])
             .map(|e| e.unwrap().key.col(2))
             .collect();
-        step(&ids);
+        step(&ids, false);
     }
     let all: Vec<_> = lower_index.scan_all().map(|e| e.unwrap()).collect();
-    step(&[all.len() as i64]);
+    step(&[all.len() as i64], false);
     for e in all.iter().step_by(97) {
         let hit = lower_index.contains(e.key.as_slice(), e.payload).unwrap();
         let miss = lower_index.contains(e.key.as_slice(), e.payload + 1_000_000).unwrap();
-        step(&[hit as i64, miss as i64]);
+        step(&[hit as i64, miss as i64], false);
     }
 
     // 3. The hot tier: repeated windows, so blocks miss, get admitted
@@ -114,7 +125,7 @@ fn read_path_access_sequence_is_pinned() {
     let tier = HotTier::new(tree, HotTierConfig::with_capacity(4_096));
     for round in 0..40 {
         let lower = (round % 5) * 150_000 + 10_000;
-        step(&tier.intersection(Interval::new(lower, lower + 20_000).unwrap()).unwrap());
+        step(&tier.intersection(Interval::new(lower, lower + 20_000).unwrap()).unwrap(), true);
     }
     let tier_stats = tier.stats();
     assert!(tier_stats.admissions > 0, "the admission path must be part of the trace");
