@@ -8,7 +8,7 @@
 //!    `(node, bound)` indexes vs the IST's plain bound index.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ri_bench::{build_ist, build_ritree, fresh_env};
+use ri_bench::{build_ist, build_ritree, fresh_env, sorted};
 use ri_workloads::{d3, queries_for_selectivity};
 use ritree_core::Interval;
 use std::hint::black_box;
@@ -23,10 +23,10 @@ fn bench_twofold_vs_threefold(c: &mut Criterion) {
     // Correctness first: both plans return identical ids.
     for &(ql, qu) in queries.iter().take(8) {
         let q = Interval::new(ql, qu).unwrap();
-        let two = tree.intersection(q).unwrap();
+        let two = sorted(tree.intersection(q).unwrap());
         let plan8 = tree.intersection_plan_fig8(q, i64::MAX - 2).unwrap();
         let (three, _) = tree.execute_id_plan(&plan8).unwrap();
-        assert_eq!(two, three, "Fig 8 and Fig 9 plans must agree");
+        assert_eq!(two, sorted(three), "Fig 8 and Fig 9 plans must agree");
     }
 
     let mut group = c.benchmark_group("ablation/query_plan");
@@ -62,10 +62,10 @@ fn bench_minstep_pruning(c: &mut Criterion) {
 
     for &(ql, qu) in queries.iter().take(8) {
         let q = Interval::new(ql, qu).unwrap();
-        let pruned = tree.intersection(q).unwrap();
+        let pruned = sorted(tree.intersection(q).unwrap());
         let plan = tree.intersection_plan_unpruned(q, i64::MAX - 2).unwrap();
         let (unpruned, _) = tree.execute_id_plan(&plan).unwrap();
-        assert_eq!(pruned, unpruned, "minstep pruning must not change results");
+        assert_eq!(pruned, sorted(unpruned), "minstep pruning must not change results");
     }
 
     let mut group = c.benchmark_group("ablation/minstep");
@@ -149,7 +149,7 @@ fn bench_skeleton_extension(c: &mut Criterion) {
     let queries: Vec<Interval> =
         (0..16).map(|i| Interval::new(i * 60_000_000, i * 60_000_000 + 2000).unwrap()).collect();
     for &q in queries.iter().take(4) {
-        assert_eq!(plain.intersection(q).unwrap(), skel.intersection(q).unwrap());
+        assert_eq!(sorted(plain.intersection(q).unwrap()), sorted(skel.intersection(q).unwrap()));
     }
     let mut group = c.benchmark_group("ablation/skeleton");
     group.bench_function("plain", |b| {

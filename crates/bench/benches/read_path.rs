@@ -3,10 +3,11 @@
 //! traced run splits it (`core.plan_us`, `relstore.exec_us`,
 //! `btree.scan_ns_per_entry`) — but from `cargo bench`, in seconds.
 //!
-//! `exec` is `RiTree::execute_id_plan`, ids sorted; `exec, unsorted` is the
-//! same plans through `Database::execute_with` into the same id gather
-//! with no sort, so their difference is what `sort_ids` costs, and `sort
-//! ids` is what the comparison sort it replaces costs on the same unsorted
+//! `exec` is `RiTree::execute_id_plan` as queries run it: Figure 9's `UNION
+//! ALL`, ids in plan order.  `exec + sort_ids` is the same with the answer
+//! then radix-sorted by `ri_mem::sort::sort_ids` — what a caller that wants
+//! ascending ids pays — so their difference is what `sort_ids` costs, and
+//! `sort ids` is what a comparison sort costs on the same plan-order
 //! answers (cloning them included).  `scan` walks both indexes through the
 //! per-entry `Iterator`, `scan runs` through `RangeScan::for_each_run`,
 //! the form the executor uses.  The header line prints how many rows one
@@ -22,8 +23,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ri_bench::{build_ritree, fresh_env_with_cache};
+use ri_mem::sort::sort_ids;
 use ri_pagestore::{BufferPool, FileDisk, PageId, DEFAULT_PAGE_SIZE};
-use ri_relstore::{ExecStats, Plan};
+use ri_relstore::Plan;
 use ri_workloads::{d1, queries_for_selectivity};
 use ritree_core::{Interval, UPPER_NOW};
 use std::hint::black_box;
@@ -48,13 +50,8 @@ fn bench_read_path(c: &mut Criterion) {
     let now = UPPER_NOW - 1;
     let plans: Vec<Plan> =
         queries.iter().map(|&q| tree.intersection_plan(q, now).unwrap()).collect();
-    let unsorted = |plan: &Plan| {
-        let mut ids = Vec::new();
-        let gather = &mut |rows: ri_relstore::Rows<'_>| ids.extend(rows.column(2));
-        env.db.execute_with(plan, &mut ExecStats::default(), gather).unwrap();
-        ids
-    };
-    let answers: Vec<Vec<i64>> = plans.iter().map(unsorted).collect();
+    let exec = |plan: &Plan| tree.execute_id_plan(plan).unwrap().0;
+    let answers: Vec<Vec<i64>> = plans.iter().map(exec).collect();
     let rows: usize = answers.iter().map(Vec::len).sum();
     let table = env.db.table(tree.table_name()).unwrap();
     let indexes = ["RI_bench_LOWER", "RI_bench_UPPER"].map(|name| table.index(name).unwrap());
@@ -70,10 +67,17 @@ fn bench_read_path(c: &mut Criterion) {
         })
     });
     group.bench_function("exec (query set)", |b| {
-        b.iter(|| plans.iter().map(|p| tree.execute_id_plan(p).unwrap().0.len()).sum::<usize>())
+        b.iter(|| plans.iter().map(|p| exec(p).len()).sum::<usize>())
     });
-    group.bench_function("exec, unsorted (query set)", |b| {
-        b.iter(|| plans.iter().map(|p| unsorted(p).len()).sum::<usize>())
+    group.bench_function("exec + sort_ids (query set)", |b| {
+        b.iter(|| {
+            let sorted = |p| {
+                let mut ids = exec(p);
+                sort_ids(&mut ids);
+                ids.len()
+            };
+            plans.iter().map(sorted).sum::<usize>()
+        })
     });
     group.bench_function("sort ids (query set)", |b| {
         b.iter(|| {

@@ -114,6 +114,13 @@ pub fn run_queries(
     }
 }
 
+/// A query answer in ascending id order, to compare answers across
+/// methods or trees: an RI-tree query returns its ids in plan order.
+pub fn sorted(mut ids: Vec<i64>) -> Vec<i64> {
+    ri_mem::sort::sort_ids(&mut ids);
+    ids
+}
+
 /// A fresh WAL-backed database on in-memory devices (paper-sized pool,
 /// 2 KB pages) holding one two-column table `T` — the commit experiments'
 /// workbench.
@@ -198,9 +205,9 @@ mod tests {
         let ist = build_ist(&env_ist, &data);
 
         for &(ql, qu) in &queries {
-            let a = ri.am_intersection(ql, qu).unwrap();
-            let b = ti.am_intersection(ql, qu).unwrap();
-            let c = ist.am_intersection(ql, qu).unwrap();
+            let a = sorted(ri.am_intersection(ql, qu).unwrap());
+            let b = sorted(ti.am_intersection(ql, qu).unwrap());
+            let c = sorted(ist.am_intersection(ql, qu).unwrap());
             assert_eq!(a, b);
             assert_eq!(a, c);
         }

@@ -27,7 +27,7 @@
 //! Every tier answer is asserted equal to the tree's, so the figure
 //! doubles as an end-to-end coherence check.
 
-use crate::harness::{fresh_env_with_cache, section};
+use crate::harness::{fresh_env_with_cache, section, sorted};
 use ri_mem::{HintIndex, IntervalTree, NaiveIntervalSet, QueryCost};
 use ritree_core::{HotTier, HotTierConfig, Interval, RiTree};
 use std::sync::Arc;
@@ -202,7 +202,8 @@ fn run_tier_part(n: usize, nq: usize, warmup: usize, pool_frames: usize) -> Vec<
             if qi == warmup {
                 before = env.pool.stats().snapshot();
             }
-            answers.push(t.intersection(q).expect("baseline query"));
+            // Ascending, as the tier answers.
+            answers.push(sorted(t.intersection(q).expect("baseline query")));
         }
         baseline_phys += env.pool.stats().snapshot().since(&before).physical_reads;
         tree = Some(t);

@@ -40,7 +40,7 @@
 //! where its speed cannot be observed on a 1-CPU runner.
 
 use crate::concurrency::ContentionModel;
-use crate::harness::{f, section};
+use crate::harness::{f, section, sorted};
 use ri_btree::BTree;
 use ri_pagestore::{BufferPool, BufferPoolConfig, IoSnapshot, MemDisk, DEFAULT_PAGE_SIZE};
 use ritree_core::{Interval, RiTree};
@@ -352,7 +352,7 @@ fn verify_ritree_batch(quick: bool) {
     let queries: Vec<Interval> =
         (0..16).map(|i| Interval::new(i * 2500, i * 2500 + 900).unwrap()).collect();
     let answers: Vec<Vec<i64>> =
-        queries.iter().map(|&q| sequential.intersection(q).expect("query")).collect();
+        queries.iter().map(|&q| sorted(sequential.intersection(q).expect("query"))).collect();
     let (&(seed_iv, seed_id), batch) = data.split_first().expect("non-empty data");
     for &threads in &THREAD_COUNTS {
         let env = fresh_env_sharded(200, 16);
@@ -363,7 +363,7 @@ fn verify_ritree_batch(quick: bool) {
         let wall_ms = wall.elapsed().as_secs_f64() * 1000.0;
         for (q, want) in queries.iter().zip(&answers) {
             assert_eq!(
-                &tree.intersection(*q).expect("query"),
+                &sorted(tree.intersection(*q).expect("query")),
                 want,
                 "insert_batch diverged at {threads} threads"
             );

@@ -454,13 +454,14 @@ impl HotTier {
     // Read path
     // ------------------------------------------------------------------
 
-    /// Intersection query through the tier; identical results to
-    /// [`RiTree::intersection`], minus the page accesses on a hit.
+    /// Intersection query through the tier: the same ids as
+    /// [`RiTree::intersection`], in ascending order, minus the page
+    /// accesses on a hit.
     pub fn intersection(&self, q: Interval) -> Result<Vec<i64>> {
         let (dom_lo, dom_hi) = self.domain();
         if q.lower < dom_lo || q.upper > dom_hi || self.tree.has_open_intervals() {
             self.state.lock().unwrap().bypasses += 1;
-            return self.tree.intersection(q);
+            return self.tree_intersection(q);
         }
         let first = self.block_of(q.lower);
         let last = self.block_of(q.upper);
@@ -535,7 +536,7 @@ impl HotTier {
             }
             if admit.is_empty() {
                 drop(st);
-                return self.tree.intersection(q);
+                return self.tree_intersection(q);
             }
             (st.epoch, admit)
         };
@@ -602,9 +603,18 @@ impl HotTier {
         Ok(ids)
     }
 
-    /// Stabbing query through the tier.
+    /// Stabbing query through the tier: the same ids as
+    /// [`RiTree::stab`], in ascending order.
     pub fn stab(&self, p: i64) -> Result<Vec<i64>> {
         self.intersection(Interval::point(p))
+    }
+
+    /// The tree's answer to `q` (a miss that admits nothing, or a bypass),
+    /// sorted: the tree returns plan order, the tier ascending ids.
+    fn tree_intersection(&self, q: Interval) -> Result<Vec<i64>> {
+        let mut ids = self.tree.intersection(q)?;
+        ri_mem::sort::sort_ids(&mut ids);
+        Ok(ids)
     }
 
     // ------------------------------------------------------------------
@@ -711,6 +721,13 @@ mod tests {
         Interval::new(l, u).unwrap()
     }
 
+    /// The tree's answer to `q` in ascending order, as the tier returns it.
+    fn tree_answer(tier: &HotTier, q: Interval) -> Vec<i64> {
+        let mut ids = tier.tree().intersection(q).unwrap();
+        ri_mem::sort::sort_ids(&mut ids);
+        ids
+    }
+
     #[test]
     fn second_identical_query_hits_and_matches() {
         let tier = fresh_tier(HotTierConfig::default());
@@ -718,7 +735,7 @@ mod tests {
             tier.insert(iv(i * 100, i * 100 + 250), i).unwrap();
         }
         let q = iv(10_000, 12_000);
-        let direct = tier.tree().intersection(q).unwrap();
+        let direct = tree_answer(&tier, q);
         let first = tier.intersection(q).unwrap();
         let second = tier.intersection(q).unwrap(); // ghost promoted
         let third = tier.intersection(q).unwrap(); // resident now
@@ -749,7 +766,7 @@ mod tests {
         assert!(tier.delete(iv(3_000, 3_120), 60).unwrap());
         let hits_before = tier.stats().hits;
         let got = tier.intersection(q).unwrap();
-        assert_eq!(got, tier.tree().intersection(q).unwrap());
+        assert_eq!(got, tree_answer(&tier, q));
         assert!(got.contains(&9_000));
         assert!(!got.contains(&60));
         assert_eq!(tier.stats().hits, hits_before + 1, "must stay a hit");
@@ -771,7 +788,7 @@ mod tests {
                 let lo = b * 16_384;
                 let q = iv(lo, lo + 1_000);
                 let got = tier.intersection(q).unwrap();
-                assert_eq!(got, tier.tree().intersection(q).unwrap(), "pass {pass} block {b}");
+                assert_eq!(got, tree_answer(&tier, q), "pass {pass} block {b}");
             }
         }
         let after_sweeps = tier.stats();
@@ -783,7 +800,7 @@ mod tests {
             for b in 40..44 {
                 let lo = b * 16_384;
                 let q = iv(lo, lo + 1_000);
-                assert_eq!(tier.intersection(q).unwrap(), tier.tree().intersection(q).unwrap());
+                assert_eq!(tier.intersection(q).unwrap(), tree_answer(&tier, q));
             }
         }
         let stats = tier.stats();
@@ -809,7 +826,7 @@ mod tests {
         // Removing the open interval re-enables the tier.
         assert!(tier.delete_open(100, OpenEnd::Infinity, 777).unwrap());
         for _ in 0..3 {
-            assert_eq!(tier.intersection(q).unwrap(), tier.tree().intersection(q).unwrap());
+            assert_eq!(tier.intersection(q).unwrap(), tree_answer(&tier, q));
         }
         assert!(tier.stats().hits >= 1);
     }
@@ -860,7 +877,7 @@ mod tests {
             tier.insert(iv(i * 10, i * 10 + 25), i).unwrap();
         }
         for _ in 0..3 {
-            assert_eq!(tier.stab(105).unwrap(), tier.tree().stab(105).unwrap());
+            assert_eq!(tier.stab(105).unwrap(), tree_answer(&tier, Interval::point(105)));
         }
         assert!(tier.stats().hits >= 1);
     }

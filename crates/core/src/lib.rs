@@ -37,9 +37,11 @@
 //! tree.insert(Interval::new(1999, 2004).unwrap(), 100).unwrap();
 //! tree.insert(Interval::new(2001, 2009).unwrap(), 200).unwrap();
 //!
-//! // Which rows were valid during [2002, 2003]?
-//! assert_eq!(tree.intersection(Interval::new(2002, 2003).unwrap()).unwrap(),
-//!            vec![100, 200]);
+//! // Which rows were valid during [2002, 2003]?  A query answers in plan
+//! // order; sort for ascending ids.
+//! let mut ids = tree.intersection(Interval::new(2002, 2003).unwrap()).unwrap();
+//! ri_mem::sort::sort_ids(&mut ids);
+//! assert_eq!(ids, vec![100, 200]);
 //! ```
 
 pub mod allen;

@@ -77,7 +77,9 @@ pub struct RiStorage {
 /// tree.insert(Interval::new(10, 20).unwrap(), 1).unwrap();
 /// tree.insert(Interval::new(15, 40).unwrap(), 2).unwrap();
 /// tree.insert(Interval::new(50, 60).unwrap(), 3).unwrap();
-/// let hits = tree.intersection(Interval::new(18, 52).unwrap()).unwrap();
+/// // Ids come back in plan order; sort them for ascending ids.
+/// let mut hits = tree.intersection(Interval::new(18, 52).unwrap()).unwrap();
+/// ri_mem::sort::sort_ids(&mut hits);
 /// assert_eq!(hits, vec![1, 2, 3]);
 /// let hits = tree.intersection(Interval::new(41, 49).unwrap()).unwrap();
 /// assert!(hits.is_empty());
@@ -696,41 +698,73 @@ impl RiTree {
     }
 
     /// Executes an arbitrary plan built by one of the plan constructors and
-    /// extracts sorted result ids (used by the ablation benchmarks).
+    /// extracts its result ids in plan order (used by the ablation
+    /// benchmarks).
     ///
     /// The `id` column (position 2 in every id-plan's output rows: `node,
     /// lower-or-upper, id, rowid`) is gathered out of each leaf run the
     /// executor pushes, straight into the id vector — the one place that
-    /// knows the result-row layout.
+    /// knows the result-row layout.  Like Figure 9's query, which has no
+    /// `ORDER BY`, the ids come back as the plan produces them:
+    ///
+    /// * each intersecting id appears exactly once (Section 4.2) — for a
+    ///   plan of [`RiTree::intersection_plan`] or its ablations;
+    /// * the order depends only on the tree's parameters, its entries and
+    ///   the plan — the `UNION ALL` branches in order, each branch's outer
+    ///   rows in order, each index's leaf runs in key order — not on page
+    ///   layout;
+    /// * the same plan on the same tree returns the identical vector.
+    ///
+    /// A caller that wants ascending ids sorts them with
+    /// [`ri_mem::sort::sort_ids`].
     pub fn execute_id_plan(&self, plan: &Plan) -> Result<(Vec<i64>, ExecStats)> {
         let mut stats = ExecStats::default();
         let mut ids = Vec::new();
         self.db.execute_with(plan, &mut stats, &mut |rows| ids.extend(rows.column(2)))?;
-        ri_mem::sort::sort_ids(&mut ids);
         Ok((ids, stats))
     }
 
     /// Reports the ids of all stored intervals intersecting `q`, treating
     /// now-relative intervals as ending at `now`.
     ///
-    /// Results are distinct by construction (the paper's Section 4.2: the
-    /// three conditions address disjoint interval sets) and returned in
-    /// ascending id order for deterministic comparisons.
+    /// The answer is Figure 9's `UNION ALL`, returned in plan order:
+    ///
+    /// * each intersecting id appears exactly once (Section 4.2: the
+    ///   conditions address disjoint interval sets);
+    /// * the order depends only on the tree's parameters, its entries and
+    ///   the query, not on page layout;
+    /// * [`RiTree::intersection_batch`] and [`RiTree::stab`] return the
+    ///   identical vector for the same query.
+    ///
+    /// Sort with [`ri_mem::sort::sort_ids`] for ascending ids.
     pub fn intersection_at(&self, q: Interval, now: i64) -> Result<Vec<i64>> {
         Ok(self.intersection_with_stats(q, now)?.0)
     }
 
     /// Like [`RiTree::intersection_at`] with `now = UPPER_NOW − 1`, i.e.
     /// now-relative intervals are always considered current.
+    ///
+    /// Same contract: each intersecting id exactly once, in an order that
+    /// depends only on the tree's parameters, its entries and `q`, and
+    /// [`RiTree::intersection_batch`] and [`RiTree::stab`] return the
+    /// identical vector.
     pub fn intersection(&self, q: Interval) -> Result<Vec<i64>> {
         self.intersection_at(q, UPPER_NOW - 1)
     }
 
-    /// Intersection query returning executor statistics alongside the ids.
+    /// Intersection query returning executor statistics alongside the ids,
+    /// which follow [`RiTree::intersection_at`]'s contract: each
+    /// intersecting id exactly once, in an order that depends only on the
+    /// tree's parameters, its entries and `q`, identical to what
+    /// [`RiTree::intersection_batch`] and [`RiTree::stab`] return.
     pub fn intersection_with_stats(&self, q: Interval, now: i64) -> Result<(Vec<i64>, ExecStats)> {
         let (ids, stats) = self.execute_id_plan(&self.intersection_plan(q, now)?)?;
         debug_assert!(
-            ids.windows(2).all(|w| w[0] != w[1]),
+            {
+                let mut sorted = ids.clone();
+                ri_mem::sort::sort_ids(&mut sorted);
+                sorted.windows(2).all(|w| w[0] != w[1])
+            },
             "intersection branches must be disjoint (Section 4.2)"
         );
         Ok((ids, stats))
@@ -738,6 +772,10 @@ impl RiTree {
 
     /// Stabbing (point) query: all intervals containing `p` — "supporting
     /// point queries as efficient as interval queries" (Section 4.1).
+    ///
+    /// Each containing id exactly once, in an order that depends only on
+    /// the tree's parameters, its entries and `p`; the vector is identical
+    /// to `intersection(Interval::point(p))`'s.
     pub fn stab(&self, p: i64) -> Result<Vec<i64>> {
         self.intersection(Interval::point(p))
     }
@@ -746,11 +784,13 @@ impl RiTree {
     /// batch over at most `threads` worker threads
     /// ([`ri_relstore::fan_out`]).
     ///
-    /// Results are returned in query order and, on a quiescent tree, are
-    /// identical to calling [`RiTree::intersection`] once per query: plan
-    /// compilation is deterministic and the buffer pool's lock striping
-    /// makes concurrent descents safe.  Concurrent writers are *safe*
-    /// (the B+-trees latch internally) but make results
+    /// Results are returned in query order.  Each holds every intersecting
+    /// id exactly once, in an order that depends only on the tree's
+    /// parameters, its entries and the query, and on a quiescent tree it
+    /// is element for element the vector [`RiTree::intersection`] returns:
+    /// plan compilation is deterministic and the buffer pool's lock
+    /// striping makes concurrent descents safe.  Concurrent writers are
+    /// *safe* (the B+-trees latch internally) but make results
     /// schedule-dependent, as with any query racing DML.
     pub fn intersection_batch(
         &self,
@@ -936,6 +976,13 @@ mod tests {
         (db, tree)
     }
 
+    /// An answer in ascending id order, to compare with an ordered
+    /// expectation: queries return plan order.
+    fn sorted(mut ids: Vec<i64>) -> Vec<i64> {
+        ri_mem::sort::sort_ids(&mut ids);
+        ids
+    }
+
     #[test]
     fn quickstart_roundtrip() {
         let (_db, tree) = fresh();
@@ -943,10 +990,16 @@ mod tests {
         tree.insert(Interval::new(15, 40).unwrap(), 2).unwrap();
         tree.insert(Interval::new(50, 60).unwrap(), 3).unwrap();
         assert_eq!(tree.count().unwrap(), 3);
-        assert_eq!(tree.intersection(Interval::new(18, 52).unwrap()).unwrap(), vec![1, 2, 3]);
-        assert_eq!(tree.intersection(Interval::new(41, 49).unwrap()).unwrap(), Vec::<i64>::new());
-        assert_eq!(tree.stab(12).unwrap(), vec![1]);
-        assert_eq!(tree.stab(20).unwrap(), vec![1, 2], "closed bounds intersect");
+        assert_eq!(
+            sorted(tree.intersection(Interval::new(18, 52).unwrap()).unwrap()),
+            vec![1, 2, 3]
+        );
+        assert_eq!(
+            sorted(tree.intersection(Interval::new(41, 49).unwrap()).unwrap()),
+            Vec::<i64>::new()
+        );
+        assert_eq!(sorted(tree.stab(12).unwrap()), vec![1]);
+        assert_eq!(sorted(tree.stab(20).unwrap()), vec![1, 2], "closed bounds intersect");
     }
 
     #[test]
@@ -1083,9 +1136,10 @@ mod tests {
             let q = Interval::new(l, u).unwrap();
             let expected = sequential.intersection(q).unwrap();
             assert_eq!(seeded.intersection(q).unwrap(), expected, "fallback {q}");
-            let mut without_seed = expected.clone();
+            // Without the seed the backbone differs, and so may the order.
+            let mut without_seed = sorted(expected);
             without_seed.retain(|&id| id != 9_999);
-            assert_eq!(bulk.intersection(q).unwrap(), without_seed, "bulk {q}");
+            assert_eq!(sorted(bulk.intersection(q).unwrap()), without_seed, "bulk {q}");
         }
     }
 
@@ -1111,7 +1165,7 @@ mod tests {
             let ql = (x % 11_000) as i64 - 500;
             let qlen = ((x >> 33) % 800) as i64;
             let q = Interval::new(ql, ql + qlen).unwrap();
-            let got = tree.intersection(q).unwrap();
+            let got = sorted(tree.intersection(q).unwrap());
             let mut want: Vec<i64> =
                 data.iter().filter(|(iv, _)| iv.intersects(&q)).map(|&(_, id)| id).collect();
             want.sort_unstable();
@@ -1127,7 +1181,7 @@ mod tests {
         tree.insert(iv, 2).unwrap(); // same bounds, different id
         assert!(tree.delete(iv, 1).unwrap());
         assert!(!tree.delete(iv, 1).unwrap(), "double delete reports false");
-        assert_eq!(tree.intersection(iv).unwrap(), vec![2]);
+        assert_eq!(sorted(tree.intersection(iv).unwrap()), vec![2]);
         assert_eq!(tree.count().unwrap(), 1);
     }
 
@@ -1140,7 +1194,10 @@ mod tests {
         tree.insert(Interval::new(1 << 20, (1 << 20) + 5).unwrap(), 2).unwrap();
         tree.insert(Interval::new(-5000, -4000).unwrap(), 3).unwrap();
         assert!(tree.delete(early, 1).unwrap(), "fork must be stable under expansion");
-        assert_eq!(tree.intersection(Interval::new(0, 10).unwrap()).unwrap(), Vec::<i64>::new());
+        assert_eq!(
+            sorted(tree.intersection(Interval::new(0, 10).unwrap()).unwrap()),
+            Vec::<i64>::new()
+        );
     }
 
     #[test]
@@ -1149,9 +1206,12 @@ mod tests {
         tree.insert(Interval::new(1000, 1100).unwrap(), 1).unwrap();
         tree.insert(Interval::new(-800, -700).unwrap(), 2).unwrap();
         tree.insert(Interval::new(-100, 1500).unwrap(), 3).unwrap();
-        assert_eq!(tree.intersection(Interval::new(-750, -720).unwrap()).unwrap(), vec![2]);
-        assert_eq!(tree.intersection(Interval::new(-1000, 2000).unwrap()).unwrap(), vec![1, 2, 3]);
-        assert_eq!(tree.intersection(Interval::new(-699, 999).unwrap()).unwrap(), vec![3]);
+        assert_eq!(sorted(tree.intersection(Interval::new(-750, -720).unwrap()).unwrap()), vec![2]);
+        assert_eq!(
+            sorted(tree.intersection(Interval::new(-1000, 2000).unwrap()).unwrap()),
+            vec![1, 2, 3]
+        );
+        assert_eq!(sorted(tree.intersection(Interval::new(-699, 999).unwrap()).unwrap()), vec![3]);
     }
 
     #[test]
@@ -1160,15 +1220,21 @@ mod tests {
         for p in 0..100 {
             tree.insert(Interval::point(p * 2), p).unwrap();
         }
-        assert_eq!(tree.intersection(Interval::new(10, 14).unwrap()).unwrap(), vec![5, 6, 7]);
-        assert_eq!(tree.stab(11).unwrap(), Vec::<i64>::new());
-        assert_eq!(tree.stab(12).unwrap(), vec![6]);
+        assert_eq!(
+            sorted(tree.intersection(Interval::new(10, 14).unwrap()).unwrap()),
+            vec![5, 6, 7]
+        );
+        assert_eq!(sorted(tree.stab(11).unwrap()), Vec::<i64>::new());
+        assert_eq!(sorted(tree.stab(12).unwrap()), vec![6]);
     }
 
     #[test]
     fn empty_tree_queries() {
         let (_db, tree) = fresh();
-        assert_eq!(tree.intersection(Interval::new(0, 100).unwrap()).unwrap(), Vec::<i64>::new());
+        assert_eq!(
+            sorted(tree.intersection(Interval::new(0, 100).unwrap()).unwrap()),
+            Vec::<i64>::new()
+        );
         assert_eq!(tree.count().unwrap(), 0);
         assert_eq!(tree.height().unwrap(), 0);
     }
@@ -1179,11 +1245,14 @@ mod tests {
         tree.insert(Interval::new(0, 10).unwrap(), 1).unwrap();
         tree.insert_open(100, OpenEnd::Infinity, 2).unwrap();
         // Intersects any query at or after its start.
-        assert_eq!(tree.intersection(Interval::new(500, 600).unwrap()).unwrap(), vec![2]);
-        assert_eq!(tree.intersection(Interval::new(0, 99).unwrap()).unwrap(), vec![1]);
-        assert_eq!(tree.intersection(Interval::new(0, 100).unwrap()).unwrap(), vec![1, 2]);
+        assert_eq!(sorted(tree.intersection(Interval::new(500, 600).unwrap()).unwrap()), vec![2]);
+        assert_eq!(sorted(tree.intersection(Interval::new(0, 99).unwrap()).unwrap()), vec![1]);
+        assert_eq!(sorted(tree.intersection(Interval::new(0, 100).unwrap()).unwrap()), vec![1, 2]);
         assert!(tree.delete_open(100, OpenEnd::Infinity, 2).unwrap());
-        assert_eq!(tree.intersection(Interval::new(500, 600).unwrap()).unwrap(), Vec::<i64>::new());
+        assert_eq!(
+            sorted(tree.intersection(Interval::new(500, 600).unwrap()).unwrap()),
+            Vec::<i64>::new()
+        );
     }
 
     #[test]
@@ -1191,17 +1260,23 @@ mod tests {
         let (_db, tree) = fresh();
         tree.insert_open(100, OpenEnd::Now, 7).unwrap();
         // now = 150: the interval is [100, 150].
-        assert_eq!(tree.intersection_at(Interval::new(120, 130).unwrap(), 150).unwrap(), vec![7]);
         assert_eq!(
-            tree.intersection_at(Interval::new(160, 170).unwrap(), 150).unwrap(),
+            sorted(tree.intersection_at(Interval::new(120, 130).unwrap(), 150).unwrap()),
+            vec![7]
+        );
+        assert_eq!(
+            sorted(tree.intersection_at(Interval::new(160, 170).unwrap(), 150).unwrap()),
             Vec::<i64>::new(),
             "query entirely after now must miss"
         );
         // now = 165: the same interval now reaches the query.
-        assert_eq!(tree.intersection_at(Interval::new(160, 170).unwrap(), 165).unwrap(), vec![7]);
+        assert_eq!(
+            sorted(tree.intersection_at(Interval::new(160, 170).unwrap(), 165).unwrap()),
+            vec![7]
+        );
         // A query before the start never matches.
         assert_eq!(
-            tree.intersection_at(Interval::new(0, 99).unwrap(), 150).unwrap(),
+            sorted(tree.intersection_at(Interval::new(0, 99).unwrap(), 150).unwrap()),
             Vec::<i64>::new()
         );
     }
@@ -1227,7 +1302,7 @@ mod tests {
         }
         let tree = RiTree::open(Arc::clone(&db), "t").unwrap();
         assert_eq!(tree.count().unwrap(), 100);
-        let hits = tree.intersection(Interval::new(95, 105).unwrap()).unwrap();
+        let hits = sorted(tree.intersection(Interval::new(95, 105).unwrap()).unwrap());
         // Intervals [i·10, i·10 + 25] intersect [95, 105] for i in 7..=10.
         assert_eq!(hits, vec![7, 8, 9, 10]);
         assert!(RiTree::open(db, "missing").is_err());

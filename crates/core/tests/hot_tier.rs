@@ -31,6 +31,13 @@ fn iv(l: i64, u: i64) -> Interval {
     Interval::new(l, u).unwrap()
 }
 
+/// The tree's answer to `q` in ascending order, as the tier returns it.
+fn tree_answer(tier: &HotTier, q: Interval) -> Vec<i64> {
+    let mut ids = tier.tree().intersection(q).unwrap();
+    ri_mem::sort::sort_ids(&mut ids);
+    ids
+}
+
 /// Deterministic xorshift — the tests must replay identically.
 struct Rng(u64);
 
@@ -303,8 +310,8 @@ fn overlapping_admissions_of_one_block_count_it_once() {
     }
     let q0 = iv(100, 300);
     let q1 = iv(20_000, 20_300);
-    let want0 = tier.tree().intersection(q0).unwrap();
-    let want1 = tier.tree().intersection(q1).unwrap();
+    let want0 = tree_answer(&tier, q0);
+    let want1 = tree_answer(&tier, q1);
 
     // The pages a plain `q0` query reads.  `admit-a` is parked on a page
     // outside this set, so the main thread's own `q0` below can never
@@ -315,7 +322,7 @@ fn overlapping_admissions_of_one_block_count_it_once() {
     disk.set_read_hook(Some(Arc::new(move |page, _n| {
         seen.lock().unwrap().insert(page);
     })));
-    assert_eq!(tier.tree().intersection(q0).unwrap(), want0);
+    assert_eq!(tree_answer(&tier, q0), want0);
     let plain = std::mem::take(&mut *plain.lock().unwrap());
 
     let (parked, gate) = (Arc::new(Flag::default()), Arc::new(Flag::default()));

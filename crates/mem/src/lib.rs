@@ -21,8 +21,9 @@
 //! the `Interval` type in `ritree-core`.
 //!
 //! The workspace's one radix sort lives here too ([`sort`]): HINT's bulk
-//! build sorts its block registrations with it, and `ritree-core` sorts
-//! every query answer's ids with it.
+//! build sorts its block registrations with it, and [`sort::sort_ids`] is
+//! how a caller turns an RI-tree answer's plan-order ids into ascending
+//! ones (`ritree-core`'s `HotTier` does, on its miss and bypass paths).
 
 pub mod hint;
 pub mod interval_tree;

@@ -22,8 +22,10 @@ pub trait IntervalAccessMethod {
     /// Deletes the exact `(interval, id)`; `false` if absent.
     fn am_delete(&self, lower: i64, upper: i64, id: i64) -> Result<bool>;
 
-    /// Sorted ids of stored intervals intersecting `[lower, upper]`
-    /// (closed-interval semantics).
+    /// Ids of stored intervals intersecting `[lower, upper]`
+    /// (closed-interval semantics), each once, in the order the method
+    /// produces them — ascending for the competitors, plan order for the
+    /// RI-tree; sort them to compare methods.
     fn am_intersection(&self, lower: i64, upper: i64) -> Result<Vec<i64>>;
 
     /// Intersection query that also reports executor statistics, which the

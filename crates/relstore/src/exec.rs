@@ -43,7 +43,10 @@
 //!
 //! No operator materializes its input and nothing is allocated or decoded
 //! per row, so a query costs what the paper's Section 4.4 charges — the
-//! index page accesses — plus a few nanoseconds per row.
+//! index page accesses — plus a few nanoseconds per row.  That holds for
+//! the RI-tree's id plans too: `RiTree::execute_id_plan` gathers the id
+//! column out of each batch and returns the ids in plan order, with no
+//! sort after the last batch (Figure 9's `UNION ALL` has no `ORDER BY`).
 //! [`Database::execute`] is the same call with a sink that collects owned
 //! [`Row`]s.
 //!

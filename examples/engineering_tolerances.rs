@@ -9,6 +9,7 @@
 //! cargo run --example engineering_tolerances
 //! ```
 
+use ri_tree::mem::sort::sort_ids;
 use ri_tree::prelude::*;
 
 /// Fixed-point micrometres (1 mm = 1000 units) keep the domain integral.
@@ -35,13 +36,15 @@ fn main() {
 
     // Which parts could actually measure exactly 25.000 mm?
     let spec = 25 * MM;
-    let candidates = shafts.stab(spec).unwrap();
+    let mut candidates = shafts.stab(spec).unwrap();
+    sort_ids(&mut candidates); // plan order → ascending ids
     println!("parts whose tolerance window contains 25.000 mm: {candidates:?}");
     assert_eq!(candidates, vec![1001, 1006]);
 
     // Which parts might fall inside the fit range [24.95 mm, 25.05 mm]?
     let fit = Interval::new(spec - 50, spec + 50).unwrap();
-    let maybe_fit = shafts.intersection(fit).unwrap();
+    let mut maybe_fit = shafts.intersection(fit).unwrap();
+    sort_ids(&mut maybe_fit);
     println!("parts possibly within {fit} µm: {maybe_fit:?}");
 
     // Which parts are *certainly* within the fit range?  Their whole

@@ -6,6 +6,7 @@
 //! cargo run --example explain_plan
 //! ```
 
+use ri_tree::mem::sort::sort_ids;
 use ri_tree::prelude::*;
 use ri_tree::relstore::explain::explain;
 
@@ -33,8 +34,11 @@ fn main() {
     // Both return identical results (Section 4.3's Lemma justifies the
     // merge); the two-fold version has one plan branch less, which is what
     // the paper means by "reduce the cost for internal query management".
-    let two = tree.intersection(q).unwrap();
-    let (three, stats8) = tree.execute_id_plan(&fig8).unwrap();
+    // Each plan returns its ids in its own plan order.
+    let mut two = tree.intersection(q).unwrap();
+    let (mut three, stats8) = tree.execute_id_plan(&fig8).unwrap();
+    sort_ids(&mut two);
+    sort_ids(&mut three);
     assert_eq!(two, three);
     println!("both plans return {} intervals", two.len());
 

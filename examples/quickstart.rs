@@ -4,6 +4,7 @@
 //! cargo run --example quickstart
 //! ```
 
+use ri_tree::mem::sort::sort_ids;
 use ri_tree::prelude::*;
 
 fn main() {
@@ -31,12 +32,17 @@ fn main() {
     );
 
     // Intersection query: which versions were valid during [2000, 2002]?
+    // The ids come in plan order (Figure 9 has no ORDER BY); sort them
+    // for display.
     let q = Interval::new(2000, 2002).unwrap();
-    let hits = tree.intersection(q).unwrap();
+    let mut hits = tree.intersection(q).unwrap();
+    sort_ids(&mut hits);
     println!("\nintersection {q} -> ids {hits:?}");
 
     // Stabbing (point) query: which versions were valid in 2003?
-    println!("stab 2003        -> ids {:?}", tree.stab(2003).unwrap());
+    let mut hits = tree.stab(2003).unwrap();
+    sort_ids(&mut hits);
+    println!("stab 2003        -> ids {hits:?}");
 
     // The query plan the engine executes (the paper's Figure 10):
     println!("\nEXPLAIN for {q}:\n{}", tree.explain(q).unwrap());
@@ -50,5 +56,7 @@ fn main() {
 
     // Deletion is symmetric to insertion.
     assert!(tree.delete(Interval::new(1995, 1999).unwrap(), 0).unwrap());
-    println!("\ndeleted id 0; stab 1996 -> {:?}", tree.stab(1996).unwrap());
+    let mut hits = tree.stab(1996).unwrap();
+    sort_ids(&mut hits);
+    println!("\ndeleted id 0; stab 1996 -> {hits:?}");
 }

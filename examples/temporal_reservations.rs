@@ -8,6 +8,7 @@
 //! cargo run --example temporal_reservations
 //! ```
 
+use ri_tree::mem::sort::sort_ids;
 use ri_tree::prelude::*;
 
 // Days since 2020-01-01 as our time axis.
@@ -37,12 +38,14 @@ fn main() {
     // Who occupies a room during days 14..16, as of day 18?
     let now = D2024 + 18;
     let q = Interval::new(D2024 + 14, D2024 + 16).unwrap();
-    let occupied = bookings.intersection_at(q, now).unwrap();
+    let mut occupied = bookings.intersection_at(q, now).unwrap();
+    sort_ids(&mut occupied); // plan order → ascending ids
     println!("occupied during day 14..16 (now = 18): ids {occupied:?}");
     assert_eq!(occupied, vec![1, 2, 3, 100, 200]);
 
     // The same query evaluated *before* the now-guest arrived: no id 200.
-    let earlier = bookings.intersection_at(q, D2024 + 12).unwrap();
+    let mut earlier = bookings.intersection_at(q, D2024 + 12).unwrap();
+    sort_ids(&mut earlier);
     println!("same query as of day 12:              ids {earlier:?}");
     assert!(!earlier.contains(&200));
 
@@ -72,7 +75,8 @@ fn main() {
     // stay a fixed upper bound.
     bookings.delete_open(D2024 + 13, OpenEnd::Now, 200).unwrap();
     bookings.insert(Interval::new(D2024 + 13, D2024 + 19).unwrap(), 200).unwrap();
-    let later = bookings.intersection_at(q, D2024 + 40).unwrap();
+    let mut later = bookings.intersection_at(q, D2024 + 40).unwrap();
+    sort_ids(&mut later);
     println!("\nafter checkout, day 14..16 query still finds the stay: {later:?}");
     assert!(later.contains(&200));
 }

@@ -11,6 +11,7 @@
 //! cargo run --example type_hierarchy
 //! ```
 
+use ri_tree::mem::sort::sort_ids;
 use ri_tree::prelude::*;
 use std::collections::HashMap;
 
@@ -90,7 +91,8 @@ fn main() {
     // All supertypes of SmallInt: every type whose span contains
     // SmallInt's entry number — one stabbing query.
     let small_int = h.id_of("SmallInt");
-    let ancestors = types.stab(h.spans[small_int].0).unwrap();
+    let mut ancestors = types.stab(h.spans[small_int].0).unwrap();
+    sort_ids(&mut ancestors); // plan order → DFS order
     let names: Vec<&str> = ancestors.iter().map(|&i| h.names[i as usize]).collect();
     println!("supertypes of SmallInt: {names:?}");
     assert_eq!(names, ["Object", "Number", "Integer", "SmallInt"]);

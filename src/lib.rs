@@ -36,8 +36,10 @@
 //! tree.insert(Interval::new(10, 20).unwrap(), 1).unwrap();
 //! tree.insert(Interval::new(15, 40).unwrap(), 2).unwrap();
 //!
-//! assert_eq!(tree.intersection(Interval::new(18, 30).unwrap()).unwrap(),
-//!            vec![1, 2]);
+//! // A query answers in plan order; sort for ascending ids.
+//! let mut ids = tree.intersection(Interval::new(18, 30).unwrap()).unwrap();
+//! ri_tree::mem::sort::sort_ids(&mut ids);
+//! assert_eq!(ids, vec![1, 2]);
 //! ```
 //!
 //! ## Concurrency

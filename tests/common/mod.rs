@@ -1,6 +1,6 @@
 //! Helpers shared by the integration suites: scratch directories, a
-//! durable pool over two files, the crash harness in [`crash`] and the
-//! determinism-golden rig in [`golden`].
+//! durable pool over two files, [`sorted`] answers, the crash harness in
+//! [`crash`] and the determinism-golden rig in [`golden`].
 //!
 //! Each `tests/*.rs` file is its own crate, so anything here is pulled
 //! in with `mod common;` and only the items a suite uses are linked —
@@ -51,4 +51,11 @@ pub fn durable_file_pool_with(data: &Path, wal: &Path, config: WalConfig) -> Arc
         )
         .unwrap(),
     )
+}
+
+/// A query answer in ascending id order, to compare with an ordered
+/// expectation: an RI-tree query returns its ids in plan order.
+pub fn sorted(mut ids: Vec<i64>) -> Vec<i64> {
+    ri_tree::mem::sort::sort_ids(&mut ids);
+    ids
 }

@@ -3,6 +3,9 @@
 //! queries from many threads at once (writers are serialized by the
 //! application, as in the paper's host-DBMS setting).
 
+mod common;
+
+use common::sorted;
 use crossbeam::thread;
 use ri_tree::mem::NaiveIntervalSet;
 use ri_tree::prelude::*;
@@ -35,7 +38,8 @@ fn parallel_readers_get_identical_answers() {
             s.spawn(move |_| {
                 for round in 0..5 {
                     for (i, &(ql, qu)) in queries.iter().enumerate() {
-                        let got = tree.intersection(Interval::new(ql, qu).unwrap()).unwrap();
+                        let got =
+                            sorted(tree.intersection(Interval::new(ql, qu).unwrap()).unwrap());
                         assert_eq!(
                             got, expected[i],
                             "thread {t}, round {round}, query {i} diverged"

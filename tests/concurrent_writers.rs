@@ -32,6 +32,7 @@
 mod common;
 
 use common::golden::xorshift;
+use common::sorted;
 use ri_tree::btree::{BTree, SmoPhase};
 use ri_tree::pagestore::{BufferPool, BufferPoolConfig, MemDisk};
 use ri_tree::prelude::*;
@@ -643,7 +644,7 @@ fn ritree_concurrent_sessions_match_naive_oracle() {
         }
         for q in [(0i64, 5000i64), (100, 400), (1900, 2100), (4400, 4400)] {
             let q = Interval::new(q.0, q.1).unwrap();
-            let got = tree.intersection(q).unwrap();
+            let got = sorted(tree.intersection(q).unwrap());
             let mut want: Vec<i64> =
                 oracle.iter().filter(|(iv, _)| iv.intersects(&q)).map(|&(_, id)| id).collect();
             want.sort_unstable();

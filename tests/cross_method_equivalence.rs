@@ -2,6 +2,9 @@
 //! the paper's Table 1 workloads — the precondition for any performance
 //! comparison being meaningful.
 
+mod common;
+
+use common::sorted;
 use ri_tree::baselines::{Ist, IstOrder, Map21, TileIndex, WindowList};
 use ri_tree::mem::{IntervalTree, NaiveIntervalSet};
 use ri_tree::prelude::*;
@@ -50,7 +53,7 @@ fn check_distribution(spec: WorkloadSpec, seed: u64) {
         let expected = naive.intersection(ql, qu);
         assert_eq!(mem_tree.intersection(ql, qu), expected, "mem tree, [{ql}, {qu}]");
         for m in &methods {
-            let got = m.am_intersection(ql, qu).unwrap();
+            let got = sorted(m.am_intersection(ql, qu).unwrap());
             assert_eq!(
                 got,
                 expected,

@@ -2,6 +2,9 @@
 //! minstep pruning never changes results, and EXPLAIN output matches the
 //! paper's Figure 10 operator tree.
 
+mod common;
+
+use common::sorted;
 use ri_tree::prelude::*;
 use ri_tree::workloads::{d3, queries_for_selectivity, restricted_d3};
 
@@ -23,9 +26,10 @@ fn fig8_and_fig9_plans_agree() {
     let queries = queries_for_selectivity(&spec, 0.02, 20, 32);
     for (ql, qu) in queries {
         let q = Interval::new(ql, qu).unwrap();
-        let two = tree.intersection(q).unwrap();
+        let two = sorted(tree.intersection(q).unwrap());
         let plan8 = tree.intersection_plan_fig8(q, i64::MAX - 2).unwrap();
         let (three, stats) = tree.execute_id_plan(&plan8).unwrap();
+        let three = sorted(three);
         assert_eq!(two, three, "plans disagree on {q}");
         // The three-fold plan's branches are also disjoint: no duplicates.
         let mut dedup = three.clone();
@@ -46,10 +50,10 @@ fn minstep_pruning_is_safe() {
     assert!(p.minstep2 > 1, "workload should leave minstep coarse, got {}", p.minstep2);
     for (ql, qu) in queries_for_selectivity(&spec, 0.01, 20, 34) {
         let q = Interval::new(ql, qu).unwrap();
-        let pruned = tree.intersection(q).unwrap();
+        let pruned = sorted(tree.intersection(q).unwrap());
         let plan = tree.intersection_plan_unpruned(q, i64::MAX - 2).unwrap();
         let (unpruned, _) = tree.execute_id_plan(&plan).unwrap();
-        assert_eq!(pruned, unpruned, "pruning changed results on {q}");
+        assert_eq!(pruned, sorted(unpruned), "pruning changed results on {q}");
     }
 }
 
@@ -106,7 +110,7 @@ fn query_results_never_contain_duplicates() {
     let data = spec.generate(37);
     let tree = tree_with(&data);
     for (ql, qu) in queries_for_selectivity(&spec, 0.05, 10, 38) {
-        let ids = tree.intersection(Interval::new(ql, qu).unwrap()).unwrap();
+        let ids = sorted(tree.intersection(Interval::new(ql, qu).unwrap()).unwrap());
         let mut dedup = ids.clone();
         dedup.dedup();
         assert_eq!(ids.len(), dedup.len(), "duplicates in result");

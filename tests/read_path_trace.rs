@@ -12,11 +12,17 @@
 //! `contains`, and the hot tier's miss and admission path
 //! (`RiTree::span_snapshot`).
 //!
-//! `READ_ANSWER_HASH` folds each query answer sorted with `sort_ids`, so
-//! it pins the answer *sets* whatever order a query returns them in.
+//! The answers are pinned twice.  `READ_ANSWER_HASH` folds each query
+//! answer sorted with `sort_ids`, so it pins the answer *sets* whatever
+//! order a query returns them in; `READ_ANSWER_ORDER_HASH` folds every
+//! answer as returned, so it pins the RI-tree's plan order (the `UNION
+//! ALL` branches in order, each branch's outer rows in order, each index's
+//! leaf runs in key order) and the hot tier's ascending order.
 //!
 //! The constants were captured at the commit *before* the decode-free
-//! read path (PR 14) and pin that the rewrite changed time, not work.
+//! read path (PR 14) and pin that the rewrite changed time, not work;
+//! `READ_ANSWER_ORDER_HASH` was captured when queries stopped sorting
+//! their answers, which moved no page access and no answer set.
 //! Sibling of `tests/pool_determinism.rs`, which pins the write path.
 
 mod common;
@@ -41,6 +47,8 @@ const GOLDEN_READ_COUNTER_TRACE_HASH: u64 = 0xad22_a706_6d43_d52a;
 /// FNV-1a over every answer (length, then ids), each query answer in
 /// ascending id order.
 const GOLDEN_READ_ANSWER_HASH: u64 = 0x71f5_8ff1_9b25_b43f;
+/// FNV-1a over every answer (length, then ids) in the order returned.
+const GOLDEN_READ_ANSWER_ORDER_HASH: u64 = 0x924d_13b5_bd8b_c031;
 
 #[test]
 fn read_path_access_sequence_is_pinned() {
@@ -72,10 +80,12 @@ fn read_path_access_sequence_is_pinned() {
     let before = stats.snapshot();
     let mut counter_trace = FNV_SEED;
     let mut answers = FNV_SEED;
+    let mut answer_order = FNV_SEED;
     // `query`: `ids` is a query answer, whose set `READ_ANSWER_HASH` pins;
-    // otherwise it is cursor output, pinned in key order.
+    // otherwise it is cursor output, pinned in key order by both hashes.
     let mut step = |ids: &[i64], query: bool| {
         counter_trace = fnv_io(counter_trace, &stats.snapshot().since(&before));
+        answer_order = fnv_answer(answer_order, ids);
         let mut ids = ids.to_vec();
         if query {
             sort_ids(&mut ids);
@@ -137,5 +147,6 @@ fn read_path_access_sequence_is_pinned() {
     pins.value("READ_PAGE_SEQUENCE_HASH", &page_sequence, &GOLDEN_READ_PAGE_SEQUENCE_HASH);
     pins.value("READ_COUNTER_TRACE_HASH", &counter_trace, &GOLDEN_READ_COUNTER_TRACE_HASH);
     pins.value("READ_ANSWER_HASH", &answers, &GOLDEN_READ_ANSWER_HASH);
+    pins.value("READ_ANSWER_ORDER_HASH", &answer_order, &GOLDEN_READ_ANSWER_ORDER_HASH);
     pins.check();
 }

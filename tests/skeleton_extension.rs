@@ -1,6 +1,9 @@
 //! The Skeleton Index extension (paper Section 7) must change costs, never
 //! answers.
 
+mod common;
+
+use common::sorted;
 use ri_tree::core::RiOptions;
 use ri_tree::mem::NaiveIntervalSet;
 use ri_tree::prelude::*;
@@ -53,9 +56,9 @@ fn skeleton_results_identical_to_plain() {
     ];
     for &(ql, qu) in &queries {
         let want = naive.intersection(ql, qu);
-        assert_eq!(plain.intersection(Interval::new(ql, qu).unwrap()).unwrap(), want);
+        assert_eq!(sorted(plain.intersection(Interval::new(ql, qu).unwrap()).unwrap()), want);
         assert_eq!(
-            skel.intersection(Interval::new(ql, qu).unwrap()).unwrap(),
+            sorted(skel.intersection(Interval::new(ql, qu).unwrap()).unwrap()),
             want,
             "skeleton changed results on [{ql}, {qu}]"
         );
@@ -102,11 +105,14 @@ fn skeleton_survives_delete_and_reopen() {
     }
     let tree = RiTree::open(db, "t").unwrap();
     assert_eq!(tree.count().unwrap(), 100);
-    let hits = tree.intersection(Interval::new(0, 50_000).unwrap()).unwrap();
+    let hits = sorted(tree.intersection(Interval::new(0, 50_000).unwrap()).unwrap());
     assert_eq!(hits, (100..200).collect::<Vec<i64>>());
     // Deleting everything leaves an empty but functional skeleton tree.
     for i in 100..200i64 {
         assert!(tree.delete(Interval::new(i * 100, i * 100 + 50).unwrap(), i).unwrap());
     }
-    assert_eq!(tree.intersection(Interval::new(0, 1 << 20).unwrap()).unwrap(), Vec::<i64>::new());
+    assert_eq!(
+        sorted(tree.intersection(Interval::new(0, 1 << 20).unwrap()).unwrap()),
+        Vec::<i64>::new()
+    );
 }

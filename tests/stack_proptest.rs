@@ -2,6 +2,9 @@
 //! queries) must agree with the naive oracle for arbitrary data and
 //! queries, including after interleaved deletions.
 
+mod common;
+
+use common::sorted;
 use proptest::prelude::*;
 use ri_tree::mem::NaiveIntervalSet;
 use ri_tree::pagestore::{BufferPool, BufferPoolConfig};
@@ -35,7 +38,7 @@ proptest! {
             naive.insert(l, u, id as i64);
         }
         for &(ql, qu) in &queries {
-            let got = tree.intersection(Interval::new(ql, qu).unwrap()).unwrap();
+            let got = sorted(tree.intersection(Interval::new(ql, qu).unwrap()).unwrap());
             prop_assert_eq!(got, naive.intersection(ql, qu));
         }
     }
@@ -59,7 +62,7 @@ proptest! {
             }
         }
         let (ql, qu) = query;
-        let got = tree.intersection(Interval::new(ql, qu).unwrap()).unwrap();
+        let got = sorted(tree.intersection(Interval::new(ql, qu).unwrap()).unwrap());
         prop_assert_eq!(got, naive.intersection(ql, qu));
         prop_assert_eq!(tree.count().unwrap(), naive.len() as u64);
     }

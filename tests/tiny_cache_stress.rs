@@ -1,6 +1,9 @@
 //! Stress under pathological buffer-pool configurations: correctness must
 //! not depend on the cache being large enough.
 
+mod common;
+
+use common::sorted;
 use ri_tree::baselines::{Ist, IstOrder, TileIndex};
 use ri_tree::mem::NaiveIntervalSet;
 use ri_tree::pagestore::{BufferPool, BufferPoolConfig};
@@ -31,7 +34,7 @@ fn single_frame_pool_ritree() {
     }
     for q in [(0, 25_000), (5000, 5100), (12_345, 12_345)] {
         assert_eq!(
-            tree.intersection(Interval::new(q.0, q.1).unwrap()).unwrap(),
+            sorted(tree.intersection(Interval::new(q.0, q.1).unwrap()).unwrap()),
             naive.intersection(q.0, q.1)
         );
     }
@@ -63,7 +66,7 @@ fn four_frame_pool_mixed_updates() {
     assert_eq!(tree.count().unwrap(), naive.len() as u64);
     for q in [(0, 11_000), (2500, 2600), (9999, 9999)] {
         assert_eq!(
-            tree.intersection(Interval::new(q.0, q.1).unwrap()).unwrap(),
+            sorted(tree.intersection(Interval::new(q.0, q.1).unwrap()).unwrap()),
             naive.intersection(q.0, q.1),
             "query {q:?}"
         );
