@@ -17,8 +17,7 @@
 //! `upper >= :lower`, filtering on `lower` — which is why the method
 //! degenerates to O(n/b) when the query point is far from the upper end of
 //! the data space (reproduced in Figure 17).  The H-ordering cannot narrow
-//! intersection queries at all (full scan) but answers *length* queries
-//! with one tight range scan — see [`Ist::length_with_stats`].
+//! intersection queries at all (full scan).
 
 use ri_pagestore::Result;
 use ri_relstore::exec::CmpOp;
@@ -168,47 +167,6 @@ impl Ist {
     /// Intersection query returning executor statistics.
     pub fn intersection_with_stats(&self, ql: i64, qu: i64) -> Result<(Vec<i64>, ExecStats)> {
         let plan = self.intersection_plan(ql, qu);
-        let mut stats = ExecStats::default();
-        let rows = self.db.execute(&plan, &mut stats)?;
-        let mut ids: Vec<i64> = rows.iter().map(|r| r[2]).collect();
-        ids.sort_unstable();
-        Ok((ids, stats))
-    }
-
-    /// Length query: ids of intervals with `min_len <= length <= max_len` —
-    /// the query class the H-ordering exists for.  One tight range scan
-    /// under H; a full scan with a residual length predicate under D/V.
-    pub fn length_with_stats(&self, min_len: i64, max_len: i64) -> Result<(Vec<i64>, ExecStats)> {
-        let full_scan = || Plan::IndexRangeScan {
-            table: self.table_name.clone(),
-            index: self.index_name.clone(),
-            lo: vec![BoundExpr::NegInf; 3],
-            hi: vec![BoundExpr::PosInf; 3],
-        };
-        let plan = match self.order {
-            IstOrder::H => Plan::IndexRangeScan {
-                table: self.table_name.clone(),
-                index: self.index_name.clone(),
-                lo: vec![BoundExpr::Const(min_len), BoundExpr::NegInf, BoundExpr::NegInf],
-                hi: vec![BoundExpr::Const(max_len), BoundExpr::PosInf, BoundExpr::PosInf],
-            },
-            // D: key (upper, lower): length = col0 - col1.
-            IstOrder::D => Plan::Filter {
-                input: Box::new(full_scan()),
-                pred: Predicate::And(vec![
-                    Predicate::CmpDiff { a: 0, b: 1, op: CmpOp::Ge, value: min_len },
-                    Predicate::CmpDiff { a: 0, b: 1, op: CmpOp::Le, value: max_len },
-                ]),
-            },
-            // V: key (lower, upper): length = col1 - col0.
-            IstOrder::V => Plan::Filter {
-                input: Box::new(full_scan()),
-                pred: Predicate::And(vec![
-                    Predicate::CmpDiff { a: 1, b: 0, op: CmpOp::Ge, value: min_len },
-                    Predicate::CmpDiff { a: 1, b: 0, op: CmpOp::Le, value: max_len },
-                ]),
-            },
-        };
         let mut stats = ExecStats::default();
         let rows = self.db.execute(&plan, &mut stats)?;
         let mut ids: Vec<i64> = rows.iter().map(|r| r[2]).collect();
@@ -366,32 +324,6 @@ mod tests {
             "expected wrong-bound degeneration: top {} vs bottom {}",
             near_top.rows_examined,
             near_bottom.rows_examined
-        );
-    }
-
-    #[test]
-    fn h_order_wins_length_queries() {
-        let h = fresh(IstOrder::H);
-        let d = fresh(IstOrder::D);
-        let mut expected = Vec::new();
-        for i in 0..2000i64 {
-            let len = i % 100;
-            h.am_insert(i * 5, i * 5 + len, i).unwrap();
-            d.am_insert(i * 5, i * 5 + len, i).unwrap();
-            if (40..=45).contains(&len) {
-                expected.push(i);
-            }
-        }
-        expected.sort_unstable();
-        let (ids_h, stats_h) = h.length_with_stats(40, 45).unwrap();
-        let (ids_d, stats_d) = d.length_with_stats(40, 45).unwrap();
-        assert_eq!(ids_h, expected);
-        assert_eq!(ids_d, expected);
-        assert!(
-            stats_h.rows_examined * 5 < stats_d.rows_examined,
-            "H-order length query should scan far less: {} vs {}",
-            stats_h.rows_examined,
-            stats_d.rows_examined
         );
     }
 }

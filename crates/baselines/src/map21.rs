@@ -72,7 +72,7 @@ impl Map21 {
     }
 
     /// Per-partition query plans for an intersection query.
-    pub fn intersection_plans(&self, ql: i64, qu: i64) -> Vec<Plan> {
+    fn intersection_plans(&self, ql: i64, qu: i64) -> Vec<Plan> {
         let mask = self.parts_mask();
         (0..PARTITIONS as i64)
             .filter(|j| mask & (1 << j) != 0)

@@ -86,11 +86,6 @@ impl TileIndex {
         Ok(TileIndex { db, table_name, index_name, table, fixed_level })
     }
 
-    /// The configured fixed level.
-    pub fn fixed_level(&self) -> u32 {
-        self.fixed_level
-    }
-
     /// Redundancy factor: index entries per stored interval (Figure 12's
     /// headline number; 10.1 for D4(*, 2k) at the tuned level).
     pub fn redundancy(&self) -> Result<f64> {

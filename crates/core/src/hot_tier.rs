@@ -82,8 +82,7 @@
 //! The B-link tree's deletes never reclaim pages, so there is no vacuum
 //! pass to hang invalidation on — and none is needed.  All DML must go
 //! through the tier's [`HotTier::insert`] / [`HotTier::delete`]
-//! wrappers (that is the contract; use [`HotTier::invalidate_all`]
-//! after any out-of-band write).  A writer first applies the tree
+//! wrappers (that is the contract).  A writer first applies the tree
 //! operation, then — under the tier lock — bumps an *epoch counter* and
 //! updates the resident blocks in place: an insert lands in every
 //! resident block it meets, a delete leaves every one.  Admissions read
@@ -272,8 +271,7 @@ struct TierState {
 /// All methods take `&self`; the tier is `Sync` and meant to be shared
 /// (e.g. in an `Arc`) between reader and writer threads.  **Contract:**
 /// every insert/delete against the underlying tree goes through
-/// [`HotTier::insert`] / [`HotTier::delete`] (or is followed by
-/// [`HotTier::invalidate_all`]), and each `(interval, id)` pair is live
+/// [`HotTier::insert`] / [`HotTier::delete`], and each `(interval, id)` pair is live
 /// at most once — the same uniqueness the RI-tree's disjoint query
 /// branches already assume.
 pub struct HotTier {
@@ -345,20 +343,6 @@ impl HotTier {
             cached_intervals: st.cached,
             resident_blocks: st.resident.len(),
         }
-    }
-
-    /// Drops every cached entry (and all residency) in one step — the
-    /// escape hatch after out-of-band writes to the underlying tree.
-    pub fn invalidate_all(&self) {
-        let mut st = self.state.lock().unwrap();
-        st.epoch += 1;
-        let dropped = std::mem::take(&mut st.resident);
-        st.cached = 0;
-        st.ghosts.clear();
-        st.freq.clear();
-        st.freq_touches = 0;
-        drop(st);
-        drop(dropped); // freed with the lock released, like evicted blocks
     }
 
     // ------------------------------------------------------------------
@@ -850,24 +834,6 @@ mod tests {
         // Deleting an edge-straddling interval invalidates its clamped copy.
         assert!(tier.delete(iv(-500, 100), 1).unwrap());
         assert_eq!(tier.intersection(iv(0, 1023)).unwrap(), vec![2, 4]);
-    }
-
-    #[test]
-    fn invalidate_all_survives_out_of_band_writes() {
-        let tier = fresh_tier(HotTierConfig::default());
-        for i in 0..100 {
-            tier.insert(iv(i * 20, i * 20 + 50), i).unwrap();
-        }
-        let q = iv(500, 800);
-        for _ in 0..3 {
-            tier.intersection(q).unwrap();
-        }
-        // Out-of-band write, breaking the contract on purpose...
-        tier.tree().insert(iv(600, 610), 5_000).unwrap();
-        // ...then the escape hatch.
-        tier.invalidate_all();
-        assert_eq!(tier.stats().resident_blocks, 0);
-        assert!(tier.intersection(q).unwrap().contains(&5_000));
     }
 
     #[test]

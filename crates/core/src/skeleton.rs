@@ -84,7 +84,7 @@ impl SkeletonDirectory {
     }
 
     /// All non-empty nodes within `[lo, hi]`, via a single range scan.
-    pub fn nonempty_in(&self, lo: i64, hi: i64) -> Result<BTreeSet<i64>> {
+    fn nonempty_in(&self, lo: i64, hi: i64) -> Result<BTreeSet<i64>> {
         let index = self.table.index(&self.index_name)?;
         index.scan_range(&[lo], &[hi]).map(|e| e.map(|e| e.key.col(0))).collect()
     }

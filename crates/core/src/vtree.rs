@@ -93,7 +93,7 @@ pub struct QueryNodes {
 
 /// `floor(log2(x))` for `x >= 1`.
 #[inline]
-pub fn floor_log2(x: i64) -> u32 {
+fn floor_log2(x: i64) -> u32 {
     debug_assert!(x >= 1);
     63 - x.leading_zeros()
 }

@@ -4,18 +4,17 @@
 //! The caller samples the *flush fence* — `end_lsn()` — *before* its
 //! write-back pass, so every record below the fence describes an update
 //! whose page has since reached the data device.  The checkpoint picks a
-//! **horizon**: the oldest of (the fence, the checkpoint's own begin
-//! LSN, the first record LSN of every in-flight transaction), lowered
+//! **horizon**: the older of the fence and the first update appended
+//! since the last Commit (the stream end if there is none), lowered
 //! further until no page's record run straddles it (a Delta above the
-//! horizon must never orphan its FirstMod below it).  Unless the log is
-//! quiescent, a Checkpoint record naming the horizon and the in-flight
-//! transactions is appended; the log is flushed, and the anchor's
-//! `start` advances to the horizon.  Records below it are thereby
-//! truncated logically — they are all committed and their pages are on
-//! the data device — while every in-flight writer's FirstMod pre-images
-//! (all at or above the horizon) survive for rollback.  The FirstMod
-//! dedup is re-keyed to the horizon: pages whose records were truncated
-//! log a fresh pre-image on their next update.
+//! horizon must never orphan its FirstMod below it).  The checkpoint
+//! appends no record: it flushes and syncs the log, then rewrites the
+//! anchor with `start` advanced to the horizon.  Records below it are
+//! thereby truncated logically — they are all committed and their pages
+//! are on the data device — while the FirstMod pre-images of every
+//! uncommitted update (all at or above the horizon) survive for rollback.
+//! The FirstMod dedup is re-keyed to the horizon: pages whose records
+//! were truncated log a fresh pre-image on their next update.
 //!
 //! Truncation reclaims the device by **retiring whole segments**: every
 //! segment lying wholly below the new `start` leaves the front of the
@@ -29,12 +28,12 @@ use std::sync::atomic::Ordering;
 
 impl Wal {
     /// Fuzzy checkpoint: truncates the log down to a horizon that spares
-    /// every in-flight writer's rollback pre-images.  `flushed_fence` is
-    /// the caller's `end_lsn()` sample taken *before* it wrote back dirty
-    /// data pages (normally `Database::checkpoint`): every record below
-    /// the fence describes an update whose page has reached the data
-    /// device, so such records are truncatable once no open transaction
-    /// or straddling page run needs them.  Callers need **not** be
+    /// the rollback pre-images of every update not yet committed.
+    /// `flushed_fence` is the caller's `end_lsn()` sample taken *before*
+    /// it wrote back dirty data pages (normally `Database::checkpoint`):
+    /// every record below the fence describes an update whose page has
+    /// reached the data device, so such records are truncatable once no
+    /// uncommitted update or straddling page run needs them.  Callers need **not** be
     /// quiescent — commits, updates, and this checkpoint interleave
     /// freely — and a steady checkpoint cadence bounds the log's size.
     pub fn checkpoint(&self, flushed_fence: u64) -> Result<()> {
@@ -57,8 +56,7 @@ impl Wal {
             (fs.start_lsn, fs.flushed_lsn)
         };
         let eff_fence = flushed_fence.max(start_floor);
-        // Under the append lock: pick the horizon, append a Checkpoint
-        // record if any writer is in flight, and re-key the FirstMod
+        // Under the append lock: pick the horizon and re-key the FirstMod
         // dedup.  `pre_horizon` is the same horizon additionally capped at
         // the flushed position and re-run through the straddle fixpoint —
         // the furthest the scan start may advance *before* the pending
@@ -67,17 +65,10 @@ impl Wal {
         // re-derived later.
         let (horizon, pre_horizon) = {
             let mut ap = self.append.lock();
-            let begin = ap.end_lsn;
-            let quiescent = ap.active.is_empty() && eff_fence >= begin;
-            let oldest_open = ap.active.values().min().copied().unwrap_or(begin);
-            let h = straddle_floor(&ap.logged, eff_fence.min(begin).min(oldest_open));
+            let oldest = ap.uncommitted_from.unwrap_or(ap.end_lsn);
+            let h = straddle_floor(&ap.logged, eff_fence.min(oldest));
             debug_assert!(h >= start_floor, "truncation horizon may only move forward");
             let pre = straddle_floor(&ap.logged, h.min(flushed_floor));
-            if !quiescent {
-                let ap = &mut *ap;
-                ap.end_lsn = format::encode_checkpoint(&mut ap.pending, begin, h, &ap.active);
-                self.stats.record_bytes.fetch_add(ap.end_lsn - begin, Ordering::Release);
-            }
             // The fixpoint guarantees `first >= h` keeps exactly the pages
             // with a surviving record.
             ap.logged.retain(|_, &mut (first, _)| first >= h);
@@ -90,7 +81,7 @@ impl Wal {
         // reuse the freed slots — but only when the flush would actually
         // hit the error, keeping the common checkpoint at exactly two
         // syncs.  (If nothing below `pre_horizon` is retirable — one giant
-        // open transaction pins the whole map, say — the flush still
+        // uncommitted run pins the whole map, say — the flush still
         // fails and the error propagates; truncation cannot spare records
         // a rollback may need.)
         {

@@ -10,16 +10,15 @@
 //! ```text
 //! record          lsn u64 | body_len u32 | kind u8 | crc u64 | body …
 //!                 crc covers (lsn, kind, body); lsn = stream position
-//! FirstMod body   page u64 | txn u64 | n u32 | delta_len u32
+//! FirstMod body   page u64 | n u32 | delta_len u32
 //!                 | n × (off u32 | len u32) | before [page_size]
 //!                 | delta [delta_len]
-//! Delta body      page u64 | txn u64 | n u32 | delta_len u32
+//! Delta body      page u64 | n u32 | delta_len u32
 //!                 | n × (off u32 | len u32) | delta [delta_len]
 //!                 1 ≤ n ≤ 8 runs, ascending and disjoint, each non-empty
 //!                 and inside the page; delta = the runs' new bytes
 //!                 concatenated, delta_len = Σ len
-//! Commit body     seq u64 | txn u64
-//! Checkpoint body horizon u64 | n u32 | n × (txn u64 | first_lsn u64)
+//! Commit body     seq u64
 //! anchor          magic u32 | version u16 | pad u16 | anchor_seq u64
 //!                 | start u64 | seg_pages u32 | count u32 | first_seg u64
 //!                 | count × slot u32 | crc u64 (covers all before it)
@@ -30,12 +29,12 @@
 //!   truncation horizon: the full pre-image plus the byte runs this
 //!   update changed.  Redo never needs the data device for such a page.
 //! * **Delta** — a later modification: the changed byte runs only.
-//! * **Commit** — a transaction boundary; recovery replays exactly the
-//!   records up to the last durable Commit.
-//! * **Checkpoint** — a fuzzy checkpoint's begin marker: the truncation
-//!   horizon and the in-flight `(txn, first record LSN)` pairs.  Replay
-//!   skips it; it makes the log self-describing about what straddled the
-//!   checkpoint.
+//! * **Commit** — commits every record before it; recovery replays
+//!   exactly the records up to the last durable Commit.  `seq` increases
+//!   strictly over the log's lifetime; recovery refuses a regression.
+//!
+//! Kind 4 was a fuzzy checkpoint's diagnostic record up to format v4; a
+//! v5 scan treats it like any unknown kind, as the end of the stream.
 //!
 //! The anchor with sequence `s` lives on device page `s & 1`, so a
 //! rewrite always lands on the page holding the *older* anchor.  `start`
@@ -46,25 +45,18 @@ use super::diff::{Runs, MAX_RUNS};
 use super::segments::SegMap;
 use crate::codec::{get_u16, get_u32, get_u64, put_u16, put_u32, put_u64};
 use crate::{Error, PageId, Result};
-use std::collections::BTreeMap;
 
 pub(super) const REC_HDR: usize = 8 + 4 + 1 + 8;
 const KIND_FIRST_MOD: u8 = 1;
 const KIND_DELTA: u8 = 2;
 const KIND_COMMIT: u8 = 3;
-const KIND_CHECKPOINT: u8 = 4;
-/// `page | txn | n | delta_len`, the fixed head of an update body.
-const UPDATE_HEAD: usize = 24;
+/// `page | n | delta_len`, the fixed head of an update body.
+const UPDATE_HEAD: usize = 16;
 /// One run-table entry, `off | len`.
 const RUN_ENTRY: usize = 8;
 
-/// Most in-flight transactions a Checkpoint record enumerates.  The
-/// horizon alone is binding for truncation; the list is diagnostic, so
-/// capping it bounds the record size without affecting correctness.
-const MAX_CKPT_TXNS: usize = 4096;
-
 const WAL_MAGIC: u32 = 0x5249_574C; // "RIWL"
-const WAL_VERSION: u16 = 4;
+const WAL_VERSION: u16 = 5;
 const ANCHOR_HDR: usize = 40;
 const SEG_MAGIC: u32 = 0x5249_5347; // "RISG"
 
@@ -89,24 +81,16 @@ fn record_checksum(lsn: u64, kind: u8, body_parts: &[&[u8]]) -> u64 {
 }
 
 /// A log record decoded in place: its byte fields borrow the buffer the
-/// record was read into (a Commit commits every run appended so far).  A
-/// Checkpoint's `active` is its logged `n × (txn u64 | first_lsn u64)`
-/// list, read with [`active_txns`].
+/// record was read into (a Commit commits every update appended so far).
 #[derive(Debug, Clone, Copy)]
 pub(super) enum Record<'a> {
-    FirstMod { page: PageId, txn: u64, before: &'a [u8], runs: Runs, delta: &'a [u8] },
-    Delta { page: PageId, txn: u64, runs: Runs, delta: &'a [u8] },
-    Commit { seq: u64, txn: u64 },
-    Checkpoint { horizon: u64, active: &'a [u8] },
-}
-
-/// The `(txn, first record LSN)` pairs of a Checkpoint record's list.
-pub(super) fn active_txns(active: &[u8]) -> impl Iterator<Item = (u64, u64)> + '_ {
-    active.chunks_exact(16).map(|pair| (get_u64(pair, 0), get_u64(pair, 8)))
+    FirstMod { page: PageId, before: &'a [u8], runs: Runs, delta: &'a [u8] },
+    Delta { page: PageId, runs: Runs, delta: &'a [u8] },
+    Commit { seq: u64 },
 }
 
 /// Frames one record onto `out`, returning the new stream end.
-fn encode_record(out: &mut Vec<u8>, lsn: u64, kind: u8, body_parts: &[&[u8]]) -> u64 {
+pub(super) fn encode_record(out: &mut Vec<u8>, lsn: u64, kind: u8, body_parts: &[&[u8]]) -> u64 {
     let body_len: usize = body_parts.iter().map(|p| p.len()).sum();
     out.extend_from_slice(&lsn.to_le_bytes());
     out.extend_from_slice(&(body_len as u32).to_le_bytes());
@@ -125,7 +109,6 @@ pub(super) fn encode_update(
     out: &mut Vec<u8>,
     lsn: u64,
     page: PageId,
-    txn: u64,
     before: Option<&[u8]>,
     runs: &Runs,
     new: &[u8],
@@ -133,8 +116,7 @@ pub(super) fn encode_update(
     let runs = runs.as_slice();
     let mut head = [0u8; UPDATE_HEAD + RUN_ENTRY * MAX_RUNS];
     put_u64(&mut head, 0, page.raw());
-    put_u64(&mut head, 8, txn);
-    put_u32(&mut head, 16, runs.len() as u32);
+    put_u32(&mut head, 8, runs.len() as u32);
     // head | before | one part per run
     let mut parts: [&[u8]; 2 + MAX_RUNS] = [&[]; 2 + MAX_RUNS];
     let mut delta_len = 0;
@@ -144,33 +126,21 @@ pub(super) fn encode_update(
         parts[2 + i] = &new[off as usize..][..len as usize];
         delta_len += len;
     }
-    put_u32(&mut head, 20, delta_len);
+    put_u32(&mut head, 12, delta_len);
     parts[0] = &head[..UPDATE_HEAD + RUN_ENTRY * runs.len()];
     parts[1] = before.unwrap_or(&[]);
     let kind = if before.is_some() { KIND_FIRST_MOD } else { KIND_DELTA };
     encode_record(out, lsn, kind, &parts[..2 + runs.len()])
 }
 
-pub(super) fn encode_commit(out: &mut Vec<u8>, lsn: u64, seq: u64, txn: u64) -> u64 {
-    encode_record(out, lsn, KIND_COMMIT, &[&seq.to_le_bytes(), &txn.to_le_bytes()])
+pub(super) fn encode_commit(out: &mut Vec<u8>, lsn: u64, seq: u64) -> u64 {
+    encode_record(out, lsn, KIND_COMMIT, &[&seq.to_le_bytes()])
 }
 
-/// `active` maps in-flight transactions to their first record's LSN.
-pub(super) fn encode_checkpoint(
-    out: &mut Vec<u8>,
-    lsn: u64,
-    horizon: u64,
-    active: &BTreeMap<u64, u64>,
-) -> u64 {
-    let listed = active.len().min(MAX_CKPT_TXNS);
-    let mut body = Vec::with_capacity(12 + 16 * listed);
-    body.extend_from_slice(&horizon.to_le_bytes());
-    body.extend_from_slice(&(listed as u32).to_le_bytes());
-    for (&txn, &first) in active.iter().take(listed) {
-        body.extend_from_slice(&txn.to_le_bytes());
-        body.extend_from_slice(&first.to_le_bytes());
-    }
-    encode_record(out, lsn, KIND_CHECKPOINT, &[&body])
+/// The largest record body a log with `ps`-byte pages holds: a FirstMod
+/// with a full run table whose runs cover the page.
+fn max_body(ps: usize) -> usize {
+    UPDATE_HEAD + RUN_ENTRY * MAX_RUNS + 2 * ps
 }
 
 /// The body length announced by the record header `hdr` read at stream
@@ -179,8 +149,7 @@ pub(super) fn encode_checkpoint(
 /// with `ps`-byte pages can hold — the bound on what a scan allocates.
 pub(super) fn body_len(hdr: &[u8], pos: u64, ps: usize) -> Option<usize> {
     let (lsn, len, kind) = (get_u64(hdr, 0), get_u32(hdr, 8) as usize, hdr[12]);
-    let max_body = (UPDATE_HEAD + RUN_ENTRY * MAX_RUNS + 2 * ps).max(12 + 16 * MAX_CKPT_TXNS);
-    (lsn == pos && len <= max_body && (KIND_FIRST_MOD..=KIND_CHECKPOINT).contains(&kind))
+    (lsn == pos && len <= max_body(ps) && (KIND_FIRST_MOD..=KIND_COMMIT).contains(&kind))
         .then_some(len)
 }
 
@@ -192,30 +161,16 @@ pub(super) fn decode_record<'a>(hdr: &[u8], body: &'a [u8], ps: usize) -> Option
     if record_checksum(lsn, kind, &[body]) != get_u64(hdr, 13) {
         return None;
     }
-    match decode_body(kind, body, ps)? {
-        // A horizon past its own record is nonsense.
-        Record::Checkpoint { horizon, .. } if horizon > lsn => None,
-        rec => Some(rec),
-    }
+    decode_body(kind, body, ps)
 }
 
 fn decode_body(kind: u8, body: &[u8], ps: usize) -> Option<Record<'_>> {
     match kind {
-        KIND_COMMIT if body.len() == 16 => {
-            Some(Record::Commit { seq: get_u64(body, 0), txn: get_u64(body, 8) })
-        }
-        KIND_CHECKPOINT if body.len() >= 12 => {
-            let n = get_u32(body, 8) as usize;
-            if n > MAX_CKPT_TXNS || body.len() != 12 + 16 * n {
-                return None;
-            }
-            Some(Record::Checkpoint { horizon: get_u64(body, 0), active: &body[12..] })
-        }
+        KIND_COMMIT if body.len() == 8 => Some(Record::Commit { seq: get_u64(body, 0) }),
         KIND_FIRST_MOD | KIND_DELTA if body.len() >= UPDATE_HEAD => {
             let page = PageId(get_u64(body, 0));
-            let txn = get_u64(body, 8);
-            let n = get_u32(body, 16) as usize;
-            let delta_len = get_u32(body, 20) as usize;
+            let n = get_u32(body, 8) as usize;
+            let delta_len = get_u32(body, 12) as usize;
             let before_len = if kind == KIND_FIRST_MOD { ps } else { 0 };
             // `n` and `delta_len` are bounded before they enter a sum.
             if !(1..=MAX_RUNS).contains(&n)
@@ -241,9 +196,9 @@ fn decode_body(kind: u8, body: &[u8], ps: usize) -> Option<Record<'_>> {
             }
             let (before, delta) = body[UPDATE_HEAD + RUN_ENTRY * n..].split_at(before_len);
             Some(if kind == KIND_FIRST_MOD {
-                Record::FirstMod { page, txn, before, runs, delta }
+                Record::FirstMod { page, before, runs, delta }
             } else {
-                Record::Delta { page, txn, runs, delta }
+                Record::Delta { page, runs, delta }
             })
         }
         _ => None,
@@ -340,9 +295,8 @@ mod tests {
     fn body(kind: u8, n: u32, delta_len: u32, table: &[(u32, u32)], bytes: usize) -> Vec<u8> {
         let mut b = vec![0u8; UPDATE_HEAD];
         put_u64(&mut b, 0, 3);
-        put_u64(&mut b, 8, 1);
-        put_u32(&mut b, 16, n);
-        put_u32(&mut b, 20, delta_len);
+        put_u32(&mut b, 8, n);
+        put_u32(&mut b, 12, delta_len);
         for &(off, len) in table {
             b.extend_from_slice(&off.to_le_bytes());
             b.extend_from_slice(&len.to_le_bytes());
@@ -412,7 +366,6 @@ mod tests {
 
     #[test]
     fn scan_allocation_bound_covers_the_largest_update_and_no_more() {
-        // Past 32 KB pages the FirstMod bound exceeds the Checkpoint one.
         // The largest record: a full table whose runs cover the page.
         let ps = 1 << 16;
         let mut runs = Runs::default();
@@ -420,13 +373,39 @@ mod tests {
             runs.push((i * ps / MAX_RUNS) as u32, (ps / MAX_RUNS) as u32);
         }
         let (image, mut out) = (vec![7u8; ps], Vec::new());
-        encode_update(&mut out, 0, PageId(1), 1, Some(&image), &runs, &image);
+        encode_update(&mut out, 0, PageId(1), Some(&image), &runs, &image);
         let (hdr, body) = out.split_at(REC_HDR);
         assert_eq!(body_len(hdr, 0, ps), Some(body.len()));
         assert!(decode_record(hdr, body, ps).is_some());
         let mut longer = hdr.to_vec();
         put_u32(&mut longer, 8, body.len() as u32 + 1);
         assert_eq!(body_len(&longer, 0, ps), None);
+    }
+
+    #[test]
+    fn body_len_refuses_one_byte_past_the_largest_update_body() {
+        // At the default 2 KB pages: 16 head bytes, eight run entries, the
+        // pre-image and a page of run bytes.
+        assert_eq!(max_body(crate::DEFAULT_PAGE_SIZE), 4176);
+        let hdr = |kind: u8, len: usize| {
+            let mut h = [0u8; REC_HDR];
+            put_u64(&mut h, 0, 77);
+            put_u32(&mut h, 8, len as u32);
+            h[12] = kind;
+            h
+        };
+        for ps in [PS, crate::DEFAULT_PAGE_SIZE, 4096] {
+            let max = max_body(ps);
+            for kind in [KIND_FIRST_MOD, KIND_DELTA, KIND_COMMIT] {
+                assert_eq!(body_len(&hdr(kind, max), 77, ps), Some(max), "kind {kind}");
+                assert_eq!(body_len(&hdr(kind, max + 1), 77, ps), None, "kind {kind}");
+                assert_eq!(body_len(&hdr(kind, 8), 78, ps), None, "an LSN off its position");
+            }
+            // Kind 4, the retired Checkpoint record, starts nothing.
+            for kind in [0, 4, 5, u8::MAX] {
+                assert_eq!(body_len(&hdr(kind, 8), 77, ps), None, "kind {kind}");
+            }
+        }
     }
 
     #[test]

@@ -7,22 +7,22 @@
 //!
 //! | module | owns |
 //! |---|---|
-//! | `format` | every byte offset: record framing and checksums, the four record kinds, anchor and segment-header pages |
+//! | `format` | every byte offset: record framing and checksums, the three record kinds, anchor and segment-header pages |
 //! | `diff` | which bytes of a page an update changed: the byte runs an update record carries |
 //! | `segments` | where the stream lives on the device: the segment map, rollover, slot recycling, the anchor-write guard, the stream reader |
 //! | `flush` | append buffer → device: the one flush routine, the I/O-leader protocol behind group commit, the background flusher's thread body |
 //! | `checkpoint` | the truncation horizon and the one routine that advances the scan start and retires segments |
 //! | `recover` | the attach-time scan, one pass that folds each record into page images as it is read and rolls the uncommitted tail back at the end |
 //!
-//! # LSNs and transactions
+//! # LSNs and commit boundaries
 //!
 //! An LSN is a logical byte offset into the append-only record stream;
-//! a record's end LSN is the LSN stamp of the page it describes.  Update
-//! records carry the id of the transaction that appended them.  A
-//! transaction here is a maximal run of one thread's updates between
-//! commit boundaries: [`Wal::log_update`] assigns the calling thread a
-//! fresh id on its first update after a commit, and [`Wal::commit`]
-//! closes *every* in-flight run (see the caveat at the end).
+//! a record's end LSN is the LSN stamp of the page it describes.  The
+//! unit of commit is the log prefix: a Commit record commits every update
+//! appended before it, whichever thread appended it (see the caveat at
+//! the end).  Records name no transaction; the log only tracks where the
+//! updates appended since the last Commit begin, because a checkpoint
+//! must not truncate the pre-images their rollback needs.
 //!
 //! # The WAL-before-data invariant
 //!
@@ -47,9 +47,9 @@
 //! [`Wal::checkpoint`] does **not** require quiescent writers.  Given a
 //! fence sampled before the caller's write-back pass, it truncates the
 //! log to a horizon below which every record is committed *and* on the
-//! data device, while every in-flight transaction's rollback pre-images
-//! survive.  A crash at any instant of a checkpoint recovers either the
-//! pre- or the post-checkpoint log, both consistent.
+//! data device, while the rollback pre-images of every update appended
+//! since the last Commit survive.  A crash at any instant of a checkpoint
+//! recovers either the pre- or the post-checkpoint log, both consistent.
 //!
 //! # Recovery
 //!
@@ -63,11 +63,13 @@
 //!
 //! Commit atomicity is defined at commit boundaries of a serialized
 //! history: concurrent writers get durability (no committed record is
-//! lost, and no uncommitted update survives a crash — even one flushed
-//! to the data device inside a checkpoint window) but crash-atomicity of
-//! *interleaved* uncommitted work remains the MVCC roadmap item's
-//! business: a Commit record commits everything appended so far,
-//! including other threads' open runs.
+//! lost, and no update appended after the last Commit survives a crash —
+//! even one flushed to the data device inside a checkpoint window) but
+//! not crash-atomicity of *interleaved* work: a Commit record commits
+//! everything appended so far, including another thread's updates whose
+//! own commit has not come yet.  The unit test
+//! `a_commit_commits_other_threads_updates` pins that boundary; one writer
+//! at a time is what would close it.
 
 mod checkpoint;
 mod diff;
@@ -84,10 +86,9 @@ use parking_lot::Mutex;
 use recover::Recovered;
 use segments::{FlushState, SegMap};
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Condvar;
-use std::thread::ThreadId;
 
 /// When (if ever) buffered log bytes are written to the device ahead of
 /// the commit path's own flush.
@@ -139,9 +140,6 @@ pub struct RecoveryReport {
     pub pages_redone: usize,
     /// Pages restored to their pre-images (first modified in the tail).
     pub pages_rolled_back: usize,
-    /// Distinct in-flight transactions whose tail updates were rolled
-    /// back (0 when the crash caught no open transaction).
-    pub txns_rolled_back: u64,
 }
 
 /// Monotonic WAL counters (atomics, like [`crate::stats::IoStats`]).
@@ -170,7 +168,7 @@ struct WalStats {
 /// either led one fsync or was covered by someone else's), and
 /// `syncs == commit_syncs + forced_syncs + checkpoint_syncs` (every log
 /// device sync is led by exactly one commit, one forced barrier, or one
-/// checkpoint — checkpoints issue two each, the record flush and the
+/// checkpoint — checkpoints issue two each, the log flush and the
 /// anchor rewrite, plus a third when relieving a full segment map).  The
 /// background flusher writes pages without syncing — except for the
 /// anchor-guard sync a back-to-back rollover forces, counted under
@@ -192,7 +190,7 @@ pub struct WalSnapshot {
     /// WAL-before-data barrier (page write-backs) and the anchor guard a
     /// rollover issues when the previous anchor write is still unsynced.
     pub forced_syncs: u64,
-    /// Syncs issued by checkpoints (two per checkpoint: record flush +
+    /// Syncs issued by checkpoints (two per checkpoint: log flush +
     /// anchor rewrite, plus one more when a full segment map forces an
     /// early retirement pass), including recovery's own checkpoint.
     pub checkpoint_syncs: u64,
@@ -228,13 +226,9 @@ struct AppendState {
     logged: HashMap<PageId, (u64, u64)>,
     /// Commit sequence number (monotone across the log's lifetime).
     commit_seq: u64,
-    /// Last transaction id handed out (monotone, reseeded at attach).
-    next_txn: u64,
-    /// The open transaction of each thread mid-run (commit clears all).
-    thread_txns: HashMap<ThreadId, u64>,
-    /// In-flight transactions → LSN of their first record.  Ordered so
-    /// Checkpoint records enumerate deterministically.
-    active: BTreeMap<u64, u64>,
+    /// LSN of the first update appended since the last Commit, if any:
+    /// no checkpoint truncates at or above it.
+    uncommitted_from: Option<u64>,
 }
 
 /// Append-only page-redo log on a dedicated block device.  Created via
@@ -304,10 +298,9 @@ impl Wal {
             },
             append: Mutex::new(AppendState {
                 end_lsn: end,
-                // Resume both monotone sequences above anything the scan
-                // saw, so retained generations never observe a regression.
+                // Resume the commit sequence above anything the scan saw,
+                // so retained generations never observe a regression.
                 commit_seq: log.max_seq,
-                next_txn: log.max_txn,
                 ..AppendState::default()
             }),
             io: Mutex::new(IoState { durable_lsn: end, syncing: false }),
@@ -382,16 +375,7 @@ impl Wal {
         let mut guard = self.append.lock();
         let ap = &mut *guard;
         let lsn = ap.end_lsn;
-        // Transaction identity is thread-keyed: the first update after a
-        // commit boundary opens a fresh run for the calling thread.
-        let txn = match ap.thread_txns.entry(std::thread::current().id()) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
-                ap.next_txn = next_in_sequence(ap.next_txn, "transaction id")?;
-                *e.insert(ap.next_txn)
-            }
-        };
-        ap.active.entry(txn).or_insert(lsn);
+        ap.uncommitted_from.get_or_insert(lsn);
         let before = match ap.logged.entry(page) {
             Entry::Occupied(mut e) => {
                 e.get_mut().1 = lsn;
@@ -402,7 +386,7 @@ impl Wal {
                 Some(old)
             }
         };
-        let end = format::encode_update(&mut ap.pending, lsn, page, txn, before, &runs, new);
+        let end = format::encode_update(&mut ap.pending, lsn, page, before, &runs, new);
         ap.end_lsn = end;
         let wake = self.watermark.is_some_and(|w| ap.pending.len() >= w);
         drop(guard);
@@ -421,15 +405,11 @@ impl Wal {
         let target = {
             let mut ap = self.append.lock();
             let ap = &mut *ap;
-            ap.commit_seq = next_in_sequence(ap.commit_seq, "commit sequence")?;
-            let txn = ap.thread_txns.get(&std::thread::current().id()).copied().unwrap_or_default();
+            ap.commit_seq = next_commit_seq(ap.commit_seq)?;
             let lsn = ap.end_lsn;
-            ap.end_lsn = format::encode_commit(&mut ap.pending, lsn, ap.commit_seq, txn);
-            // A commit boundary covers everything appended so far (module
-            // docs), so every in-flight run closes here — no transaction
-            // stays active across it.
-            ap.thread_txns.clear();
-            ap.active.clear();
+            ap.end_lsn = format::encode_commit(&mut ap.pending, lsn, ap.commit_seq);
+            // A Commit commits the whole log prefix (module docs).
+            ap.uncommitted_from = None;
             self.stats.record_bytes.fetch_add(ap.end_lsn - lsn, Ordering::Release);
             ap.end_lsn
         };
@@ -450,11 +430,11 @@ impl Wal {
     }
 }
 
-/// The successor of `last` in a monotone sequence the log persists.  Both
-/// sequences resume from the largest value a scan read, so a record that
-/// passes its checksum but carries `u64::MAX` exhausts them: that is
-/// `Corrupt`, not an overflow.
-fn next_in_sequence(last: u64, what: &str) -> Result<u64> {
-    last.checked_add(1)
-        .ok_or_else(|| Error::Corrupt(format!("WAL {what} exhausted: the log reached {last}")))
+/// The commit sequence number after `last`.  The sequence resumes from
+/// the largest value a scan read, so a Commit that passes its checksum but
+/// carries `u64::MAX` exhausts it: that is `Corrupt`, not an overflow.
+fn next_commit_seq(last: u64) -> Result<u64> {
+    last.checked_add(1).ok_or_else(|| {
+        Error::Corrupt(format!("WAL commit sequence exhausted: the log reached {last}"))
+    })
 }

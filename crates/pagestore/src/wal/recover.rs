@@ -5,15 +5,15 @@
 //! LSN/checksum chain breaks or the mapped segments end, decoding each
 //! record in place in one reused buffer.  [`Recovered::fold`] applies it
 //! to the page images at once (FirstMod starts from its pre-image, Delta
-//! applies on top, Checkpoint is a no-op), so no record outlives its
-//! read.  Where the last Commit lies is known only when the stream ends,
-//! so the fold keeps, for every page touched since the latest Commit, the
-//! image a rollback restores — the page's state at that Commit, or the
-//! pre-image of its first FirstMod if the records had not touched it
-//! before — and drops them at each Commit.  When the stream ends,
-//! [`Recovered::finish`] restores them: the uncommitted tail is rolled
-//! back.  Memory is one image per page touched plus one per page touched
-//! since the last Commit, whatever the log's length.
+//! applies on top, Commit extends the committed prefix), so no record
+//! outlives its read.  Where the last Commit lies is known only when the
+//! stream ends, so the fold keeps, for every page touched since the
+//! latest Commit, the image a rollback restores — the page's state at
+//! that Commit, or the pre-image of its first FirstMod if the records had
+//! not touched it before — and drops them at each Commit.  When the
+//! stream ends, [`Recovered::finish`] restores them: the uncommitted tail
+//! is rolled back.  Memory is one image per page touched plus one per
+//! page touched since the last Commit, whatever the log's length.
 //!
 //! Pages whose records all sit below the scan start are bitwise correct on
 //! the data device — that is what the truncation horizon guarantees — so
@@ -24,7 +24,7 @@ use super::format::{self, Record, REC_HDR};
 use super::segments::{SegMap, StreamReader};
 use super::{RecoveryReport, Wal};
 use crate::{DiskManager, Error, Result};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
 /// Page images keyed by raw page id, in page order.
 type PageImages = BTreeMap<u64, Vec<u8>>;
@@ -77,8 +77,8 @@ struct Undo {
     created: bool,
 }
 
-/// What the attach-time scan found: the high-water marks of the log's
-/// monotone sequences and the page images its records fold into.
+/// What the attach-time scan found: the high-water mark of the commit
+/// sequence and the page images the records fold into.
 #[derive(Default)]
 pub(super) struct Recovered {
     /// Records of the valid prefix.
@@ -89,14 +89,10 @@ pub(super) struct Recovered {
     pub(super) committed_end: u64,
     /// Highest commit sequence number seen (0 if none).
     pub(super) max_seq: u64,
-    /// Highest transaction id seen (0 if none).
-    pub(super) max_txn: u64,
     /// Every page the records touched, as of the latest record.
     images: HashMap<u64, Vec<u8>>,
     /// Pages touched since the last Commit, with what a rollback restores.
     undo: HashMap<u64, Undo>,
-    /// Transactions with an update since the last Commit.
-    open: BTreeSet<u64>,
     /// The first page since the last Commit whose Delta found no image:
     /// the log is inconsistent if a Commit follows.
     orphan: Option<u64>,
@@ -121,8 +117,7 @@ impl Recovered {
     fn fold(&mut self, rec: Record<'_>, end: u64) {
         self.records += 1;
         match rec {
-            Record::FirstMod { page, txn, before, runs, delta } => {
-                self.open_update(txn);
+            Record::FirstMod { page, before, runs, delta } => {
                 if self.error.is_some() {
                     return;
                 }
@@ -136,8 +131,7 @@ impl Recovered {
                 };
                 self.undo.entry(page.raw()).or_insert(undo);
             }
-            Record::Delta { page, txn, runs, delta } => {
-                self.open_update(txn);
+            Record::Delta { page, runs, delta } => {
                 if self.error.is_some() {
                     return;
                 }
@@ -154,28 +148,17 @@ impl Recovered {
                     .or_insert_with(|| Undo { image: img.clone(), created: false });
                 apply_runs(img, &runs, delta);
             }
-            Record::Commit { seq, txn } => {
+            Record::Commit { seq } => {
                 self.max_seq = self.max_seq.max(seq);
-                self.max_txn = self.max_txn.max(txn);
                 (self.committed, self.committed_end) = (self.records, end);
                 if self.error.is_none() {
                     self.error = self.check_commit(seq).err();
                 }
                 (self.commits, self.last_seq) = (self.commits + 1, seq);
                 self.undo.clear();
-                self.open.clear();
                 self.orphan = None;
             }
-            Record::Checkpoint { active, .. } => {
-                let txns = format::active_txns(active).map(|(txn, _)| txn);
-                self.max_txn = txns.fold(self.max_txn, u64::max);
-            }
         }
-    }
-
-    fn open_update(&mut self, txn: u64) {
-        self.max_txn = self.max_txn.max(txn);
-        self.open.insert(txn);
     }
 
     /// Whether the records a Commit with sequence `seq` commits are
@@ -218,7 +201,6 @@ impl Recovered {
             commits: self.commits,
             pages_redone: images.len() - pages_rolled_back,
             pages_rolled_back,
-            txns_rolled_back: self.open.len() as u64,
         };
         Ok((images.into_iter().collect(), report))
     }

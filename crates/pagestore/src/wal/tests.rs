@@ -40,10 +40,9 @@ fn scan_fresh(disk: &dyn DiskManager) -> Recovered {
 /// A scanned record with its bytes copied out, for assertions.
 #[derive(Debug, Clone, PartialEq)]
 enum Rec {
-    FirstMod { page: u64, txn: u64, before: Vec<u8>, runs: Vec<(u32, u32)>, delta: Vec<u8> },
-    Delta { page: u64, txn: u64, runs: Vec<(u32, u32)>, delta: Vec<u8> },
-    Commit { seq: u64, txn: u64 },
-    Checkpoint { active: Vec<(u64, u64)> },
+    FirstMod { page: u64, before: Vec<u8>, runs: Vec<(u32, u32)>, delta: Vec<u8> },
+    Delta { page: u64, runs: Vec<(u32, u32)>, delta: Vec<u8> },
+    Commit { seq: u64 },
 }
 
 /// The records a fresh attach would read from `disk`, copied out.
@@ -52,23 +51,18 @@ fn records(disk: &dyn DiskManager) -> Vec<Rec> {
     let mut out = Vec::new();
     recover::scan(disk, &anchor.map, anchor.start, |rec, _| {
         out.push(match rec {
-            Record::FirstMod { page, txn, before, runs, delta } => Rec::FirstMod {
+            Record::FirstMod { page, before, runs, delta } => Rec::FirstMod {
                 page: page.raw(),
-                txn,
                 before: before.to_vec(),
                 runs: runs.as_slice().to_vec(),
                 delta: delta.to_vec(),
             },
-            Record::Delta { page, txn, runs, delta } => Rec::Delta {
+            Record::Delta { page, runs, delta } => Rec::Delta {
                 page: page.raw(),
-                txn,
                 runs: runs.as_slice().to_vec(),
                 delta: delta.to_vec(),
             },
-            Record::Commit { seq, txn } => Rec::Commit { seq, txn },
-            Record::Checkpoint { active, .. } => {
-                Rec::Checkpoint { active: format::active_txns(active).collect() }
-            }
+            Record::Commit { seq } => Rec::Commit { seq },
         })
     });
     out
@@ -104,19 +98,13 @@ fn first_mod_then_delta_then_commit_roundtrips_through_scan() {
     assert_eq!(scan.records, 3);
     assert_eq!(scan.committed, 3);
     assert_eq!(scan.committed_end, end);
-    assert_eq!((scan.max_seq, scan.max_txn), (1, 1));
+    assert_eq!(scan.max_seq, 1);
     assert_eq!(
         records(&*disk),
         [
-            Rec::FirstMod {
-                page: 4,
-                txn: 1,
-                before: old,
-                runs: vec![(10, 10)],
-                delta: vec![7u8; 10]
-            },
-            Rec::Delta { page: 4, txn: 1, runs: vec![(100, 1)], delta: vec![9u8] },
-            Rec::Commit { seq: 1, txn: 1 },
+            Rec::FirstMod { page: 4, before: old, runs: vec![(10, 10)], delta: vec![7u8; 10] },
+            Rec::Delta { page: 4, runs: vec![(100, 1)], delta: vec![9u8] },
+            Rec::Commit { seq: 1 },
         ]
     );
 }
@@ -141,6 +129,49 @@ fn uncommitted_tail_is_dropped_on_attach() {
     assert_eq!(log.records, 3, "commit + committed mod + tail mod");
     assert_eq!(log.committed, 2);
     assert_eq!(wal2.end_lsn(), committed_end, "appends resume at the commit boundary");
+}
+
+#[test]
+fn a_commit_commits_other_threads_updates() {
+    // The unit of commit is the log prefix, not a thread's run: thread A
+    // appends an update and does not commit, thread B commits, and B's
+    // Commit makes A's update durable.  What either appends after that
+    // Commit rolls back.
+    let (disk, wal) = fresh_wal(128);
+    let old = vec![0u8; 128];
+    let img = |byte: u8| {
+        let mut img = old.clone();
+        img[7] = byte;
+        img
+    };
+    let (a1, a2, b, c) = (img(1), img(2), img(3), img(4));
+    let turn = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            wal.log_update(PageId(1), &old, &a1).unwrap();
+            turn.wait();
+            turn.wait(); // B has committed
+            wal.log_update(PageId(1), &a1, &a2).unwrap();
+        });
+        s.spawn(|| {
+            turn.wait(); // A has appended
+            wal.log_update(PageId(2), &old, &b).unwrap();
+            wal.commit().unwrap();
+            turn.wait();
+            wal.log_update(PageId(3), &old, &c).unwrap();
+        });
+    });
+    // The crash: both post-Commit updates reach the device, no Commit
+    // follows them.
+    wal.make_durable(wal.end_lsn()).unwrap();
+    drop(wal);
+
+    let wal = Wal::attach(Box::new(Arc::clone(&disk))).unwrap();
+    let (images, report) = wal.take_redo().unwrap().unwrap();
+    assert_eq!(images[&1], a1, "A's update before B's Commit is committed, its later one is not");
+    assert_eq!(images[&2], b);
+    assert_eq!(images[&3], old, "B's update after its Commit rolls back to the pre-image");
+    assert_eq!((report.commits, report.tail_records, report.pages_rolled_back), (1, 2, 1));
 }
 
 #[test]
@@ -258,26 +289,24 @@ fn fuzzy_checkpoint_spares_the_open_transactions_records() {
     let lsn = wal.log_update(PageId(2), &old, &v1).unwrap();
     wal.make_durable(lsn).unwrap();
     let fence = wal.end_lsn();
+    let bytes = wal.stats().record_bytes;
     wal.checkpoint(fence).unwrap();
     let s = wal.stats();
     assert_eq!(s.checkpoints, 1);
-    assert_eq!(s.checkpoint_syncs, 2, "record flush + anchor rewrite");
+    assert_eq!(s.checkpoint_syncs, 2, "log flush + anchor rewrite");
     assert_eq!(s.syncs, s.commit_syncs + s.forced_syncs + s.checkpoint_syncs);
+    assert_eq!((s.record_bytes, wal.end_lsn()), (bytes, fence), "a checkpoint appends nothing");
     drop(wal);
 
     // The committed generation was truncated, but the open
-    // transaction's FirstMod pre-image survives for rollback, followed
-    // by the CheckpointBegin naming it.
+    // transaction's FirstMod pre-image survives for rollback as the
+    // scan's first — and only — record.
     let wal2 = Wal::attach(Box::new(Arc::clone(&disk))).unwrap();
     let log = wal2.take_recovered().unwrap();
     assert_eq!(log.committed, 0, "nothing at or above the horizon is committed");
     let recs = records(&*disk);
-    assert_eq!(recs.len(), 2);
-    assert!(matches!(&recs[0],
-        Rec::FirstMod { page: 2, txn: 2, before, .. } if before == &old));
-    assert!(
-        matches!(&recs[1], Rec::Checkpoint { active } if active.len() == 1 && active[0].0 == 2)
-    );
+    assert_eq!(recs.len(), 1);
+    assert!(matches!(&recs[0], Rec::FirstMod { page: 2, before, .. } if before == &old));
 }
 
 #[test]
@@ -289,12 +318,15 @@ fn fuzzy_then_idle_checkpoint_truncates_everything() {
     // Open transaction at checkpoint time: horizon pins to its first
     // record (LSN 0), so the start cannot move at all.
     wal.log_update(PageId(5), &old, &v1).unwrap();
-    wal.checkpoint(wal.end_lsn()).unwrap();
+    let end = wal.end_lsn();
+    wal.checkpoint(end).unwrap();
     assert_eq!(wal.stats().checkpoints, 1);
+    assert_eq!(wal.end_lsn(), end, "a checkpoint with a writer in flight appends nothing");
     // Commit closes the run; a second checkpoint moves `start` to the
     // very end, so the whole log is logically empty.
-    wal.commit().unwrap();
-    wal.checkpoint(wal.end_lsn()).unwrap();
+    let end = wal.commit().unwrap();
+    wal.checkpoint(end).unwrap();
+    assert_eq!(wal.end_lsn(), end, "an idle checkpoint appends nothing");
     drop(wal);
     let wal2 = Wal::attach(Box::new(Arc::clone(&disk))).unwrap();
     assert!(wal2.take_recovered().is_none(), "truncated log has no records");
@@ -841,35 +873,28 @@ proptest! {
 enum Forged {
     /// A one-run update of `page` writing `byte` over `off .. off + len`;
     /// a FirstMod's pre-image is filled with `byte + 1`.
-    Update {
-        first: bool,
-        page: u64,
-        txn: u64,
-        off: u32,
-        len: u32,
-        byte: u8,
-    },
+    Update { first: bool, page: u64, off: u32, len: u32, byte: u8 },
     /// A Commit whose sequence number is the last one plus `step` (0
     /// repeats it: a regression).
-    Commit {
-        step: u64,
-    },
-    Checkpoint {
-        txn: u64,
-    },
+    Commit { step: u64 },
+    /// A checksum-valid record of kind 4, a v4 log's Checkpoint record
+    /// with an empty list: the valid chain ends before it.
+    Retired,
 }
+
+/// The kind byte of the Checkpoint record log format v5 retired.
+const RETIRED_CHECKPOINT_KIND: u8 = 4;
 
 fn forged() -> impl Strategy<Value = Forged> {
     let update = |first| {
-        (0u64..5, 1u64..4, 0u32..120, 1u32..9, any::<u8>()).prop_map(
-            move |(page, txn, off, len, byte)| Forged::Update { first, page, txn, off, len, byte },
-        )
+        (0u64..5, 0u32..120, 1u32..9, any::<u8>())
+            .prop_map(move |(page, off, len, byte)| Forged::Update { first, page, off, len, byte })
     };
     prop_oneof![
         3 => update(true),
         5 => update(false),
         3 => (0u64..12).prop_map(|step| Forged::Commit { step }),
-        1 => (1u64..4).prop_map(|txn| Forged::Checkpoint { txn }),
+        1 => (0u8..1).prop_map(|_| Forged::Retired),
     ]
 }
 
@@ -879,19 +904,20 @@ fn write_forged(log: &[Forged]) -> Arc<MemDisk> {
     let mut seq = 0;
     for rec in log {
         forge(&wal, |out, lsn| match *rec {
-            Forged::Update { first, page, txn, off, len, byte } => {
+            Forged::Update { first, page, off, len, byte } => {
                 let mut runs = Runs::default();
                 runs.push(off, len);
                 let (before, new) = ([byte.wrapping_add(1); 128], [byte; 128]);
                 let before = first.then_some(&before[..]);
-                format::encode_update(out, lsn, PageId(page), txn, before, &runs, &new)
+                format::encode_update(out, lsn, PageId(page), before, &runs, &new)
             }
             Forged::Commit { step } => {
                 seq += step;
-                format::encode_commit(out, lsn, seq, 0)
+                format::encode_commit(out, lsn, seq)
             }
-            Forged::Checkpoint { txn } => {
-                format::encode_checkpoint(out, lsn, lsn, &[(txn, lsn)].into())
+            Forged::Retired => {
+                // horizon u64 = 0 | n u32 = 0
+                format::encode_record(out, lsn, RETIRED_CHECKPOINT_KIND, &[&[0; 12]])
             }
         });
     }
@@ -909,21 +935,19 @@ fn forge(wal: &Wal, encode: impl FnOnce(&mut Vec<u8>, u64) -> u64) {
 
 #[test]
 fn a_log_at_the_largest_sequence_numbers_refuses_the_next_ones() {
-    // A Commit that passes its checksum but carries u64::MAX as both its
-    // sequence number and its transaction id: the attach reseeds both
-    // sequences from it, so the next of each cannot exist.
+    // A Commit that passes its checksum but carries u64::MAX as its
+    // sequence number: the attach reseeds the commit sequence from it, so
+    // the next one cannot exist.
     let (disk, wal) = fresh_wal(128);
-    forge(&wal, |out, lsn| format::encode_commit(out, lsn, u64::MAX, u64::MAX));
+    forge(&wal, |out, lsn| format::encode_commit(out, lsn, u64::MAX));
     wal.make_durable(wal.end_lsn()).unwrap();
     drop(wal);
     let wal = Wal::attach(Box::new(Arc::clone(&disk))).unwrap();
     assert_eq!(wal.take_redo().unwrap().unwrap().1.commits, 1, "the log itself recovers");
-    let end = wal.end_lsn();
     let (old, new) = (vec![0u8; 128], vec![1u8; 128]);
-    let update = wal.log_update(PageId(1), &old, &new);
-    assert!(matches!(update, Err(Error::Corrupt(m)) if m.contains("transaction id")));
+    let end = wal.log_update(PageId(1), &old, &new).unwrap();
     assert!(matches!(wal.commit(), Err(Error::Corrupt(m)) if m.contains("commit sequence")));
-    assert_eq!(wal.end_lsn(), end, "neither appended a record");
+    assert_eq!(wal.end_lsn(), end, "the refused commit appended no record");
 }
 
 type Redone = (std::collections::BTreeMap<u64, Vec<u8>>, RecoveryReport);
@@ -957,27 +981,18 @@ fn two_pass_redo(recs: &[Rec]) -> std::result::Result<Redone, String> {
                     .ok_or(format!("WAL delta for page {page} without a prior first-mod"))?;
                 apply(img, runs, delta);
             }
-            Rec::Commit { seq, .. } => {
+            Rec::Commit { seq } => {
                 if *seq <= last_seq {
                     return Err(format!("WAL commit sequence regressed: {seq} after {last_seq}"));
                 }
                 (commits, last_seq) = (commits + 1, *seq);
             }
-            Rec::Checkpoint { .. } => {}
         }
     }
     let pages_redone = images.len();
-    let mut txns = std::collections::BTreeSet::new();
     for rec in tail {
-        match rec {
-            Rec::FirstMod { page, txn, before, .. } => {
-                txns.insert(*txn);
-                images.entry(*page).or_insert_with(|| before.clone());
-            }
-            Rec::Delta { txn, .. } => {
-                txns.insert(*txn);
-            }
-            _ => {}
+        if let Rec::FirstMod { page, before, .. } = rec {
+            images.entry(*page).or_insert_with(|| before.clone());
         }
     }
     let report = RecoveryReport {
@@ -987,7 +1002,6 @@ fn two_pass_redo(recs: &[Rec]) -> std::result::Result<Redone, String> {
         commits,
         pages_redone,
         pages_rolled_back: images.len() - pages_redone,
-        txns_rolled_back: txns.len() as u64,
     };
     Ok((images, report))
 }
@@ -998,7 +1012,10 @@ proptest! {
     #[test]
     fn one_pass_fold_matches_the_two_pass_redo(log in prop::collection::vec(forged(), 0..40)) {
         let disk = write_forged(&log);
-        let want = two_pass_redo(&records(&*disk));
+        let recs = records(&*disk);
+        let retired = log.iter().position(|rec| matches!(rec, Forged::Retired));
+        prop_assert_eq!(recs.len(), retired.unwrap_or(log.len()), "kind 4 ends the chain");
+        let want = two_pass_redo(&recs);
         let wal = Wal::attach(Box::new(Arc::clone(&disk))).unwrap();
         let got = match wal.take_redo() {
             Ok(redone) => Ok(redone.unwrap_or_else(|| {

@@ -341,11 +341,13 @@ fn kill_a_bulk_build_at_every_write_index() {
     sweep_writes(&Script::bulk_build(), WalConfig::default(), 600);
 }
 
-/// The same build killed at every sync barrier, under four persistence
-/// seeds each.
+/// The same build killed at every sync barrier, under eight persistence
+/// seeds each.  A DML commit here flushes several log pages, and a crash
+/// at its sync keeps the Commit record only if every one of them wins its
+/// coin: the seeds must be enough for some point to keep one.
 #[test]
 fn kill_a_bulk_build_at_every_sync_index() {
-    let points = sweep_syncs(&Script::bulk_build(), WalConfig::default(), 4);
+    let points = sweep_syncs(&Script::bulk_build(), WalConfig::default(), 8);
     assert!(points >= 80, "the sweep must cover >= 80 crash points, got {points}");
 }
 
@@ -359,6 +361,6 @@ fn flusher_kill_a_bulk_build_at_every_write_index() {
 /// [`kill_a_bulk_build_at_every_sync_index`] with the background flusher.
 #[test]
 fn flusher_kill_a_bulk_build_at_every_sync_index() {
-    let points = sweep_syncs(&Script::bulk_build(), flusher_config(), 4);
+    let points = sweep_syncs(&Script::bulk_build(), flusher_config(), 8);
     assert!(points >= 80, "the sweep must cover >= 80 crash points, got {points}");
 }

@@ -500,13 +500,17 @@ fn check(script: &Script, point: CrashPoint) -> bool {
     oracle.verify(&tree, &format!("{point:?}"))
 }
 
-/// Kills `script` at every post-setup device write: cleanly, and torn
-/// twice (1–3 leading sectors of the dying write persist, under two more
-/// persistence seeds).  Asserts at least `floor` crash points.
+/// Kills `script` at every post-setup device write: cleanly, and torn at
+/// each size a page's four sectors allow (1, 2 and 3 leading sectors of
+/// the dying write persist), each variant under its own persistence seed.
+/// Every size at every index means a record ending anywhere in the first
+/// three sectors of the page it is flushed on gets a crash that keeps it.
+/// Asserts at least `floor` crash points.
 pub fn sweep_writes(script: &Script, wal: WalConfig, floor: u64) {
     let points = sweep(script, wal, At::Write, |rel| {
-        let torn = [0, 1 + rel as usize % 3, 1 + (rel as usize + 1) % 3];
-        (0..3).map(|v| (torn[v], rel * script.write_seed + v as u64)).collect()
+        let torn = |k: u64| 1 + ((rel + k) % 3) as usize;
+        let variants = [0, torn(0), torn(1), torn(2)];
+        (0..4).map(|v| (variants[v], rel * script.write_seed + v as u64)).collect()
     });
     assert!(points >= floor, "the sweep must cover >= {floor} crash points, got {points}");
 }

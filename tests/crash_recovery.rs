@@ -34,8 +34,8 @@ use std::time::Duration;
 
 /// The exhaustive sweep: 128 one-insert transactions with a checkpoint
 /// every 24, killed at every write index — once cleanly (the dying write
-/// leaves no trace) and twice torn (1–3 leading sectors of the dying
-/// write persist) — with recovery verified after each kill.
+/// leaves no trace) and three times torn (1, 2 and 3 leading sectors of
+/// the dying write persist) — with recovery verified after each kill.
 #[test]
 fn kill_at_every_write_index_and_recover() {
     sweep_writes(&Script::kill_anywhere(), WalConfig::default(), 1000);

@@ -139,14 +139,14 @@ fn log_with_frame(kind: u8, body: &[u8], announced_len: Option<u32>) -> Image {
 /// enforces; any larger value leaves the body as laid out.
 const HOSTILITIES: usize = 11;
 
-/// An update body as `wal/format.rs` lays it out — `page | txn | n |
+/// An update body as `wal/format.rs` lays it out — `page | n |
 /// delta_len | n × (off | len) | [before] | run bytes` — around the run
 /// table that `layout`'s `(gap, len)` pairs describe: ascending and
 /// disjoint (though it may run off the page), then broken as `hostile`
 /// says.
 fn update_body(
     first_mod: bool,
-    (page, txn): (u64, u64),
+    page: u64,
     hostile: usize,
     layout: &[(u32, u32)],
     fill: &[u8],
@@ -175,7 +175,6 @@ fn update_body(
     }
     let mut body = Vec::new();
     body.extend_from_slice(&page.to_le_bytes());
-    body.extend_from_slice(&txn.to_le_bytes());
     body.extend_from_slice(&n.to_le_bytes());
     body.extend_from_slice(&delta_len.to_le_bytes());
     for (off, len) in table {
@@ -195,7 +194,7 @@ fn update_body(
 fn update_bodies_are_decoded_unless_broken() {
     let scanned = |hostile: usize| {
         let layout = [(3, 2), (20, 5), (30, 1)];
-        let (kind, body) = update_body(true, (0, 1), hostile, &layout, &[7]);
+        let (kind, body) = update_body(true, 0, hostile, &layout, &[7]);
         let log = log_with_frame(kind, &body, None);
         let pool = open(&disk_from(&vec![vec![0u8; PS]; 1]), &disk_from(&log)).unwrap();
         let report = pool.recover().unwrap();
@@ -209,23 +208,25 @@ fn update_bodies_are_decoded_unless_broken() {
 }
 
 /// Bodies shaped like each record kind — right length, hostile fields —
-/// next to wholly arbitrary ones.  Page ids stay small: a checksummed
+/// and like the Checkpoint record log format v5 retired, next to wholly
+/// arbitrary ones.  Page ids stay small: a checksummed
 /// record naming page 2^60 is the engine's own output, not decoder input.
 fn body_strategy() -> impl Strategy<Value = (u8, Vec<u8>)> {
     let update = |first_mod: bool| {
         (
-            (0u64..16, any::<u64>(), 0..HOSTILITIES + 1),
+            (0u64..16, 0..HOSTILITIES + 1),
             prop_oneof![
                 prop::collection::vec((0u32..30, 1u32..9), 0..11),
                 prop::collection::vec((0u32..30, 1u32..9), 8..10),
             ],
             prop::collection::vec(any::<u8>(), 1..40),
         )
-            .prop_map(move |((page, txn, hostile), layout, fill)| {
-                update_body(first_mod, (page, txn), hostile, &layout, &fill)
+            .prop_map(move |((page, hostile), layout, fill)| {
+                update_body(first_mod, page, hostile, &layout, &fill)
             })
     };
-    let checkpoint = (any::<u64>(), 0u32..6, 0usize..6).prop_map(|(horizon, n, listed)| {
+    // `horizon | n | n × (txn | first LSN)` under kind 4.
+    let retired_checkpoint = (any::<u64>(), 0u32..6, 0usize..6).prop_map(|(horizon, n, listed)| {
         let mut body = Vec::new();
         body.extend_from_slice(&horizon.to_le_bytes());
         body.extend_from_slice(&n.to_le_bytes());
@@ -235,10 +236,10 @@ fn body_strategy() -> impl Strategy<Value = (u8, Vec<u8>)> {
     prop_oneof![
         (any::<u8>(), prop::collection::vec(any::<u8>(), 0..400)),
         (0u8..6, prop::collection::vec(any::<u8>(), 0..40)),
-        (0u8..6, prop::collection::vec(any::<u8>(), 16..17)),
+        (0u8..6, prop::collection::vec(any::<u8>(), 8..9)),
         update(true),
         update(false),
-        checkpoint,
+        retired_checkpoint,
     ]
 }
 
