@@ -141,16 +141,12 @@ impl IntervalAccessMethod for Map21 {
         }
     }
 
-    fn am_intersection(&self, lower: i64, upper: i64) -> Result<Vec<i64>> {
-        Ok(self.intersection_with_stats(lower, upper)?.0)
-    }
-
     fn am_intersection_with_stats(&self, lower: i64, upper: i64) -> Result<(Vec<i64>, ExecStats)> {
         self.intersection_with_stats(lower, upper)
     }
 
     fn am_index_entries(&self) -> Result<u64> {
-        Ok(self.db.index_stats(&self.table_name, &self.index_name)?.entries)
+        self.table.index(&self.index_name)?.entry_count()
     }
 
     fn am_count(&self) -> Result<u64> {

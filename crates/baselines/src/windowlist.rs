@@ -183,16 +183,12 @@ impl IntervalAccessMethod for WindowList {
         Err(Error::InvalidArgument("Window-List is static: rebuild to remove intervals".into()))
     }
 
-    fn am_intersection(&self, lower: i64, upper: i64) -> Result<Vec<i64>> {
-        Ok(self.intersection_with_stats(lower, upper)?.0)
-    }
-
     fn am_intersection_with_stats(&self, lower: i64, upper: i64) -> Result<(Vec<i64>, ExecStats)> {
         self.intersection_with_stats(lower, upper)
     }
 
     fn am_index_entries(&self) -> Result<u64> {
-        Ok(self.db.index_stats(&self.table_name, &self.window_index)?.entries)
+        self.db.table(&self.table_name)?.index(&self.window_index)?.entry_count()
     }
 
     fn am_count(&self) -> Result<u64> {

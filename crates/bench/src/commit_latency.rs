@@ -85,12 +85,12 @@ impl Trace {
     /// Whole log pages a commit's records fill — the backlog the
     /// flusher can write ahead.  The partial tail page is always paid
     /// at commit (it only fills when the commit record lands).
-    pub fn full_pages_per_commit(&self) -> u64 {
+    fn full_pages_per_commit(&self) -> u64 {
         self.bytes_per_commit() / PAGE_BYTES
     }
 
     /// Simulated nanoseconds a writer computes between commits.
-    pub fn t_think_ns(&self) -> u64 {
+    fn t_think_ns(&self) -> u64 {
         T_OP_BASE_NS + self.bytes_per_commit() * T_OP_PER_BYTE_NS
     }
 }
@@ -135,7 +135,7 @@ pub struct Row {
 
 impl Row {
     /// Inline mean latency over flusher-ahead mean latency (>1 = win).
-    pub fn latency_ratio(&self) -> f64 {
+    fn latency_ratio(&self) -> f64 {
         self.inline.mean_latency_ns() as f64 / self.ahead.mean_latency_ns().max(1) as f64
     }
 }

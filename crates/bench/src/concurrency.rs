@@ -106,7 +106,7 @@ impl ContentionModel {
     /// Simulated seconds for `threads` readers to drain a batch whose
     /// per-shard access counts are `per_shard` and whose executor touched
     /// `rows` rows.
-    pub fn makespan_seconds(&self, per_shard: &[IoSnapshot], rows: u64, threads: usize) -> f64 {
+    fn makespan_seconds(&self, per_shard: &[IoSnapshot], rows: u64, threads: usize) -> f64 {
         let mut total = IoSnapshot::default();
         let mut floor = 0.0f64;
         for s in per_shard {

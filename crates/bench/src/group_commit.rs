@@ -85,7 +85,7 @@ impl Trace {
     }
 
     /// Simulated nanoseconds of work between a writer's commits.
-    pub fn t_op_ns(&self) -> u64 {
+    fn t_op_ns(&self) -> u64 {
         T_OP_BASE_NS + self.bytes_per_commit() * T_OP_PER_BYTE_NS
     }
 }

@@ -110,7 +110,7 @@ pub struct Anchor {
 
 impl Anchor {
     /// Heap pages the batch appended.
-    pub fn heap_pages(&self) -> u64 {
+    fn heap_pages(&self) -> u64 {
         self.device_pages - self.base_pages - 2 * self.per_index_pages
     }
 }
@@ -147,12 +147,12 @@ pub struct Row {
 
 impl Row {
     /// Modelled seconds for the bulk build.
-    pub fn bulk_seconds(&self, m: &LatencyModel) -> f64 {
+    fn bulk_seconds(&self, m: &LatencyModel) -> f64 {
         m.simulate(&io(self.bulk_reads, self.bulk_writes), self.n)
     }
 
     /// Modelled seconds for the descent build.
-    pub fn descent_seconds(&self, m: &LatencyModel) -> f64 {
+    fn descent_seconds(&self, m: &LatencyModel) -> f64 {
         m.simulate(&io(self.descent_reads, self.descent_writes), self.n)
     }
 
@@ -193,7 +193,7 @@ fn workload(n: u64) -> Vec<(Interval, i64)> {
 /// Actually bulk-builds `n` intervals and returns the traced anchor.
 /// Panics if the built indexes miss the predicted page count — the
 /// model the larger rows are priced from must be *verified* here.
-pub fn measure_bulk(n: u64) -> Anchor {
+fn measure_bulk(n: u64) -> Anchor {
     let (pool, _db, tree) = fresh_tree();
     let items = workload(n);
     let base_pages = pool.num_pages();
@@ -216,7 +216,7 @@ pub fn measure_bulk(n: u64) -> Anchor {
 }
 
 /// Traces `inserts` ordinary per-row descents on a fresh tree.
-pub fn calibrate_descent(inserts: u64) -> Calibration {
+fn calibrate_descent(inserts: u64) -> Calibration {
     let (pool, _db, tree) = fresh_tree();
     let items = workload(inserts);
     let before = pool.stats().snapshot();
@@ -231,7 +231,7 @@ pub fn calibrate_descent(inserts: u64) -> Calibration {
 /// Height of a descent-built (≈half-full) index over `n` entries —
 /// taller than the packed tree of the same data, and the factor by
 /// which per-insert I/O grows with scale.
-pub fn descent_height(n: u64) -> u32 {
+fn descent_height(n: u64) -> u32 {
     let lc = (leaf_capacity(DEFAULT_PAGE_SIZE, INDEX_ARITY) as u64 / 2).max(1);
     let ic = (internal_capacity(DEFAULT_PAGE_SIZE, INDEX_ARITY) as u64 / 2).max(1);
     if n == 0 {
@@ -274,7 +274,7 @@ pub fn run(quick: bool) -> Report {
 }
 
 /// [`run`] with an explicit shape — the determinism test uses tiny sizes.
-pub fn run_with(config: Config) -> Report {
+fn run_with(config: Config) -> Report {
     section("Figure 21: scale-up to 10M intervals — bottom-up bulk load vs repeated-descent build");
     let model = LatencyModel::default();
     let calibration = calibrate_descent(config.calibration_inserts);

@@ -19,8 +19,9 @@
 //!   latch and post the separator in a separate latched step, so
 //!   structure modifications on different nodes overlap like any other
 //!   writes.  There is no tree-wide SMO timeline; what remains serial
-//!   is the per-shard lock-hold timeline and the meta-page latch (one
-//!   count-bump hold per insert plus one allocation hold per split).
+//!   is the per-shard lock-hold timeline and the meta-page latch, which
+//!   only structure changes take (one allocation hold per split; an
+//!   insert that does not split never touches the meta page).
 //!
 //! Charging identical total work to both protocols isolates exactly the
 //! effect under study — which serial floor binds.  Two workloads are
@@ -112,7 +113,7 @@ impl WriteContentionModel {
 
     /// Makespan under the global-writer protocol: all inserts serialize,
     /// regardless of the submitting thread count.
-    pub fn makespan_global(&self, trace: &WriteTrace) -> f64 {
+    fn makespan_global(&self, trace: &WriteTrace) -> f64 {
         trace.total_work
     }
 
@@ -123,10 +124,10 @@ impl WriteContentionModel {
 
     /// Makespan under the B-link protocol: splits overlap like any other
     /// writes, so there is no global SMO timeline term.  The meta latch
-    /// admits one hold at a time — one count bump per insert plus one
+    /// admits one hold at a time, and only a split takes it: one
     /// allocation hold per split.
-    pub fn makespan_blink(&self, trace: &WriteTrace, threads: usize) -> f64 {
-        let meta_floor = (trace.inserts as u64 + trace.splits) as f64 * self.base.seconds_per_latch;
+    fn makespan_blink(&self, trace: &WriteTrace, threads: usize) -> f64 {
+        let meta_floor = trace.splits as f64 * self.base.seconds_per_latch;
         (trace.total_work / threads.max(1) as f64).max(self.shard_floor(trace)).max(meta_floor)
     }
 }
@@ -411,7 +412,7 @@ mod tests {
         let t = toy_trace();
         let shard_floor =
             t.per_shard.iter().map(|s| m.base.shard_serial_seconds(s)).fold(0.0f64, f64::max);
-        let meta_floor = (t.inserts as u64 + t.splits) as f64 * m.base.seconds_per_latch;
+        let meta_floor = t.splits as f64 * m.base.seconds_per_latch;
         let floor = shard_floor.max(meta_floor);
         assert!(floor < t.smo_work, "a serial SMO timeline would bind on the toy trace");
         let saturated = m.makespan_blink(&t, 1_000_000);

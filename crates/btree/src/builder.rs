@@ -21,7 +21,7 @@
 //!   install — so no reader or writer can traverse into the
 //!   construction.  On a tree created by the builder's own entry points
 //!   the whole build is latch-free; [`BTree::bulk_build_into`] installs
-//!   the finished `(root, height, count)` under the meta latch only to
+//!   the finished `(root, height, first_leaf)` under the meta latch only to
 //!   turn a concurrent-insert race into a clean error instead of a lost
 //!   tree.
 //! * **One sequential write pass.**  Every node page is stored exactly
@@ -254,7 +254,7 @@ impl BTree {
         if !(fill > 0.0 && fill <= 1.0) {
             return Err(Error::InvalidArgument(format!("fill factor {fill} not in (0, 1]")));
         }
-        let empty = |m: &Meta| m.root.is_invalid() && m.count == 0 && m.first_leaf.is_invalid();
+        let empty = |m: &Meta| m.root.is_invalid() && m.first_leaf.is_invalid();
         if !empty(&self.read_meta()?) {
             return Err(Error::InvalidArgument(
                 "bulk build requires an empty tree (it replaces the structure wholesale)"
@@ -287,7 +287,6 @@ impl BTree {
         }
         meta.root = root;
         meta.height = height;
-        meta.count = builder.count;
         meta.first_leaf = builder.first_leaf;
         meta.pages += builder.pages;
         self.write_meta(&meta)?;
@@ -370,8 +369,8 @@ mod tests {
         tree.bulk_build_into((0..n).map(|i| Entry::new(&[i / 7, i % 7], i as u64)), 1.0).unwrap();
         tree.check_invariants().unwrap();
 
+        assert_eq!(tree.entry_count().unwrap(), n as u64);
         let meta = tree.read_meta().unwrap();
-        assert_eq!(meta.count, n as u64);
         // Leaf level at leaf capacity…
         let leaves = assert_level_packed(&tree, meta.first_leaf, tree.leaf_cap);
         assert_eq!(leaves.len() as u64, (n as u64).div_ceil(tree.leaf_cap as u64));
@@ -401,7 +400,7 @@ mod tests {
             let tree = BTree::create(Arc::clone(&pool), 1).unwrap();
             tree.bulk_build_into((0..n as i64).map(|i| Entry::new(&[i], i as u64)), 1.0).unwrap();
             let stats = tree.stats().unwrap();
-            assert_eq!(stats.entries, n);
+            assert_eq!(tree.entry_count().unwrap(), n);
             assert_eq!(
                 stats.pages,
                 predicted_pages(n, tree.leaf_cap, tree.internal_cap),

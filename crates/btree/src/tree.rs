@@ -19,7 +19,10 @@
 //!   (remembering the internal page it routed through at each level as a
 //!   *hint stack*), takes the leaf latch exclusive, moves right under the
 //!   latch if a concurrent split shifted its key range, and stores in
-//!   place.  No crabbing, no shared page latches, no upgrade.
+//!   place.  No crabbing, no shared page latches, no upgrade.  A write that
+//!   does not split is *leaf-local*: that one leaf latch is all it takes,
+//!   and the meta page is neither latched nor written (the tree keeps no
+//!   entry count; [`BTree::entry_count`] walks the leaves).
 //! * **Splits are two-phase.**  Phase 1, under only the splitting node's
 //!   latch: allocate the right sibling, give it the upper half of the
 //!   entries plus the old right link and high key, then publish — the
@@ -46,10 +49,12 @@
 //! **Deadlock freedom.**  Writers acquire node latches one at a time in
 //! two monotone directions only: *left to right* along a level (the
 //! move-right loops) and *bottom up* across levels (leaf latch released
-//! before the parent post).  The meta-page latch is always innermost
-//! (taken while holding at most one node latch, released before any other
-//! latch is acquired), so every latch-order edge points right, up, or
-//! into the meta page — no cycles.  Readers hold no latches at all.
+//! before the parent post).  The meta-page latch is taken only by
+//! structure changes — a split's page allocation, the root plant, a root
+//! grow and the bulk-build install — and is always innermost (taken while
+//! holding at most one node latch, released before any other latch is
+//! acquired), so every latch-order edge points right, up, or into the meta
+//! page — no cycles.  Readers hold no latches at all.
 //!
 //! The counters telling the story live in the pool's latch manager:
 //! `splits`, `right_link_chases` (zero single-threaded — only an
@@ -98,39 +103,34 @@ const OFF_MAGIC: usize = 0;
 const OFF_ARITY: usize = 4;
 const OFF_HEIGHT: usize = 6;
 const OFF_ROOT: usize = 8;
-const OFF_COUNT: usize = 16;
-const OFF_FREE: usize = 24;
+// Offsets 16 and 24 are reserved: older meta pages hold an entry count and
+// a free-list head there, which nothing reads.  No other offset moved.
 const OFF_FIRST_LEAF: usize = 32;
 const OFF_PAGES: usize = 40;
 
-/// Persistent tree metadata, stored in the tree's meta page.
+/// Persistent tree metadata, stored in the tree's meta page: the tree's
+/// shape, which only structure changes write.
 ///
-/// All structural fields (`root`, `height`, `pages`, `first_leaf`) are
-/// read and written only under an exclusive latch on the meta page, and
-/// `root`/`height` change together — a reader's unlatched copy is
+/// Every field is written only under an exclusive latch on the meta page,
+/// and `root`/`height` change together — a reader's unlatched copy is
 /// therefore internally consistent, if possibly stale (which the B-link
-/// move-right rule absorbs).
+/// move-right rule absorbs).  No field changes on a write that does not
+/// split, so such an insert or delete never touches this page.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Meta {
     pub(crate) root: PageId,
     /// Number of levels; 0 = empty tree, 1 = root is a leaf.  Only ever
     /// grows (roots are never collapsed: deletes do not restructure).
     pub(crate) height: u16,
-    pub(crate) count: u64,
-    /// Head of the free list.  Always invalid — the B-link tree never
-    /// frees pages — but the slot is kept for the format's
-    /// stability and a future vacuum.
-    pub(crate) free_head: PageId,
     pub(crate) first_leaf: PageId,
     /// Pages currently owned by the tree (excluding the meta page).
     pub(crate) pages: u64,
 }
 
-/// Size and shape statistics, used by the storage experiments (Figure 12).
+/// Shape statistics, read off the meta page in O(1).  The entry count is
+/// not among them: [`BTree::entry_count`] walks the leaves for it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TreeStats {
-    /// Number of entries stored.
-    pub entries: u64,
     /// Tree height in levels (0 = empty).
     pub height: u16,
     /// Pages in use (leaves + internal nodes).
@@ -241,8 +241,6 @@ impl BTree {
         tree.write_meta(&Meta {
             root: PageId::INVALID,
             height: 0,
-            count: 0,
-            free_head: PageId::INVALID,
             first_leaf: PageId::INVALID,
             pages: 0,
         })?;
@@ -291,15 +289,22 @@ impl BTree {
         &self.pool
     }
 
-    /// Number of entries currently stored.
+    /// Number of entries stored, counted by a latch-free walk of the leaf
+    /// runs ([`RangeScan::for_each_run`]): O(leaves) page reads, exact on a
+    /// quiescent tree.  Under concurrent writers it counts what a scan
+    /// would see.  The tree keeps no count of its own, so that a write
+    /// stays leaf-local (`btree_behaviour.rs`,
+    /// `writes_that_do_not_split_are_leaf_local`).
     pub fn entry_count(&self) -> Result<u64> {
-        Ok(self.read_meta()?.count)
+        let mut bytes = 0;
+        self.scan_all().for_each_run(|run| bytes += run.len() as u64)?;
+        Ok(bytes / leaf_entry_size(self.arity) as u64)
     }
 
-    /// Size and shape statistics.
+    /// Height and page count, from the meta page.
     pub fn stats(&self) -> Result<TreeStats> {
         let meta = self.read_meta()?;
-        Ok(TreeStats { entries: meta.count, height: meta.height, pages: meta.pages })
+        Ok(TreeStats { height: meta.height, pages: meta.pages })
     }
 
     /// Installs (or clears) the structure-modification probe on **this
@@ -331,8 +336,6 @@ impl BTree {
             Ok(Meta {
                 root: PageId(get_u64(buf, OFF_ROOT)),
                 height: get_u16(buf, OFF_HEIGHT),
-                count: get_u64(buf, OFF_COUNT),
-                free_head: PageId(get_u64(buf, OFF_FREE)),
                 first_leaf: PageId(get_u64(buf, OFF_FIRST_LEAF)),
                 pages: get_u64(buf, OFF_PAGES),
             })
@@ -345,21 +348,8 @@ impl BTree {
             buf[OFF_ARITY] = self.arity as u8;
             put_u16(buf, OFF_HEIGHT, meta.height);
             put_u64(buf, OFF_ROOT, meta.root.raw());
-            put_u64(buf, OFF_COUNT, meta.count);
-            put_u64(buf, OFF_FREE, meta.free_head.raw());
             put_u64(buf, OFF_FIRST_LEAF, meta.first_leaf.raw());
             put_u64(buf, OFF_PAGES, meta.pages);
-        })
-    }
-
-    /// Applies `count += delta` to the meta page in place.  The caller
-    /// must hold the meta-page latch; the count is read from the page
-    /// rather than from any cached `Meta` because every writer bumps it
-    /// concurrently.
-    fn bump_count(&self, delta: i64) -> Result<()> {
-        self.pool.with_page_mut(self.meta_page, |buf| {
-            let count = get_u64(buf, OFF_COUNT);
-            put_u64(buf, OFF_COUNT, (count as i64 + delta) as u64);
         })
     }
 
@@ -532,10 +522,12 @@ impl BTree {
     /// Duplicate `(cols, payload)` pairs are permitted (the tree is a
     /// multiset, as a relational index over a multiset table must be).
     ///
-    /// Concurrency: the descent is latch-free; the write holds only the
-    /// leaf latch (plus one meta-page hold for the count).  A split runs
-    /// the two-phase B-link protocol described in the module docs and
-    /// never excludes readers or leaf-disjoint writers.
+    /// Concurrency: the descent is latch-free, and an insert that does not
+    /// split holds only the leaf latch, for one in-place edit — it neither
+    /// latches nor writes the meta page (`btree_behaviour.rs`,
+    /// `writes_that_do_not_split_are_leaf_local`).  A split runs the
+    /// two-phase B-link protocol described in the module docs and never
+    /// excludes readers or leaf-disjoint writers.
     pub fn insert(&self, cols: &[i64], payload: u64) -> Result<()> {
         self.check_arity(cols)?;
         let entry = Entry::new(cols, payload);
@@ -552,23 +544,16 @@ impl BTree {
                 self.latch_covering_node(leaf_hint, &entry, true, |leaf| {
                     Overfull::of(leaf, self.leaf_cap, &entry, PageId::INVALID)
                 })?;
-            if let Some(full) = full {
-                let (sep, right_page) = self.split(leaf_page, full)?;
-                drop(guard);
-                self.probe(SmoPhase::LeafSplitLinked { left: leaf_page, right: right_page });
-                self.post_separator(stack, leaf_page, 1, sep, right_page)?;
-            } else {
+            let Some(full) = full else {
                 // Safe leaf: one latched in-place edit.  This is the
                 // parallel path — leaf-disjoint writers never touch.
                 self.edit(leaf_page, |leaf| leaf.insert(&entry))?;
-                drop(guard);
-            }
-            // Prefetch so the count bump under the meta latch is a hit —
-            // the meta page is the hottest latch in the tree and must
-            // never wait on a device read.
-            self.pool.prefetch(self.meta_page)?;
-            let _meta_latch = self.latches().page_exclusive(self.meta_page);
-            return self.bump_count(1);
+                return Ok(());
+            };
+            let (sep, right_page) = self.split(leaf_page, full)?;
+            drop(guard);
+            self.probe(SmoPhase::LeafSplitLinked { left: leaf_page, right: right_page });
+            return self.post_separator(stack, leaf_page, 1, sep, right_page);
         }
     }
 
@@ -588,7 +573,6 @@ impl BTree {
         meta.root = root;
         meta.first_leaf = root;
         meta.height = 1;
-        meta.count += 1;
         self.write_meta(&meta)?;
         Ok(true)
     }
@@ -769,7 +753,8 @@ impl BTree {
     /// freed, so no traversal can walk into recycled storage.
     ///
     /// Concurrency mirrors [`BTree::insert`]'s leaf path: latch-free
-    /// descent, one exclusive leaf latch, one meta hold for the count.
+    /// descent, then one in-place edit under the leaf's exclusive latch;
+    /// the meta page is never latched or written.
     pub fn delete(&self, cols: &[i64], payload: u64) -> Result<bool> {
         self.check_arity(cols)?;
         let target = Entry::new(cols, payload);
@@ -783,10 +768,6 @@ impl BTree {
         };
         self.edit(leaf_page, |leaf| leaf.remove(pos))?;
         drop(guard);
-        // As in `insert`: the bump under the meta latch must hit.
-        self.pool.prefetch(self.meta_page)?;
-        let _meta_latch = self.latches().page_exclusive(self.meta_page);
-        self.bump_count(-1)?;
         Ok(true)
     }
 
@@ -893,25 +874,19 @@ impl BTree {
     /// its in-order nodes, and the leaf chain must enumerate the in-order
     /// leaves.  Also checked: node ordering, separator bounds, uniform
     /// leaf depth, capacity limits, the `high ⟺ right link` pairing, and
-    /// the metadata entry count.  Empty leaves are legal (deletes do not
+    /// the meta page's page count.  Empty leaves are legal (deletes do not
     /// restructure).
     pub fn check_invariants(&self) -> Result<()> {
         let meta = self.read_meta()?;
         if meta.root.is_invalid() {
-            if meta.count != 0 || meta.height != 0 || !meta.first_leaf.is_invalid() {
+            if meta.height != 0 || !meta.first_leaf.is_invalid() {
                 return Err(Error::Corrupt("empty tree with non-empty metadata".to_string()));
             }
             return Ok(());
         }
         // levels[h - 1] collects the in-order pages of level h.
         let mut levels: Vec<Vec<PageId>> = vec![Vec::new(); meta.height as usize];
-        let counted = self.check_subtree(meta.root, meta.height, None, None, &mut levels)?;
-        if counted != meta.count {
-            return Err(Error::Corrupt(format!(
-                "meta count {} but tree holds {counted} entries",
-                meta.count
-            )));
-        }
+        self.check_subtree(meta.root, meta.height, None, None, &mut levels)?;
         let mut page_budget = 0u64;
         for (idx, nodes) in levels.iter().enumerate() {
             page_budget += nodes.len() as u64;
@@ -969,8 +944,8 @@ impl BTree {
 
     /// Checks the subtree under `page`, a node at `level` whose entries
     /// must lie in `[lo, hi)`, through its [`NodeView`]; its children are
-    /// checked from inside its page snapshot.  Returns the entries counted.
-    /// (A count over capacity is [`NodeView::parse`]'s to reject.)
+    /// checked from inside its page snapshot.  (A count over capacity is
+    /// [`NodeView::parse`]'s to reject.)
     fn check_subtree(
         &self,
         page: PageId,
@@ -978,7 +953,7 @@ impl BTree {
         lo: Option<Entry>,
         hi: Option<Entry>,
         levels: &mut Vec<Vec<PageId>>,
-    ) -> Result<u64> {
+    ) -> Result<()> {
         let arity = self.arity;
         self.pool.with_page(page, |buf| {
             let node = NodeView::parse(buf, arity)?;
@@ -1009,16 +984,14 @@ impl BTree {
             }
             levels[level as usize - 1].push(page);
             if node.is_leaf() {
-                return Ok(node.count() as u64);
+                return Ok(());
             }
-            let mut total = 0;
             for slot in 0..=node.count() {
                 let child_lo = if slot == 0 { lo } else { Some(node.entry(slot - 1)) };
                 let child_hi = if slot < node.count() { Some(node.entry(slot)) } else { hi };
-                total +=
-                    self.check_subtree(node.child_at(slot), level - 1, child_lo, child_hi, levels)?;
+                self.check_subtree(node.child_at(slot), level - 1, child_lo, child_hi, levels)?;
             }
-            Ok(total)
+            Ok(())
         })?
     }
 }

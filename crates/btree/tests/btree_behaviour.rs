@@ -3,7 +3,7 @@
 
 use ri_btree::{BTree, Entry};
 use ri_pagestore::{BufferPool, BufferPoolConfig, FileDisk, MemDisk, PageId};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 fn pool_with(page_size: usize, frames: usize) -> Arc<BufferPool> {
@@ -296,4 +296,83 @@ fn extreme_key_values() {
     for (p, k) in keys.iter().enumerate() {
         assert!(tree.contains(k, p as u64).unwrap());
     }
+}
+
+/// A write that does not split is leaf-local: it takes one exclusive latch
+/// (its leaf's) and logs one record (its leaf's edit).  The meta page is
+/// neither latched nor written — the tree keeps no entry count.
+#[test]
+fn writes_that_do_not_split_are_leaf_local() {
+    let pool = Arc::new(
+        BufferPool::new_durable(
+            MemDisk::new(2048),
+            BufferPoolConfig::with_capacity(64),
+            MemDisk::new(2048),
+        )
+        .unwrap(),
+    );
+    let tree = BTree::create(Arc::clone(&pool), 1).unwrap();
+    // Ascending inserts leave every split leaf half full: room for more.
+    for i in 0..1000i64 {
+        tree.insert(&[i * 2], i as u64).unwrap();
+    }
+    pool.wal().unwrap().commit().unwrap();
+    let write = |op: &dyn Fn()| {
+        let (latches, wal) = (pool.latches().stats(), pool.wal().unwrap().stats());
+        op();
+        let latched = pool.latches().stats().since(&latches);
+        let logged = pool.wal().unwrap().stats().records - wal.records;
+        assert_eq!(latched.splits, 0, "the write must not split");
+        (latched.page_exclusive, logged)
+    };
+    let insert = write(&|| tree.insert(&[1], 1).unwrap());
+    assert_eq!(insert, (1, 1), "insert: (exclusive latches, log records)");
+    let delete = write(&|| assert!(tree.delete(&[4], 2).unwrap()));
+    assert_eq!(delete, (1, 1), "delete: (exclusive latches, log records)");
+    let absent = write(&|| assert!(!tree.delete(&[3], 3).unwrap()));
+    assert_eq!(absent, (1, 0), "a delete that finds nothing writes nothing");
+    assert_eq!(tree.entry_count().unwrap(), 1000);
+    tree.check_invariants().unwrap();
+}
+
+/// `entry_count` walks the leaf runs, so it equals the oracle's size after
+/// inserts and deletes — deletes that empty whole leaves included: an
+/// emptied leaf stays linked (the page count does not move) and counts 0.
+#[test]
+fn entry_count_matches_an_oracle_across_emptied_leaves() {
+    let pool = pool_with(256, 32); // about a dozen entries per leaf
+    let tree = BTree::create(pool, 1).unwrap();
+    let mut oracle: BTreeMap<i64, u64> = BTreeMap::new();
+    let check = |tree: &BTree, oracle: &BTreeMap<i64, u64>| {
+        assert_eq!(tree.entry_count().unwrap(), oracle.len() as u64);
+        tree.check_invariants().unwrap();
+    };
+    for k in 0..1500i64 {
+        tree.insert(&[k], k as u64).unwrap();
+        oracle.insert(k, k as u64);
+    }
+    check(&tree, &oracle);
+    let pages = tree.stats().unwrap().pages;
+    // A run of 600 keys spans dozens of whole leaves.
+    for k in 300..900i64 {
+        assert!(tree.delete(&[k], k as u64).unwrap());
+        oracle.remove(&k);
+    }
+    check(&tree, &oracle);
+    assert_eq!(tree.stats().unwrap().pages, pages, "emptied leaves stay in the tree");
+    for k in (0..1500i64).step_by(3) {
+        assert_eq!(tree.delete(&[k], k as u64).unwrap(), oracle.remove(&k).is_some());
+    }
+    check(&tree, &oracle);
+    // Refill part of the emptied run, then drain everything.
+    for k in (301..900i64).step_by(7) {
+        tree.insert(&[k], k as u64).unwrap();
+        oracle.insert(k, k as u64);
+    }
+    check(&tree, &oracle);
+    for (&k, &p) in &oracle {
+        assert!(tree.delete(&[k], p).unwrap());
+    }
+    oracle.clear();
+    check(&tree, &oracle);
 }

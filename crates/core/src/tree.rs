@@ -557,13 +557,15 @@ impl RiTree {
     }
 
     /// Storage footprint (Figure 12's metric: number of index entries).
+    /// The entries are counted by walking both indexes' leaves
+    /// (`BTree::entry_count`), so this costs O(leaves).
     pub fn storage(&self) -> Result<RiStorage> {
-        let lower = self.db.index_stats(&self.table_name, &self.lower_index)?;
-        let upper = self.db.index_stats(&self.table_name, &self.upper_index)?;
+        let (lower, upper) =
+            (self.table.index(&self.lower_index)?, self.table.index(&self.upper_index)?);
         Ok(RiStorage {
             rows: self.table.row_count()?,
-            index_entries: lower.entries + upper.entries,
-            index_pages: lower.pages + upper.pages,
+            index_entries: lower.entry_count()? + upper.entry_count()?,
+            index_pages: lower.stats()?.pages + upper.stats()?.pages,
         })
     }
 
@@ -938,10 +940,6 @@ impl ri_relstore::IntervalAccessMethod for RiTree {
 
     fn am_delete(&self, lower: i64, upper: i64, id: i64) -> Result<bool> {
         self.delete(Interval::new(lower, upper)?, id)
-    }
-
-    fn am_intersection(&self, lower: i64, upper: i64) -> Result<Vec<i64>> {
-        self.intersection(Interval::new(lower, upper)?)
     }
 
     fn am_intersection_with_stats(

@@ -26,7 +26,9 @@ pub trait IntervalAccessMethod {
     /// (closed-interval semantics), each once, in the order the method
     /// produces them — ascending for the competitors, plan order for the
     /// RI-tree; sort them to compare methods.
-    fn am_intersection(&self, lower: i64, upper: i64) -> Result<Vec<i64>>;
+    fn am_intersection(&self, lower: i64, upper: i64) -> Result<Vec<i64>> {
+        Ok(self.am_intersection_with_stats(lower, upper)?.0)
+    }
 
     /// Intersection query that also reports executor statistics, which the
     /// experiment harness feeds into the response-time model.

@@ -253,8 +253,8 @@ impl Database {
         Table::from_meta(Arc::clone(&self.pool), tmeta)
     }
 
-    /// Size statistics of an index (entries, height, pages) — the raw data
-    /// behind the paper's storage comparison (Figure 12).
+    /// Shape statistics of an index (height, pages), read off its meta
+    /// page in O(1).
     pub fn index_stats(&self, table: &str, index: &str) -> Result<ri_btree::TreeStats> {
         let meta = self.index_meta(table, index)?;
         BTree::open(Arc::clone(&self.pool), meta.btree_meta)?.stats()
@@ -273,15 +273,6 @@ impl Database {
             .find(|i| i.name == index)
             .cloned()
             .ok_or_else(|| Error::InvalidArgument(format!("no such index {index} on {table}")))
-    }
-
-    pub(crate) fn table_meta(&self, table: &str) -> Result<TableMeta> {
-        let cat = self.catalog.read();
-        cat.tables
-            .iter()
-            .find(|t| t.name == table)
-            .cloned()
-            .ok_or_else(|| Error::InvalidArgument(format!("no such table {table}")))
     }
 
     // ------------------------------------------------------------------
@@ -536,7 +527,7 @@ mod tests {
         let t = db.table("T").unwrap();
         assert_eq!(t.columns(), ["a", "b"]);
         assert_eq!(t.row_count().unwrap(), 1);
-        assert_eq!(db.index_stats("T", "IA").unwrap().entries, 1);
+        assert_eq!(t.index("IA").unwrap().entry_count().unwrap(), 1);
     }
 
     #[test]
@@ -602,7 +593,7 @@ mod tests {
             t.insert(&[i % 7, i]).unwrap();
         }
         db.create_index("T", IndexDef { name: "I".into(), key_cols: vec![0, 1] }).unwrap();
-        assert_eq!(db.index_stats("T", "I").unwrap().entries, 100);
+        assert_eq!(db.table("T").unwrap().index("I").unwrap().entry_count().unwrap(), 100);
     }
 
     #[test]

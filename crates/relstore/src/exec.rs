@@ -4,12 +4,12 @@
 //! execution plan (Figure 10): `COLLECTION ITERATOR` over a transient
 //! session-state table, `INDEX RANGE SCAN` with bind variables from the
 //! outer row, `NESTED LOOPS`, and `UNION-ALL`; plus `FILTER` and
-//! `TABLE ACCESS FULL` which the competitor methods need.
+//! `PROJECTION`, which the competitor methods need.
 //!
 //! # Execution is push-based, a batch at a time
 //!
-//! [`Database::execute_with`] first *prepares* the plan — every table and
-//! index name is resolved to its opened heap or B-link tree once, every
+//! [`Database::execute_with`] first *prepares* the plan — every
+//! `(table, index)` name is resolved to its opened B-link tree once, every
 //! operator's row width is computed, and scan bounds, bind variables and
 //! `FILTER` / `PROJECT` columns are checked against those widths, so a plan
 //! naming a column that is not there is [`Error::InvalidArgument`] before
@@ -38,8 +38,7 @@
 //! * `UNION-ALL` runs its inputs one after the other into the same sink.
 //! * `PROJECT` re-encodes each batch into one scratch buffer it reuses
 //!   from batch to batch; `COLLECTION ITERATOR` is encoded once when the
-//!   plan is prepared and `TABLE ACCESS FULL` once per evaluation, and each
-//!   is pushed as a single batch.
+//!   plan is prepared and pushed as a single batch.
 //!
 //! No operator materializes its input and nothing is allocated or decoded
 //! per row, so a query costs what the paper's Section 4.4 charges — the
@@ -62,7 +61,6 @@
 //! sequence is exactly what it was (`tests/read_path_trace.rs` pins it).
 
 use crate::catalog::Database;
-use crate::heap::Heap;
 use ri_btree::{BTree, MAX_ARITY};
 use ri_pagestore::codec::get_i64;
 use ri_pagestore::{Error, Result};
@@ -348,12 +346,6 @@ pub enum Plan {
         /// Column positions to keep, in output order.
         cols: Vec<usize>,
     },
-    /// Full table scan (`TABLE ACCESS FULL`); output rows are the table
-    /// columns.
-    TableScan {
-        /// Table name.
-        table: String,
-    },
 }
 
 /// Counters accumulated during one [`Database::execute`] call.
@@ -374,8 +366,8 @@ pub struct ExecStats {
 /// A [`Plan`] with every name resolved and every column reference checked
 /// — what [`ExecCtx::prepare`] turns it into, once per execution, so that
 /// evaluation looks nothing up and cannot index past a row.
-/// `IndexScan::tree` and `TableScan` index [`ExecCtx::trees`] and
-/// [`ExecCtx::heaps`]; a collection is already in the batch encoding.
+/// `IndexScan::tree` indexes [`ExecCtx::trees`]; a collection is already
+/// in the batch encoding.
 enum Op<'p> {
     Collection { bytes: Vec<u8>, width: usize },
     IndexScan { tree: usize, lo: &'p [BoundExpr], hi: &'p [BoundExpr] },
@@ -383,7 +375,6 @@ enum Op<'p> {
     UnionAll(Vec<Op<'p>>),
     Filter { input: Box<Op<'p>>, pred: &'p Predicate },
     Project { input: Box<Op<'p>>, cols: &'p [usize] },
-    TableScan(usize),
 }
 
 /// Columns per row of an operator's output.  `None`: it can never produce
@@ -404,7 +395,6 @@ struct ExecCtx<'p> {
     db: &'p Database,
     /// Each distinct `(table, index)` of the plan, opened once.
     trees: Vec<(&'p str, &'p str, BTree)>,
-    heaps: Vec<(&'p str, Heap)>,
     // Cells: a nested-loops sink evaluates its inner plan while the
     // outer's evaluation is still on the stack.
     rows_examined: Cell<u64>,
@@ -458,19 +448,6 @@ impl<'p> ExecCtx<'p> {
                 }
                 // Output row: the key columns, then the row id payload.
                 (Op::IndexScan { tree, lo, hi }, Some(arity + 1))
-            }
-            Plan::TableScan { table } => {
-                let known = self.heaps.iter().position(|(t, _)| t == table);
-                let heap = match known {
-                    Some(heap) => heap,
-                    None => {
-                        let meta = self.db.table_meta(table)?;
-                        let heap = Heap::open(Arc::clone(self.db.pool()), meta.heap_meta)?;
-                        self.heaps.push((table, heap));
-                        self.heaps.len() - 1
-                    }
-                };
-                (Op::TableScan(heap), Some(self.heaps[heap].1.arity()))
             }
             Plan::NestedLoops { outer, inner } => {
                 let (outer, outer_width) = self.prepare(outer, bind)?;
@@ -597,17 +574,6 @@ impl<'p> ExecCtx<'p> {
                     sink(Rows::new(&projected, cols.len()));
                 })
             }
-            Op::TableScan(heap) => {
-                let heap = &self.heaps[*heap].1;
-                let rows = heap.scan()?;
-                self.examined(rows.len());
-                if !rows.is_empty() {
-                    let mut bytes = Vec::with_capacity(rows.len() * heap.arity() * 8);
-                    rows.iter().for_each(|(_, row)| encode_row(&mut bytes, row));
-                    sink(Rows::new(&bytes, heap.arity()));
-                }
-                Ok(())
-            }
         }
     }
 }
@@ -628,7 +594,6 @@ impl Database {
         let mut ctx = ExecCtx {
             db: self,
             trees: Vec::new(),
-            heaps: Vec::new(),
             rows_examined: Cell::new(0),
             index_searches: Cell::new(0),
         };
@@ -734,12 +699,17 @@ mod tests {
         assert_eq!(rows.len(), 20, "UNION ALL must keep duplicates");
     }
 
+    /// The rows `setup` inserts, as a transient collection.
+    fn setup_rows() -> Plan {
+        collection((0..100i64).map(|i| vec![i % 10, i, 1000 + i]).collect())
+    }
+
     #[test]
     fn filter_and_project() {
         let db = setup();
         let plan = Plan::Project {
             input: Box::new(Plan::Filter {
-                input: Box::new(Plan::TableScan { table: "T".into() }),
+                input: Box::new(setup_rows()),
                 pred: Predicate::And(vec![
                     Predicate::CmpConst { col: 1, op: CmpOp::Ge, value: 95 },
                     Predicate::CmpConst { col: 1, op: CmpOp::Lt, value: 98 },
@@ -750,7 +720,7 @@ mod tests {
         let mut stats = ExecStats::default();
         let rows = db.execute(&plan, &mut stats).unwrap();
         assert_eq!(rows, vec![vec![1095], vec![1096], vec![1097]]);
-        assert_eq!(stats.rows_examined, 100, "full scan examines every row");
+        assert_eq!(stats.rows_examined, 100, "the collection examines every row");
     }
 
     #[test]
@@ -821,7 +791,7 @@ mod tests {
         let db = setup();
         let refused = [
             Plan::Filter {
-                input: Box::new(Plan::TableScan { table: "T".into() }),
+                input: Box::new(setup_rows()),
                 pred: Predicate::CmpConst { col: 9, op: CmpOp::Eq, value: 0 },
             },
             filter(scan_all_kv(), 3),

@@ -55,9 +55,6 @@ fn render(plan: &Plan, depth: usize, out: &mut String) {
             out.push_str(&format!("PROJECTION {cols:?}\n"));
             render(input, depth + 1, out);
         }
-        Plan::TableScan { table } => {
-            out.push_str(&format!("TABLE ACCESS FULL {table}\n"));
-        }
     }
 }
 
@@ -105,11 +102,11 @@ mod tests {
     #[test]
     fn filter_scan_render() {
         let plan = Plan::Filter {
-            input: Box::new(Plan::TableScan { table: "T".into() }),
+            input: Box::new(Plan::CollectionIterator { name: "T".into(), rows: vec![vec![1]] }),
             pred: crate::exec::Predicate::True,
         };
         let text = explain(&plan);
         assert!(text.contains("FILTER"));
-        assert!(text.contains("TABLE ACCESS FULL T"));
+        assert!(text.contains("COLLECTION ITERATOR T"));
     }
 }

@@ -15,7 +15,7 @@
 //!   equivalent of Figure 5's single `INSERT` statement;
 //! * [`exec`] — a push-based physical algebra: `COLLECTION ITERATOR` over
 //!   transient tables, `INDEX RANGE SCAN`, `NESTED LOOPS`, `UNION-ALL`,
-//!   `FILTER` and `TABLE ACCESS FULL`, which is sufficient to express every
+//!   `FILTER` and `PROJECTION`, which is sufficient to express every
 //!   query plan in the paper (RI-tree, Tile Index, IST, MAP21); rows stream
 //!   into the caller's sink ([`Database::execute_with`]) as [`Rows`]
 //!   batches — one B-link leaf's in-range entries at a time, as they lie

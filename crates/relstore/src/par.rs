@@ -111,7 +111,12 @@ mod tests {
     #[test]
     fn errors_surface_from_worker_threads() {
         let db = setup(2);
-        let bad = Plan::TableScan { table: "NO_SUCH_TABLE".into() };
+        let bad = Plan::IndexRangeScan {
+            table: "NO_SUCH_TABLE".into(),
+            index: "KV".into(),
+            lo: vec![BoundExpr::NegInf; 2],
+            hi: vec![BoundExpr::PosInf; 2],
+        };
         let plans = vec![scan_plan(1), bad, scan_plan(2)];
         let results = fan_out(&plans, 3, |p| run(&db, p));
         assert!(results[0].is_ok() && results[1].is_err() && results[2].is_ok());

@@ -111,7 +111,7 @@ impl Table {
             return Err(Error::InvalidArgument("bulk_insert requires an empty table".to_string()));
         }
         for idx in &self.indexes {
-            if idx.tree.entry_count()? != 0 {
+            if idx.tree.scan_all().next().transpose()?.is_some() {
                 return Err(Error::InvalidArgument(format!(
                     "bulk_insert requires empty indexes, but {} holds entries",
                     idx.name
@@ -242,8 +242,8 @@ mod tests {
         for i in 0..200i64 {
             t.insert(&[i % 10, i, -i]).unwrap();
         }
-        assert_eq!(db.index_stats("T", "AB").unwrap().entries, 200);
-        assert_eq!(db.index_stats("T", "C").unwrap().entries, 200);
+        assert_eq!(t.index("AB").unwrap().entry_count().unwrap(), 200);
+        assert_eq!(t.index("C").unwrap().entry_count().unwrap(), 200);
         // Key extraction respects column order.
         let hits = t.index("AB").unwrap().scan_range(&[3, i64::MIN], &[3, i64::MAX]).count();
         assert_eq!(hits, 20);
@@ -257,8 +257,8 @@ mod tests {
         let keep = t.insert(&[1, 5, 9]).unwrap();
         assert!(t.delete(rid).unwrap());
         assert!(!t.delete(rid).unwrap());
-        assert_eq!(db.index_stats("T", "AB").unwrap().entries, 1);
-        assert_eq!(db.index_stats("T", "C").unwrap().entries, 1);
+        assert_eq!(t.index("AB").unwrap().entry_count().unwrap(), 1);
+        assert_eq!(t.index("C").unwrap().entry_count().unwrap(), 1);
         assert_eq!(t.fetch(keep).unwrap(), Some(vec![1, 5, 9]));
         assert_eq!(t.fetch(rid).unwrap(), None);
     }
@@ -282,8 +282,8 @@ mod tests {
         let rids = t.bulk_insert(&rows).unwrap();
         assert_eq!(rids.len(), 1000);
         assert_eq!(t.row_count().unwrap(), 1000);
-        assert_eq!(db.index_stats("T", "AB").unwrap().entries, 1000);
-        assert_eq!(db.index_stats("T", "C").unwrap().entries, 1000);
+        assert_eq!(t.index("AB").unwrap().entry_count().unwrap(), 1000);
+        assert_eq!(t.index("C").unwrap().entry_count().unwrap(), 1000);
         // Fill 1.0 ⇒ each index at its minimum possible page count.
         use ri_btree::layout::{internal_capacity, leaf_capacity};
         assert_eq!(
@@ -319,11 +319,34 @@ mod tests {
         t.bulk_insert(&rows).unwrap();
         assert_eq!(t.row_count().unwrap(), 1000);
         for name in ["AB", "C"] {
-            assert_eq!(db.index_stats("T", name).unwrap().entries, 1000);
+            assert_eq!(t.index(name).unwrap().entry_count().unwrap(), 1000);
             t.index(name).unwrap().check_invariants().unwrap();
         }
         let hits = t.index("AB").unwrap().scan_range(&[3, i64::MIN], &[3, i64::MAX]).count();
         assert_eq!(hits, 100);
+    }
+
+    /// Whether an index holds entries is asked of a scan, not of a count:
+    /// an index whose leaves were all emptied by deletes holds none, keeps
+    /// its pages, and is filled entry by entry into them.
+    #[test]
+    fn bulk_insert_refills_an_index_emptied_by_deletes_entry_by_entry() {
+        let db = db_with_indexed_table();
+        let t = db.table("T").unwrap();
+        let rids: Vec<_> = (0..400i64).map(|i| t.insert(&[i % 10, i, -i]).unwrap()).collect();
+        rids.iter().for_each(|&rid| assert!(t.delete(rid).unwrap()));
+        let kept = ["AB", "C"].map(|name| t.index(name).unwrap().stats().unwrap().pages);
+        assert!(kept.iter().all(|&pages| pages > 1), "several leaves emptied: {kept:?}");
+        let rows: Vec<[i64; 3]> = (0..1000i64).map(|i| [i % 10, i, -i]).collect();
+        t.bulk_insert(&rows).unwrap();
+        for (name, kept) in ["AB", "C"].into_iter().zip(kept) {
+            let index = t.index(name).unwrap();
+            assert_eq!(index.entry_count().unwrap(), 1000);
+            // The entries went in one by one, into the kept leaves and
+            // the splits of them.
+            assert!(index.stats().unwrap().pages > kept, "{name} filled entry by entry");
+            index.check_invariants().unwrap();
+        }
     }
 
     /// The compact rows sort as `Entry`s do: at every arity, over negative

@@ -50,7 +50,7 @@ fn million_entry_bulk_build_does_o_pages_sequential_writes() {
         internal_capacity(DEFAULT_PAGE_SIZE, 2),
     );
     let stats = tree.stats().unwrap();
-    assert_eq!(stats.entries, MILLION as u64);
+    assert_eq!(tree.entry_count().unwrap(), MILLION as u64);
     assert_eq!(stats.pages, pages, "every level packed at fill 1.0");
 
     // O(pages) writes: one store per packed page + O(1) meta traffic.

@@ -53,7 +53,7 @@ impl Tape<'_> {
     /// A random plan and the width of its rows.  `bind_width` is the width
     /// of the enclosing join's outer rows (0 = no join around).
     fn plan(&mut self, depth: u32, bind_width: usize) -> (Plan, usize) {
-        match self.draw(if depth == 0 { 3 } else { 7 }) {
+        match self.draw(if depth == 0 { 2 } else { 6 }) {
             0 => {
                 let rows =
                     (0..self.draw(5)).map(|_| vec![self.draw(14) as i64, self.draw(44) as i64]);
@@ -65,13 +65,12 @@ impl Tape<'_> {
                 let hi = (0..arity).map(|_| self.bound(bind_width)).collect();
                 (Plan::IndexRangeScan { table: "T".into(), index: index.into(), lo, hi }, arity + 1)
             }
-            2 => (Plan::TableScan { table: "T".into() }, 3),
-            3 => {
+            2 => {
                 let (outer, outer_width) = self.plan(depth - 1, bind_width);
                 let (inner, width) = self.plan(depth - 1, outer_width);
                 (Plan::NestedLoops { outer: Box::new(outer), inner: Box::new(inner) }, width)
             }
-            4 => {
+            3 => {
                 let inputs: Vec<_> =
                     (0..1 + self.draw(3)).map(|_| self.plan(depth - 1, bind_width)).collect();
                 let width = inputs.iter().map(|i| i.1).min().unwrap();
@@ -82,7 +81,7 @@ impl Tape<'_> {
                 };
                 (Plan::UnionAll(inputs.into_iter().map(cut).collect()), width)
             }
-            5 => {
+            4 => {
                 let (input, width) = self.plan(depth - 1, bind_width);
                 let col = |t: &mut Self| t.draw(width as u32) as usize;
                 let op =
@@ -138,11 +137,6 @@ fn reference(table: &Table, plan: &Plan, outer: Option<&Row>, stats: &mut ExecSt
                 .map(|e| e.unwrap())
                 .map(|e| e.key.as_slice().iter().copied().chain([e.payload as i64]).collect())
                 .collect();
-            stats.rows_examined += rows.len() as u64;
-            rows
-        }
-        Plan::TableScan { .. } => {
-            let rows: Vec<Row> = table.scan().unwrap().into_iter().map(|(_, row)| row).collect();
             stats.rows_examined += rows.len() as u64;
             rows
         }
