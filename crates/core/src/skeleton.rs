@@ -89,14 +89,15 @@ impl SkeletonDirectory {
         index.scan_range(&[lo], &[hi]).map(|e| e.map(|e| e.key.col(0))).collect()
     }
 
-    /// Number of materialized (non-empty) nodes.
+    /// Number of materialized (non-empty) nodes, counted by walking the
+    /// directory table's heap pages: O(pages), exact on a quiescent table.
     pub fn len(&self) -> Result<u64> {
         self.table.row_count()
     }
 
-    /// Whether no node is materialized.
+    /// Whether no node is materialized; stops at the first one.
     pub fn is_empty(&self) -> Result<bool> {
-        Ok(self.len()? == 0)
+        self.table.is_empty()
     }
 }
 

@@ -432,12 +432,13 @@ impl RiTree {
             rows
         };
         // Phase 2: heap rows and index entries.  A batch into an empty
-        // table takes the bulk path — heap rows appended in input order,
+        // table (asked of the heap, which stops at its first live row)
+        // takes the bulk path — heap rows appended in input order,
         // then each index's entries sorted as compact fixed-width rows in
         // one reused buffer and built bottom-up in one sequential write
         // pass with no per-row descents; everything else fans the per-row
         // inserts out over the worker threads.
-        if self.table.row_count()? == 0 {
+        if self.table.is_empty()? {
             self.table.bulk_insert(&rows)?;
         } else {
             ri_relstore::fan_out(&rows, threads, |row| self.table.insert(row).map(|_| ()))
@@ -546,7 +547,8 @@ impl RiTree {
         Ok(deleted)
     }
 
-    /// Number of stored intervals (including open-ended ones).
+    /// Number of stored intervals (including open-ended ones), counted by
+    /// walking the table's heap pages: O(pages), exact on a quiescent tree.
     pub fn count(&self) -> Result<u64> {
         self.table.row_count()
     }
@@ -557,8 +559,9 @@ impl RiTree {
     }
 
     /// Storage footprint (Figure 12's metric: number of index entries).
-    /// The entries are counted by walking both indexes' leaves
-    /// (`BTree::entry_count`), so this costs O(leaves).
+    /// The rows are counted by walking the heap's pages and the entries by
+    /// walking both indexes' leaves (`BTree::entry_count`), so this costs
+    /// O(pages + leaves).
     pub fn storage(&self) -> Result<RiStorage> {
         let (lower, upper) =
             (self.table.index(&self.lower_index)?, self.table.index(&self.upper_index)?);

@@ -37,6 +37,7 @@ pub trait IntervalAccessMethod {
     /// Total index entries maintained (Figure 12's storage metric).
     fn am_index_entries(&self) -> Result<u64>;
 
-    /// Number of stored intervals.
+    /// Number of stored intervals: a walk of the table's heap pages,
+    /// O(pages), exact on a quiescent table.
     fn am_count(&self) -> Result<u64>;
 }

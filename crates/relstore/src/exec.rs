@@ -200,19 +200,11 @@ pub enum CmpOp {
     Le,
     /// `>=`
     Ge,
-    /// `<`
-    Lt,
-    /// `>`
-    Gt,
-    /// `=`
-    Eq,
 }
 
 /// Row predicates for the `FILTER` operator.
 #[derive(Clone, Debug)]
 pub enum Predicate {
-    /// Always true.
-    True,
     /// `row[col] op value`.
     CmpConst {
         /// Column position in the input row.
@@ -234,21 +226,8 @@ pub enum Predicate {
         /// Right-hand literal.
         value: i64,
     },
-    /// `row[a] - row[b] op value` (e.g. interval length on a bounds table).
-    CmpDiff {
-        /// Minuend column.
-        a: usize,
-        /// Subtrahend column.
-        b: usize,
-        /// Comparison operator.
-        op: CmpOp,
-        /// Right-hand literal.
-        value: i64,
-    },
-    /// Conjunction.
+    /// Conjunction; the empty one is always true.
     And(Vec<Predicate>),
-    /// Disjunction.
-    Or(Vec<Predicate>),
 }
 
 impl Predicate {
@@ -262,24 +241,18 @@ impl Predicate {
     /// Evaluates the predicate against the row whose columns `col` reads.
     fn test(&self, col: &impl Fn(usize) -> i64) -> bool {
         match self {
-            Predicate::True => true,
             Predicate::CmpConst { col: c, op, value } => cmp(col(*c), *op, *value),
             Predicate::CmpSum { a, b, op, value } => cmp(col(*a) + col(*b), *op, *value),
-            Predicate::CmpDiff { a, b, op, value } => cmp(col(*a) - col(*b), *op, *value),
             Predicate::And(ps) => ps.iter().all(|p| p.test(col)),
-            Predicate::Or(ps) => ps.iter().any(|p| p.test(col)),
         }
     }
 
     /// The largest column position the predicate reads, if it reads any.
     fn max_col(&self) -> Option<usize> {
         match self {
-            Predicate::True => None,
             Predicate::CmpConst { col, .. } => Some(*col),
-            Predicate::CmpSum { a, b, .. } | Predicate::CmpDiff { a, b, .. } => Some(*a.max(b)),
-            Predicate::And(ps) | Predicate::Or(ps) => {
-                ps.iter().filter_map(Predicate::max_col).max()
-            }
+            Predicate::CmpSum { a, b, .. } => Some(*a.max(b)),
+            Predicate::And(ps) => ps.iter().filter_map(Predicate::max_col).max(),
         }
     }
 }
@@ -289,9 +262,6 @@ fn cmp(v: i64, op: CmpOp, value: i64) -> bool {
     match op {
         CmpOp::Le => v <= value,
         CmpOp::Ge => v >= value,
-        CmpOp::Lt => v < value,
-        CmpOp::Gt => v > value,
-        CmpOp::Eq => v == value,
     }
 }
 
@@ -712,7 +682,7 @@ mod tests {
                 input: Box::new(setup_rows()),
                 pred: Predicate::And(vec![
                     Predicate::CmpConst { col: 1, op: CmpOp::Ge, value: 95 },
-                    Predicate::CmpConst { col: 1, op: CmpOp::Lt, value: 98 },
+                    Predicate::CmpConst { col: 1, op: CmpOp::Le, value: 97 },
                 ]),
             }),
             cols: vec![2],
@@ -724,15 +694,16 @@ mod tests {
     }
 
     #[test]
-    fn or_predicate() {
-        let p = Predicate::Or(vec![
-            Predicate::CmpConst { col: 0, op: CmpOp::Eq, value: 1 },
-            Predicate::CmpConst { col: 0, op: CmpOp::Eq, value: 2 },
+    fn and_predicate() {
+        let p = Predicate::And(vec![
+            Predicate::CmpConst { col: 0, op: CmpOp::Ge, value: 1 },
+            Predicate::CmpSum { a: 0, b: 1, op: CmpOp::Le, value: 5 },
         ]);
-        assert!(p.matches(&[1]));
-        assert!(p.matches(&[2]));
-        assert!(!p.matches(&[3]));
-        assert!(Predicate::True.matches(&[]));
+        assert!(p.matches(&[1, 4]));
+        assert!(p.matches(&[5, 0]));
+        assert!(!p.matches(&[0, 0]));
+        assert!(!p.matches(&[3, 3]));
+        assert!(Predicate::And(vec![]).matches(&[]));
     }
 
     #[test]
@@ -772,8 +743,8 @@ mod tests {
     }
 
     fn filter(input: Plan, col: usize) -> Plan {
-        let pred = Predicate::Or(vec![
-            Predicate::CmpConst { col: 0, op: CmpOp::Lt, value: 0 },
+        let pred = Predicate::And(vec![
+            Predicate::CmpConst { col: 0, op: CmpOp::Ge, value: 0 },
             Predicate::CmpSum { a: 0, b: col, op: CmpOp::Ge, value: 0 },
         ]);
         Plan::Filter { input: Box::new(input), pred }
@@ -792,7 +763,7 @@ mod tests {
         let refused = [
             Plan::Filter {
                 input: Box::new(setup_rows()),
-                pred: Predicate::CmpConst { col: 9, op: CmpOp::Eq, value: 0 },
+                pred: Predicate::CmpConst { col: 9, op: CmpOp::Ge, value: 0 },
             },
             filter(scan_all_kv(), 3),
             project(scan_all_kv(), &[0, 3]),
@@ -853,13 +824,13 @@ mod tests {
         let leaves = batches(&scan_all_kv());
         assert_eq!(leaves.concat().len(), 100);
         assert!((2..=4).contains(&leaves.len()), "{} batches", leaves.len());
-        // KV orders by (k, v) and v = k + 10·j: under `v < 50` every k
+        // KV orders by (k, v) and v = k + 10·j: under `v <= 49` every k
         // keeps its first five rows and drops its last five, so the
         // matching rows lie in ten runs of five.  A leaf boundary may cut
         // a run in two; nothing else does.
         let low = Plan::Filter {
             input: Box::new(scan_all_kv()),
-            pred: Predicate::CmpConst { col: 1, op: CmpOp::Lt, value: 50 },
+            pred: Predicate::CmpConst { col: 1, op: CmpOp::Le, value: 49 },
         };
         let runs = batches(&low);
         assert_eq!(runs.concat(), db.execute(&low, &mut ExecStats::default()).unwrap());

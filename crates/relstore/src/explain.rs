@@ -103,7 +103,7 @@ mod tests {
     fn filter_scan_render() {
         let plan = Plan::Filter {
             input: Box::new(Plan::CollectionIterator { name: "T".into(), rows: vec![vec![1]] }),
-            pred: crate::exec::Predicate::True,
+            pred: crate::exec::Predicate::And(vec![]),
         };
         let text = explain(&plan);
         assert!(text.contains("FILTER"));

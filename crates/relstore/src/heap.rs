@@ -1,20 +1,22 @@
 //! Heap file: fixed-width row storage with stable row ids.
 //!
 //! Rows are arrays of `i64` column values.  Pages are chained for full
-//! scans; deletes tombstone their slot (space is reclaimed only when a whole
-//! page empties — the usual trade-off in slotted storage, irrelevant to the
-//! paper's insert/query workloads).
+//! scans; deletes tombstone their slot, which is never reused (irrelevant
+//! to the paper's insert/query workloads).
 //!
-//! Appends and deletes are read-modify-write transactions on the heap's
-//! meta page (tail pointer, row count); they run under an exclusive latch
-//! on that page from the pool's [`ri_pagestore::LatchManager`], so any
-//! number of threads may insert into one table concurrently.  The latch
-//! hold is a handful of page accesses — the expensive part of a row
-//! insert, the secondary-index maintenance, happens outside it in
-//! [`crate::Table::insert`].  Reads (`fetch`, `scan`) take no latch: a
-//! read shares the frame's immutable `Arc<[u8]>`, cloned under the shard
-//! lock and read with no lock held, and a write installs a new buffer
-//! instead of changing one a reader holds.
+//! The meta page records where the chain starts and ends and is written
+//! only when the chain grows: a row that fits the tail page, and a delete,
+//! write their data page alone.  No row count is kept; `row_count` and
+//! `is_empty` walk the chain as `scan` does.
+//!
+//! Appends and deletes run under the heap's write latch (exclusive on the
+//! meta page's id, from the pool's [`ri_pagestore::LatchManager`]), so an
+//! append and a delete on the tail page never race their copy-on-write
+//! installs; any number of threads may insert into one table.  The hold
+//! is a few page accesses — the secondary-index maintenance happens
+//! outside it in [`crate::Table::insert`].  Reads (`fetch`, `scan`) take
+//! no latch: a read shares the frame's immutable `Arc<[u8]>`, and a write
+//! installs a new buffer instead of changing one a reader holds.
 //!
 //! A bulk load appends through `Heap::append_packed` instead: whole
 //! pages written once each, unlogged, and published by the logged meta
@@ -32,7 +34,7 @@ const OFF_MAGIC: usize = 0;
 const OFF_ARITY: usize = 4;
 const OFF_FIRST: usize = 8;
 const OFF_LAST: usize = 16;
-const OFF_COUNT: usize = 24;
+// Offset 24 is reserved: it held a row count, which is ignored.
 
 // Data page offsets.
 const OFF_TAG: usize = 0;
@@ -86,12 +88,6 @@ pub struct Heap {
     slots_per_page: usize,
 }
 
-struct HeapMeta {
-    first: PageId,
-    last: PageId,
-    count: u64,
-}
-
 impl Heap {
     fn slot_size(arity: usize) -> usize {
         arity * 8 + 1 // columns + live flag
@@ -103,7 +99,7 @@ impl Heap {
 
     /// Creates an empty heap for rows of `arity` columns.
     pub fn create(pool: Arc<BufferPool>, arity: usize) -> Result<Heap> {
-        if arity == 0 || arity > 64 {
+        if !(1..=64).contains(&arity) {
             return Err(Error::InvalidArgument(format!("heap arity {arity} out of range")));
         }
         let meta_page = pool.allocate_page()?;
@@ -112,19 +108,20 @@ impl Heap {
             put_u32(buf, OFF_ARITY, arity as u32);
             put_u64(buf, OFF_FIRST, PageId::INVALID.raw());
             put_u64(buf, OFF_LAST, PageId::INVALID.raw());
-            put_u64(buf, OFF_COUNT, 0);
         })?;
         let slots = Self::slots_per_page(pool.page_size(), arity);
         Ok(Heap { pool, meta_page, arity, slots_per_page: slots })
     }
 
-    /// Re-opens a heap from its meta page.
+    /// Re-opens a heap from its meta page.  An arity outside `1..=64`, the
+    /// range [`Heap::create`] takes, is `Corrupt`.
     pub fn open(pool: Arc<BufferPool>, meta_page: PageId) -> Result<Heap> {
         let arity = pool.with_page(meta_page, |buf| {
-            if get_u32(buf, OFF_MAGIC) != HEAP_MAGIC {
+            let arity = get_u32(buf, OFF_ARITY) as usize;
+            if get_u32(buf, OFF_MAGIC) != HEAP_MAGIC || !(1..=64).contains(&arity) {
                 return Err(Error::Corrupt(format!("page {meta_page} is not a heap meta page")));
             }
-            Ok(get_u32(buf, OFF_ARITY) as usize)
+            Ok(arity)
         })??;
         let slots = Self::slots_per_page(pool.page_size(), arity);
         Ok(Heap { pool, meta_page, arity, slots_per_page: slots })
@@ -140,46 +137,75 @@ impl Heap {
         self.arity
     }
 
-    /// Number of live rows.
+    /// Number of live rows, counted by walking the chain: O(heap pages),
+    /// and exact on a quiescent heap.
     pub fn row_count(&self) -> Result<u64> {
-        Ok(self.read_meta()?.count)
+        let mut rows = 0;
+        self.walk(|_, buf, used| {
+            rows += self.live(buf, used).count() as u64;
+            true
+        })?;
+        Ok(rows)
     }
 
-    fn read_meta(&self) -> Result<HeapMeta> {
-        self.pool.with_page(self.meta_page, |buf| HeapMeta {
-            first: PageId(get_u64(buf, OFF_FIRST)),
-            last: PageId(get_u64(buf, OFF_LAST)),
-            count: get_u64(buf, OFF_COUNT),
+    /// Whether the heap holds no live row: the chain walk, stopped at the
+    /// first live row — O(1) on a fresh or a populated heap.
+    pub fn is_empty(&self) -> Result<bool> {
+        let mut empty = true;
+        self.walk(|_, buf, used| {
+            empty = self.live(buf, used).next().is_none();
+            empty
+        })?;
+        Ok(empty)
+    }
+
+    /// The chain's `(first, last)` pages.
+    fn read_meta(&self) -> Result<(PageId, PageId)> {
+        self.pool.with_page(self.meta_page, |buf| {
+            (PageId(get_u64(buf, OFF_FIRST)), PageId(get_u64(buf, OFF_LAST)))
         })
     }
 
-    fn write_meta(&self, meta: &HeapMeta) -> Result<()> {
+    /// Hangs the new pages `head..=tail`, already chained, after the chain
+    /// `(first, last)` (or makes them the chain) and records its new ends.
+    fn grow(&self, (first, last): (PageId, PageId), head: PageId, tail: PageId) -> Result<()> {
+        if !last.is_invalid() {
+            self.pool.with_page_mut(last, |buf| put_u64(buf, OFF_NEXT, head.raw()))?;
+        }
+        let first = if last.is_invalid() { head } else { first };
         self.pool.with_page_mut(self.meta_page, |buf| {
-            put_u64(buf, OFF_FIRST, meta.first.raw());
-            put_u64(buf, OFF_LAST, meta.last.raw());
-            put_u64(buf, OFF_COUNT, meta.count);
+            put_u64(buf, OFF_FIRST, first.raw());
+            put_u64(buf, OFF_LAST, tail.raw());
         })
+    }
+
+    fn check_arity(&self, columns: usize) -> Result<()> {
+        match columns == self.arity {
+            true => Ok(()),
+            false => Err(Error::InvalidArgument(format!(
+                "row has {columns} columns, heap expects {}",
+                self.arity
+            ))),
+        }
     }
 
     fn slot_offset(&self, slot: usize) -> usize {
         PAGE_HEADER + slot * Self::slot_size(self.arity)
     }
 
-    /// Exclusive latch on this heap's meta page; serializes the heap's own
-    /// append/delete read-modify-write sections.
+    /// The heap's write latch, exclusive on the meta page's id; serializes
+    /// the heap's own append and delete sections.
     fn exclusive_latch(&self) -> ri_pagestore::LatchGuard<'_> {
         self.pool.latches().page_exclusive(self.meta_page)
     }
 
     /// Appends a row, returning its stable id.
+    ///
+    /// A row that fits the tail page is one logged write, of that page; only
+    /// a row that starts a new page also writes the meta page
+    /// (`table::tests::row_writes_that_do_not_grow_the_heap_log_one_heap_record`).
     pub fn insert(&self, row: &[i64]) -> Result<RowId> {
-        if row.len() != self.arity {
-            return Err(Error::InvalidArgument(format!(
-                "row has {} columns, heap expects {}",
-                row.len(),
-                self.arity
-            )));
-        }
+        self.check_arity(row.len())?;
         // Prefetch so the meta read under the latch is a cache hit — the
         // append latch is per-table hot and must not wait on a device
         // read (the pool's miss promotion moves the fetch off the shard
@@ -188,30 +214,20 @@ impl Heap {
         // which the next access would need anyway.
         self.pool.prefetch(self.meta_page)?;
         let _latch = self.exclusive_latch();
-        let mut meta = self.read_meta()?;
-        // Find the insertion page: the chain tail, or a fresh page.
-        let (page, slot) = if meta.last.is_invalid() {
-            let page = self.pool.allocate_page()?;
-            self.init_data_page(page)?;
-            meta.first = page;
-            meta.last = page;
-            (page, 0)
-        } else {
-            let used = self.pool.with_page(meta.last, |buf| get_u16(buf, OFF_SLOTS) as usize)?;
-            if used < self.slots_per_page {
-                (meta.last, used)
-            } else {
-                let page = self.pool.allocate_page()?;
-                self.init_data_page(page)?;
-                self.pool.with_page_mut(meta.last, |buf| put_u64(buf, OFF_NEXT, page.raw()))?;
-                meta.last = page;
-                (page, 0)
-            }
+        let chain @ (_, last) = self.read_meta()?;
+        let used = match last.is_invalid() {
+            true => self.slots_per_page,
+            false => self.pool.with_page(last, |buf| get_u16(buf, OFF_SLOTS) as usize)?,
         };
-        self.pool.with_page_mut(page, |buf| self.fill(buf, slot, &[row]))?;
-        meta.count += 1;
-        self.write_meta(&meta)?;
-        Ok(RowId::new(page, slot))
+        if used < self.slots_per_page {
+            self.pool.with_page_mut(last, |buf| self.fill(buf, used, &[row]))?;
+            return Ok(RowId::new(last, used));
+        }
+        // No tail, or a full one: the row starts a new page.
+        let page = self.pool.allocate_page()?;
+        self.pool.with_page_mut(page, |buf| self.format(buf, PageId::INVALID, &[row]))?;
+        self.grow(chain, page, page)?;
+        Ok(RowId::new(page, 0))
     }
 
     /// Appends `rows` in order and returns their ids, packed: the ids, and
@@ -226,62 +242,46 @@ impl Heap {
     /// crash before the caller commits leaves the heap as it was, and the
     /// fresh pages leaked.
     pub(crate) fn append_packed(&self, rows: &[impl AsRef<[i64]>]) -> Result<Vec<RowId>> {
-        if let Some(row) = rows.iter().find(|r| r.as_ref().len() != self.arity) {
-            return Err(Error::InvalidArgument(format!(
-                "row has {} columns, heap expects {}",
-                row.as_ref().len(),
-                self.arity
-            )));
-        }
+        rows.iter().try_for_each(|row| self.check_arity(row.as_ref().len()))?;
         if rows.is_empty() {
             return Ok(Vec::new());
         }
         let build_start = self.pool.num_pages();
         self.pool.prefetch(self.meta_page)?;
         let _latch = self.exclusive_latch();
-        let mut meta = self.read_meta()?;
+        let chain @ (_, last) = self.read_meta()?;
         let mut rids = Vec::with_capacity(rows.len());
         let mut rest = rows;
-        if !meta.last.is_invalid() {
-            let used = self.pool.with_page(meta.last, |buf| get_u16(buf, OFF_SLOTS) as usize)?;
+        if !last.is_invalid() {
+            let used = self.pool.with_page(last, |buf| get_u16(buf, OFF_SLOTS) as usize)?;
             let (head, tail) =
                 rest.split_at(self.slots_per_page.saturating_sub(used).min(rest.len()));
             if !head.is_empty() {
-                self.pool.with_page_mut(meta.last, |buf| self.fill(buf, used, head))?;
-                rids.extend((used..used + head.len()).map(|slot| RowId::new(meta.last, slot)));
+                self.pool.with_page_mut(last, |buf| self.fill(buf, used, head))?;
+                rids.extend((used..used + head.len()).map(|slot| RowId::new(last, slot)));
             }
             rest = tail;
         }
-        if !rest.is_empty() {
-            let first = self.pool.allocate_page()?;
-            let mut page = first;
-            let mut chunks = rest.chunks(self.slots_per_page).peekable();
-            while let Some(chunk) = chunks.next() {
-                let next = match chunks.peek() {
-                    Some(_) => self.pool.allocate_page()?,
-                    None => PageId::INVALID,
-                };
-                self.pool.write_fresh_page(build_start, page, |buf| {
-                    buf[OFF_TAG] = TAG_DATA;
-                    put_u64(buf, OFF_NEXT, next.raw());
-                    self.fill(buf, 0, chunk);
-                })?;
-                rids.extend((0..chunk.len()).map(|slot| RowId::new(page, slot)));
-                if next.is_invalid() {
-                    break;
-                }
-                page = next;
-            }
-            self.pool.publish_fresh_pages()?;
-            if meta.last.is_invalid() {
-                meta.first = first;
-            } else {
-                self.pool.with_page_mut(meta.last, |buf| put_u64(buf, OFF_NEXT, first.raw()))?;
-            }
-            meta.last = page;
+        if rest.is_empty() {
+            return Ok(rids);
         }
-        meta.count += rows.len() as u64;
-        self.write_meta(&meta)?;
+        let fresh = self.pool.allocate_page()?;
+        let mut page = fresh;
+        let mut chunks = rest.chunks(self.slots_per_page).peekable();
+        while let Some(chunk) = chunks.next() {
+            let next = match chunks.peek() {
+                Some(_) => self.pool.allocate_page()?,
+                None => PageId::INVALID,
+            };
+            self.pool.write_fresh_page(build_start, page, |buf| self.format(buf, next, chunk))?;
+            rids.extend((0..chunk.len()).map(|slot| RowId::new(page, slot)));
+            if next.is_invalid() {
+                break;
+            }
+            page = next;
+        }
+        self.pool.publish_fresh_pages()?;
+        self.grow(chain, fresh, page)?;
         Ok(rids)
     }
 
@@ -298,12 +298,11 @@ impl Heap {
         }
     }
 
-    fn init_data_page(&self, page: PageId) -> Result<()> {
-        self.pool.with_page_mut(page, |buf| {
-            buf[OFF_TAG] = TAG_DATA;
-            put_u16(buf, OFF_SLOTS, 0);
-            put_u64(buf, OFF_NEXT, PageId::INVALID.raw());
-        })
+    /// Makes `buf` a data page holding `rows` and linked to `next`.
+    fn format(&self, buf: &mut [u8], next: PageId, rows: &[impl AsRef<[i64]>]) {
+        buf[OFF_TAG] = TAG_DATA;
+        put_u64(buf, OFF_NEXT, next.raw());
+        self.fill(buf, 0, rows);
     }
 
     /// The byte offset of `id`'s slot, or `InvalidArgument` when the slot
@@ -331,50 +330,57 @@ impl Heap {
         let off = self.checked_slot_offset(id)?;
         self.pool.with_page(id.page(), |buf| {
             Self::check_row(buf, id)?;
-            if buf[off] == 0 {
-                return Ok(None);
-            }
-            let mut row = Vec::with_capacity(self.arity);
-            for c in 0..self.arity {
-                row.push(get_i64(buf, off + 1 + c * 8));
-            }
-            Ok(Some(row))
+            Ok((buf[off] == 1).then(|| self.read_row(buf, id.slot())))
         })?
+    }
+
+    /// The columns of the row in `slot` of the data page `buf`.
+    fn read_row(&self, buf: &[u8], slot: usize) -> Vec<i64> {
+        (0..self.arity).map(|c| get_i64(buf, self.slot_offset(slot) + 1 + c * 8)).collect()
+    }
+
+    /// The live slots among the first `used` of the data page `buf`.
+    fn live<'a>(&'a self, buf: &'a [u8], used: usize) -> impl Iterator<Item = usize> + 'a {
+        (0..used).filter(move |&slot| buf[self.slot_offset(slot)] == 1)
     }
 
     /// Tombstones a row.  Returns `false` if it was already deleted.
     ///
     /// The latched flip of the live byte is atomic, so racing deletes of
     /// one row resolve to exactly one `true` — [`crate::Table::delete`]
-    /// uses this as its claim.
+    /// uses this as its claim.  It is one logged write, of the row's page
+    /// (`table::tests::row_writes_that_do_not_grow_the_heap_log_one_heap_record`).
     pub fn delete(&self, id: RowId) -> Result<bool> {
         let off = self.checked_slot_offset(id)?;
         // As in `insert`: the first access under the latch must hit.
         self.pool.prefetch(id.page())?;
         let _latch = self.exclusive_latch();
-        let was_live = self.pool.with_page_mut(id.page(), |buf| -> Result<bool> {
+        self.pool.with_page_mut(id.page(), |buf| {
             Self::check_row(buf, id)?;
-            let live = buf[off] == 1;
-            buf[off] = 0;
-            Ok(live)
-        })??;
-        if was_live {
-            let mut meta = self.read_meta()?;
-            meta.count -= 1;
-            self.write_meta(&meta)?;
-        }
-        Ok(was_live)
+            Ok(std::mem::replace(&mut buf[off], 0) == 1)
+        })?
     }
 
     /// Full scan of all live rows in insertion order.
+    pub fn scan(&self) -> Result<Vec<(RowId, Vec<i64>)>> {
+        let mut out = Vec::new();
+        self.walk(|page, buf, used| {
+            for slot in self.live(buf, used) {
+                out.push((RowId::new(page, slot), self.read_row(buf, slot)));
+            }
+            true
+        })?;
+        Ok(out)
+    }
+
+    /// Walks the page chain in order, handing `visit` each data page and
+    /// its used-slot count, until `visit` returns `false` or the chain ends.
     ///
-    /// A forged chain ends the scan with `Corrupt`: a page that is not a
+    /// A forged chain ends the walk with `Corrupt`: a page that is not a
     /// data page, a slot count past the page, or more links followed than
     /// the device has pages (a cycle) — the B-link leaf walk's rule.
-    pub fn scan(&self) -> Result<Vec<(RowId, Vec<i64>)>> {
-        let meta = self.read_meta()?;
-        let mut out = Vec::with_capacity(meta.count as usize);
-        let mut page = meta.first;
+    fn walk(&self, mut visit: impl FnMut(PageId, &[u8], usize) -> bool) -> Result<()> {
+        let mut page = self.read_meta()?.0;
         let (mut followed, mut page_limit) = (0, self.pool.num_pages());
         while !page.is_invalid() {
             followed += 1;
@@ -390,21 +396,14 @@ impl Heap {
                 if buf[OFF_TAG] != TAG_DATA || used > self.slots_per_page {
                     return Err(Error::Corrupt(format!("heap page {page} has a forged header")));
                 }
-                for slot in 0..used {
-                    let off = self.slot_offset(slot);
-                    if buf[off] == 1 {
-                        let mut row = Vec::with_capacity(self.arity);
-                        for c in 0..self.arity {
-                            row.push(get_i64(buf, off + 1 + c * 8));
-                        }
-                        out.push((RowId::new(page, slot), row));
-                    }
-                }
-                Ok(PageId(get_u64(buf, OFF_NEXT)))
+                Ok(match visit(page, buf, used) {
+                    true => PageId(get_u64(buf, OFF_NEXT)),
+                    false => PageId::INVALID,
+                })
             })??;
             page = next;
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -473,6 +472,62 @@ mod tests {
         assert_eq!(h.fetch(b).unwrap(), Some(vec![20]));
         assert_eq!(h.row_count().unwrap(), 1);
         assert_eq!(h.scan().unwrap().len(), 1);
+    }
+
+    /// `row_count` and `is_empty` walk the chain, so they match an oracle
+    /// across deletes that empty whole pages — the first one included —
+    /// and across re-inserts.
+    #[test]
+    fn counts_match_an_oracle_across_emptied_pages() {
+        use std::collections::HashSet;
+        let h = heap(1); // 26 slots a page
+        let check = |h: &Heap, live: &HashSet<RowId>| {
+            assert_eq!(h.row_count().unwrap(), live.len() as u64);
+            assert_eq!(h.is_empty().unwrap(), live.is_empty());
+            assert_eq!(h.scan().unwrap().len(), live.len());
+        };
+        let mut live = HashSet::new();
+        assert!(h.is_empty().unwrap());
+        let ids: Vec<RowId> = (0..100).map(|i| h.insert(&[i]).unwrap()).collect();
+        live.extend(ids.iter().copied());
+        check(&h, &live);
+        let pages: Vec<PageId> = ids.iter().map(|id| id.page()).collect();
+        assert!(pages.windows(2).filter(|w| w[0] != w[1]).count() >= 3, "four pages");
+        // Empty the first page, then the third, then every page.
+        for page in [pages[0], pages[60]] {
+            for id in ids.iter().filter(|id| id.page() == page) {
+                assert!(h.delete(*id).unwrap());
+                live.remove(id);
+                check(&h, &live);
+            }
+        }
+        for id in &ids {
+            assert_eq!(h.delete(*id).unwrap(), live.remove(id));
+        }
+        check(&h, &live);
+        for i in 0..30 {
+            live.insert(h.insert(&[i]).unwrap());
+            check(&h, &live);
+        }
+    }
+
+    /// Offset 24 of the meta page once held a row count; a value there is
+    /// ignored, by a live heap and by a reopened one.
+    #[test]
+    fn a_garbage_count_word_on_the_meta_page_is_ignored() {
+        let pool = Arc::new(BufferPool::new(MemDisk::new(256), BufferPoolConfig::with_capacity(8)));
+        let h = Heap::create(Arc::clone(&pool), 2).unwrap();
+        let ids: Vec<RowId> = (0..40).map(|i| h.insert(&[i, i]).unwrap()).collect();
+        pool.with_page_mut(h.meta_page(), |buf| put_u64(buf, 24, u64::MAX)).unwrap();
+        assert!(h.delete(ids[3]).unwrap());
+        h.insert(&[7, 7]).unwrap();
+        let reopened = Heap::open(Arc::clone(&pool), h.meta_page()).unwrap();
+        for heap in [&h, &reopened] {
+            assert_eq!(heap.row_count().unwrap(), 40);
+            assert!(!heap.is_empty().unwrap());
+        }
+        ids.iter().for_each(|&id| _ = h.delete(id).unwrap());
+        assert_eq!(reopened.row_count().unwrap(), 1);
     }
 
     #[test]
@@ -544,6 +599,12 @@ mod tests {
     fn open_rejects_wrong_page() {
         let pool = Arc::new(BufferPool::new(MemDisk::new(256), BufferPoolConfig::with_capacity(8)));
         let junk = pool.allocate_page().unwrap();
-        assert!(Heap::open(pool, junk).is_err());
+        assert!(Heap::open(Arc::clone(&pool), junk).is_err());
+        // A meta page whose arity lies outside 1..=64 is corrupt.
+        let meta = Heap::create(Arc::clone(&pool), 2).unwrap().meta_page();
+        for arity in [0, 65, u32::MAX] {
+            pool.with_page_mut(meta, |buf| put_u32(buf, OFF_ARITY, arity)).unwrap();
+            assert!(matches!(Heap::open(Arc::clone(&pool), meta), Err(Error::Corrupt(_))));
+        }
     }
 }

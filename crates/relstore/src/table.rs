@@ -43,6 +43,14 @@ struct OpenIndex {
 impl Table {
     pub(crate) fn from_meta(pool: Arc<BufferPool>, meta: &TableMeta) -> Result<Table> {
         let heap = Heap::open(Arc::clone(&pool), meta.heap_meta)?;
+        if heap.arity() != meta.columns.len() {
+            return Err(Error::Corrupt(format!(
+                "table {} has {} columns, its heap {}",
+                meta.name,
+                meta.columns.len(),
+                heap.arity()
+            )));
+        }
         let mut indexes = Vec::with_capacity(meta.indexes.len());
         for idx in &meta.indexes {
             indexes.push(OpenIndex {
@@ -59,20 +67,20 @@ impl Table {
         &self.columns
     }
 
-    /// Number of live rows.
+    /// Number of live rows, counted by walking the heap's pages: O(pages),
+    /// and exact on a quiescent table.
     pub fn row_count(&self) -> Result<u64> {
         self.heap.row_count()
     }
 
-    /// Inserts a row, maintaining every index.
+    /// Whether the table holds no live row; stops at the first live row.
+    pub fn is_empty(&self) -> Result<bool> {
+        self.heap.is_empty()
+    }
+
+    /// Inserts a row, maintaining every index.  The heap checks the row's
+    /// width, which `from_meta` holds equal to the table's.
     pub fn insert(&self, row: &[i64]) -> Result<RowId> {
-        if row.len() != self.columns.len() {
-            return Err(Error::InvalidArgument(format!(
-                "row has {} columns, table has {}",
-                row.len(),
-                self.columns.len()
-            )));
-        }
         let rid = self.heap.insert(row)?;
         for idx in &self.indexes {
             let key: Vec<i64> = idx.key_cols.iter().map(|&c| row[c]).collect();
@@ -107,7 +115,7 @@ impl Table {
         if rows.is_empty() {
             return Ok(Vec::new());
         }
-        if self.heap.row_count()? != 0 {
+        if !self.heap.is_empty()? {
             return Err(Error::InvalidArgument("bulk_insert requires an empty table".to_string()));
         }
         for idx in &self.indexes {
@@ -115,15 +123,6 @@ impl Table {
                 return Err(Error::InvalidArgument(format!(
                     "bulk_insert requires empty indexes, but {} holds entries",
                     idx.name
-                )));
-            }
-        }
-        for row in rows {
-            if row.as_ref().len() != self.columns.len() {
-                return Err(Error::InvalidArgument(format!(
-                    "row has {} columns, table has {}",
-                    row.as_ref().len(),
-                    self.columns.len()
                 )));
             }
         }
@@ -162,7 +161,8 @@ impl Table {
     /// Returns `false` if the row no longer exists.
     ///
     /// Claim-then-clean: the tombstone is the atomic claim (one short
-    /// hold of the heap meta latch inside [`Heap::delete`]), so exactly
+    /// hold of the heap's write latch inside [`Heap::delete`], and one
+    /// logged write of the row's heap page), so exactly
     /// one of any set of racing deletes wins and the losers report
     /// `false`; the winner then removes the index entries without
     /// holding any latch, so deletes scale like inserts.  If an index
@@ -218,7 +218,8 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use crate::catalog::{Database, IndexDef, TableDef};
-    use ri_pagestore::{BufferPool, BufferPoolConfig, MemDisk};
+    use ri_pagestore::codec::put_u32;
+    use ri_pagestore::{BufferPool, BufferPoolConfig, Error, MemDisk};
     use std::sync::Arc;
 
     fn db_with_indexed_table() -> Database {
@@ -415,6 +416,66 @@ mod tests {
         let words = payloads.map(payload_word);
         assert_eq!(words, [i64::MIN, -1, 0, i64::MAX]);
         assert_eq!(words.map(payload_of), payloads);
+    }
+
+    /// A row insert that neither starts a heap page nor splits a leaf logs
+    /// one heap record and one per index — 3 with two indexes — and so
+    /// does a delete: the heap meta page keeps no row count to rewrite.
+    #[test]
+    fn row_writes_that_do_not_grow_the_heap_log_one_heap_record() {
+        let pool = Arc::new(
+            BufferPool::new_durable(
+                MemDisk::new(2048),
+                BufferPoolConfig::with_capacity(64),
+                MemDisk::new(2048),
+            )
+            .unwrap(),
+        );
+        let db = Database::create(Arc::clone(&pool)).unwrap();
+        let columns = vec!["a".into(), "b".into(), "c".into()];
+        db.create_table(TableDef { name: "T".into(), columns }).unwrap();
+        db.create_index("T", IndexDef { name: "AB".into(), key_cols: vec![0, 1] }).unwrap();
+        db.create_index("T", IndexDef { name: "C".into(), key_cols: vec![2] }).unwrap();
+        let t = db.table("T").unwrap();
+        let first = t.insert(&[0, 0, 0]).unwrap();
+        let victim = t.insert(&[1, 1, 1]).unwrap();
+        db.commit().unwrap();
+        let logged = |op: &dyn Fn()| {
+            let (latches, wal) = (pool.latches().stats(), pool.wal().unwrap().stats());
+            op();
+            assert_eq!(pool.latches().stats().since(&latches).splits, 0, "no leaf may split");
+            pool.wal().unwrap().stats().records - wal.records
+        };
+        let insert = logged(&|| {
+            let rid = t.insert(&[2, 2, 2]).unwrap();
+            // A row id's page is its raw value above the 12 slot bits.
+            assert_eq!(rid.raw() >> 12, first.raw() >> 12, "the row fits the first heap page");
+        });
+        assert_eq!(insert, 3, "insert: one heap record and one per index");
+        assert_eq!(logged(&|| assert!(t.delete(victim).unwrap())), 3, "delete");
+        assert_eq!(t.row_count().unwrap(), 2);
+    }
+
+    /// A heap whose stored arity differs from the catalog's column count,
+    /// or lies outside the range a heap is created with, is refused when
+    /// the table opens; a delete used to index the short row and panic.
+    #[test]
+    fn forged_heap_arity_is_corrupt_not_a_panic() {
+        let db = db_with_indexed_table();
+        let t = db.table("T").unwrap();
+        let rid = t.insert(&[1, 2, 3]).unwrap();
+        let meta = t.heap.meta_page();
+        for arity in [0u32, 2, 65, 3] {
+            // Offset 4 of the heap meta page holds its arity.
+            db.pool().with_page_mut(meta, |buf| put_u32(buf, 4, arity)).unwrap();
+            match db.table("T") {
+                Ok(t) => {
+                    assert_eq!(arity, 3, "arity {arity} opened");
+                    assert!(t.delete(rid).unwrap());
+                }
+                Err(e) => assert!(matches!(e, Error::Corrupt(_)), "arity {arity}: {e}"),
+            }
+        }
     }
 
     #[test]

@@ -84,20 +84,12 @@ impl Tape<'_> {
             4 => {
                 let (input, width) = self.plan(depth - 1, bind_width);
                 let col = |t: &mut Self| t.draw(width as u32) as usize;
-                let op =
-                    [CmpOp::Le, CmpOp::Ge, CmpOp::Lt, CmpOp::Gt, CmpOp::Eq][self.draw(5) as usize];
+                let op = [CmpOp::Le, CmpOp::Ge][self.draw(2) as usize];
                 let value = self.draw(60) as i64;
-                let pred = match self.draw(4) {
+                let pred = match self.draw(3) {
                     0 => Predicate::CmpConst { col: col(self), op, value },
                     1 => Predicate::CmpSum { a: col(self), b: col(self), op, value },
-                    2 => Predicate::Or(vec![
-                        Predicate::CmpDiff { a: col(self), b: col(self), op, value },
-                        Predicate::CmpConst { col: col(self), op: CmpOp::Eq, value },
-                    ]),
-                    _ => Predicate::And(vec![
-                        Predicate::True,
-                        Predicate::CmpConst { col: col(self), op, value },
-                    ]),
+                    _ => Predicate::And(vec![Predicate::CmpConst { col: col(self), op, value }]),
                 };
                 (Plan::Filter { input: Box::new(input), pred }, width)
             }
