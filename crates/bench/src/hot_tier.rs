@@ -24,13 +24,17 @@
 //! blocks as compact triples where the pool holds pages, and from 2Q
 //! keeping one-off tail probes from thrashing the budget.
 //!
-//! Every tier answer is asserted equal to the tree's, so the figure
-//! doubles as an end-to-end coherence check.
+//! Every tier answer is asserted equal to the tree's as a set (both
+//! answer in their own order, neither sorted), so the figure doubles as
+//! an end-to-end coherence check.  The wall-clock per measured query,
+//! through the tier and straight at the tree, goes on `#` lines beside
+//! each row: it is the machine's, not the model's.
 
-use crate::harness::{fresh_env_with_cache, section, sorted};
+use crate::harness::{f, fresh_env_with_cache, section, sorted};
 use ri_mem::{HintIndex, IntervalTree, NaiveIntervalSet, QueryCost};
 use ritree_core::{HotTier, HotTierConfig, Interval, RiTree};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Part A selectivities.
 pub const MEM_SELECTIVITIES: [f64; 3] = [0.002, 0.01, 0.05];
@@ -116,7 +120,7 @@ pub fn run(quick: bool) -> Report {
     println!("# part A: simulated endpoint comparisons; every touched HINT entry is a");
     println!("# result, so its comparison count is structurally zero.");
     println!("# part B: physical reads over the measured window (second half of each");
-    println!("# stream); every tier answer asserted equal to the tree's.");
+    println!("# stream); every tier answer asserted equal to the tree's as a set.");
     Report { mem, skews }
 }
 
@@ -197,13 +201,19 @@ fn run_tier_part(n: usize, nq: usize, warmup: usize, pool_frames: usize) -> Vec<
         env.pool.clear_cache().expect("cache clear");
         let mut answers = Vec::with_capacity(nq);
         let mut baseline_phys = 0u64;
+        let mut baseline_wall = Duration::ZERO;
         let mut before = env.pool.stats().snapshot();
         for (qi, &q) in queries.iter().enumerate() {
             if qi == warmup {
                 before = env.pool.stats().snapshot();
             }
-            // Ascending, as the tier answers.
-            answers.push(sorted(t.intersection(q).expect("baseline query")));
+            let start = Instant::now();
+            let ids = t.intersection(q).expect("baseline query");
+            if qi >= warmup {
+                baseline_wall += start.elapsed();
+            }
+            // Ascending, so the tier's answer compares as a set.
+            answers.push(sorted(ids));
         }
         baseline_phys += env.pool.stats().snapshot().since(&before).physical_reads;
         tree = Some(t);
@@ -218,13 +228,18 @@ fn run_tier_part(n: usize, nq: usize, warmup: usize, pool_frames: usize) -> Vec<
             env.pool.clear_cache().expect("cache clear");
             let mut before = env.pool.stats().snapshot();
             let mut stats_before = tier.stats();
+            let mut tier_wall = Duration::ZERO;
             for (qi, &q) in queries.iter().enumerate() {
                 if qi == warmup {
                     before = env.pool.stats().snapshot();
                     stats_before = tier.stats();
                 }
+                let start = Instant::now();
                 let got = tier.intersection(q).expect("tier query");
-                assert_eq!(got, answers[qi], "tier diverges at query {qi} (s = {s})");
+                if qi >= warmup {
+                    tier_wall += start.elapsed();
+                }
+                assert_eq!(sorted(got), answers[qi], "tier diverges at query {qi} (s = {s})");
             }
             let tier_phys = env.pool.stats().snapshot().since(&before).physical_reads;
             let stats = tier.stats();
@@ -240,6 +255,13 @@ fn run_tier_part(n: usize, nq: usize, warmup: usize, pool_frames: usize) -> Vec<
             println!(
                 "{s:.1},{capacity},{:.4},{baseline_phys},{tier_phys},{:.2},{},{}",
                 row.hit_rate, row.saved_ratio, row.admissions, row.evicted_blocks
+            );
+            let per_query_us = |wall: Duration| f(wall.as_secs_f64() * 1e6 / measured);
+            println!(
+                "# s={s:.1},capacity={capacity}: wall-clock per measured query: tier {} us, \
+                 bare tree {} us",
+                per_query_us(tier_wall),
+                per_query_us(baseline_wall)
             );
             budgets.push(row);
             tree = Some(tier.into_tree());

@@ -7,6 +7,12 @@
 //! of the tree: queries that land entirely on *resident* domain blocks
 //! are answered from memory without touching the pool at all.
 //!
+//! An answer keeps [`RiTree::intersection`]'s contract: each intersecting
+//! id exactly once, in an order fixed by the tier's resident blocks, the
+//! tree and the query, and not sorted ([`HotTier::intersection`] gives the
+//! order of each path).  A caller that wants ascending ids sorts with
+//! [`ri_mem::sort::sort_ids`].
+//!
 //! # Block-grained read-through caching
 //!
 //! The configured domain (default: the paper's `[0, 2^20)`) splits into
@@ -46,8 +52,9 @@
 //! [`HintIndex::delete_clipped`]); either way an interval is registered
 //! under its part inside the block and keeps its bounds.  A hit over
 //! blocks `first..=last` is `carry(first)` plus `own(b)` for every `b`,
-//! scanned with the query's bounds into one buffer and sorted once.  That
-//! is exactly-once and still comparison-free: an interval meeting the
+//! scanned with the query's bounds into one buffer and returned in that
+//! order, unsorted, as [`RiTree::intersection`] returns its plan order.
+//! That is exactly-once and still comparison-free: an interval meeting the
 //! query starts either inside the span — and is found in the `own` of the
 //! one block it starts in — or before `first`, in which case it reaches
 //! into `first` and is found in that block's `carry`; and within a block
@@ -68,9 +75,10 @@
 //! is a map insert plus the counting pass above, evicting a map removal
 //! plus the same pass, and the victim is dropped by whoever evicted it
 //! after unlocking.  Measured on the repo benchmark's `read_zipf_tier`
-//! (1 M rows, ≈ 17.5 k fetched triples per admission, 2 cores), an
-//! admission takes ≈ 12 ms: ≈ 2.5 fetching, ≈ 7 building, ≈ 1.2 under
-//! the lock, ≈ 1.3 freeing the victim.  Filling a block triple by triple
+//! (1 M rows, ≈ 17.5 k fetched triples per admission, 2 cores; medians
+//! of ≈ 450 admissions a run, seeds 7 and 8), an admission takes
+//! ≈ 15–17 ms: ≈ 3 fetching, ≈ 9–10 building, ≈ 1.6 under the lock,
+//! ≈ 1.8 freeing the victim.  Filling a block triple by triple
 //! instead takes about three times as long (`cargo bench --bench micro`,
 //! `hint/block_build_*`), and leaves its partitions, grown by `push`,
 //! scattered in memory for every later hit to walk.
@@ -438,14 +446,24 @@ impl HotTier {
     // Read path
     // ------------------------------------------------------------------
 
-    /// Intersection query through the tier: the same ids as
-    /// [`RiTree::intersection`], in ascending order, minus the page
-    /// accesses on a hit.
+    /// Intersection query through the tier: the ids
+    /// [`RiTree::intersection`] reports, minus the page accesses on a hit,
+    /// under the same contract:
+    ///
+    /// * each intersecting id appears exactly once;
+    /// * the order depends only on the tier's resident blocks, the tree
+    ///   and the query.  A hit over blocks `first..=last` returns
+    ///   `carry(first)`, then `own(b)` for each `b` in turn, each in HINT
+    ///   traversal order; an admitting miss the fetched snapshot's rows
+    ///   that meet `q`, in snapshot order; a miss that admits nothing, or
+    ///   a bypass, the tree's vector unchanged.
+    ///
+    /// Sort with [`ri_mem::sort::sort_ids`] for ascending ids.
     pub fn intersection(&self, q: Interval) -> Result<Vec<i64>> {
         let (dom_lo, dom_hi) = self.domain();
         if q.lower < dom_lo || q.upper > dom_hi || self.tree.has_open_intervals() {
             self.state.lock().unwrap().bypasses += 1;
-            return self.tree_intersection(q);
+            return self.tree.intersection(q);
         }
         let first = self.block_of(q.lower);
         let last = self.block_of(q.upper);
@@ -464,8 +482,6 @@ impl HotTier {
                 for b in first..=last {
                     st.resident[&b].own.intersection_into(q.lower, q.upper, &mut ids);
                 }
-                drop(st);
-                ids.sort_unstable();
                 return Ok(ids);
             }
             st.misses += 1;
@@ -520,7 +536,7 @@ impl HotTier {
             }
             if admit.is_empty() {
                 drop(st);
-                return self.tree_intersection(q);
+                return self.tree.intersection(q);
             }
             (st.epoch, admit)
         };
@@ -559,7 +575,6 @@ impl HotTier {
                 (b, block)
             })
             .collect();
-        ids.sort_unstable();
         let mut st = self.state.lock().unwrap();
         if st.epoch != epoch0 {
             // A writer raced the fetch; the answer (valid at fetch time)
@@ -587,18 +602,11 @@ impl HotTier {
         Ok(ids)
     }
 
-    /// Stabbing query through the tier: the same ids as
-    /// [`RiTree::stab`], in ascending order.
+    /// Stabbing query through the tier: the ids [`RiTree::stab`] reports,
+    /// each exactly once; the vector is identical to
+    /// `intersection(Interval::point(p))`'s.
     pub fn stab(&self, p: i64) -> Result<Vec<i64>> {
         self.intersection(Interval::point(p))
-    }
-
-    /// The tree's answer to `q` (a miss that admits nothing, or a bypass),
-    /// sorted: the tree returns plan order, the tier ascending ids.
-    fn tree_intersection(&self, q: Interval) -> Result<Vec<i64>> {
-        let mut ids = self.tree.intersection(q)?;
-        ri_mem::sort::sort_ids(&mut ids);
-        Ok(ids)
     }
 
     // ------------------------------------------------------------------
@@ -705,11 +713,20 @@ mod tests {
         Interval::new(l, u).unwrap()
     }
 
-    /// The tree's answer to `q` in ascending order, as the tier returns it.
-    fn tree_answer(tier: &HotTier, q: Interval) -> Vec<i64> {
-        let mut ids = tier.tree().intersection(q).unwrap();
+    fn sorted(mut ids: Vec<i64>) -> Vec<i64> {
         ri_mem::sort::sort_ids(&mut ids);
         ids
+    }
+
+    /// The tree's answer to `q` in ascending order.
+    fn tree_answer(tier: &HotTier, q: Interval) -> Vec<i64> {
+        sorted(tier.tree().intersection(q).unwrap())
+    }
+
+    /// The tier's answer to `q` in ascending order: compared as a set, a
+    /// duplicate id still shows.
+    fn tier_answer(tier: &HotTier, q: Interval) -> Vec<i64> {
+        sorted(tier.intersection(q).unwrap())
     }
 
     #[test]
@@ -720,9 +737,9 @@ mod tests {
         }
         let q = iv(10_000, 12_000);
         let direct = tree_answer(&tier, q);
-        let first = tier.intersection(q).unwrap();
-        let second = tier.intersection(q).unwrap(); // ghost promoted
-        let third = tier.intersection(q).unwrap(); // resident now
+        let first = tier_answer(&tier, q);
+        let second = tier_answer(&tier, q); // ghost promoted
+        let third = tier_answer(&tier, q); // resident now
         assert_eq!(first, direct);
         assert_eq!(second, direct);
         assert_eq!(third, direct);
@@ -749,7 +766,7 @@ mod tests {
         tier.insert(iv(3_500, 3_600), 9_000).unwrap();
         assert!(tier.delete(iv(3_000, 3_120), 60).unwrap());
         let hits_before = tier.stats().hits;
-        let got = tier.intersection(q).unwrap();
+        let got = tier_answer(&tier, q);
         assert_eq!(got, tree_answer(&tier, q));
         assert!(got.contains(&9_000));
         assert!(!got.contains(&60));
@@ -771,8 +788,7 @@ mod tests {
             for b in 0..60 {
                 let lo = b * 16_384;
                 let q = iv(lo, lo + 1_000);
-                let got = tier.intersection(q).unwrap();
-                assert_eq!(got, tree_answer(&tier, q), "pass {pass} block {b}");
+                assert_eq!(tier_answer(&tier, q), tree_answer(&tier, q), "pass {pass} block {b}");
             }
         }
         let after_sweeps = tier.stats();
@@ -784,7 +800,7 @@ mod tests {
             for b in 40..44 {
                 let lo = b * 16_384;
                 let q = iv(lo, lo + 1_000);
-                assert_eq!(tier.intersection(q).unwrap(), tree_answer(&tier, q));
+                assert_eq!(tier_answer(&tier, q), tree_answer(&tier, q));
             }
         }
         let stats = tier.stats();
@@ -810,7 +826,7 @@ mod tests {
         // Removing the open interval re-enables the tier.
         assert!(tier.delete_open(100, OpenEnd::Infinity, 777).unwrap());
         for _ in 0..3 {
-            assert_eq!(tier.intersection(q).unwrap(), tree_answer(&tier, q));
+            assert_eq!(tier_answer(&tier, q), tree_answer(&tier, q));
         }
         assert!(tier.stats().hits >= 1);
     }
@@ -824,16 +840,16 @@ mod tests {
         tier.insert(iv(2_000, 3_000), 3).unwrap(); // fully outside
         tier.insert(iv(200, 300), 4).unwrap(); // inside
         for _ in 0..3 {
-            assert_eq!(tier.intersection(iv(0, 1023)).unwrap(), vec![1, 2, 4]);
-            assert_eq!(tier.intersection(iv(50, 250)).unwrap(), vec![1, 4]);
+            assert_eq!(tier_answer(&tier, iv(0, 1023)), vec![1, 2, 4]);
+            assert_eq!(tier_answer(&tier, iv(50, 250)), vec![1, 4]);
             // Out-of-domain query: bypassed, still correct.
-            assert_eq!(tier.intersection(iv(1_500, 2_500)).unwrap(), vec![2, 3]);
+            assert_eq!(tier_answer(&tier, iv(1_500, 2_500)), vec![2, 3]);
         }
         assert!(tier.stats().hits >= 2);
         assert!(tier.stats().bypasses >= 3);
         // Deleting an edge-straddling interval invalidates its clamped copy.
         assert!(tier.delete(iv(-500, 100), 1).unwrap());
-        assert_eq!(tier.intersection(iv(0, 1023)).unwrap(), vec![2, 4]);
+        assert_eq!(tier_answer(&tier, iv(0, 1023)), vec![2, 4]);
     }
 
     #[test]
@@ -843,7 +859,7 @@ mod tests {
             tier.insert(iv(i * 10, i * 10 + 25), i).unwrap();
         }
         for _ in 0..3 {
-            assert_eq!(tier.stab(105).unwrap(), tree_answer(&tier, Interval::point(105)));
+            assert_eq!(sorted(tier.stab(105).unwrap()), tree_answer(&tier, Interval::point(105)));
         }
         assert!(tier.stats().hits >= 1);
     }
@@ -922,7 +938,7 @@ mod tests {
                         let upper = (lower + width as i64).min(4095);
                         let q = iv(lower, upper);
                         let hits_before = tier.stats().hits;
-                        let got = tier.intersection(q).unwrap();
+                        let got = tier_answer(&tier, q);
                         assert_eq!(got, oracle.intersection(lower, upper), "step {step}: {q:?}");
                         assert!(got.windows(2).all(|w| w[0] < w[1]), "step {step}: duplicate id");
                         if tier.stats().hits > hits_before && upper / 64 - lower / 64 >= 2 {
@@ -986,7 +1002,7 @@ mod tests {
         admit(64);
         tier.cache_insert(racer, id);
         assert_blocks_match(&tier, &oracle, 1);
-        assert_eq!(tier.intersection(iv(0, 127)).unwrap(), oracle.intersection(0, 127));
+        assert_eq!(tier_answer(&tier, iv(0, 127)), oracle.intersection(0, 127));
 
         // Delete: the row leaves the tree, block 2 is admitted (without
         // it), then the writer reaches the cache.
@@ -997,7 +1013,7 @@ mod tests {
         tier.cache_delete(racer, id);
         assert_eq!(tier.stats().invalidations, invalidations + 1);
         assert_blocks_match(&tier, &oracle, 2);
-        assert_eq!(tier.intersection(iv(0, 191)).unwrap(), oracle.intersection(0, 191));
+        assert_eq!(tier_answer(&tier, iv(0, 191)), oracle.intersection(0, 191));
         assert_eq!(tier.stats().aborted_admissions, 0);
     }
 }

@@ -12,12 +12,18 @@
 //!
 //! Checked over random data (a bulk-loaded first batch, per-row inserts,
 //! open-ended intervals, deletes) on a durable pool small enough to evict.
+//!
+//! The hot tier answers under the same contract, with its resident blocks
+//! part of what fixes the order: each id once, sorted the oracle's, and
+//! the same query on the same tier state the identical vector, on all four
+//! of its paths (hit, plain miss, admitting miss, bypass); a plain miss
+//! and a bypass return the tree's vector unchanged.
 
 use proptest::prelude::*;
 use ri_mem::sort::sort_ids;
 use ri_pagestore::{BufferPool, BufferPoolConfig, MemDisk, DEFAULT_PAGE_SIZE};
 use ri_relstore::Database;
-use ritree_core::{Interval, OpenEnd, RiTree, UPPER_NOW};
+use ritree_core::{HotTier, HotTierConfig, HotTierStats, Interval, OpenEnd, RiTree, UPPER_NOW};
 use std::sync::Arc;
 
 const TABLE: &str = "contract";
@@ -83,12 +89,17 @@ fn oracle(rows: &[Row], q: Interval, now: i64) -> Vec<i64> {
 /// Asserts the contract for `q` at `now` on `tree`, holding `rows`.
 fn check_answer(tree: &RiTree, rows: &[Row], q: Interval, now: i64) -> Vec<i64> {
     let ids = tree.intersection_at(q, now).unwrap();
-    let mut sorted = ids.clone();
+    check_exactly_once(&ids, rows, q, now);
+    assert_eq!(tree.intersection_at(q, now).unwrap(), ids, "{q} at {now} asked twice");
+    ids
+}
+
+/// Asserts that `ids` holds each id once and, sorted, is the oracle's.
+fn check_exactly_once(ids: &[i64], rows: &[Row], q: Interval, now: i64) {
+    let mut sorted = ids.to_vec();
     sort_ids(&mut sorted);
     assert!(sorted.windows(2).all(|w| w[0] < w[1]), "duplicate id in {q} at {now}: {ids:?}");
     assert_eq!(sorted, oracle(rows, q, now), "{q} at {now}");
-    assert_eq!(tree.intersection_at(q, now).unwrap(), ids, "{q} at {now} asked twice");
-    ids
 }
 
 fn interval() -> impl Strategy<Value = (i64, i64)> {
@@ -191,5 +202,157 @@ proptest! {
             prop_assert_eq!(&reopened.intersection(q).unwrap(), answer, "{} after reopen", q);
         }
         prop_assert_eq!(&reopened.intersection_batch(&qs, 2).unwrap(), &answers);
+    }
+}
+
+/// The tier's geometry: 64 blocks of 64 values over `[0, 4096)`, room for
+/// every row and a ghost for every block, so a query's first miss makes
+/// its blocks ghosts, its second admits them and its third hits.
+const TIER: HotTierConfig = HotTierConfig {
+    domain_lower: 0,
+    domain_bits: 12,
+    block_bits: 6,
+    capacity: 1 << 16,
+    ghost_capacity: 64,
+};
+
+/// Which path answered a tier query, read off the counters it moved.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Path {
+    Hit,
+    PlainMiss,
+    AdmittingMiss,
+    Bypass,
+}
+
+fn path(before: &HotTierStats, after: &HotTierStats) -> Path {
+    if after.hits > before.hits {
+        Path::Hit
+    } else if after.bypasses > before.bypasses {
+        Path::Bypass
+    } else if after.admissions + after.aborted_admissions
+        > before.admissions + before.aborted_admissions
+    {
+        Path::AdmittingMiss
+    } else {
+        Path::PlainMiss
+    }
+}
+
+/// Two tiers given the same writes and queries, so each holds the state
+/// the other does: every query must return the identical vector from both.
+struct Twins {
+    tiers: [HotTier; 2],
+    /// How many answers each path gave.
+    paths: [usize; 4],
+}
+
+impl Twins {
+    fn new() -> Twins {
+        let tier = || {
+            let config = BufferPoolConfig::with_capacity(FRAMES);
+            let pool = Arc::new(BufferPool::new(MemDisk::new(DEFAULT_PAGE_SIZE), config));
+            let tree = RiTree::create(Arc::new(Database::create(pool).unwrap()), TABLE).unwrap();
+            HotTier::new(tree, TIER)
+        };
+        Twins { tiers: [tier(), tier()], paths: [0; 4] }
+    }
+
+    fn write(&self, op: impl Fn(&HotTier) -> bool) {
+        for tier in &self.tiers {
+            assert!(op(tier), "the write applies");
+        }
+    }
+
+    /// Asks `q` of both tiers and checks the contract; a hit is asked again
+    /// (a hit moves no block), a plain miss and a bypass must be the
+    /// tree's vector.
+    fn query(&mut self, rows: &[Row], q: Interval) -> Path {
+        let now = UPPER_NOW - 1;
+        let [a, b] = &self.tiers;
+        let before = a.stats();
+        let ids = a.intersection(q).unwrap();
+        let taken = path(&before, &a.stats());
+        check_exactly_once(&ids, rows, q, now);
+        assert_eq!(b.intersection(q).unwrap(), ids, "{q} ({taken:?}) on the twin tier");
+        match taken {
+            Path::Hit => {
+                assert_eq!(a.intersection(q).unwrap(), ids, "{q} hit twice");
+                assert_eq!(b.intersection(q).unwrap(), ids, "{q} hit twice on the twin");
+            }
+            Path::PlainMiss | Path::Bypass => {
+                assert_eq!(a.tree().intersection(q).unwrap(), ids, "{q} ({taken:?})");
+            }
+            Path::AdmittingMiss => {}
+        }
+        self.paths[taken as usize] += 1;
+        taken
+    }
+}
+
+/// A stored row for the tier: mostly inside its domain, some straddling
+/// an edge or outside it.
+fn tier_row() -> impl Strategy<Value = (i64, i64)> {
+    (-300i64..4_400, prop_oneof![4 => 0i64..100, 1 => 0i64..1_500])
+        .prop_map(|(l, len)| (l, l + len))
+}
+
+/// A query inside the tier's domain, one to several blocks wide.
+fn tier_query() -> impl Strategy<Value = (i64, i64)> {
+    (0i64..4_096, prop_oneof![2 => 0i64..1, 3 => 0i64..200])
+        .prop_map(|(l, len)| (l, (l + len).min(4_095)))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    #[test]
+    fn tier_answers_are_exactly_once_and_deterministic_on_every_path(
+        stored in prop::collection::vec((tier_row(), 0u8..4), 1..300),
+        queries in prop::collection::vec(tier_query(), 1..10),
+        open_lower in -300i64..4_400,
+    ) {
+        let mut twins = Twins::new();
+        let mut rows: Vec<Row> = Vec::new();
+        for (id, &((lower, upper), _)) in stored.iter().enumerate() {
+            let (iv, id) = (Interval::new(lower, upper).unwrap(), id as i64);
+            twins.write(|tier| tier.insert(iv, id).is_ok());
+            rows.push((lower, End::Closed(upper), id));
+        }
+        let mut qs: Vec<Interval> =
+            queries.iter().map(|&(l, u)| Interval::new(l, u).unwrap()).collect();
+        // Two that leave the domain: bypasses whatever is stored.
+        qs.push(Interval::new(-400, 30).unwrap());
+        qs.push(Interval::new(4_000, 5_000).unwrap());
+
+        // Each query three times: ghost, admission, hit.
+        for _ in 0..3 {
+            for &q in &qs {
+                twins.query(&rows, q);
+            }
+        }
+        // Deletes edit the resident blocks; the queries ask them again.
+        for (&((lower, upper), delete), id) in stored.iter().zip(0i64..) {
+            if delete == 0 {
+                twins.write(|tier| tier.delete(Interval::new(lower, upper).unwrap(), id).unwrap());
+                rows.retain(|r| r.2 != id);
+            }
+        }
+        for &q in &qs {
+            twins.query(&rows, q);
+        }
+        // An open-ended row stored: every query bypasses, then stops.
+        let open = stored.len() as i64;
+        twins.write(|tier| tier.insert_open(open_lower, OpenEnd::Infinity, open).is_ok());
+        rows.push((open_lower, End::Open(OpenEnd::Infinity), open));
+        for &q in &qs {
+            prop_assert_eq!(twins.query(&rows, q), Path::Bypass);
+        }
+        twins.write(|tier| tier.delete_open(open_lower, OpenEnd::Infinity, open).unwrap());
+        rows.pop();
+        for &q in &qs {
+            twins.query(&rows, q);
+        }
+        prop_assert!(twins.paths.iter().all(|&n| n > 0), "paths taken {:?}", twins.paths);
     }
 }

@@ -31,11 +31,20 @@ fn iv(l: i64, u: i64) -> Interval {
     Interval::new(l, u).unwrap()
 }
 
-/// The tree's answer to `q` in ascending order, as the tier returns it.
-fn tree_answer(tier: &HotTier, q: Interval) -> Vec<i64> {
-    let mut ids = tier.tree().intersection(q).unwrap();
+fn sorted(mut ids: Vec<i64>) -> Vec<i64> {
     ri_mem::sort::sort_ids(&mut ids);
     ids
+}
+
+/// The tree's answer to `q` in ascending order.
+fn tree_answer(tier: &HotTier, q: Interval) -> Vec<i64> {
+    sorted(tier.tree().intersection(q).unwrap())
+}
+
+/// The tier's answer to `q` in ascending order: compared as a set, a
+/// duplicate id still shows.
+fn tier_answer(tier: &HotTier, q: Interval) -> Vec<i64> {
+    sorted(tier.intersection(q).unwrap())
 }
 
 /// Deterministic xorshift — the tests must replay identically.
@@ -82,7 +91,7 @@ fn tier_matches_oracle_after_every_operation() {
             0..=5 => {
                 let q = windows[rng.below(8) as usize];
                 assert_eq!(
-                    tier.intersection(q).unwrap(),
+                    tier_answer(&tier, q),
                     oracle.intersection(q.lower, q.upper),
                     "round {round}, query {q:?}"
                 );
@@ -245,11 +254,11 @@ fn concurrent_writers_and_readers_see_no_stale_reads() {
     for lo in (0..DOMAIN - 8_000).step_by(65_536) {
         let q = iv(lo, lo + 8_000);
         for _ in 0..3 {
-            assert_eq!(tier.intersection(q).unwrap(), oracle.intersection(q.lower, q.upper));
+            assert_eq!(tier_answer(&tier, q), oracle.intersection(q.lower, q.upper));
         }
     }
     let all = iv(0, DOMAIN - 1);
-    assert_eq!(tier.intersection(all).unwrap(), oracle.intersection(0, DOMAIN - 1));
+    assert_eq!(tier_answer(&tier, all), oracle.intersection(0, DOMAIN - 1));
     let stats = tier.stats();
     assert!(stats.hits > 0, "the stress never exercised the cache: {stats:?}");
     assert!(stats.admissions > 0, "{stats:?}");
@@ -335,18 +344,18 @@ fn overlapping_admissions_of_one_block_count_it_once() {
         }
     })));
 
-    assert_eq!(tier.intersection(q0).unwrap(), want0); // miss 1: block 0 becomes a ghost
+    assert_eq!(tier_answer(&tier, q0), want0); // miss 1: block 0 becomes a ghost
     std::thread::scope(|s| {
         let spawn = |name: &str| {
             let (tier, want0) = (&tier, &want0);
             std::thread::Builder::new()
                 .name(name.into())
-                .spawn_scoped(s, move || assert_eq!(&tier.intersection(q0).unwrap(), want0))
+                .spawn_scoped(s, move || assert_eq!(&tier_answer(tier, q0), want0))
                 .unwrap()
         };
         let a = spawn("admit-a"); // miss 2: admits block 0, parks inside the fetch
         parked.wait("admit-a's fetch reads a page the plain query does not");
-        assert_eq!(tier.intersection(q0).unwrap(), want0); // miss 3: a ghost again
+        assert_eq!(tier_answer(&tier, q0), want0); // miss 3: a ghost again
         let c = spawn("admit-c"); // miss 4: admits block 0 a second time
         let deadline = Instant::now() + STALL;
         while tier.stats().misses < 4 {
@@ -360,11 +369,11 @@ fn overlapping_admissions_of_one_block_count_it_once() {
     disk.set_read_hook(None);
     let stats = tier.stats();
     assert_eq!((stats.resident_blocks, stats.cached_intervals), (1, 400), "{stats:?}");
-    assert_eq!(tier.intersection(q0).unwrap(), want0);
+    assert_eq!(tier_answer(&tier, q0), want0);
 
     // Heat block 1 until it wins the gate and displaces block 0.
     for _ in 0..12 {
-        assert_eq!(tier.intersection(q1).unwrap(), want1);
+        assert_eq!(tier_answer(&tier, q1), want1);
     }
     let stats = tier.stats();
     assert_eq!((stats.resident_blocks, stats.cached_intervals), (1, 200), "{stats:?}");

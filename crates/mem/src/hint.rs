@@ -356,8 +356,8 @@ impl HintIndex {
     }
 
     /// Appends the ids of intervals intersecting `[ql, qu]` to `out`, in
-    /// traversal order — each exactly once.  For a caller that merges
-    /// several indexes' answers and sorts once (the hot tier's hits).
+    /// traversal order — each exactly once, unsorted.  For a caller that
+    /// concatenates several indexes' answers (the hot tier's hits).
     pub fn intersection_into(&self, ql: i64, qu: i64, out: &mut Vec<i64>) {
         self.scan(ql, qu, &mut QueryCost::default(), |&(_, _, id)| out.push(id));
     }

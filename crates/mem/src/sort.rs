@@ -1,9 +1,9 @@
 //! The workspace's one radix sort: a HINT's block registrations when it is
 //! built in bulk, and [`sort_ids`], the way a caller gets an RI-tree
 //! answer's ids ascending.  A query itself returns them in plan order
-//! (Figure 9's `UNION ALL` has no `ORDER BY`); the callers that sort are
-//! `HotTier`'s miss and bypass paths, which keep the tier's ascending
-//! contract, and tests and examples that compare or print answers.
+//! (Figure 9's `UNION ALL` has no `ORDER BY`), and `HotTier` answers under
+//! the same contract on every path; the callers that sort are tests,
+//! examples and figures that compare or print answers.
 
 /// A radix pass clears, fills and sums a histogram before it moves an item:
 /// it beats comparisons from about this many items per pass (measured on

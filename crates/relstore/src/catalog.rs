@@ -508,6 +508,20 @@ mod tests {
         assert!(Database::create(pool).is_err());
     }
 
+    /// A table whose row no heap page can hold is refused, and leaves no
+    /// trace in the catalog.
+    #[test]
+    fn a_table_too_wide_for_its_pages_is_refused() {
+        let pool = Arc::new(BufferPool::new(MemDisk::new(256), BufferPoolConfig::with_capacity(8)));
+        let db = Database::create(pool).unwrap();
+        let columns = |n: usize| (0..n).map(|c| format!("c{c}")).collect();
+        let wide = TableDef { name: "W".into(), columns: columns(40) };
+        assert!(matches!(db.create_table(wide), Err(Error::InvalidArgument(_))));
+        assert!(db.table("W").is_err(), "a refused table is not in the catalog");
+        db.create_table(TableDef { name: "W".into(), columns: columns(4) }).unwrap();
+        db.table("W").unwrap().insert(&[1, 2, 3, 4]).unwrap();
+    }
+
     #[test]
     fn ddl_roundtrips_through_reopen() {
         let pool =

@@ -93,15 +93,26 @@ impl Heap {
         arity * 8 + 1 // columns + live flag
     }
 
-    fn slots_per_page(page_size: usize, arity: usize) -> usize {
-        ((page_size - PAGE_HEADER) / Self::slot_size(arity)).min(1 << SLOT_BITS)
+    /// The slots a page holds for rows of `arity` columns, or `None` for an
+    /// arity outside `1..=64` or one whose row fits no page.
+    fn slots_per_page(page_size: usize, arity: usize) -> Option<usize> {
+        if !(1..=64).contains(&arity) {
+            return None;
+        }
+        let slots =
+            (page_size.saturating_sub(PAGE_HEADER) / Self::slot_size(arity)).min(1 << SLOT_BITS);
+        (slots > 0).then_some(slots)
     }
 
-    /// Creates an empty heap for rows of `arity` columns.
+    /// Creates an empty heap for rows of `arity` columns.  An arity outside
+    /// `1..=64`, or one whose row does not fit a page, is `InvalidArgument`.
     pub fn create(pool: Arc<BufferPool>, arity: usize) -> Result<Heap> {
-        if !(1..=64).contains(&arity) {
-            return Err(Error::InvalidArgument(format!("heap arity {arity} out of range")));
-        }
+        let page_size = pool.page_size();
+        let Some(slots) = Self::slots_per_page(page_size, arity) else {
+            return Err(Error::InvalidArgument(format!(
+                "heap arity {arity} out of range for {page_size}-byte pages"
+            )));
+        };
         let meta_page = pool.allocate_page()?;
         pool.with_page_mut(meta_page, |buf| {
             put_u32(buf, OFF_MAGIC, HEAP_MAGIC);
@@ -109,21 +120,20 @@ impl Heap {
             put_u64(buf, OFF_FIRST, PageId::INVALID.raw());
             put_u64(buf, OFF_LAST, PageId::INVALID.raw());
         })?;
-        let slots = Self::slots_per_page(pool.page_size(), arity);
         Ok(Heap { pool, meta_page, arity, slots_per_page: slots })
     }
 
-    /// Re-opens a heap from its meta page.  An arity outside `1..=64`, the
-    /// range [`Heap::create`] takes, is `Corrupt`.
+    /// Re-opens a heap from its meta page.  An arity [`Heap::create`] would
+    /// refuse on this pool's pages is `Corrupt`.
     pub fn open(pool: Arc<BufferPool>, meta_page: PageId) -> Result<Heap> {
-        let arity = pool.with_page(meta_page, |buf| {
+        let page_size = pool.page_size();
+        let (arity, slots) = pool.with_page(meta_page, |buf| {
             let arity = get_u32(buf, OFF_ARITY) as usize;
-            if get_u32(buf, OFF_MAGIC) != HEAP_MAGIC || !(1..=64).contains(&arity) {
-                return Err(Error::Corrupt(format!("page {meta_page} is not a heap meta page")));
+            match Self::slots_per_page(page_size, arity) {
+                Some(slots) if get_u32(buf, OFF_MAGIC) == HEAP_MAGIC => Ok((arity, slots)),
+                _ => Err(Error::Corrupt(format!("page {meta_page} is not a heap meta page"))),
             }
-            Ok(arity)
         })??;
-        let slots = Self::slots_per_page(pool.page_size(), arity);
         Ok(Heap { pool, meta_page, arity, slots_per_page: slots })
     }
 
@@ -593,6 +603,28 @@ mod tests {
         })
         .unwrap();
         assert!(matches!(h.scan(), Err(Error::Corrupt(_))), "a slot count past the page");
+    }
+
+    /// On 256-byte pages a slot has 240 bytes: 29 columns (233-byte slots)
+    /// fit one row a page, 30 (241 bytes) none.  A heap no row fits is
+    /// refused when it is created, and called corrupt when a meta page
+    /// claims it, instead of panicking on its first insert.
+    #[test]
+    fn a_heap_too_wide_for_its_page_is_refused() {
+        let pool = Arc::new(BufferPool::new(MemDisk::new(256), BufferPoolConfig::with_capacity(8)));
+        let widest = Heap::create(Arc::clone(&pool), 29).unwrap();
+        let row: Vec<i64> = (0..29).collect();
+        let ids = [widest.insert(&row).unwrap(), widest.insert(&row).unwrap()];
+        assert_ne!(ids[0].page(), ids[1].page(), "one row a page");
+        let allocated = pool.num_pages();
+        for arity in [30, 40, 64] {
+            let refused = Heap::create(Arc::clone(&pool), arity);
+            assert!(matches!(refused, Err(Error::InvalidArgument(_))), "arity {arity}");
+        }
+        assert_eq!(pool.num_pages(), allocated, "a refused create allocates nothing");
+        let meta = Heap::create(Arc::clone(&pool), 2).unwrap().meta_page();
+        pool.with_page_mut(meta, |buf| put_u32(buf, OFF_ARITY, 30)).unwrap();
+        assert!(matches!(Heap::open(Arc::clone(&pool), meta), Err(Error::Corrupt(_))));
     }
 
     #[test]

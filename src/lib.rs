@@ -106,6 +106,9 @@
 //! [`core::HotTier::insert`] / [`core::HotTier::delete`] and a query
 //! through the tier never returns a deleted interval nor misses a
 //! committed one (stress-proven in `crates/core/tests/hot_tier.rs`).
+//! Its answers keep [`core::RiTree::intersection`]'s contract: each id
+//! once, in an order fixed by the resident blocks, the tree and the
+//! query, never sorted.
 //! The `fig23_hot_tier` figure measures ≥5× fewer physical pool reads
 //! at Zipf s = 1.0 with a budget of 75% of the stored intervals.
 //!

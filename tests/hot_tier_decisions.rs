@@ -21,6 +21,7 @@ mod common;
 
 use common::golden::{fnv_answer, xorshift, Pins, FNV_SEED};
 use ri_tree::core::{HotTier, HotTierConfig, HotTierStats, Interval, RiTree};
+use ri_tree::mem::sort::sort_ids;
 use ri_tree::mem::NaiveIntervalSet;
 use ri_tree::pagestore::{BufferPool, BufferPoolConfig, MemDisk, DEFAULT_PAGE_SIZE};
 use ri_tree::relstore::Database;
@@ -63,8 +64,12 @@ const GOLDEN_TIER_STATS: [[u64; 9]; STEPS / EVERY] = [
     [1834, 2140, 64, 84, 0, 67, 297, 235, 17],
     [1924, 2239, 65, 86, 0, 69, 307, 236, 17],
 ];
-/// FNV-1a over every answer (length, then ids), in step order.
+/// FNV-1a over every answer (length, then ids), in step order, each answer
+/// in ascending id order: the answer sets.
 const GOLDEN_TIER_ANSWER_HASH: u64 = 0xedbc_6661_39e5_f434;
+/// FNV-1a over every answer (length, then ids) in the order returned: the
+/// order each path (hit, admitting miss, plain miss, bypass) produces.
+const GOLDEN_TIER_ANSWER_ORDER_HASH: u64 = 0x2306_2557_625d_96bc;
 
 /// Zipf(1) over the blocks in integer arithmetic: rank `r` weighs
 /// `10^6 / (r + 1)`, and ranks map to blocks through a fixed stride so the
@@ -142,6 +147,7 @@ fn tier_decisions_are_pinned() {
     }
 
     let mut answers = FNV_SEED;
+    let mut answer_order = FNV_SEED;
     let mut rows = Vec::new();
     for step in 1..=STEPS {
         match xorshift(&mut x) % 20 {
@@ -162,7 +168,9 @@ fn tier_decisions_are_pinned() {
                 };
                 let ids =
                     if q.lower == q.upper { tier.stab(q.lower) } else { tier.intersection(q) };
-                let ids = ids.unwrap();
+                let mut ids = ids.unwrap();
+                answer_order = fnv_answer(answer_order, &ids);
+                sort_ids(&mut ids);
                 assert_eq!(ids, oracle.intersection(q.lower, q.upper), "step {step}, query {q:?}");
                 answers = fnv_answer(answers, &ids);
             }
@@ -181,6 +189,7 @@ fn tier_decisions_are_pinned() {
     let mut pins = Pins::default();
     pins.rows("TIER_STATS", &rows, &GOLDEN_TIER_STATS);
     pins.value("TIER_ANSWER_HASH", &answers, &GOLDEN_TIER_ANSWER_HASH);
+    pins.value("TIER_ANSWER_ORDER_HASH", &answer_order, &GOLDEN_TIER_ANSWER_ORDER_HASH);
     let last = rows.last().unwrap();
     assert!(last[0] > 1_000 && last[3] > 50 && last[5] > 50 && last[6] > 50, "dull stream");
     pins.check();

@@ -17,12 +17,14 @@
 //! order a query returns them in; `READ_ANSWER_ORDER_HASH` folds every
 //! answer as returned, so it pins the RI-tree's plan order (the `UNION
 //! ALL` branches in order, each branch's outer rows in order, each index's
-//! leaf runs in key order) and the hot tier's ascending order.
+//! leaf runs in key order) and the hot tier's order (a hit's blocks in
+//! turn, an admission's snapshot, a plain miss's plan order).
 //!
 //! The constants were captured at the commit *before* the decode-free
 //! read path (PR 14) and pin that the rewrite changed time, not work;
 //! `READ_ANSWER_ORDER_HASH` was captured when queries stopped sorting
-//! their answers, which moved no page access and no answer set.
+//! their answers, and again when the hot tier stopped sorting its own;
+//! neither moved a page access or an answer set.
 //! Sibling of `tests/pool_determinism.rs`, which pins the write path.
 
 mod common;
@@ -48,7 +50,7 @@ const GOLDEN_READ_COUNTER_TRACE_HASH: u64 = 0xad22_a706_6d43_d52a;
 /// ascending id order.
 const GOLDEN_READ_ANSWER_HASH: u64 = 0x71f5_8ff1_9b25_b43f;
 /// FNV-1a over every answer (length, then ids) in the order returned.
-const GOLDEN_READ_ANSWER_ORDER_HASH: u64 = 0x924d_13b5_bd8b_c031;
+const GOLDEN_READ_ANSWER_ORDER_HASH: u64 = 0x642d_7350_5921_0143;
 
 #[test]
 fn read_path_access_sequence_is_pinned() {
