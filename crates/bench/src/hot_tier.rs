@@ -27,8 +27,8 @@
 //! Every tier answer is asserted equal to the tree's as a set (both
 //! answer in their own order, neither sorted), so the figure doubles as
 //! an end-to-end coherence check.  The wall-clock per measured query,
-//! through the tier and straight at the tree, goes on `#` lines beside
-//! each row: it is the machine's, not the model's.
+//! through the tier and straight at the tree, goes on a `#` line beside
+//! each row: it depends on the machine, so it stays out of the snapshot.
 
 use crate::harness::{f, fresh_env_with_cache, section, sorted};
 use ri_mem::{HintIndex, IntervalTree, NaiveIntervalSet, QueryCost};

@@ -258,9 +258,10 @@ impl Twins {
         Twins { tiers: [tier(), tier()], paths: [0; 4] }
     }
 
-    fn write(&self, op: impl Fn(&HotTier) -> bool) {
+    /// Applies a write to both tiers; `op` returns whether it applied.
+    fn write(&self, op: impl Fn(&HotTier) -> ri_pagestore::Result<bool>) {
         for tier in &self.tiers {
-            assert!(op(tier), "the write applies");
+            assert!(op(tier).unwrap(), "the write applies");
         }
     }
 
@@ -316,7 +317,7 @@ proptest! {
         let mut rows: Vec<Row> = Vec::new();
         for (id, &((lower, upper), _)) in stored.iter().enumerate() {
             let (iv, id) = (Interval::new(lower, upper).unwrap(), id as i64);
-            twins.write(|tier| tier.insert(iv, id).is_ok());
+            twins.write(|tier| tier.insert(iv, id).map(|()| true));
             rows.push((lower, End::Closed(upper), id));
         }
         let mut qs: Vec<Interval> =
@@ -334,7 +335,7 @@ proptest! {
         // Deletes edit the resident blocks; the queries ask them again.
         for (&((lower, upper), delete), id) in stored.iter().zip(0i64..) {
             if delete == 0 {
-                twins.write(|tier| tier.delete(Interval::new(lower, upper).unwrap(), id).unwrap());
+                twins.write(|tier| tier.delete(Interval::new(lower, upper).unwrap(), id));
                 rows.retain(|r| r.2 != id);
             }
         }
@@ -343,12 +344,12 @@ proptest! {
         }
         // An open-ended row stored: every query bypasses, then stops.
         let open = stored.len() as i64;
-        twins.write(|tier| tier.insert_open(open_lower, OpenEnd::Infinity, open).is_ok());
+        twins.write(|tier| tier.insert_open(open_lower, OpenEnd::Infinity, open).map(|()| true));
         rows.push((open_lower, End::Open(OpenEnd::Infinity), open));
         for &q in &qs {
             prop_assert_eq!(twins.query(&rows, q), Path::Bypass);
         }
-        twins.write(|tier| tier.delete_open(open_lower, OpenEnd::Infinity, open).unwrap());
+        twins.write(|tier| tier.delete_open(open_lower, OpenEnd::Infinity, open));
         rows.pop();
         for &q in &qs {
             twins.query(&rows, q);

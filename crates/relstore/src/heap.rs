@@ -605,8 +605,8 @@ mod tests {
         assert!(matches!(h.scan(), Err(Error::Corrupt(_))), "a slot count past the page");
     }
 
-    /// On 256-byte pages a slot has 240 bytes: 29 columns (233-byte slots)
-    /// fit one row a page, 30 (241 bytes) none.  A heap no row fits is
+    /// A 256-byte page has 240 bytes for slots: 29 columns (233-byte
+    /// slots) fit one row a page, 30 (241 bytes) none.  A heap no row fits is
     /// refused when it is created, and called corrupt when a meta page
     /// claims it, instead of panicking on its first insert.
     #[test]
