@@ -25,7 +25,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const ROWS: usize = 200_000;
-/// Calls per pass: at ≈ 0.7 % admitting misses, a few dozen admissions.
+/// Calls per pass: at ≈ 0.15 % admitting misses, about a dozen admissions.
 const QUERIES: usize = 8_000;
 
 fn median_us(samples: &mut [Duration]) -> f64 {

@@ -28,17 +28,22 @@
 //!   admitted on its second miss while on the ghost list, so one-off
 //!   probes into cold regions don't thrash the budget — only
 //!   re-referenced blocks earn residency.  Once the tier is at budget,
-//!   a candidate must additionally be touched more often (per a
-//!   TinyLFU-style decaying counter) than the weakest resident block:
-//!   under a skewed stream the steady tail would otherwise keep
-//!   re-qualifying via the ghost list and churn hot blocks out.
+//!   a candidate must additionally be touched at least twice as often
+//!   (per a TinyLFU-style decaying counter), and at least 2 more times,
+//!   than the weakest resident block: under a skewed stream the steady
+//!   tail would otherwise keep re-qualifying via the ghost list and
+//!   churn hot blocks out.
 //! * **Eviction is lowest-frequency-first** on the same decaying
 //!   counters the gate uses: when the cached-interval budget is
 //!   exceeded, the least-touched resident block goes (ties broken by
 //!   block number, keeping runs deterministic).  Using one metric for
 //!   both decisions means an admitted block displaces exactly the
-//!   block it beat at the gate — admission and eviction can never
-//!   disagree and churn each other.
+//!   block it beat at the gate, so within one decision admission and
+//!   eviction agree.  Across decisions, two near-equal blocks at the
+//!   budget boundary could still trade places on every other miss, each
+//!   swap a span fetch and a block build that gains nothing.  The
+//!   gate's ratio stops that: a fixed margin would sit inside the
+//!   counters' noise, whose scale varies with the traffic.
 //!
 //! **Blocks own their entries.**  A resident block is a pair of small
 //! HINTs over the block's own `2^block_bits` values: `own` holds the
@@ -76,7 +81,8 @@
 //! plus the same pass, and the victim is dropped by whoever evicted it
 //! after unlocking.  Measured on the repo benchmark's `read_zipf_tier`
 //! (1 M rows, ≈ 17.5 k fetched triples per admission, 2 cores; medians
-//! of ≈ 450 admissions a run, seeds 7 and 8), an admission takes
+//! of ≈ 450 admissions in one run each of seeds 7 and 8, counted before
+//! the gate became a ratio and cut their number), an admission takes
 //! ≈ 15–17 ms: ≈ 3 fetching, ≈ 9–10 building, ≈ 1.6 under the lock,
 //! ≈ 1.8 freeing the victim.  Filling a block triple by triple
 //! instead takes about three times as long (`cargo bench --bench micro`,
@@ -123,6 +129,14 @@ use std::sync::Mutex;
 /// Every this many block touches, all frequency counters halve (the
 /// TinyLFU aging step keeping the admission gate adaptive).
 const FREQ_DECAY_PERIOD: u64 = 2048;
+
+/// At budget, a candidate block is admitted only if its touch counter is
+/// at least this multiple of the weakest resident block's (and at least 2
+/// above it).  The counters' scale grows with [`FREQ_DECAY_PERIOD`] and
+/// shrinks with the number of blocks sharing the traffic, so a fixed
+/// margin sits inside their noise; a ratio does not, and 2 is the factor
+/// by which every counter ages each period.
+const ADMIT_RATIO: u32 = 2;
 
 /// Geometry and budget of a [`HotTier`].
 #[derive(Clone, Copy, Debug)]
@@ -258,7 +272,8 @@ struct TierState {
     ghosts: VecDeque<u64>,
     /// TinyLFU-style decaying touch counters per block (hits and
     /// misses alike); at budget, admission requires a candidate to be
-    /// touched more often than the weakest resident block.
+    /// touched [`ADMIT_RATIO`] times as often as the weakest resident
+    /// block.
     freq: HashMap<u64, u32>,
     /// Block touches since the last halving of `freq`.
     freq_touches: u64,
@@ -503,15 +518,14 @@ impl HotTier {
                 }
             }
             // TinyLFU-style gate: once admitting would push the tier
-            // over budget, a candidate must beat the weakest resident
-            // block's touch count by a margin of 2 — otherwise Zipf-tail
-            // traffic steadily churns hot blocks out, and blocks of
-            // near-equal frequency at the budget boundary keep swapping
-            // (each swap costs a span fetch and gains nothing; the
-            // margin is hysteresis against exactly that).  A rejected
-            // candidate goes back on the ghost list, so a block that
-            // keeps missing accumulates frequency and eventually wins
-            // the gate.
+            // over budget, a candidate must be touched at least
+            // `ADMIT_RATIO` times as often as the weakest resident block,
+            // and at least 2 more — otherwise Zipf-tail traffic steadily
+            // churns hot blocks out, and blocks of near-equal frequency
+            // at the budget boundary keep swapping (each swap costs a
+            // span fetch and gains nothing).  A rejected candidate goes
+            // back on the ghost list, so a block that keeps missing
+            // accumulates frequency and eventually wins the gate.
             if !admit.is_empty() && !st.resident.is_empty() {
                 let per_block = st.cached / st.resident.len();
                 if st.cached + per_block * admit.len() > self.cfg.capacity {
@@ -521,9 +535,10 @@ impl HotTier {
                         .map(|b| st.freq.get(b).copied().unwrap_or(0))
                         .min()
                         .unwrap_or(0);
+                    let bar = weakest.saturating_mul(ADMIT_RATIO).max(weakest.saturating_add(2));
                     let st = &mut *st;
                     admit.retain(|b| {
-                        if st.freq.get(b).copied().unwrap_or(0) > weakest.saturating_add(1) {
+                        if st.freq.get(b).copied().unwrap_or(0) >= bar {
                             return true;
                         }
                         if st.ghosts.len() >= self.cfg.ghost_capacity {
@@ -970,6 +985,59 @@ mod tests {
         }
         assert!(wide_hits > 50, "only {wide_hits} hits over three or more resident blocks");
         assert!(evicted > 50 && invalidations > 50, "{evicted} evictions, {invalidations}");
+    }
+
+    /// Eight equally popular blocks with room for six: once the tier is
+    /// warm, uniform traffic must not swap boundary blocks back and forth
+    /// (each swap is a span fetch and a block build that gains nothing),
+    /// while a block touched far more often than the residents still gets
+    /// in.
+    #[test]
+    fn near_equal_blocks_do_not_swap_and_a_hotter_block_gets_in() {
+        let cfg = HotTierConfig {
+            domain_lower: 0,
+            domain_bits: 9,
+            block_bits: 6,
+            capacity: 6 * 40,
+            ghost_capacity: 8,
+        };
+        let tier = fresh_tier(cfg);
+        for b in 0..8 {
+            for i in 0..40 {
+                let lower = b * 64 + i;
+                tier.insert(iv(lower, lower + 3), b * 40 + i).unwrap();
+            }
+        }
+        let check = |p: i64| {
+            let q = Interval::point(p);
+            assert_eq!(tier_answer(&tier, q), tree_answer(&tier, q), "stab {p}");
+        };
+        let mut x = 0x5EED_0008_u64;
+        let mut stab = |n: usize| {
+            for _ in 0..n {
+                check((xorshift(&mut x) % 512) as i64);
+            }
+        };
+        stab(2_000);
+        let warm = tier.stats();
+        assert_eq!(warm.resident_blocks, 6, "warm-up fills the budget: {warm:?}");
+        stab(8_000);
+        let settled = tier.stats();
+        assert_eq!(
+            (settled.admissions, settled.evicted_blocks),
+            (warm.admissions, warm.evicted_blocks),
+            "near-equal blocks swapped: {warm:?} -> {settled:?}"
+        );
+
+        let outside = (0..8u64)
+            .find(|b| !tier.state.lock().unwrap().resident.contains_key(b))
+            .expect("two blocks stay out");
+        for _ in 0..400 {
+            check(tier.block_lo(outside) + 5);
+        }
+        let hot = tier.stats();
+        assert_eq!(hot.admissions, settled.admissions + 1, "hot block {outside}: {hot:?}");
+        assert!(tier.state.lock().unwrap().resident.contains_key(&outside));
     }
 
     /// `HotTier::insert` and `delete` run the tree operation before they

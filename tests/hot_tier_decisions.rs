@@ -11,9 +11,12 @@
 //! blocks long (cached in many blocks at once), intervals straddling or
 //! outside the domain, and queries that leave it.
 //!
-//! The constants were captured at the commit *before* blocks owned their
-//! entries (PR 20; the tier then kept one global HINT and a per-interval
-//! refcount map) and pin that the rewrite changed time, not decisions.
+//! The answer-set hash was captured at the commit *before* blocks owned
+//! their entries (the tier then kept one global HINT and a per-interval
+//! refcount map) and pins that the rewrite changed time, not decisions.
+//! The stats and the answer order are policy: they were re-captured when
+//! the at-budget gate became a ratio (a candidate needs twice the weakest
+//! resident's touches), which admits and evicts less on the same answers.
 //! Sibling of `tests/read_path_trace.rs`; both print and re-capture through
 //! the golden rig, `tests/common/golden.rs`.
 
@@ -39,37 +42,37 @@ const EVERY: usize = 250;
 /// admissions, aborted_admissions, evicted_blocks, invalidations,
 /// cached_intervals, resident_blocks]`; the last row is the final state.
 const GOLDEN_TIER_STATS: [[u64; 9]; STEPS / EVERY] = [
-    [72, 92, 2, 28, 0, 9, 12, 234, 19],
-    [150, 188, 5, 35, 0, 19, 29, 232, 16],
-    [244, 264, 5, 38, 0, 22, 43, 230, 16],
-    [325, 350, 8, 39, 0, 24, 55, 233, 15],
-    [411, 435, 8, 41, 0, 25, 72, 232, 16],
-    [492, 529, 13, 44, 0, 29, 83, 232, 15],
-    [563, 625, 15, 44, 0, 29, 92, 235, 15],
-    [648, 710, 17, 44, 0, 29, 108, 233, 15],
-    [720, 807, 18, 46, 0, 30, 125, 233, 16],
-    [801, 890, 21, 47, 0, 30, 137, 240, 17],
-    [892, 973, 22, 47, 0, 31, 149, 229, 16],
-    [986, 1054, 24, 47, 0, 31, 152, 240, 16],
-    [1028, 1187, 29, 52, 0, 35, 165, 238, 17],
-    [1080, 1314, 35, 62, 0, 46, 179, 230, 16],
-    [1142, 1421, 40, 65, 0, 48, 196, 233, 17],
-    [1239, 1506, 43, 66, 0, 49, 211, 229, 17],
-    [1331, 1596, 46, 69, 0, 51, 223, 230, 18],
-    [1405, 1689, 50, 70, 0, 52, 239, 234, 18],
-    [1493, 1779, 54, 80, 0, 62, 244, 239, 18],
-    [1590, 1868, 55, 80, 0, 63, 255, 234, 17],
-    [1678, 1950, 60, 82, 0, 64, 272, 235, 18],
-    [1760, 2042, 63, 82, 0, 64, 286, 236, 18],
-    [1834, 2140, 64, 84, 0, 67, 297, 235, 17],
-    [1924, 2239, 65, 86, 0, 69, 307, 236, 17],
+    [71, 93, 2, 28, 0, 9, 12, 234, 19],
+    [149, 189, 5, 32, 0, 13, 29, 240, 19],
+    [243, 265, 5, 33, 0, 15, 40, 237, 18],
+    [326, 349, 8, 34, 0, 17, 49, 240, 17],
+    [415, 431, 8, 34, 0, 18, 66, 229, 16],
+    [495, 526, 13, 34, 0, 18, 76, 231, 16],
+    [570, 618, 15, 34, 0, 18, 87, 231, 16],
+    [659, 699, 17, 34, 0, 18, 102, 229, 16],
+    [735, 792, 18, 35, 0, 18, 120, 235, 17],
+    [816, 875, 21, 35, 0, 18, 134, 234, 17],
+    [905, 960, 22, 35, 0, 18, 147, 232, 17],
+    [1007, 1033, 24, 39, 0, 22, 150, 232, 17],
+    [1041, 1174, 29, 39, 0, 22, 163, 234, 17],
+    [1078, 1316, 35, 41, 0, 24, 178, 229, 17],
+    [1127, 1436, 40, 46, 0, 28, 198, 233, 18],
+    [1208, 1537, 43, 46, 0, 28, 213, 229, 18],
+    [1290, 1637, 46, 50, 0, 32, 228, 230, 18],
+    [1365, 1729, 50, 50, 0, 32, 243, 233, 18],
+    [1446, 1826, 54, 50, 0, 32, 251, 236, 18],
+    [1541, 1917, 55, 50, 0, 32, 261, 238, 18],
+    [1621, 2007, 60, 50, 0, 32, 278, 238, 18],
+    [1693, 2109, 63, 50, 0, 32, 292, 239, 18],
+    [1762, 2212, 64, 50, 0, 33, 303, 237, 17],
+    [1841, 2322, 65, 50, 0, 34, 312, 234, 16],
 ];
 /// FNV-1a over every answer (length, then ids), in step order, each answer
 /// in ascending id order: the answer sets.
 const GOLDEN_TIER_ANSWER_HASH: u64 = 0xedbc_6661_39e5_f434;
 /// FNV-1a over every answer (length, then ids) in the order returned: the
 /// order each path (hit, admitting miss, plain miss, bypass) produces.
-const GOLDEN_TIER_ANSWER_ORDER_HASH: u64 = 0x2306_2557_625d_96bc;
+const GOLDEN_TIER_ANSWER_ORDER_HASH: u64 = 0x403d_bd7a_8b16_aaaa;
 
 /// Zipf(1) over the blocks in integer arithmetic: rank `r` weighs
 /// `10^6 / (r + 1)`, and ranks map to blocks through a fixed stride so the
@@ -191,6 +194,9 @@ fn tier_decisions_are_pinned() {
     pins.value("TIER_ANSWER_HASH", &answers, &GOLDEN_TIER_ANSWER_HASH);
     pins.value("TIER_ANSWER_ORDER_HASH", &answer_order, &GOLDEN_TIER_ANSWER_ORDER_HASH);
     let last = rows.last().unwrap();
-    assert!(last[0] > 1_000 && last[3] > 50 && last[5] > 50 && last[6] > 50, "dull stream");
+    // The stream must keep admitting and evicting: 50 admissions and 34
+    // evictions under the ratio gate, which stopped the boundary swaps that
+    // made 36 and 35 of the 86 and 69 the absolute margin made.
+    assert!(last[0] > 1_000 && last[3] > 40 && last[5] > 30 && last[6] > 50, "dull stream");
     pins.check();
 }
