@@ -10,7 +10,12 @@
 //! stream while another thread polls [`HotTier::stats`], which takes the
 //! tier's lock: the worst latency it sees is the longest the lock was held
 //! (plus whatever the scheduler added — on a one-core runner a quantum;
-//! read it against the mean).
+//! read it against the mean).  The Zipf hot set never moves and the
+//! at-budget gate admits a candidate only at twice the weakest resident's
+//! touches, so once warm pass 1 sees about a dozen admitting misses and
+//! pass 2 a handful: both price an admission from a small sample.  The
+//! per-phase admission figures in `ritree_core::hot_tier`'s module doc
+//! come from instrumented `read_zipf_tier` runs instead.
 //!
 //! Uses only calls that predate blocks owning their entries
 //! (`HotTier::{new, insert, intersection, stats}`), so the same file runs
@@ -25,7 +30,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const ROWS: usize = 200_000;
-/// Calls per pass: at ≈ 0.15 % admitting misses, about a dozen admissions.
+/// Calls per pass: at ≈ 0.15 % admitting misses, about a dozen admissions
+/// in pass 1.
 const QUERIES: usize = 8_000;
 
 fn median_us(samples: &mut [Duration]) -> f64 {

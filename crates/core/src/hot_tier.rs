@@ -32,7 +32,11 @@
 //!   (per a TinyLFU-style decaying counter), and at least 2 more times,
 //!   than the weakest resident block: under a skewed stream the steady
 //!   tail would otherwise keep re-qualifying via the ghost list and
-//!   churn hot blocks out.
+//!   churn hot blocks out.  The ratio pays where the hot set stays put.
+//!   When it moves, a newly hot block must first reach twice the count
+//!   of a resident that is only decaying, so the tier follows the move
+//!   more slowly, and a block touched between one and two times as often
+//!   as the weakest resident stays out.
 //! * **Eviction is lowest-frequency-first** on the same decaying
 //!   counters the gate uses: when the cached-interval budget is
 //!   exceeded, the least-touched resident block goes (ties broken by
@@ -80,9 +84,11 @@
 //! is a map insert plus the counting pass above, evicting a map removal
 //! plus the same pass, and the victim is dropped by whoever evicted it
 //! after unlocking.  Measured on the repo benchmark's `read_zipf_tier`
-//! (1 M rows, ≈ 17.5 k fetched triples per admission, 2 cores; medians
-//! of ≈ 450 admissions in one run each of seeds 7 and 8, counted before
-//! the gate became a ratio and cut their number), an admission takes
+//! with the at-budget gate set to an absolute margin of 2 instead of
+//! `ADMIT_RATIO` (1 M rows, ≈ 17.5 k fetched triples per admission,
+//! 2 cores; medians of the ≈ 450 admissions that gate made in one
+//! instrumented run each of seeds 7 and 8 — the ratio gate makes about
+//! a third as many, each doing the same work), an admission takes
 //! ≈ 15–17 ms: ≈ 3 fetching, ≈ 9–10 building, ≈ 1.6 under the lock,
 //! ≈ 1.8 freeing the victim.  Filling a block triple by triple
 //! instead takes about three times as long (`cargo bench --bench micro`,
@@ -135,7 +141,9 @@ const FREQ_DECAY_PERIOD: u64 = 2048;
 /// above it).  The counters' scale grows with [`FREQ_DECAY_PERIOD`] and
 /// shrinks with the number of blocks sharing the traffic, so a fixed
 /// margin sits inside their noise; a ratio does not, and 2 is the factor
-/// by which every counter ages each period.
+/// by which every counter ages each period.  The floor of 2 above binds
+/// only while the weakest count is 0 or 1 — a cold tier, or just after a
+/// halving — where a ratio of such small counts is one touch of noise.
 const ADMIT_RATIO: u32 = 2;
 
 /// Geometry and budget of a [`HotTier`].

@@ -7,16 +7,17 @@
 //! `resident_blocks`, so a storage layout that counted differently would
 //! admit or evict differently; the stream is built to notice: 64 blocks of
 //! 64 values, a budget of a few blocks' worth so every few admissions
-//! evict, Zipf-placed queries one to four blocks wide, intervals up to 16
-//! blocks long (cached in many blocks at once), intervals straddling or
-//! outside the domain, and queries that leave it.
+//! evict, Zipf-placed queries one to four blocks wide whose hot set moves
+//! every [`PHASE`] steps, intervals up to 16 blocks long (cached in many
+//! blocks at once), intervals straddling or outside the domain, and
+//! queries that leave it.
 //!
-//! The answer-set hash was captured at the commit *before* blocks owned
-//! their entries (the tier then kept one global HINT and a per-interval
-//! refcount map) and pins that the rewrite changed time, not decisions.
-//! The stats and the answer order are policy: they were re-captured when
-//! the at-budget gate became a ratio (a candidate needs twice the weakest
-//! resident's touches), which admits and evicts less on the same answers.
+//! The answer-set hash covers the first [`ANSWER_HASH_STEPS`] steps and
+//! was captured at the commit *before* blocks owned their entries (the
+//! tier then kept one global HINT and a per-interval refcount map): it
+//! pins that the rewrite changed time, not decisions.  The stats and the
+//! answer order are policy; a change of the admission or eviction rules
+//! re-captures them, saying why.
 //! Sibling of `tests/read_path_trace.rs`; both print and re-capture through
 //! the golden rig, `tests/common/golden.rs`.
 
@@ -35,7 +36,13 @@ const BLOCK_BITS: u32 = 6;
 const DOMAIN: i64 = 1 << DOMAIN_BITS;
 const BLOCK: i64 = 1 << BLOCK_BITS;
 const BLOCKS: u64 = (DOMAIN / BLOCK) as u64;
-const STEPS: usize = 6_000;
+/// Steps between moves of the hot set: about two of the tier's counter
+/// decay periods, so each move leaves residents that must be displaced.
+const PHASE: usize = 3_000;
+const STEPS: usize = 4 * PHASE;
+/// Steps whose answer sets [`GOLDEN_TIER_ANSWER_HASH`] covers.  Every
+/// answer of every step is checked against the oracle as well.
+const ANSWER_HASH_STEPS: usize = 2 * PHASE;
 const EVERY: usize = 250;
 
 /// `HotTierStats` after every [`EVERY`] steps, as `[hits, misses, bypasses,
@@ -66,13 +73,38 @@ const GOLDEN_TIER_STATS: [[u64; 9]; STEPS / EVERY] = [
     [1693, 2109, 63, 50, 0, 32, 292, 239, 18],
     [1762, 2212, 64, 50, 0, 33, 303, 237, 17],
     [1841, 2322, 65, 50, 0, 34, 312, 234, 16],
+    [1855, 2476, 71, 52, 0, 36, 320, 229, 16],
+    [1889, 2631, 73, 54, 0, 37, 326, 234, 17],
+    [1929, 2770, 73, 55, 0, 39, 331, 233, 16],
+    [1984, 2884, 76, 56, 0, 40, 346, 230, 16],
+    [2037, 3005, 78, 57, 0, 41, 361, 229, 16],
+    [2089, 3118, 83, 58, 0, 42, 375, 234, 16],
+    [2146, 3225, 86, 59, 0, 43, 392, 235, 16],
+    [2206, 3329, 96, 59, 0, 43, 409, 236, 16],
+    [2286, 3439, 98, 59, 0, 43, 423, 232, 16],
+    [2353, 3546, 100, 60, 0, 43, 436, 237, 17],
+    [2422, 3655, 103, 60, 0, 44, 446, 234, 16],
+    [2484, 3766, 106, 60, 0, 45, 457, 237, 15],
+    [2502, 3927, 109, 61, 0, 47, 465, 233, 14],
+    [2551, 4057, 111, 61, 0, 47, 479, 235, 14],
+    [2601, 4183, 116, 61, 0, 47, 492, 232, 14],
+    [2653, 4305, 117, 61, 0, 48, 504, 219, 13],
+    [2699, 4422, 122, 62, 0, 48, 518, 231, 14],
+    [2761, 4531, 125, 62, 0, 48, 532, 227, 14],
+    [2817, 4648, 126, 64, 0, 50, 543, 234, 14],
+    [2880, 4758, 128, 64, 0, 50, 558, 231, 14],
+    [2941, 4863, 133, 64, 0, 50, 573, 227, 14],
+    [3003, 4972, 133, 66, 0, 51, 589, 238, 15],
+    [3055, 5085, 136, 66, 0, 53, 600, 227, 13],
+    [3110, 5205, 140, 66, 0, 53, 610, 230, 13],
 ];
-/// FNV-1a over every answer (length, then ids), in step order, each answer
-/// in ascending id order: the answer sets.
+/// FNV-1a over the answers of the first [`ANSWER_HASH_STEPS`] steps
+/// (length, then ids), in step order, each answer in ascending id order:
+/// the answer sets.
 const GOLDEN_TIER_ANSWER_HASH: u64 = 0xedbc_6661_39e5_f434;
 /// FNV-1a over every answer (length, then ids) in the order returned: the
 /// order each path (hit, admitting miss, plain miss, bypass) produces.
-const GOLDEN_TIER_ANSWER_ORDER_HASH: u64 = 0x403d_bd7a_8b16_aaaa;
+const GOLDEN_TIER_ANSWER_ORDER_HASH: u64 = 0xdbf7_5392_8f97_2c23;
 
 /// Zipf(1) over the blocks in integer arithmetic: rank `r` weighs
 /// `10^6 / (r + 1)`, and ranks map to blocks through a fixed stride so the
@@ -157,9 +189,10 @@ fn tier_decisions_are_pinned() {
             0..=13 => {
                 // A query at a Zipf-placed block: a stab, or a range one to
                 // four blocks wide; one in 64 leaves the domain (a bypass).
-                // The hot set moves once, halfway: old residents must go.
+                // The hot set moves every `PHASE` steps: old residents
+                // must go.
                 let r = xorshift(&mut x);
-                let shift = if step <= STEPS / 2 { 0 } else { 21 };
+                let shift = 21 * ((step - 1) / PHASE) as u64;
                 let lower = zipf_block(&mut x, shift) as i64 * BLOCK + (r % BLOCK as u64) as i64;
                 let q = if (r >> 8) % 64 == 0 {
                     Interval::new(lower, lower + DOMAIN).unwrap()
@@ -175,7 +208,9 @@ fn tier_decisions_are_pinned() {
                 answer_order = fnv_answer(answer_order, &ids);
                 sort_ids(&mut ids);
                 assert_eq!(ids, oracle.intersection(q.lower, q.upper), "step {step}, query {q:?}");
-                answers = fnv_answer(answers, &ids);
+                if step <= ANSWER_HASH_STEPS {
+                    answers = fnv_answer(answers, &ids);
+                }
             }
             14..=16 => live.push(insert(&tier, &mut oracle, &mut x)),
             _ => {
@@ -194,9 +229,6 @@ fn tier_decisions_are_pinned() {
     pins.value("TIER_ANSWER_HASH", &answers, &GOLDEN_TIER_ANSWER_HASH);
     pins.value("TIER_ANSWER_ORDER_HASH", &answer_order, &GOLDEN_TIER_ANSWER_ORDER_HASH);
     let last = rows.last().unwrap();
-    // The stream must keep admitting and evicting: 50 admissions and 34
-    // evictions under the ratio gate, which stopped the boundary swaps that
-    // made 36 and 35 of the 86 and 69 the absolute margin made.
-    assert!(last[0] > 1_000 && last[3] > 40 && last[5] > 30 && last[6] > 50, "dull stream");
+    assert!(last[0] > 1_000 && last[3] > 50 && last[5] > 50 && last[6] > 50, "dull stream");
     pins.check();
 }
