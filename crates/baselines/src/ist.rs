@@ -87,7 +87,11 @@ impl Ist {
     pub fn create(db: Arc<Database>, name: &str, order: IstOrder) -> Result<Ist> {
         let table_name = format!("IST_{name}");
         let index_name = format!("IST_{name}_IDX");
-        db.create_table(TableDef { name: table_name.clone(), columns: order.columns() })?;
+        db.create_table(TableDef {
+            name: table_name.clone(),
+            columns: order.columns(),
+            indexes: Vec::new(),
+        })?;
         db.create_index(
             &table_name,
             IndexDef { name: index_name.clone(), key_cols: order.key_cols() },
@@ -107,7 +111,11 @@ impl Ist {
     ) -> Result<Ist> {
         let table_name = format!("IST_{name}");
         let index_name = format!("IST_{name}_IDX");
-        db.create_table(TableDef { name: table_name.clone(), columns: order.columns() })?;
+        db.create_table(TableDef {
+            name: table_name.clone(),
+            columns: order.columns(),
+            indexes: Vec::new(),
+        })?;
         let table = db.table(&table_name)?;
         for (id, &(l, u)) in data.iter().enumerate() {
             table.insert(&order.row(l, u, id as i64))?;

@@ -15,8 +15,7 @@
 use ri_pagestore::Result;
 use ri_relstore::exec::CmpOp;
 use ri_relstore::{
-    BoundExpr, Database, ExecStats, IndexDef, IntervalAccessMethod, Plan, Predicate, RowId,
-    TableDef,
+    BoundExpr, Database, ExecStats, IndexDef, IntervalAccessMethod, Plan, Predicate, TableDef,
 };
 use std::sync::Arc;
 
@@ -45,18 +44,16 @@ fn max_len(partition: i64) -> i64 {
 }
 
 impl Map21 {
-    /// Creates the partitioned schema.
+    /// Creates the partitioned schema: one index keyed on every column,
+    /// which is the table (it keeps no heap).
     pub fn create(db: Arc<Database>, name: &str) -> Result<Map21> {
         let table_name = format!("M21_{name}");
         let index_name = format!("M21_{name}_IDX");
         db.create_table(TableDef {
             name: table_name.clone(),
             columns: vec!["part".into(), "lower".into(), "upper".into(), "id".into()],
+            indexes: vec![IndexDef { name: index_name.clone(), key_cols: vec![0, 1, 2, 3] }],
         })?;
-        db.create_index(
-            &table_name,
-            IndexDef { name: index_name.clone(), key_cols: vec![0, 1, 2, 3] },
-        )?;
         let table = db.table(&table_name)?;
         Ok(Map21 { db, name: name.to_string(), table_name, index_name, table })
     }
@@ -129,16 +126,7 @@ impl IntervalAccessMethod for Map21 {
     }
 
     fn am_delete(&self, lower: i64, upper: i64, id: i64) -> Result<bool> {
-        let key = [partition_of(lower, upper), lower, upper, id];
-        let index = self.table.index(&self.index_name)?;
-        let mut found = None;
-        if let Some(e) = index.scan_range(&key, &key).next() {
-            found = Some(RowId::from_raw(e?.payload));
-        }
-        match found {
-            Some(rid) => self.table.delete(rid),
-            None => Ok(false),
-        }
+        self.table.delete_row(&[partition_of(lower, upper), lower, upper, id])
     }
 
     fn am_intersection_with_stats(&self, lower: i64, upper: i64) -> Result<(Vec<i64>, ExecStats)> {

@@ -46,6 +46,7 @@ impl TileIndex {
         db.create_table(TableDef {
             name: table_name.clone(),
             columns: vec!["tile".into(), "lower".into(), "upper".into(), "id".into()],
+            indexes: Vec::new(),
         })?;
         // The covering index: one entry per (interval × tile).
         db.create_index(
@@ -69,6 +70,7 @@ impl TileIndex {
         db.create_table(TableDef {
             name: table_name.clone(),
             columns: vec!["tile".into(), "lower".into(), "upper".into(), "id".into()],
+            indexes: Vec::new(),
         })?;
         let table = db.table(&table_name)?;
         let width = 1i64 << fixed_level;

@@ -52,6 +52,7 @@ impl WindowList {
         db.create_table(TableDef {
             name: table_name.clone(),
             columns: vec!["wkey".into(), "lower".into(), "upper".into(), "id".into()],
+            indexes: Vec::new(),
         })?;
         let table = db.table(&table_name)?;
 

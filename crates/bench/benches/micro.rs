@@ -135,8 +135,7 @@ fn bench_latch(c: &mut Criterion) {
 
 /// A 100 k-row `insert_batch` into a fresh tree on a volatile pool with a
 /// frame for every page the load writes (≈ 5 k) — `read_hot`'s set-up in
-/// miniature: the fork pass, the heap append, and each index's sort and
-/// bottom-up build.  The tree of the previous iteration is dropped in the
+/// miniature: the fork pass, and each index's sort and bottom-up build.  The tree of the previous iteration is dropped in the
 /// untimed setup.
 fn bench_insert_batch(c: &mut Criterion) {
     let items: Vec<(Interval, i64)> = (0..)

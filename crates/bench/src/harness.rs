@@ -135,8 +135,12 @@ pub fn durable_db(wal_config: WalConfig) -> Database {
         .expect("durable pool"),
     );
     let db = Database::create(pool).expect("create");
-    db.create_table(TableDef { name: "T".into(), columns: vec!["a".into(), "b".into()] })
-        .expect("ddl");
+    db.create_table(TableDef {
+        name: "T".into(),
+        columns: vec!["a".into(), "b".into()],
+        indexes: Vec::new(),
+    })
+    .expect("ddl");
     db
 }
 

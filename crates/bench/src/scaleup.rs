@@ -24,8 +24,8 @@
 //!   indexes land on exactly [`ri_btree::predicted_pages`] pages per
 //!   index, so the analytic page model is verified, not assumed.  The
 //!   largest sizes are then priced from that verified model (each
-//!   device page faults in once and writes back once; heap pages scale
-//!   linearly from the largest measured anchor).
+//!   device page faults in once and writes back once; the two indexes
+//!   are the whole table, so they are all the pages a build adds).
 //! * **descent** — one interval at a time through the ordinary insert
 //!   path.  A real run at a calibration size traces the per-insert
 //!   physical I/O; larger sizes scale it by `n` and by the half-fill
@@ -100,19 +100,11 @@ pub struct Anchor {
     pub n: u64,
     /// Device pages the empty schema occupied before the batch.
     pub base_pages: u64,
-    /// Device pages after the batch (heap + indexes + catalog).
-    pub device_pages: u64,
-    /// Pages of ONE index (asserted equal to [`predicted_pages`]).
+    /// Pages of ONE index (asserted equal to [`predicted_pages`]; the
+    /// batch adds exactly two such runs to the device).
     pub per_index_pages: u64,
     /// Physical I/O of the batch, flush included.
     pub io: IoSnapshot,
-}
-
-impl Anchor {
-    /// Heap pages the batch appended.
-    fn heap_pages(&self) -> u64 {
-        self.device_pages - self.base_pages - 2 * self.per_index_pages
-    }
 }
 
 /// The traced facts of the real per-row-descent calibration run.
@@ -212,7 +204,12 @@ fn measure_bulk(n: u64) -> Anchor {
         2 * per_index,
         "bulk build must land on the predicted page count at n = {n}"
     );
-    Anchor { n, base_pages, device_pages: pool.num_pages(), per_index_pages: per_index, io }
+    assert_eq!(
+        pool.num_pages(),
+        base_pages + 2 * per_index,
+        "the two indexes are every page the build adds at n = {n}"
+    );
+    Anchor { n, base_pages, per_index_pages: per_index, io }
 }
 
 /// Traces `inserts` ordinary per-row descents on a fresh tree.
@@ -255,16 +252,15 @@ fn scale_descent(calib_count: u64, calib: &Calibration, n: u64) -> u64 {
 }
 
 /// Prices a bulk build at `n` from the verified page model and the
-/// largest measured anchor: every device page faults in once and
-/// writes back once; heap pages scale linearly with `n`.
+/// largest measured anchor's schema: every device page faults in once
+/// and writes back once.
 fn model_bulk(anchor: &Anchor, n: u64) -> (u64, u64, u64) {
     let per_index = predicted_pages(
         n,
         leaf_capacity(DEFAULT_PAGE_SIZE, INDEX_ARITY),
         internal_capacity(DEFAULT_PAGE_SIZE, INDEX_ARITY),
     );
-    let heap = (anchor.heap_pages() as u128 * n as u128).div_ceil(anchor.n as u128) as u64;
-    let pages = anchor.base_pages + heap + 2 * per_index;
+    let pages = anchor.base_pages + 2 * per_index;
     (per_index, pages, pages)
 }
 
@@ -363,8 +359,7 @@ mod tests {
         let a = measure_bulk(20_000);
         let b = measure_bulk(20_000);
         assert_eq!(a.io, b.io, "bulk build I/O must be exactly repeatable");
-        assert_eq!(a.device_pages, b.device_pages);
-        assert!(a.heap_pages() > 0);
+        assert_eq!((a.base_pages, a.per_index_pages), (b.base_pages, b.per_index_pages));
     }
 
     #[test]

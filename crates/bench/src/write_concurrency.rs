@@ -242,8 +242,10 @@ fn verify_concurrent_btree(keys: &[[i64; 3]], threads: usize) -> f64 {
     let wall = Instant::now();
     ri_relstore::fan_out(keys, threads, |key| tree.insert(&key[..], key[2] as u64))
         .into_iter()
-        .collect::<ri_pagestore::Result<()>>()
-        .expect("insert");
+        .collect::<ri_pagestore::Result<Vec<bool>>>()
+        .expect("insert")
+        .into_iter()
+        .for_each(|inserted| assert!(inserted, "keys are distinct"));
     let elapsed = wall.elapsed().as_secs_f64() * 1000.0;
     tree.check_invariants().expect("invariants after concurrent inserts");
     let mut expected: Vec<([i64; 3], u64)> = keys.iter().map(|&k| (k, k[2] as u64)).collect();

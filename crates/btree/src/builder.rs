@@ -104,9 +104,9 @@ impl<'t> BulkBuilder<'t> {
 
     fn push(&mut self, e: Entry) -> Result<()> {
         if let Some(prev) = self.prev {
-            if e < prev {
+            if e <= prev {
                 return Err(Error::InvalidArgument(
-                    "bulk_load input is not sorted by (key, payload)".to_string(),
+                    "bulk_load input is not strictly sorted by (key, payload)".to_string(),
                 ));
             }
         }
@@ -201,8 +201,8 @@ impl<'t> BulkBuilder<'t> {
 }
 
 impl BTree {
-    /// Bulk-builds this **empty** tree bottom-up from entries already
-    /// sorted by `(key, payload)`, packing every node to `fill`
+    /// Bulk-builds this **empty** tree bottom-up from distinct entries
+    /// already sorted by `(key, payload)`, packing every node to `fill`
     /// (0 < fill ≤ 1; the rightmost node of each level holds the
     /// remainder).
     ///
@@ -216,7 +216,7 @@ impl BTree {
     /// other write.
     ///
     /// Errors with `InvalidArgument` if the tree is not empty, if the
-    /// input is unsorted, if an entry's arity differs from the tree's,
+    /// input is unsorted or repeats an entry, if an entry's arity differs from the tree's,
     /// or if `fill` is out of range.  Concurrent DML *during* the build
     /// is not supported: the finished structure is installed under the
     /// meta latch, and losing an install race to a concurrent insert is

@@ -517,10 +517,14 @@ impl BTree {
     // Insert
     // ------------------------------------------------------------------
 
-    /// Inserts `(cols, payload)`.
+    /// Inserts `(cols, payload)`; returns `false`, and writes nothing, if
+    /// that exact entry is already stored.
     ///
-    /// Duplicate `(cols, payload)` pairs are permitted (the tree is a
-    /// multiset, as a relational index over a multiset table must be).
+    /// The tree is a set of entries: equal keys are told apart by their
+    /// payloads (a row id, or a column the key leaves out).  The check is
+    /// one search of the leaf the entry belongs in, under the latch the
+    /// insert takes anyway, so of racing inserts of one entry exactly one
+    /// returns `true`.
     ///
     /// Concurrency: the descent is latch-free, and an insert that does not
     /// split holds only the leaf latch, for one in-place edit — it neither
@@ -528,32 +532,37 @@ impl BTree {
     /// `writes_that_do_not_split_are_leaf_local`).  A split runs the
     /// two-phase B-link protocol described in the module docs and never
     /// excludes readers or leaf-disjoint writers.
-    pub fn insert(&self, cols: &[i64], payload: u64) -> Result<()> {
+    pub fn insert(&self, cols: &[i64], payload: u64) -> Result<bool> {
         self.check_arity(cols)?;
         let entry = Entry::new(cols, payload);
         loop {
             let meta = self.read_meta()?;
             if meta.root.is_invalid() {
                 if self.try_plant_root(entry)? {
-                    return Ok(());
+                    return Ok(true);
                 }
                 continue; // lost the empty-tree race; a root exists now
             }
             let (leaf_hint, stack) = self.descend(&meta, &entry, true)?;
             let (leaf_page, full, guard) =
                 self.latch_covering_node(leaf_hint, &entry, true, |leaf| {
-                    Overfull::of(leaf, self.leaf_cap, &entry, PageId::INVALID)
+                    (!leaf.contains(&entry))
+                        .then(|| Overfull::of(leaf, self.leaf_cap, &entry, PageId::INVALID))
                 })?;
+            let Some(full) = full else {
+                return Ok(false); // already stored
+            };
             let Some(full) = full else {
                 // Safe leaf: one latched in-place edit.  This is the
                 // parallel path — leaf-disjoint writers never touch.
                 self.edit(leaf_page, |leaf| leaf.insert(&entry))?;
-                return Ok(());
+                return Ok(true);
             };
             let (sep, right_page) = self.split(leaf_page, full)?;
             drop(guard);
             self.probe(SmoPhase::LeafSplitLinked { left: leaf_page, right: right_page });
-            return self.post_separator(stack, leaf_page, 1, sep, right_page);
+            self.post_separator(stack, leaf_page, 1, sep, right_page)?;
+            return Ok(true);
         }
     }
 
@@ -832,8 +841,8 @@ impl BTree {
     // Bulk loading
     // ------------------------------------------------------------------
 
-    /// Builds a tree from `(columns, payload)` pairs that are **already
-    /// sorted** by `(key, payload)`, packing nodes to `fill`
+    /// Builds a tree from distinct `(columns, payload)` pairs that are
+    /// **already sorted** by `(key, payload)`, packing nodes to `fill`
     /// (0 < fill <= 1).
     ///
     /// The paper bulk-loads the competitor indexes before the query

@@ -43,6 +43,34 @@ fn duplicates_with_distinct_payloads() {
     tree.check_invariants().unwrap();
 }
 
+/// An entry is stored at most once: inserting a stored `(key, payload)`
+/// returns `false` and writes nothing, across leaf splits too, and the bulk
+/// builder refuses an input that repeats an entry.
+#[test]
+fn an_entry_is_stored_at_most_once() {
+    let pool = pool_with(512, 50);
+    let tree = BTree::create(Arc::clone(&pool), 1).unwrap();
+    for p in 0..300u64 {
+        assert!(tree.insert(&[42], p).unwrap());
+    }
+    let writes = pool.stats().snapshot().logical_writes;
+    for p in 0..300u64 {
+        assert!(!tree.insert(&[42], p).unwrap(), "payload {p} stored twice");
+    }
+    assert_eq!(pool.stats().snapshot().logical_writes, writes, "a refused insert writes nothing");
+    assert_eq!(tree.entry_count().unwrap(), 300);
+    tree.check_invariants().unwrap();
+    assert!(tree.delete(&[42], 7).unwrap());
+    assert!(tree.insert(&[42], 7).unwrap(), "a deleted entry goes back in");
+
+    let bulk = BTree::create(pool, 1).unwrap();
+    let repeated = [Entry::new(&[1], 0), Entry::new(&[1], 1), Entry::new(&[1], 1)];
+    assert!(matches!(
+        bulk.bulk_build_into(repeated, 1.0),
+        Err(ri_pagestore::Error::InvalidArgument(_))
+    ));
+}
+
 #[test]
 fn delete_everything_empties_the_tree() {
     let pool = pool_with(512, 50);
@@ -325,7 +353,7 @@ fn writes_that_do_not_split_are_leaf_local() {
         assert_eq!(latched.splits, 0, "the write must not split");
         (latched.page_exclusive, logged)
     };
-    let insert = write(&|| tree.insert(&[1], 1).unwrap());
+    let insert = write(&|| assert!(tree.insert(&[1], 1).unwrap()));
     assert_eq!(insert, (1, 1), "insert: (exclusive latches, log records)");
     let delete = write(&|| assert!(tree.delete(&[4], 2).unwrap()));
     assert_eq!(delete, (1, 1), "delete: (exclusive latches, log records)");

@@ -5,7 +5,8 @@
 //! supports them all.  Each relation is answered by a *candidate query*
 //! against the relational indexes (a stabbing or intersection query chosen
 //! so that its result is a superset of the relation's result) followed by
-//! an exact predicate on the candidate bounds.  Stab-based relations touch
+//! an exact predicate on the candidate bounds, which the candidate query's
+//! index entries carry: no row is probed outside the two indexes.  Stab-based relations touch
 //! only the intervals containing one query endpoint, so they inherit the
 //! intersection query's output-sensitive cost; the inherently large
 //! *before*/*after* relations scan the matching prefix/suffix of the data
@@ -124,18 +125,20 @@ impl RiTree {
             | AllenRelation::Starts
             | AllenRelation::Equals
             | AllenRelation::Contains
-            | AllenRelation::StartedBy => self.intersection_rows(Interval::point(q.lower), now)?,
+            | AllenRelation::StartedBy => {
+                self.intersection_bounds(Interval::point(q.lower), now)?
+            }
             // These imply I contains Q.upper.
             AllenRelation::Finishes
             | AllenRelation::FinishedBy
             | AllenRelation::OverlappedBy
-            | AllenRelation::MetBy => self.intersection_rows(Interval::point(q.upper), now)?,
+            | AllenRelation::MetBy => self.intersection_bounds(Interval::point(q.upper), now)?,
             // Strictly inside Q ⇒ intersects Q.
-            AllenRelation::During => self.intersection_rows(q, now)?,
+            AllenRelation::During => self.intersection_bounds(q, now)?,
             // I.upper < Q.lower ⇒ I ⊆ [min_lower, Q.lower − 1] intersects it.
             AllenRelation::Before => match self.min_lower() {
                 Some(min) if min < q.lower => {
-                    self.intersection_rows(Interval::new(min, q.lower - 1)?, now)?
+                    self.intersection_bounds(Interval::new(min, q.lower - 1)?, now)?
                 }
                 _ => Vec::new(),
             },
@@ -143,20 +146,19 @@ impl RiTree {
             AllenRelation::After => {
                 let hi = self.max_upper().unwrap_or(i64::MIN);
                 if hi > q.upper {
-                    self.intersection_rows(Interval::new(q.upper + 1, hi)?, now)?
+                    self.intersection_bounds(Interval::new(q.upper + 1, hi)?, now)?
                 } else if self.has_open_intervals() && q.upper < i64::MAX - 2 {
                     // Open-ended intervals may start after every finite
                     // upper bound; probe the remaining space (their fork
                     // sentinels answer this — the virtual backbone is not
                     // involved).
-                    self.intersection_rows(Interval::new(q.upper + 1, i64::MAX - 2)?, now)?
+                    self.intersection_bounds(Interval::new(q.upper + 1, i64::MAX - 2)?, now)?
                 } else {
                     Vec::new()
                 }
             }
         };
-        let mut ids: Vec<i64> = self
-            .fetch_bounds(&candidates, now)?
+        let mut ids: Vec<i64> = candidates
             .into_iter()
             .filter(|(iv, _)| rel.matches(iv, &q))
             .map(|(_, id)| id)

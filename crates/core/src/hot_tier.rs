@@ -564,9 +564,9 @@ impl HotTier {
             (st.epoch, admit)
         };
         // Fetch and build outside the lock: one block-aligned, index-only
-        // tree query covering the span ([`RiTree::span_snapshot`] joins the
-        // two composite indexes instead of probing the heap per row), so
-        // the admitted blocks are complete before anyone can see them.
+        // tree query covering the span ([`RiTree::span_snapshot`]: one
+        // `lowerIndex` pass, whose entries carry both bounds), so the
+        // admitted blocks are complete before anyone can see them.
         let span = Interval { lower: self.block_lo(first), upper: self.block_hi(last) };
         let fetched = self.tree.span_snapshot(span)?;
         // One pass deals the snapshot into each admitted block's `own` and

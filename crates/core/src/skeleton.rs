@@ -20,7 +20,7 @@
 
 use crate::tree::RiTree;
 use ri_pagestore::Result;
-use ri_relstore::{Database, IndexDef, RowId, Table, TableDef};
+use ri_relstore::{Database, IndexDef, Table, TableDef};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -36,8 +36,12 @@ impl SkeletonDirectory {
     pub fn create(db: Arc<Database>, name: &str) -> Result<SkeletonDirectory> {
         let table_name = format!("RI_{name}_SKEL");
         let index_name = format!("RI_{name}_SKEL_IDX");
-        db.create_table(TableDef { name: table_name.clone(), columns: vec!["node".into()] })?;
-        db.create_index(&table_name, IndexDef { name: index_name.clone(), key_cols: vec![0] })?;
+        // One column, keyed whole: the index is the table.
+        db.create_table(TableDef {
+            name: table_name.clone(),
+            columns: vec!["node".into()],
+            indexes: vec![IndexDef { name: index_name.clone(), key_cols: vec![0] }],
+        })?;
         let table = db.table(&table_name)?;
         Ok(SkeletonDirectory { table_name, index_name, table })
     }
@@ -66,15 +70,7 @@ impl SkeletonDirectory {
 
     /// Removes `node` from the directory (after its last interval left).
     pub fn remove(&self, node: i64) -> Result<()> {
-        let index = self.table.index(&self.index_name)?;
-        let rids: Vec<RowId> = index
-            .scan_range(&[node], &[node])
-            .map(|e| e.map(|e| RowId::from_raw(e.payload)))
-            .collect::<Result<_>>()?;
-        for rid in rids {
-            self.table.delete(rid)?;
-        }
-        Ok(())
+        self.table.delete_row(&[node]).map(|_| ())
     }
 
     /// Membership probe.
@@ -90,7 +86,7 @@ impl SkeletonDirectory {
     }
 
     /// Number of materialized (non-empty) nodes, counted by walking the
-    /// directory table's heap pages: O(pages), exact on a quiescent table.
+    /// directory index's leaves: O(leaves), exact on a quiescent table.
     pub fn len(&self) -> Result<u64> {
         self.table.row_count()
     }

@@ -6,14 +6,20 @@
 //! fork-node maintenance on insert (Figures 5/6), and intersection queries
 //! compiled to the two-fold `UNION ALL` plan of Figure 9 / Figure 10.
 //!
+//! The two indexes are the table.  Each entry carries the bound its key
+//! leaves out — `lowerIndex (node, lower, id) → upper`, `upperIndex (node,
+//! upper, id) → lower` — so each covers the row, and the table keeps no
+//! heap (`ri_relstore::TableDef::indexes`): every query, delete and count
+//! reads the indexes alone, as Figure 10's plan does.
+//!
 //! # Latches vs page faults (audit)
 //!
 //! With the buffer pool's promoted miss path (device reads outside the
 //! shard lock), the RI-tree level holds no latch across a fault on any
 //! descent: query descents acquire no latches at all (the B-link trees'
 //! read paths and scan cursors are fully latch-free — see
-//! `ri_btree::tree`), and row/index writes go through the heap's and B-link
-//! trees' prefetch-before-latch sections.  The one RI-tree-level latch
+//! `ri_btree::tree`), and index writes go through the B-link trees'
+//! prefetch-before-latch sections.  The one RI-tree-level latch
 //! is the *parameter latch* ([`Database::param_guard`]): it spans
 //! in-memory parameter reads plus at most one header-page persist, which
 //! may fault.  It is deliberately *not* prefetched — whether the section
@@ -25,9 +31,8 @@
 
 use crate::interval::Interval;
 use crate::vtree::BackboneParams;
-use ri_pagestore::{Error, IdHash, Result};
-use ri_relstore::{BoundExpr, Database, ExecStats, IndexDef, Plan, Row, RowId, Table, TableDef};
-use std::collections::HashMap;
+use ri_pagestore::{Error, Result};
+use ri_relstore::{BoundExpr, Database, ExecStats, IndexDef, Plan, Row, Table, TableDef};
 use std::sync::Arc;
 
 /// Artificial, exclusive `node` value for intervals ending at *infinity*
@@ -55,7 +60,7 @@ pub enum OpenEnd {
 /// Storage footprint of an RI-tree (drives the Figure 12 comparison).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RiStorage {
-    /// Rows in the base table.
+    /// Rows in the table: `lowerIndex`'s entries.
     pub rows: u64,
     /// Entries in `lowerIndex` + `upperIndex` (= 2 per interval).
     pub index_entries: u64,
@@ -157,8 +162,8 @@ fn insertable(p: &BackboneParams, iv: Interval) -> Result<()> {
 
 impl RiTree {
     /// Creates the relational schema of Figure 2 (table plus `lowerIndex`
-    /// and `upperIndex`) and registers the backbone parameters in the data
-    /// dictionary.
+    /// and `upperIndex`, which cover it, so it keeps no heap) and registers
+    /// the backbone parameters in the data dictionary.
     pub fn create(db: Arc<Database>, name: &str) -> Result<RiTree> {
         Self::create_with_options(db, name, RiOptions::default())
     }
@@ -168,21 +173,18 @@ impl RiTree {
         let table_name = format!("RI_{name}");
         let lower_index = format!("RI_{name}_LOWER");
         let upper_index = format!("RI_{name}_UPPER");
+        // The paper includes `id` in both indexes so intersection queries
+        // are answered from the indexes alone (Figure 10: "the attribute id
+        // was included in the indexes"); each entry also carries the bound
+        // its key leaves out, so the indexes are the table.
         db.create_table(TableDef {
             name: table_name.clone(),
             columns: vec!["node".into(), "lower".into(), "upper".into(), "id".into()],
+            indexes: vec![
+                IndexDef { name: lower_index.clone(), key_cols: vec![0, 1, 3] },
+                IndexDef { name: upper_index.clone(), key_cols: vec![0, 2, 3] },
+            ],
         })?;
-        // The paper includes `id` in both indexes so intersection queries
-        // are answered from the indexes alone (Figure 10: "the attribute id
-        // was included in the indexes").
-        db.create_index(
-            &table_name,
-            IndexDef { name: lower_index.clone(), key_cols: vec![0, 1, 3] },
-        )?;
-        db.create_index(
-            &table_name,
-            IndexDef { name: upper_index.clone(), key_cols: vec![0, 2, 3] },
-        )?;
         let skeleton = if opts.skeleton {
             Some(crate::skeleton::SkeletonDirectory::create(Arc::clone(&db), name)?)
         } else {
@@ -294,6 +296,10 @@ impl RiTree {
     /// fork node and maintain the parameters, then a single relational
     /// insert costing O(log_b n) I/Os.
     ///
+    /// An `(interval, id)` the tree holds is refused with
+    /// `InvalidArgument`, and nothing is written: the tree is a set of
+    /// pairs, as its indexes are sets of entries.
+    ///
     /// Errors with `InvalidArgument` if the upper bound is a temporal
     /// sentinel ([`UPPER_NOW`] or above), or if a bound lies outside the
     /// backbone's span: shifted by the offset (fixed by the first insert),
@@ -362,25 +368,28 @@ impl RiTree {
     /// index work out over at most `threads` worker threads.
     ///
     /// Equivalent to calling [`RiTree::insert`] once per pair — queries
-    /// return the same ids — except that heap row *order* (and therefore
-    /// the internal row ids) follows the scheduler under concurrency.
+    /// return the same ids — except that the page layout of the two
+    /// indexes follows the scheduler under concurrency.
     ///
     /// The backbone parameters and the fork nodes are computed for the
     /// whole batch up front, in one pass under the parameter latch: fork
     /// nodes are stable under data-space expansion, so the node each
     /// interval gets against the parameters the intervals before it left
     /// is the one incremental insertion would have produced.  An interval
-    /// [`RiTree::insert`] would refuse fails the whole batch with
-    /// `InvalidArgument` before anything is written.  The per-row
-    /// inserts then scale through the heap's append latch and the
-    /// B-link trees' per-node write latches; with `threads <= 1` the
-    /// rows are inserted sequentially in input order.
+    /// [`RiTree::insert`] would refuse for its bounds fails the whole batch
+    /// with `InvalidArgument` before anything is written.  A pair the tree
+    /// holds, or one given twice, is refused with `InvalidArgument` too:
+    /// on the bulk path before any entry is written, on the per-row path
+    /// for that row alone, after the batch's other rows are in.  The per-row
+    /// inserts then scale through the B-link trees' per-node write
+    /// latches; with `threads <= 1` the rows are inserted sequentially in
+    /// input order.
     ///
     /// **Bulk path:** the first batch into an *empty* tree is a bulk
     /// load — no concurrent DML on that tree while it runs.  It skips
-    /// the per-row index descents entirely: the rows are appended to
-    /// the heap in input order and each index is then built bottom-up
-    /// at full fill in one sequential write pass (`O(pages)` writes
+    /// the per-row index descents entirely: each index is built bottom-up
+    /// at full fill from one reused buffer of its entries, sorted, in one
+    /// sequential write pass (`O(pages)` writes
     /// instead of `O(n log n)` descent I/Os; `threads` is not consulted,
     /// the pass is sequential by design).  This holds for a first batch
     /// of any size, small ones included: measured from 1 to 4,096 rows
@@ -431,20 +440,22 @@ impl RiTree {
             }
             rows
         };
-        // Phase 2: heap rows and index entries.  A batch into an empty
-        // table (asked of the heap, which stops at its first live row)
-        // takes the bulk path — heap rows appended in input order,
-        // then each index's entries sorted as compact fixed-width rows in
-        // one reused buffer and built bottom-up in one sequential write
+        // Phase 2: index entries.  A batch into an empty table (asked of
+        // `lowerIndex`, which stops at its first entry) takes the bulk
+        // path — each index's entries sorted as compact fixed-width rows
+        // in one reused buffer and built bottom-up in one sequential write
         // pass with no per-row descents; everything else fans the per-row
         // inserts out over the worker threads.
-        if self.table.is_empty()? {
+        // A row refused there (a pair the tree holds) fails the batch after
+        // the others are in and phase 3 has covered them.
+        let written = if self.table.is_empty()? {
             self.table.bulk_insert(&rows)?;
+            Ok(())
         } else {
-            ri_relstore::fan_out(&rows, threads, |row| self.table.insert(row).map(|_| ()))
+            ri_relstore::fan_out(&rows, threads, |row| self.table.insert(row))
                 .into_iter()
-                .collect::<Result<()>>()?;
-        }
+                .collect::<Result<()>>()
+        };
         // Phase 3: skeleton directory and bound bookkeeping, once.
         if let Some(dir) = &self.skeleton {
             let _guard = self.db.param_guard();
@@ -457,7 +468,8 @@ impl RiTree {
         }
         let min_lower = items.iter().map(|&(iv, _)| iv.lower).min().expect("non-empty batch");
         let max_upper = items.iter().map(|&(iv, _)| iv.upper).max().expect("non-empty batch");
-        self.track_bounds(min_lower, Some(max_upper))
+        self.track_bounds(min_lower, Some(max_upper))?;
+        written
     }
 
     /// Inserts an open-ended temporal interval `[lower, now]` or
@@ -486,49 +498,28 @@ impl RiTree {
         let Some(node) = p.fork_of(iv.lower, iv.upper) else {
             return Ok(false);
         };
-        self.delete_exact(node, iv.lower, Some(iv.upper), id)
+        self.delete_exact(node, iv.lower, iv.upper, id)
     }
 
     /// Deletes an open-ended interval inserted with [`RiTree::insert_open`].
     pub fn delete_open(&self, lower: i64, end: OpenEnd, id: i64) -> Result<bool> {
-        let (node, counter) = match end {
-            OpenEnd::Infinity => (FORK_INF, &self.keys.n_inf),
-            OpenEnd::Now => (FORK_NOW, &self.keys.n_now),
+        let (node, upper, counter) = match end {
+            OpenEnd::Infinity => (FORK_INF, UPPER_INF, &self.keys.n_inf),
+            OpenEnd::Now => (FORK_NOW, UPPER_NOW, &self.keys.n_now),
         };
-        let deleted = self.delete_exact(node, lower, None, id)?;
+        let deleted = self.delete_exact(node, lower, upper, id)?;
         if deleted {
             self.bump_counter(counter, -1)?;
         }
         Ok(deleted)
     }
 
-    fn delete_exact(&self, node: i64, lower: i64, upper: Option<i64>, id: i64) -> Result<bool> {
-        let index = self.table.index(&self.lower_index)?;
-        let key = [node, lower, id];
-        // Locate the victim first, then delete.  Since the B-link
-        // refactor a cursor is latch-free, so deleting under a live
-        // cursor would be legal too — but scoping the cursor keeps the
-        // probe's page accesses cleanly separated from the delete's in
-        // the deterministic I/O traces, and costs nothing.
-        let target = {
-            let mut found = None;
-            for entry in index.scan_range(&key, &key) {
-                let entry = entry?;
-                let rid = RowId::from_raw(entry.payload);
-                let Some(row) = self.table.fetch(rid)? else {
-                    continue;
-                };
-                if upper.is_none_or(|u| row[2] == u) {
-                    found = Some(rid);
-                    break;
-                }
-            }
-            found
-        };
-        let deleted = match target {
-            Some(rid) => self.table.delete(rid)?,
-            None => false,
-        };
+    /// Deletes the row `(node, lower, upper, id)`: every caller knows the
+    /// stored upper bound (the interval's, or its open end's sentinel), so
+    /// both entries are named without a read.  The `lowerIndex` delete is
+    /// the claim among racing deletes ([`Table::delete_row`]).
+    fn delete_exact(&self, node: i64, lower: i64, upper: i64, id: i64) -> Result<bool> {
+        let deleted = self.table.delete_row(&[node, lower, upper, id])?;
         if deleted {
             if let Some(dir) = &self.skeleton {
                 // If the node just lost its last interval, retire it from
@@ -548,7 +539,7 @@ impl RiTree {
     }
 
     /// Number of stored intervals (including open-ended ones), counted by
-    /// walking the table's heap pages: O(pages), exact on a quiescent tree.
+    /// walking `lowerIndex`'s leaves: O(leaves), exact on a quiescent tree.
     pub fn count(&self) -> Result<u64> {
         self.table.row_count()
     }
@@ -559,9 +550,8 @@ impl RiTree {
     }
 
     /// Storage footprint (Figure 12's metric: number of index entries).
-    /// The rows are counted by walking the heap's pages and the entries by
-    /// walking both indexes' leaves (`BTree::entry_count`), so this costs
-    /// O(pages + leaves).
+    /// The rows and the entries are counted by walking the indexes' leaves
+    /// (`BTree::entry_count`), so this costs O(leaves).
     pub fn storage(&self) -> Result<RiStorage> {
         let (lower, upper) =
             (self.table.index(&self.lower_index)?, self.table.index(&self.upper_index)?);
@@ -582,6 +572,14 @@ impl RiTree {
     /// `now` resolves now-relative intervals (Section 4.6); pass anything
     /// when the tree holds none.
     pub fn intersection_plan(&self, q: Interval, now: i64) -> Result<Plan> {
+        Ok(Plan::UnionAll(self.intersection_branches(q, now)?.into()))
+    }
+
+    /// The two branches of [`RiTree::intersection_plan`]'s `UNION ALL`:
+    /// `leftNodes ⋈ upperIndex`, whose rows are `(node, upper, id,
+    /// lower)`, and `rightNodes ⋈ lowerIndex`, whose rows are `(node,
+    /// lower, id, upper)`.
+    fn intersection_branches(&self, q: Interval, now: i64) -> Result<[Plan; 2]> {
         let p = self.load_params()?;
         let mut nodes = p.query_nodes(q.lower, q.upper);
         if let Some(dir) = &self.skeleton {
@@ -596,7 +594,7 @@ impl RiTree {
             nodes.right = right;
         }
         let left_rows = nodes.left.iter().map(|&(a, b)| vec![a, b]).collect();
-        Ok(Plan::UnionAll(self.node_branches(q, now, left_rows, 1, &nodes.right)))
+        Ok(self.node_branches(q, now, left_rows, 1, &nodes.right))
     }
 
     /// `NESTED LOOPS` of a transient node collection driving an index
@@ -631,7 +629,7 @@ impl RiTree {
         left_rows: Vec<Row>,
         left_max: usize,
         right: &[i64],
-    ) -> Vec<Plan> {
+    ) -> [Plan; 2] {
         let mut right_rows: Vec<Row> = right.iter().map(|&w| vec![w]).collect();
         // Temporal sentinels: fork∞ always participates; fork_now exactly
         // if the query begins in the past (Section 4.6).  To keep the I/O
@@ -643,7 +641,7 @@ impl RiTree {
         if self.counter(&self.keys.n_now) > 0 && q.lower <= now {
             right_rows.push(vec![FORK_NOW]);
         }
-        vec![
+        [
             // i.node BETWEEN left.min AND left.max AND i.upper >= :lower
             self.node_join(
                 "LEFT_NODES",
@@ -676,7 +674,7 @@ impl RiTree {
         // exact node list again, the BETWEEN condition becomes its own
         // branch.
         let left_rows = nodes.left.iter().filter(|(a, b)| a == b).map(|&(w, _)| vec![w]).collect();
-        let mut branches = self.node_branches(q, now, left_rows, 0, &nodes.right);
+        let mut branches = Vec::from(self.node_branches(q, now, left_rows, 0, &nodes.right));
         if let (Some(l), Some(u)) = (p.shift(q.lower), p.shift(q.upper)) {
             // i.node BETWEEN :lower − offset AND :upper − offset.
             branches.push(Plan::IndexRangeScan {
@@ -699,7 +697,7 @@ impl RiTree {
         }
         let nodes = p.query_nodes(q.lower, q.upper);
         let left_rows = nodes.left.iter().map(|&(a, b)| vec![a, b]).collect();
-        Ok(Plan::UnionAll(self.node_branches(q, now, left_rows, 1, &nodes.right)))
+        Ok(Plan::UnionAll(self.node_branches(q, now, left_rows, 1, &nodes.right).into()))
     }
 
     /// Executes an arbitrary plan built by one of the plan constructors and
@@ -707,7 +705,7 @@ impl RiTree {
     /// benchmarks).
     ///
     /// The `id` column (position 2 in every id-plan's output rows: `node,
-    /// lower-or-upper, id, rowid`) is gathered out of each leaf run the
+    /// lower-or-upper, id, upper-or-lower`) is gathered out of each leaf run the
     /// executor pushes, straight into the id vector — the one place that
     /// knows the result-row layout.  Like Figure 9's query, which has no
     /// `ORDER BY`, the ids come back as the plan produces them:
@@ -816,102 +814,78 @@ impl RiTree {
         Ok(ri_relstore::explain::explain(&self.intersection_plan(q, UPPER_NOW - 1)?))
     }
 
-    /// Fetches `(interval, id)` rows for candidate result rows; used by the
-    /// Allen-relation queries to apply exact predicates.
-    pub(crate) fn fetch_bounds(&self, rows: &[Row], now: i64) -> Result<Vec<(Interval, i64)>> {
-        let mut out = Vec::with_capacity(rows.len());
-        for r in rows {
-            let rid = RowId::from_raw(r[3] as u64);
-            let Some(full) = self.table.fetch(rid)? else {
-                continue;
-            };
-            let upper = match full[2] {
-                UPPER_INF => i64::MAX,
-                UPPER_NOW => now,
-                u => u,
-            };
-            if upper < full[1] {
-                // A now-interval whose start lies in the future of `now`
-                // is not yet valid.
-                continue;
-            }
-            out.push((Interval { lower: full[1], upper }, full[3]));
+    /// Every stored interval intersecting `q`, with its bounds, read off
+    /// the entries the two branch scans of [`RiTree::intersection_plan`]
+    /// return — no probe outside the two indexes.  Now-relative intervals
+    /// end at `now`, and one that starts after `now` is not yet valid.
+    /// The Allen relations' candidates (Section 4.5).
+    pub(crate) fn intersection_bounds(
+        &self,
+        q: Interval,
+        now: i64,
+    ) -> Result<Vec<(Interval, i64)>> {
+        let [left, right] = self.intersection_branches(q, now)?;
+        let mut stats = ExecStats::default();
+        let mut out = Vec::new();
+        // Column of the lower and of the upper bound in each branch's rows.
+        for (plan, lower, upper) in [(left, 3, 1), (right, 1, 3)] {
+            self.db.execute_with(&plan, &mut stats, &mut |rows| {
+                for r in rows.iter() {
+                    let iv = Interval {
+                        lower: r.get(lower),
+                        upper: match r.get(upper) {
+                            UPPER_INF => i64::MAX,
+                            UPPER_NOW => now,
+                            u => u,
+                        },
+                    };
+                    if iv.lower <= iv.upper {
+                        out.push((iv, r.get(2)));
+                    }
+                }
+            })?;
         }
         Ok(out)
     }
 
-    /// Executes an intersection plan and returns the raw result rows
-    /// (key columns + rowid), for callers that post-process candidates.
-    pub(crate) fn intersection_rows(&self, q: Interval, now: i64) -> Result<Vec<Row>> {
-        let plan = self.intersection_plan(q, now)?;
-        let mut stats = ExecStats::default();
-        self.db.execute(&plan, &mut stats)
-    }
-
     /// Index-only bulk fetch of every *closed* stored interval
-    /// intersecting `q`, **with bounds**: scans the full node partitions
-    /// along the query paths in *both* composite indexes and joins them
-    /// on `(node, id)` — each table row has one entry per index at the
-    /// same `node`, so `(lower, upper)` reconstructs from a handful of
-    /// sequential leaf scans instead of one random heap probe per
-    /// candidate ([`RiTree::fetch_bounds`]'s cost).  This is the hot
+    /// intersecting `q`, **with bounds**: one pass over the full node
+    /// partitions along the query paths in `lowerIndex`, whose entries
+    /// `(node, lower, id) → upper` hold whole rows.  This is the hot
     /// tier's block-admission path, where the fetch spans whole cache
-    /// blocks and heap-probe amplification would dwarf the reads the
-    /// tier exists to save.
+    /// blocks.
     ///
-    /// The scans drop the plan's bound filters (whole partitions are
-    /// read, and each pass filters its own bound as the rows stream by:
-    /// the first drops what starts after `q`, the second what ends before
-    /// it), which is correct because the left-path, covered and right-path
-    /// node sets are disjoint — the same Section 4.2 argument that makes
-    /// the id plan duplicate-free.
+    /// The scan drops the plan's bound filters (whole partitions are
+    /// read, and the rows that start after `q` or end before it are
+    /// dropped as they stream by), which is correct because the
+    /// left-path, covered and right-path node sets are disjoint — the
+    /// same Section 4.2 argument that makes the id plan duplicate-free.
     /// Open-ended intervals are skipped (callers bypass the tier while
-    /// any are stored), and ids must be distinct, as everywhere on the
-    /// query path.
+    /// any are stored).
     pub(crate) fn span_snapshot(&self, q: Interval) -> Result<Vec<(Interval, i64)>> {
         let p = self.load_params()?;
         let nodes = p.query_nodes(q.lower, q.upper);
         let mut ranges: Vec<Row> = nodes.left.iter().map(|&(a, b)| vec![a, b]).collect();
         ranges.extend(nodes.right.iter().map(|&w| vec![w, w]));
-        let mut plan = self.node_join(
+        let plan = self.node_join(
             "SPAN_NODES",
             ranges,
             &self.lower_index,
             vec![BoundExpr::Outer(0), BoundExpr::NegInf, BoundExpr::NegInf],
             vec![BoundExpr::Outer(1), BoundExpr::PosInf, BoundExpr::PosInf],
         );
-        let mut stats = ExecStats::default();
-        // Pass 1, lowerIndex rows `(node, lower, id, rowid)`: every row that
-        // does not start after `q` takes its output slot, upper bound
-        // pending.  `UPPER_INF` is the placeholder: a slot the second pass
-        // never fills is dropped below exactly like an open-ended interval.
         let mut out = Vec::new();
-        let mut nodes = Vec::new();
-        self.db.execute_with(&plan, &mut stats, &mut |rows| {
-            for r in rows.iter().filter(|r| r.get(1) <= q.upper) {
-                nodes.push(r.get(0));
-                out.push((Interval { lower: r.get(1), upper: UPPER_INF }, r.get(2)));
-            }
+        // Rows `(node, lower, id, upper)`.
+        self.db.execute_with(&plan, &mut ExecStats::default(), &mut |rows| {
+            let meets = |r: &ri_relstore::RowRef<'_>| {
+                r.get(1) <= q.upper && q.lower <= r.get(3) && r.get(3) < UPPER_NOW
+            };
+            out.extend(
+                rows.iter()
+                    .filter(meets)
+                    .map(|r| (Interval { lower: r.get(1), upper: r.get(3) }, r.get(2))),
+            );
         })?;
-        let mut slot_of = HashMap::with_capacity_and_hasher(out.len(), IdHash::default());
-        slot_of
-            .extend(nodes.into_iter().zip(&out).enumerate().map(|(s, (n, &(_, id)))| ((n, id), s)));
-        // Pass 2, the same nodes of upperIndex, rows `(node, upper, id,
-        // rowid)`: each that does not end before `q` streams into the slot
-        // of its `(node, id)`.
-        let Plan::NestedLoops { inner, .. } = &mut plan else { unreachable!("node_join joins") };
-        let Plan::IndexRangeScan { index, .. } = inner.as_mut() else {
-            unreachable!("node_join's inner plan is an index scan")
-        };
-        index.clone_from(&self.upper_index);
-        self.db.execute_with(&plan, &mut stats, &mut |rows| {
-            for r in rows.iter().filter(|r| r.get(1) >= q.lower) {
-                if let Some(&slot) = slot_of.get(&(r.get(0), r.get(2))) {
-                    out[slot].0.upper = r.get(1);
-                }
-            }
-        })?;
-        out.retain(|(iv, _)| iv.upper < UPPER_NOW);
         Ok(out)
     }
 
@@ -1435,15 +1409,16 @@ mod tests {
         assert_eq!(reopened.intersection(q).unwrap(), skel.intersection(q).unwrap());
     }
 
-    /// `span_snapshot` against a heap scan: exactly the closed intervals
-    /// meeting the span, each once with its true bounds.  The node
-    /// partitions it scans also hold intervals that start after the span
-    /// or end before it — its two passes drop those before the join — and
-    /// the open-ended rows are never reported.
+    /// `span_snapshot` against the rows inserted: exactly the closed
+    /// intervals meeting the span, each once with its true bounds.  The
+    /// node partitions it scans also hold intervals that start after the
+    /// span or end before it — its pass drops those — and the open-ended
+    /// rows are never reported.
     #[test]
-    fn span_snapshot_is_the_heap_rows_meeting_the_span() {
+    fn span_snapshot_is_the_rows_meeting_the_span() {
         let (_db, tree) = fresh();
         let mut x = 0x5EA_u64;
+        let mut inserted = Vec::new();
         for id in 0..2_000 {
             x ^= x << 13;
             x ^= x >> 7;
@@ -1451,10 +1426,19 @@ mod tests {
             let l = (x % 100_000) as i64;
             let len = ((x >> 40) % if id % 10 == 0 { 20_000 } else { 600 }) as i64;
             tree.insert(Interval::new(l, l + len).unwrap(), id).unwrap();
+            inserted.push((l, l + len, id));
         }
         tree.insert_open(30_000, OpenEnd::Infinity, 5_000).unwrap();
         tree.insert_open(31_000, OpenEnd::Now, 5_001).unwrap();
-        let rows: Vec<Row> = tree.table.scan().unwrap().into_iter().map(|(_, r)| r).collect();
+        // Rows `(node, lower, upper, id)`; fork nodes are stable under
+        // data-space expansion, so the final parameters name them.
+        let p = tree.load_params().unwrap();
+        let mut rows: Vec<Row> = inserted
+            .into_iter()
+            .map(|(l, u, id)| vec![p.fork_of(l, u).unwrap(), l, u, id])
+            .collect();
+        rows.push(vec![FORK_INF, 30_000, UPPER_INF, 5_000]);
+        rows.push(vec![FORK_NOW, 31_000, UPPER_NOW, 5_001]);
         let (mut starting_after, mut ending_before) = (0, 0);
         for (ql, qu) in [(0, 16_383), (40_000, 49_151), (98_304, 131_071), (-10, 5), (50, 50)] {
             let q = Interval::new(ql, qu).unwrap();

@@ -18,6 +18,9 @@ use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+#[path = "../../../tests/common/twins.rs"]
+mod twins;
+
 fn fresh_tier(cfg: HotTierConfig) -> HotTier {
     let pool = Arc::new(BufferPool::new(
         MemDisk::new(DEFAULT_PAGE_SIZE),
@@ -117,6 +120,7 @@ fn tier_matches_oracle_after_every_operation() {
     assert!(stats.hits > 0, "the cache never served a query: {stats:?}");
     assert!(stats.admissions > 0, "nothing was ever admitted: {stats:?}");
     assert!(stats.invalidations > 0, "no delete ever hit a cached entry: {stats:?}");
+    twins::assert_twins(tier.tree(), "after the mixed stream");
 }
 
 /// The zero-stale-reads contract in its sharpest form: admit a block,
@@ -262,6 +266,7 @@ fn concurrent_writers_and_readers_see_no_stale_reads() {
     let stats = tier.stats();
     assert!(stats.hits > 0, "the stress never exercised the cache: {stats:?}");
     assert!(stats.admissions > 0, "{stats:?}");
+    twins::assert_twins(tier.tree(), "after the concurrent stress");
 }
 
 /// Generous bound for "the other thread gets scheduled"; reached only on a

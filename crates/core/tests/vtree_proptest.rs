@@ -97,11 +97,16 @@ fn fresh_tree() -> RiTree {
     RiTree::create(Arc::new(Database::create(pool).unwrap()), "t").unwrap()
 }
 
-/// The node column of the tree's rows, by id.
+/// The node column of the tree's rows, by id, off `lowerIndex`'s
+/// entries `(node, lower, id) → upper`.
 fn nodes_by_id(tree: &RiTree) -> Vec<(i64, i64)> {
     let table = tree.db().table(tree.table_name()).unwrap();
-    let mut nodes: Vec<(i64, i64)> =
-        table.scan().unwrap().into_iter().map(|(_, row)| (row[3], row[0])).collect();
+    let lower = table.index(&format!("{}_LOWER", tree.table_name())).unwrap();
+    let mut nodes: Vec<(i64, i64)> = lower
+        .scan_all()
+        .map(|e| e.map(|e| (e.key.col(2), e.key.col(0))))
+        .collect::<ri_pagestore::Result<_>>()
+        .unwrap();
     nodes.sort_unstable();
     nodes
 }

@@ -42,7 +42,7 @@ impl std::fmt::Display for PageId {
 }
 
 /// The hasher of the workspace's maps keyed by integer ids: the buffer
-/// pool's page tables and `RiTree::span_snapshot`'s `(node, id)` join.
+/// pool's page tables and the latch manager's held sets.
 /// One add and one multiply per word, where SipHash was most of a probe's
 /// time.  Keys that someone chose to collide can slow such a map down;
 /// they cannot change what it holds.

@@ -37,7 +37,8 @@ pub trait IntervalAccessMethod {
     /// Total index entries maintained (Figure 12's storage metric).
     fn am_index_entries(&self) -> Result<u64>;
 
-    /// Number of stored intervals: a walk of the table's heap pages,
-    /// O(pages), exact on a quiescent table.
+    /// Number of stored intervals: a walk of the table's heap pages, or
+    /// of its first index's leaves where the indexes are the table (the
+    /// RI-tree's), O(pages), exact on a quiescent table.
     fn am_count(&self) -> Result<u64>;
 }

@@ -15,7 +15,11 @@ use ri_pagestore::codec::{get_i64, get_u16, get_u32, get_u64, put_i64, put_u16, 
 use ri_pagestore::{BufferPool, Error, PageId, Result};
 use std::sync::Arc;
 
-const DB_MAGIC: u32 = 0x5249_4442; // "RIDB"
+/// Catalog format 2, whose heap meta page is [`PageId::INVALID`] for a
+/// table its indexes cover.
+const DB_MAGIC: u32 = 0x3244_4952; // "RID2"
+/// Format 1, refused: every table had a heap, every entry a row id.
+const DB_MAGIC_V1: u32 = 0x5249_4442; // "RIDB"
 const HEADER_PAGE: PageId = PageId(0);
 const MAX_NAME: usize = 63;
 
@@ -26,6 +30,14 @@ pub struct TableDef {
     pub name: String,
     /// Column names; all columns are `i64`.
     pub columns: Vec<String>,
+    /// Indexes created with the table.  If there is at least one and each
+    /// index's key leaves out at most one column, every index covers the
+    /// row and the table keeps **no heap**: an entry carries the column its
+    /// key leaves out as its payload (0 when the key holds every column),
+    /// and the indexes take no further [`Database::create_index`].
+    /// Otherwise the table keeps a heap, and each entry carries its row's
+    /// [`RowId`](crate::RowId).
+    pub indexes: Vec<IndexDef>,
 }
 
 /// Definition of a new secondary index (DDL `CREATE INDEX`).
@@ -52,8 +64,16 @@ pub(crate) struct IndexMeta {
 pub(crate) struct TableMeta {
     pub name: String,
     pub columns: Vec<String>,
-    pub heap_meta: PageId,
+    /// `None` for a table its indexes cover ([`TableDef::indexes`]).
+    pub heap_meta: Option<PageId>,
     pub indexes: Vec<IndexMeta>,
+}
+
+/// Whether indexes keyed on `key_cols` cover a table of `n_cols` columns:
+/// there is at least one, and each key leaves out at most one column.
+pub(crate) fn covering<'a>(n_cols: usize, keys: impl IntoIterator<Item = &'a [usize]>) -> bool {
+    let mut keys = keys.into_iter().peekable();
+    keys.peek().is_some() && keys.all(|key| (0..n_cols).filter(|c| !key.contains(c)).count() <= 1)
 }
 
 #[derive(Default, Debug)]
@@ -175,7 +195,8 @@ impl Database {
     // DDL
     // ------------------------------------------------------------------
 
-    /// Creates an empty table.
+    /// Creates an empty table and the indexes declared with it; the table
+    /// keeps a heap unless those indexes cover it ([`TableDef::indexes`]).
     pub fn create_table(&self, def: TableDef) -> Result<()> {
         check_name(&def.name)?;
         for c in &def.columns {
@@ -188,39 +209,50 @@ impl Database {
         if cat.tables.iter().any(|t| t.name == def.name) {
             return Err(Error::InvalidArgument(format!("table {} already exists", def.name)));
         }
-        let heap = Heap::create(Arc::clone(&self.pool), def.columns.len())?;
-        cat.tables.push(TableMeta {
-            name: def.name,
-            columns: def.columns,
-            heap_meta: heap.meta_page(),
-            indexes: Vec::new(),
-        });
+        for (i, idx) in def.indexes.iter().enumerate() {
+            let names = def.indexes[..i].iter().map(|i| i.name.as_str());
+            check_index(&def.name, def.columns.len(), names, idx)?;
+        }
+        let keys = def.indexes.iter().map(|i| i.key_cols.as_slice());
+        let heap_meta = match covering(def.columns.len(), keys) {
+            true => None,
+            false => Some(Heap::create(Arc::clone(&self.pool), def.columns.len())?.meta_page()),
+        };
+        // A new table is empty, and so is each of its indexes.
+        let indexes = def
+            .indexes
+            .into_iter()
+            .map(|idx| {
+                let tree = BTree::create(Arc::clone(&self.pool), idx.key_cols.len())?;
+                Ok(IndexMeta {
+                    name: idx.name,
+                    key_cols: idx.key_cols,
+                    btree_meta: tree.meta_page(),
+                })
+            })
+            .collect::<Result<_>>()?;
+        cat.tables.push(TableMeta { name: def.name, columns: def.columns, heap_meta, indexes });
         self.persist_locked(&cat)
     }
 
-    /// Creates a secondary index, bulk-building it from existing rows.
+    /// Creates a secondary index on a table that keeps a heap,
+    /// bulk-building it from the existing rows.  A table its indexes cover
+    /// takes no further index.
     pub fn create_index(&self, table: &str, def: IndexDef) -> Result<()> {
-        check_name(&def.name)?;
         let mut cat = self.catalog.write();
         let tmeta = cat
             .tables
             .iter_mut()
             .find(|t| t.name == table)
             .ok_or_else(|| Error::InvalidArgument(format!("no such table {table}")))?;
-        if tmeta.indexes.iter().any(|i| i.name == def.name) {
-            return Err(Error::InvalidArgument(format!("index {} already exists", def.name)));
-        }
-        if def.key_cols.is_empty()
-            || def.key_cols.len() > ri_btree::MAX_ARITY
-            || def.key_cols.iter().any(|&c| c >= tmeta.columns.len())
-        {
-            return Err(Error::InvalidArgument(format!(
-                "invalid key columns {:?} for table {table}",
-                def.key_cols
-            )));
-        }
+        let names = tmeta.indexes.iter().map(|i| i.name.as_str());
+        check_index(table, tmeta.columns.len(), names, &def)?;
+        let Some(heap_meta) = tmeta.heap_meta else {
+            let msg = format!("table {table} keeps no heap: its indexes are declared with it");
+            return Err(Error::InvalidArgument(msg));
+        };
         // Bulk-build from the current heap contents.
-        let heap = Heap::open(Arc::clone(&self.pool), tmeta.heap_meta)?;
+        let heap = Heap::open(Arc::clone(&self.pool), heap_meta)?;
         let mut entries: Vec<(Vec<i64>, u64)> = heap
             .scan()?
             .into_iter()
@@ -338,6 +370,35 @@ fn check_name(name: &str) -> Result<()> {
     Ok(())
 }
 
+/// Checks a new index of `table` (`n_cols` columns) against the names of
+/// the indexes it already has.
+fn check_index<'a>(
+    table: &str,
+    n_cols: usize,
+    mut names: impl Iterator<Item = &'a str>,
+    def: &IndexDef,
+) -> Result<()> {
+    check_name(&def.name)?;
+    if names.any(|name| name == def.name) {
+        return Err(Error::InvalidArgument(format!("index {} already exists", def.name)));
+    }
+    if !valid_key(n_cols, &def.key_cols) {
+        return Err(Error::InvalidArgument(format!(
+            "invalid key columns {:?} for table {table}",
+            def.key_cols
+        )));
+    }
+    Ok(())
+}
+
+/// The conditions on an index key that DML relies on: it indexes rows by
+/// these positions unchecked.
+fn valid_key(n_cols: usize, key_cols: &[usize]) -> bool {
+    !key_cols.is_empty()
+        && key_cols.len() <= ri_btree::MAX_ARITY
+        && key_cols.iter().all(|&c| c < n_cols)
+}
+
 // ----------------------------------------------------------------------
 // Header page encoding
 // ----------------------------------------------------------------------
@@ -428,7 +489,7 @@ fn encode_catalog(cat: &Catalog, page_size: usize) -> Result<Vec<u8>> {
         for c in &t.columns {
             cur.put_str(c)?;
         }
-        cur.put_u64(t.heap_meta.raw())?;
+        cur.put_u64(t.heap_meta.unwrap_or(PageId::INVALID).raw())?;
         cur.put_u8(t.indexes.len() as u8)?;
         for i in &t.indexes {
             cur.put_str(&i.name)?;
@@ -447,8 +508,10 @@ fn encode_catalog(cat: &Catalog, page_size: usize) -> Result<Vec<u8>> {
 }
 
 fn decode_catalog(buf: &[u8]) -> Result<Catalog> {
-    if get_u32(buf, 0) != DB_MAGIC {
-        return Err(Error::Corrupt("header page magic mismatch — not a database".to_string()));
+    match get_u32(buf, 0) {
+        DB_MAGIC => {}
+        DB_MAGIC_V1 => return Err(Error::Corrupt("catalog format 1 is not readable".to_string())),
+        _ => return Err(Error::Corrupt("header page magic mismatch — not a database".to_string())),
     }
     let n_tables = get_u16(buf, 4) as usize;
     let n_params = get_u16(buf, 6) as usize;
@@ -458,7 +521,7 @@ fn decode_catalog(buf: &[u8]) -> Result<Catalog> {
         let name = r.get_str()?;
         let n_cols = r.get_u8()? as usize;
         let columns = (0..n_cols).map(|_| r.get_str()).collect::<Result<Vec<_>>>()?;
-        let heap_meta = PageId(r.get_u64()?);
+        let heap_meta = Some(PageId(r.get_u64()?)).filter(|p| !p.is_invalid());
         let n_idx = r.get_u8()? as usize;
         let mut indexes = Vec::with_capacity(n_idx);
         for _ in 0..n_idx {
@@ -466,18 +529,20 @@ fn decode_catalog(buf: &[u8]) -> Result<Catalog> {
             let n_keys = r.get_u8()? as usize;
             let key_cols =
                 (0..n_keys).map(|_| r.get_u8().map(usize::from)).collect::<Result<Vec<_>>>()?;
-            // The conditions `create_index` enforces; DML indexes rows
-            // by these positions unchecked.
-            if key_cols.is_empty()
-                || key_cols.len() > ri_btree::MAX_ARITY
-                || key_cols.iter().any(|&c| c >= n_cols)
-            {
+            if !valid_key(n_cols, &key_cols) {
                 return Err(Error::Corrupt(format!(
                     "index {iname} of table {name} has invalid key columns {key_cols:?}"
                 )));
             }
             let btree_meta = PageId(r.get_u64()?);
             indexes.push(IndexMeta { name: iname, key_cols, btree_meta });
+        }
+        // A table without a heap is one its indexes cover: its rows are
+        // rebuilt from an entry's key and payload alone.
+        if heap_meta.is_none() && !covering(n_cols, indexes.iter().map(|i| i.key_cols.as_slice())) {
+            return Err(Error::Corrupt(format!(
+                "table {name} has no heap and no covering indexes"
+            )));
         }
         cat.tables.push(TableMeta { name, columns, heap_meta, indexes });
     }
@@ -515,10 +580,11 @@ mod tests {
         let pool = Arc::new(BufferPool::new(MemDisk::new(256), BufferPoolConfig::with_capacity(8)));
         let db = Database::create(pool).unwrap();
         let columns = |n: usize| (0..n).map(|c| format!("c{c}")).collect();
-        let wide = TableDef { name: "W".into(), columns: columns(40) };
+        let wide = TableDef { name: "W".into(), columns: columns(40), indexes: Vec::new() };
         assert!(matches!(db.create_table(wide), Err(Error::InvalidArgument(_))));
         assert!(db.table("W").is_err(), "a refused table is not in the catalog");
-        db.create_table(TableDef { name: "W".into(), columns: columns(4) }).unwrap();
+        db.create_table(TableDef { name: "W".into(), columns: columns(4), indexes: Vec::new() })
+            .unwrap();
         db.table("W").unwrap().insert(&[1, 2, 3, 4]).unwrap();
     }
 
@@ -528,8 +594,12 @@ mod tests {
             Arc::new(BufferPool::new(MemDisk::new(2048), BufferPoolConfig::with_capacity(32)));
         {
             let db = Database::create(Arc::clone(&pool)).unwrap();
-            db.create_table(TableDef { name: "T".into(), columns: vec!["a".into(), "b".into()] })
-                .unwrap();
+            db.create_table(TableDef {
+                name: "T".into(),
+                columns: vec!["a".into(), "b".into()],
+                indexes: Vec::new(),
+            })
+            .unwrap();
             db.create_index("T", IndexDef { name: "IA".into(), key_cols: vec![0] }).unwrap();
             db.set_param("offset", -17).unwrap();
             let t = db.table("T").unwrap();
@@ -558,7 +628,12 @@ mod tests {
         );
         {
             let db = Database::create(Arc::clone(&pool)).unwrap();
-            db.create_table(TableDef { name: "T".into(), columns: vec!["a".into()] }).unwrap();
+            db.create_table(TableDef {
+                name: "T".into(),
+                columns: vec!["a".into()],
+                indexes: Vec::new(),
+            })
+            .unwrap();
             let t = db.table("T").unwrap();
             for i in 0..50 {
                 t.insert(&[i]).unwrap();
@@ -585,7 +660,7 @@ mod tests {
     #[test]
     fn duplicate_ddl_rejected() {
         let db = fresh_db();
-        let def = TableDef { name: "T".into(), columns: vec!["a".into()] };
+        let def = TableDef { name: "T".into(), columns: vec!["a".into()], indexes: Vec::new() };
         db.create_table(def.clone()).unwrap();
         assert!(db.create_table(def).is_err());
         let idef = IndexDef { name: "I".into(), key_cols: vec![0] };
@@ -600,8 +675,12 @@ mod tests {
     #[test]
     fn create_index_backfills_existing_rows() {
         let db = fresh_db();
-        db.create_table(TableDef { name: "T".into(), columns: vec!["a".into(), "b".into()] })
-            .unwrap();
+        db.create_table(TableDef {
+            name: "T".into(),
+            columns: vec!["a".into(), "b".into()],
+            indexes: Vec::new(),
+        })
+        .unwrap();
         let t = db.table("T").unwrap();
         for i in 0..100 {
             t.insert(&[i % 7, i]).unwrap();
@@ -633,8 +712,12 @@ mod tests {
         let pool =
             Arc::new(BufferPool::new(MemDisk::new(2048), BufferPoolConfig::with_capacity(32)));
         let db = Database::create(Arc::clone(&pool)).unwrap();
-        db.create_table(TableDef { name: "T".into(), columns: vec!["a".into(), "b".into()] })
-            .unwrap();
+        db.create_table(TableDef {
+            name: "T".into(),
+            columns: vec!["a".into(), "b".into()],
+            indexes: Vec::new(),
+        })
+        .unwrap();
         db.create_index("T", IndexDef { name: "IA".into(), key_cols: vec![0] }).unwrap();
         db.set_param("offset", 17).unwrap();
         db.checkpoint().unwrap();
@@ -666,6 +749,49 @@ mod tests {
                 page.copy_from_slice(&encode_catalog(&cat, page.len()).unwrap());
             });
             assert!(matches!(reopened, Err(Error::Corrupt(_))), "key columns {key_cols:?}");
+        }
+    }
+
+    /// A covered table round-trips through a reopen without a heap, and
+    /// a header that names no heap for a table its indexes do not cover
+    /// is refused: its rows could not be read back.
+    #[test]
+    fn a_covered_table_reopens_without_a_heap_and_a_forged_one_is_corrupt() {
+        let pool =
+            Arc::new(BufferPool::new(MemDisk::new(2048), BufferPoolConfig::with_capacity(32)));
+        let db = Database::create(Arc::clone(&pool)).unwrap();
+        db.create_table(TableDef {
+            name: "C".into(),
+            columns: vec!["a".into(), "b".into(), "c".into()],
+            indexes: vec![IndexDef { name: "CA".into(), key_cols: vec![0, 1] }],
+        })
+        .unwrap();
+        db.table("C").unwrap().insert(&[1, -2, 3]).unwrap();
+        db.checkpoint().unwrap();
+        let reopened = Database::open(Arc::clone(&pool)).unwrap();
+        let t = reopened.table("C").unwrap();
+        assert_eq!(t.row_count().unwrap(), 1);
+        assert!(t.scan().is_err(), "no heap to scan");
+        assert!(t.delete_row(&[1, -2, 3]).unwrap());
+        pool.with_page_mut(HEADER_PAGE, |page| {
+            let mut cat = decode_catalog(page).unwrap();
+            cat.tables[0].indexes[0].key_cols = vec![0];
+            page.copy_from_slice(&encode_catalog(&cat, page.len()).unwrap());
+        })
+        .unwrap();
+        assert!(matches!(Database::open(pool), Err(Error::Corrupt(_))));
+    }
+
+    /// A header written in catalog format 1 — every table with a heap,
+    /// every index entry carrying a row id — is refused as `Corrupt`, not
+    /// read as the current format: its entries' payloads are row ids
+    /// where a covered table's are columns.
+    #[test]
+    fn old_catalog_format_is_refused_as_corrupt() {
+        let reopened = open_forged(|page| put_u32(page, 0, DB_MAGIC_V1));
+        match reopened {
+            Err(Error::Corrupt(msg)) => assert!(msg.contains("format 1"), "{msg}"),
+            other => panic!("format 1 opened: {:?}", other.map(|_| ())),
         }
     }
 

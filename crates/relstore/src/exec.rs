@@ -19,7 +19,8 @@
 //! A **batch** is a borrowed, non-empty run of fixed-width rows in the
 //! B-link leaf's own encoding: `width` little-endian `i64`s per row, back
 //! to back, read with `from_le_bytes` (so no alignment is assumed).  A leaf
-//! entry is its key columns followed by the row id payload — exactly an
+//! entry is its key columns followed by its payload — the row id, or in a
+//! table without a heap the column the key leaves out — exactly an
 //! `INDEX RANGE SCAN` output row — so the scan's unit of work, one leaf's
 //! in-range entries ([`ri_btree::RangeScan::for_each_run`]), *is* a batch:
 //! the bytes the sink sees are the bytes on the page.  A batch lives for
@@ -277,7 +278,9 @@ pub enum Plan {
         rows: Vec<Row>,
     },
     /// Inclusive composite-key range scan over a secondary index.
-    /// Output rows are the key columns followed by the row id payload.
+    /// Output rows are the key columns followed by the entry's payload:
+    /// the row id, or in a table without a heap the column the key leaves
+    /// out ([`TableDef::indexes`](crate::TableDef::indexes)).
     IndexRangeScan {
         /// Table name.
         table: String,
@@ -416,7 +419,7 @@ impl<'p> ExecCtx<'p> {
                         check_col("a bind variable", i, outer)?;
                     }
                 }
-                // Output row: the key columns, then the row id payload.
+                // Output row: the key columns, then the payload.
                 (Op::IndexScan { tree, lo, hi }, Some(arity + 1))
             }
             Plan::NestedLoops { outer, inner } => {
@@ -603,6 +606,7 @@ mod tests {
         db.create_table(TableDef {
             name: "T".into(),
             columns: vec!["k".into(), "v".into(), "id".into()],
+            indexes: Vec::new(),
         })
         .unwrap();
         db.create_index("T", IndexDef { name: "KV".into(), key_cols: vec![0, 1] }).unwrap();

@@ -17,10 +17,6 @@
 //! outside it in [`crate::Table::insert`].  Reads (`fetch`, `scan`) take
 //! no latch: a read shares the frame's immutable `Arc<[u8]>`, and a write
 //! installs a new buffer instead of changing one a reader holds.
-//!
-//! A bulk load appends through `Heap::append_packed` instead: whole
-//! pages written once each, unlogged, and published by the logged meta
-//! write that follows their flush.
 
 use ri_pagestore::codec::{get_i64, get_u16, get_u32, get_u64, put_i64, put_u16, put_u32, put_u64};
 use ri_pagestore::{BufferPool, Error, PageId, Result};
@@ -176,16 +172,16 @@ impl Heap {
         })
     }
 
-    /// Hangs the new pages `head..=tail`, already chained, after the chain
-    /// `(first, last)` (or makes them the chain) and records its new ends.
-    fn grow(&self, (first, last): (PageId, PageId), head: PageId, tail: PageId) -> Result<()> {
+    /// Hangs the new page `page` after the chain `(first, last)` (or makes
+    /// it the chain) and records its new ends.
+    fn grow(&self, (first, last): (PageId, PageId), page: PageId) -> Result<()> {
         if !last.is_invalid() {
-            self.pool.with_page_mut(last, |buf| put_u64(buf, OFF_NEXT, head.raw()))?;
+            self.pool.with_page_mut(last, |buf| put_u64(buf, OFF_NEXT, page.raw()))?;
         }
-        let first = if last.is_invalid() { head } else { first };
+        let first = if last.is_invalid() { page } else { first };
         self.pool.with_page_mut(self.meta_page, |buf| {
             put_u64(buf, OFF_FIRST, first.raw());
-            put_u64(buf, OFF_LAST, tail.raw());
+            put_u64(buf, OFF_LAST, page.raw());
         })
     }
 
@@ -230,89 +226,29 @@ impl Heap {
             false => self.pool.with_page(last, |buf| get_u16(buf, OFF_SLOTS) as usize)?,
         };
         if used < self.slots_per_page {
-            self.pool.with_page_mut(last, |buf| self.fill(buf, used, &[row]))?;
+            self.pool.with_page_mut(last, |buf| self.fill(buf, used, row))?;
             return Ok(RowId::new(last, used));
         }
         // No tail, or a full one: the row starts a new page.
         let page = self.pool.allocate_page()?;
-        self.pool.with_page_mut(page, |buf| self.format(buf, PageId::INVALID, &[row]))?;
-        self.grow(chain, page, page)?;
+        self.pool.with_page_mut(page, |buf| {
+            buf[OFF_TAG] = TAG_DATA;
+            put_u64(buf, OFF_NEXT, PageId::INVALID.raw());
+            self.fill(buf, 0, row)
+        })?;
+        self.grow(chain, page)?;
         Ok(RowId::new(page, 0))
     }
 
-    /// Appends `rows` in order and returns their ids, packed: the ids, and
-    /// the pages, are exactly those of one [`Heap::insert`] per row.
-    ///
-    /// The free slots of the chain's tail, which is reachable, are filled
-    /// by one logged write.  The remaining rows go into fresh pages, one
-    /// unlogged [`BufferPool::write_fresh_page`] each, with each page's
-    /// successor allocated before the write so its `next` is final.  Once
-    /// [`BufferPool::publish_fresh_pages`] has made those pages durable,
-    /// the old tail's link and then the meta page are written logged: a
-    /// crash before the caller commits leaves the heap as it was, and the
-    /// fresh pages leaked.
-    pub(crate) fn append_packed(&self, rows: &[impl AsRef<[i64]>]) -> Result<Vec<RowId>> {
-        rows.iter().try_for_each(|row| self.check_arity(row.as_ref().len()))?;
-        if rows.is_empty() {
-            return Ok(Vec::new());
+    /// Writes `row` live into slot `slot` of the data page `buf`, its
+    /// first free one, and counts it used.
+    fn fill(&self, buf: &mut [u8], slot: usize, row: &[i64]) {
+        put_u16(buf, OFF_SLOTS, (slot + 1) as u16);
+        let off = self.slot_offset(slot);
+        buf[off] = 1; // live
+        for (c, v) in row.iter().enumerate() {
+            put_i64(buf, off + 1 + c * 8, *v);
         }
-        let build_start = self.pool.num_pages();
-        self.pool.prefetch(self.meta_page)?;
-        let _latch = self.exclusive_latch();
-        let chain @ (_, last) = self.read_meta()?;
-        let mut rids = Vec::with_capacity(rows.len());
-        let mut rest = rows;
-        if !last.is_invalid() {
-            let used = self.pool.with_page(last, |buf| get_u16(buf, OFF_SLOTS) as usize)?;
-            let (head, tail) =
-                rest.split_at(self.slots_per_page.saturating_sub(used).min(rest.len()));
-            if !head.is_empty() {
-                self.pool.with_page_mut(last, |buf| self.fill(buf, used, head))?;
-                rids.extend((used..used + head.len()).map(|slot| RowId::new(last, slot)));
-            }
-            rest = tail;
-        }
-        if rest.is_empty() {
-            return Ok(rids);
-        }
-        let fresh = self.pool.allocate_page()?;
-        let mut page = fresh;
-        let mut chunks = rest.chunks(self.slots_per_page).peekable();
-        while let Some(chunk) = chunks.next() {
-            let next = match chunks.peek() {
-                Some(_) => self.pool.allocate_page()?,
-                None => PageId::INVALID,
-            };
-            self.pool.write_fresh_page(build_start, page, |buf| self.format(buf, next, chunk))?;
-            rids.extend((0..chunk.len()).map(|slot| RowId::new(page, slot)));
-            if next.is_invalid() {
-                break;
-            }
-            page = next;
-        }
-        self.pool.publish_fresh_pages()?;
-        self.grow(chain, fresh, page)?;
-        Ok(rids)
-    }
-
-    /// Writes `rows` as live rows into the slots from `slot` on of the
-    /// data page `buf`, and sets its used-slot count past them.
-    fn fill(&self, buf: &mut [u8], slot: usize, rows: &[impl AsRef<[i64]>]) {
-        put_u16(buf, OFF_SLOTS, (slot + rows.len()) as u16);
-        for (i, row) in rows.iter().enumerate() {
-            let off = self.slot_offset(slot + i);
-            buf[off] = 1; // live
-            for (c, v) in row.as_ref().iter().enumerate() {
-                put_i64(buf, off + 1 + c * 8, *v);
-            }
-        }
-    }
-
-    /// Makes `buf` a data page holding `rows` and linked to `next`.
-    fn format(&self, buf: &mut [u8], next: PageId, rows: &[impl AsRef<[i64]>]) {
-        buf[OFF_TAG] = TAG_DATA;
-        put_u64(buf, OFF_NEXT, next.raw());
-        self.fill(buf, 0, rows);
     }
 
     /// The byte offset of `id`'s slot, or `InvalidArgument` when the slot
@@ -448,27 +384,6 @@ mod tests {
         let scanned = h.scan().unwrap();
         assert_eq!(scanned.len(), 500);
         assert_eq!(scanned.iter().map(|(id, _)| *id).collect::<Vec<_>>(), ids);
-    }
-
-    #[test]
-    fn a_packed_append_assigns_the_ids_and_pages_of_per_row_inserts() {
-        let rows: Vec<[i64; 2]> = (0..100).map(|i| [i, -i]).collect();
-        // 14 slots a page: an empty heap, a partial tail, a full tail.
-        for before in [0, 5, 14, 33] {
-            let (packed, per_row) = (heap(2), heap(2));
-            for i in 0..before {
-                packed.insert(&[i, i]).unwrap();
-                per_row.insert(&[i, i]).unwrap();
-            }
-            let ids = packed.append_packed(&rows).unwrap();
-            let want: Vec<RowId> = rows.iter().map(|r| per_row.insert(r).unwrap()).collect();
-            assert_eq!(ids, want, "{before} rows before");
-            assert_eq!(packed.scan().unwrap(), per_row.scan().unwrap(), "{before} rows before");
-            assert_eq!(packed.row_count().unwrap(), before as u64 + 100);
-            // The chain's tail is where the next per-row insert lands.
-            assert_eq!(packed.insert(&[7, 7]).unwrap(), per_row.insert(&[7, 7]).unwrap());
-        }
-        assert!(heap(2).append_packed(&[[1i64]]).is_err(), "arity is checked");
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //!   the database header page, plus the *data dictionary* of named integer
 //!   parameters the paper's Section 5 uses for `offset`, `leftRoot`,
 //!   `rightRoot` and `minstep`;
-//! * [`heap::Heap`] — fixed-width row storage with stable row ids;
+//! * [`heap::Heap`] — fixed-width row storage with stable row ids, for
+//!   every table but one whose indexes cover it ([`TableDef::indexes`]):
+//!   such a table is its indexes, as the RI-tree's is;
 //! * [`table::Table`] — DML that maintains all secondary indexes, the
 //!   equivalent of Figure 5's single `INSERT` statement;
 //! * [`exec`] — a push-based physical algebra: `COLLECTION ITERATOR` over
@@ -59,6 +61,7 @@ mod tests {
         db.create_table(TableDef {
             name: "INTERVALS".into(),
             columns: vec!["node".into(), "lower".into(), "upper".into(), "id".into()],
+            indexes: Vec::new(),
         })
         .unwrap();
         db.create_index(

@@ -54,6 +54,7 @@ mod tests {
     use super::*;
     use crate::catalog::{Database, IndexDef, TableDef};
     use crate::exec::{BoundExpr, ExecStats, Plan, Row};
+    use crate::heap::RowId;
     use ri_pagestore::{BufferPool, BufferPoolConfig, MemDisk, Result};
     use std::sync::Arc;
 
@@ -64,6 +65,7 @@ mod tests {
         db.create_table(TableDef {
             name: "T".into(),
             columns: vec!["k".into(), "v".into(), "id".into()],
+            indexes: Vec::new(),
         })
         .unwrap();
         db.create_index("T", IndexDef { name: "KV".into(), key_cols: vec![0, 1] }).unwrap();
@@ -130,7 +132,13 @@ mod tests {
             let t = db.table("T").unwrap();
             // 40 concurrent inserts...
             let rows: Vec<Row> = (0..40i64).map(|i| vec![100, 9000 + i, i]).collect();
-            let rids = fan_out(&rows, threads, |row| t.insert(row).unwrap());
+            fan_out(&rows, threads, |row| t.insert(row).unwrap());
+            let rids: Vec<RowId> = t
+                .index("KV")
+                .unwrap()
+                .scan_range(&[100, 9000], &[100, 9039])
+                .map(|e| RowId::from_raw(e.unwrap().payload))
+                .collect();
             // ...then ten deletes racing one query over the inserted key:
             // `Some(rid)` deletes, `None` counts the rows of key 100.
             let mixed: Vec<_> = rids.iter().take(10).map(|&rid| Some(rid)).chain([None]).collect();

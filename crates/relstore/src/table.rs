@@ -8,8 +8,8 @@ use std::sync::Arc;
 
 /// One index entry as `Table::bulk_insert` sorts it: the key columns, the
 /// payload as a [`payload_word`], then zeros.  The array order of two rows
-/// of one index is the order of their `Entry`s, `(key, payload)`: the
-/// payload word makes every row unique, so the padding is never compared.
+/// of one index is the order of their `Entry`s, `(key, payload)`: two rows
+/// that tie on both are equal entries, and their zero padding ties too.
 type CompactRow = [i64; MAX_ARITY + 1];
 
 /// A `u64` payload as an `i64` word that sorts the same: the sign bit
@@ -26,24 +26,70 @@ fn payload_of(word: i64) -> u64 {
 /// A handle on a table and its secondary indexes.
 ///
 /// `insert` is the engine-level equivalent of the paper's single SQL
-/// statement in Figure 5: one heap append plus one B+-tree insertion per
-/// index, each `O(log_b n)` I/Os.
+/// statement in Figure 5: one B+-tree insertion per index, each
+/// `O(log_b n)` I/Os, plus a heap append unless the indexes cover the
+/// table ([`TableDef::indexes`](crate::TableDef::indexes)).  An entry's
+/// payload is its row's [`RowId`] in a table with a heap, and otherwise
+/// the column its key leaves out, so that each index holds the whole row.
 pub struct Table {
+    name: String,
     columns: Vec<String>,
-    heap: Heap,
+    /// `None` when the indexes cover the table.
+    heap: Option<Heap>,
     indexes: Vec<OpenIndex>,
 }
 
 struct OpenIndex {
     name: String,
     key_cols: Vec<usize>,
+    /// Without a heap: the column the key leaves out, if any (else the
+    /// payload is 0).
+    payload_col: Option<usize>,
     tree: BTree,
+}
+
+impl OpenIndex {
+    /// Copies `row`'s key columns into `key` and returns them.
+    fn key<'k>(&self, row: &[i64], key: &'k mut [i64; MAX_ARITY]) -> &'k [i64] {
+        for (slot, &c) in key.iter_mut().zip(&self.key_cols) {
+            *slot = row[c];
+        }
+        &key[..self.key_cols.len()]
+    }
+
+    fn payload(&self, row: &[i64], rid: Option<RowId>) -> u64 {
+        match (rid, self.payload_col) {
+            (Some(rid), _) => rid.raw(),
+            (None, Some(c)) => row[c] as u64,
+            (None, None) => 0,
+        }
+    }
+
+    /// Retries one entry write of a row whose claim the caller holds until
+    /// it takes effect.  A delete finds no entry while the row's insert is
+    /// still filling this index in (the row was found through another
+    /// one); an insert finds an equal entry while the delete of an equal
+    /// row is still clearing it.  An entry that never settles is corrupt.
+    fn settle(&self, key: &[i64], payload: u64, write: impl Fn() -> Result<bool>) -> Result<()> {
+        let mut spins = 0u32;
+        while !write()? {
+            spins += 1;
+            if spins > 100_000 {
+                return Err(Error::Corrupt(format!(
+                    "index {} out of sync: entry {key:?} -> {payload} does not settle",
+                    self.name
+                )));
+            }
+            std::thread::yield_now();
+        }
+        Ok(())
+    }
 }
 
 impl Table {
     pub(crate) fn from_meta(pool: Arc<BufferPool>, meta: &TableMeta) -> Result<Table> {
-        let heap = Heap::open(Arc::clone(&pool), meta.heap_meta)?;
-        if heap.arity() != meta.columns.len() {
+        let heap = meta.heap_meta.map(|page| Heap::open(Arc::clone(&pool), page)).transpose()?;
+        if let Some(heap) = heap.as_ref().filter(|h| h.arity() != meta.columns.len()) {
             return Err(Error::Corrupt(format!(
                 "table {} has {} columns, its heap {}",
                 meta.name,
@@ -53,13 +99,15 @@ impl Table {
         }
         let mut indexes = Vec::with_capacity(meta.indexes.len());
         for idx in &meta.indexes {
+            let left_out = (0..meta.columns.len()).find(|c| !idx.key_cols.contains(c));
             indexes.push(OpenIndex {
                 name: idx.name.clone(),
                 key_cols: idx.key_cols.clone(),
+                payload_col: left_out.filter(|_| heap.is_none()),
                 tree: BTree::open(Arc::clone(&pool), idx.btree_meta)?,
             });
         }
-        Ok(Table { columns: meta.columns.clone(), heap, indexes })
+        Ok(Table { name: meta.name.clone(), columns: meta.columns.clone(), heap, indexes })
     }
 
     /// Column names, in storage order.
@@ -67,57 +115,100 @@ impl Table {
         &self.columns
     }
 
-    /// Number of live rows, counted by walking the heap's pages: O(pages),
-    /// and exact on a quiescent table.
+    fn heap(&self) -> Result<&Heap> {
+        self.heap.as_ref().ok_or_else(|| {
+            Error::InvalidArgument(format!(
+                "table {} keeps no heap: its rows have no ids",
+                self.name
+            ))
+        })
+    }
+
+    /// A table without a heap has at least one index (the catalog checks).
+    fn covering(&self) -> Result<(&OpenIndex, &[OpenIndex])> {
+        match (&self.heap, self.indexes.split_first()) {
+            (None, Some(split)) => Ok(split),
+            _ => Err(Error::InvalidArgument(format!("table {} keeps a heap", self.name))),
+        }
+    }
+
+    /// Number of live rows, counted by walking the heap's pages, or the
+    /// first index's leaves in a table without a heap: O(pages), and
+    /// exact on a quiescent table.
     pub fn row_count(&self) -> Result<u64> {
-        self.heap.row_count()
+        match &self.heap {
+            Some(heap) => heap.row_count(),
+            None => self.covering()?.0.tree.entry_count(),
+        }
     }
 
     /// Whether the table holds no live row; stops at the first live row.
     pub fn is_empty(&self) -> Result<bool> {
-        self.heap.is_empty()
-    }
-
-    /// Inserts a row, maintaining every index.  The heap checks the row's
-    /// width, which `from_meta` holds equal to the table's.
-    pub fn insert(&self, row: &[i64]) -> Result<RowId> {
-        let rid = self.heap.insert(row)?;
-        for idx in &self.indexes {
-            let key: Vec<i64> = idx.key_cols.iter().map(|&c| row[c]).collect();
-            idx.tree.insert(&key, rid.raw())?;
+        match &self.heap {
+            Some(heap) => heap.is_empty(),
+            None => Ok(self.covering()?.0.tree.scan_all().next().transpose()?.is_none()),
         }
-        Ok(rid)
     }
 
-    /// Bulk-loads an **empty** table: packs every row into the heap in
-    /// input order (`Heap::append_packed`), then builds each secondary
-    /// index bottom-up at full fill from its sorted run of `(key, row
-    /// id)` entries — one sequential write pass per index instead of one
-    /// root-to-leaf descent per row (see `ri_btree`'s `builder` module).
-    /// Each run is sorted as fixed-width compact rows (`CompactRow`) in
-    /// one buffer that every index reuses, and streamed into the builder
-    /// as entries.  Returns the assigned row ids in input order, the ones
-    /// per-row inserts would assign.  On a durable pool the heap's and each
-    /// index's pages are written unlogged and synced, and only the meta
-    /// writes that publish them join the caller's transaction.
+    fn check_width(&self, row: &[i64]) -> Result<()> {
+        if row.len() != self.columns.len() {
+            return Err(Error::InvalidArgument(format!(
+                "row has {} columns, table {} has {}",
+                row.len(),
+                self.name,
+                self.columns.len()
+            )));
+        }
+        Ok(())
+    }
+
+    /// Inserts a row, maintaining every index.
     ///
-    /// Errors with `InvalidArgument` if the heap or any index already
-    /// holds data (callers fall back to [`Table::insert`] then) or if
-    /// any row has the wrong column count.  Like every bulk load, the
-    /// caller provides quiescence: concurrent DML on the same table
-    /// during the build is unsupported (a lost race surfaces as the
-    /// index builder's clean not-empty error, not as corruption).
+    /// A table without a heap is a set: a row it holds is refused with
+    /// `InvalidArgument` and nothing is written.  Its first index's entry
+    /// is the claim ([`BTree::insert`] stores an entry at most once), so of
+    /// racing inserts of one row exactly one succeeds.
+    pub fn insert(&self, row: &[i64]) -> Result<()> {
+        self.check_width(row)?;
+        let rid = self.heap.as_ref().map(|heap| heap.insert(row)).transpose()?;
+        let mut key = [0; MAX_ARITY];
+        for (n, idx) in self.indexes.iter().enumerate() {
+            let (key, payload) = (idx.key(row, &mut key), idx.payload(row, rid));
+            if n == 0 && rid.is_none() {
+                if !idx.tree.insert(key, payload)? {
+                    let msg = format!("table {} already holds row {row:?}", self.name);
+                    return Err(Error::InvalidArgument(msg));
+                }
+            } else {
+                idx.settle(key, payload, || idx.tree.insert(key, payload))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Bulk-loads an **empty** table without a heap: builds each index
+    /// bottom-up at full fill from its sorted run of entries — one
+    /// sequential write pass per index instead of one root-to-leaf descent
+    /// per row (see `ri_btree`'s `builder` module).  Each run is sorted as
+    /// fixed-width compact rows (`CompactRow`) in one buffer that every
+    /// index reuses, and streamed into the builder as entries.  On a
+    /// durable pool each index's pages are written unlogged and synced,
+    /// and only the meta writes that publish them join the caller's
+    /// transaction.
+    ///
+    /// Errors with `InvalidArgument` if the table keeps a heap, if any
+    /// index already holds entries (callers fall back to
+    /// [`Table::insert`] then), if any row has the wrong column count, or
+    /// if a row is given twice — before any index is built.  Like every
+    /// bulk load, the caller provides quiescence: concurrent DML on the
+    /// same table during the build is unsupported (a lost race surfaces as
+    /// the index builder's clean not-empty error, not as corruption).
     ///
     /// An index that held entries once and was emptied by deletes keeps
     /// its pages, so the builder cannot install over it; such an index
-    /// is filled per entry instead.
-    pub fn bulk_insert(&self, rows: &[impl AsRef<[i64]>]) -> Result<Vec<RowId>> {
-        if rows.is_empty() {
-            return Ok(Vec::new());
-        }
-        if !self.heap.is_empty()? {
-            return Err(Error::InvalidArgument("bulk_insert requires an empty table".to_string()));
-        }
+    /// is filled per entry instead, in sorted order.
+    pub fn bulk_insert(&self, rows: &[impl AsRef<[i64]>]) -> Result<()> {
+        self.covering()?;
         for idx in &self.indexes {
             if idx.tree.scan_all().next().transpose()?.is_some() {
                 return Err(Error::InvalidArgument(format!(
@@ -126,37 +217,41 @@ impl Table {
                 )));
             }
         }
-        let rids = self.heap.append_packed(rows)?;
+        rows.iter().try_for_each(|row| self.check_width(row.as_ref()))?;
         // One buffer of compact rows, reserved once and refilled per index.
         let mut sorted: Vec<CompactRow> = Vec::with_capacity(rows.len());
-        for idx in &self.indexes {
+        for (n, idx) in self.indexes.iter().enumerate() {
             let arity = idx.key_cols.len();
-            let compact = |row: &[i64], rid: &RowId| -> CompactRow {
+            sorted.clear();
+            sorted.extend(rows.iter().map(|row| {
+                let row = row.as_ref();
                 let mut compact = [0i64; MAX_ARITY + 1];
                 for (slot, &c) in compact.iter_mut().zip(&idx.key_cols) {
                     *slot = row[c];
                 }
-                compact[arity] = payload_word(rid.raw());
+                compact[arity] = payload_word(idx.payload(row, None));
                 compact
-            };
-            if idx.tree.stats()?.height != 0 {
-                for (row, rid) in rows.iter().zip(&rids) {
-                    idx.tree.insert(&compact(row.as_ref(), rid)[..arity], rid.raw())?;
-                }
-                continue;
-            }
-            sorted.clear();
-            sorted.extend(rows.iter().zip(&rids).map(|(row, rid)| compact(row.as_ref(), rid)));
+            }));
             sorted.sort_unstable();
-            idx.tree.bulk_build_into(
-                sorted.iter().map(|r| Entry::new(&r[..arity], payload_of(r[arity]))),
-                1.0,
-            )?;
+            // The first index's compact rows hold whole rows.
+            if n == 0 && sorted.windows(2).any(|w| w[0] == w[1]) {
+                let msg = format!("bulk_insert into {} repeats a row", self.name);
+                return Err(Error::InvalidArgument(msg));
+            }
+            let entries = sorted.iter().map(|r| Entry::new(&r[..arity], payload_of(r[arity])));
+            if idx.tree.stats()?.height == 0 {
+                idx.tree.bulk_build_into(entries, 1.0)?;
+            } else {
+                for e in entries {
+                    idx.tree.insert(e.key.as_slice(), e.payload)?;
+                }
+            }
         }
-        Ok(rids)
+        Ok(())
     }
 
-    /// Deletes a row by id, maintaining every index.
+    /// Deletes a row by id from a table with a heap, maintaining every
+    /// index.
     ///
     /// Returns `false` if the row no longer exists.
     ///
@@ -165,44 +260,50 @@ impl Table {
     /// logged write of the row's heap page), so exactly
     /// one of any set of racing deletes wins and the losers report
     /// `false`; the winner then removes the index entries without
-    /// holding any latch, so deletes scale like inserts.  If an index
-    /// entry is not there *yet* — the row was discovered through one
-    /// index while its insert was still filling in the others — the
-    /// winner briefly waits for the in-flight insert to publish it
-    /// (bounded; a truly absent entry is reported as corruption).
+    /// holding any latch, so deletes scale like inserts, waiting briefly
+    /// for an entry the row's insert has not published yet.
     pub fn delete(&self, rid: RowId) -> Result<bool> {
-        let Some(row) = self.heap.fetch(rid)? else {
+        let heap = self.heap()?;
+        let Some(row) = heap.fetch(rid)? else {
             return Ok(false);
         };
-        if !self.heap.delete(rid)? {
+        if !heap.delete(rid)? {
             return Ok(false);
         }
-        for idx in &self.indexes {
-            let key: Vec<i64> = idx.key_cols.iter().map(|&c| row[c]).collect();
-            let mut spins = 0u32;
-            while !idx.tree.delete(&key, rid.raw())? {
-                spins += 1;
-                if spins > 100_000 {
-                    return Err(Error::Corrupt(format!(
-                        "index {} out of sync: missing entry for row {}",
-                        idx.name,
-                        rid.raw()
-                    )));
-                }
-                std::thread::yield_now();
-            }
+        Self::clean(&self.indexes, &row, Some(rid))
+    }
+
+    /// Deletes `row` from a table without a heap, maintaining every index;
+    /// returns `false` if the table does not hold it.
+    ///
+    /// Claim-then-clean, as in [`Table::delete`]: deleting the row's entry
+    /// from the first index is the atomic claim (one leaf latch, one logged
+    /// write), so of racing deletes exactly one wins; the winner then
+    /// deletes the row's entry from each other index.
+    pub fn delete_row(&self, row: &[i64]) -> Result<bool> {
+        let (claim, rest) = self.covering()?;
+        self.check_width(row)?;
+        let mut key = [0; MAX_ARITY];
+        if !claim.tree.delete(claim.key(row, &mut key), claim.payload(row, None))? {
+            return Ok(false);
+        }
+        Self::clean(rest, row, None)
+    }
+
+    /// Deletes `row`'s entries from `indexes` for a delete that won its
+    /// claim; returns `true`.
+    fn clean(indexes: &[OpenIndex], row: &[i64], rid: Option<RowId>) -> Result<bool> {
+        let mut key = [0; MAX_ARITY];
+        for idx in indexes {
+            let (key, payload) = (idx.key(row, &mut key), idx.payload(row, rid));
+            idx.settle(key, payload, || idx.tree.delete(key, payload))?;
         }
         Ok(true)
     }
 
-    /// Fetches a row by id.
-    pub fn fetch(&self, rid: RowId) -> Result<Option<Vec<i64>>> {
-        self.heap.fetch(rid)
-    }
-
-    /// Full scan of all live rows.
+    /// Full scan of all live rows of a table with a heap.
     pub fn scan(&self) -> Result<Vec<(RowId, Vec<i64>)>> {
-        self.heap.scan()
+        self.heap()?.scan()
     }
 
     /// Direct access to an index B+-tree (for hand-written access methods).
@@ -217,7 +318,9 @@ impl Table {
 
 #[cfg(test)]
 mod tests {
+    use super::Table;
     use crate::catalog::{Database, IndexDef, TableDef};
+    use crate::heap::RowId;
     use ri_pagestore::codec::put_u32;
     use ri_pagestore::{BufferPool, BufferPoolConfig, Error, MemDisk};
     use std::sync::Arc;
@@ -229,10 +332,36 @@ mod tests {
         db.create_table(TableDef {
             name: "T".into(),
             columns: vec!["a".into(), "b".into(), "c".into()],
+            indexes: Vec::new(),
         })
         .unwrap();
         db.create_index("T", IndexDef { name: "AB".into(), key_cols: vec![0, 1] }).unwrap();
         db.create_index("T", IndexDef { name: "C".into(), key_cols: vec![2] }).unwrap();
+        db
+    }
+
+    /// The row id of the one row whose `c` column is `c`, as index `C`
+    /// holds it.
+    fn rid_of(t: &Table, c: i64) -> RowId {
+        let entry = t.index("C").unwrap().scan_range(&[c], &[c]).next().unwrap().unwrap();
+        RowId::from_raw(entry.payload)
+    }
+
+    /// A table declared with two indexes that each leave out one column:
+    /// `AB → c` and `CA → b`.  It keeps no heap.
+    fn db_with_covered_table() -> Database {
+        let pool =
+            Arc::new(BufferPool::new(MemDisk::new(2048), BufferPoolConfig::with_capacity(64)));
+        let db = Database::create(pool).unwrap();
+        db.create_table(TableDef {
+            name: "T".into(),
+            columns: vec!["a".into(), "b".into(), "c".into()],
+            indexes: vec![
+                IndexDef { name: "AB".into(), key_cols: vec![0, 1] },
+                IndexDef { name: "CA".into(), key_cols: vec![2, 0] },
+            ],
+        })
+        .unwrap();
         db
     }
 
@@ -254,37 +383,34 @@ mod tests {
     fn delete_maintains_all_indexes() {
         let db = db_with_indexed_table();
         let t = db.table("T").unwrap();
-        let rid = t.insert(&[1, 2, 3]).unwrap();
-        let keep = t.insert(&[1, 5, 9]).unwrap();
+        t.insert(&[1, 2, 3]).unwrap();
+        t.insert(&[1, 5, 9]).unwrap();
+        let (rid, keep) = (rid_of(&t, 3), rid_of(&t, 9));
         assert!(t.delete(rid).unwrap());
         assert!(!t.delete(rid).unwrap());
         assert_eq!(t.index("AB").unwrap().entry_count().unwrap(), 1);
         assert_eq!(t.index("C").unwrap().entry_count().unwrap(), 1);
-        assert_eq!(t.fetch(keep).unwrap(), Some(vec![1, 5, 9]));
-        assert_eq!(t.fetch(rid).unwrap(), None);
+        assert_eq!(t.scan().unwrap(), [(keep, vec![1, 5, 9])]);
     }
 
     #[test]
     fn index_payloads_are_row_ids() {
         let db = db_with_indexed_table();
         let t = db.table("T").unwrap();
-        let rid = t.insert(&[7, 8, 9]).unwrap();
+        t.insert(&[7, 8, 9]).unwrap();
         let entry = t.index("C").unwrap().scan_range(&[9], &[9]).next().unwrap().unwrap();
-        assert_eq!(entry.payload, rid.raw());
-        let row = t.fetch(crate::heap::RowId::from_raw(entry.payload)).unwrap();
-        assert_eq!(row, Some(vec![7, 8, 9]));
+        assert_eq!(t.scan().unwrap(), [(RowId::from_raw(entry.payload), vec![7, 8, 9])]);
     }
 
     #[test]
     fn bulk_insert_fills_every_index_at_full_density() {
-        let db = db_with_indexed_table();
+        let db = db_with_covered_table();
         let t = db.table("T").unwrap();
         let rows: Vec<[i64; 3]> = (0..1000i64).map(|i| [i % 10, i, -i]).collect();
-        let rids = t.bulk_insert(&rows).unwrap();
-        assert_eq!(rids.len(), 1000);
+        t.bulk_insert(&rows).unwrap();
         assert_eq!(t.row_count().unwrap(), 1000);
         assert_eq!(t.index("AB").unwrap().entry_count().unwrap(), 1000);
-        assert_eq!(t.index("C").unwrap().entry_count().unwrap(), 1000);
+        assert_eq!(t.index("CA").unwrap().entry_count().unwrap(), 1000);
         // Fill 1.0 ⇒ each index at its minimum possible page count.
         use ri_btree::layout::{internal_capacity, leaf_capacity};
         assert_eq!(
@@ -295,64 +421,48 @@ mod tests {
         let hits = t.index("AB").unwrap().scan_range(&[3, i64::MIN], &[3, i64::MAX]).count();
         assert_eq!(hits, 100);
         t.index("AB").unwrap().check_invariants().unwrap();
-        t.index("C").unwrap().check_invariants().unwrap();
-        // Index payloads are the assigned row ids.
-        let entry = t.index("C").unwrap().scan_range(&[0], &[0]).next().unwrap().unwrap();
-        let row = t.fetch(crate::heap::RowId::from_raw(entry.payload)).unwrap();
-        assert_eq!(row, Some(vec![0, 0, 0]));
+        t.index("CA").unwrap().check_invariants().unwrap();
+        // Index payloads are the columns the keys leave out.
+        let entry = t.index("CA").unwrap().scan_range(&[-7, 7], &[-7, 7]).next().unwrap().unwrap();
+        assert_eq!(entry.payload, 7);
         // A second bulk load must be refused — the table is no longer
         // empty — while ordinary DML continues to work.
         assert!(t.bulk_insert(&rows).is_err());
         t.insert(&[99, 99, 99]).unwrap();
         assert_eq!(t.row_count().unwrap(), 1001);
+        // A table with a heap has no bulk path.
+        let heaped = db_with_indexed_table().table("T").unwrap();
+        assert!(matches!(heaped.bulk_insert(&rows), Err(Error::InvalidArgument(_))));
     }
 
-    /// A table emptied by deletes counts zero rows but its indexes keep
-    /// their pages: the bulk builder cannot install over them, and must
-    /// not be tried after the heap rows are already appended.
+    /// A table emptied by deletes counts zero rows, but its indexes keep
+    /// their pages: the builder cannot install over them, so a bulk load
+    /// fills them entry by entry, into the kept leaves and their splits.
     #[test]
-    fn bulk_insert_into_an_emptied_table_keeps_heap_and_indexes_in_step() {
-        let db = db_with_indexed_table();
+    fn bulk_insert_refills_an_index_emptied_by_deletes_entry_by_entry() {
+        let db = db_with_covered_table();
         let t = db.table("T").unwrap();
-        let rid = t.insert(&[1, 2, 3]).unwrap();
-        assert!(t.delete(rid).unwrap());
+        (0..400i64).for_each(|i| t.insert(&[i % 10, i, -i]).unwrap());
+        (0..400i64).for_each(|i| assert!(t.delete_row(&[i % 10, i, -i]).unwrap()));
+        assert!(t.is_empty().unwrap());
+        let kept = ["AB", "CA"].map(|name| t.index(name).unwrap().stats().unwrap().pages);
+        assert!(kept.iter().all(|&pages| pages > 1), "several leaves emptied: {kept:?}");
         let rows: Vec<[i64; 3]> = (0..1000i64).map(|i| [i % 10, i, -i]).collect();
         t.bulk_insert(&rows).unwrap();
         assert_eq!(t.row_count().unwrap(), 1000);
-        for name in ["AB", "C"] {
-            assert_eq!(t.index(name).unwrap().entry_count().unwrap(), 1000);
-            t.index(name).unwrap().check_invariants().unwrap();
+        for (name, kept) in ["AB", "CA"].into_iter().zip(kept) {
+            let index = t.index(name).unwrap();
+            assert_eq!(index.entry_count().unwrap(), 1000);
+            assert!(index.stats().unwrap().pages > kept, "{name} filled entry by entry");
+            index.check_invariants().unwrap();
         }
         let hits = t.index("AB").unwrap().scan_range(&[3, i64::MIN], &[3, i64::MAX]).count();
         assert_eq!(hits, 100);
     }
 
-    /// Whether an index holds entries is asked of a scan, not of a count:
-    /// an index whose leaves were all emptied by deletes holds none, keeps
-    /// its pages, and is filled entry by entry into them.
-    #[test]
-    fn bulk_insert_refills_an_index_emptied_by_deletes_entry_by_entry() {
-        let db = db_with_indexed_table();
-        let t = db.table("T").unwrap();
-        let rids: Vec<_> = (0..400i64).map(|i| t.insert(&[i % 10, i, -i]).unwrap()).collect();
-        rids.iter().for_each(|&rid| assert!(t.delete(rid).unwrap()));
-        let kept = ["AB", "C"].map(|name| t.index(name).unwrap().stats().unwrap().pages);
-        assert!(kept.iter().all(|&pages| pages > 1), "several leaves emptied: {kept:?}");
-        let rows: Vec<[i64; 3]> = (0..1000i64).map(|i| [i % 10, i, -i]).collect();
-        t.bulk_insert(&rows).unwrap();
-        for (name, kept) in ["AB", "C"].into_iter().zip(kept) {
-            let index = t.index(name).unwrap();
-            assert_eq!(index.entry_count().unwrap(), 1000);
-            // The entries went in one by one, into the kept leaves and
-            // the splits of them.
-            assert!(index.stats().unwrap().pages > kept, "{name} filled entry by entry");
-            index.check_invariants().unwrap();
-        }
-    }
-
     /// The compact rows sort as `Entry`s do: at every arity, over negative
-    /// keys (the extremes included) with ties on every key column, each
-    /// index of a bulk load scans exactly the entries a `Vec<Entry>`
+    /// keys and payloads (the extremes included) with ties on every key,
+    /// each index of a bulk load scans exactly the entries a `Vec<Entry>`
     /// sorted by `Entry`'s own order holds.
     #[test]
     fn bulk_insert_sorts_compact_rows_as_entries_sort() {
@@ -360,51 +470,49 @@ mod tests {
         let pool =
             Arc::new(BufferPool::new(MemDisk::new(2048), BufferPoolConfig::with_capacity(256)));
         let db = Database::create(pool).unwrap();
-        let columns: Vec<String> = (0..MAX_ARITY).map(|c| format!("c{c}")).collect();
-        db.create_table(TableDef { name: "T".into(), columns }).unwrap();
-        // Arity `a` indexes `a` columns in a scrambled order.
-        let key_cols =
-            |arity: usize| -> Vec<usize> { (0..arity).map(|i| (i * 3 + 1) % MAX_ARITY).collect() };
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
         for arity in 1..=MAX_ARITY {
-            let def = IndexDef { name: format!("I{arity}"), key_cols: key_cols(arity) };
-            db.create_index("T", def).unwrap();
-        }
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let rows: Vec<Vec<i64>> = (0..1500)
-            .map(|_| {
-                (0..MAX_ARITY)
-                    .map(|_| {
-                        x ^= x << 13;
-                        x ^= x >> 7;
-                        x ^= x << 17;
-                        match x % 16 {
-                            0 => i64::MIN,
-                            1 => i64::MAX,
-                            r => r as i64 % 5 - 3,
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let t = db.table("T").unwrap();
-        let rids = t.bulk_insert(&rows).unwrap();
-        for arity in 1..=MAX_ARITY {
-            let cols = key_cols(arity);
+            // `arity + 1` columns; the key, scrambled, leaves out column
+            // `arity / 2`, its payload.
+            let columns: Vec<String> = (0..=arity).map(|c| format!("c{c}")).collect();
+            let key_cols: Vec<usize> = (0..=arity).rev().filter(|&c| c != arity / 2).collect();
+            let index = IndexDef { name: format!("I{arity}"), key_cols: key_cols.clone() };
+            let name = format!("T{arity}");
+            db.create_table(TableDef { name: name.clone(), columns, indexes: vec![index] })
+                .unwrap();
+            let mut seen = std::collections::HashSet::new();
+            let rows: Vec<Vec<i64>> = (0..700)
+                .map(|_| {
+                    (0..=arity)
+                        .map(|_| {
+                            x ^= x << 13;
+                            x ^= x >> 7;
+                            x ^= x << 17;
+                            match x % 8 {
+                                0 => i64::MIN,
+                                1 => i64::MAX,
+                                r => r as i64 % 3 - 1,
+                            }
+                        })
+                        .collect::<Vec<i64>>()
+                })
+                .filter(|row| seen.insert(row.clone()))
+                .collect();
+            let t = db.table(&name).unwrap();
+            t.bulk_insert(&rows).unwrap();
             let mut expected: Vec<Entry> = rows
                 .iter()
-                .zip(&rids)
-                .map(|(row, rid)| {
-                    let key: Vec<i64> = cols.iter().map(|&c| row[c]).collect();
-                    Entry::new(&key, rid.raw())
+                .map(|row| {
+                    let key: Vec<i64> = key_cols.iter().map(|&c| row[c]).collect();
+                    Entry::new(&key, row[arity / 2] as u64)
                 })
                 .collect();
             expected.sort_unstable();
             let index = t.index(&format!("I{arity}")).unwrap();
-            let scanned: Vec<Entry> = index
-                .scan_range(&vec![i64::MIN; arity], &vec![i64::MAX; arity])
-                .collect::<ri_pagestore::Result<_>>()
-                .unwrap();
+            let scanned: Vec<Entry> =
+                index.scan_all().collect::<ri_pagestore::Result<_>>().unwrap();
             assert_eq!(scanned, expected, "arity {arity}");
+            assert!(scanned.windows(2).any(|w| w[0].key == w[1].key), "arity {arity}: no key ties");
             index.check_invariants().unwrap();
         }
     }
@@ -433,12 +541,13 @@ mod tests {
         );
         let db = Database::create(Arc::clone(&pool)).unwrap();
         let columns = vec!["a".into(), "b".into(), "c".into()];
-        db.create_table(TableDef { name: "T".into(), columns }).unwrap();
+        db.create_table(TableDef { name: "T".into(), columns, indexes: Vec::new() }).unwrap();
         db.create_index("T", IndexDef { name: "AB".into(), key_cols: vec![0, 1] }).unwrap();
         db.create_index("T", IndexDef { name: "C".into(), key_cols: vec![2] }).unwrap();
         let t = db.table("T").unwrap();
-        let first = t.insert(&[0, 0, 0]).unwrap();
-        let victim = t.insert(&[1, 1, 1]).unwrap();
+        t.insert(&[0, 0, 0]).unwrap();
+        t.insert(&[1, 1, 1]).unwrap();
+        let (first, victim) = (rid_of(&t, 0), rid_of(&t, 1));
         db.commit().unwrap();
         let logged = |op: &dyn Fn()| {
             let (latches, wal) = (pool.latches().stats(), pool.wal().unwrap().stats());
@@ -446,11 +555,13 @@ mod tests {
             assert_eq!(pool.latches().stats().since(&latches).splits, 0, "no leaf may split");
             pool.wal().unwrap().stats().records - wal.records
         };
-        let insert = logged(&|| {
-            let rid = t.insert(&[2, 2, 2]).unwrap();
-            // A row id's page is its raw value above the 12 slot bits.
-            assert_eq!(rid.raw() >> 12, first.raw() >> 12, "the row fits the first heap page");
-        });
+        let insert = logged(&|| t.insert(&[2, 2, 2]).unwrap());
+        // A row id's page is its raw value above the 12 slot bits.
+        assert_eq!(
+            rid_of(&t, 2).raw() >> 12,
+            first.raw() >> 12,
+            "the row fits the first heap page"
+        );
         assert_eq!(insert, 3, "insert: one heap record and one per index");
         assert_eq!(logged(&|| assert!(t.delete(victim).unwrap())), 3, "delete");
         assert_eq!(t.row_count().unwrap(), 2);
@@ -463,8 +574,9 @@ mod tests {
     fn forged_heap_arity_is_corrupt_not_a_panic() {
         let db = db_with_indexed_table();
         let t = db.table("T").unwrap();
-        let rid = t.insert(&[1, 2, 3]).unwrap();
-        let meta = t.heap.meta_page();
+        t.insert(&[1, 2, 3]).unwrap();
+        let rid = rid_of(&t, 3);
+        let meta = t.heap.as_ref().unwrap().meta_page();
         for arity in [0u32, 2, 65, 3] {
             // Offset 4 of the heap meta page holds its arity.
             db.pool().with_page_mut(meta, |buf| put_u32(buf, 4, arity)).unwrap();
@@ -476,6 +588,147 @@ mod tests {
                 Err(e) => assert!(matches!(e, Error::Corrupt(_)), "arity {arity}: {e}"),
             }
         }
+    }
+
+    /// A table declared with indexes that each leave out one column keeps
+    /// no heap: each entry carries the left-out column as its payload,
+    /// negative values included, and the rows are counted, claimed and
+    /// deleted through the indexes alone.
+    #[test]
+    fn a_covered_table_keeps_no_heap_and_its_entries_carry_the_left_out_column() {
+        let db = db_with_covered_table();
+        let before = db.pool().num_pages();
+        let t = db.table("T").unwrap();
+        assert!(t.heap.is_none());
+        assert!(t.is_empty().unwrap());
+        t.insert(&[1, 2, 3]).unwrap();
+        t.insert(&[4, i64::MIN, -5]).unwrap();
+        assert_eq!(db.pool().num_pages(), before + 2, "one root leaf per index, no heap page");
+        let entries = |name: &str| -> Vec<(Vec<i64>, i64)> {
+            let index = t.index(name).unwrap();
+            index
+                .scan_all()
+                .map(|e| e.map(|e| (e.key.as_slice().to_vec(), e.payload as i64)))
+                .collect::<ri_pagestore::Result<_>>()
+                .unwrap()
+        };
+        assert_eq!(entries("AB"), [(vec![1, 2], 3), (vec![4, i64::MIN], -5)]);
+        assert_eq!(entries("CA"), [(vec![-5, 4], i64::MIN), (vec![3, 1], 2)]);
+        assert_eq!(t.row_count().unwrap(), 2);
+        assert!(!t.is_empty().unwrap());
+        // Nothing addresses a row by id.
+        let no_heap = |r: ri_pagestore::Result<_>| matches!(r, Err(Error::InvalidArgument(_)));
+        assert!(no_heap(t.scan().map(|_| ())));
+        assert!(no_heap(t.delete(RowId::from_raw(0)).map(|_| ())));
+        assert!(no_heap(t.insert(&[1, 2]).map(|_| ())), "a short row");
+        assert!(!t.delete_row(&[1, 2, 4]).unwrap(), "no such row");
+        assert!(t.delete_row(&[4, i64::MIN, -5]).unwrap());
+        assert_eq!((entries("AB").len(), entries("CA").len()), (1, 1));
+        assert_eq!(t.row_count().unwrap(), 1);
+        // A heap table deletes by id, not by row.
+        let heaped = db_with_indexed_table().table("T").unwrap();
+        assert!(no_heap(heaped.delete_row(&[1, 2, 3]).map(|_| ())));
+    }
+
+    /// A covered table is a set: a row it holds is refused, by `insert`
+    /// and by `bulk_insert`, with nothing written; a deleted row can be
+    /// inserted again.
+    #[test]
+    fn a_covered_table_refuses_a_row_it_holds() {
+        let db = db_with_covered_table();
+        let t = db.table("T").unwrap();
+        let refused = |r: ri_pagestore::Result<()>| matches!(r, Err(Error::InvalidArgument(_)));
+        assert!(refused(t.bulk_insert(&[[1, 2, 3], [4, 5, 6], [1, 2, 3]])));
+        assert!(t.is_empty().unwrap(), "a refused bulk load writes nothing");
+        t.bulk_insert(&[[1, 2, 3], [4, 5, 6]]).unwrap();
+        let writes = db.pool().stats().snapshot().logical_writes;
+        assert!(refused(t.insert(&[1, 2, 3])));
+        assert_eq!(
+            db.pool().stats().snapshot().logical_writes,
+            writes,
+            "a refused insert writes nothing"
+        );
+        assert_eq!(t.index("CA").unwrap().entry_count().unwrap(), 2);
+        assert!(t.delete_row(&[1, 2, 3]).unwrap());
+        assert!(!t.delete_row(&[1, 2, 3]).unwrap());
+        t.insert(&[1, 2, 3]).unwrap();
+        assert_eq!(t.row_count().unwrap(), 2);
+    }
+
+    /// The indexes declared with a table decide whether it keeps a heap;
+    /// one that keeps none takes no later index, and one whose indexes
+    /// leave out two columns keeps a heap and takes one.
+    #[test]
+    fn only_indexes_that_each_leave_out_at_most_one_column_drop_the_heap() {
+        let db = db_with_covered_table();
+        let later = IndexDef { name: "B".into(), key_cols: vec![1] };
+        assert!(matches!(db.create_index("T", later.clone()), Err(Error::InvalidArgument(_))));
+        let columns = vec!["a".into(), "b".into(), "c".into()];
+        let def = |name: &str, keys: Vec<Vec<usize>>| TableDef {
+            name: name.into(),
+            columns: columns.clone(),
+            indexes: keys
+                .into_iter()
+                .enumerate()
+                .map(|(i, key_cols)| IndexDef { name: format!("I{i}"), key_cols })
+                .collect(),
+        };
+        for (name, keys, heap) in [
+            ("ALL", vec![vec![2, 1, 0]], false),
+            ("TWO_OF_THREE", vec![vec![0, 2], vec![1, 2]], false),
+            ("ONE_OF_THREE", vec![vec![0, 1], vec![2]], true),
+            ("NONE", vec![], true),
+        ] {
+            db.create_table(def(name, keys)).unwrap();
+            let t = db.table(name).unwrap();
+            assert_eq!(t.heap.is_some(), heap, "{name}");
+            t.insert(&[7, 8, 9]).unwrap();
+            assert_eq!(t.row_count().unwrap(), 1, "{name}");
+        }
+        db.create_index("ONE_OF_THREE", later.clone()).unwrap();
+        assert_eq!(db.table("ONE_OF_THREE").unwrap().index("B").unwrap().entry_count().unwrap(), 1);
+        // Declared indexes are checked like later ones.
+        assert!(db.create_table(def("BAD_KEY", vec![vec![3]])).is_err());
+        let twice = TableDef { indexes: vec![later.clone(), later], ..def("TWICE", vec![]) };
+        assert!(db.create_table(twice).is_err());
+        assert!(db.table("BAD_KEY").is_err() && db.table("TWICE").is_err());
+    }
+
+    /// A row write of a covered table logs one record per index and
+    /// nothing else: 2 with two indexes, against 3 with a heap.
+    #[test]
+    fn row_writes_of_a_covered_table_log_one_record_per_index() {
+        let pool = Arc::new(
+            BufferPool::new_durable(
+                MemDisk::new(2048),
+                BufferPoolConfig::with_capacity(64),
+                MemDisk::new(2048),
+            )
+            .unwrap(),
+        );
+        let db = Database::create(Arc::clone(&pool)).unwrap();
+        db.create_table(TableDef {
+            name: "T".into(),
+            columns: vec!["a".into(), "b".into(), "c".into()],
+            indexes: vec![
+                IndexDef { name: "AB".into(), key_cols: vec![0, 1] },
+                IndexDef { name: "CA".into(), key_cols: vec![2, 0] },
+            ],
+        })
+        .unwrap();
+        let t = db.table("T").unwrap();
+        t.insert(&[0, 0, 0]).unwrap();
+        t.insert(&[1, 1, 1]).unwrap();
+        db.commit().unwrap();
+        let logged = |op: &dyn Fn()| {
+            let (latches, wal) = (pool.latches().stats(), pool.wal().unwrap().stats());
+            op();
+            assert_eq!(pool.latches().stats().since(&latches).splits, 0, "no leaf may split");
+            pool.wal().unwrap().stats().records - wal.records
+        };
+        assert_eq!(logged(&|| t.insert(&[2, 2, 2]).unwrap()), 2, "insert: one per index");
+        assert_eq!(logged(&|| assert!(t.delete_row(&[1, 1, 1]).unwrap())), 2, "delete");
+        assert_eq!(t.row_count().unwrap(), 2);
     }
 
     #[test]

@@ -118,8 +118,8 @@ fn streamed_million_interval_batch_bulk_loads_the_ri_tree() {
         2 * per_index,
         "both indexes at full fill: the batch took the bulk route"
     );
-    // Descent-free, whole-stack: every device page (heap + indexes +
-    // catalog) is faulted in at most once and written back at most
+    // Descent-free, whole-stack: every device page (indexes + catalog)
+    // is faulted in at most once and written back at most
     // once.  A million per-row descents through a 256-frame pool would
     // re-fault upper index levels constantly and dwarf this bound.
     let device_pages = pool.num_pages();
@@ -294,8 +294,8 @@ fn durable_mem_pool() -> Arc<BufferPool> {
 }
 
 /// A durable million-row load commits on the default `WalConfig`: the
-/// build logs the meta writes that publish the heap and the two indexes,
-/// not its packed pages, so its log volume is under a kilobyte whatever
+/// build logs the meta writes that publish the two indexes, not their
+/// packed pages, so its log volume is under a kilobyte whatever
 /// the row count (logging every page wrote ≈ 260 MB and filled the
 /// segment map before the load ended).  The two volumes may differ by a
 /// few bytes: a meta write logs the bytes that changed, and a larger

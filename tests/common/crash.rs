@@ -223,13 +223,15 @@ impl Oracle {
         rows
     }
 
-    /// Checks a recovered tree: its count is the committed count, or that
+    /// Checks a recovered tree: its two indexes pair up entry for entry
+    /// ([`assert_twins`](super::twins::assert_twins)); its count is the committed count, or that
     /// plus the *whole* in-flight transaction, never part of it; its
     /// full-range id set is the matching state's; a stab at each of that
     /// state's rows finds the row; and no row outside it (deleted, or
     /// never committed) answers a stab.  Every failure names `ctx`.
     /// Returns whether the in-flight transaction survived.
     pub fn verify(&self, tree: &RiTree, ctx: &str) -> bool {
+        super::twins::assert_twins(tree, ctx);
         let with = self.with_in_flight();
         let n = tree.count().unwrap_or_else(|e| panic!("{ctx}: count: {e}")) as usize;
         assert!(

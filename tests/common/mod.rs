@@ -1,6 +1,7 @@
 //! Helpers shared by the integration suites: scratch directories, a
 //! durable pool over two files, [`sorted`] answers, the crash harness in
-//! [`crash`] and the determinism-golden rig in [`golden`].
+//! [`crash`], the determinism-golden rig in [`golden`] and the twin check
+//! of an RI-tree's two indexes in [`twins`].
 //!
 //! Each `tests/*.rs` file is its own crate, so anything here is pulled
 //! in with `mod common;` and only the items a suite uses are linked —
@@ -9,6 +10,7 @@
 
 pub mod crash;
 pub mod golden;
+pub mod twins;
 
 use ri_tree::pagestore::WalConfig;
 use ri_tree::prelude::*;

@@ -562,8 +562,8 @@ fn sibling_split_waits_for_a_pending_root_grow() {
 }
 
 /// RI-tree level: concurrent inserts and deletes through the full stack
-/// (heap latch, two indexes, parameter latch) with intersections racing
-/// them, then exact oracle equality once quiescent.
+/// (two indexes, parameter latch) with intersections racing them, then
+/// exact oracle equality and twin indexes once quiescent.
 #[test]
 fn ritree_concurrent_sessions_match_naive_oracle() {
     for seed in 0..12u64 {
@@ -650,5 +650,7 @@ fn ritree_concurrent_sessions_match_naive_oracle() {
             want.sort_unstable();
             assert_eq!(got, want, "seed {seed}: query {q} diverged");
         }
+        common::twins::assert_twins(&tree, &format!("seed {seed}"));
+        assert_eq!(tree.count().unwrap(), oracle.len() as u64, "seed {seed}");
     }
 }

@@ -21,6 +21,7 @@ fn database() -> Database {
     db.create_table(TableDef {
         name: "T".into(),
         columns: vec!["k".into(), "v".into(), "id".into()],
+        indexes: Vec::new(),
     })
     .unwrap();
     db.create_index("T", IndexDef { name: "KV".into(), key_cols: vec![0, 1] }).unwrap();

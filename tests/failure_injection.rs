@@ -176,8 +176,8 @@ fn forged_index_pages_surface_as_corrupt_errors() {
     assert!(!honest.is_empty());
     pool.clear_cache().unwrap();
 
-    // Index nodes by header signature: tag 1/2, arity 3, format 2 (heap
-    // pages carry tag 0x11, meta and catalog pages a magic word).
+    // Index nodes by header signature: tag 1/2, arity 3, format 2 (meta
+    // and catalog pages carry a magic word).
     let mut buf = vec![0u8; DEFAULT_PAGE_SIZE];
     let mut nodes = Vec::new();
     for id in (0..disk.num_pages()).map(PageId) {
