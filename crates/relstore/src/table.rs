@@ -435,6 +435,39 @@ mod tests {
         assert!(matches!(heaped.bulk_insert(&rows), Err(Error::InvalidArgument(_))));
     }
 
+    /// A table emptied by deletes counts zero rows but its indexes keep
+    /// their pages.  A covered table's bulk load fills them with every
+    /// row; a table with a heap is refused before either its heap or its
+    /// indexes are written, so the two stay in step.
+    #[test]
+    fn bulk_insert_into_an_emptied_table_keeps_heap_and_indexes_in_step() {
+        let rows: Vec<[i64; 3]> = (0..1000i64).map(|i| [i % 10, i, -i]).collect();
+        let db = db_with_covered_table();
+        let t = db.table("T").unwrap();
+        t.insert(&[1, 2, 3]).unwrap();
+        assert!(t.delete_row(&[1, 2, 3]).unwrap());
+        t.bulk_insert(&rows).unwrap();
+        assert_eq!(t.row_count().unwrap(), 1000);
+        for name in ["AB", "CA"] {
+            assert_eq!(t.index(name).unwrap().entry_count().unwrap(), 1000);
+            t.index(name).unwrap().check_invariants().unwrap();
+        }
+        let hits = t.index("AB").unwrap().scan_range(&[3, i64::MIN], &[3, i64::MAX]).count();
+        assert_eq!(hits, 100);
+
+        let db = db_with_indexed_table();
+        let t = db.table("T").unwrap();
+        t.insert(&[1, 2, 3]).unwrap();
+        assert!(t.delete(rid_of(&t, 3)).unwrap());
+        assert!(matches!(t.bulk_insert(&rows), Err(Error::InvalidArgument(_))));
+        assert_eq!(t.row_count().unwrap(), 0);
+        assert!(t.scan().unwrap().is_empty());
+        for name in ["AB", "C"] {
+            assert_eq!(t.index(name).unwrap().entry_count().unwrap(), 0);
+            t.index(name).unwrap().check_invariants().unwrap();
+        }
+    }
+
     /// A table emptied by deletes counts zero rows, but its indexes keep
     /// their pages: the builder cannot install over them, so a bulk load
     /// fills them entry by entry, into the kept leaves and their splits.
