@@ -102,6 +102,7 @@ impl<'t> BulkBuilder<'t> {
         }
     }
 
+    #[inline]
     fn push(&mut self, e: Entry) -> Result<()> {
         if let Some(prev) = self.prev {
             if e <= prev {
@@ -112,6 +113,13 @@ impl<'t> BulkBuilder<'t> {
         }
         self.prev = Some(e);
         self.count += 1;
+        // Most entries land on the pending leaf, which has room.
+        if let Some(Some(leaf)) = self.levels.first_mut() {
+            if leaf.node.count() < self.leaf_target {
+                leaf.node.push(&e);
+                return Ok(());
+            }
+        }
         self.add(0, e, None)
     }
 
@@ -126,11 +134,11 @@ impl<'t> BulkBuilder<'t> {
                 self.levels.push(None);
             }
             let target = if li == 0 { self.leaf_target } else { self.internal_target };
-            let pending = self.levels[li].as_mut().filter(|p| p.node.view().count() < target);
+            let pending = self.levels[li].as_mut().filter(|p| p.node.count() < target);
             if let Some(Pending { node, .. }) = pending {
                 node.push(&min);
                 if let Some(child) = child {
-                    node.set_child(node.view().count(), child);
+                    node.set_child(node.count(), child);
                 }
                 return Ok(());
             }

@@ -23,14 +23,16 @@ impl Key {
     ///
     /// # Panics
     /// Panics if `cols` is empty or longer than [`MAX_ARITY`].
+    #[inline]
     pub fn new(cols: &[i64]) -> Key {
         assert!(
             !cols.is_empty() && cols.len() <= MAX_ARITY,
             "key arity must be 1..={MAX_ARITY}, got {}",
             cols.len()
         );
-        let mut vals = [0i64; MAX_ARITY];
-        vals[..cols.len()].copy_from_slice(cols);
+        // A fixed-trip copy: the bulk loader builds a key per entry, and a
+        // copy of `cols.len()` words costs it a loop or a `memcpy` call.
+        let vals = std::array::from_fn(|c| cols.get(c).copied().unwrap_or(0));
         Key { vals, arity: cols.len() as u8 }
     }
 
@@ -104,6 +106,7 @@ pub struct Entry {
 
 impl Entry {
     /// Convenience constructor.
+    #[inline]
     pub fn new(cols: &[i64], payload: u64) -> Entry {
         Entry { key: Key::new(cols), payload }
     }

@@ -404,6 +404,12 @@ impl<B: AsRef<[u8]> + AsMut<[u8]>> NodeMut<B> {
         NodeView { buf: self.buf.as_ref(), arity: self.arity, count: self.count, leaf: self.leaf }
     }
 
+    /// Number of entries (leaf) or separators (internal).
+    #[inline]
+    pub fn count(&self) -> usize {
+        self.count
+    }
+
     /// The page buffer, written.
     pub fn into_inner(self) -> B {
         self.buf

@@ -826,6 +826,7 @@ impl BTree {
         Ok(Some(self.descend(&meta, target, false)?.0))
     }
 
+    #[inline]
     pub(crate) fn check_arity(&self, cols: &[i64]) -> Result<()> {
         if cols.len() != self.arity {
             return Err(Error::InvalidArgument(format!(

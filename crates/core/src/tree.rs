@@ -388,8 +388,9 @@ impl RiTree {
     /// **Bulk path:** the first batch into an *empty* tree is a bulk
     /// load — no concurrent DML on that tree while it runs.  It skips
     /// the per-row index descents entirely: each index is built bottom-up
-    /// at full fill from one reused buffer of its entries, sorted, in one
-    /// sequential write pass (`O(pages)` writes
+    /// at full fill from one reused buffer of its entries, sorted as
+    /// 16-byte packed keys wherever the batch's spans allow
+    /// ([`Table::bulk_insert`]), in one sequential write pass (`O(pages)` writes
     /// instead of `O(n log n)` descent I/Os; `threads` is not consulted,
     /// the pass is sequential by design).  This holds for a first batch
     /// of any size, small ones included: measured from 1 to 4,096 rows
@@ -426,25 +427,28 @@ impl RiTree {
         // expansion, so the node an item gets here, against the
         // parameters the items before it left, is the one the final
         // parameters (and a later delete) compute.
-        let rows: Vec<[i64; 4]> = {
+        let (rows, min_lower, max_upper) = {
             let _guard = self.db.param_guard();
             let mut p = self.load_params()?;
             let before = p;
             let mut rows = Vec::with_capacity(items.len());
+            let (mut min_lower, mut max_upper) = (i64::MAX, i64::MIN);
             for &(iv, id) in items {
                 insertable(&p, iv)?;
                 rows.push([p.prepare_insert(iv.lower, iv.upper), iv.lower, iv.upper, id]);
+                min_lower = min_lower.min(iv.lower);
+                max_upper = max_upper.max(iv.upper);
             }
             if p != before {
                 self.save_params(&p)?;
             }
-            rows
+            (rows, min_lower, max_upper)
         };
         // Phase 2: index entries.  A batch into an empty table (asked of
         // `lowerIndex`, which stops at its first entry) takes the bulk
-        // path — each index's entries sorted as compact fixed-width rows
-        // in one reused buffer and built bottom-up in one sequential write
-        // pass with no per-row descents; everything else fans the per-row
+        // path — each index's entries sorted as 16-byte packed keys in one
+        // reused buffer and built bottom-up in one sequential write pass
+        // with no per-row descents; everything else fans the per-row
         // inserts out over the worker threads.
         // A row refused there (a pair the tree holds) fails the batch after
         // the others are in and phase 3 has covered them.
@@ -466,8 +470,6 @@ impl RiTree {
                 dir.add(node)?;
             }
         }
-        let min_lower = items.iter().map(|&(iv, _)| iv.lower).min().expect("non-empty batch");
-        let max_upper = items.iter().map(|&(iv, _)| iv.upper).max().expect("non-empty batch");
         self.track_bounds(min_lower, Some(max_upper))?;
         written
     }
@@ -710,8 +712,9 @@ impl RiTree {
     /// knows the result-row layout.  Like Figure 9's query, which has no
     /// `ORDER BY`, the ids come back as the plan produces them:
     ///
-    /// * each intersecting id appears exactly once (Section 4.2) — for a
-    ///   plan of [`RiTree::intersection_plan`] or its ablations;
+    /// * each intersecting stored row's id appears exactly once (Section
+    ///   4.2) — for a plan of [`RiTree::intersection_plan`] or its
+    ///   ablations;
     /// * the order depends only on the tree's parameters, its entries and
     ///   the plan — the `UNION ALL` branches in order, each branch's outer
     ///   rows in order, each index's leaf runs in key order — not on page
@@ -732,8 +735,10 @@ impl RiTree {
     ///
     /// The answer is Figure 9's `UNION ALL`, returned in plan order:
     ///
-    /// * each intersecting id appears exactly once (Section 4.2: the
-    ///   conditions address disjoint interval sets);
+    /// * each stored `(interval, id)` row that intersects `q` contributes
+    ///   its id exactly once (Section 4.2: the conditions address disjoint
+    ///   rows) — so an id the tree holds under several intersecting
+    ///   intervals appears once per such interval;
     /// * the order depends only on the tree's parameters, its entries and
     ///   the query, not on page layout;
     /// * [`RiTree::intersection_batch`] and [`RiTree::stab`] return the
@@ -747,28 +752,42 @@ impl RiTree {
     /// Like [`RiTree::intersection_at`] with `now = UPPER_NOW − 1`, i.e.
     /// now-relative intervals are always considered current.
     ///
-    /// Same contract: each intersecting id exactly once, in an order that
-    /// depends only on the tree's parameters, its entries and `q`, and
-    /// [`RiTree::intersection_batch`] and [`RiTree::stab`] return the
-    /// identical vector.
+    /// Same contract: each intersecting stored row's id exactly once, so
+    /// an id stored under several intersecting intervals once per
+    /// interval; an order that depends only on the tree's parameters, its
+    /// entries and `q`; and [`RiTree::intersection_batch`] and
+    /// [`RiTree::stab`] return the identical vector.
     pub fn intersection(&self, q: Interval) -> Result<Vec<i64>> {
         self.intersection_at(q, UPPER_NOW - 1)
     }
 
     /// Intersection query returning executor statistics alongside the ids,
     /// which follow [`RiTree::intersection_at`]'s contract: each
-    /// intersecting id exactly once, in an order that depends only on the
-    /// tree's parameters, its entries and `q`, identical to what
-    /// [`RiTree::intersection_batch`] and [`RiTree::stab`] return.
+    /// intersecting stored row's id exactly once, in an order that depends
+    /// only on the tree's parameters, its entries and `q`, identical to
+    /// what [`RiTree::intersection_batch`] and [`RiTree::stab`] return.
+    ///
+    /// Debug builds check Section 4.2 on every answer: no stored row comes
+    /// out of two branches.
     pub fn intersection_with_stats(&self, q: Interval, now: i64) -> Result<(Vec<i64>, ExecStats)> {
-        let (ids, stats) = self.execute_id_plan(&self.intersection_plan(q, now)?)?;
+        let plan = self.intersection_plan(q, now)?;
+        if !cfg!(debug_assertions) {
+            return self.execute_id_plan(&plan);
+        }
+        // A branch's rows are `(node, bound, id, other bound)`: a stored
+        // row is its node, its id and its two bounds in order.
+        let (mut stats, mut ids, mut rows) = (ExecStats::default(), Vec::new(), Vec::new());
+        self.db.execute_with(&plan, &mut stats, &mut |batch| {
+            ids.extend(batch.column(2));
+            rows.extend(batch.iter().map(|row| {
+                let (a, b) = (row.get(1), row.get(3));
+                (row.get(0), a.min(b), a.max(b), row.get(2))
+            }));
+        })?;
+        rows.sort_unstable();
         debug_assert!(
-            {
-                let mut sorted = ids.clone();
-                ri_mem::sort::sort_ids(&mut sorted);
-                sorted.windows(2).all(|w| w[0] != w[1])
-            },
-            "intersection branches must be disjoint (Section 4.2)"
+            rows.windows(2).all(|w| w[0] != w[1]),
+            "intersection branches must address disjoint rows (Section 4.2)"
         );
         Ok((ids, stats))
     }
@@ -776,9 +795,11 @@ impl RiTree {
     /// Stabbing (point) query: all intervals containing `p` — "supporting
     /// point queries as efficient as interval queries" (Section 4.1).
     ///
-    /// Each containing id exactly once, in an order that depends only on
-    /// the tree's parameters, its entries and `p`; the vector is identical
-    /// to `intersection(Interval::point(p))`'s.
+    /// Each stored row whose interval contains `p` contributes its id
+    /// exactly once, so an id stored under several such intervals appears
+    /// once per interval; the order depends only on the tree's
+    /// parameters, its entries and `p`; the vector is identical to
+    /// `intersection(Interval::point(p))`'s.
     pub fn stab(&self, p: i64) -> Result<Vec<i64>> {
         self.intersection(Interval::point(p))
     }
@@ -975,6 +996,23 @@ mod tests {
         );
         assert_eq!(sorted(tree.stab(12).unwrap()), vec![1]);
         assert_eq!(sorted(tree.stab(20).unwrap()), vec![1, 2], "closed bounds intersect");
+    }
+
+    /// One id stored under two intersecting intervals is two rows, and an
+    /// answer holds each row's id once: twice here, and every branch of
+    /// the plan addresses distinct rows.  A debug build used to assert
+    /// that the ids were distinct and panicked.
+    #[test]
+    fn an_id_under_two_intersecting_intervals_is_answered_once_per_interval() {
+        let (_db, tree) = fresh();
+        tree.insert(Interval::new(10, 20).unwrap(), 1).unwrap();
+        tree.insert(Interval::new(10, 21).unwrap(), 1).unwrap();
+        tree.insert(Interval::new(30, 40).unwrap(), 1).unwrap();
+        assert_eq!(tree.stab(15).unwrap(), [1, 1]);
+        assert_eq!(tree.stab(21).unwrap(), [1]);
+        assert_eq!(tree.intersection(Interval::new(0, 100).unwrap()).unwrap(), [1, 1, 1]);
+        let (ids, _) = tree.intersection_with_stats(Interval::new(20, 30).unwrap(), 0).unwrap();
+        assert_eq!(ids, [1, 1, 1]);
     }
 
     #[test]

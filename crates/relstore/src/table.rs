@@ -6,10 +6,11 @@ use ri_btree::{BTree, Entry, MAX_ARITY};
 use ri_pagestore::{BufferPool, Error, Result};
 use std::sync::Arc;
 
-/// One index entry as `Table::bulk_insert` sorts it: the key columns, the
-/// payload as a [`payload_word`], then zeros.  The array order of two rows
-/// of one index is the order of their `Entry`s, `(key, payload)`: two rows
-/// that tie on both are equal entries, and their zero padding ties too.
+/// One index entry as `Table::bulk_insert` sorts it when its fields do not
+/// pack into a [`Packing`]: the key columns, the payload as a
+/// [`payload_word`], then zeros.  The array order of two rows of one index
+/// is the order of their `Entry`s, `(key, payload)`: two rows that tie on
+/// both are equal entries, and their zero padding ties too.
 type CompactRow = [i64; MAX_ARITY + 1];
 
 /// A `u64` payload as an `i64` word that sorts the same: the sign bit
@@ -21,6 +22,129 @@ fn payload_word(payload: u64) -> i64 {
 /// The payload a [`payload_word`] holds.
 fn payload_of(word: i64) -> u64 {
     word as u64 ^ (1 << 63)
+}
+
+/// A key column as a `u64` that sorts the same: the sign bit flipped.
+fn key_word(col: i64) -> u64 {
+    col as u64 ^ (1 << 63)
+}
+
+/// A column's least and greatest value over a batch.
+#[derive(Clone, Copy)]
+struct Span {
+    lo: i64,
+    hi: i64,
+}
+
+impl Span {
+    /// The span of no value at all; it packs into no bits.
+    const EMPTY: Span = Span { lo: i64::MAX, hi: i64::MIN };
+
+    #[inline]
+    fn add(&mut self, col: i64) {
+        self.lo = self.lo.min(col);
+        self.hi = self.hi.max(col);
+    }
+
+    /// The least and greatest word of the column as a key column.
+    fn as_key(&self) -> (u64, u64) {
+        (key_word(self.lo), key_word(self.hi))
+    }
+
+    /// The least and greatest word of the column as a payload, which
+    /// sorts as a `u64`: all 64 bits' worth when the column holds values
+    /// on both sides of zero.
+    fn as_payload(&self) -> (u64, u64) {
+        if self.lo >= 0 || self.hi < 0 {
+            (self.lo as u64, self.hi as u64)
+        } else {
+            (0, u64::MAX)
+        }
+    }
+}
+
+/// How one index's entries pack into `u128` sort keys whose order is
+/// their `(key, payload)` order.  Each field, the key columns as
+/// [`key_word`]s and then the payload, is taken less its least word over
+/// the batch and put in a bit field just wide enough for its span, the
+/// first column highest.  An index packs when its fields' widths sum to
+/// at most 128 bits; its entries then sort as 16-byte integers, and each
+/// key decodes straight back into its `Entry`.
+#[derive(Clone, Copy)]
+struct Packing {
+    arity: usize,
+    /// Per field slot — key column `f` in slot `f`, the payload in slot
+    /// `MAX_ARITY` — the row column it holds, its least word, the shift
+    /// of its bit field and the mask of its width.  A slot with no field
+    /// is 0 bits wide, and its least word decodes to 0, the key's padding.
+    col: [usize; MAX_ARITY + 1],
+    lo: [u64; MAX_ARITY + 1],
+    shift: [u32; MAX_ARITY + 1],
+    mask: [u64; MAX_ARITY + 1],
+}
+
+impl Packing {
+    /// The packing of `idx`'s entries, if they fit in 128 bits, from each
+    /// column's span over the batch.
+    fn fit(idx: &OpenIndex, spans: &[Span]) -> Option<Packing> {
+        let mut packing = Packing {
+            arity: idx.key_cols.len(),
+            col: [0; MAX_ARITY + 1],
+            lo: [0; MAX_ARITY + 1],
+            shift: [0; MAX_ARITY + 1],
+            mask: [0; MAX_ARITY + 1],
+        };
+        // A slot with no field spans the one word of a 0.
+        let zero = Span { lo: 0, hi: 0 };
+        let mut fields = [zero.as_key(); MAX_ARITY + 1];
+        fields[MAX_ARITY] = zero.as_payload();
+        for (f, &c) in idx.key_cols.iter().enumerate() {
+            (packing.col[f], fields[f]) = (c, spans[c].as_key());
+        }
+        if let Some(c) = idx.payload_col {
+            (packing.col[MAX_ARITY], fields[MAX_ARITY]) = (c, spans[c].as_payload());
+        }
+        let mut width = 0;
+        for (f, &(lo, hi)) in fields.iter().enumerate().rev() {
+            let bits = u64::BITS - hi.saturating_sub(lo).leading_zeros();
+            packing.lo[f] = lo;
+            // A field of no bits is always 0; shifting it by 128 would
+            // overflow.
+            packing.shift[f] = if bits == 0 { 0 } else { width };
+            packing.mask[f] = ((1u128 << bits) - 1) as u64;
+            width += bits;
+        }
+        (width <= u128::BITS).then_some(packing)
+    }
+
+    /// The word of field `f` in its bit field: 0 for a slot with no field.
+    #[inline]
+    fn field(&self, f: usize, word: u64) -> u128 {
+        ((word.wrapping_sub(self.lo[f]) & self.mask[f]) as u128) << self.shift[f]
+    }
+
+    /// `row`'s entry as its sort key; fixed-trip loops over every slot.
+    #[inline]
+    fn pack(&self, row: &[i64]) -> u128 {
+        let mut key = self.field(MAX_ARITY, row[self.col[MAX_ARITY]] as u64);
+        for f in 0..MAX_ARITY {
+            key |= self.field(f, key_word(row[self.col[f]]));
+        }
+        key
+    }
+
+    #[inline]
+    fn unpack(&self, key: u128) -> Entry {
+        let mut words = [0u64; MAX_ARITY + 1];
+        for (f, word) in words.iter_mut().enumerate() {
+            *word = ((key >> self.shift[f]) as u64 & self.mask[f]) + self.lo[f];
+        }
+        let mut cols = [0i64; MAX_ARITY];
+        for (col, word) in cols.iter_mut().zip(words) {
+            *col = (word ^ (1 << 63)) as i64;
+        }
+        Entry::new(&cols[..self.arity], words[MAX_ARITY])
+    }
 }
 
 /// A handle on a table and its secondary indexes.
@@ -57,12 +181,27 @@ impl OpenIndex {
         &key[..self.key_cols.len()]
     }
 
+    #[inline]
     fn payload(&self, row: &[i64], rid: Option<RowId>) -> u64 {
         match (rid, self.payload_col) {
             (Some(rid), _) => rid.raw(),
             (None, Some(c)) => row[c] as u64,
             (None, None) => 0,
         }
+    }
+
+    /// Fills this empty index from its entries in sorted order: built
+    /// bottom-up at full fill, or, if deletes emptied it and it kept its
+    /// pages, inserted entry by entry.
+    fn fill(&self, entries: impl Iterator<Item = Entry>) -> Result<()> {
+        if self.tree.stats()?.height == 0 {
+            self.tree.bulk_build_into(entries, 1.0)?;
+        } else {
+            for e in entries {
+                self.tree.insert(e.key.as_slice(), e.payload)?;
+            }
+        }
+        Ok(())
     }
 
     /// Retries one entry write of a row whose claim the caller holds until
@@ -150,6 +289,7 @@ impl Table {
         }
     }
 
+    #[inline]
     fn check_width(&self, row: &[i64]) -> Result<()> {
         if row.len() != self.columns.len() {
             return Err(Error::InvalidArgument(format!(
@@ -189,12 +329,24 @@ impl Table {
     /// Bulk-loads an **empty** table without a heap: builds each index
     /// bottom-up at full fill from its sorted run of entries — one
     /// sequential write pass per index instead of one root-to-leaf descent
-    /// per row (see `ri_btree`'s `builder` module).  Each run is sorted as
-    /// fixed-width compact rows (`CompactRow`) in one buffer that every
-    /// index reuses, and streamed into the builder as entries.  On a
-    /// durable pool each index's pages are written unlogged and synced,
-    /// and only the meta writes that publish them join the caller's
-    /// transaction.
+    /// per row (see `ri_btree`'s `builder` module).  On a durable pool each
+    /// index's pages are written unlogged and synced, and only the meta
+    /// writes that publish them join the caller's transaction.
+    ///
+    /// Each index's run is sorted in one buffer that every index reuses,
+    /// on one of two paths, which the batch alone chooses: one pass over
+    /// the rows takes each column's least and greatest value first.
+    ///
+    /// * **Packed keys**, 16 B a row: when an index's key columns and
+    ///   payload, each taken less its least value over the batch, fit in
+    ///   128 bits together, each entry packs into one `u128` that sorts
+    ///   as the entry does, and decodes straight back into it.  The
+    ///   RI-tree's indexes pack whenever node, both bounds and id span at
+    ///   most 128 bits together: 32 bits each, for example.
+    /// * **Compact rows**, 40 B a row: otherwise the index sorts
+    ///   fixed-width `[i64; 5]` rows (`CompactRow`) in the same order.
+    ///
+    /// Both paths build the same pages.
     ///
     /// Errors with `InvalidArgument` if the table keeps a heap, if any
     /// index already holds entries (callers fall back to
@@ -217,34 +369,62 @@ impl Table {
                 )));
             }
         }
-        rows.iter().try_for_each(|row| self.check_width(row.as_ref()))?;
-        // One buffer of compact rows, reserved once and refilled per index.
-        let mut sorted: Vec<CompactRow> = Vec::with_capacity(rows.len());
-        for (n, idx) in self.indexes.iter().enumerate() {
-            let arity = idx.key_cols.len();
-            sorted.clear();
-            sorted.extend(rows.iter().map(|row| {
-                let row = row.as_ref();
-                let mut compact = [0i64; MAX_ARITY + 1];
-                for (slot, &c) in compact.iter_mut().zip(&idx.key_cols) {
-                    *slot = row[c];
-                }
-                compact[arity] = payload_word(idx.payload(row, None));
-                compact
-            }));
-            sorted.sort_unstable();
-            // The first index's compact rows hold whole rows.
-            if n == 0 && sorted.windows(2).any(|w| w[0] == w[1]) {
+        let packings = self.packings(rows)?;
+        self.bulk_build(rows, &packings)
+    }
+
+    /// Checks each row's width and picks each index's sort path from the
+    /// columns' spans over `rows`: its [`Packing`], or `None` for compact
+    /// rows.
+    fn packings(&self, rows: &[impl AsRef<[i64]>]) -> Result<Vec<Option<Packing>>> {
+        let mut spans = [Span::EMPTY; MAX_ARITY + 1];
+        for row in rows {
+            let row = row.as_ref();
+            self.check_width(row)?;
+            // A covered table has at most `MAX_ARITY + 1` columns.
+            debug_assert!(row.len() <= spans.len());
+            for (span, &col) in spans.iter_mut().zip(row) {
+                span.add(col);
+            }
+        }
+        Ok(self.indexes.iter().map(|idx| Packing::fit(idx, &spans)).collect())
+    }
+
+    /// Sorts and builds each index of a checked bulk load: as packed keys
+    /// where `packings` holds a packing, as compact rows elsewhere.
+    fn bulk_build(&self, rows: &[impl AsRef<[i64]>], packings: &[Option<Packing>]) -> Result<()> {
+        let repeats = |n: usize, repeated: bool| {
+            // The first index's entries hold whole rows, and it is sorted
+            // and checked before any index is built.
+            if n == 0 && repeated {
                 let msg = format!("bulk_insert into {} repeats a row", self.name);
                 return Err(Error::InvalidArgument(msg));
             }
-            let entries = sorted.iter().map(|r| Entry::new(&r[..arity], payload_of(r[arity])));
-            if idx.tree.stats()?.height == 0 {
-                idx.tree.bulk_build_into(entries, 1.0)?;
+            Ok(())
+        };
+        let (mut packed, mut compact) = (Vec::<u128>::new(), Vec::<CompactRow>::new());
+        for (n, (idx, packing)) in self.indexes.iter().zip(packings).enumerate() {
+            if let Some(packing) = packing {
+                packed.clear();
+                packed.extend(rows.iter().map(|row| packing.pack(row.as_ref())));
+                packed.sort_unstable();
+                repeats(n, packed.windows(2).any(|w| w[0] == w[1]))?;
+                idx.fill(packed.iter().map(|&key| packing.unpack(key)))?;
             } else {
-                for e in entries {
-                    idx.tree.insert(e.key.as_slice(), e.payload)?;
-                }
+                let arity = idx.key_cols.len();
+                compact.clear();
+                compact.extend(rows.iter().map(|row| {
+                    let row = row.as_ref();
+                    let mut words = [0i64; MAX_ARITY + 1];
+                    for (slot, &c) in words.iter_mut().zip(&idx.key_cols) {
+                        *slot = row[c];
+                    }
+                    words[arity] = payload_word(idx.payload(row, None));
+                    words
+                }));
+                compact.sort_unstable();
+                repeats(n, compact.windows(2).any(|w| w[0] == w[1]))?;
+                idx.fill(compact.iter().map(|r| Entry::new(&r[..arity], payload_of(r[arity]))))?;
             }
         }
         Ok(())
@@ -493,10 +673,18 @@ mod tests {
         assert_eq!(hits, 100);
     }
 
-    /// The compact rows sort as `Entry`s do: at every arity, over negative
-    /// keys and payloads (the extremes included) with ties on every key,
-    /// each index of a bulk load scans exactly the entries a `Vec<Entry>`
-    /// sorted by `Entry`'s own order holds.
+    /// Both sort paths order a bulk load's entries as `Entry` does.  At
+    /// every arity, over two kinds of batch, with ties on every key and
+    /// rows that tie on the key and differ only in their payload, each
+    /// index scans exactly the entries a `Vec<Entry>` sorted by `Entry`'s
+    /// own order holds:
+    ///
+    /// * extremes (`i64::MIN`, `i64::MAX`, -1, 0, 1) span 64 bits a
+    ///   column: they pack at arity 1 (exactly 128 bits) and sort as
+    ///   compact rows above it;
+    /// * narrow negative and positive values pack at every arity, with a
+    ///   payload column that straddles zero (payloads ≥ 2⁶³ among them)
+    ///   taking 64 bits.
     #[test]
     fn bulk_insert_sorts_compact_rows_as_entries_sort() {
         use ri_btree::{Entry, MAX_ARITY};
@@ -504,49 +692,134 @@ mod tests {
             Arc::new(BufferPool::new(MemDisk::new(2048), BufferPoolConfig::with_capacity(256)));
         let db = Database::create(pool).unwrap();
         let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let batches: [(&str, &[i64]); 2] =
+            [("extremes", &[i64::MIN, i64::MAX, -1, 0, 1]), ("narrow", &[-3, -1, 0, 2, 5])];
         for arity in 1..=MAX_ARITY {
-            // `arity + 1` columns; the key, scrambled, leaves out column
-            // `arity / 2`, its payload.
-            let columns: Vec<String> = (0..=arity).map(|c| format!("c{c}")).collect();
-            let key_cols: Vec<usize> = (0..=arity).rev().filter(|&c| c != arity / 2).collect();
-            let index = IndexDef { name: format!("I{arity}"), key_cols: key_cols.clone() };
-            let name = format!("T{arity}");
-            db.create_table(TableDef { name: name.clone(), columns, indexes: vec![index] })
-                .unwrap();
-            let mut seen = std::collections::HashSet::new();
-            let rows: Vec<Vec<i64>> = (0..700)
-                .map(|_| {
-                    (0..=arity)
-                        .map(|_| {
-                            x ^= x << 13;
-                            x ^= x >> 7;
-                            x ^= x << 17;
-                            match x % 8 {
-                                0 => i64::MIN,
-                                1 => i64::MAX,
-                                r => r as i64 % 3 - 1,
-                            }
-                        })
-                        .collect::<Vec<i64>>()
-                })
-                .filter(|row| seen.insert(row.clone()))
-                .collect();
-            let t = db.table(&name).unwrap();
+            for (kind, values) in batches {
+                // `arity + 1` columns; the key, scrambled, leaves out
+                // column `arity / 2`, its payload.
+                let columns: Vec<String> = (0..=arity).map(|c| format!("c{c}")).collect();
+                let key_cols: Vec<usize> = (0..=arity).rev().filter(|&c| c != arity / 2).collect();
+                let index = IndexDef { name: "I".into(), key_cols: key_cols.clone() };
+                let name = format!("T{arity}{kind}");
+                db.create_table(TableDef { name: name.clone(), columns, indexes: vec![index] })
+                    .unwrap();
+                let mut seen = std::collections::HashSet::new();
+                let rows: Vec<Vec<i64>> = (0..700)
+                    .map(|_| {
+                        (0..=arity)
+                            .map(|_| {
+                                x ^= x << 13;
+                                x ^= x >> 7;
+                                x ^= x << 17;
+                                values[(x % values.len() as u64) as usize]
+                            })
+                            .collect::<Vec<i64>>()
+                    })
+                    .filter(|row| seen.insert(row.clone()))
+                    .collect();
+                let t = db.table(&name).unwrap();
+                let packs = t.packings(&rows).unwrap()[0].is_some();
+                assert_eq!(packs, kind == "narrow" || arity == 1, "{kind} at arity {arity}");
+                t.bulk_insert(&rows).unwrap();
+                let mut expected: Vec<Entry> = rows
+                    .iter()
+                    .map(|row| {
+                        let key: Vec<i64> = key_cols.iter().map(|&c| row[c]).collect();
+                        Entry::new(&key, row[arity / 2] as u64)
+                    })
+                    .collect();
+                expected.sort_unstable();
+                let index = t.index("I").unwrap();
+                let scanned: Vec<Entry> =
+                    index.scan_all().collect::<ri_pagestore::Result<_>>().unwrap();
+                assert_eq!(scanned, expected, "{kind} at arity {arity}");
+                let tie = scanned.windows(2).any(|w| w[0].key == w[1].key);
+                assert!(tie, "{kind} at arity {arity}: no two rows differ only in payload");
+                assert!(scanned.iter().any(|e| e.payload >= 1 << 63), "{kind}: no payload ≥ 2⁶³");
+                index.check_invariants().unwrap();
+            }
+        }
+    }
+
+    /// Every page of a covered table's database, as the pool serves it.
+    fn bulk_pages(db: &Database) -> Vec<Vec<u8>> {
+        let pool = db.pool();
+        (0..pool.num_pages())
+            .map(|page| pool.with_page(ri_pagestore::PageId(page), |b| b.to_vec()).unwrap())
+            .collect()
+    }
+
+    /// Rows for `db_with_covered_table` (`AB → c`, `CA → b`).  `a` and
+    /// `c` span 40 bits and `b` straddles zero: as a key column it takes
+    /// 3 bits, as `CA`'s payload all 64.  `AB` packs in 83 bits; `CA`
+    /// needs 144 and sorts as compact rows, unless `narrow` keeps `a` and
+    /// `c` to 16 bits.
+    fn bulk_rows(n: i64, narrow: bool) -> Vec<[i64; 3]> {
+        let bits = if narrow { 16 } else { 40 };
+        (0..n)
+            .map(|i| {
+                let a = i.wrapping_mul(0x9E37_79B9) & ((1 << bits) - 1);
+                [a, i % 5 - 2, (i * 7919 % n) << (bits - 16)]
+            })
+            .collect()
+    }
+
+    /// The two sort paths build byte-identical pages.  Twin databases
+    /// load one batch, one as the spans choose and one with every index
+    /// forced onto compact rows: a batch whose indexes both pack, and one
+    /// whose first index packs and whose second does not.
+    #[test]
+    fn bulk_packed_and_compact_paths_write_identical_pages() {
+        for (narrow, paths) in [(true, [true, true]), (false, [true, false])] {
+            let rows = bulk_rows(3000, narrow);
+            let (chosen, compact) = (db_with_covered_table(), db_with_covered_table());
+            let t = chosen.table("T").unwrap();
+            let packings = t.packings(&rows).unwrap();
+            assert_eq!(packings.iter().map(Option::is_some).collect::<Vec<_>>(), paths);
             t.bulk_insert(&rows).unwrap();
-            let mut expected: Vec<Entry> = rows
-                .iter()
-                .map(|row| {
-                    let key: Vec<i64> = key_cols.iter().map(|&c| row[c]).collect();
-                    Entry::new(&key, row[arity / 2] as u64)
-                })
-                .collect();
-            expected.sort_unstable();
-            let index = t.index(&format!("I{arity}")).unwrap();
-            let scanned: Vec<Entry> =
-                index.scan_all().collect::<ri_pagestore::Result<_>>().unwrap();
-            assert_eq!(scanned, expected, "arity {arity}");
-            assert!(scanned.windows(2).any(|w| w[0].key == w[1].key), "arity {arity}: no key ties");
-            index.check_invariants().unwrap();
+            compact.table("T").unwrap().bulk_build(&rows, &[None, None]).unwrap();
+            let pages = bulk_pages(&chosen);
+            assert!(pages.len() > 20, "several leaves per index");
+            assert!(pages == bulk_pages(&compact), "paths {paths:?} wrote different pages");
+            for name in ["AB", "CA"] {
+                assert_eq!(t.index(name).unwrap().entry_count().unwrap(), 3000);
+                t.index(name).unwrap().check_invariants().unwrap();
+            }
+        }
+    }
+
+    /// A repeated row refuses the whole batch on either sort path, before
+    /// any index is built: nothing is written and every index stays
+    /// empty.  The batches: one that packs, one whose second index does
+    /// not, and one of extremes that packs nowhere.
+    #[test]
+    fn bulk_a_repeated_row_leaves_every_index_empty_on_both_paths() {
+        let extreme = |i: i64| if i % 2 == 0 { i64::MIN + i } else { i64::MAX - i };
+        let extremes: Vec<[i64; 3]> =
+            (0..500i64).map(|i| [extreme(i), extreme(i / 2), i % 3 - 1]).collect();
+        let batches = [
+            (bulk_rows(1000, true), [true, true]),
+            (bulk_rows(1000, false), [true, false]),
+            (extremes, [false, false]),
+        ];
+        for (mut rows, paths) in batches {
+            rows.push(rows[rows.len() / 2]);
+            let db = db_with_covered_table();
+            let t = db.table("T").unwrap();
+            let chosen = t.packings(&rows).unwrap();
+            assert_eq!(chosen.iter().map(Option::is_some).collect::<Vec<_>>(), paths);
+            for packings in [&chosen[..], &[None, None]] {
+                let writes = db.pool().stats().snapshot().logical_writes;
+                let refused = t.bulk_build(&rows, packings);
+                assert!(matches!(refused, Err(Error::InvalidArgument(_))), "{refused:?}");
+                assert_eq!(db.pool().stats().snapshot().logical_writes, writes, "nothing written");
+                for name in ["AB", "CA"] {
+                    assert_eq!(t.index(name).unwrap().stats().unwrap().height, 0, "{name}");
+                }
+            }
+            assert!(matches!(t.bulk_insert(&rows), Err(Error::InvalidArgument(_))));
+            assert!(t.is_empty().unwrap());
         }
     }
 
