@@ -22,8 +22,7 @@
 use ri_pagestore::Result;
 use ri_relstore::exec::CmpOp;
 use ri_relstore::{
-    BoundExpr, Database, ExecStats, IndexDef, IntervalAccessMethod, Plan, Predicate, RowId,
-    TableDef,
+    BoundExpr, Database, ExecStats, IndexDef, IntervalAccessMethod, Plan, Predicate, TableDef,
 };
 use std::sync::Arc;
 
@@ -57,7 +56,8 @@ impl IstOrder {
         cols
     }
 
-    /// Index key columns over [`IstOrder::columns`].
+    /// Index key columns over [`IstOrder::columns`]: each leaves out at
+    /// most one column (H's `upper`), so the index is the table.
     fn key_cols(self) -> Vec<usize> {
         match self {
             IstOrder::D => vec![1, 0, 2], // (upper, lower, id)
@@ -72,35 +72,23 @@ impl IstOrder {
             _ => vec![lower, upper, id],
         }
     }
-
-    fn key(self, lower: i64, upper: i64, id: i64) -> [i64; 3] {
-        match self {
-            IstOrder::D => [upper, lower, id],
-            IstOrder::V => [lower, upper, id],
-            IstOrder::H => [upper - lower, lower, id],
-        }
-    }
 }
 
 impl Ist {
-    /// Creates the table and its single composite index.
+    /// Creates the table, which is its single composite index.
     pub fn create(db: Arc<Database>, name: &str, order: IstOrder) -> Result<Ist> {
         let table_name = format!("IST_{name}");
         let index_name = format!("IST_{name}_IDX");
         db.create_table(TableDef {
             name: table_name.clone(),
             columns: order.columns(),
-            indexes: Vec::new(),
+            indexes: vec![IndexDef { name: index_name.clone(), key_cols: order.key_cols() }],
         })?;
-        db.create_index(
-            &table_name,
-            IndexDef { name: index_name.clone(), key_cols: order.key_cols() },
-        )?;
         let table = db.table(&table_name)?;
         Ok(Ist { db, order, table_name, index_name, table })
     }
 
-    /// Bulk path: fills the heap first, then builds the index sorted —
+    /// Bulk path: builds the index bottom-up from all its rows, sorted —
     /// giving the "good clustering properties of the bulk loaded indexes"
     /// the paper grants the competitors (Section 6.3).
     pub fn build_bulk(
@@ -109,29 +97,18 @@ impl Ist {
         order: IstOrder,
         data: &[(i64, i64)],
     ) -> Result<Ist> {
-        let table_name = format!("IST_{name}");
-        let index_name = format!("IST_{name}_IDX");
-        db.create_table(TableDef {
-            name: table_name.clone(),
-            columns: order.columns(),
-            indexes: Vec::new(),
-        })?;
-        let table = db.table(&table_name)?;
-        for (id, &(l, u)) in data.iter().enumerate() {
-            table.insert(&order.row(l, u, id as i64))?;
-        }
-        db.create_index(
-            &table_name,
-            IndexDef { name: index_name.clone(), key_cols: order.key_cols() },
-        )?;
-        let table = db.table(&table_name)?;
-        Ok(Ist { db, order, table_name, index_name, table })
+        let ist = Ist::create(db, name, order)?;
+        let rows: Vec<Vec<i64>> =
+            data.iter().enumerate().map(|(id, &(l, u))| order.row(l, u, id as i64)).collect();
+        ist.table.bulk_insert(&rows)?;
+        Ok(ist)
     }
 
     /// The intersection query (Figure 11) as a physical plan.
     ///
     /// Index scan output rows are (first key col, second key col, id,
-    /// rowid); the residual filter references them positionally.
+    /// payload: H's `upper`, else 0); the residual filter references them
+    /// positionally.
     pub fn intersection_plan(&self, ql: i64, qu: i64) -> Plan {
         let full_scan_from = |lo0: BoundExpr| Plan::IndexRangeScan {
             table: self.table_name.clone(),
@@ -193,21 +170,11 @@ impl IntervalAccessMethod for Ist {
     }
 
     fn am_insert(&self, lower: i64, upper: i64, id: i64) -> Result<()> {
-        self.table.insert(&self.order.row(lower, upper, id))?;
-        Ok(())
+        self.table.insert(&self.order.row(lower, upper, id))
     }
 
     fn am_delete(&self, lower: i64, upper: i64, id: i64) -> Result<bool> {
-        let key = self.order.key(lower, upper, id);
-        let index = self.table.index(&self.index_name)?;
-        let mut found = None;
-        if let Some(e) = index.scan_range(&key, &key).next() {
-            found = Some(RowId::from_raw(e?.payload));
-        }
-        match found {
-            Some(rid) => self.table.delete(rid),
-            None => Ok(false),
-        }
+        self.table.delete_row(&self.order.row(lower, upper, id))
     }
 
     fn am_intersection_with_stats(&self, lower: i64, upper: i64) -> Result<(Vec<i64>, ExecStats)> {
@@ -279,12 +246,20 @@ mod tests {
         assert_eq!(ist.am_index_entries().unwrap(), 100);
     }
 
+    /// An `(interval, id)` the index holds is refused with nothing
+    /// written; a delete removes it once, and finds nothing the second
+    /// time.
     #[test]
     fn delete_exact_entry_every_order() {
         for order in [IstOrder::D, IstOrder::V, IstOrder::H] {
             let ist = fresh(order);
             ist.am_insert(1, 5, 10).unwrap();
             ist.am_insert(1, 5, 11).unwrap();
+            let writes = ist.db.pool().stats().snapshot().logical_writes;
+            let again = ist.am_insert(1, 5, 10);
+            assert!(matches!(again, Err(ri_pagestore::Error::InvalidArgument(_))), "{again:?}");
+            assert_eq!(ist.db.pool().stats().snapshot().logical_writes, writes, "{order:?}");
+            assert_eq!(ist.am_count().unwrap(), 2, "{order:?}");
             assert!(ist.am_delete(1, 5, 10).unwrap(), "{order:?}");
             assert!(!ist.am_delete(1, 5, 10).unwrap(), "{order:?}");
             assert_eq!(ist.am_intersection(0, 10).unwrap(), vec![11], "{order:?}");
@@ -294,21 +269,25 @@ mod tests {
     #[test]
     fn bulk_build_equals_dynamic() {
         let data: Vec<(i64, i64)> = (0..300).map(|i| (i * 11 % 997, i * 11 % 997 + 30)).collect();
-        let pool = Arc::new(BufferPool::new(
-            MemDisk::new(DEFAULT_PAGE_SIZE),
-            BufferPoolConfig::with_capacity(200),
-        ));
-        let db = Arc::new(Database::create(pool).unwrap());
-        let bulk = Ist::build_bulk(db, "b", IstOrder::D, &data).unwrap();
-        let dynamic = fresh(IstOrder::D);
-        for (id, &(l, u)) in data.iter().enumerate() {
-            dynamic.am_insert(l, u, id as i64).unwrap();
-        }
-        for q in [(0, 2000), (500, 510)] {
-            assert_eq!(
-                bulk.am_intersection(q.0, q.1).unwrap(),
-                dynamic.am_intersection(q.0, q.1).unwrap()
-            );
+        for order in [IstOrder::D, IstOrder::V, IstOrder::H] {
+            let pool = Arc::new(BufferPool::new(
+                MemDisk::new(DEFAULT_PAGE_SIZE),
+                BufferPoolConfig::with_capacity(200),
+            ));
+            let db = Arc::new(Database::create(pool).unwrap());
+            let bulk = Ist::build_bulk(db, "b", order, &data).unwrap();
+            crate::tests::assert_only_indexes(&bulk.db, &bulk.table_name, &[&bulk.index_name]);
+            let dynamic = fresh(order);
+            for (id, &(l, u)) in data.iter().enumerate() {
+                dynamic.am_insert(l, u, id as i64).unwrap();
+            }
+            for q in [(0, 2000), (500, 510)] {
+                assert_eq!(
+                    bulk.am_intersection(q.0, q.1).unwrap(),
+                    dynamic.am_intersection(q.0, q.1).unwrap(),
+                    "{order:?}"
+                );
+            }
         }
     }
 

@@ -33,3 +33,17 @@ pub use tindex::TileIndex;
 pub use windowlist::WindowList;
 
 pub use ri_relstore::IntervalAccessMethod;
+
+#[cfg(test)]
+mod tests {
+    use ri_relstore::Database;
+
+    /// Asserts that `db` holds its header page and `table`'s `indexes` —
+    /// each one's meta page and the pages its `index_stats` counts — and
+    /// not one page more: the indexes are the table.
+    pub(crate) fn assert_only_indexes(db: &Database, table: &str, indexes: &[&str]) {
+        let pages = |index: &&str| 1 + db.index_stats(table, index).unwrap().pages;
+        let expected = 1 + indexes.iter().map(pages).sum::<u64>();
+        assert_eq!(db.pool().num_pages(), expected, "{table}: header and {indexes:?} only");
+    }
+}

@@ -45,7 +45,7 @@ fn max_len(partition: i64) -> i64 {
 
 impl Map21 {
     /// Creates the partitioned schema: one index keyed on every column,
-    /// which is the table (it keeps no heap).
+    /// which is the table.
     pub fn create(db: Arc<Database>, name: &str) -> Result<Map21> {
         let table_name = format!("M21_{name}");
         let index_name = format!("M21_{name}_IDX");

@@ -20,8 +20,7 @@
 use ri_pagestore::{Error, Result};
 use ri_relstore::exec::CmpOp;
 use ri_relstore::{
-    BoundExpr, Database, ExecStats, IndexDef, IntervalAccessMethod, Plan, Predicate, RowId,
-    TableDef,
+    BoundExpr, Database, ExecStats, IndexDef, IntervalAccessMethod, Plan, Predicate, TableDef,
 };
 use std::sync::Arc;
 
@@ -43,49 +42,36 @@ impl TileIndex {
         }
         let table_name = format!("TI_{name}");
         let index_name = format!("TI_{name}_IDX");
+        // The covering index, which is the table: one entry per
+        // (interval × tile).
         db.create_table(TableDef {
             name: table_name.clone(),
             columns: vec!["tile".into(), "lower".into(), "upper".into(), "id".into()],
-            indexes: Vec::new(),
+            indexes: vec![IndexDef { name: index_name.clone(), key_cols: vec![0, 1, 2, 3] }],
         })?;
-        // The covering index: one entry per (interval × tile).
-        db.create_index(
-            &table_name,
-            IndexDef { name: index_name.clone(), key_cols: vec![0, 1, 2, 3] },
-        )?;
         db.set_param(&format!("TI_{name}.fixed_level"), fixed_level as i64)?;
         let table = db.table(&table_name)?;
         Ok(TileIndex { db, table_name, index_name, table, fixed_level })
     }
 
-    /// Bulk path: heap first, index afterwards (clustered build).
+    /// Bulk path: the index is built bottom-up from all its rows, sorted
+    /// (a clustered build).
     pub fn build_bulk(
         db: Arc<Database>,
         name: &str,
         fixed_level: u32,
         data: &[(i64, i64)],
     ) -> Result<TileIndex> {
-        let table_name = format!("TI_{name}");
-        let index_name = format!("TI_{name}_IDX");
-        db.create_table(TableDef {
-            name: table_name.clone(),
-            columns: vec!["tile".into(), "lower".into(), "upper".into(), "id".into()],
-            indexes: Vec::new(),
-        })?;
-        let table = db.table(&table_name)?;
-        let width = 1i64 << fixed_level;
-        for (id, &(l, u)) in data.iter().enumerate() {
-            for t in l.div_euclid(width)..=u.div_euclid(width) {
-                table.insert(&[t, l, u, id as i64])?;
-            }
-        }
-        db.create_index(
-            &table_name,
-            IndexDef { name: index_name.clone(), key_cols: vec![0, 1, 2, 3] },
-        )?;
-        db.set_param(&format!("TI_{name}.fixed_level"), fixed_level as i64)?;
-        let table = db.table(&table_name)?;
-        Ok(TileIndex { db, table_name, index_name, table, fixed_level })
+        let ti = TileIndex::create(db, name, fixed_level)?;
+        let rows: Vec<[i64; 4]> =
+            data.iter().enumerate().flat_map(|(id, &(l, u))| ti.rows(l, u, id as i64)).collect();
+        ti.table.bulk_insert(&rows)?;
+        Ok(ti)
+    }
+
+    /// The rows of `[lower, upper]` under `id`: one per tile it overlaps.
+    fn rows(&self, lower: i64, upper: i64, id: i64) -> impl Iterator<Item = [i64; 4]> {
+        (self.tile_of(lower)..=self.tile_of(upper)).map(move |t| [t, lower, upper, id])
     }
 
     /// Redundancy factor: index entries per stored interval (Figure 12's
@@ -200,29 +186,13 @@ impl IntervalAccessMethod for TileIndex {
     }
 
     fn am_insert(&self, lower: i64, upper: i64, id: i64) -> Result<()> {
-        let width = 1i64 << self.fixed_level;
-        for t in lower.div_euclid(width)..=upper.div_euclid(width) {
-            self.table.insert(&[t, lower, upper, id])?;
-        }
-        Ok(())
+        self.rows(lower, upper, id).try_for_each(|row| self.table.insert(&row))
     }
 
     fn am_delete(&self, lower: i64, upper: i64, id: i64) -> Result<bool> {
-        let width = 1i64 << self.fixed_level;
-        let index = self.table.index(&self.index_name)?;
         let mut any = false;
-        for t in lower.div_euclid(width)..=upper.div_euclid(width) {
-            let key = [t, lower, upper, id];
-            let rids: Vec<RowId> = index
-                .scan_range(&key, &key)
-                .map(|e| e.map(|e| RowId::from_raw(e.payload)))
-                .collect::<Result<_>>()?;
-            // Delete a single decomposition (the first matching row per
-            // tile) — duplicates of the same logical interval share bounds
-            // and id, so one row per tile disappears.
-            if let Some(rid) = rids.first() {
-                any |= self.table.delete(*rid)?;
-            }
+        for row in self.rows(lower, upper, id) {
+            any |= self.table.delete_row(&row)?;
         }
         Ok(any)
     }
@@ -238,9 +208,14 @@ impl IntervalAccessMethod for TileIndex {
     fn am_count(&self) -> Result<u64> {
         // Rows are per (interval × tile); count distinct intervals via the
         // per-interval first tile: an interval's first tile contains its
-        // lower bound, so rows with tile == tile_of(lower) are unique.
-        let rows = self.table.scan()?;
-        Ok(rows.iter().filter(|(_, r)| r[0] == self.tile_of(r[1])).count() as u64)
+        // lower bound, so entries with tile == tile_of(lower) are unique.
+        let mut n = 0;
+        for e in self.table.index(&self.index_name)?.scan_all() {
+            let e = e?;
+            let key = e.key.as_slice();
+            n += u64::from(key[0] == self.tile_of(key[1]));
+        }
+        Ok(n)
     }
 }
 
@@ -317,11 +292,19 @@ mod tests {
         assert_eq!(ti.am_count().unwrap(), 100);
     }
 
+    /// An `(interval, id)` the index holds is refused with nothing
+    /// written; a delete removes every tile of it, and finds nothing the
+    /// second time.
     #[test]
     fn delete_removes_all_decompositions() {
         let ti = fresh(4); // width 16
         ti.am_insert(0, 100, 1).unwrap(); // spans 7 tiles
         ti.am_insert(50, 60, 2).unwrap();
+        let writes = ti.db.pool().stats().snapshot().logical_writes;
+        let again = ti.am_insert(0, 100, 1);
+        assert!(matches!(again, Err(Error::InvalidArgument(_))), "{again:?}");
+        assert_eq!(ti.db.pool().stats().snapshot().logical_writes, writes, "nothing written");
+        assert_eq!(ti.am_index_entries().unwrap(), 8);
         assert!(ti.am_delete(0, 100, 1).unwrap());
         assert_eq!(ti.am_intersection(0, 100).unwrap(), vec![2]);
         assert_eq!(ti.am_count().unwrap(), 1);
@@ -364,6 +347,7 @@ mod tests {
         ));
         let db = Arc::new(Database::create(pool).unwrap());
         let bulk = TileIndex::build_bulk(db, "b", 8, &data).unwrap();
+        crate::tests::assert_only_indexes(&bulk.db, &bulk.table_name, &[&bulk.index_name]);
         let dynamic = fresh(8);
         for (id, &(l, u)) in data.iter().enumerate() {
             dynamic.am_insert(l, u, id as i64).unwrap();

@@ -49,12 +49,16 @@ impl WindowList {
         let table_name = format!("WL_{name}");
         let window_index = format!("WL_{name}_WIN");
         let start_index = format!("WL_{name}_START");
+        // Both indexes cover the table: `WIN` holds every column, `START`
+        // every column but `wkey`, its payload.
         db.create_table(TableDef {
             name: table_name.clone(),
             columns: vec!["wkey".into(), "lower".into(), "upper".into(), "id".into()],
-            indexes: Vec::new(),
+            indexes: vec![
+                IndexDef { name: window_index.clone(), key_cols: vec![0, 1, 2, 3] },
+                IndexDef { name: start_index.clone(), key_cols: vec![1, 2, 3] },
+            ],
         })?;
-        let table = db.table(&table_name)?;
 
         let mut sorted: Vec<(i64, i64, i64)> =
             data.iter().enumerate().map(|(id, &(l, u))| (l, u, id as i64)).collect();
@@ -65,6 +69,7 @@ impl WindowList {
         // that as the starts-per-window count K makes snapshots ≈ starts,
         // i.e. total space ≈ 2n.
         let mut boundaries = Vec::new();
+        let mut rows: Vec<[i64; 4]> = Vec::new();
         if !sorted.is_empty() {
             let span = (sorted.last().unwrap().0 - sorted[0].0).max(1);
             let total_len: i64 = sorted.iter().map(|&(l, u, _)| u - l).sum();
@@ -78,23 +83,15 @@ impl WindowList {
                     boundaries.push(l);
                     active.retain(|&(au, _, _)| au >= l);
                     let w = boundaries.len() as i64 - 1;
-                    for &(au, al, aid) in &active {
-                        table.insert(&[w, al, au, aid])?; // snapshot copy
-                    }
+                    // Snapshot copies.
+                    rows.extend(active.iter().map(|&(au, al, aid)| [w, al, au, aid]));
                 }
                 let w = boundaries.len() as i64 - 1;
-                table.insert(&[w, l, u, id])?; // primary copy
+                rows.push([w, l, u, id]); // primary copy
                 active.push((u, l, id));
             }
         }
-        db.create_index(
-            &table_name,
-            IndexDef { name: window_index.clone(), key_cols: vec![0, 1, 2, 3] },
-        )?;
-        db.create_index(
-            &table_name,
-            IndexDef { name: start_index.clone(), key_cols: vec![1, 2, 3] },
-        )?;
+        db.table(&table_name)?.bulk_insert(&rows)?;
         Ok(WindowList {
             db,
             table_name,
@@ -147,7 +144,7 @@ impl WindowList {
         }
         if qu > ql {
             // Range branch: intervals starting inside (ql, qu].  Output
-            // columns (lower, upper, id, rowid): pad to the stab branch's
+            // columns (lower, upper, id, wkey): pad to the stab branch's
             // five, id at col 3.
             branches.push(Plan::Project {
                 input: Box::new(Plan::IndexRangeScan {
@@ -253,6 +250,8 @@ mod tests {
     fn duplication_factor_is_bounded() {
         let data = pseudo_data(5000, 0xBEEF, 4000);
         let wl = build(&data);
+        let indexes = [wl.window_index.as_str(), wl.start_index.as_str()];
+        crate::tests::assert_only_indexes(&wl.db, &wl.table_name, &indexes);
         let f = wl.duplication_factor().unwrap();
         assert!((1.0..4.0).contains(&f), "duplication factor {f} outside the ~2x design target");
     }

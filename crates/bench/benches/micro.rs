@@ -125,7 +125,7 @@ fn bench_hint_block_build(c: &mut Criterion) {
 }
 
 /// One uncontended exclusive latch taken and released on one page: the
-/// host service under every B-link, heap and RI-tree parameter write.
+/// host service under every B-link and RI-tree parameter write.
 fn bench_latch(c: &mut Criterion) {
     let latches = LatchManager::default();
     c.bench_function("latch/acquire_release", |b| {

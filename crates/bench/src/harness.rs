@@ -5,7 +5,7 @@ use ri_pagestore::{
     BufferPool, BufferPoolConfig, IoSnapshot, LatencyModel, MemDisk, WalConfig, WalSnapshot,
     DEFAULT_PAGE_SIZE,
 };
-use ri_relstore::{Database, IntervalAccessMethod, TableDef};
+use ri_relstore::{Database, IndexDef, IntervalAccessMethod, TableDef};
 use ritree_core::{Interval, RiTree};
 use std::sync::Arc;
 
@@ -122,8 +122,8 @@ pub fn sorted(mut ids: Vec<i64>) -> Vec<i64> {
 }
 
 /// A fresh WAL-backed database on in-memory devices (paper-sized pool,
-/// 2 KB pages) holding one two-column table `T` — the commit experiments'
-/// workbench.
+/// 2 KB pages) holding one two-column table `T`, which is its index
+/// `A (a) → b` — the commit experiments' workbench.
 pub fn durable_db(wal_config: WalConfig) -> Database {
     let pool = Arc::new(
         BufferPool::new_durable_with(
@@ -138,7 +138,7 @@ pub fn durable_db(wal_config: WalConfig) -> Database {
     db.create_table(TableDef {
         name: "T".into(),
         columns: vec!["a".into(), "b".into()],
-        indexes: Vec::new(),
+        indexes: vec![IndexDef { name: "A".into(), key_cols: vec![0] }],
     })
     .expect("ddl");
     db

@@ -3,8 +3,8 @@
 /// Maximum number of key columns a composite index supports.
 ///
 /// The reproduction needs at most three — e.g. `(node, lower, id)` when the
-/// row id is included in the index as in the paper's Figure 10 setup — but
-/// four keeps a little headroom without bloating entries.
+/// interval id is included in the index as in the paper's Figure 10 setup —
+/// but four keeps a little headroom without bloating entries.
 pub const MAX_ARITY: usize = 4;
 
 /// A composite key: up to [`MAX_ARITY`] `i64` columns compared
@@ -100,7 +100,8 @@ impl std::fmt::Display for Key {
 pub struct Entry {
     /// The composite key columns.
     pub key: Key,
-    /// The associated payload, usually a heap row id.
+    /// The associated payload: in a relational table, the column the key
+    /// leaves out (`ri_relstore::TableDef::indexes`).
     pub payload: u64,
 }
 

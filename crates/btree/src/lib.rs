@@ -12,8 +12,8 @@
 //! Features:
 //! * composite keys of 1–4 `i64` columns (relational *composite indexes*
 //!   such as `(node, lower)` from the paper's Figure 2),
-//! * duplicate keys disambiguated by a `u64` payload (a row id, or a
-//!   column the key leaves out); an entry is stored at most once,
+//! * duplicate keys disambiguated by a `u64` payload (the column the key
+//!   leaves out); an entry is stored at most once,
 //! * ordered range scans over leaf chains ([`BTree::scan_range`]),
 //! * logarithmic insert and delete; deletion never restructures (emptied
 //!   pages stay linked and absorb later inserts — the price of latch-free

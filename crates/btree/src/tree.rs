@@ -521,7 +521,7 @@ impl BTree {
     /// that exact entry is already stored.
     ///
     /// The tree is a set of entries: equal keys are told apart by their
-    /// payloads (a row id, or a column the key leaves out).  The check is
+    /// payloads (the column the key leaves out).  The check is
     /// one search of the leaf the entry belongs in, under the latch the
     /// insert takes anyway, so of racing inserts of one entry exactly one
     /// returns `true`.

@@ -8,8 +8,8 @@
 //!
 //! The two indexes are the table.  Each entry carries the bound its key
 //! leaves out — `lowerIndex (node, lower, id) → upper`, `upperIndex (node,
-//! upper, id) → lower` — so each covers the row, and the table keeps no
-//! heap (`ri_relstore::TableDef::indexes`): every query, delete and count
+//! upper, id) → lower` — so each covers the row, as every table's indexes
+//! must (`ri_relstore::TableDef::indexes`): every query, delete and count
 //! reads the indexes alone, as Figure 10's plan does.
 //!
 //! # Latches vs page faults (audit)
@@ -161,8 +161,8 @@ fn insertable(p: &BackboneParams, iv: Interval) -> Result<()> {
 }
 
 impl RiTree {
-    /// Creates the relational schema of Figure 2 (table plus `lowerIndex`
-    /// and `upperIndex`, which cover it, so it keeps no heap) and registers
+    /// Creates the relational schema of Figure 2 (the table, which is its
+    /// `lowerIndex` and `upperIndex`) and registers
     /// the backbone parameters in the data dictionary.
     pub fn create(db: Arc<Database>, name: &str) -> Result<RiTree> {
         Self::create_with_options(db, name, RiOptions::default())

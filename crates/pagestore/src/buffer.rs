@@ -43,8 +43,8 @@
 //! per-thread stack of scratch buffers (a stack, so nested writes each get
 //! their own) and installed when its closure returns.  The whole scheme is
 //! safe Rust.  Callers must not access the *same* page from two nested
-//! closures when either access is mutable; the B+-tree and heap layers are
-//! structured to never do so.
+//! closures when either access is mutable; the B+-tree layer is structured
+//! to never do so.
 //!
 //! # Miss promotion: device reads run outside the shard lock
 //!
@@ -267,7 +267,8 @@ fn return_scratch(buf: Vec<u8>) {
 /// Write-back page cache with LRU replacement, lock-striped over `shards`
 /// independent shards.
 ///
-/// All structures in this repository (B+-trees, heap tables, catalogs)
+/// All structures in this repository (B+-trees, which are the tables, and
+/// the catalog)
 /// access pages exclusively through this type, so the physical I/O of the
 /// RI-tree and of every competing access method is measured under identical
 /// caching rules — the methodology of the paper's Section 6.
@@ -506,8 +507,8 @@ impl BufferPool {
 
     /// The pool's latch manager: logical per-page latches (valid across
     /// evictions) used by the B-link tree's write path (one node latch at
-    /// a time) and the heap's append path.  Latch traffic never touches
-    /// pages, so it is invisible to [`BufferPool::stats`].
+    /// a time) and the catalog's parameter latch.  Latch traffic never
+    /// touches pages, so it is invisible to [`BufferPool::stats`].
     pub fn latches(&self) -> &LatchManager {
         &self.latches
     }

@@ -1,7 +1,7 @@
 //! Little-endian fixed-width encode/decode helpers for on-page layouts.
 //!
-//! Every on-page structure in this repository (B+-tree nodes, heap pages,
-//! catalog pages) is built from fixed-width integers written at computed
+//! Every on-page structure in this repository (B+-tree nodes, the catalog
+//! page) is built from fixed-width integers written at computed
 //! offsets.  Centralizing the byte fiddling here keeps the node layout code
 //! readable and gives one place to test the encoding.
 

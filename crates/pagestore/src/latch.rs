@@ -9,8 +9,8 @@
 //! The vocabulary is deliberately small: **exclusive per-page latches**
 //! and nothing else.  Every caller needs mutual exclusion on one page —
 //! B-link node writes and meta-page holds (`ri_btree::tree`, at most one
-//! node latch at a time), the bulk builder's install step, the heap's
-//! append latch and the catalog's parameter latch — while readers descend
+//! node latch at a time), the bulk builder's install step and the
+//! catalog's parameter latch — while readers descend
 //! latch-free, so a latch is simply "held or not" and there is nothing
 //! tree-wide to lock (see ARCHITECTURE.md).
 //!

@@ -2,10 +2,12 @@
 //! record carries instead of one span from the first to the last
 //! difference.
 //!
-//! A heap append changes the 2-byte row count near the page's head and
-//! one row at its used tail; a leaf insert changes the same count and the
-//! entries it shifts.  Logged as one span that is most of the page;
-//! logged as runs it is the bytes that differ plus a table entry per run.
+//! A B-link leaf insert changes the 2-byte entry count near the page's
+//! head and the entries it shifts to make room, which differ from their
+//! old places only here and there; an insert near the front of a full
+//! leaf shifts most of the page.  Logged as one span that is most of the
+//! page; logged as runs it is the bytes that differ plus a table entry
+//! per run.
 
 /// Most runs one update record carries.  Differences past the table's
 /// capacity are folded into the last run, which then spans to the final

@@ -16,7 +16,10 @@ pub trait IntervalAccessMethod {
     /// Short display name for reports (e.g. `"RI-tree"`).
     fn method_name(&self) -> &'static str;
 
-    /// Inserts the interval `[lower, upper]` under `id`.
+    /// Inserts the interval `[lower, upper]` under `id`.  An
+    /// `(interval, id)` the method already holds is refused with
+    /// `InvalidArgument`, and nothing is written: every method's table is
+    /// a set of rows.
     fn am_insert(&self, lower: i64, upper: i64, id: i64) -> Result<()>;
 
     /// Deletes the exact `(interval, id)`; `false` if absent.
@@ -37,8 +40,9 @@ pub trait IntervalAccessMethod {
     /// Total index entries maintained (Figure 12's storage metric).
     fn am_index_entries(&self) -> Result<u64>;
 
-    /// Number of stored intervals: a walk of the table's heap pages, or
-    /// of its first index's leaves where the indexes are the table (the
-    /// RI-tree's), O(pages), exact on a quiescent table.
+    /// Number of stored intervals, exact on a quiescent table: a walk of
+    /// the leaves of the method's first index, which is its table,
+    /// O(pages), counting one row per interval where an interval takes
+    /// several (the T-index's); the static Window-List keeps its count.
     fn am_count(&self) -> Result<u64>;
 }

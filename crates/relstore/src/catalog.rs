@@ -7,7 +7,6 @@
 //! store index specific system parameters such as root or minstep", and the
 //! RI-tree keeps `offset`, `leftRoot`, `rightRoot` and `minstep` here.
 
-use crate::heap::Heap;
 use crate::table::Table;
 use parking_lot::RwLock;
 use ri_btree::BTree;
@@ -15,11 +14,12 @@ use ri_pagestore::codec::{get_i64, get_u16, get_u32, get_u64, put_i64, put_u16, 
 use ri_pagestore::{BufferPool, Error, PageId, Result};
 use std::sync::Arc;
 
-/// Catalog format 2, whose heap meta page is [`PageId::INVALID`] for a
-/// table its indexes cover.
-const DB_MAGIC: u32 = 0x3244_4952; // "RID2"
+/// Catalog format 3: a table is its indexes, and nothing else.
+const DB_MAGIC: u32 = 0x3344_4952; // "RID3"
 /// Format 1, refused: every table had a heap, every entry a row id.
 const DB_MAGIC_V1: u32 = 0x5249_4442; // "RIDB"
+/// Format 2, refused: a table its indexes did not cover had a heap.
+const DB_MAGIC_V2: u32 = 0x3244_4952; // "RID2"
 const HEADER_PAGE: PageId = PageId(0);
 const MAX_NAME: usize = 63;
 
@@ -30,17 +30,14 @@ pub struct TableDef {
     pub name: String,
     /// Column names; all columns are `i64`.
     pub columns: Vec<String>,
-    /// Indexes created with the table.  If there is at least one and each
-    /// index's key leaves out at most one column, every index covers the
-    /// row and the table keeps **no heap**: an entry carries the column its
-    /// key leaves out as its payload (0 when the key holds every column),
-    /// and the indexes take no further [`Database::create_index`].
-    /// Otherwise the table keeps a heap, and each entry carries its row's
-    /// [`RowId`](crate::RowId).
+    /// The table's indexes, which are the table: there must be at least
+    /// one, and each key must leave out at most one column.  An entry
+    /// carries the column its key leaves out as its payload (0 when the key
+    /// holds every column), so every index holds the whole row.
     pub indexes: Vec<IndexDef>,
 }
 
-/// Definition of a new secondary index (DDL `CREATE INDEX`).
+/// Definition of an index, declared with its table ([`TableDef::indexes`]).
 ///
 /// `key_cols` lists column positions in significance order — e.g. the
 /// paper's `CREATE INDEX lowerIndex ON Intervals (node, lower)` becomes
@@ -64,14 +61,12 @@ pub(crate) struct IndexMeta {
 pub(crate) struct TableMeta {
     pub name: String,
     pub columns: Vec<String>,
-    /// `None` for a table its indexes cover ([`TableDef::indexes`]).
-    pub heap_meta: Option<PageId>,
     pub indexes: Vec<IndexMeta>,
 }
 
 /// Whether indexes keyed on `key_cols` cover a table of `n_cols` columns:
 /// there is at least one, and each key leaves out at most one column.
-pub(crate) fn covering<'a>(n_cols: usize, keys: impl IntoIterator<Item = &'a [usize]>) -> bool {
+fn covering<'a>(n_cols: usize, keys: impl IntoIterator<Item = &'a [usize]>) -> bool {
     let mut keys = keys.into_iter().peekable();
     keys.peek().is_some() && keys.all(|key| (0..n_cols).filter(|c| !key.contains(c)).count() <= 1)
 }
@@ -195,15 +190,13 @@ impl Database {
     // DDL
     // ------------------------------------------------------------------
 
-    /// Creates an empty table and the indexes declared with it; the table
-    /// keeps a heap unless those indexes cover it ([`TableDef::indexes`]).
+    /// Creates an empty table and the indexes declared with it.  A
+    /// definition whose indexes do not cover it ([`TableDef::indexes`]) is
+    /// refused with `InvalidArgument`, and nothing is allocated.
     pub fn create_table(&self, def: TableDef) -> Result<()> {
         check_name(&def.name)?;
         for c in &def.columns {
             check_name(c)?;
-        }
-        if def.columns.is_empty() {
-            return Err(Error::InvalidArgument("table needs at least one column".to_string()));
         }
         let mut cat = self.catalog.write();
         if cat.tables.iter().any(|t| t.name == def.name) {
@@ -213,11 +206,12 @@ impl Database {
             let names = def.indexes[..i].iter().map(|i| i.name.as_str());
             check_index(&def.name, def.columns.len(), names, idx)?;
         }
-        let keys = def.indexes.iter().map(|i| i.key_cols.as_slice());
-        let heap_meta = match covering(def.columns.len(), keys) {
-            true => None,
-            false => Some(Heap::create(Arc::clone(&self.pool), def.columns.len())?.meta_page()),
-        };
+        if !covering(def.columns.len(), def.indexes.iter().map(|i| i.key_cols.as_slice())) {
+            return Err(Error::InvalidArgument(format!(
+                "table {} needs at least one index, each leaving out at most one column",
+                def.name
+            )));
+        }
         // A new table is empty, and so is each of its indexes.
         let indexes = def
             .indexes
@@ -231,40 +225,7 @@ impl Database {
                 })
             })
             .collect::<Result<_>>()?;
-        cat.tables.push(TableMeta { name: def.name, columns: def.columns, heap_meta, indexes });
-        self.persist_locked(&cat)
-    }
-
-    /// Creates a secondary index on a table that keeps a heap,
-    /// bulk-building it from the existing rows.  A table its indexes cover
-    /// takes no further index.
-    pub fn create_index(&self, table: &str, def: IndexDef) -> Result<()> {
-        let mut cat = self.catalog.write();
-        let tmeta = cat
-            .tables
-            .iter_mut()
-            .find(|t| t.name == table)
-            .ok_or_else(|| Error::InvalidArgument(format!("no such table {table}")))?;
-        let names = tmeta.indexes.iter().map(|i| i.name.as_str());
-        check_index(table, tmeta.columns.len(), names, &def)?;
-        let Some(heap_meta) = tmeta.heap_meta else {
-            let msg = format!("table {table} keeps no heap: its indexes are declared with it");
-            return Err(Error::InvalidArgument(msg));
-        };
-        // Bulk-build from the current heap contents.
-        let heap = Heap::open(Arc::clone(&self.pool), heap_meta)?;
-        let mut entries: Vec<(Vec<i64>, u64)> = heap
-            .scan()?
-            .into_iter()
-            .map(|(rid, row)| (def.key_cols.iter().map(|&c| row[c]).collect(), rid.raw()))
-            .collect();
-        entries.sort();
-        let tree = BTree::bulk_load(Arc::clone(&self.pool), def.key_cols.len(), entries, 0.9)?;
-        tmeta.indexes.push(IndexMeta {
-            name: def.name,
-            key_cols: def.key_cols,
-            btree_meta: tree.meta_page(),
-        });
+        cat.tables.push(TableMeta { name: def.name, columns: def.columns, indexes });
         self.persist_locked(&cat)
     }
 
@@ -371,7 +332,7 @@ fn check_name(name: &str) -> Result<()> {
 }
 
 /// Checks a new index of `table` (`n_cols` columns) against the names of
-/// the indexes it already has.
+/// the indexes declared before it.
 fn check_index<'a>(
     table: &str,
     n_cols: usize,
@@ -489,7 +450,6 @@ fn encode_catalog(cat: &Catalog, page_size: usize) -> Result<Vec<u8>> {
         for c in &t.columns {
             cur.put_str(c)?;
         }
-        cur.put_u64(t.heap_meta.unwrap_or(PageId::INVALID).raw())?;
         cur.put_u8(t.indexes.len() as u8)?;
         for i in &t.indexes {
             cur.put_str(&i.name)?;
@@ -511,6 +471,7 @@ fn decode_catalog(buf: &[u8]) -> Result<Catalog> {
     match get_u32(buf, 0) {
         DB_MAGIC => {}
         DB_MAGIC_V1 => return Err(Error::Corrupt("catalog format 1 is not readable".to_string())),
+        DB_MAGIC_V2 => return Err(Error::Corrupt("catalog format 2 is not readable".to_string())),
         _ => return Err(Error::Corrupt("header page magic mismatch — not a database".to_string())),
     }
     let n_tables = get_u16(buf, 4) as usize;
@@ -521,7 +482,6 @@ fn decode_catalog(buf: &[u8]) -> Result<Catalog> {
         let name = r.get_str()?;
         let n_cols = r.get_u8()? as usize;
         let columns = (0..n_cols).map(|_| r.get_str()).collect::<Result<Vec<_>>>()?;
-        let heap_meta = Some(PageId(r.get_u64()?)).filter(|p| !p.is_invalid());
         let n_idx = r.get_u8()? as usize;
         let mut indexes = Vec::with_capacity(n_idx);
         for _ in 0..n_idx {
@@ -537,14 +497,11 @@ fn decode_catalog(buf: &[u8]) -> Result<Catalog> {
             let btree_meta = PageId(r.get_u64()?);
             indexes.push(IndexMeta { name: iname, key_cols, btree_meta });
         }
-        // A table without a heap is one its indexes cover: its rows are
-        // rebuilt from an entry's key and payload alone.
-        if heap_meta.is_none() && !covering(n_cols, indexes.iter().map(|i| i.key_cols.as_slice())) {
-            return Err(Error::Corrupt(format!(
-                "table {name} has no heap and no covering indexes"
-            )));
+        // A table's rows are rebuilt from an entry's key and payload alone.
+        if !covering(n_cols, indexes.iter().map(|i| i.key_cols.as_slice())) {
+            return Err(Error::Corrupt(format!("table {name} has no covering indexes")));
         }
-        cat.tables.push(TableMeta { name, columns, heap_meta, indexes });
+        cat.tables.push(TableMeta { name, columns, indexes });
     }
     for _ in 0..n_params {
         let name = r.get_str()?;
@@ -565,6 +522,15 @@ mod tests {
         Database::create(pool).unwrap()
     }
 
+    /// `T(a, b)`, whose index `IA (a) → b` covers it.
+    fn table_t() -> TableDef {
+        TableDef {
+            name: "T".into(),
+            columns: vec!["a".into(), "b".into()],
+            indexes: vec![IndexDef { name: "IA".into(), key_cols: vec![0] }],
+        }
+    }
+
     #[test]
     fn create_requires_empty_device() {
         let pool =
@@ -573,19 +539,25 @@ mod tests {
         assert!(Database::create(pool).is_err());
     }
 
-    /// A table whose row no heap page can hold is refused, and leaves no
-    /// trace in the catalog.
+    /// A table no index can cover — 40 columns against keys of at most
+    /// `MAX_ARITY` — is refused, with or without an index, before anything
+    /// is allocated, and leaves no trace in the catalog.
     #[test]
     fn a_table_too_wide_for_its_pages_is_refused() {
         let pool = Arc::new(BufferPool::new(MemDisk::new(256), BufferPoolConfig::with_capacity(8)));
         let db = Database::create(pool).unwrap();
-        let columns = |n: usize| (0..n).map(|c| format!("c{c}")).collect();
-        let wide = TableDef { name: "W".into(), columns: columns(40), indexes: Vec::new() };
-        assert!(matches!(db.create_table(wide), Err(Error::InvalidArgument(_))));
-        assert!(db.table("W").is_err(), "a refused table is not in the catalog");
-        db.create_table(TableDef { name: "W".into(), columns: columns(4), indexes: Vec::new() })
-            .unwrap();
-        db.table("W").unwrap().insert(&[1, 2, 3, 4]).unwrap();
+        let columns = |n: usize| (0..n).map(|c| format!("c{c}")).collect::<Vec<_>>();
+        let index = IndexDef { name: "I".into(), key_cols: vec![0, 1, 2, 3] };
+        for indexes in [Vec::new(), vec![index.clone()]] {
+            let pages = db.pool().num_pages();
+            let wide = TableDef { name: "W".into(), columns: columns(40), indexes };
+            assert!(matches!(db.create_table(wide), Err(Error::InvalidArgument(_))));
+            assert_eq!(db.pool().num_pages(), pages, "a refused table allocates nothing");
+            assert!(db.table("W").is_err(), "a refused table is not in the catalog");
+        }
+        let narrow = TableDef { name: "W".into(), columns: columns(5), indexes: vec![index] };
+        db.create_table(narrow).unwrap();
+        db.table("W").unwrap().insert(&[1, 2, 3, 4, 5]).unwrap();
     }
 
     #[test]
@@ -594,13 +566,7 @@ mod tests {
             Arc::new(BufferPool::new(MemDisk::new(2048), BufferPoolConfig::with_capacity(32)));
         {
             let db = Database::create(Arc::clone(&pool)).unwrap();
-            db.create_table(TableDef {
-                name: "T".into(),
-                columns: vec!["a".into(), "b".into()],
-                indexes: Vec::new(),
-            })
-            .unwrap();
-            db.create_index("T", IndexDef { name: "IA".into(), key_cols: vec![0] }).unwrap();
+            db.create_table(table_t()).unwrap();
             db.set_param("offset", -17).unwrap();
             let t = db.table("T").unwrap();
             t.insert(&[1, 2]).unwrap();
@@ -631,7 +597,7 @@ mod tests {
             db.create_table(TableDef {
                 name: "T".into(),
                 columns: vec!["a".into()],
-                indexes: Vec::new(),
+                indexes: vec![IndexDef { name: "A".into(), key_cols: vec![0] }],
             })
             .unwrap();
             let t = db.table("T").unwrap();
@@ -657,36 +623,20 @@ mod tests {
         db.commit().unwrap();
     }
 
+    /// A second table of a name, two indexes of one name and a key column
+    /// past the row are refused; so is a handle on a table never created.
     #[test]
     fn duplicate_ddl_rejected() {
         let db = fresh_db();
-        let def = TableDef { name: "T".into(), columns: vec!["a".into()], indexes: Vec::new() };
-        db.create_table(def.clone()).unwrap();
-        assert!(db.create_table(def).is_err());
-        let idef = IndexDef { name: "I".into(), key_cols: vec![0] };
-        db.create_index("T", idef.clone()).unwrap();
-        assert!(db.create_index("T", idef).is_err());
-        assert!(db.create_index("T", IndexDef { name: "J".into(), key_cols: vec![5] }).is_err());
-        assert!(db
-            .create_index("MISSING", IndexDef { name: "K".into(), key_cols: vec![0] })
-            .is_err());
-    }
-
-    #[test]
-    fn create_index_backfills_existing_rows() {
-        let db = fresh_db();
-        db.create_table(TableDef {
-            name: "T".into(),
-            columns: vec!["a".into(), "b".into()],
-            indexes: Vec::new(),
-        })
-        .unwrap();
-        let t = db.table("T").unwrap();
-        for i in 0..100 {
-            t.insert(&[i % 7, i]).unwrap();
-        }
-        db.create_index("T", IndexDef { name: "I".into(), key_cols: vec![0, 1] }).unwrap();
-        assert_eq!(db.table("T").unwrap().index("I").unwrap().entry_count().unwrap(), 100);
+        db.create_table(table_t()).unwrap();
+        assert!(db.create_table(table_t()).is_err());
+        let with_indexes =
+            |indexes: Vec<IndexDef>| TableDef { name: "U".into(), indexes, ..table_t() };
+        let twice = with_indexes(vec![table_t().indexes[0].clone(); 2]);
+        assert!(db.create_table(twice).is_err());
+        let past = with_indexes(vec![IndexDef { name: "J".into(), key_cols: vec![5] }]);
+        assert!(db.create_table(past).is_err());
+        assert!(db.table("U").is_err() && db.table("MISSING").is_err());
     }
 
     #[test]
@@ -712,13 +662,7 @@ mod tests {
         let pool =
             Arc::new(BufferPool::new(MemDisk::new(2048), BufferPoolConfig::with_capacity(32)));
         let db = Database::create(Arc::clone(&pool)).unwrap();
-        db.create_table(TableDef {
-            name: "T".into(),
-            columns: vec!["a".into(), "b".into()],
-            indexes: Vec::new(),
-        })
-        .unwrap();
-        db.create_index("T", IndexDef { name: "IA".into(), key_cols: vec![0] }).unwrap();
+        db.create_table(table_t()).unwrap();
         db.set_param("offset", 17).unwrap();
         db.checkpoint().unwrap();
         pool.with_page_mut(HEADER_PAGE, forge).unwrap();
@@ -752,9 +696,9 @@ mod tests {
         }
     }
 
-    /// A covered table round-trips through a reopen without a heap, and
-    /// a header that names no heap for a table its indexes do not cover
-    /// is refused: its rows could not be read back.
+    /// A table round-trips through a reopen as its indexes alone, and a
+    /// header whose indexes do not cover a table is refused: its rows
+    /// could not be read back.
     #[test]
     fn a_covered_table_reopens_without_a_heap_and_a_forged_one_is_corrupt() {
         let pool =
@@ -771,7 +715,6 @@ mod tests {
         let reopened = Database::open(Arc::clone(&pool)).unwrap();
         let t = reopened.table("C").unwrap();
         assert_eq!(t.row_count().unwrap(), 1);
-        assert!(t.scan().is_err(), "no heap to scan");
         assert!(t.delete_row(&[1, -2, 3]).unwrap());
         pool.with_page_mut(HEADER_PAGE, |page| {
             let mut cat = decode_catalog(page).unwrap();
@@ -782,16 +725,18 @@ mod tests {
         assert!(matches!(Database::open(pool), Err(Error::Corrupt(_))));
     }
 
-    /// A header written in catalog format 1 — every table with a heap,
-    /// every index entry carrying a row id — is refused as `Corrupt`, not
-    /// read as the current format: its entries' payloads are row ids
-    /// where a covered table's are columns.
+    /// A header written in catalog format 1 or 2 is refused as `Corrupt`,
+    /// not read as the current format: format 1 gave every table a heap
+    /// and every index entry a row id, format 2 a table its indexes did
+    /// not cover, and each stored a heap page per table that format 3
+    /// does not.
     #[test]
     fn old_catalog_format_is_refused_as_corrupt() {
-        let reopened = open_forged(|page| put_u32(page, 0, DB_MAGIC_V1));
-        match reopened {
-            Err(Error::Corrupt(msg)) => assert!(msg.contains("format 1"), "{msg}"),
-            other => panic!("format 1 opened: {:?}", other.map(|_| ())),
+        for (magic, format) in [(DB_MAGIC_V1, "format 1"), (DB_MAGIC_V2, "format 2")] {
+            match open_forged(|page| put_u32(page, 0, magic)) {
+                Err(Error::Corrupt(msg)) => assert!(msg.contains(format), "{msg}"),
+                other => panic!("{format} opened: {:?}", other.map(|_| ())),
+            }
         }
     }
 

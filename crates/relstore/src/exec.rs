@@ -19,9 +19,8 @@
 //! A **batch** is a borrowed, non-empty run of fixed-width rows in the
 //! B-link leaf's own encoding: `width` little-endian `i64`s per row, back
 //! to back, read with `from_le_bytes` (so no alignment is assumed).  A leaf
-//! entry is its key columns followed by its payload — the row id, or in a
-//! table without a heap the column the key leaves out — exactly an
-//! `INDEX RANGE SCAN` output row — so the scan's unit of work, one leaf's
+//! entry is its key columns followed by its payload — the column the key
+//! leaves out — exactly an `INDEX RANGE SCAN` output row — so the scan's unit of work, one leaf's
 //! in-range entries ([`ri_btree::RangeScan::for_each_run`]), *is* a batch:
 //! the bytes the sink sees are the bytes on the page.  A batch lives for
 //! one sink call; a consumer takes what it wants out of it
@@ -277,10 +276,10 @@ pub enum Plan {
         /// The collection rows.
         rows: Vec<Row>,
     },
-    /// Inclusive composite-key range scan over a secondary index.
+    /// Inclusive composite-key range scan over one of a table's indexes.
     /// Output rows are the key columns followed by the entry's payload:
-    /// the row id, or in a table without a heap the column the key leaves
-    /// out ([`TableDef::indexes`](crate::TableDef::indexes)).
+    /// the column the key leaves out, or 0 when the key holds every column
+    /// ([`TableDef::indexes`](crate::TableDef::indexes)).
     IndexRangeScan {
         /// Table name.
         table: String,
@@ -606,10 +605,9 @@ mod tests {
         db.create_table(TableDef {
             name: "T".into(),
             columns: vec!["k".into(), "v".into(), "id".into()],
-            indexes: Vec::new(),
+            indexes: vec![IndexDef { name: "KV".into(), key_cols: vec![0, 1] }],
         })
         .unwrap();
-        db.create_index("T", IndexDef { name: "KV".into(), key_cols: vec![0, 1] }).unwrap();
         let t = db.table("T").unwrap();
         for i in 0..100i64 {
             t.insert(&[i % 10, i, 1000 + i]).unwrap();
@@ -722,7 +720,7 @@ mod tests {
         assert!(db.execute(&plan, &mut ExecStats::default()).is_err());
     }
 
-    /// `KV` entries with `lo <= k <= hi`: rows `(k, v, rowid)`.
+    /// `KV` entries with `lo <= k <= hi`: rows `(k, v, id)`.
     fn scan_kv(lo: BoundExpr, hi: BoundExpr) -> Plan {
         Plan::IndexRangeScan {
             table: "T".into(),

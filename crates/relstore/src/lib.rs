@@ -10,10 +10,10 @@
 //!   the database header page, plus the *data dictionary* of named integer
 //!   parameters the paper's Section 5 uses for `offset`, `leftRoot`,
 //!   `rightRoot` and `minstep`;
-//! * [`heap::Heap`] — fixed-width row storage with stable row ids, for
-//!   every table but one whose indexes cover it ([`TableDef::indexes`]):
-//!   such a table is its indexes, as the RI-tree's is;
-//! * [`table::Table`] — DML that maintains all secondary indexes, the
+//! * [`table::Table`] — a table is its covering indexes
+//!   ([`TableDef::indexes`]), as the RI-tree's is in Figure 10: each entry
+//!   holds the whole row, so there is no row storage besides them and no
+//!   row id.  `Table` is the DML that maintains every index, the
 //!   equivalent of Figure 5's single `INSERT` statement;
 //! * [`exec`] — a push-based physical algebra: `COLLECTION ITERATOR` over
 //!   transient tables, `INDEX RANGE SCAN`, `NESTED LOOPS`, `UNION-ALL`,
@@ -34,14 +34,12 @@ pub mod access;
 pub mod catalog;
 pub mod exec;
 pub mod explain;
-pub mod heap;
 pub mod par;
 pub mod table;
 
 pub use access::IntervalAccessMethod;
 pub use catalog::{Database, IndexDef, TableDef};
 pub use exec::{BoundExpr, ExecStats, Plan, Predicate, Row, RowRef, Rows};
-pub use heap::{Heap, RowId};
 pub use par::fan_out;
 pub use table::Table;
 
@@ -57,17 +55,12 @@ mod tests {
     fn end_to_end_schema_and_query() {
         let pool = Arc::new(BufferPool::with_defaults(MemDisk::new(DEFAULT_PAGE_SIZE)));
         let db = Database::create(pool).unwrap();
-        // The paper's Figure 2 schema.
+        // The paper's Figure 2 schema, with `id` in the index (Figure 10).
         db.create_table(TableDef {
             name: "INTERVALS".into(),
             columns: vec!["node".into(), "lower".into(), "upper".into(), "id".into()],
-            indexes: Vec::new(),
+            indexes: vec![IndexDef { name: "LOWER_INDEX".into(), key_cols: vec![0, 1, 3] }],
         })
-        .unwrap();
-        db.create_index(
-            "INTERVALS",
-            IndexDef { name: "LOWER_INDEX".into(), key_cols: vec![0, 1, 3] },
-        )
         .unwrap();
         let t = db.table("INTERVALS").unwrap();
         t.insert(&[8, 3, 9, 1]).unwrap();

@@ -4,8 +4,8 @@
 //! The paper's setting delegates all locking to the host RDBMS; in this
 //! reproduction every structure below the executor is internally
 //! synchronized — the buffer pool by lock-striped shards, the catalog by
-//! its reader-writer lock, the heap by its meta-page latch, the B-link
-//! trees by per-node write latches (their readers are latch-free) — so
+//! its reader-writer lock, the B-link trees, which are the tables, by
+//! per-node write latches (their readers are latch-free) — so
 //! *independent* statements can run concurrently with no coordination
 //! beyond a scoped thread join.  [`fan_out`] is that join: it partitions
 //! a batch over a bounded number of worker threads, runs the caller's
@@ -54,7 +54,6 @@ mod tests {
     use super::*;
     use crate::catalog::{Database, IndexDef, TableDef};
     use crate::exec::{BoundExpr, ExecStats, Plan, Row};
-    use crate::heap::RowId;
     use ri_pagestore::{BufferPool, BufferPoolConfig, MemDisk, Result};
     use std::sync::Arc;
 
@@ -65,10 +64,9 @@ mod tests {
         db.create_table(TableDef {
             name: "T".into(),
             columns: vec!["k".into(), "v".into(), "id".into()],
-            indexes: Vec::new(),
+            indexes: vec![IndexDef { name: "KV".into(), key_cols: vec![0, 1] }],
         })
         .unwrap();
-        db.create_index("T", IndexDef { name: "KV".into(), key_cols: vec![0, 1] }).unwrap();
         let t = db.table("T").unwrap();
         for i in 0..400i64 {
             t.insert(&[i % 10, i, 7000 + i]).unwrap();
@@ -133,25 +131,23 @@ mod tests {
             // 40 concurrent inserts...
             let rows: Vec<Row> = (0..40i64).map(|i| vec![100, 9000 + i, i]).collect();
             fan_out(&rows, threads, |row| t.insert(row).unwrap());
-            let rids: Vec<RowId> = t
-                .index("KV")
-                .unwrap()
-                .scan_range(&[100, 9000], &[100, 9039])
-                .map(|e| RowId::from_raw(e.unwrap().payload))
-                .collect();
-            // ...then ten deletes racing one query over the inserted key:
-            // `Some(rid)` deletes, `None` counts the rows of key 100.
-            let mixed: Vec<_> = rids.iter().take(10).map(|&rid| Some(rid)).chain([None]).collect();
+            // ...then two deletes of each of ten rows, ten statements apart
+            // so that at four threads each pair runs on two workers, racing
+            // one query over the inserted key: `Some(row)` deletes, `None`
+            // counts the rows of key 100.
+            let victims = rows[..10].iter().chain(&rows[..10]).map(Some);
+            let mixed: Vec<_> = victims.chain([None]).collect();
             let outcomes = fan_out(&mixed, threads, |stmt| match stmt {
-                Some(rid) => usize::from(t.delete(*rid).unwrap()),
+                Some(row) => usize::from(t.delete_row(row).unwrap()),
                 None => run(&db, &scan_plan(100)).unwrap().0.len(),
             });
-            assert!(outcomes[..10].iter().all(|&deleted| deleted == 1), "{outcomes:?}");
+            let winners: Vec<usize> = (0..10).map(|i| outcomes[i] + outcomes[10 + i]).collect();
+            assert!(winners.iter().all(|&won| won == 1), "{outcomes:?}");
             // The query ran concurrently with the deletes: it sees between
             // 30 (all deletes applied first) and 40 rows for key 100.
-            assert!((30..=40).contains(&outcomes[10]), "saw {} rows", outcomes[10]);
-            // A second delete of the same rows reports false.
-            let again = fan_out(&rids[..10], threads, |&rid| t.delete(rid).unwrap());
+            assert!((30..=40).contains(&outcomes[20]), "saw {} rows", outcomes[20]);
+            // A third delete of the same rows reports false.
+            let again = fan_out(&rows[..10], threads, |row| t.delete_row(row).unwrap());
             assert!(again.iter().all(|&deleted| !deleted));
             assert_eq!(t.row_count().unwrap(), 400 + 30);
         }

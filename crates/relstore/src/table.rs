@@ -1,7 +1,6 @@
-//! Table handles: DML that maintains all secondary indexes.
+//! Table handles: DML that maintains every index of a table.
 
 use crate::catalog::TableMeta;
-use crate::heap::{Heap, RowId};
 use ri_btree::{BTree, Entry, MAX_ARITY};
 use ri_pagestore::{BufferPool, Error, Result};
 use std::sync::Arc;
@@ -147,27 +146,25 @@ impl Packing {
     }
 }
 
-/// A handle on a table and its secondary indexes.
+/// A handle on a table, which is its indexes
+/// ([`TableDef::indexes`](crate::TableDef::indexes)).
 ///
 /// `insert` is the engine-level equivalent of the paper's single SQL
 /// statement in Figure 5: one B+-tree insertion per index, each
-/// `O(log_b n)` I/Os, plus a heap append unless the indexes cover the
-/// table ([`TableDef::indexes`](crate::TableDef::indexes)).  An entry's
-/// payload is its row's [`RowId`] in a table with a heap, and otherwise
-/// the column its key leaves out, so that each index holds the whole row.
+/// `O(log_b n)` I/Os.  An entry's payload is the column its key leaves
+/// out, so that each index holds the whole row.  A table is a set of rows:
+/// its first index's entry is a row's claim.
 pub struct Table {
     name: String,
     columns: Vec<String>,
-    /// `None` when the indexes cover the table.
-    heap: Option<Heap>,
+    /// At least one (the catalog checks); the first is the claim.
     indexes: Vec<OpenIndex>,
 }
 
 struct OpenIndex {
     name: String,
     key_cols: Vec<usize>,
-    /// Without a heap: the column the key leaves out, if any (else the
-    /// payload is 0).
+    /// The column the key leaves out, if any (else the payload is 0).
     payload_col: Option<usize>,
     tree: BTree,
 }
@@ -182,12 +179,8 @@ impl OpenIndex {
     }
 
     #[inline]
-    fn payload(&self, row: &[i64], rid: Option<RowId>) -> u64 {
-        match (rid, self.payload_col) {
-            (Some(rid), _) => rid.raw(),
-            (None, Some(c)) => row[c] as u64,
-            (None, None) => 0,
-        }
+    fn payload(&self, row: &[i64]) -> u64 {
+        self.payload_col.map_or(0, |c| row[c] as u64)
     }
 
     /// Fills this empty index from its entries in sorted order: built
@@ -227,26 +220,16 @@ impl OpenIndex {
 
 impl Table {
     pub(crate) fn from_meta(pool: Arc<BufferPool>, meta: &TableMeta) -> Result<Table> {
-        let heap = meta.heap_meta.map(|page| Heap::open(Arc::clone(&pool), page)).transpose()?;
-        if let Some(heap) = heap.as_ref().filter(|h| h.arity() != meta.columns.len()) {
-            return Err(Error::Corrupt(format!(
-                "table {} has {} columns, its heap {}",
-                meta.name,
-                meta.columns.len(),
-                heap.arity()
-            )));
-        }
         let mut indexes = Vec::with_capacity(meta.indexes.len());
         for idx in &meta.indexes {
-            let left_out = (0..meta.columns.len()).find(|c| !idx.key_cols.contains(c));
             indexes.push(OpenIndex {
                 name: idx.name.clone(),
                 key_cols: idx.key_cols.clone(),
-                payload_col: left_out.filter(|_| heap.is_none()),
+                payload_col: (0..meta.columns.len()).find(|c| !idx.key_cols.contains(c)),
                 tree: BTree::open(Arc::clone(&pool), idx.btree_meta)?,
             });
         }
-        Ok(Table { name: meta.name.clone(), columns: meta.columns.clone(), heap, indexes })
+        Ok(Table { name: meta.name.clone(), columns: meta.columns.clone(), indexes })
     }
 
     /// Column names, in storage order.
@@ -254,39 +237,20 @@ impl Table {
         &self.columns
     }
 
-    fn heap(&self) -> Result<&Heap> {
-        self.heap.as_ref().ok_or_else(|| {
-            Error::InvalidArgument(format!(
-                "table {} keeps no heap: its rows have no ids",
-                self.name
-            ))
-        })
+    /// The claim index and the others.
+    fn claim(&self) -> (&OpenIndex, &[OpenIndex]) {
+        self.indexes.split_first().expect("the catalog gives every table an index")
     }
 
-    /// A table without a heap has at least one index (the catalog checks).
-    fn covering(&self) -> Result<(&OpenIndex, &[OpenIndex])> {
-        match (&self.heap, self.indexes.split_first()) {
-            (None, Some(split)) => Ok(split),
-            _ => Err(Error::InvalidArgument(format!("table {} keeps a heap", self.name))),
-        }
-    }
-
-    /// Number of live rows, counted by walking the heap's pages, or the
-    /// first index's leaves in a table without a heap: O(pages), and
-    /// exact on a quiescent table.
+    /// Number of rows, counted by walking the first index's leaves:
+    /// O(pages), and exact on a quiescent table.
     pub fn row_count(&self) -> Result<u64> {
-        match &self.heap {
-            Some(heap) => heap.row_count(),
-            None => self.covering()?.0.tree.entry_count(),
-        }
+        self.claim().0.tree.entry_count()
     }
 
-    /// Whether the table holds no live row; stops at the first live row.
+    /// Whether the table holds no row; stops at the first one.
     pub fn is_empty(&self) -> Result<bool> {
-        match &self.heap {
-            Some(heap) => heap.is_empty(),
-            None => Ok(self.covering()?.0.tree.scan_all().next().transpose()?.is_none()),
-        }
+        Ok(self.claim().0.tree.scan_all().next().transpose()?.is_none())
     }
 
     #[inline]
@@ -304,34 +268,31 @@ impl Table {
 
     /// Inserts a row, maintaining every index.
     ///
-    /// A table without a heap is a set: a row it holds is refused with
-    /// `InvalidArgument` and nothing is written.  Its first index's entry
-    /// is the claim ([`BTree::insert`] stores an entry at most once), so of
-    /// racing inserts of one row exactly one succeeds.
+    /// A row the table holds is refused with `InvalidArgument` and nothing
+    /// is written.  The first index's entry is the claim ([`BTree::insert`]
+    /// stores an entry at most once), so of racing inserts of one row
+    /// exactly one succeeds.
     pub fn insert(&self, row: &[i64]) -> Result<()> {
         self.check_width(row)?;
-        let rid = self.heap.as_ref().map(|heap| heap.insert(row)).transpose()?;
+        let (claim, rest) = self.claim();
         let mut key = [0; MAX_ARITY];
-        for (n, idx) in self.indexes.iter().enumerate() {
-            let (key, payload) = (idx.key(row, &mut key), idx.payload(row, rid));
-            if n == 0 && rid.is_none() {
-                if !idx.tree.insert(key, payload)? {
-                    let msg = format!("table {} already holds row {row:?}", self.name);
-                    return Err(Error::InvalidArgument(msg));
-                }
-            } else {
-                idx.settle(key, payload, || idx.tree.insert(key, payload))?;
-            }
+        if !claim.tree.insert(claim.key(row, &mut key), claim.payload(row))? {
+            let msg = format!("table {} already holds row {row:?}", self.name);
+            return Err(Error::InvalidArgument(msg));
+        }
+        for idx in rest {
+            let (key, payload) = (idx.key(row, &mut key), idx.payload(row));
+            idx.settle(key, payload, || idx.tree.insert(key, payload))?;
         }
         Ok(())
     }
 
-    /// Bulk-loads an **empty** table without a heap: builds each index
-    /// bottom-up at full fill from its sorted run of entries — one
-    /// sequential write pass per index instead of one root-to-leaf descent
-    /// per row (see `ri_btree`'s `builder` module).  On a durable pool each
-    /// index's pages are written unlogged and synced, and only the meta
-    /// writes that publish them join the caller's transaction.
+    /// Bulk-loads an **empty** table: builds each index bottom-up at full
+    /// fill from its sorted run of entries — one sequential write pass per
+    /// index instead of one root-to-leaf descent per row (see `ri_btree`'s
+    /// `builder` module).  On a durable pool each index's pages are
+    /// written unlogged and synced, and only the meta writes that publish
+    /// them join the caller's transaction.
     ///
     /// Each index's run is sorted in one buffer that every index reuses,
     /// on one of two paths, which the batch alone chooses: one pass over
@@ -348,19 +309,18 @@ impl Table {
     ///
     /// Both paths build the same pages.
     ///
-    /// Errors with `InvalidArgument` if the table keeps a heap, if any
-    /// index already holds entries (callers fall back to
-    /// [`Table::insert`] then), if any row has the wrong column count, or
-    /// if a row is given twice — before any index is built.  Like every
-    /// bulk load, the caller provides quiescence: concurrent DML on the
-    /// same table during the build is unsupported (a lost race surfaces as
-    /// the index builder's clean not-empty error, not as corruption).
+    /// Errors with `InvalidArgument` if any index already holds entries
+    /// (callers fall back to [`Table::insert`] then), if any row has the
+    /// wrong column count, or if a row is given twice — before any index
+    /// is built.  Like every bulk load, the caller provides quiescence:
+    /// concurrent DML on the same table during the build is unsupported
+    /// (a lost race surfaces as the index builder's clean not-empty error,
+    /// not as corruption).
     ///
     /// An index that held entries once and was emptied by deletes keeps
     /// its pages, so the builder cannot install over it; such an index
     /// is filled per entry instead, in sorted order.
     pub fn bulk_insert(&self, rows: &[impl AsRef<[i64]>]) -> Result<()> {
-        self.covering()?;
         for idx in &self.indexes {
             if idx.tree.scan_all().next().transpose()?.is_some() {
                 return Err(Error::InvalidArgument(format!(
@@ -381,7 +341,7 @@ impl Table {
         for row in rows {
             let row = row.as_ref();
             self.check_width(row)?;
-            // A covered table has at most `MAX_ARITY + 1` columns.
+            // A table has at most `MAX_ARITY + 1` columns.
             debug_assert!(row.len() <= spans.len());
             for (span, &col) in spans.iter_mut().zip(row) {
                 span.add(col);
@@ -419,7 +379,7 @@ impl Table {
                     for (slot, &c) in words.iter_mut().zip(&idx.key_cols) {
                         *slot = row[c];
                     }
-                    words[arity] = payload_word(idx.payload(row, None));
+                    words[arity] = payload_word(idx.payload(row));
                     words
                 }));
                 compact.sort_unstable();
@@ -430,60 +390,27 @@ impl Table {
         Ok(())
     }
 
-    /// Deletes a row by id from a table with a heap, maintaining every
-    /// index.
+    /// Deletes `row`, maintaining every index; returns `false` if the
+    /// table does not hold it.
     ///
-    /// Returns `false` if the row no longer exists.
-    ///
-    /// Claim-then-clean: the tombstone is the atomic claim (one short
-    /// hold of the heap's write latch inside [`Heap::delete`], and one
-    /// logged write of the row's heap page), so exactly
-    /// one of any set of racing deletes wins and the losers report
-    /// `false`; the winner then removes the index entries without
-    /// holding any latch, so deletes scale like inserts, waiting briefly
-    /// for an entry the row's insert has not published yet.
-    pub fn delete(&self, rid: RowId) -> Result<bool> {
-        let heap = self.heap()?;
-        let Some(row) = heap.fetch(rid)? else {
-            return Ok(false);
-        };
-        if !heap.delete(rid)? {
-            return Ok(false);
-        }
-        Self::clean(&self.indexes, &row, Some(rid))
-    }
-
-    /// Deletes `row` from a table without a heap, maintaining every index;
-    /// returns `false` if the table does not hold it.
-    ///
-    /// Claim-then-clean, as in [`Table::delete`]: deleting the row's entry
-    /// from the first index is the atomic claim (one leaf latch, one logged
-    /// write), so of racing deletes exactly one wins; the winner then
-    /// deletes the row's entry from each other index.
+    /// Claim-then-clean: deleting the row's entry from the first index is
+    /// the atomic claim (one leaf latch, one logged write), so of racing
+    /// deletes exactly one wins and the losers report `false`; the winner
+    /// then deletes the row's entry from each other index without holding
+    /// any latch, waiting briefly for an entry the row's insert has not
+    /// published yet.
     pub fn delete_row(&self, row: &[i64]) -> Result<bool> {
-        let (claim, rest) = self.covering()?;
         self.check_width(row)?;
+        let (claim, rest) = self.claim();
         let mut key = [0; MAX_ARITY];
-        if !claim.tree.delete(claim.key(row, &mut key), claim.payload(row, None))? {
+        if !claim.tree.delete(claim.key(row, &mut key), claim.payload(row))? {
             return Ok(false);
         }
-        Self::clean(rest, row, None)
-    }
-
-    /// Deletes `row`'s entries from `indexes` for a delete that won its
-    /// claim; returns `true`.
-    fn clean(indexes: &[OpenIndex], row: &[i64], rid: Option<RowId>) -> Result<bool> {
-        let mut key = [0; MAX_ARITY];
-        for idx in indexes {
-            let (key, payload) = (idx.key(row, &mut key), idx.payload(row, rid));
+        for idx in rest {
+            let (key, payload) = (idx.key(row, &mut key), idx.payload(row));
             idx.settle(key, payload, || idx.tree.delete(key, payload))?;
         }
         Ok(true)
-    }
-
-    /// Full scan of all live rows of a table with a heap.
-    pub fn scan(&self) -> Result<Vec<(RowId, Vec<i64>)>> {
-        self.heap()?.scan()
     }
 
     /// Direct access to an index B+-tree (for hand-written access methods).
@@ -498,37 +425,12 @@ impl Table {
 
 #[cfg(test)]
 mod tests {
-    use super::Table;
     use crate::catalog::{Database, IndexDef, TableDef};
-    use crate::heap::RowId;
-    use ri_pagestore::codec::put_u32;
     use ri_pagestore::{BufferPool, BufferPoolConfig, Error, MemDisk};
     use std::sync::Arc;
 
-    fn db_with_indexed_table() -> Database {
-        let pool =
-            Arc::new(BufferPool::new(MemDisk::new(2048), BufferPoolConfig::with_capacity(64)));
-        let db = Database::create(pool).unwrap();
-        db.create_table(TableDef {
-            name: "T".into(),
-            columns: vec!["a".into(), "b".into(), "c".into()],
-            indexes: Vec::new(),
-        })
-        .unwrap();
-        db.create_index("T", IndexDef { name: "AB".into(), key_cols: vec![0, 1] }).unwrap();
-        db.create_index("T", IndexDef { name: "C".into(), key_cols: vec![2] }).unwrap();
-        db
-    }
-
-    /// The row id of the one row whose `c` column is `c`, as index `C`
-    /// holds it.
-    fn rid_of(t: &Table, c: i64) -> RowId {
-        let entry = t.index("C").unwrap().scan_range(&[c], &[c]).next().unwrap().unwrap();
-        RowId::from_raw(entry.payload)
-    }
-
     /// A table declared with two indexes that each leave out one column:
-    /// `AB → c` and `CA → b`.  It keeps no heap.
+    /// `AB → c` and `CA → b`.
     fn db_with_covered_table() -> Database {
         let pool =
             Arc::new(BufferPool::new(MemDisk::new(2048), BufferPoolConfig::with_capacity(64)));
@@ -547,13 +449,13 @@ mod tests {
 
     #[test]
     fn insert_maintains_all_indexes() {
-        let db = db_with_indexed_table();
+        let db = db_with_covered_table();
         let t = db.table("T").unwrap();
         for i in 0..200i64 {
             t.insert(&[i % 10, i, -i]).unwrap();
         }
         assert_eq!(t.index("AB").unwrap().entry_count().unwrap(), 200);
-        assert_eq!(t.index("C").unwrap().entry_count().unwrap(), 200);
+        assert_eq!(t.index("CA").unwrap().entry_count().unwrap(), 200);
         // Key extraction respects column order.
         let hits = t.index("AB").unwrap().scan_range(&[3, i64::MIN], &[3, i64::MAX]).count();
         assert_eq!(hits, 20);
@@ -561,25 +463,16 @@ mod tests {
 
     #[test]
     fn delete_maintains_all_indexes() {
-        let db = db_with_indexed_table();
+        let db = db_with_covered_table();
         let t = db.table("T").unwrap();
         t.insert(&[1, 2, 3]).unwrap();
         t.insert(&[1, 5, 9]).unwrap();
-        let (rid, keep) = (rid_of(&t, 3), rid_of(&t, 9));
-        assert!(t.delete(rid).unwrap());
-        assert!(!t.delete(rid).unwrap());
+        assert!(t.delete_row(&[1, 2, 3]).unwrap());
+        assert!(!t.delete_row(&[1, 2, 3]).unwrap());
         assert_eq!(t.index("AB").unwrap().entry_count().unwrap(), 1);
-        assert_eq!(t.index("C").unwrap().entry_count().unwrap(), 1);
-        assert_eq!(t.scan().unwrap(), [(keep, vec![1, 5, 9])]);
-    }
-
-    #[test]
-    fn index_payloads_are_row_ids() {
-        let db = db_with_indexed_table();
-        let t = db.table("T").unwrap();
-        t.insert(&[7, 8, 9]).unwrap();
-        let entry = t.index("C").unwrap().scan_range(&[9], &[9]).next().unwrap().unwrap();
-        assert_eq!(t.scan().unwrap(), [(RowId::from_raw(entry.payload), vec![7, 8, 9])]);
+        assert_eq!(t.index("CA").unwrap().entry_count().unwrap(), 1);
+        let kept = t.index("AB").unwrap().scan_all().next().unwrap().unwrap();
+        assert_eq!((kept.key.as_slice(), kept.payload), (&[1, 5][..], 9));
     }
 
     #[test]
@@ -610,15 +503,10 @@ mod tests {
         assert!(t.bulk_insert(&rows).is_err());
         t.insert(&[99, 99, 99]).unwrap();
         assert_eq!(t.row_count().unwrap(), 1001);
-        // A table with a heap has no bulk path.
-        let heaped = db_with_indexed_table().table("T").unwrap();
-        assert!(matches!(heaped.bulk_insert(&rows), Err(Error::InvalidArgument(_))));
     }
 
     /// A table emptied by deletes counts zero rows but its indexes keep
-    /// their pages.  A covered table's bulk load fills them with every
-    /// row; a table with a heap is refused before either its heap or its
-    /// indexes are written, so the two stay in step.
+    /// their pages; a bulk load fills every one of them with every row.
     #[test]
     fn bulk_insert_into_an_emptied_table_keeps_heap_and_indexes_in_step() {
         let rows: Vec<[i64; 3]> = (0..1000i64).map(|i| [i % 10, i, -i]).collect();
@@ -634,18 +522,6 @@ mod tests {
         }
         let hits = t.index("AB").unwrap().scan_range(&[3, i64::MIN], &[3, i64::MAX]).count();
         assert_eq!(hits, 100);
-
-        let db = db_with_indexed_table();
-        let t = db.table("T").unwrap();
-        t.insert(&[1, 2, 3]).unwrap();
-        assert!(t.delete(rid_of(&t, 3)).unwrap());
-        assert!(matches!(t.bulk_insert(&rows), Err(Error::InvalidArgument(_))));
-        assert_eq!(t.row_count().unwrap(), 0);
-        assert!(t.scan().unwrap().is_empty());
-        for name in ["AB", "C"] {
-            assert_eq!(t.index(name).unwrap().entry_count().unwrap(), 0);
-            t.index(name).unwrap().check_invariants().unwrap();
-        }
     }
 
     /// A table emptied by deletes counts zero rows, but its indexes keep
@@ -832,84 +708,18 @@ mod tests {
         assert_eq!(words.map(payload_of), payloads);
     }
 
-    /// A row insert that neither starts a heap page nor splits a leaf logs
-    /// one heap record and one per index — 3 with two indexes — and so
-    /// does a delete: the heap meta page keeps no row count to rewrite.
-    #[test]
-    fn row_writes_that_do_not_grow_the_heap_log_one_heap_record() {
-        let pool = Arc::new(
-            BufferPool::new_durable(
-                MemDisk::new(2048),
-                BufferPoolConfig::with_capacity(64),
-                MemDisk::new(2048),
-            )
-            .unwrap(),
-        );
-        let db = Database::create(Arc::clone(&pool)).unwrap();
-        let columns = vec!["a".into(), "b".into(), "c".into()];
-        db.create_table(TableDef { name: "T".into(), columns, indexes: Vec::new() }).unwrap();
-        db.create_index("T", IndexDef { name: "AB".into(), key_cols: vec![0, 1] }).unwrap();
-        db.create_index("T", IndexDef { name: "C".into(), key_cols: vec![2] }).unwrap();
-        let t = db.table("T").unwrap();
-        t.insert(&[0, 0, 0]).unwrap();
-        t.insert(&[1, 1, 1]).unwrap();
-        let (first, victim) = (rid_of(&t, 0), rid_of(&t, 1));
-        db.commit().unwrap();
-        let logged = |op: &dyn Fn()| {
-            let (latches, wal) = (pool.latches().stats(), pool.wal().unwrap().stats());
-            op();
-            assert_eq!(pool.latches().stats().since(&latches).splits, 0, "no leaf may split");
-            pool.wal().unwrap().stats().records - wal.records
-        };
-        let insert = logged(&|| t.insert(&[2, 2, 2]).unwrap());
-        // A row id's page is its raw value above the 12 slot bits.
-        assert_eq!(
-            rid_of(&t, 2).raw() >> 12,
-            first.raw() >> 12,
-            "the row fits the first heap page"
-        );
-        assert_eq!(insert, 3, "insert: one heap record and one per index");
-        assert_eq!(logged(&|| assert!(t.delete(victim).unwrap())), 3, "delete");
-        assert_eq!(t.row_count().unwrap(), 2);
-    }
-
-    /// A heap whose stored arity differs from the catalog's column count,
-    /// or lies outside the range a heap is created with, is refused when
-    /// the table opens; a delete used to index the short row and panic.
-    #[test]
-    fn forged_heap_arity_is_corrupt_not_a_panic() {
-        let db = db_with_indexed_table();
-        let t = db.table("T").unwrap();
-        t.insert(&[1, 2, 3]).unwrap();
-        let rid = rid_of(&t, 3);
-        let meta = t.heap.as_ref().unwrap().meta_page();
-        for arity in [0u32, 2, 65, 3] {
-            // Offset 4 of the heap meta page holds its arity.
-            db.pool().with_page_mut(meta, |buf| put_u32(buf, 4, arity)).unwrap();
-            match db.table("T") {
-                Ok(t) => {
-                    assert_eq!(arity, 3, "arity {arity} opened");
-                    assert!(t.delete(rid).unwrap());
-                }
-                Err(e) => assert!(matches!(e, Error::Corrupt(_)), "arity {arity}: {e}"),
-            }
-        }
-    }
-
-    /// A table declared with indexes that each leave out one column keeps
-    /// no heap: each entry carries the left-out column as its payload,
-    /// negative values included, and the rows are counted, claimed and
-    /// deleted through the indexes alone.
+    /// A table keeps nothing but its indexes: each entry carries the
+    /// left-out column as its payload, negative values included, and the
+    /// rows are counted, claimed and deleted through the indexes alone.
     #[test]
     fn a_covered_table_keeps_no_heap_and_its_entries_carry_the_left_out_column() {
         let db = db_with_covered_table();
         let before = db.pool().num_pages();
         let t = db.table("T").unwrap();
-        assert!(t.heap.is_none());
         assert!(t.is_empty().unwrap());
         t.insert(&[1, 2, 3]).unwrap();
         t.insert(&[4, i64::MIN, -5]).unwrap();
-        assert_eq!(db.pool().num_pages(), before + 2, "one root leaf per index, no heap page");
+        assert_eq!(db.pool().num_pages(), before + 2, "one root leaf per index");
         let entries = |name: &str| -> Vec<(Vec<i64>, i64)> {
             let index = t.index(name).unwrap();
             index
@@ -922,18 +732,13 @@ mod tests {
         assert_eq!(entries("CA"), [(vec![-5, 4], i64::MIN), (vec![3, 1], 2)]);
         assert_eq!(t.row_count().unwrap(), 2);
         assert!(!t.is_empty().unwrap());
-        // Nothing addresses a row by id.
-        let no_heap = |r: ri_pagestore::Result<_>| matches!(r, Err(Error::InvalidArgument(_)));
-        assert!(no_heap(t.scan().map(|_| ())));
-        assert!(no_heap(t.delete(RowId::from_raw(0)).map(|_| ())));
-        assert!(no_heap(t.insert(&[1, 2]).map(|_| ())), "a short row");
+        let short = |r: ri_pagestore::Result<_>| matches!(r, Err(Error::InvalidArgument(_)));
+        assert!(short(t.insert(&[1, 2]).map(|_| ())), "a short row");
+        assert!(short(t.delete_row(&[1, 2]).map(|_| ())), "a short row");
         assert!(!t.delete_row(&[1, 2, 4]).unwrap(), "no such row");
         assert!(t.delete_row(&[4, i64::MIN, -5]).unwrap());
         assert_eq!((entries("AB").len(), entries("CA").len()), (1, 1));
         assert_eq!(t.row_count().unwrap(), 1);
-        // A heap table deletes by id, not by row.
-        let heaped = db_with_indexed_table().table("T").unwrap();
-        assert!(no_heap(heaped.delete_row(&[1, 2, 3]).map(|_| ())));
     }
 
     /// A covered table is a set: a row it holds is refused, by `insert`
@@ -961,14 +766,12 @@ mod tests {
         assert_eq!(t.row_count().unwrap(), 2);
     }
 
-    /// The indexes declared with a table decide whether it keeps a heap;
-    /// one that keeps none takes no later index, and one whose indexes
-    /// leave out two columns keeps a heap and takes one.
+    /// A table is created only if its declared indexes cover it: at least
+    /// one, each leaving out at most one column.  Any other definition is
+    /// refused before anything is allocated, and leaves no name behind.
     #[test]
     fn only_indexes_that_each_leave_out_at_most_one_column_drop_the_heap() {
         let db = db_with_covered_table();
-        let later = IndexDef { name: "B".into(), key_cols: vec![1] };
-        assert!(matches!(db.create_index("T", later.clone()), Err(Error::InvalidArgument(_))));
         let columns = vec!["a".into(), "b".into(), "c".into()];
         let def = |name: &str, keys: Vec<Vec<usize>>| TableDef {
             name: name.into(),
@@ -979,29 +782,31 @@ mod tests {
                 .map(|(i, key_cols)| IndexDef { name: format!("I{i}"), key_cols })
                 .collect(),
         };
-        for (name, keys, heap) in [
-            ("ALL", vec![vec![2, 1, 0]], false),
-            ("TWO_OF_THREE", vec![vec![0, 2], vec![1, 2]], false),
-            ("ONE_OF_THREE", vec![vec![0, 1], vec![2]], true),
-            ("NONE", vec![], true),
-        ] {
+        for (name, keys) in
+            [("ALL", vec![vec![2, 1, 0]]), ("TWO_OF_THREE", vec![vec![0, 2], vec![1, 2]])]
+        {
             db.create_table(def(name, keys)).unwrap();
             let t = db.table(name).unwrap();
-            assert_eq!(t.heap.is_some(), heap, "{name}");
             t.insert(&[7, 8, 9]).unwrap();
             assert_eq!(t.row_count().unwrap(), 1, "{name}");
         }
-        db.create_index("ONE_OF_THREE", later.clone()).unwrap();
-        assert_eq!(db.table("ONE_OF_THREE").unwrap().index("B").unwrap().entry_count().unwrap(), 1);
-        // Declared indexes are checked like later ones.
-        assert!(db.create_table(def("BAD_KEY", vec![vec![3]])).is_err());
-        let twice = TableDef { indexes: vec![later.clone(), later], ..def("TWICE", vec![]) };
-        assert!(db.create_table(twice).is_err());
-        assert!(db.table("BAD_KEY").is_err() && db.table("TWICE").is_err());
+        let once = IndexDef { name: "B".into(), key_cols: vec![1, 2] };
+        let refused = [
+            def("ONE_OF_THREE", vec![vec![0, 1], vec![2]]),
+            def("NONE", vec![]),
+            def("BAD_KEY", vec![vec![3, 1]]),
+            TableDef { indexes: vec![once.clone(), once], ..def("TWICE", vec![]) },
+        ];
+        for def in refused {
+            let (name, pages) = (def.name.clone(), db.pool().num_pages());
+            assert!(matches!(db.create_table(def), Err(Error::InvalidArgument(_))), "{name}");
+            assert_eq!(db.pool().num_pages(), pages, "{name} allocated pages");
+            assert!(db.table(&name).is_err(), "{name} is in the catalog");
+        }
     }
 
-    /// A row write of a covered table logs one record per index and
-    /// nothing else: 2 with two indexes, against 3 with a heap.
+    /// A row write logs one record per index and nothing else: 2 with two
+    /// indexes.
     #[test]
     fn row_writes_of_a_covered_table_log_one_record_per_index() {
         let pool = Arc::new(
@@ -1039,14 +844,14 @@ mod tests {
 
     #[test]
     fn wrong_arity_rejected() {
-        let db = db_with_indexed_table();
+        let db = db_with_covered_table();
         let t = db.table("T").unwrap();
         assert!(t.insert(&[1, 2]).is_err());
     }
 
     #[test]
     fn unknown_index_name_errors() {
-        let db = db_with_indexed_table();
+        let db = db_with_covered_table();
         let t = db.table("T").unwrap();
         assert!(t.index("NOPE").is_err());
     }

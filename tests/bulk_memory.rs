@@ -7,31 +7,11 @@
 
 mod common;
 
+use common::alloc::{measure, Counting};
 use common::TempDir;
 use ri_tree::pagestore::{BufferPool, BufferPoolConfig, FileDisk, DEFAULT_PAGE_SIZE};
 use ri_tree::relstore::{Database, IndexDef, TableDef};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// The system allocator, counting live heap bytes and their high-water mark.
-struct Counting;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-        PEAK.fetch_max(live, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
@@ -60,10 +40,7 @@ fn a_bulk_load_holds_sixteen_bytes_a_row_beyond_its_rows() {
         })
         .collect();
 
-    let before = LIVE.load(Ordering::Relaxed);
-    PEAK.store(before, Ordering::Relaxed);
-    table.bulk_insert(&rows).unwrap();
-    let peak = PEAK.load(Ordering::Relaxed) - before;
+    let ((), peak) = measure(|| table.bulk_insert(&rows).unwrap());
     println!("bulk-loading {ROWS} rows peaked at {peak} heap bytes beyond the rows");
 
     assert_eq!(table.row_count().unwrap(), ROWS as u64);

@@ -1,13 +1,15 @@
 //! Helpers shared by the integration suites: scratch directories, a
 //! durable pool over two files, [`sorted`] answers, the crash harness in
-//! [`crash`], the determinism-golden rig in [`golden`] and the twin check
-//! of an RI-tree's two indexes in [`twins`].
+//! [`crash`], the determinism-golden rig in [`golden`], the twin check
+//! of an RI-tree's two indexes in [`twins`] and the counting allocator in
+//! [`alloc`].
 //!
 //! Each `tests/*.rs` file is its own crate, so anything here is pulled
 //! in with `mod common;` and only the items a suite uses are linked —
 //! hence the file-wide `dead_code` allowance.
 #![allow(dead_code)]
 
+pub mod alloc;
 pub mod crash;
 pub mod golden;
 pub mod twins;

@@ -2,7 +2,7 @@
 //!
 //! Each `lowerIndex` entry `(node, lower, id) → upper` must have exactly
 //! one `upperIndex` twin `(node, upper, id) → lower`, and the other way
-//! round: the table keeps no heap, so nothing else holds its rows.  Shared
+//! round: the indexes are the table, so nothing else holds its rows.  Shared
 //! by the root suites (through `common`) and the core crate's hot-tier
 //! suite (`#[path]`), so it names no type but the `RiTree` its parent
 //! module imports.

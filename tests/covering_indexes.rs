@@ -1,6 +1,6 @@
 //! The RI-tree's two indexes are its table: `lowerIndex (node, lower, id)
 //! → upper` and `upperIndex (node, upper, id) → lower` each hold the whole
-//! row, and no heap does.  This suite pins what follows from that:
+//! row, and nothing else does.  This suite pins what follows from that:
 //!
 //! * an `(interval, id)` the tree holds is refused as `InvalidArgument` —
 //!   by `insert`, `insert_open`, and `insert_batch` on both its paths —

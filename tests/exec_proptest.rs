@@ -11,24 +11,26 @@ use proptest::prelude::*;
 use ri_tree::pagestore::{BufferPool, BufferPoolConfig};
 use ri_tree::prelude::*;
 use ri_tree::relstore::exec::CmpOp;
-use ri_tree::relstore::{BoundExpr, ExecStats, IndexDef, Plan, Predicate, Row, Table, TableDef};
+use ri_tree::relstore::{BoundExpr, ExecStats, IndexDef, Plan, Predicate, Row, TableDef};
 
-/// `T(k, v, id)`, 72 rows (joins nest three deep: small), indexes
-/// `KV(k, v)` and `V(v)`.
+/// The scannable indexes: table, index and key arity.
+const INDEXES: [(&str, &str, usize); 2] = [("T", "KV", 2), ("U", "V", 1)];
+
+/// 72 rows (joins nest three deep: small) in two tables, each its one
+/// index: `T(k, v, id)` as `KV (k, v) → id`, and `U(v, id)` as
+/// `V (v) → id`, which holds the same `v` and `id`.
 fn database() -> Database {
     let pool = Arc::new(BufferPool::new(MemDisk::new(512), BufferPoolConfig::with_capacity(32)));
     let db = Database::create(pool).unwrap();
-    db.create_table(TableDef {
-        name: "T".into(),
-        columns: vec!["k".into(), "v".into(), "id".into()],
-        indexes: Vec::new(),
-    })
-    .unwrap();
-    db.create_index("T", IndexDef { name: "KV".into(), key_cols: vec![0, 1] }).unwrap();
-    db.create_index("T", IndexDef { name: "V".into(), key_cols: vec![1] }).unwrap();
-    let t = db.table("T").unwrap();
+    for (table, index, arity) in INDEXES {
+        let columns = ["k", "v", "id"][2 - arity..].iter().map(|c| c.to_string()).collect();
+        let indexes = vec![IndexDef { name: index.into(), key_cols: (0..arity).collect() }];
+        db.create_table(TableDef { name: table.into(), columns, indexes }).unwrap();
+    }
+    let (t, u) = (db.table("T").unwrap(), db.table("U").unwrap());
     for i in 0..72i64 {
         t.insert(&[i % 12, (i * 7) % 40, 1000 + i]).unwrap();
+        u.insert(&[(i * 7) % 40, 1000 + i]).unwrap();
     }
     db
 }
@@ -61,10 +63,11 @@ impl Tape<'_> {
                 (Plan::CollectionIterator { name: "C".into(), rows: rows.collect() }, 2)
             }
             1 => {
-                let (index, arity) = if self.draw(2) == 0 { ("KV", 2) } else { ("V", 1) };
+                let (table, index, arity) = INDEXES[self.draw(2) as usize];
                 let lo = (0..arity).map(|_| self.bound(bind_width)).collect();
                 let hi = (0..arity).map(|_| self.bound(bind_width)).collect();
-                (Plan::IndexRangeScan { table: "T".into(), index: index.into(), lo, hi }, arity + 1)
+                let (table, index) = (table.into(), index.into());
+                (Plan::IndexRangeScan { table, index, lo, hi }, arity + 1)
             }
             2 => {
                 let (outer, outer_width) = self.plan(depth - 1, bind_width);
@@ -107,7 +110,7 @@ impl Tape<'_> {
 
 /// The materializing executor this repository had before the push-based
 /// one: every operator returns its full row vector.
-fn reference(table: &Table, plan: &Plan, outer: Option<&Row>, stats: &mut ExecStats) -> Vec<Row> {
+fn reference(db: &Database, plan: &Plan, outer: Option<&Row>, stats: &mut ExecStats) -> Vec<Row> {
     let eval = |b: &BoundExpr| match *b {
         BoundExpr::Const(v) => v,
         BoundExpr::NegInf => i64::MIN,
@@ -119,11 +122,13 @@ fn reference(table: &Table, plan: &Plan, outer: Option<&Row>, stats: &mut ExecSt
             stats.rows_examined += rows.len() as u64;
             rows.clone()
         }
-        Plan::IndexRangeScan { index, lo, hi, .. } => {
+        Plan::IndexRangeScan { table, index, lo, hi } => {
             let (lo, hi): (Vec<i64>, Vec<i64>) =
                 (lo.iter().map(eval).collect(), hi.iter().map(eval).collect());
             stats.index_searches += 1;
-            let rows: Vec<Row> = table
+            let rows: Vec<Row> = db
+                .table(table)
+                .unwrap()
                 .index(index)
                 .unwrap()
                 .scan_range(&lo, &hi)
@@ -133,17 +138,17 @@ fn reference(table: &Table, plan: &Plan, outer: Option<&Row>, stats: &mut ExecSt
             stats.rows_examined += rows.len() as u64;
             rows
         }
-        Plan::NestedLoops { outer: o, inner } => reference(table, o, outer, stats)
+        Plan::NestedLoops { outer: o, inner } => reference(db, o, outer, stats)
             .iter()
-            .flat_map(|row| reference(table, inner, Some(row), stats))
+            .flat_map(|row| reference(db, inner, Some(row), stats))
             .collect(),
         Plan::UnionAll(inputs) => {
-            inputs.iter().flat_map(|p| reference(table, p, outer, stats)).collect()
+            inputs.iter().flat_map(|p| reference(db, p, outer, stats)).collect()
         }
         Plan::Filter { input, pred } => {
-            reference(table, input, outer, stats).into_iter().filter(|r| pred.matches(r)).collect()
+            reference(db, input, outer, stats).into_iter().filter(|r| pred.matches(r)).collect()
         }
-        Plan::Project { input, cols } => reference(table, input, outer, stats)
+        Plan::Project { input, cols } => reference(db, input, outer, stats)
             .iter()
             .map(|r| cols.iter().map(|&c| r[c]).collect())
             .collect(),
@@ -158,7 +163,6 @@ proptest! {
         tape in prop::collection::vec(any::<u32>(), 0..160),
     ) {
         let db = database();
-        let table = db.table("T").unwrap();
         let (plan, width) = Tape(tape.iter()).plan(3, 0);
 
         let mut collected_stats = ExecStats::default();
@@ -166,7 +170,7 @@ proptest! {
 
         // A query for the sink to run from inside each batch.
         let probe = Plan::IndexRangeScan {
-            table: "T".into(),
+            table: "U".into(),
             index: "V".into(),
             lo: vec![BoundExpr::Const(3)],
             hi: vec![BoundExpr::Const(30)],
@@ -193,7 +197,7 @@ proptest! {
         prop_assert_eq!(streamed_stats, collected_stats);
 
         let mut reference_stats = ExecStats::default();
-        let expected = reference(&table, &plan, None, &mut reference_stats);
+        let expected = reference(&db, &plan, None, &mut reference_stats);
         reference_stats.result_rows = expected.len() as u64;
         prop_assert_eq!(&collected, &expected);
         prop_assert_eq!(collected_stats, reference_stats);

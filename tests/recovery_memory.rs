@@ -4,31 +4,13 @@
 //! counting global allocator measures the peak, so this binary holds one
 //! test and nothing else allocates while it measures.
 
+mod common;
+
+use common::alloc::{measure, Counting};
 use ri_tree::pagestore::{
     BufferPool, BufferPoolConfig, DiskManager, MemDisk, PageId, DEFAULT_PAGE_SIZE,
 };
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// The system allocator, counting live heap bytes and their high-water mark.
-struct Counting;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-        PEAK.fetch_max(live, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
@@ -59,12 +41,13 @@ fn recovering_a_long_log_over_few_pages_holds_only_their_images() {
     }
     let log_bytes = log.num_pages() as usize * ps;
 
-    let before = LIVE.load(Ordering::Relaxed);
-    PEAK.store(before, Ordering::Relaxed);
-    let pool = BufferPool::new_durable(data, BufferPoolConfig::with_capacity(16), Arc::clone(&log))
-        .unwrap();
-    let report = pool.recover().unwrap().expect("the log holds records");
-    let peak = PEAK.load(Ordering::Relaxed) - before;
+    let ((_pool, report), peak) = measure(|| {
+        let pool =
+            BufferPool::new_durable(data, BufferPoolConfig::with_capacity(16), Arc::clone(&log))
+                .unwrap();
+        let report = pool.recover().unwrap().expect("the log holds records");
+        (pool, report)
+    });
     println!("recovering a {log_bytes}-byte log over {PAGES} pages peaked at {peak} heap bytes");
 
     assert_eq!(report.records_scanned, UPDATES + UPDATES / 4);

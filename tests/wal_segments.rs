@@ -154,10 +154,10 @@ fn background_flusher_roundtrips_through_close() {
 /// A durable bulk load stays far inside the log.  20,000 rows logged
 /// 1,294 record bytes per row over 50 segments while update records
 /// carried one span each, and 315 over 13 with byte runs, when every
-/// packed page and heap append was logged.  Since the build logs only
-/// the meta writes that publish its pages it is a few hundred bytes in
-/// all (`tests/bulk_load.rs` pins that at a million rows); the bounds
-/// below are the byte-run era's.
+/// packed page and every row's own page write was logged.  Since the
+/// build logs only the meta writes that publish its pages it is a few
+/// hundred bytes in all (`tests/bulk_load.rs` pins that at a million
+/// rows); the bounds below are the byte-run era's.
 #[test]
 fn bulk_load_log_volume_stays_near_the_bytes_changed() {
     const ROWS: i64 = 20_000;
