@@ -27,10 +27,13 @@
 //! * **One sequential write pass.**  Every node page is stored exactly
 //!   once, the moment it is known complete (its successor's first entry
 //!   is in hand, which becomes the high key).  Loading `n` entries
-//!   costs `O(pages)` page writes and `O(1)` page reads — no
+//!   costs `O(pages)` page writes and no read of any page it builds —
+//!   the only pages it reads are the tree's meta page — and no
 //!   per-entry root-to-leaf descent.
-//! * **No log records for packed pages.**  Each store goes through
-//!   [`ri_pagestore::BufferPool::write_fresh_page`], which logs nothing
+//! * **No log records and no device reads for packed pages.**  Each
+//!   store hands its finished image to
+//!   [`ri_pagestore::BufferPool::write_fresh_page`], which installs it
+//!   as the frame's content without reading the page in, logs nothing
 //!   and refuses any page the build did not allocate.  Before the meta
 //!   install, [`ri_pagestore::BufferPool::publish_fresh_pages`] flushes
 //!   and syncs them on a durable pool; the install is then an ordinary
@@ -40,7 +43,7 @@
 //! * **O(height) memory.**  The builder holds one page image per level:
 //!   the node being packed there, written through the same
 //!   `layout::NodeMut` the insert path edits pages with, and
-//!   copied into its page once complete.  Levels above the leaves are
+//!   installed as its page once complete.  Levels above the leaves are
 //!   discovered on demand.  A million-entry load carries three page
 //!   images, not a million entries.
 //!
@@ -179,10 +182,7 @@ impl<'t> BulkBuilder<'t> {
     fn store(&self, mut done: Pending, next: PageId, high: Option<&Entry>) -> Result<()> {
         done.node.set_next(next);
         done.node.set_high(high);
-        let image = done.node.into_inner();
-        self.tree
-            .pool()
-            .write_fresh_page(self.build_start, done.page, |buf| buf.copy_from_slice(&image))
+        self.tree.pool().write_fresh_page(self.build_start, done.page, &done.node.into_inner())
     }
 
     /// Stores every level's rightmost pending node (no right link, no
@@ -325,7 +325,8 @@ mod tests {
     use super::*;
     use crate::layout::leaf_capacity;
     use crate::layout::tests::node;
-    use ri_pagestore::{BufferPool, BufferPoolConfig, MemDisk};
+    use ri_pagestore::{BufferPool, BufferPoolConfig, DiskManager, FileDisk, MemDisk};
+    use std::path::PathBuf;
     use std::sync::Arc;
 
     fn small_pool() -> Arc<BufferPool> {
@@ -447,6 +448,64 @@ mod tests {
         assert_eq!(tree.entry_count().unwrap(), 500 + 200 - 100);
         assert!(tree.contains(&[3], 10_001).unwrap());
         assert!(!tree.contains(&[0], 0).unwrap());
+    }
+
+    /// A pool of `frames` over a `FileDisk` in a fresh file, and the file.
+    fn file_pool(name: &str, frames: usize) -> (Arc<BufferPool>, Arc<FileDisk>, PathBuf) {
+        let path = std::env::temp_dir().join(format!("ri-btree-{name}-{}.db", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let disk = Arc::new(FileDisk::open(&path, 512).unwrap());
+        let pool = BufferPool::new(Arc::clone(&disk), BufferPoolConfig::with_capacity(frames));
+        (Arc::new(pool), disk, path)
+    }
+
+    /// `n` sorted arity-2 entries.
+    fn entries(n: i64) -> impl Iterator<Item = Entry> {
+        (0..n).map(|i| Entry::new(&[i / 7, i % 7], i as u64))
+    }
+
+    /// The builder hands each packed page to the pool whole, so no page
+    /// it packs is ever read from the device: on a pool a fifth the size
+    /// of the tree, the one physical read is the meta page, which the
+    /// build pushes out and the install reads back.
+    #[test]
+    fn a_build_reads_none_of_the_pages_it_packs() {
+        let (pool, _disk, path) = file_pool("no-reads", 64);
+        let tree = BTree::create(Arc::clone(&pool), 2).unwrap();
+        let before = pool.stats().snapshot();
+        tree.bulk_build_into(entries(leaf_capacity(512, 2) as i64 * 300), 1.0).unwrap();
+        let io = pool.stats().snapshot().since(&before);
+        let pages = tree.stats().unwrap().pages;
+        assert!(pages > 5 * 64, "{pages} pages");
+        assert_eq!(io.physical_reads, 1, "the build read more than the meta page");
+        assert!(io.physical_writes >= pages - 64, "packed pages evicted dirty, written once");
+        tree.check_invariants().unwrap();
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Through a pool that evicts the dirty packed pages mid-build and one
+    /// that holds them all, the same build leaves the same device bytes.
+    #[test]
+    fn evicting_fresh_pages_mid_build_writes_the_bytes_a_resident_build_does() {
+        let n = leaf_capacity(512, 2) as i64 * 120 + 5;
+        let mut images = Vec::new();
+        for (name, frames) in [("evicting", 4), ("resident", 4096)] {
+            let (pool, disk, path) = file_pool(name, frames);
+            let tree = BTree::create(Arc::clone(&pool), 2).unwrap();
+            tree.bulk_build_into(entries(n), 1.0).unwrap();
+            let evicted = pool.stats().snapshot().physical_writes;
+            assert_eq!(evicted > 0, frames == 4, "{name}: {evicted} write-backs before the flush");
+            pool.flush_all().unwrap();
+            let mut image = vec![0u8; 512 * disk.num_pages() as usize];
+            for (id, page) in image.chunks_mut(512).enumerate() {
+                disk.read_page(PageId(id as u64), page).unwrap();
+            }
+            images.push(image);
+            drop((tree, pool));
+            std::fs::remove_file(&path).unwrap();
+        }
+        assert!(images[0].len() > 100 * 512, "{} bytes", images[0].len());
+        assert!(images[0] == images[1], "the evicting build wrote different bytes");
     }
 
     #[test]

@@ -371,11 +371,11 @@ impl RiTree {
     /// return the same ids — except that the page layout of the two
     /// indexes follows the scheduler under concurrency.
     ///
-    /// The backbone parameters and the fork nodes are computed for the
-    /// whole batch up front, in one pass under the parameter latch: fork
-    /// nodes are stable under data-space expansion, so the node each
-    /// interval gets against the parameters the intervals before it left
-    /// is the one incremental insertion would have produced.  An interval
+    /// The backbone parameters are computed for the whole batch up front,
+    /// in one pass under the parameter latch, and each row's fork node is
+    /// then computed against the final parameters as the row is written:
+    /// fork nodes are stable under data-space expansion, so that is the
+    /// node incremental insertion would have produced.  An interval
     /// [`RiTree::insert`] would refuse for its bounds fails the whole batch
     /// with `InvalidArgument` before anything is written.  A pair the tree
     /// holds, or one given twice, is refused with `InvalidArgument` too:
@@ -387,10 +387,11 @@ impl RiTree {
     ///
     /// **Bulk path:** the first batch into an *empty* tree is a bulk
     /// load — no concurrent DML on that tree while it runs.  It skips
-    /// the per-row index descents entirely: each index is built bottom-up
-    /// at full fill from one reused buffer of its entries, sorted as
-    /// 16-byte packed keys wherever the batch's spans allow
-    /// ([`Table::bulk_insert`]), in one sequential write pass (`O(pages)` writes
+    /// the per-row index descents entirely and keeps no copy of the rows:
+    /// each index is built bottom-up at full fill from one reused buffer
+    /// of its entries, sorted as 16-byte packed keys wherever the batch's
+    /// spans allow ([`Table::bulk_insert`], which computes the rows from
+    /// `items` on each of its walks), in one sequential write pass (`O(pages)` writes
     /// instead of `O(n log n)` descent I/Os; `threads` is not consulted,
     /// the pass is sequential by design).  This holds for a first batch
     /// of any size, small ones included: measured from 1 to 4,096 rows
@@ -421,41 +422,48 @@ impl RiTree {
         if items.is_empty() {
             return Ok(());
         }
-        // Phase 1: backbone parameters and rows, one O(1) fork step per
-        // item under the parameter latch.  Every item is checked before
-        // anything is written.  Fork nodes are stable under data-space
-        // expansion, so the node an item gets here, against the
-        // parameters the items before it left, is the one the final
-        // parameters (and a later delete) compute.
-        let (rows, min_lower, max_upper) = {
+        // Phase 1: backbone parameters, one O(1) fork step per item under
+        // the parameter latch.  Every item is checked before anything is
+        // written, and nothing is kept but the final parameters and the
+        // batch's bounds.
+        let (p, min_lower, max_upper) = {
             let _guard = self.db.param_guard();
             let mut p = self.load_params()?;
             let before = p;
-            let mut rows = Vec::with_capacity(items.len());
             let (mut min_lower, mut max_upper) = (i64::MAX, i64::MIN);
-            for &(iv, id) in items {
+            for &(iv, _) in items {
                 insertable(&p, iv)?;
-                rows.push([p.prepare_insert(iv.lower, iv.upper), iv.lower, iv.upper, id]);
+                p.prepare_insert(iv.lower, iv.upper);
                 min_lower = min_lower.min(iv.lower);
                 max_upper = max_upper.max(iv.upper);
             }
             if p != before {
                 self.save_params(&p)?;
             }
-            (rows, min_lower, max_upper)
+            (p, min_lower, max_upper)
+        };
+        // An item's row, its node computed against the final parameters:
+        // fork nodes are stable under data-space expansion, so this is the
+        // node phase 1 computed against the parameters the items before
+        // it left (and the one a later delete computes).
+        let row = |&(iv, id): &(Interval, i64)| {
+            let node = p.fork_of(iv.lower, iv.upper).expect("phase 1 admitted every item");
+            [node, iv.lower, iv.upper, id]
         };
         // Phase 2: index entries.  A batch into an empty table (asked of
         // `lowerIndex`, which stops at its first entry) takes the bulk
         // path — each index's entries sorted as 16-byte packed keys in one
         // reused buffer and built bottom-up in one sequential write pass
-        // with no per-row descents; everything else fans the per-row
-        // inserts out over the worker threads.
+        // with no per-row descents, the rows computed from `items` on each
+        // of the table's walks; everything else collects the rows and fans
+        // the per-row inserts out over the worker threads.
         // A row refused there (a pair the tree holds) fails the batch after
         // the others are in and phase 3 has covered them.
         let written = if self.table.is_empty()? {
-            self.table.bulk_insert(&rows)?;
+            self.table.bulk_insert(items.iter().map(row))?;
             Ok(())
         } else {
+            let rows: Vec<[i64; 4]> = items.iter().map(row).collect();
             ri_relstore::fan_out(&rows, threads, |row| self.table.insert(row))
                 .into_iter()
                 .collect::<Result<()>>()
@@ -463,7 +471,7 @@ impl RiTree {
         // Phase 3: skeleton directory and bound bookkeeping, once.
         if let Some(dir) = &self.skeleton {
             let _guard = self.db.param_guard();
-            let mut nodes: Vec<i64> = rows.iter().map(|row| row[0]).collect();
+            let mut nodes: Vec<i64> = items.iter().map(|item| row(item)[0]).collect();
             nodes.sort_unstable();
             nodes.dedup();
             for node in nodes {
@@ -1153,6 +1161,73 @@ mod tests {
             let mut without_seed = sorted(expected);
             without_seed.retain(|&id| id != 9_999);
             assert_eq!(sorted(bulk.intersection(q).unwrap()), without_seed, "bulk {q}");
+        }
+    }
+
+    /// Every `(node, lower, upper, id)` row a tree stores, read off both
+    /// indexes: `lowerIndex` `(node, lower, id) → upper` and `upperIndex`
+    /// `(node, upper, id) → lower`.
+    fn stored_rows(tree: &RiTree) -> (Vec<[i64; 4]>, Vec<[i64; 4]>) {
+        let rows = |index: &str, row: fn(&[i64], i64) -> [i64; 4]| -> Vec<[i64; 4]> {
+            let index = tree.table.index(index).unwrap();
+            index
+                .scan_all()
+                .map(|e| e.unwrap())
+                .map(|e| row(e.key.as_slice(), e.payload as i64))
+                .collect()
+        };
+        let mut upper = rows(&tree.upper_index, |k, lower| [k[0], lower, k[1], k[2]]);
+        upper.sort_unstable();
+        (rows(&tree.lower_index, |k, upper| [k[0], k[1], upper, k[2]]), upper)
+    }
+
+    /// The bulk route computes each row's node against the parameters the
+    /// whole batch leaves; fork nodes are stable under expansion, so those
+    /// are the nodes per-row inserts store, even for a batch that doubles
+    /// both roots many times over — into a fresh tree, and into one whose
+    /// parameters an earlier, deleted interval fixed.
+    #[test]
+    fn a_bulk_batch_that_grows_both_roots_stores_the_rows_of_per_row_inserts() {
+        let mut items = vec![(Interval::new(1000, 1010).unwrap(), 0)];
+        for id in 1..600i64 {
+            let reach = id * id * 37;
+            let iv = match id % 3 {
+                0 => Interval::new(1000 - reach, 1000 - reach + id % 50).unwrap(),
+                1 => Interval::new(1000 + reach, 1000 + reach + id % 70).unwrap(),
+                _ => Interval::new(990 - id, 1020 + id).unwrap(),
+            };
+            items.push((iv, id));
+        }
+        // Deleted again before the batch, these fix the offset and grow
+        // each root once.
+        let seeds =
+            [(1100, 1101), (1200, 1300), (900, 950)].map(|(l, u)| Interval::new(l, u).unwrap());
+        for emptied in [false, true] {
+            let ((_db_bulk, bulk), (_db_rows, per_row)) = (fresh(), fresh());
+            for tree in [&bulk, &per_row].into_iter().filter(|_| emptied) {
+                for (id, &seed) in (-3..0).zip(&seeds) {
+                    tree.insert(seed, id).unwrap();
+                }
+                for (id, &seed) in (-3..0).zip(&seeds) {
+                    assert!(tree.delete(seed, id).unwrap());
+                }
+                assert!(tree.table.is_empty().unwrap());
+            }
+            let before = bulk.load_params().unwrap();
+            bulk.insert_batch(&items, 1).unwrap();
+            for &(iv, id) in &items {
+                per_row.insert(iv, id).unwrap();
+            }
+            let (after, expected) = (bulk.load_params().unwrap(), per_row.load_params().unwrap());
+            assert_eq!(after, expected, "emptied: {emptied}");
+            assert!(
+                after.left_root < 64 * before.left_root.min(-1)
+                    && after.right_root > 64 * before.right_root.max(1),
+                "the batch must grow both roots: {before:?} -> {after:?}"
+            );
+            let (lower, upper) = stored_rows(&bulk);
+            assert_eq!(lower.len(), items.len());
+            assert!((lower, upper) == stored_rows(&per_row), "emptied: {emptied}: rows differ");
         }
     }
 

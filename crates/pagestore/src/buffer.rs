@@ -37,11 +37,12 @@
 //! **copy-on-write**: wherever a frame's bytes change, they change in place
 //! only when no snapshot shares them (`Arc::get_mut`), and otherwise the
 //! frame gets a fresh buffer while the readers keep the old image.  That
-//! happens in two places: [`BufferPool::with_page_mut`]'s install, and a
-//! miss's fetch, which reads into its victim's buffer only when that buffer
-//! is unique.  A write still works on a private copy, taken from a
-//! per-thread stack of scratch buffers (a stack, so nested writes each get
-//! their own) and installed when its closure returns.  The whole scheme is
+//! happens in three places: the installs of [`BufferPool::with_page_mut`]
+//! and [`BufferPool::write_fresh_page`], and a miss's fetch, which reads
+//! into its victim's buffer only when that buffer is unique.  A write
+//! still works on a private copy, taken from a per-thread stack of scratch
+//! buffers (a stack, so nested writes each get their own) and installed
+//! when its closure returns.  The whole scheme is
 //! safe Rust.  Callers must not access the *same* page from two nested
 //! closures when either access is mutable; the B+-tree layer is structured
 //! to never do so.
@@ -55,9 +56,10 @@
 //!    among *non-reserved* frames — mark it reserved, move its buffer out,
 //!    and register the page in the shard's in-flight miss table.
 //! 2. **Fetch** (no lock held): write the dirty victim back and read the
-//!    missing page from the device.  Hits on other pages of the same shard
-//!    proceed concurrently; a hot shard no longer stalls behind one cold
-//!    fetch.
+//!    missing page from the device — or, for a page a bulk build writes
+//!    whole ([`BufferPool::write_fresh_page`]), copy in its image, with no
+//!    device read.  Hits on other pages of the same shard proceed
+//!    concurrently; a hot shard no longer stalls behind one cold fetch.
 //! 3. **Publish** (under the lock again): install the buffer, clear the
 //!    reservation, remove the in-flight entry, and wake waiters.
 //!
@@ -103,8 +105,9 @@
 //! use.
 //!
 //! The one exception to logging every install is
-//! [`BufferPool::write_fresh_page`], the same install without the record,
-//! for the pages a bulk build allocates itself.  The build makes them
+//! [`BufferPool::write_fresh_page`], for the pages a bulk build allocates
+//! itself: it installs the build's finished page image as the frame's
+//! content, with no log record and no device read.  The build makes them
 //! durable with [`BufferPool::publish_fresh_pages`] before a logged meta
 //! write makes them reachable, so the log carries the build's
 //! publication, not its pages.
@@ -262,6 +265,17 @@ fn return_scratch(buf: Vec<u8>) {
             stack.push(buf);
         }
     })
+}
+
+/// Writes `image` over a frame's bytes: in place when no `with_page`
+/// snapshot shares them, else into a fresh buffer while the snapshots
+/// keep the old image (copy-on-write, see "Access model" in the module
+/// docs).
+fn install(data: &mut Arc<[u8]>, image: &[u8]) {
+    match Arc::get_mut(data) {
+        Some(bytes) => bytes.copy_from_slice(image),
+        None => *data = Arc::from(image),
+    }
 }
 
 /// Write-back page cache with LRU replacement, lock-striped over `shards`
@@ -520,9 +534,10 @@ impl BufferPool {
 
     /// Allocates a fresh zeroed page on the device.
     ///
-    /// The new page is *not* faulted into the cache; the first access will
-    /// read it (counted as a physical read, as in a real system where a new
-    /// block still passes through the cache).
+    /// The new page is *not* faulted into the cache.  Its first access
+    /// reads it (a physical read, as in a real system where a new block
+    /// still passes through the cache), unless that access is
+    /// [`BufferPool::write_fresh_page`], which installs its image instead.
     pub fn allocate_page(&self) -> Result<PageId> {
         self.disk.allocate_page()
     }
@@ -538,20 +553,51 @@ impl BufferPool {
         let shard = self.shard(id);
         shard.stats.record_logical_read();
         let snapshot = {
-            let (inner, idx) = self.acquire_resident(shard, id)?;
+            let (inner, idx) = self.acquire_resident(shard, id, None)?;
             Arc::clone(&inner.frames[idx].data)
         };
         Ok(f(&snapshot))
     }
 
     /// Runs `f` over a mutable copy of page `id`, then installs the modified
-    /// copy in the cache and marks the page dirty.
+    /// copy in the cache and marks the page dirty — logged when the pool
+    /// is durable.
     pub fn with_page_mut<T>(&self, id: PageId, f: impl FnOnce(&mut [u8]) -> T) -> Result<T> {
-        self.modify(id, true, f)
+        let shard = self.shard(id);
+        shard.stats.record_logical_write();
+        let mut buf = take_scratch(self.page_size);
+        {
+            let (inner, idx) = self.acquire_resident(shard, id, None)?;
+            buf.copy_from_slice(&inner.frames[idx].data);
+        }
+        let result = f(&mut buf);
+        {
+            // The page may have been evicted by nested accesses inside `f`;
+            // fault it back in before installing the modified copy.
+            let (mut inner, idx) = self.acquire_resident(shard, id, None)?;
+            if let Some(wal) = &self.wal {
+                // Log the byte-range delta of this install before the new
+                // image becomes visible; the frame's stamp is the record's
+                // end LSN.  (The WAL append lock nests under the shard
+                // lock; it is a leaf and never waits on pool state.)
+                let lsn = wal.log_update(id, &inner.frames[idx].data, &buf)?;
+                if lsn > 0 {
+                    inner.frames[idx].page_lsn = lsn;
+                }
+            }
+            let fr = &mut inner.frames[idx];
+            install(&mut fr.data, &buf);
+            fr.dirty = true;
+        }
+        return_scratch(buf);
+        Ok(result)
     }
 
-    /// [`BufferPool::with_page_mut`] without the log record, for a page a
-    /// bulk build allocated itself and nothing can reach yet.  `build_start`
+    /// Installs `image` as the whole content of page `id`, a page a bulk
+    /// build allocated itself and nothing can reach yet: no log record,
+    /// and no device read — the image is what a miss fills the frame with,
+    /// so the page's zeros never leave the device.  It counts a logical
+    /// write, no physical read, and marks the frame dirty.  `build_start`
     /// is [`BufferPool::num_pages`] sampled when the build began.
     ///
     /// The write is made durable by [`BufferPool::publish_fresh_pages`],
@@ -565,12 +611,12 @@ impl BufferPool {
     /// Refuses, with `InvalidArgument` and nothing written, a page the
     /// build cannot have allocated: one below `build_start`, or one the
     /// log holds a record of since its truncation horizon.
-    pub fn write_fresh_page<T>(
-        &self,
-        build_start: u64,
-        id: PageId,
-        f: impl FnOnce(&mut [u8]) -> T,
-    ) -> Result<T> {
+    ///
+    /// # Panics
+    ///
+    /// If `image` is not exactly one page long.
+    pub fn write_fresh_page(&self, build_start: u64, id: PageId, image: &[u8]) -> Result<()> {
+        assert_eq!(image.len(), self.page_size, "a fresh page's image is one whole page");
         if id.raw() < build_start {
             return Err(Error::InvalidArgument(format!(
                 "unlogged write of page {id}, allocated before the build began at {build_start}"
@@ -581,7 +627,10 @@ impl BufferPool {
                 "unlogged write of page {id}, which the log already holds a record of"
             )));
         }
-        self.modify(id, false, f)
+        let shard = self.shard(id);
+        shard.stats.record_logical_write();
+        let _ = self.acquire_resident(shard, id, Some(image))?;
+        Ok(())
     }
 
     /// Makes every page written by [`BufferPool::write_fresh_page`] so far
@@ -593,44 +642,6 @@ impl BufferPool {
             Some(_) => self.flush_all(),
             None => Ok(()),
         }
-    }
-
-    /// The one write path: copy, run `f`, install — logged when `log`
-    /// and the pool is durable.
-    fn modify<T>(&self, id: PageId, log: bool, f: impl FnOnce(&mut [u8]) -> T) -> Result<T> {
-        let shard = self.shard(id);
-        shard.stats.record_logical_write();
-        let mut buf = take_scratch(self.page_size);
-        {
-            let (inner, idx) = self.acquire_resident(shard, id)?;
-            buf.copy_from_slice(&inner.frames[idx].data);
-        }
-        let result = f(&mut buf);
-        {
-            // The page may have been evicted by nested accesses inside `f`;
-            // fault it back in before installing the modified copy.
-            let (mut inner, idx) = self.acquire_resident(shard, id)?;
-            if let Some(wal) = self.wal.as_ref().filter(|_| log) {
-                // Log the byte-range delta of this install before the new
-                // image becomes visible; the frame's stamp is the record's
-                // end LSN.  (The WAL append lock nests under the shard
-                // lock; it is a leaf and never waits on pool state.)
-                let lsn = wal.log_update(id, &inner.frames[idx].data, &buf)?;
-                if lsn > 0 {
-                    inner.frames[idx].page_lsn = lsn;
-                }
-            }
-            let fr = &mut inner.frames[idx];
-            match Arc::get_mut(&mut fr.data) {
-                Some(data) => data.copy_from_slice(&buf),
-                // A `with_page` snapshot still shares the old image: it
-                // keeps it, and the frame takes a fresh buffer.
-                None => fr.data = Arc::from(&buf[..]),
-            }
-            fr.dirty = true;
-        }
-        return_scratch(buf);
-        Ok(result)
     }
 
     /// Faults page `id` into the cache without counting a logical access.
@@ -647,7 +658,7 @@ impl BufferPool {
     /// relative recency order of frames is unchanged).
     pub fn prefetch(&self, id: PageId) -> Result<()> {
         let shard = self.shard(id);
-        let _ = self.acquire_resident(shard, id)?;
+        let _ = self.acquire_resident(shard, id, None)?;
         Ok(())
     }
 
@@ -753,6 +764,13 @@ impl BufferPool {
     /// state plus the frame index — the three-phase miss protocol (see the
     /// module docs).
     ///
+    /// With an `image` (a whole page, [`BufferPool::write_fresh_page`])
+    /// the frame is filled from it and marked dirty: a hit installs it
+    /// over the cached bytes, and a miss copies it into the reserved
+    /// buffer where the fetch would have read the device — the same
+    /// reservation, eviction and write-back, but no read and no
+    /// physical read counted.
+    ///
     /// Single-threaded (no concurrent fault on this shard) the observable
     /// behavior is that of a fetch under the lock: one LRU
     /// clock tick, the same victim, write-back before read, counters
@@ -762,6 +780,7 @@ impl BufferPool {
         &self,
         shard: &'a Shard,
         id: PageId,
+        image: Option<&[u8]>,
     ) -> Result<(MutexGuard<'a, PoolInner>, usize)> {
         let mut inner = shard.inner.lock();
         inner.clock += 1;
@@ -776,6 +795,10 @@ impl BufferPool {
                 // seed's `last_used = now`.
                 let fr = &mut inner.frames[idx];
                 fr.last_used = fr.last_used.max(now);
+                if let Some(image) = image {
+                    install(&mut fr.data, image);
+                    fr.dirty = true;
+                }
                 return Ok((inner, idx));
             }
             // Single-flight: another thread is already fetching this page.
@@ -872,12 +895,20 @@ impl BufferPool {
             }
             let mut read_ok = false;
             if failure.is_none() {
-                // The victim's buffer is read into in place unless a
-                // `with_page` snapshot still shares it; then the read goes
-                // to a fresh buffer and the snapshot keeps its image.
-                match self.disk.read_page(id, Arc::make_mut(&mut buf)) {
-                    Ok(()) => read_ok = true,
-                    Err(e) => failure = Some(e),
+                match image {
+                    // A fresh page's image is its content: nothing to read.
+                    Some(image) => {
+                        install(&mut buf, image);
+                        read_ok = true;
+                    }
+                    // The victim's buffer is read into in place unless a
+                    // `with_page` snapshot still shares it; then the read
+                    // goes to a fresh buffer and the snapshot keeps its
+                    // image.
+                    None => match self.disk.read_page(id, Arc::make_mut(&mut buf)) {
+                        Ok(()) => read_ok = true,
+                        Err(e) => failure = Some(e),
+                    },
                 }
             }
 
@@ -895,7 +926,7 @@ impl BufferPool {
                 fr.reserved = false;
                 if read_ok {
                     fr.page = id;
-                    fr.dirty = false;
+                    fr.dirty = image.is_some();
                     fr.last_used = stamp;
                     fr.page_lsn = 0;
                 } else if old_dirty && !wrote_back {
@@ -923,7 +954,9 @@ impl BufferPool {
             }
             if read_ok {
                 inner2.table.insert(id, idx);
-                shard.stats.record_physical_read();
+                if image.is_none() {
+                    shard.stats.record_physical_read();
+                }
             } else if old_dirty && !wrote_back {
                 inner2.table.insert(old_page, idx);
             }
@@ -1302,13 +1335,20 @@ mod tests {
         .unwrap()
     }
 
+    /// A 512-byte page image whose first byte is `first`.
+    fn image(first: u8) -> Vec<u8> {
+        let mut image = vec![0; 512];
+        image[0] = first;
+        image
+    }
+
     #[test]
     fn an_unlogged_write_takes_a_fresh_page_and_logs_nothing() {
         let pool = durable_pool(4);
         let start = pool.num_pages();
         let fresh = pool.allocate_page().unwrap();
         let wal = pool.wal().unwrap().stats();
-        pool.write_fresh_page(start, fresh, |d| d[0] = 9).unwrap();
+        pool.write_fresh_page(start, fresh, &image(9)).unwrap();
         assert_eq!(pool.wal().unwrap().stats(), wal, "the write appended a log record");
         let written = pool.stats().snapshot().physical_writes;
         pool.publish_fresh_pages().unwrap();
@@ -1325,7 +1365,7 @@ mod tests {
         let old = pool.allocate_page().unwrap();
         let start = pool.num_pages();
         let io = pool.stats().snapshot();
-        let err = pool.write_fresh_page(start, old, |d| d[0] = 9).unwrap_err();
+        let err = pool.write_fresh_page(start, old, &image(9)).unwrap_err();
         assert!(matches!(err, Error::InvalidArgument(_)), "{err}");
         assert_eq!(pool.stats().snapshot().logical_writes, io.logical_writes);
         assert_eq!(pool.with_page(old, |d| d[0]).unwrap(), 0, "the refused write landed");
@@ -1338,7 +1378,7 @@ mod tests {
         let logged = pool.allocate_page().unwrap();
         pool.with_page_mut(logged, |d| d[0] = 1).unwrap();
         let io = pool.stats().snapshot();
-        let err = pool.write_fresh_page(start, logged, |d| d[0] = 9).unwrap_err();
+        let err = pool.write_fresh_page(start, logged, &image(9)).unwrap_err();
         assert!(matches!(err, Error::InvalidArgument(_)), "{err}");
         assert_eq!(pool.stats().snapshot().logical_writes, io.logical_writes);
         assert_eq!(pool.with_page(logged, |d| d[0]).unwrap(), 1, "the refused write landed");

@@ -294,9 +294,16 @@ impl Table {
     /// written unlogged and synced, and only the meta writes that publish
     /// them join the caller's transaction.
     ///
+    /// `rows` is walked once to check the widths and take each column's
+    /// least and greatest value, then once per index, each walk over a
+    /// clone of its iterator: `&rows` for rows the caller holds, or a
+    /// `map` that computes each row from the caller's own items on every
+    /// walk, so the load keeps no copy of the rows.  Every walk must
+    /// yield the same rows.
+    ///
     /// Each index's run is sorted in one buffer that every index reuses,
-    /// on one of two paths, which the batch alone chooses: one pass over
-    /// the rows takes each column's least and greatest value first.
+    /// on one of two paths, which the batch alone chooses from the spans
+    /// of the first walk:
     ///
     /// * **Packed keys**, 16 B a row: when an index's key columns and
     ///   payload, each taken less its least value over the batch, fit in
@@ -320,7 +327,11 @@ impl Table {
     /// An index that held entries once and was emptied by deletes keeps
     /// its pages, so the builder cannot install over it; such an index
     /// is filled per entry instead, in sorted order.
-    pub fn bulk_insert(&self, rows: &[impl AsRef<[i64]>]) -> Result<()> {
+    pub fn bulk_insert(
+        &self,
+        rows: impl IntoIterator<Item: AsRef<[i64]>, IntoIter: Clone>,
+    ) -> Result<()> {
+        let rows = rows.into_iter();
         for idx in &self.indexes {
             if idx.tree.scan_all().next().transpose()?.is_some() {
                 return Err(Error::InvalidArgument(format!(
@@ -329,14 +340,17 @@ impl Table {
                 )));
             }
         }
-        let packings = self.packings(rows)?;
+        let packings = self.packings(rows.clone())?;
         self.bulk_build(rows, &packings)
     }
 
     /// Checks each row's width and picks each index's sort path from the
     /// columns' spans over `rows`: its [`Packing`], or `None` for compact
     /// rows.
-    fn packings(&self, rows: &[impl AsRef<[i64]>]) -> Result<Vec<Option<Packing>>> {
+    fn packings(
+        &self,
+        rows: impl IntoIterator<Item: AsRef<[i64]>>,
+    ) -> Result<Vec<Option<Packing>>> {
         let mut spans = [Span::EMPTY; MAX_ARITY + 1];
         for row in rows {
             let row = row.as_ref();
@@ -352,7 +366,12 @@ impl Table {
 
     /// Sorts and builds each index of a checked bulk load: as packed keys
     /// where `packings` holds a packing, as compact rows elsewhere.
-    fn bulk_build(&self, rows: &[impl AsRef<[i64]>], packings: &[Option<Packing>]) -> Result<()> {
+    fn bulk_build(
+        &self,
+        rows: impl IntoIterator<Item: AsRef<[i64]>, IntoIter: Clone>,
+        packings: &[Option<Packing>],
+    ) -> Result<()> {
+        let rows = rows.into_iter();
         let repeats = |n: usize, repeated: bool| {
             // The first index's entries hold whole rows, and it is sorted
             // and checked before any index is built.
@@ -366,14 +385,14 @@ impl Table {
         for (n, (idx, packing)) in self.indexes.iter().zip(packings).enumerate() {
             if let Some(packing) = packing {
                 packed.clear();
-                packed.extend(rows.iter().map(|row| packing.pack(row.as_ref())));
+                packed.extend(rows.clone().map(|row| packing.pack(row.as_ref())));
                 packed.sort_unstable();
                 repeats(n, packed.windows(2).any(|w| w[0] == w[1]))?;
                 idx.fill(packed.iter().map(|&key| packing.unpack(key)))?;
             } else {
                 let arity = idx.key_cols.len();
                 compact.clear();
-                compact.extend(rows.iter().map(|row| {
+                compact.extend(rows.clone().map(|row| {
                     let row = row.as_ref();
                     let mut words = [0i64; MAX_ARITY + 1];
                     for (slot, &c) in words.iter_mut().zip(&idx.key_cols) {
@@ -749,9 +768,9 @@ mod tests {
         let db = db_with_covered_table();
         let t = db.table("T").unwrap();
         let refused = |r: ri_pagestore::Result<()>| matches!(r, Err(Error::InvalidArgument(_)));
-        assert!(refused(t.bulk_insert(&[[1, 2, 3], [4, 5, 6], [1, 2, 3]])));
+        assert!(refused(t.bulk_insert([[1, 2, 3], [4, 5, 6], [1, 2, 3]])));
         assert!(t.is_empty().unwrap(), "a refused bulk load writes nothing");
-        t.bulk_insert(&[[1, 2, 3], [4, 5, 6]]).unwrap();
+        t.bulk_insert([[1, 2, 3], [4, 5, 6]]).unwrap();
         let writes = db.pool().stats().snapshot().logical_writes;
         assert!(refused(t.insert(&[1, 2, 3])));
         assert_eq!(
