@@ -38,62 +38,19 @@
 //! plus the WAL's absolute sync-accounting identity.  Those counters
 //! depend on thread scheduling, so they are printed on `#` lines.
 
-use crate::harness::{durable_db, run_txns, section, wal_stats};
-use crate::sim::Policy;
+use crate::harness::section;
 pub use crate::sim::SimResult;
-use ri_pagestore::{FlushPolicy, WalConfig, DEFAULT_PAGE_SIZE};
-
-/// Committing writer thread counts evaluated.
-pub const THREAD_COUNTS: [usize; 6] = [1, 2, 4, 8, 16, 32];
-
-/// Simulated fsync latency (~10 ms seek + rotation + settle).
-pub const T_SYNC_NS: u64 = 10_000_000;
+use crate::sim::{
+    durable_db, run_txns, wal_stats, Policy, Trace, PAGE_BYTES, THREAD_COUNTS, T_SYNC_NS,
+};
+use ri_pagestore::{FlushPolicy, WalConfig};
 
 /// Sequential write of one 2 KB log page on the paper-era disk
 /// (~10 MB/s): the unit of backlog the inline leader pays per page.
 pub const T_PAGE_WRITE_NS: u64 = 200_000;
 
-/// Fixed per-commit CPU floor before the append-derived cost is added.
-pub const T_OP_BASE_NS: u64 = 100_000;
-
-/// Per-byte cost of encoding + appending WAL records (think time).
-pub const T_OP_PER_BYTE_NS: u64 = 40;
-
-/// Log page size of the traced configuration (`harness::durable_db`'s).
-pub const PAGE_BYTES: u64 = DEFAULT_PAGE_SIZE as u64;
-
 /// Inserts per commit in the large-transaction workload.
 pub const LARGE_TXN_INSERTS: u64 = 256;
-
-/// The deterministic facts read off one traced single-writer run.
-#[derive(Clone, Copy, Debug)]
-pub struct Trace {
-    /// Committed transactions in the traced run.
-    pub commits: u64,
-    /// Inserts per transaction.
-    pub inserts_per_commit: u64,
-    /// Stream bytes the run appended (records + commits).
-    pub wal_record_bytes: u64,
-}
-
-impl Trace {
-    /// Integer stream bytes per commit (rounded up), the model's input.
-    pub fn bytes_per_commit(&self) -> u64 {
-        self.wal_record_bytes.div_ceil(self.commits.max(1))
-    }
-
-    /// Whole log pages a commit's records fill — the backlog the
-    /// flusher can write ahead.  The partial tail page is always paid
-    /// at commit (it only fills when the commit record lands).
-    fn full_pages_per_commit(&self) -> u64 {
-        self.bytes_per_commit() / PAGE_BYTES
-    }
-
-    /// Simulated nanoseconds a writer computes between commits.
-    fn t_think_ns(&self) -> u64 {
-        T_OP_BASE_NS + self.bytes_per_commit() * T_OP_PER_BYTE_NS
-    }
-}
 
 /// `threads` writers each committing `commits_per_writer` transactions
 /// of `full_pages` whole log pages (+ a partial tail page), thinking
@@ -156,19 +113,6 @@ pub struct Report {
     pub workloads: Vec<Workload>,
 }
 
-/// Runs the real single-writer `FlushPolicy::Off` workload and reads
-/// the WAL's counters: `commits` transactions of `inserts_per_commit`
-/// inserts each, one fsync per commit (nobody to follow).
-fn trace_txn(inserts_per_commit: u64, commits: u64) -> Trace {
-    let db = durable_db(WalConfig::default());
-    run_txns(&db, inserts_per_commit, commits);
-    let stats = wal_stats(&db);
-    assert_eq!(stats.commits, commits, "one commit per transaction");
-    assert_eq!(stats.commit_syncs, commits, "single-threaded: every commit leads");
-    assert_eq!(stats.flusher_writes, 0, "FlushPolicy::Off never flushes in the background");
-    Trace { commits, inserts_per_commit, wal_record_bytes: stats.record_bytes }
-}
-
 /// Really runs a `FlushPolicy::Background` database and reports its
 /// (scheduling-dependent) flusher counters; asserts the absolute sync
 /// identity, which must hold on any schedule.
@@ -215,8 +159,8 @@ pub fn run(quick: bool) -> Report {
     for (label, ipc, traced) in
         [("small", 1, small_commits), ("large", LARGE_TXN_INSERTS, large_commits)]
     {
-        let trace = trace_txn(ipc, traced);
-        let (full_pages, t_think) = (trace.full_pages_per_commit(), trace.t_think_ns());
+        let trace = crate::sim::trace(ipc, traced);
+        let (full_pages, t_think) = (trace.full_pages_per_commit(), trace.t_op_ns());
         println!(
             "{label},{},{},{},{},{full_pages},{t_think}",
             trace.commits,

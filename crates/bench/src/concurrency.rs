@@ -103,6 +103,15 @@ impl ContentionModel {
             * self.seconds_per_latch
     }
 
+    /// Simulated seconds of work behind the access counts `io` and `rows`
+    /// executor rows: device I/O and per-row CPU, plus per-access latch
+    /// and CPU time.
+    pub fn work_seconds(&self, io: &IoSnapshot, rows: u64) -> f64 {
+        let accesses = (io.logical_reads + io.logical_writes) as f64;
+        self.latency.simulate(io, rows)
+            + accesses * (self.seconds_per_latch + self.seconds_per_access_cpu)
+    }
+
     /// Simulated seconds for `threads` readers to drain a batch whose
     /// per-shard access counts are `per_shard` and whose executor touched
     /// `rows` rows.
@@ -113,10 +122,7 @@ impl ContentionModel {
             total.accumulate(s);
             floor = floor.max(self.shard_serial_seconds(s));
         }
-        let accesses = (total.logical_reads + total.logical_writes) as f64;
-        let work = self.latency.simulate(&total, rows)
-            + accesses * (self.seconds_per_latch + self.seconds_per_access_cpu);
-        (work / threads.max(1) as f64).max(floor)
+        (self.work_seconds(&total, rows) / threads.max(1) as f64).max(floor)
     }
 }
 
@@ -253,6 +259,8 @@ pub fn run(quick: bool) -> ConcurrencyReport {
             f(wall_par_ms)
         );
     }
+    println!("# pages route to shards by `id & mask`, so the 4- and 16-shard rows'");
+    println!("# phys_io_per_query and speed-ups move by about ±1 % whenever page ids shift");
     println!("# model: device reads run outside the shard lock (miss promotion), so");
     println!("# even the 1-shard pool scales with reader threads on miss-heavy work;");
     println!("# the residual per-shard floor is latch bookkeeping (reserve/hit + publish)");

@@ -43,52 +43,10 @@
 //! log is durable through its end.  Scheduling-dependent group sizes
 //! are printed for reference on `#` lines.
 
-use crate::harness::{durable_db, run_txns, section, wal_stats};
-use crate::sim::Policy;
+use crate::harness::section;
 pub use crate::sim::SimResult;
+use crate::sim::{durable_db, wal_stats, Policy, Trace, THREAD_COUNTS, T_SYNC_NS};
 use ri_pagestore::WalConfig;
-
-/// Committing writer thread counts evaluated.
-pub const THREAD_COUNTS: [usize; 6] = [1, 2, 4, 8, 16, 32];
-
-/// Simulated fsync latency: one log-page write on the paper-era disk
-/// (~10 ms seek + rotation + transfer + settle).
-pub const T_SYNC_NS: u64 = 10_000_000;
-
-/// Fixed per-commit CPU floor (buffer-pool bookkeeping, latching, the
-/// in-cache page mutation) before the append-derived cost is added.
-pub const T_OP_BASE_NS: u64 = 100_000;
-
-/// Per-byte cost of encoding + appending a WAL record to the in-memory
-/// tail page.
-pub const T_OP_PER_BYTE_NS: u64 = 40;
-
-/// The deterministic facts read off the traced single-writer run.
-#[derive(Clone, Copy, Debug)]
-pub struct Trace {
-    /// Committed inserts in the traced run.
-    pub commits: u64,
-    /// Page-update records the run appended.
-    pub wal_records: u64,
-    /// Stream bytes the run appended (records + commits).
-    pub wal_record_bytes: u64,
-    /// Log-device syncs — single-threaded this must equal `commits`.
-    pub syncs: u64,
-    /// Physical page writes on the log device.
-    pub log_page_writes: u64,
-}
-
-impl Trace {
-    /// Integer stream bytes per commit (rounded up), the model's input.
-    pub fn bytes_per_commit(&self) -> u64 {
-        self.wal_record_bytes.div_ceil(self.commits.max(1))
-    }
-
-    /// Simulated nanoseconds of work between a writer's commits.
-    fn t_op_ns(&self) -> u64 {
-        T_OP_BASE_NS + self.bytes_per_commit() * T_OP_PER_BYTE_NS
-    }
-}
 
 /// `threads` writers each performing `commits_per_writer` commits on
 /// the shared queueing core ([`crate::sim`]): a writer computes for
@@ -135,25 +93,6 @@ pub struct Report {
     pub rows: Vec<Row>,
 }
 
-/// Runs the real single-writer durable workload and reads the WAL's
-/// counters.  One commit per insert; every commit must lead its own
-/// sync (there is nobody to follow).
-fn trace_single_writer(inserts: u64) -> Trace {
-    let db = durable_db(WalConfig::default());
-    run_txns(&db, 1, inserts);
-    let stats = wal_stats(&db);
-    assert_eq!(stats.commits, inserts, "one commit per insert");
-    assert_eq!(stats.commit_syncs, inserts, "single-threaded: every commit leads");
-    assert_eq!(stats.group_commits, 0, "single-threaded: nobody follows");
-    Trace {
-        commits: stats.commits,
-        wal_records: stats.records,
-        wal_record_bytes: stats.record_bytes,
-        syncs: stats.syncs,
-        log_page_writes: stats.log_page_writes,
-    }
-}
-
 /// Real concurrent committers: disjoint inserts fanned out over
 /// `threads`, one `commit()` each.  Asserts the WAL's exact accounting
 /// identity and returns (commits, syncs, commit_syncs, group_commits).
@@ -190,7 +129,8 @@ pub fn run(quick: bool) -> Report {
     section("Figure 20: log fsyncs per committed insert, group commit vs one-fsync-per-commit");
     let traced_inserts: u64 = if quick { 400 } else { 2_000 };
     let commits_per_writer: u64 = if quick { 50 } else { 200 };
-    let trace = trace_single_writer(traced_inserts);
+    // One insert per commit.
+    let trace = crate::sim::trace(1, traced_inserts);
     let t_op = trace.t_op_ns();
     println!(
         "trace: commits,wal_records,wal_record_bytes,bytes_per_commit,syncs_single_writer,\

@@ -2,10 +2,9 @@
 
 use ri_baselines::{Ist, IstOrder, TileIndex};
 use ri_pagestore::{
-    BufferPool, BufferPoolConfig, IoSnapshot, LatencyModel, MemDisk, WalConfig, WalSnapshot,
-    DEFAULT_PAGE_SIZE,
+    BufferPool, BufferPoolConfig, IoSnapshot, LatencyModel, MemDisk, DEFAULT_PAGE_SIZE,
 };
-use ri_relstore::{Database, IndexDef, IntervalAccessMethod, TableDef};
+use ri_relstore::{Database, IntervalAccessMethod};
 use ritree_core::{Interval, RiTree};
 use std::sync::Arc;
 
@@ -119,49 +118,6 @@ pub fn run_queries(
 pub fn sorted(mut ids: Vec<i64>) -> Vec<i64> {
     ri_mem::sort::sort_ids(&mut ids);
     ids
-}
-
-/// A fresh WAL-backed database on in-memory devices (paper-sized pool,
-/// 2 KB pages) holding one two-column table `T`, which is its index
-/// `A (a) → b` — the commit experiments' workbench.
-pub fn durable_db(wal_config: WalConfig) -> Database {
-    let pool = Arc::new(
-        BufferPool::new_durable_with(
-            MemDisk::new(DEFAULT_PAGE_SIZE),
-            BufferPoolConfig::with_capacity(200),
-            MemDisk::new(DEFAULT_PAGE_SIZE),
-            wal_config,
-        )
-        .expect("durable pool"),
-    );
-    let db = Database::create(pool).expect("create");
-    db.create_table(TableDef {
-        name: "T".into(),
-        columns: vec!["a".into(), "b".into()],
-        indexes: vec![IndexDef { name: "A".into(), key_cols: vec![0] }],
-    })
-    .expect("ddl");
-    db
-}
-
-/// The WAL counters of a [`durable_db`].
-pub fn wal_stats(db: &Database) -> WalSnapshot {
-    db.pool().wal().expect("durable pool").stats()
-}
-
-/// The single-writer durable workload behind the commit experiments'
-/// traces: `commits` transactions of `inserts_per_commit` rows
-/// `[id, (id * 37) % 1000]` into a [`durable_db`]'s table, one
-/// `commit()` per transaction, all on the calling thread.
-pub(crate) fn run_txns(db: &Database, inserts_per_commit: u64, commits: u64) {
-    let t = db.table("T").expect("table");
-    for c in 0..commits as i64 {
-        for k in 0..inserts_per_commit as i64 {
-            let id = c * inserts_per_commit as i64 + k;
-            t.insert(&[id, (id * 37) % 1000]).expect("insert");
-        }
-        db.commit().expect("commit");
-    }
 }
 
 /// Core count of the machine regenerating the figures, printed by

@@ -4,8 +4,136 @@
 //! serves one sync at a time.  Everything is integer nanoseconds with a
 //! lowest-writer-index tie-break, so results are byte-stable across runs
 //! and machines.
+//!
+//! Both models price the same traced facts with the same cost model: a
+//! real single-writer durable run ([`trace`]) on a [`durable_db`] yields
+//! the stream bytes per commit, and a writer's think time between commits
+//! is [`Trace::t_op_ns`].
 
+use ri_pagestore::{
+    BufferPool, BufferPoolConfig, MemDisk, WalConfig, WalSnapshot, DEFAULT_PAGE_SIZE,
+};
+use ri_relstore::{Database, IndexDef, TableDef};
 use std::collections::VecDeque;
+use std::sync::Arc;
+
+/// Committing writer thread counts evaluated.
+pub const THREAD_COUNTS: [usize; 6] = [1, 2, 4, 8, 16, 32];
+
+/// Simulated fsync latency: one log-page write on the paper-era disk
+/// (~10 ms seek + rotation + transfer + settle).
+pub const T_SYNC_NS: u64 = 10_000_000;
+
+/// Fixed per-commit CPU floor (buffer-pool bookkeeping, latching, the
+/// in-cache page mutation) before the append-derived cost is added.
+pub const T_OP_BASE_NS: u64 = 100_000;
+
+/// Per-byte cost of encoding + appending a WAL record to the in-memory
+/// tail page.
+pub const T_OP_PER_BYTE_NS: u64 = 40;
+
+/// Log page size of a [`durable_db`].
+pub const PAGE_BYTES: u64 = DEFAULT_PAGE_SIZE as u64;
+
+/// A fresh WAL-backed database on in-memory devices (paper-sized pool,
+/// 2 KB pages) holding one two-column table `T`, which is its index
+/// `A (a) → b` — the commit experiments' workbench.
+pub fn durable_db(wal_config: WalConfig) -> Database {
+    let pool = Arc::new(
+        BufferPool::new_durable_with(
+            MemDisk::new(DEFAULT_PAGE_SIZE),
+            BufferPoolConfig::with_capacity(200),
+            MemDisk::new(DEFAULT_PAGE_SIZE),
+            wal_config,
+        )
+        .expect("durable pool"),
+    );
+    let db = Database::create(pool).expect("create");
+    db.create_table(TableDef {
+        name: "T".into(),
+        columns: vec!["a".into(), "b".into()],
+        indexes: vec![IndexDef { name: "A".into(), key_cols: vec![0] }],
+    })
+    .expect("ddl");
+    db
+}
+
+/// The WAL counters of a [`durable_db`].
+pub fn wal_stats(db: &Database) -> WalSnapshot {
+    db.pool().wal().expect("durable pool").stats()
+}
+
+/// The single-writer durable workload behind the traces: `commits`
+/// transactions of `inserts_per_commit` rows `[id, (id * 37) % 1000]`
+/// into a [`durable_db`]'s table, one `commit()` per transaction, all on
+/// the calling thread.
+pub(crate) fn run_txns(db: &Database, inserts_per_commit: u64, commits: u64) {
+    let t = db.table("T").expect("table");
+    for c in 0..commits as i64 {
+        for k in 0..inserts_per_commit as i64 {
+            let id = c * inserts_per_commit as i64 + k;
+            t.insert(&[id, (id * 37) % 1000]).expect("insert");
+        }
+        db.commit().expect("commit");
+    }
+}
+
+/// The deterministic facts read off one traced single-writer run.
+#[derive(Clone, Copy, Debug)]
+pub struct Trace {
+    /// Committed transactions in the traced run.
+    pub commits: u64,
+    /// Inserts per transaction.
+    pub inserts_per_commit: u64,
+    /// Page-update records the run appended.
+    pub wal_records: u64,
+    /// Stream bytes the run appended (records + commits).
+    pub wal_record_bytes: u64,
+    /// Log-device syncs — single-threaded this equals `commits`.
+    pub syncs: u64,
+    /// Physical page writes on the log device.
+    pub log_page_writes: u64,
+}
+
+impl Trace {
+    /// Integer stream bytes per commit (rounded up), the models' input.
+    pub fn bytes_per_commit(&self) -> u64 {
+        self.wal_record_bytes.div_ceil(self.commits.max(1))
+    }
+
+    /// Whole log pages a commit's records fill — the backlog a flusher
+    /// can write ahead.  The partial tail page is always paid at commit
+    /// (it only fills when the commit record lands).
+    pub fn full_pages_per_commit(&self) -> u64 {
+        self.bytes_per_commit() / PAGE_BYTES
+    }
+
+    /// Simulated nanoseconds a writer computes between its commits.
+    pub fn t_op_ns(&self) -> u64 {
+        T_OP_BASE_NS + self.bytes_per_commit() * T_OP_PER_BYTE_NS
+    }
+}
+
+/// Runs `run_txns` on a fresh `FlushPolicy::Off` [`durable_db`] (so
+/// its WAL counters are exactly reproducible) and reads the counters.
+/// Every commit leads its own sync: there is nobody to follow.
+pub fn trace(inserts_per_commit: u64, commits: u64) -> Trace {
+    let db = durable_db(WalConfig::default());
+    run_txns(&db, inserts_per_commit, commits);
+    let stats = wal_stats(&db);
+    assert_eq!(stats.commits, commits, "one commit per transaction");
+    assert_eq!(stats.commit_syncs, commits, "single-threaded: every commit leads");
+    assert_eq!(stats.group_commits, 0, "single-threaded: nobody follows");
+    assert_eq!(stats.flusher_writes, 0, "FlushPolicy::Off never flushes in the background");
+    Trace {
+        commits,
+        inserts_per_commit,
+        wal_records: stats.records,
+        wal_record_bytes: stats.record_bytes,
+        syncs: stats.syncs,
+        log_page_writes: stats.log_page_writes,
+    }
+}
 
 /// What the log device does for the commits it is asked to make durable.
 #[derive(Clone, Copy, Debug)]

@@ -8,9 +8,10 @@
 //! *deterministically*: the insert workload runs once, single-threaded,
 //! and every insert's page accesses are read off the pool's per-shard
 //! counters, with the latch manager's `splits` counter flagging which
-//! inserts performed a structure modification.  The
-//! [`WriteContentionModel`] then prices two writer protocols over the
-//! identical trace:
+//! inserts performed a structure modification.  fig18's
+//! [`ContentionModel`] prices each insert's work
+//! ([`ContentionModel::work_seconds`]), and two writer protocols are then
+//! priced over the identical trace:
 //!
 //! * **global writer** — one tree-wide writer slot: every insert holds
 //!   it, so the batch's makespan is the *sum* of all
@@ -74,14 +75,6 @@ pub const WORKLOADS: [Workload; 2] = [
     Workload { name: "smo-heavy", page_size: 256, frames: 64 },
 ];
 
-/// Deterministic cost model for concurrent insert batches (see the module
-/// docs for the derivation).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct WriteContentionModel {
-    /// Per-access and per-I/O prices, shared with the fig18 model.
-    pub base: ContentionModel,
-}
-
 /// The single-threaded insert trace the model prices.
 pub struct WriteTrace {
     /// Number of inserts.
@@ -103,32 +96,25 @@ pub struct WriteTrace {
     pub phys_total: u64,
 }
 
-impl WriteContentionModel {
-    /// Simulated seconds one insert costs given its access counts.
-    fn insert_work(&self, io: &IoSnapshot) -> f64 {
-        let accesses = (io.logical_reads + io.logical_writes) as f64;
-        self.base.latency.simulate(io, 0)
-            + accesses * (self.base.seconds_per_latch + self.base.seconds_per_access_cpu)
-    }
-
+impl WriteTrace {
     /// Makespan under the global-writer protocol: all inserts serialize,
     /// regardless of the submitting thread count.
-    fn makespan_global(&self, trace: &WriteTrace) -> f64 {
-        trace.total_work
+    fn makespan_global(&self) -> f64 {
+        self.total_work
     }
 
     /// The per-shard lock-hold floor.
-    fn shard_floor(&self, trace: &WriteTrace) -> f64 {
-        trace.per_shard.iter().map(|s| self.base.shard_serial_seconds(s)).fold(0.0f64, f64::max)
+    fn shard_floor(&self, model: &ContentionModel) -> f64 {
+        self.per_shard.iter().map(|s| model.shard_serial_seconds(s)).fold(0.0f64, f64::max)
     }
 
     /// Makespan under the B-link protocol: splits overlap like any other
     /// writes, so there is no global SMO timeline term.  The meta latch
     /// admits one hold at a time, and only a split takes it: one
     /// allocation hold per split.
-    fn makespan_blink(&self, trace: &WriteTrace, threads: usize) -> f64 {
-        let meta_floor = trace.splits as f64 * self.base.seconds_per_latch;
-        (trace.total_work / threads.max(1) as f64).max(self.shard_floor(trace)).max(meta_floor)
+    fn makespan_blink(&self, model: &ContentionModel, threads: usize) -> f64 {
+        let meta_floor = self.splits as f64 * model.seconds_per_latch;
+        (self.total_work / threads.max(1) as f64).max(self.shard_floor(model)).max(meta_floor)
     }
 }
 
@@ -182,7 +168,7 @@ fn trace_inserts(
     cfg: &Workload,
     shards: usize,
     keys: &[[i64; 3]],
-    model: &WriteContentionModel,
+    model: &ContentionModel,
 ) -> WriteTrace {
     let pool = Arc::new(BufferPool::new(
         MemDisk::new(cfg.page_size),
@@ -205,7 +191,7 @@ fn trace_inserts(
         for (a, b) in after_shards.iter().zip(&before_shards) {
             io.accumulate(&a.since(b));
         }
-        let work = model.insert_work(&io);
+        let work = model.work_seconds(&io, 0);
         total_work += work;
         if after_latches.since(&before_latches).splits > 0 {
             smo_work += work;
@@ -264,14 +250,14 @@ pub fn run(quick: bool) -> WriteReport {
     section("Figure 19: insert throughput vs writer threads, B-link vs global writer");
     let n = if quick { 20_000 } else { 100_000 };
     let keys = workload_keys(n);
-    let model = WriteContentionModel::default();
+    let model = ContentionModel::default();
     println!("model: inserts,seconds_per_read,seconds_per_write,seconds_per_latch,seconds_per_access_cpu");
     println!(
         "{n},{},{},{},{}",
-        model.base.latency.seconds_per_read,
-        model.base.latency.seconds_per_write,
-        model.base.seconds_per_latch,
-        model.base.seconds_per_access_cpu
+        model.latency.seconds_per_read,
+        model.latency.seconds_per_write,
+        model.seconds_per_latch,
+        model.seconds_per_access_cpu
     );
 
     let mut rows: Vec<WriteThroughput> = Vec::new();
@@ -288,8 +274,8 @@ pub fn run(quick: bool) -> WriteReport {
                 trace.phys_total as f64 / trace.inserts as f64
             );
             for &threads in &THREAD_COUNTS {
-                let global = n as f64 / model.makespan_global(&trace);
-                let blink = n as f64 / model.makespan_blink(&trace, threads);
+                let global = n as f64 / trace.makespan_global();
+                let blink = n as f64 / trace.makespan_blink(&model, threads);
                 rows.push(WriteThroughput {
                     workload: cfg.name,
                     shards,
@@ -400,24 +386,23 @@ mod tests {
 
     #[test]
     fn global_writer_never_scales() {
-        let m = WriteContentionModel::default();
         let t = toy_trace();
         assert!(
-            (m.makespan_global(&t) - t.total_work).abs() < 1e-12,
+            (t.makespan_global() - t.total_work).abs() < 1e-12,
             "the global writer pays the full serial sum"
         );
     }
 
     #[test]
     fn blink_drops_the_smo_timeline_term() {
-        let m = WriteContentionModel::default();
+        let m = ContentionModel::default();
         let t = toy_trace();
         let shard_floor =
-            t.per_shard.iter().map(|s| m.base.shard_serial_seconds(s)).fold(0.0f64, f64::max);
-        let meta_floor = t.splits as f64 * m.base.seconds_per_latch;
+            t.per_shard.iter().map(|s| m.shard_serial_seconds(s)).fold(0.0f64, f64::max);
+        let meta_floor = t.splits as f64 * m.seconds_per_latch;
         let floor = shard_floor.max(meta_floor);
         assert!(floor < t.smo_work, "a serial SMO timeline would bind on the toy trace");
-        let saturated = m.makespan_blink(&t, 1_000_000);
+        let saturated = t.makespan_blink(&m, 1_000_000);
         assert!((saturated - floor).abs() < 1e-12, "B-link bottoms out below the SMO timeline");
     }
 

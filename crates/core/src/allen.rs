@@ -10,7 +10,12 @@
 //! only the intervals containing one query endpoint, so they inherit the
 //! intersection query's output-sensitive cost; the inherently large
 //! *before*/*after* relations scan the matching prefix/suffix of the data
-//! space, which is the best any method can do for them.
+//! space, which is the best any method can do for them.  Their candidate
+//! query is open on one side, `[i64::MIN, Q.lower − 1]` or `[Q.upper + 1,
+//! i64::MAX]`: the query traversal clamps it to the backbone's span
+//! ([`crate::BackboneParams::query_nodes`]) and the fork sentinels supply
+//! the open-ended intervals, so no bound of the stored data is tracked to
+//! narrow it.
 
 use crate::interval::Interval;
 use crate::tree::RiTree;
@@ -135,28 +140,16 @@ impl RiTree {
             | AllenRelation::MetBy => self.intersection_bounds(Interval::point(q.upper), now)?,
             // Strictly inside Q ⇒ intersects Q.
             AllenRelation::During => self.intersection_bounds(q, now)?,
-            // I.upper < Q.lower ⇒ I ⊆ [min_lower, Q.lower − 1] intersects it.
-            AllenRelation::Before => match self.min_lower() {
-                Some(min) if min < q.lower => {
-                    self.intersection_bounds(Interval::new(min, q.lower - 1)?, now)?
-                }
-                _ => Vec::new(),
-            },
-            // Q.upper < I.lower ⇒ I intersects [Q.upper + 1, max bound].
-            AllenRelation::After => {
-                let hi = self.max_upper().unwrap_or(i64::MIN);
-                if hi > q.upper {
-                    self.intersection_bounds(Interval::new(q.upper + 1, hi)?, now)?
-                } else if self.has_open_intervals() && q.upper < i64::MAX - 2 {
-                    // Open-ended intervals may start after every finite
-                    // upper bound; probe the remaining space (their fork
-                    // sentinels answer this — the virtual backbone is not
-                    // involved).
-                    self.intersection_bounds(Interval::new(q.upper + 1, i64::MAX - 2)?, now)?
-                } else {
-                    Vec::new()
-                }
+            // I.upper < Q.lower ⇒ I intersects [−∞, Q.lower − 1].
+            AllenRelation::Before if q.lower > i64::MIN => {
+                self.intersection_bounds(Interval { lower: i64::MIN, upper: q.lower - 1 }, now)?
             }
+            // Q.upper < I.lower ⇒ I intersects [Q.upper + 1, +∞].
+            AllenRelation::After if q.upper < i64::MAX => {
+                self.intersection_bounds(Interval { lower: q.upper + 1, upper: i64::MAX }, now)?
+            }
+            // Nothing lies before −∞ or after +∞.
+            AllenRelation::Before | AllenRelation::After => Vec::new(),
         };
         let mut ids: Vec<i64> = candidates
             .into_iter()
@@ -177,6 +170,7 @@ impl RiTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::OpenEnd;
     use ri_pagestore::{BufferPool, BufferPoolConfig, MemDisk, DEFAULT_PAGE_SIZE};
     use ri_relstore::Database;
     use std::sync::Arc;
@@ -289,6 +283,25 @@ mod tests {
                 assert_eq!(got, want, "{rel:?} on {q}");
             }
         }
+    }
+
+    /// Below a negative offset an open query bound shifts past `i64::MAX`;
+    /// the traversal clamps it to the backbone, so the range pair never
+    /// reaches the fork sentinels and each open-ended row is read once.
+    #[test]
+    fn one_sided_queries_reach_open_intervals_past_the_backbone() {
+        let tree = tree_with(&[(-10, 5), (0, 10)]);
+        tree.insert_open(500, OpenEnd::Infinity, 2).unwrap();
+        tree.insert_open(600, OpenEnd::Now, 3).unwrap();
+        tree.insert_open(i64::MAX, OpenEnd::Infinity, 4).unwrap();
+        let q = Interval::new(20, 30).unwrap();
+        assert_eq!(tree.allen_at(AllenRelation::After, q, 1000).unwrap(), [2, 3, 4]);
+        assert_eq!(tree.allen_at(AllenRelation::Before, q, 1000).unwrap(), [0, 1]);
+        let top = Interval::new(0, i64::MAX - 1).unwrap();
+        assert_eq!(tree.allen(AllenRelation::After, top).unwrap(), [4]);
+        let mut all = tree.intersection_at(Interval::new(0, i64::MAX).unwrap(), 1000).unwrap();
+        all.sort_unstable();
+        assert_eq!(all, [0, 1, 2, 3, 4], "each stored row once");
     }
 
     #[test]

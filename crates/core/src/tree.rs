@@ -111,8 +111,6 @@ struct ParamKeys {
     minstep2: String,
     n_inf: String,
     n_now: String,
-    min_lower: String,
-    max_upper: String,
 }
 
 impl ParamKeys {
@@ -125,8 +123,6 @@ impl ParamKeys {
             minstep2: key("minstep2"),
             n_inf: key("n_inf"),
             n_now: key("n_now"),
-            min_lower: key("min_lower"),
-            max_upper: key("max_upper"),
         }
     }
 }
@@ -335,32 +331,6 @@ impl RiTree {
             let _guard = self.db.param_guard();
             dir.add(node)?;
         }
-        self.track_bounds(iv.lower, Some(iv.upper))
-    }
-
-    /// Maintains the `min_lower` / `max_upper` dictionary entries used by
-    /// the one-sided Allen queries (*before* / *after*).
-    ///
-    /// Check-latch-recheck: the unlatched test keeps the common
-    /// no-improvement case latch-free, the latched retest makes the
-    /// read-modify-write atomic against concurrent writers.
-    fn track_bounds(&self, lower: i64, upper: Option<i64>) -> Result<()> {
-        let kl = &self.keys.min_lower;
-        if self.db.get_param(kl).is_none_or(|v| lower < v) {
-            let _guard = self.db.param_guard();
-            if self.db.get_param(kl).is_none_or(|v| lower < v) {
-                self.db.set_param(kl, lower)?;
-            }
-        }
-        if let Some(u) = upper {
-            let ku = &self.keys.max_upper;
-            if self.db.get_param(ku).is_none_or(|v| u > v) {
-                let _guard = self.db.param_guard();
-                if self.db.get_param(ku).is_none_or(|v| u > v) {
-                    self.db.set_param(ku, u)?;
-                }
-            }
-        }
         Ok(())
     }
 
@@ -424,23 +394,19 @@ impl RiTree {
         }
         // Phase 1: backbone parameters, one O(1) fork step per item under
         // the parameter latch.  Every item is checked before anything is
-        // written, and nothing is kept but the final parameters and the
-        // batch's bounds.
-        let (p, min_lower, max_upper) = {
+        // written, and nothing is kept but the final parameters.
+        let p = {
             let _guard = self.db.param_guard();
             let mut p = self.load_params()?;
             let before = p;
-            let (mut min_lower, mut max_upper) = (i64::MAX, i64::MIN);
             for &(iv, _) in items {
                 insertable(&p, iv)?;
                 p.prepare_insert(iv.lower, iv.upper);
-                min_lower = min_lower.min(iv.lower);
-                max_upper = max_upper.max(iv.upper);
             }
             if p != before {
                 self.save_params(&p)?;
             }
-            (p, min_lower, max_upper)
+            p
         };
         // An item's row, its node computed against the final parameters:
         // fork nodes are stable under data-space expansion, so this is the
@@ -468,7 +434,7 @@ impl RiTree {
                 .into_iter()
                 .collect::<Result<()>>()
         };
-        // Phase 3: skeleton directory and bound bookkeeping, once.
+        // Phase 3: the skeleton directory, once.
         if let Some(dir) = &self.skeleton {
             let _guard = self.db.param_guard();
             let mut nodes: Vec<i64> = items.iter().map(|item| row(item)[0]).collect();
@@ -478,7 +444,6 @@ impl RiTree {
                 dir.add(node)?;
             }
         }
-        self.track_bounds(min_lower, Some(max_upper))?;
         written
     }
 
@@ -494,8 +459,7 @@ impl RiTree {
             OpenEnd::Now => (FORK_NOW, UPPER_NOW, &self.keys.n_now),
         };
         self.table.insert(&[node, lower, upper, id])?;
-        self.bump_counter(counter, 1)?;
-        self.track_bounds(lower, None)
+        self.bump_counter(counter, 1)
     }
 
     /// Deletes the interval `(iv, id)`; returns `false` if not present.
@@ -560,14 +524,15 @@ impl RiTree {
     }
 
     /// Storage footprint (Figure 12's metric: number of index entries).
-    /// The rows and the entries are counted by walking the indexes' leaves
-    /// (`BTree::entry_count`), so this costs O(leaves).
+    /// Each index's leaves are walked once (`BTree::entry_count`), so this
+    /// costs O(leaves); a row is one `lowerIndex` entry.
     pub fn storage(&self) -> Result<RiStorage> {
         let (lower, upper) =
             (self.table.index(&self.lower_index)?, self.table.index(&self.upper_index)?);
+        let rows = lower.entry_count()?;
         Ok(RiStorage {
-            rows: self.table.row_count()?,
-            index_entries: lower.entry_count()? + upper.entry_count()?,
+            rows,
+            index_entries: rows + upper.entry_count()?,
             index_pages: lower.stats()?.pages + upper.stats()?.pages,
         })
     }
@@ -922,17 +887,6 @@ impl RiTree {
     pub fn has_open_intervals(&self) -> bool {
         self.counter(&self.keys.n_inf) > 0 || self.counter(&self.keys.n_now) > 0
     }
-
-    /// Smallest stored lower bound (tracked for the one-sided Allen
-    /// queries); `None` while empty.
-    pub fn min_lower(&self) -> Option<i64> {
-        self.db.get_param(&self.keys.min_lower)
-    }
-
-    /// Largest stored finite upper bound; `None` while empty.
-    pub fn max_upper(&self) -> Option<i64> {
-        self.db.get_param(&self.keys.max_upper)
-    }
 }
 
 impl ri_relstore::IntervalAccessMethod for RiTree {
@@ -1089,8 +1043,6 @@ mod tests {
             );
             assert_eq!(batched.count().unwrap(), sequential.count().unwrap());
             assert_eq!(batched.load_params().unwrap(), sequential.load_params().unwrap());
-            assert_eq!(batched.min_lower(), sequential.min_lower());
-            assert_eq!(batched.max_upper(), sequential.max_upper());
             for q in [(-12_000i64, 60_000i64), (0, 500), (25_000, 25_100), (49_999, 49_999)] {
                 let q = Interval::new(q.0, q.1).unwrap();
                 assert_eq!(

@@ -239,11 +239,14 @@ impl BackboneParams {
             // Empty tree: no nodes to visit, no range pair needed.
             return QueryNodes::default();
         };
-        // Saturating shift: queries may carry open-ended bounds near the
-        // i64 extremes (e.g. the Allen `after` probe); no backbone node
-        // lives out there, so clamping is lossless.
-        let l = lower.saturating_sub(offset);
-        let u = upper.saturating_sub(offset);
+        // Clamped shift: queries may carry open-ended bounds near the i64
+        // extremes (e.g. the Allen `before` and `after` probes).  Every
+        // backbone node lies strictly inside ±SPAN, so clamping there is
+        // lossless, and keeps the BETWEEN range pair off the temporal
+        // sentinels' nodes (`i64::MAX − 1`, `i64::MAX`), whose rows the
+        // right branch already reads.
+        let l = lower.saturating_sub(offset).clamp(-SPAN, SPAN);
+        let u = upper.saturating_sub(offset).clamp(-SPAN, SPAN);
         let mut nodes = NodeCollector { l, u, left: Vec::new(), right: Vec::new() };
 
         // The global root 0 lies on every search path.  It never updates

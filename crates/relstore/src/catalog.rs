@@ -274,14 +274,7 @@ impl Database {
 
     /// Sets (or overwrites) a named persistent parameter.
     pub fn set_param(&self, name: &str, value: i64) -> Result<()> {
-        check_name(name)?;
-        let mut cat = self.catalog.write();
-        if let Some(p) = cat.params.iter_mut().find(|(n, _)| n == name) {
-            p.1 = value;
-        } else {
-            cat.params.push((name.to_string(), value));
-        }
-        self.persist_locked(&cat)
+        self.set_params(&[(name, value)])
     }
 
     /// Sets several parameters atomically with a single header write.

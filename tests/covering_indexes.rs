@@ -146,17 +146,14 @@ impl DiskManager for ReadLog {
 
 /// The candidate query `RiTree::allen_at` answers `rel` from (Section
 /// 4.5): a superset of the relation's result, `None` when it is empty.
-fn candidate(tree: &RiTree, rel: AllenRelation, q: Interval) -> Option<Interval> {
+fn candidate(rel: AllenRelation, q: Interval) -> Option<Interval> {
     use AllenRelation::*;
     match rel {
         Meets | Overlaps | Starts | Equals | Contains | StartedBy => Some(Interval::point(q.lower)),
         Finishes | FinishedBy | OverlappedBy | MetBy => Some(Interval::point(q.upper)),
         During => Some(q),
-        Before => tree.min_lower().filter(|&min| min < q.lower).map(|min| iv(min, q.lower - 1)),
-        After => match tree.max_upper() {
-            Some(hi) if hi > q.upper => Some(iv(q.upper + 1, hi)),
-            _ => tree.has_open_intervals().then(|| iv(q.upper + 1, i64::MAX - 2)),
-        },
+        Before => (q.lower > i64::MIN).then(|| iv(i64::MIN, q.lower - 1)),
+        After => (q.upper < i64::MAX).then(|| iv(q.upper + 1, i64::MAX)),
     }
 }
 
@@ -188,6 +185,12 @@ fn allen_queries_read_only_their_candidate_scans_and_match_the_oracle() {
         data.push((l, None, 10_000 + i));
         data.push((l + 500, Some(i64::MAX), 20_000 + i));
     }
+    // Open-ended intervals past every finite upper bound (`after` must
+    // reach them), and one before every closed lower bound.
+    tree.insert_open(60_000, OpenEnd::Infinity, 30_000).unwrap();
+    tree.insert_open(55_000, OpenEnd::Now, 30_001).unwrap();
+    tree.insert_open(-700, OpenEnd::Now, 30_002).unwrap();
+    data.extend([(60_000, Some(i64::MAX), 30_000), (55_000, None, 30_001), (-700, None, 30_002)]);
     // Queries sharing endpoints with stored intervals, so that the
     // equality relations have answers.
     let queries: Vec<Interval> = data
@@ -197,7 +200,7 @@ fn allen_queries_read_only_their_candidate_scans_and_match_the_oracle() {
         .chain([iv(20_000, 21_000), iv(34_000, 36_000), iv(48_000, 49_500)])
         .collect();
     let (mut answered, mut reads) = (0, 0);
-    for now in [30_000, 49_200] {
+    for now in [30_000, 49_200, 58_000] {
         for &q in &queries {
             for rel in AllenRelation::ALL {
                 pool.clear_cache().unwrap();
@@ -221,7 +224,7 @@ fn allen_queries_read_only_their_candidate_scans_and_match_the_oracle() {
                 pool.clear_cache().unwrap();
                 disk.take();
                 let before = pool.stats().snapshot();
-                if let Some(c) = candidate(&tree, rel, q) {
+                if let Some(c) = candidate(rel, q) {
                     tree.intersection_at(c, now).unwrap();
                 }
                 let candidate_io = pool.stats().snapshot().since(&before);
