@@ -84,13 +84,12 @@
 //! is a map insert plus the counting pass above, evicting a map removal
 //! plus the same pass, and the victim is dropped by whoever evicted it
 //! after unlocking.  Measured on the repo benchmark's `read_zipf_tier`
-//! with the at-budget gate set to an absolute margin of 2 instead of
-//! `ADMIT_RATIO` (1 M rows, ≈ 17.5 k fetched triples per admission,
-//! 2 cores; medians of the ≈ 450 admissions that gate made in one
-//! instrumented run each of seeds 7 and 8 — the ratio gate makes about
-//! a third as many, each doing the same work), an admission takes
-//! ≈ 15–17 ms: ≈ 3 fetching, ≈ 9–10 building, ≈ 1.6 under the lock,
-//! ≈ 1.8 freeing the victim.  Filling a block triple by triple
+//! under the `ADMIT_RATIO` gate (1 M rows, 2 cores; medians of the
+//! 198–209 admissions, nearly all of one block, made in one instrumented
+//! run each of seeds 7, 8 and 11), an admission takes ≈ 8–12 ms: ≈ 0.6
+//! fetching (index-only), ≈ 0.15 dealing the snapshot into lists, ≈ 6.4–8.9
+//! building both HINTs, ≈ 0.6 under the lock; most evict nothing, so the
+//! median freeing time is 0 (mean ≈ 0.5).  Filling a block triple by triple
 //! instead takes about three times as long (`cargo bench --bench micro`,
 //! `hint/block_build_*`), and leaves its partitions, grown by `push`,
 //! scattered in memory for every later hit to walk.

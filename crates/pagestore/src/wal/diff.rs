@@ -19,8 +19,9 @@ pub(super) const MAX_RUNS: usize = 8;
 /// sets the value — the entries a B-tree leaf insert shifts differ from
 /// their neighbours every 14–16 bytes: below that the shifted region
 /// fragments, fills the table, and the last run swallows the gap up to a
-/// far-away final difference (single-insert transactions log 6,880 bytes
-/// each at 8, 6,654 at 16, 6,669 at 32).
+/// far-away final difference (`write_commit`'s single-statement
+/// transactions log 4,837 record bytes each at 8, 4,622 at 16, 4,637 at
+/// 32; the benchmark's traced run, seed 7, log format v6).
 const MERGE_GAP: usize = 16;
 
 /// Ascending, disjoint, non-empty byte runs `(offset, length)` of a page.

@@ -353,9 +353,11 @@ impl Wal {
     /// Appends a redo record for an update of `page` from image `old` to
     /// image `new`: the byte runs in which the two differ (a few, each
     /// byte-exact — not the span from the first to the last difference),
-    /// behind the full pre-image if this is the page's first record since
-    /// the truncation horizon.  Returns the record's end LSN — the page's
-    /// new LSN stamp — or 0 if the images are identical (nothing to log).
+    /// behind the pre-image if this is the page's first record since the
+    /// truncation horizon (less its longest zero run, which recovery
+    /// fills back in: a freshly allocated page logs no pre-image byte).
+    /// Returns the record's end LSN — the page's new LSN stamp — or 0 if
+    /// the images are identical (nothing to log).
     /// The record is buffered in memory; durability comes from
     /// [`Wal::commit`] or [`Wal::make_durable`].
     pub fn log_update(&self, page: PageId, old: &[u8], new: &[u8]) -> Result<u64> {

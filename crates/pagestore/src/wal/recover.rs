@@ -4,16 +4,17 @@
 //! [`scan`] follows the stream from the anchor's `start` until the
 //! LSN/checksum chain breaks or the mapped segments end, decoding each
 //! record in place in one reused buffer.  [`Recovered::fold`] applies it
-//! to the page images at once (FirstMod starts from its pre-image, Delta
-//! applies on top, Commit extends the committed prefix), so no record
-//! outlives its read.  Where the last Commit lies is known only when the
-//! stream ends, so the fold keeps, for every page touched since the
-//! latest Commit, the image a rollback restores — the page's state at
-//! that Commit, or the pre-image of its first FirstMod if the records had
-//! not touched it before — and drops them at each Commit.  When the
-//! stream ends, [`Recovered::finish`] restores them: the uncommitted tail
-//! is rolled back.  Memory is one image per page touched plus one per
-//! page touched since the last Commit, whatever the log's length.
+//! to the page images at once (FirstMod starts from its pre-image, its
+//! hole zero-filled; Delta applies on top; Commit extends the committed
+//! prefix), so no record outlives its read.  Where the last Commit lies
+//! is known only when the stream ends, so the fold keeps, for every page
+//! touched since the latest Commit, the image a rollback restores — the
+//! page's state at that Commit, or the pre-image of its first FirstMod if
+//! the records had not touched it before — and drops them at each Commit.
+//! When the stream ends, [`Recovered::finish`] restores them: the
+//! uncommitted tail is rolled back.  Memory is one image per page touched
+//! plus one per page touched since the last Commit, whatever the log's
+//! length.
 //!
 //! Pages whose records all sit below the scan start are bitwise correct on
 //! the data device — that is what the truncation horizon guarantees — so
@@ -121,13 +122,13 @@ impl Recovered {
                 if self.error.is_some() {
                     return;
                 }
-                let mut img = before.to_vec();
+                let mut img = before.image();
                 apply_runs(&mut img, &runs, delta);
                 // A page FirstMod'ed again (after a checkpoint window
                 // re-keyed the dedup) starts over from its new pre-image.
                 let undo = match self.images.insert(page.raw(), img) {
                     Some(prior) => Undo { image: prior, created: false },
-                    None => Undo { image: before.to_vec(), created: true },
+                    None => Undo { image: before.image(), created: true },
                 };
                 self.undo.entry(page.raw()).or_insert(undo);
             }

@@ -1,6 +1,6 @@
 use super::diff::{diff, Runs, MAX_RUNS};
 use super::flush::SPARE_MAX_BYTES;
-use super::format::{self, Record};
+use super::format::{self, Record, REC_HDR};
 use super::*;
 use crate::disk::MemDisk;
 use crate::faulty::{FaultPlan, FaultyDisk};
@@ -31,6 +31,12 @@ fn fresh_wal_with(ps: usize, config: WalConfig) -> (Arc<MemDisk>, Wal) {
     (disk, wal)
 }
 
+/// A page image with no zero byte, which a FirstMod logs whole: the tests
+/// of the log's geometry use it to make records span pages.
+fn dense(ps: usize) -> Vec<u8> {
+    (0..ps).map(|i| i as u8 | 0x80).collect()
+}
+
 /// Scans a device the way a fresh attach would: via its best anchor.
 fn scan_fresh(disk: &dyn DiskManager) -> Recovered {
     let anchor = segments::read_best_anchor(disk).unwrap();
@@ -53,7 +59,7 @@ fn records(disk: &dyn DiskManager) -> Vec<Rec> {
         out.push(match rec {
             Record::FirstMod { page, before, runs, delta } => Rec::FirstMod {
                 page: page.raw(),
-                before: before.to_vec(),
+                before: before.image(),
                 runs: runs.as_slice().to_vec(),
                 delta: delta.to_vec(),
             },
@@ -203,15 +209,20 @@ fn checkpoint_truncates_and_old_records_are_not_rescanned() {
 
 #[test]
 fn records_spanning_many_pages_survive() {
-    // Page size 128 but FirstMod bodies are > 128 bytes: every record
-    // spans pages, partial tail pages are append-rewritten.
+    // Page size 128 and pre-images with no zero byte: every FirstMod body
+    // is longer than a page, so every such record spans pages and partial
+    // tail pages are append-rewritten.
     let (disk, wal) = fresh_wal(128);
-    let mut prev = vec![0u8; 128];
+    let mut prev = dense(128);
     let mut ends = Vec::new();
     for i in 0..20u8 {
         let mut next = prev.clone();
         next[(i as usize * 5) % 128] = i + 1;
-        assert!(wal.log_update(PageId(u64::from(i) % 3), &prev, &next).unwrap() > 0);
+        let start = wal.end_lsn();
+        let end = wal.log_update(PageId(u64::from(i) % 3), &prev, &next).unwrap();
+        if i < 3 {
+            assert!(end - start > 128, "FirstMod {i} of {} bytes fits a page", end - start);
+        }
         ends.push(wal.commit().unwrap());
         prev = next;
     }
@@ -220,6 +231,32 @@ fn records_spanning_many_pages_survive() {
     assert_eq!(scan.records, 40, "20 mods + 20 commits");
     assert_eq!(scan.committed, 40);
     assert_eq!(scan.committed_end, *ends.last().unwrap());
+}
+
+/// Bytes of a FirstMod record ahead of its pre-image: the frame, `page |
+/// n | delta_len | hole_off | hole_len`, and one run-table entry.
+const ONE_RUN_FIRST_MOD_HEAD: u64 = REC_HDR as u64 + 24 + 8;
+
+#[test]
+fn a_fresh_page_logs_no_pre_image_byte() {
+    // A page the pool has just allocated is all zeros: its first update's
+    // record is its head and the bytes it changed, nothing more.
+    let (data, log) = (Arc::new(MemDisk::new(2048)), Arc::new(MemDisk::new(2048)));
+    let pool = crate::BufferPool::new_durable(data, crate::BufferPoolConfig::with_capacity(4), log)
+        .unwrap();
+    let page = pool.allocate_page().unwrap();
+    let before = pool.wal().unwrap().stats().record_bytes;
+    pool.with_page_mut(page, |d| d[100..110].fill(7)).unwrap();
+    let logged = pool.wal().unwrap().stats().record_bytes - before;
+    assert_eq!(logged, ONE_RUN_FIRST_MOD_HEAD + 10);
+    // A page with no zero byte logs all of it.
+    let (disk, wal) = fresh_wal(2048);
+    let (old, mut new) = (vec![9u8; 2048], vec![9u8; 2048]);
+    new[100..110].fill(7);
+    assert_eq!(wal.log_update(PageId(1), &old, &new).unwrap(), ONE_RUN_FIRST_MOD_HEAD + 2048 + 10);
+    wal.commit().unwrap();
+    drop(wal);
+    assert!(matches!(&records(&*disk)[0], Rec::FirstMod { before, .. } if before == &old));
 }
 
 #[test]
@@ -374,7 +411,7 @@ fn log_rolls_over_into_new_segments() {
     // per segment, so every commit straddles several rollovers.
     let config = WalConfig { segment_pages: 2, flush_policy: FlushPolicy::Off };
     let (disk, wal) = fresh_wal_with(128, config);
-    let old = vec![0u8; 128];
+    let old = dense(128);
     let mut new = old.clone();
     new[9] = 9;
     for _ in 0..8 {
@@ -397,7 +434,7 @@ fn log_rolls_over_into_new_segments() {
 fn checkpoint_retires_whole_segments_and_recycles_their_slots() {
     let config = WalConfig { segment_pages: 2, flush_policy: FlushPolicy::Off };
     let (disk, wal) = fresh_wal_with(128, config);
-    let old = vec![0u8; 128];
+    let old = dense(128);
     let mut new = old.clone();
     new[1] = 1;
     for _ in 0..6 {
@@ -434,7 +471,7 @@ fn torn_anchor_write_falls_back_to_the_other_anchor() {
     // same committed stream.
     let config = WalConfig { segment_pages: 4, flush_policy: FlushPolicy::Off };
     let (disk, wal) = fresh_wal_with(128, config);
-    let old = vec![0u8; 128];
+    let old = dense(128);
     let mut new = old.clone();
     new[5] = 5;
     for _ in 0..4 {
@@ -469,7 +506,7 @@ fn full_segment_map_reports_a_clean_error() {
     // 128-byte segments and no checkpoints the map must fill up.
     let config = WalConfig { segment_pages: 2, flush_policy: FlushPolicy::Off };
     let (_d, wal) = fresh_wal_with(128, config);
-    let old = vec![0u8; 128];
+    let old = dense(128);
     let mut new = old.clone();
     new[2] = 2;
     let mut hit = None;
@@ -499,7 +536,7 @@ fn background_flusher_drains_ahead_of_commit() {
         let wal = Arc::clone(&wal);
         std::thread::spawn(move || wal.flusher_run())
     };
-    let old = vec![0u8; 128];
+    let old = dense(128);
     let mut new = old.clone();
     new[6] = 6;
     for _ in 0..4 {
@@ -529,7 +566,7 @@ fn background_flusher_drains_ahead_of_commit() {
 
 #[test]
 fn double_rollover_in_one_flush_pre_syncs_the_anchor() {
-    // seg_pages = 2 at ps = 128: a single 219-byte commit flush spans
+    // seg_pages = 2 at ps = 128: a single 211-byte commit flush spans
     // segments 0 and 1, so two anchor rewrites happen inside one
     // flush.  The second lands on the page of the only durable anchor
     // (parities alternate) and must be preceded by a guard sync —
@@ -537,7 +574,7 @@ fn double_rollover_in_one_flush_pre_syncs_the_anchor() {
     // never destaged, would leave no usable anchor at all.
     let config = WalConfig { segment_pages: 2, flush_policy: FlushPolicy::Off };
     let (disk, wal) = fresh_wal_with(128, config);
-    let old = vec![0u8; 128];
+    let old = dense(128);
     let mut new = old.clone();
     new[9] = 9;
     wal.log_update(PageId(9), &old, &new).unwrap();
@@ -569,7 +606,7 @@ fn kill_at_every_write_with_tiny_segments_keeps_every_durable_commit() {
     // anchor mapping every commit that returned before the cut.
     const COMMITS: usize = 6;
     let config = WalConfig { segment_pages: 2, flush_policy: FlushPolicy::Off };
-    let old = vec![0u8; 128];
+    let old = dense(128);
     for torn in [0usize, 1] {
         for seed in [1u64, 7, 23, 41] {
             let mut crash_at = 0u64;
@@ -636,7 +673,7 @@ fn checkpoint_relieves_a_full_segment_map() {
     // leave the log fully operational.
     let config = WalConfig { segment_pages: 2, flush_policy: FlushPolicy::Off };
     let (disk, wal) = fresh_wal_with(128, config);
-    let old = vec![0u8; 128];
+    let old = dense(128);
     let mut wedged = false;
     for i in 0..200u64 {
         let mut img = old.clone();
@@ -691,7 +728,7 @@ fn a_drained_backlog_does_not_keep_its_allocation() {
 
 /// Appends one single-byte FirstMod per page of `pages`.
 fn append_first_mods(wal: &Wal, pages: std::ops::Range<u64>) -> u64 {
-    let old = vec![0u8; 128];
+    let old = dense(128);
     let mut new = old.clone();
     new[40] = 4;
     pages.map(|p| wal.log_update(PageId(p), &old, &new).unwrap()).last().unwrap()
@@ -863,6 +900,71 @@ proptest! {
         prop_assert_eq!(report.commits, 1);
         prop_assert_eq!(images.get(&1), (old != new).then_some(&new));
         prop_assert_eq!(&images[&2], &new);
+    }
+}
+
+/// A page image with no zero byte, one zero run, several, or only zeros,
+/// at a size that is a whole number of words or not.
+fn holed_image() -> impl Strategy<Value = Vec<u8>> {
+    let zeros = prop_oneof![
+        (0usize..1).prop_map(|_| vec![]),
+        prop::collection::vec((0usize..256, 1usize..200), 1..2),
+        prop::collection::vec((0usize..256, 1usize..40), 2..12),
+        (0usize..1).prop_map(|_| vec![(0, 256)]),
+    ];
+    (0usize..3, prop::collection::vec(1u8..255, 256..257), zeros).prop_map(
+        |(size, mut img, zeros)| {
+            img.truncate([100, 128, 256][size]);
+            let ps = img.len();
+            for (off, len) in zeros {
+                let off = off % ps;
+                img[off..(off + len).min(ps)].fill(0);
+            }
+            img
+        },
+    )
+}
+
+/// The longest run of zero bytes in `img`.
+fn longest_zero_run(img: &[u8]) -> usize {
+    img.split(|&b| b != 0).map(<[u8]>::len).max().unwrap_or(0)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    #[test]
+    fn first_mod_pre_images_round_trip_around_their_hole(
+        old in holed_image(),
+        at in 0usize..256,
+        byte in 1u8..255,
+    ) {
+        // Page 1's FirstMod is committed (redo rebuilds `new` from the
+        // pre-image), page 2's is not (rollback restores the pre-image).
+        let ps = old.len();
+        let mut new = old.clone();
+        new[at % ps] = new[at % ps].wrapping_add(byte);
+        let (disk, wal) = fresh_wal(ps);
+        let first = wal.log_update(PageId(1), &old, &new).unwrap();
+        wal.commit().unwrap();
+        wal.log_update(PageId(2), &old, &new).unwrap();
+        wal.make_durable(wal.end_lsn()).unwrap();
+        drop(wal);
+        let recs = records(&*disk);
+        prop_assert!(matches!(&recs[0], Rec::FirstMod { before, .. } if before == &old));
+        prop_assert!(matches!(&recs[2], Rec::FirstMod { before, .. } if before == &old));
+        // The hole is the longest zero run, unless that run holds no
+        // aligned word and so is at most 14 bytes long.
+        let kept = first - ONE_RUN_FIRST_MOD_HEAD - 1;
+        let longest = longest_zero_run(&old) as u64;
+        let hole = ps as u64 - kept;
+        prop_assert!(hole == longest || (hole < longest && longest <= 14),
+            "hole {hole}, longest zero run {longest}");
+        let wal = Wal::attach(Box::new(Arc::clone(&disk))).unwrap();
+        let (images, report) = wal.take_redo().unwrap().unwrap();
+        prop_assert_eq!((report.pages_redone, report.pages_rolled_back), (1, 1));
+        prop_assert_eq!(&images[&1], &new);
+        prop_assert_eq!(&images[&2], &old);
     }
 }
 

@@ -83,16 +83,16 @@ fn flusher_kill_at_every_sync_index_with_checkpoint_racing_dml() {
     sweep_syncs(&Script::checkpoint_race(), flusher_config(), 4);
 }
 
-/// Segment rollovers straddling open transactions.  Four-page segments
-/// leave 3 KB of payload per segment at this page size, so nearly every
-/// two-insert transaction spills across a rollover (header + anchor
-/// rewrite mid-transaction), and checkpoints keep retiring and recycling
-/// the slots behind it — all with the flusher racing.  Every post-setup
-/// write index is killed clean and torn, and recovery must restore whole
-/// transactions only.
+/// Segment rollovers straddling open transactions.  Two-page segments
+/// leave 1 KB of payload per segment at this page size, so nearly every
+/// two-insert transaction (≈ 0.8 KB of records) spills across a rollover
+/// (header + anchor rewrite mid-transaction), and checkpoints keep
+/// retiring and recycling the slots behind it — all with the flusher
+/// racing.  Every post-setup write index is killed clean and torn, and
+/// recovery must restore whole transactions only.
 #[test]
 fn flusher_kill_across_segment_rollovers_with_open_transactions() {
-    let config = WalConfig { segment_pages: 4, ..flusher_config() };
+    let config = WalConfig { segment_pages: 2, ..flusher_config() };
     // Prove the geometry does what the sweep needs: a handful of
     // two-insert transactions must already span several segments.
     {
@@ -105,7 +105,7 @@ fn flusher_kill_across_segment_rollovers_with_open_transactions() {
         let s = tree.db().pool().wal().unwrap().stats();
         assert!(
             s.segments_created >= 3,
-            "3 KB segments must roll over within a few transactions: {s:?}"
+            "1 KB segments must roll over within a few transactions: {s:?}"
         );
     }
     sweep_writes(&Script::checkpoint_race(), config, 500);

@@ -52,9 +52,10 @@ fn open(data: &Arc<MemDisk>, log: &Arc<MemDisk>) -> ri_tree::pagestore::Result<B
     )
 }
 
-/// A crashed database: the log holds `COMMITS` transactions over several
-/// segments plus an uncommitted tail, the data device nothing but zeroed
-/// pages.  `states[k]` is the data image after the first `k` commits.
+/// A crashed database: the log holds a transaction that fills every data
+/// page, then `COMMITS` transactions, over several segments plus an
+/// uncommitted tail; the data device holds nothing but zeroed pages.
+/// `states[k]` is the data image after the first `k` commits.
 struct Fixture {
     log: Image,
     data: Image,
@@ -76,6 +77,15 @@ fn fixture() -> &'static Fixture {
             pool.with_page_mut(PageId(page as u64), |d| d[off] = val).unwrap();
             current[page][off] = val;
         };
+        // A zeroed page's FirstMod logs no pre-image byte, so the pages
+        // are filled first: each fill logs a page of run bytes.
+        for (page, img) in current.iter_mut().enumerate() {
+            let bytes: Vec<u8> = (0..PS).map(|i| (i + page) as u8 | 1).collect();
+            pool.with_page_mut(PageId(page as u64), |d| d.copy_from_slice(&bytes)).unwrap();
+            *img = bytes;
+        }
+        states.push(current.clone());
+        pool.wal().unwrap().commit().unwrap();
         for c in 0..COMMITS {
             touch(&mut current, c % DATA_PAGES, 3 * c, c as u8 + 1);
             touch(&mut current, (5 * c + 2) % DATA_PAGES, 200 - c, 0x80 | c as u8);
@@ -135,20 +145,23 @@ fn log_with_frame(kind: u8, body: &[u8], announced_len: Option<u32>) -> Image {
     log
 }
 
-/// Ways to break an update body's run table, one per rule the decoder
-/// enforces; any larger value leaves the body as laid out.
-const HOSTILITIES: usize = 11;
+/// Ways to break an update body — its run table, and a FirstMod's hole —
+/// one per rule the decoder enforces; any larger value leaves the body as
+/// laid out.
+const HOSTILITIES: usize = 14;
 
 /// An update body as `wal/format.rs` lays it out — `page | n |
-/// delta_len | n × (off | len) | [before] | run bytes` — around the run
-/// table that `layout`'s `(gap, len)` pairs describe: ascending and
-/// disjoint (though it may run off the page), then broken as `hostile`
-/// says.
+/// delta_len | [hole_off | hole_len] | n × (off | len) | [before without
+/// its hole] | run bytes` — around the run table that `layout`'s `(gap,
+/// len)` pairs describe, ascending and disjoint (though it may run off
+/// the page), and a FirstMod's hole `hole` (`(off, len)`, taken modulo the
+/// page), then broken as `hostile` says.
 fn update_body(
     first_mod: bool,
     page: u64,
     hostile: usize,
     layout: &[(u32, u32)],
+    hole: (u32, u32),
     fill: &[u8],
 ) -> (u8, Vec<u8>) {
     let mut table = Vec::new();
@@ -159,6 +172,12 @@ fn update_body(
     }
     let bytes: u32 = table.iter().map(|&(_, len)| len).sum();
     let (mut n, mut delta_len, mut body_bytes) = (table.len() as u32, bytes, bytes);
+    let ps = PS as u32;
+    let hole_len = hole.1 % (ps + 1);
+    let (mut hole_off, mut hole_len, mut kept) = (hole.0 % (ps - hole_len + 1), hole_len, PS);
+    if first_mod {
+        kept -= hole_len as usize;
+    }
     match hostile {
         0 => table.reverse(),
         1 => table.iter_mut().take(1).for_each(|run| run.1 = 0),
@@ -171,17 +190,27 @@ fn update_body(
         8 => delta_len = delta_len.wrapping_sub(1),
         9 => body_bytes += 1,
         10 => body_bytes = body_bytes.saturating_sub(1),
+        // The hole ends one byte past the page.
+        11 => hole_off = ps - hole_len + 1,
+        // The hole is longer than the page.
+        12 => (hole_off, hole_len) = (0, ps + 1 + hole_len),
+        // The pre-image is logged whole while the head announces a hole.
+        13 if first_mod => (hole_len, kept) = (hole_len.max(1), PS),
         _ => {}
     }
     let mut body = Vec::new();
     body.extend_from_slice(&page.to_le_bytes());
     body.extend_from_slice(&n.to_le_bytes());
     body.extend_from_slice(&delta_len.to_le_bytes());
+    if first_mod {
+        body.extend_from_slice(&hole_off.to_le_bytes());
+        body.extend_from_slice(&hole_len.to_le_bytes());
+    }
     for (off, len) in table {
         body.extend_from_slice(&off.to_le_bytes());
         body.extend_from_slice(&len.to_le_bytes());
     }
-    let rest = if first_mod { PS } else { 0 } + body_bytes as usize;
+    let rest = if first_mod { kept } else { 0 } + body_bytes as usize;
     body.extend((0..rest).map(|i| fill[i % fill.len()]));
     (if first_mod { 1u8 } else { 2u8 }, body)
 }
@@ -194,7 +223,7 @@ fn update_body(
 fn update_bodies_are_decoded_unless_broken() {
     let scanned = |hostile: usize| {
         let layout = [(3, 2), (20, 5), (30, 1)];
-        let (kind, body) = update_body(true, 0, hostile, &layout, &[7]);
+        let (kind, body) = update_body(true, 0, hostile, &layout, (40, 100), &[7]);
         let log = log_with_frame(kind, &body, None);
         let pool = open(&disk_from(&vec![vec![0u8; PS]; 1]), &disk_from(&log)).unwrap();
         let report = pool.recover().unwrap();
@@ -219,10 +248,11 @@ fn body_strategy() -> impl Strategy<Value = (u8, Vec<u8>)> {
                 prop::collection::vec((0u32..30, 1u32..9), 0..11),
                 prop::collection::vec((0u32..30, 1u32..9), 8..10),
             ],
+            prop_oneof![(0u32..1, 0u32..1), (any::<u32>(), any::<u32>())],
             prop::collection::vec(any::<u8>(), 1..40),
         )
-            .prop_map(move |((page, hostile), layout, fill)| {
-                update_body(first_mod, page, hostile, &layout, &fill)
+            .prop_map(move |((page, hostile), layout, hole, fill)| {
+                update_body(first_mod, page, hostile, &layout, hole, &fill)
             })
     };
     // `horizon | n | n × (txn | first LSN)` under kind 4.

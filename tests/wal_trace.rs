@@ -22,18 +22,23 @@
 //! (PR 18: update records carry byte runs instead of one span), which
 //! changed the version in every anchor and the bytes of every update
 //! record.  They were recaptured then, after the two multi-run steps were
-//! added to the script, and once more for log format v5 (update and
-//! Commit records lost their transaction id, and a checkpoint appends no
-//! record); what they pin since is that format, sync count and write
-//! order do not move.  Sibling of
+//! added to the script, once more for log format v5 (update and Commit
+//! records lost their transaction id, and a checkpoint appends no
+//! record), and for log format v6 (a FirstMod leaves out its pre-image's
+//! longest zero run).  For v6 the script's pages start out on the data
+//! device with no zero byte but a 16-byte run, so its FirstMods still
+//! span pages and drive the same rollovers; one page starts zeroed, so
+//! the tail also rolls back a FirstMod that logged no pre-image byte.
+//! What they pin since is that format, sync count and write order do
+//! not move.  Sibling of
 //! `tests/read_path_trace.rs` and `tests/pool_determinism.rs`.
 
 mod common;
 
 use common::golden::{image, image_hash, Literal, Pins, RecordingDisk};
 use ri_tree::pagestore::{
-    BufferPool, BufferPoolConfig, Error, FlushPolicy, MemDisk, PageId, RecoveryReport, Result,
-    WalConfig, WalSnapshot,
+    BufferPool, BufferPoolConfig, DiskManager, Error, FlushPolicy, MemDisk, PageId, RecoveryReport,
+    Result, WalConfig, WalSnapshot,
 };
 use std::sync::Arc;
 
@@ -54,26 +59,26 @@ struct Step {
 
 #[rustfmt::skip]
 const GOLDEN_STEPS: &[Step] = &[
-    Step { label: "attach (fresh device)", ops: 4, trace: 0xf93d1bd917ab1ba4, snap: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] },
-    Step { label: "small txn, first rollover", ops: 12, trace: 0xd7c42b6937a29369, snap: [1, 203, 1, 1, 0, 0, 0, 1, 0, 2, 0, 0, 1, 0] },
-    Step { label: "delta txn, second rollover", ops: 20, trace: 0x8eb78b8fd98b616b, snap: [2, 278, 2, 2, 0, 0, 0, 2, 0, 4, 0, 0, 2, 0] },
-    Step { label: "page-spanning txn, double rollover in one flush", ops: 37, trace: 0x257064c8f6916aca, snap: [5, 829, 3, 3, 0, 1, 0, 4, 0, 9, 0, 0, 4, 0] },
-    Step { label: "quiescent checkpoint", ops: 40, trace: 0x27f9cde8f97c8e75, snap: [5, 829, 3, 3, 0, 1, 2, 6, 1, 9, 0, 0, 4, 3] },
-    Step { label: "txn after truncation (fresh FirstMod, recycled slot)", ops: 46, trace: 0x1a6668379bd8c1ac, snap: [6, 1032, 4, 4, 0, 1, 2, 7, 1, 12, 0, 0, 5, 3] },
-    Step { label: "fuzzy checkpoint with an open transaction", ops: 52, trace: 0x7360dc9417daea48, snap: [7, 1206, 4, 4, 0, 2, 4, 10, 2, 14, 0, 0, 5, 4] },
-    Step { label: "open transaction commits", ops: 57, trace: 0xfb2b8ef52b528dc7, snap: [8, 1281, 5, 5, 0, 2, 4, 11, 2, 16, 0, 0, 6, 4] },
-    Step { label: "full run tables and a merged run", ops: 68, trace: 0x21a7d178182ce1d0, snap: [11, 1902, 6, 6, 0, 3, 4, 13, 2, 21, 0, 0, 8, 4] },
-    Step { label: "write-back pass while filling the map", ops: 118, trace: 0x13035bc576a52868, snap: [18, 3323, 13, 13, 0, 3, 4, 20, 2, 39, 0, 0, 13, 4] },
-    Step { label: "commit wedged on a full segment map", ops: 222, trace: 0x61e86d8ac59201be, snap: [32, 6165, 27, 26, 0, 3, 4, 33, 2, 75, 0, 0, 24, 4] },
-    Step { label: "checkpoint relieves the full map", ops: 232, trace: 0x60cca5a3deb6ad51, snap: [32, 6165, 27, 26, 0, 3, 7, 36, 3, 78, 0, 0, 25, 12] },
-    Step { label: "page-spanning txn after relief", ops: 239, trace: 0x2e56fc2a34ebbe8d, snap: [34, 6542, 28, 27, 0, 3, 7, 37, 3, 82, 0, 0, 26, 12] },
-    Step { label: "three-run Delta and FirstMod", ops: 245, trace: 0x3b7b6e65cb1b1f24, snap: [36, 6828, 29, 28, 0, 3, 7, 38, 3, 85, 0, 0, 27, 12] },
-    Step { label: "uncommitted tail written back", ops: 255, trace: 0x6f336a5f444c8e85, snap: [38, 7176, 29, 28, 0, 5, 7, 40, 3, 89, 0, 0, 29, 12] },
-    Step { label: "reopen + recover", ops: 258, trace: 0x334c1ec17ed506c7, snap: [0, 0, 0, 0, 0, 0, 2, 2, 1, 0, 0, 0, 0, 14] },
+    Step { label: "attach (fresh device)", ops: 4, trace: 0x747f8d7025ac0bba, snap: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] },
+    Step { label: "small txn, first rollover", ops: 12, trace: 0xb2a09d033023f459, snap: [1, 195, 1, 1, 0, 0, 0, 1, 0, 2, 0, 0, 1, 0] },
+    Step { label: "delta txn, second rollover", ops: 20, trace: 0x957bfe54a019a47b, snap: [2, 270, 2, 2, 0, 0, 0, 2, 0, 4, 0, 0, 2, 0] },
+    Step { label: "page-spanning txn, double rollover in one flush", ops: 37, trace: 0xa8f989799c054779, snap: [5, 797, 3, 3, 0, 1, 0, 4, 0, 9, 0, 0, 4, 0] },
+    Step { label: "quiescent checkpoint", ops: 40, trace: 0x8cec03494c5054f4, snap: [5, 797, 3, 3, 0, 1, 2, 6, 1, 9, 0, 0, 4, 3] },
+    Step { label: "txn after truncation (fresh FirstMod, recycled slot)", ops: 43, trace: 0x9e6ec9c5e33a5a8c, snap: [6, 992, 4, 4, 0, 1, 2, 7, 1, 11, 0, 0, 4, 3] },
+    Step { label: "fuzzy checkpoint with an open transaction", ops: 52, trace: 0x63d8a75173d1e695, snap: [7, 1158, 4, 4, 0, 2, 4, 10, 2, 14, 0, 0, 5, 3] },
+    Step { label: "open transaction commits", ops: 54, trace: 0xe96a6f27fc6406b4, snap: [8, 1233, 5, 5, 0, 2, 4, 11, 2, 15, 0, 0, 5, 3] },
+    Step { label: "full run tables and a merged run", ops: 72, trace: 0xf9ccff3dfa818dbd, snap: [11, 1838, 6, 6, 0, 4, 4, 14, 2, 21, 0, 0, 8, 3] },
+    Step { label: "write-back pass while filling the map", ops: 122, trace: 0xd8d9486bf23a9d4d, snap: [18, 3203, 13, 13, 0, 4, 4, 21, 2, 39, 0, 0, 13, 3] },
+    Step { label: "commit wedged on a full segment map", ops: 219, trace: 0xbef6860af1784675, snap: [32, 5933, 27, 26, 0, 4, 4, 34, 2, 73, 0, 0, 23, 3] },
+    Step { label: "checkpoint relieves the full map", ops: 229, trace: 0xcec6208792e8e851, snap: [32, 5933, 27, 26, 0, 4, 7, 37, 3, 76, 0, 0, 24, 12] },
+    Step { label: "page-spanning txn after relief", ops: 236, trace: 0x49647752f421b3dd, snap: [34, 6294, 28, 27, 0, 4, 7, 38, 3, 80, 0, 0, 25, 12] },
+    Step { label: "three-run Delta and FirstMod", ops: 242, trace: 0x5afcdba2ff30b7e6, snap: [36, 6572, 29, 28, 0, 4, 7, 39, 3, 83, 0, 0, 26, 12] },
+    Step { label: "uncommitted tail written back", ops: 248, trace: 0xc850f4303d48adad, snap: [38, 6792, 29, 28, 0, 5, 7, 40, 3, 86, 0, 0, 27, 12] },
+    Step { label: "reopen + recover", ops: 251, trace: 0xa65a80cd790b7279, snap: [0, 0, 0, 0, 0, 0, 2, 2, 1, 0, 0, 0, 0, 13] },
 ];
 
-const GOLDEN_LOG_IMAGE_HASH: u64 = 0xc09b_b4d8_eb08_106c;
-const GOLDEN_DATA_IMAGE_HASH: u64 = 0x51dd_d94d_51a7_bae6;
+const GOLDEN_LOG_IMAGE_HASH: u64 = 0x3436_68af_76a0_3d98;
+const GOLDEN_DATA_IMAGE_HASH: u64 = 0x2569_5a9f_75aa_42f1;
 const GOLDEN_REPORT: RecoveryReport = RecoveryReport {
     records_scanned: 36,
     committed_records: 34,
@@ -173,11 +178,13 @@ impl Script {
         self.steps.push(step);
     }
 
-    fn new_page(&mut self) -> usize {
-        self.pool.allocate_page().unwrap();
-        self.committed.push([0; PS]);
-        self.current.push([0; PS]);
-        self.current.len() - 1
+    /// Allocates a page and puts `img` on the data device, outside the
+    /// log, as an earlier checkpointed session would have left it.
+    fn new_page(&mut self, img: [u8; PS]) {
+        let page = self.pool.allocate_page().unwrap();
+        self.data.write_page(page, &img).unwrap();
+        self.committed.push(img);
+        self.current.push(img);
     }
 
     fn touch(&mut self, page: usize, off: usize, val: u8) {
@@ -220,23 +227,32 @@ fn log_device_trace_is_pinned() {
         current: Vec::new(),
         steps: Vec::new(),
     };
-    for _ in 0..40 {
-        s.new_page();
+    // Pages 0..39 hold no zero byte but the 16 at 64..80, so each
+    // FirstMod logs a 112-byte pre-image around that hole; page 39 is
+    // zeroed, as freshly allocated, and its FirstMod logs no pre-image
+    // byte.
+    for page in 0..40u8 {
+        let mut img = [0u8; PS];
+        if page < 39 {
+            img.iter_mut().enumerate().for_each(|(i, b)| *b = (i as u8 ^ page) | 0x80);
+            img[64..80].fill(0);
+        }
+        s.new_page(img);
     }
     s.step("attach (fresh device)");
 
-    // A FirstMod + Commit: 219 bytes, opens segment 0.
+    // A FirstMod + Commit: 195 bytes, opens segment 0.
     s.touch(0, 5, 1);
     s.commit().unwrap();
     s.step("small txn, first rollover");
 
-    // A Delta + Commit: 91 bytes, crosses into segment 1 and rewrites the
+    // A Delta + Commit: 75 bytes, crosses into segment 1 and rewrites the
     // partial tail page with its already-written prefix.
     s.touch(0, 6, 2);
     s.commit().unwrap();
     s.step("delta txn, second rollover");
 
-    // Three FirstMods + Commit: 583 bytes over segments 1..=3, so one
+    // Three FirstMods + Commit: 527 bytes over segments 1..=3, so one
     // flush rolls over twice and the second anchor write must pre-sync.
     let before = s.wal_stats();
     for (page, val) in [(1, 11), (2, 12), (3, 13)] {
