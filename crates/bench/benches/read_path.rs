@@ -19,12 +19,15 @@
 //! `pool miss (file)` through the paper's 200-frame pool over a `FileDisk`
 //! four times its size, cycled, so under LRU every access evicts and
 //! fetches — the benchmark's `pool.miss_ns` probe, on the device
-//! `read_cold` runs on.  ns/access is ns/iter ÷ `POOL_ACCESSES`.
+//! `read_cold` runs on.  `pool miss (mem)` is the same cycle over a
+//! `MemDisk`, whose read is a page copy: the pool's own cost per miss, so
+//! `pool miss (file)` less it is what the `pread` costs.  ns/access is
+//! ns/iter ÷ `POOL_ACCESSES`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ri_bench::{build_ritree, fresh_env_with_cache};
 use ri_mem::sort::sort_ids;
-use ri_pagestore::{BufferPool, FileDisk, PageId, DEFAULT_PAGE_SIZE};
+use ri_pagestore::{BufferPool, FileDisk, MemDisk, PageId, DEFAULT_PAGE_SIZE};
 use ri_relstore::Plan;
 use ri_workloads::{d1, queries_for_selectivity};
 use ritree_core::{Interval, UPPER_NOW};
@@ -120,6 +123,11 @@ fn bench_read_path(c: &mut Criterion) {
         file_pool.allocate_page().unwrap();
     }
     group.bench_function("pool miss (file)", |b| b.iter(|| cycle(&file_pool, span)));
+    let mem_pool = BufferPool::with_defaults(MemDisk::new(DEFAULT_PAGE_SIZE));
+    for _ in 0..span {
+        mem_pool.allocate_page().unwrap();
+    }
+    group.bench_function("pool miss (mem)", |b| b.iter(|| cycle(&mem_pool, span)));
     group.finish();
     drop(file_pool);
     std::fs::remove_file(&path).unwrap();

@@ -119,6 +119,12 @@ impl AllenRelation {
 impl RiTree {
     /// Reports the ids of all intervals standing in `rel` to `q`, with
     /// now-relative intervals resolved at time `now`.
+    ///
+    /// The answer is sorted ascending with duplicates removed: an id the
+    /// tree holds under several intervals that all stand in `rel` to `q`
+    /// comes back **once**.  This differs from
+    /// [`RiTree::intersection_at`], which returns such an id once per
+    /// intersecting interval, in plan order.
     pub fn allen_at(&self, rel: AllenRelation, q: Interval, now: i64) -> Result<Vec<i64>> {
         // Candidate generation: a stab or intersection query guaranteed to
         // produce a superset of the exact result (see per-arm comments).
@@ -162,6 +168,10 @@ impl RiTree {
     }
 
     /// [`RiTree::allen_at`] with now-relative intervals always current.
+    ///
+    /// Same contract: ascending ids, each once, however many of its
+    /// intervals stand in `rel` to `q` — where [`RiTree::intersection`]
+    /// returns the id once per intersecting interval.
     pub fn allen(&self, rel: AllenRelation, q: Interval) -> Result<Vec<i64>> {
         self.allen_at(rel, q, crate::tree::UPPER_NOW - 1)
     }
@@ -302,6 +312,19 @@ mod tests {
         let mut all = tree.intersection_at(Interval::new(0, i64::MAX).unwrap(), 1000).unwrap();
         all.sort_unstable();
         assert_eq!(all, [0, 1, 2, 3, 4], "each stored row once");
+    }
+
+    /// An id stored under two intervals: `allen` reports it once, sorted
+    /// and deduplicated, while `intersection` reports it once per
+    /// interval.
+    #[test]
+    fn an_id_under_two_matching_intervals_is_reported_once() {
+        let tree = tree_with(&[]);
+        tree.insert(Interval::new(10, 20).unwrap(), 1).unwrap();
+        tree.insert(Interval::new(11, 21).unwrap(), 1).unwrap();
+        let q = Interval::new(0, 100).unwrap();
+        assert_eq!(tree.allen(AllenRelation::During, q).unwrap(), [1]);
+        assert_eq!(tree.intersection(q).unwrap(), [1, 1]);
     }
 
     #[test]

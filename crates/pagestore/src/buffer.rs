@@ -54,7 +54,13 @@
 //!
 //! 1. **Reserve** (under the lock): pick a frame — grow, or evict the LRU
 //!    among *non-reserved* frames — mark it reserved, move its buffer out,
-//!    and register the page in the shard's in-flight miss table.
+//!    and register the page in the shard's in-flight miss table.  The
+//!    victim is the head of the shard's recency list, in O(1): the list
+//!    links every frame no miss holds in `(last_used, frame index)` order,
+//!    the order a scan for the least recently used frame would find, ties
+//!    to the lower index.  It is built with one sort the first time the
+//!    full shard needs a victim and dropped by `clear_cache`, so a pool
+//!    that never fills keeps no order on its hits.
 //! 2. **Fetch** (no lock held): write the dirty victim back and read the
 //!    missing page from the device — or, for a page a bulk build writes
 //!    whole ([`BufferPool::write_fresh_page`]), copy in its image, with no
@@ -75,8 +81,9 @@
 //! becomes the fetcher, later ones block on the in-flight entry and are
 //! served from the published frame — one device read total, counted in
 //! [`IoStats::miss_snapshot`] as coalesced faults.  Reserved frames are
-//! never chosen as eviction victims (their buffer is out with the fetcher);
-//! a fault that finds every frame reserved waits for a publish.  A dirty
+//! never chosen as eviction victims (their buffer is out with the fetcher,
+//! and the frame off the recency list until it publishes); a fault that
+//! finds every frame reserved waits for a publish.  A dirty
 //! eviction victim is tracked in a per-shard `evicting` set until its
 //! promoted write-back lands: a fault on such a page waits rather than
 //! resurrect the stale disk image (the lost-update race that the
@@ -172,20 +179,126 @@ struct Frame {
     /// running; copy-on-write (see "Access model" in the module docs).
     data: Arc<[u8]>,
     dirty: bool,
-    /// Logical timestamp of the most recent access, for LRU victim selection.
+    /// Logical timestamp of the most recent access: the shard's
+    /// [`Recency`] list orders frames by `(last_used, frame index)`.
     last_used: u64,
-    /// Reserved by an in-flight miss: the buffer is out with the fetching
-    /// thread, so the frame is excluded from victim selection and must not
-    /// be touched until the fetch publishes or fails.
-    reserved: bool,
     /// End LSN of this page's latest WAL record; the log must be durable
     /// up to here before the frame may be written back.  0 = no pending
     /// record (clean page, or the pool has no WAL).
     page_lsn: u64,
 }
 
+/// No frame: the end of a [`Recency`] list.
+const NIL: u32 = u32::MAX;
+
+/// A shard's exact LRU order: a doubly linked list, intrusive over frame
+/// indices, of every frame no in-flight miss has reserved, ordered by
+/// `(last_used, frame index)` — head first, so the head is the victim a
+/// scan for the least recently used frame would pick, ties going to the
+/// lower index.  A miss unlinks its victim from the head; a publish links
+/// the frame back in at its stamp's place and a hit that raises a stamp
+/// moves its frame there, both walking back from the tail (single-threaded
+/// the new stamp is the newest, so the walk takes no step).
+///
+/// The list exists only once the shard has filled: the first miss that
+/// finds every frame in use builds it with one sort, and
+/// `clear_cache` / `discard_cache` drop it with the frames.  Before that
+/// no victim is ever picked, so hits and publishes skip it — a pool that
+/// never fills keeps no order at all.
+struct Recency {
+    prev: Vec<u32>,
+    next: Vec<u32>,
+    head: u32,
+    tail: u32,
+}
+
+impl Recency {
+    const EMPTY: Recency = Recency { prev: Vec::new(), next: Vec::new(), head: NIL, tail: NIL };
+
+    fn is_built(&self) -> bool {
+        !self.prev.is_empty()
+    }
+
+    /// Links every frame not in `reserved` in `(last_used, index)` order.
+    fn build(&mut self, frames: &[Frame], reserved: impl Iterator<Item = usize>) {
+        let mut linked = vec![true; frames.len()];
+        for i in reserved {
+            linked[i] = false;
+        }
+        let mut order: Vec<u32> =
+            (0..frames.len() as u32).filter(|&i| linked[i as usize]).collect();
+        order.sort_unstable_by_key(|&i| (frames[i as usize].last_used, i));
+        *self =
+            Recency { prev: vec![NIL; frames.len()], next: vec![NIL; frames.len()], ..Self::EMPTY };
+        for i in order {
+            self.link_after(self.tail, i);
+        }
+    }
+
+    /// Unlinks and returns the least recently used frame, if any.
+    fn pop_victim(&mut self) -> Option<usize> {
+        let victim = self.head;
+        if victim == NIL {
+            return None;
+        }
+        self.unlink(victim);
+        Some(victim as usize)
+    }
+
+    /// Links frame `i` (not in the list) at its `(last_used, index)` place.
+    fn place(&mut self, frames: &[Frame], i: usize) {
+        if !self.is_built() {
+            return;
+        }
+        let key = |j: u32| (frames[j as usize].last_used, j);
+        let (i, k) = (i as u32, key(i as u32));
+        let mut after = self.tail;
+        while after != NIL && key(after) > k {
+            after = self.prev[after as usize];
+        }
+        self.link_after(after, i);
+    }
+
+    /// Moves linked frame `i`, whose `last_used` just rose, to its place.
+    fn touch(&mut self, frames: &[Frame], i: usize) {
+        if self.is_built() && self.tail != i as u32 {
+            self.unlink(i as u32);
+            self.place(frames, i);
+        }
+    }
+
+    /// Links `i` right after `after`, or at the head if `after` is `NIL`.
+    fn link_after(&mut self, after: u32, i: u32) {
+        let before = if after == NIL { self.head } else { self.next[after as usize] };
+        self.prev[i as usize] = after;
+        self.next[i as usize] = before;
+        match after {
+            NIL => self.head = i,
+            a => self.next[a as usize] = i,
+        }
+        match before {
+            NIL => self.tail = i,
+            b => self.prev[b as usize] = i,
+        }
+    }
+
+    fn unlink(&mut self, i: u32) {
+        let (p, n) = (self.prev[i as usize], self.next[i as usize]);
+        match p {
+            NIL => self.head = n,
+            p => self.next[p as usize] = n,
+        }
+        match n {
+            NIL => self.tail = p,
+            n => self.prev[n as usize] = p,
+        }
+    }
+}
+
 struct PoolInner {
     frames: Vec<Frame>,
+    /// The frames' LRU order, once the shard has filled.
+    recency: Recency,
     /// Maps a cached page id to its frame index.
     table: HashMap<PageId, usize, IdHash>,
     /// Pages whose device read is currently in flight, mapped to their
@@ -334,6 +447,7 @@ impl BufferPool {
                 Shard {
                     inner: Mutex::new(PoolInner {
                         frames: Vec::new(),
+                        recency: Recency::EMPTY,
                         table: HashMap::with_capacity_and_hasher(capacity, IdHash::default()),
                         in_flight: HashMap::default(),
                         evicting: HashSet::default(),
@@ -480,6 +594,7 @@ impl BufferPool {
             );
             inner.table.clear();
             inner.frames.clear();
+            inner.recency = Recency::EMPTY;
         }
     }
 
@@ -703,6 +818,7 @@ impl BufferPool {
             if walked.is_ok() {
                 inner.table.clear();
                 inner.frames.clear();
+                inner.recency = Recency::EMPTY;
             }
             self.release_drain(shard, &mut inner);
             late_writes |= walked?;
@@ -788,14 +904,18 @@ impl BufferPool {
         let mut coalesced = false;
         loop {
             if let Some(&idx) = inner.table.get(&id) {
-                // `max`: a waiter served after blocking carries a `now`
-                // from before its sleep; a stale stamp must not move a
-                // hot page backwards in LRU order.  Single-threaded `now`
-                // is always the newest tick, so this is exactly the
-                // seed's `last_used = now`.
-                let fr = &mut inner.frames[idx];
-                fr.last_used = fr.last_used.max(now);
+                // Only a newer stamp: a waiter served after blocking
+                // carries a `now` from before its sleep, and a stale stamp
+                // must not move a hot page backwards in LRU order.
+                // Single-threaded `now` is always the newest tick, so this
+                // is exactly the seed's `last_used = now`.
+                let st = &mut *inner;
+                if now > st.frames[idx].last_used {
+                    st.frames[idx].last_used = now;
+                    st.recency.touch(&st.frames, idx);
+                }
                 if let Some(image) = image {
+                    let fr = &mut st.frames[idx];
                     install(&mut fr.data, image);
                     fr.dirty = true;
                 }
@@ -827,30 +947,25 @@ impl BufferPool {
                 continue;
             }
             // Phase 1 — reserve, under the lock: grow up to the shard's
-            // capacity, else evict the LRU among *non-reserved* frames.
+            // capacity, else evict the head of the recency list, the LRU
+            // among the frames no in-flight miss holds (built here the
+            // first time the shard is full).
             let idx = if inner.frames.len() < shard.capacity {
                 inner.frames.push(Frame {
                     page: PageId::INVALID,
                     data: vec![0u8; self.page_size].into(),
                     dirty: false,
                     last_used: 0,
-                    reserved: true,
                     page_lsn: 0,
                 });
                 inner.frames.len() - 1
             } else {
-                let victim = inner
-                    .frames
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, fr)| !fr.reserved)
-                    .min_by_key(|(_, fr)| fr.last_used)
-                    .map(|(i, _)| i);
-                match victim {
-                    Some(i) => {
-                        inner.frames[i].reserved = true;
-                        i
-                    }
+                let st = &mut *inner;
+                if !st.recency.is_built() {
+                    st.recency.build(&st.frames, st.in_flight.values().copied());
+                }
+                match st.recency.pop_victim() {
+                    Some(i) => i,
                     None => {
                         // Every frame is reserved by an in-flight miss:
                         // wait for a publish to free one, then retry.
@@ -923,7 +1038,6 @@ impl BufferPool {
             {
                 let fr = &mut inner2.frames[idx];
                 fr.data = buf;
-                fr.reserved = false;
                 if read_ok {
                     fr.page = id;
                     fr.dirty = image.is_some();
@@ -945,6 +1059,10 @@ impl BufferPool {
                     fr.page_lsn = 0;
                 }
             }
+            // The frame is evictable again, at its new stamp — or, when
+            // the fetch failed, at the stamp it kept.
+            let st = &mut *inner2;
+            st.recency.place(&st.frames, idx);
             inner2.in_flight.remove(&id);
             if old_dirty {
                 // Write-back landed (disk is fresh) or failed (the victim
@@ -1382,5 +1500,267 @@ mod tests {
         assert!(matches!(err, Error::InvalidArgument(_)), "{err}");
         assert_eq!(pool.stats().snapshot().logical_writes, io.logical_writes);
         assert_eq!(pool.with_page(logged, |d| d[0]).unwrap(), 1, "the refused write landed");
+    }
+
+    // ------------------------------------------------------------------
+    // Victim order: the recency list against the scan it replaced
+    // ------------------------------------------------------------------
+
+    use crate::faulty::{FaultPlan, FaultyDisk};
+
+    /// A frame as the model sees it: page (`None` uncached), dirty, stamp.
+    type FrameState = (Option<u64>, bool, u64);
+
+    /// The pool run single-threaded, its victim picked by a scan of every
+    /// frame for the least `(last_used, index)` — nothing is reserved
+    /// between operations.  One tick of a shard's clock per access, and a
+    /// failed fetch keeps its frame's old stamp, as in the pool.
+    struct VictimModel {
+        /// Per shard: frames, capacity, clock.
+        shards: Vec<(Vec<FrameState>, usize, u64)>,
+        /// Evictions whose write-back failed, and whose read failed.
+        failed_evictions: [u64; 2],
+    }
+
+    impl VictimModel {
+        fn new(capacity: usize, shards: usize) -> Self {
+            let share = |i| capacity / shards + usize::from(i < capacity % shards);
+            let shards = (0..shards).map(|i| (Vec::new(), share(i), 0)).collect();
+            VictimModel { shards, failed_evictions: [0; 2] }
+        }
+
+        /// The page the next miss of `page`'s shard would evict, if full.
+        fn victim(&self, page: u64) -> Option<u64> {
+            let (frames, capacity, _) = &self.shards[(page % self.shards.len() as u64) as usize];
+            if frames.len() < *capacity {
+                return None;
+            }
+            frames.iter().min_by_key(|f| f.2).and_then(|f| f.0)
+        }
+
+        /// One `acquire_resident`; whether it succeeded.
+        fn access(&mut self, page: u64, fresh: bool, bad: (Option<u64>, Option<u64>)) -> bool {
+            let shard = (page % self.shards.len() as u64) as usize;
+            let (frames, capacity, clock) = &mut self.shards[shard];
+            *clock += 1;
+            let now = *clock;
+            if let Some(f) = frames.iter_mut().find(|f| f.0 == Some(page)) {
+                f.2 = now;
+                f.1 |= fresh;
+                return true;
+            }
+            let evicts = frames.len() == *capacity;
+            let i = if !evicts {
+                frames.push((None, false, 0));
+                frames.len() - 1
+            } else {
+                // The oracle: the scan the recency list replaced.
+                let scan = frames.iter().enumerate().min_by_key(|(_, f)| f.2);
+                scan.map(|(i, _)| i).unwrap()
+            };
+            let (old_page, old_dirty, _) = frames[i];
+            let wrote_back = !old_dirty || bad.1 != old_page;
+            let read = wrote_back && (fresh || bad.0 != Some(page));
+            if read {
+                frames[i] = (Some(page), fresh, now);
+            } else if wrote_back {
+                frames[i].0 = None;
+                frames[i].1 = false;
+            }
+            if evicts && !read {
+                self.failed_evictions[usize::from(wrote_back)] += 1;
+            }
+            read
+        }
+
+        /// `flush_all`: shards in order, frames in slot order, stopping at
+        /// the first failed write.
+        fn flush(&mut self, bad_write: Option<u64>) -> bool {
+            for (frames, _, _) in &mut self.shards {
+                for f in frames.iter_mut().filter(|f| f.1) {
+                    if f.0 == bad_write {
+                        return false;
+                    }
+                    f.1 = false;
+                }
+            }
+            true
+        }
+    }
+
+    fn frame_states(pool: &BufferPool) -> Vec<Vec<FrameState>> {
+        let state =
+            |f: &Frame| (Some(f.page.raw()).filter(|_| !f.page.is_invalid()), f.dirty, f.last_used);
+        pool.shards.iter().map(|s| s.inner.lock().frames.iter().map(state).collect()).collect()
+    }
+
+    /// A seeded single-threaded mix of every pool operation, failed reads
+    /// and failed write-backs included, checked frame by frame against
+    /// [`VictimModel`] after each.  Returns the model's failed evictions.
+    fn victim_order_run(capacity: usize, shards: usize, seed: u64) -> [u64; 2] {
+        let disk = Arc::new(FaultyDisk::new(MemDisk::new(128), FaultPlan::default()));
+        let pool = BufferPool::new(Arc::clone(&disk), BufferPoolConfig::sharded(capacity, shards));
+        let mut model = VictimModel::new(capacity, shards);
+        let pages = 3 * capacity as u64;
+        for _ in 0..pages {
+            pool.allocate_page().unwrap();
+        }
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut rand = |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let fresh = vec![7u8; 128];
+        for step in 0..1500 {
+            // Half the accesses go to a hot third of the pages, so hits
+            // reorder resident frames between misses.
+            let page = if rand(2) == 0 { rand(capacity as u64) } else { rand(pages) };
+            let id = PageId(page);
+            let bad_read = (rand(8) == 0).then_some(page);
+            let bad_write = match rand(6) {
+                0 => model.victim(page),
+                1 => Some(rand(pages)),
+                _ => None,
+            };
+            let poison = FaultPlan {
+                poison_page_reads: bad_read.map(PageId),
+                poison_page_writes: bad_write.map(PageId),
+                ..Default::default()
+            };
+            disk.set_plan(poison);
+            let bad = (bad_read, bad_write);
+            let (op, got, want) = match rand(16) {
+                0..=6 => (
+                    "with_page",
+                    pool.with_page(id, |d| d[0]).is_ok(),
+                    model.access(page, false, bad),
+                ),
+                7..=9 => {
+                    let want = model.access(page, false, bad) && model.access(page, true, bad);
+                    ("with_page_mut", pool.with_page_mut(id, |d| d[1] = step as u8).is_ok(), want)
+                }
+                10 | 11 => ("prefetch", pool.prefetch(id).is_ok(), model.access(page, false, bad)),
+                12 | 13 => (
+                    "write_fresh_page",
+                    pool.write_fresh_page(0, id, &fresh).is_ok(),
+                    model.access(page, true, bad),
+                ),
+                14 => ("flush_all", pool.flush_all().is_ok(), model.flush(bad_write)),
+                _ => {
+                    let want = model.flush(bad_write);
+                    if want {
+                        model.shards.iter_mut().for_each(|s| s.0.clear());
+                    }
+                    ("clear_cache", pool.clear_cache().is_ok(), want)
+                }
+            };
+            disk.set_plan(FaultPlan::default());
+            assert_eq!(got, want, "step {step}: {op}({page}) succeeded, seed {seed}");
+            let model_frames: Vec<_> = model.shards.iter().map(|s| s.0.clone()).collect();
+            assert_eq!(
+                frame_states(&pool),
+                model_frames,
+                "step {step}: after {op}({page}), seed {seed}"
+            );
+        }
+        model.failed_evictions
+    }
+
+    /// Runs [`victim_order_run`] on each capacity, four seeds each, and
+    /// checks the mix failed evictions both ways.  The runs go on a thread
+    /// joined under a deadline: a frame that drops out of the recency list
+    /// for good can leave a full shard with no victim, and a miss there
+    /// waits for a publish that never comes.
+    fn victim_order_runs(capacities: std::ops::RangeInclusive<usize>, shards: usize) {
+        let (done, runs) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut failed = [0; 2];
+            for capacity in capacities {
+                for seed in 0..4 {
+                    let run = victim_order_run(capacity, shards, seed);
+                    failed = [failed[0] + run[0], failed[1] + run[1]];
+                }
+            }
+            done.send(failed).unwrap();
+        });
+        let failed = match runs.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok(failed) => failed,
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("a miss waited 60 s on a single-threaded pool: no frame left to evict")
+            }
+            Err(e) => panic!("a victim-order run failed: {e}"),
+        };
+        assert!(
+            failed.iter().all(|&n| n >= 100),
+            "write-back / read failures on eviction: {failed:?}"
+        );
+    }
+
+    #[test]
+    fn victim_order_is_the_lru_scans_on_one_shard() {
+        victim_order_runs(3..=16, 1);
+    }
+
+    #[test]
+    fn victim_order_is_the_lru_scans_on_four_shards() {
+        victim_order_runs(4..=16, 4);
+    }
+
+    /// After concurrent faults, hits and writes on a small pool, each
+    /// shard's list holds every frame once (nothing is in flight), head to
+    /// tail in ascending `(last_used, index)`: publishes and hits whose
+    /// stamps are not the newest found their place.
+    #[test]
+    fn victim_list_holds_every_frame_in_order_after_concurrent_misses() {
+        for shards in [1, 2] {
+            let pool = sharded_pool(6, shards);
+            let pages: Vec<_> = (0..24).map(|_| pool.allocate_page().unwrap()).collect();
+            std::thread::scope(|s| {
+                for t in 0..4u64 {
+                    let (pool, pages) = (&pool, &pages);
+                    s.spawn(move || {
+                        for i in 0..2000u64 {
+                            let p = pages[((i * (2 * t + 1) + t) % pages.len() as u64) as usize];
+                            if i % 5 == 0 {
+                                pool.with_page_mut(p, |d| d[0] = i as u8).unwrap();
+                            } else {
+                                pool.with_page(p, |d| d[0]).unwrap();
+                            }
+                        }
+                    });
+                }
+            });
+            for shard in pool.shards.iter() {
+                let inner = shard.inner.lock();
+                let list = &inner.recency;
+                let mut order = Vec::new();
+                let mut at = list.head;
+                while at != NIL {
+                    order.push((inner.frames[at as usize].last_used, at));
+                    at = list.next[at as usize];
+                }
+                assert_eq!(order.len(), inner.frames.len(), "shards {shards}: {order:?}");
+                assert!(order.windows(2).all(|w| w[0] < w[1]), "shards {shards}: {order:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn victim_list_is_kept_only_while_the_shard_is_full() {
+        let pool = small_pool(4);
+        let built = || pool.shards[0].inner.lock().recency.is_built();
+        let pages: Vec<_> = (0..5).map(|_| pool.allocate_page().unwrap()).collect();
+        for _ in 0..3 {
+            for &p in &pages[..4] {
+                pool.with_page(p, |_| {}).unwrap();
+            }
+        }
+        assert!(!built(), "a pool that has not filled keeps no recency order");
+        pool.with_page(pages[4], |_| {}).unwrap();
+        assert!(built(), "the first eviction builds the list");
+        pool.clear_cache().unwrap();
+        assert!(!built(), "clear_cache drops the list with the frames");
     }
 }
